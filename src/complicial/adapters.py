@@ -27,7 +27,12 @@ from .errors import (
     NotQuasiCategory,
 )
 from .homotopy import MonoidTable, find_inverses
-from .lifting import ExtensionProblem, assemble_horn_map, find_extensions
+from .lifting import (
+    ExtensionProblem,
+    _horn_rows,
+    assemble_horn_map,
+    find_extensions,
+)
 from .standard import complicial_horn, delta
 from .strat import (
     StratifiedSSet,
@@ -296,24 +301,9 @@ def _simplicial_horn_tuples(
 ) -> Iterator[dict[int, SimplexId]]:
     """Compatible face tuples for the simplicial horn, all faces present."""
     js = [j for j in range(n + 1) if j != hk]
-
-    def deeper(chosen: dict[int, SimplexId], pos: int
-               ) -> Iterator[dict[int, SimplexId]]:
-        if pos == len(js):
-            yield dict(chosen)
-            return
-        j = js[pos]
-        for cand in k.simplices(n - 1):
-            if n >= 2 and any(
-                k.face(cand, i) != k.face(chosen[i], j - 1)
-                for i in js[:pos]
-            ):
-                continue
-            chosen[j] = cand
-            yield from deeper(chosen, pos + 1)
-            del chosen[j]
-
-    yield from deeper({}, 0)
+    ids = k.ids[n - 1]
+    for row in _horn_rows(k, hk, n, None):
+        yield {j: ids[w] for j, w in zip(js, row)}
 
 
 def assert_quasicategory(k: TruncatedSSet, bound: int | None = None) -> None:
@@ -341,14 +331,17 @@ def assert_quasicategory(k: TruncatedSSet, bound: int | None = None) -> None:
 
 
 def assert_kan(k: TruncatedSSet, bound: int | None = None) -> None:
-    """All-horn fillability up to the bound, by direct table scan."""
+    """All-horn fillability up to the bound, by face-index lookup."""
     bound = k.dim_cap if bound is None else bound
     for n in range(1, bound + 1):
+        by_value = k.face_value_index(n)
         for hk in range(n + 1):
+            j0 = 1 if hk == 0 else 0  # the first face of the horn
             for tup in _simplicial_horn_tuples(k, hk, n):
+                want = [(j, s.index) for j, s in tup.items()]
                 if not any(
-                    all(k.face(w, j) == tup[j] for j in tup)
-                    for w in k.simplices(n)
+                    all(k.faces[n][w][j] == v for j, v in want)
+                    for w in by_value[j0].get(tup[j0].index, ())
                 ):
                     raise NotKan(
                         f"horn (k, n) = ({hk}, {n}) unfillable at {tup}"

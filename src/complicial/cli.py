@@ -32,6 +32,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -70,6 +85,9 @@ def _load_category(args) -> adapters.FiniteCategory:
             src = [objects.index(m["src"]) for m in raw["morphisms"]]
             tgt = [objects.index(m["tgt"]) for m in raw["morphisms"]]
             identities = [names.index(raw["identities"][o]) for o in objects]
+            if not isinstance(raw["composition"], dict):
+                raise _UsageError("malformed algebra input: composition "
+                                  "must map 'f|g' to a morphism name")
             comp = {}
             for pair, result in raw["composition"].items():
                 f, g = pair.split("|")
@@ -229,8 +247,8 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="check the weak complicial conditions")
     v.add_argument("complex", help="complex JSON path ('-' reads stdin)")
     v.add_argument("--max-dim", type=int, default=None)
-    v.add_argument("--threads", type=int, default=None)
-    v.add_argument("--limit", type=int, default=None,
+    v.add_argument("--threads", type=_at_least(1), default=None)
+    v.add_argument("--limit", type=_at_least(0), default=None,
                    help="serialize at most this many witnesses per row")
     v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
@@ -240,7 +258,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--vertex", default="0")
     t.add_argument("--audit-well-defined", action="store_true")
-    t.add_argument("--threads", type=int, default=None)
+    t.add_argument("--threads", type=_at_least(1), default=None)
     t.add_argument("--out")
     t.set_defaults(func=cmd_tau)
 

@@ -12,6 +12,7 @@ between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -65,8 +66,9 @@ class TruncatedSSet:
         "ids",
         "keys",
         "_key_index",
-        "_degenerate",
-        "_deg_witness",
+        "deg_witness",
+        "_by_faces",
+        "_by_face_value",
     )
 
     def __init__(
@@ -90,17 +92,24 @@ class TruncatedSSet:
             self._key_index = tuple(
                 {k: i for i, k in enumerate(per_dim)} for per_dim in keys
             )
-        degenerate: set[SimplexId] = set()
-        witness: dict[SimplexId, tuple[SimplexId, int]] = {}
+        witness: list[list[tuple[int, int] | None]] = [
+            [None] * c for c in counts
+        ]
         for n in range(dim_cap):
             for i, row in enumerate(degeneracies[n]):
                 for j, target in enumerate(row):
-                    t = ids[n + 1][target]
-                    degenerate.add(t)
-                    if t not in witness:
-                        witness[t] = (ids[n][i], j)
-        self._degenerate = frozenset(degenerate)
-        self._deg_witness = witness
+                    if witness[n + 1][target] is None:
+                        witness[n + 1][target] = (i, j)
+        # deg_witness[n][i] is some (b, j) with s_j b = i, None when the
+        # n-simplex i is nondegenerate
+        self.deg_witness = tuple(tuple(per_dim) for per_dim in witness)
+        # lazily built indexes; each slot is assigned once, fully built, so
+        # concurrent first uses at worst build the same table twice
+        self._by_faces: list[dict[Row, tuple[int, ...]] | None] = \
+            [None] * (dim_cap + 1)
+        self._by_face_value: list[
+            tuple[dict[int, tuple[int, ...]], ...] | None
+        ] = [None] * (dim_cap + 1)
 
     # -- basic access ------------------------------------------------------
 
@@ -165,19 +174,47 @@ class TruncatedSSet:
         """True iff ``x`` appears in some degeneracy-table row."""
         if x.dim < 1:
             raise InvalidInput("degeneracy is undefined for vertices")
-        return x in self._degenerate
+        return self.deg_witness[x.dim][x.index] is not None
 
     def nondegenerate(self, n: int) -> tuple[SimplexId, ...]:
-        if n == 0:
-            return self.ids[0]
-        return tuple(x for x in self.ids[n] if x not in self._degenerate)
+        witness = self.deg_witness[n]
+        return tuple(x for x in self.ids[n] if witness[x.index] is None)
 
     def degeneracy_witness(self, x: SimplexId) -> tuple[SimplexId, int]:
         """Some ``(y, i)`` with ``s_i y = x``, for degenerate ``x``."""
-        try:
-            return self._deg_witness[x]
-        except KeyError:
-            raise InvalidInput(f"{x!r} is not degenerate") from None
+        got = self.deg_witness[x.dim][x.index]
+        if got is None:
+            raise InvalidInput(f"{x!r} is not degenerate")
+        return self.ids[x.dim - 1][got[0]], got[1]
+
+    def face_index(self, n: int) -> dict[Row, tuple[int, ...]]:
+        """The n-simplices (n >= 1) grouped by face row, indexes ascending."""
+        table = self._by_faces[n]
+        if table is None:
+            grouped: dict[Row, list[int]] = {}
+            for i, row in enumerate(self.faces[n]):
+                grouped.setdefault(row, []).append(i)
+            table = {row: tuple(ixs) for row, ixs in grouped.items()}
+            self._by_faces[n] = table
+        return table
+
+    def face_value_index(self, n: int) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """Per face position j, the n-simplices (n >= 1) by their j-th face.
+
+        ``face_value_index(n)[j][v]`` lists, ascending, every n-simplex whose
+        j-th face is the (n-1)-simplex ``v``.
+        """
+        table = self._by_face_value[n]
+        if table is None:
+            grouped: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+            for i, row in enumerate(self.faces[n]):
+                for j, v in enumerate(row):
+                    grouped[j].setdefault(v, []).append(i)
+            table = tuple(
+                {v: tuple(ixs) for v, ixs in per_j.items()} for per_j in grouped
+            )
+            self._by_face_value[n] = table
+        return table
 
     def const(self, x: SimplexId, m: int) -> SimplexId:
         """The constant m-simplex at the vertex ``x`` (iterated s_0)."""
@@ -405,34 +442,41 @@ def _validate_map(source: TruncatedSSet, target: TruncatedSSet,
     if depth != min(source.dim_cap, target.dim_cap):
         raise InvalidInput("assignment must cover min of the two caps")
     for n in range(depth + 1):
-        if len(assign[n]) != source.counts[n]:
+        row = assign[n]
+        if len(row) != source.counts[n]:
             raise InvalidInput(f"assignment at dim {n} is not index-complete")
-        for e in assign[n]:
-            if not 0 <= e < target.counts[n]:
-                raise DanglingReference(f"assigned target {n}:{e} does not exist")
+        if row and (min(row) < 0 or max(row) >= target.counts[n]):
+            e = next(e for e in row if not 0 <= e < target.counts[n])
+            raise DanglingReference(f"assigned target {n}:{e} does not exist")
     for n in range(1, depth + 1):
-        for i in range(source.counts[n]):
-            img = assign[n][i]
-            for j in range(n + 1):
-                if target.faces[n][img][j] != assign[n - 1][source.faces[n][i][j]]:
-                    raise NotWellDefined(
-                        f"face mismatch at dim {n} simplex {i}, d_{j}"
-                    )
+        _check_commutes(assign[n], assign[n - 1], source.faces[n],
+                        target.faces[n], f"face mismatch at dim {n}", "d")
     for n in range(depth):
-        for i in range(source.counts[n]):
-            img = assign[n][i]
-            for j in range(n + 1):
-                if (target.degeneracies[n][img][j]
-                        != assign[n + 1][source.degeneracies[n][i][j]]):
-                    raise NotWellDefined(
-                        f"degeneracy mismatch at dim {n} simplex {i}, s_{j}"
-                    )
+        _check_commutes(assign[n], assign[n + 1], source.degeneracies[n],
+                        target.degeneracies[n],
+                        f"degeneracy mismatch at dim {n}", "s")
+
+
+def _check_commutes(row: Row, other: Row, source_ops: tuple[Row, ...],
+                    target_ops: tuple[Row, ...], what: str, op: str) -> None:
+    """Raise at the first simplex i and operator j with op_j f(i) != f(op_j i).
+
+    ``row`` and ``other`` are the assignment in the simplex's dimension and
+    in the dimension the operators land in; the ``*_ops`` tables give the
+    operators' results row by row.
+    """
+    got = list(chain.from_iterable(map(target_ops.__getitem__, row)))
+    want = list(map(other.__getitem__, chain.from_iterable(source_ops)))
+    if got != want:
+        width = len(source_ops[0])  # build_sset fixes every row's length
+        p = next(p for p, (g, w) in enumerate(zip(got, want)) if g != w)
+        raise NotWellDefined(f"{what} simplex {p // width}, {op}_{p % width}")
 
 
 def make_simplicial_map(source: TruncatedSSet, target: TruncatedSSet,
                         assign: Sequence[Sequence[int]]) -> SimplicialMap:
     """Wrap a full index assignment as a map, after validating it."""
-    assign_t = tuple(tuple(int(e) for e in row) for row in assign)
+    assign_t = tuple(tuple(map(int, row)) for row in assign)
     _validate_map(source, target, assign_t)
     return SimplicialMap(source, target, assign_t)
 

@@ -27,6 +27,8 @@ def id_str(s: SimplexId) -> str:
 
 
 def parse_id(text: str) -> tuple[int, int]:
+    if not isinstance(text, str):
+        raise InvalidInput(f"malformed simplex id {text!r}: not a string")
     try:
         dim, index = text.split(":")
         return int(dim), int(index)
@@ -106,6 +108,10 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
         _parse_rows(doc["degeneracies"][n], n, n + 1) for n in range(cap)
     ] + [[]]
     label_map = doc.get("labels", {})
+    if not isinstance(label_map, dict) or not all(
+        isinstance(v, str) for v in label_map.values()
+    ):
+        raise InvalidInput("labels must map simplex ids to strings")
     labels = None
     if label_map:
         labels = [
@@ -113,8 +119,11 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
             for n in range(cap + 1)
         ]
     u = build_sset(cap, counts, faces, degens, labels=labels)
+    thin_ids = doc.get("thin", [])
+    if not isinstance(thin_ids, list):
+        raise InvalidInput("thin must be a list of simplex ids")
     thin = []
-    for text in doc.get("thin", []):
+    for text in thin_ids:
         dim, index = parse_id(text)
         if not (0 <= dim <= cap and 0 <= index < counts[dim]):
             raise InvalidInput(f"thin id {text!r} does not exist")

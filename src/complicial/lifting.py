@@ -2,12 +2,27 @@
 
 The solver underlies everything in this package that "fills a horn": it
 takes an inclusion A -> B, a partial map A -> X, and searches for stratified
-extensions B -> X.  Unknowns are the nondegenerate simplices of B outside A;
-they are processed dimension by dimension in (dim, index) order, depth
-first, with candidates pruned on face compatibility and on thinness
-preservation.  Degenerate simplices never enter the search: their images are
-forced by the assignments below them.  The result list is therefore
-deterministic, ordered lexicographically by assignment.
+extensions B -> X.  It runs on plain simplex indexes.  Unknowns are the
+nondegenerate simplices of B outside A; they are processed dimension by
+dimension in (dim, index) order, depth first, drawing candidates from the
+target's cached face-row index and, where B's simplex is thin, from X's
+thin simplices only.  Degenerate simplices never enter the search: their
+images are filled in from the assignments below them.  The result list is
+therefore deterministic, ordered lexicographically by assignment.
+
+What is validated, and where:
+
+* Pins, at enumeration.  The inclusion and the partial map of a problem
+  are validated maps; a horn instance is enumerated only when its faces
+  are compatible and land thin wherever the horn is thin, so it is a
+  stratified map from the horn.
+* Results.  Every map :func:`find_extensions` returns is rebuilt through
+  ``make_simplicial_map`` and ``make_stratified_map``.
+* Verdicts.  For each horn instance, :func:`verify_weak_complicial`
+  validates the one filler it found the same way or, when there is none,
+  validates the horn map through :func:`assemble_horn_map` before it
+  records the failure.  Every pass and every failure rests on a validated
+  map.
 
 Verification of the weak complicial lifting conditions is bounded by the
 cap: a truncated complex can never certify conditions above it, so the
@@ -19,14 +34,22 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .core import SimplexId, build_map, make_simplicial_map
+from .core import (
+    Row,
+    SimplexId,
+    TruncatedSSet,
+    build_map,
+    make_simplicial_map,
+)
 from .errors import (
     BoundaryMismatch,
     BoundExceedsCap,
     CapTooSmall,
     InvalidInput,
+    KOutOfRange,
     NotWellDefined,
 )
 from .standard import complicial_horn, complicial_thin_key, in_horn_key, monotone_maps
@@ -45,19 +68,116 @@ class ExtensionProblem:
             raise InvalidInput("inclusion and partial map must share a source")
 
 
-def _pinned_values(problem: ExtensionProblem) -> dict[SimplexId, SimplexId]:
+def _pin_rows(problem: ExtensionProblem) -> list[list[int | None]]:
+    """Per dimension of B, the pinned image index of each simplex or None."""
     inc, par = problem.inclusion, problem.partial
-    a = inc.source
-    pinned: dict[SimplexId, SimplexId] = {}
+    b = inc.target
+    pins: list[list[int | None]] = [[None] * c for c in b.counts]
     for n in range(min(inc.map.depth, par.map.depth) + 1):
-        for s in a.simplices(n):
-            b = inc(s)
-            v = par(s)
-            if pinned.setdefault(b, v) != v:
+        row = pins[n]
+        for s, v in zip(inc.map.assign[n], par.map.assign[n]):
+            got = row[s]
+            if got is None:
+                row[s] = v
+            elif got != v:
                 raise InvalidInput(
-                    f"inclusion is not injective at {b!r} (conflicting pins)"
+                    f"inclusion is not injective at {b.underlying.ids[n][s]!r} "
+                    "(conflicting pins)"
                 )
-    return pinned
+    return pins
+
+
+def _search(
+    b: StratifiedSSet,
+    x: StratifiedSSet,
+    pins: list[list[int | None]],
+    limit: int | None,
+) -> Iterator[tuple[Row, ...]]:
+    """Full assignment rows B -> X that extend ``pins``, in search order.
+
+    ``pins[n][i]`` is the image index of the n-simplex i of B, or None.  The
+    unknowns are the unpinned nondegenerate simplices, in (dim, index)
+    order; each takes, in ascending order, the X-simplices whose face row
+    is the image of its own (thin ones only, where B's simplex is thin).
+    An unpinned degenerate simplex takes the degeneracy of its base's image;
+    those are filled a whole dimension at a time, once the dimension below
+    is known.  The rows of ``pins`` serve as the work space.  Stops after
+    ``limit`` solutions (None: all).  Rows are yielded unvalidated.
+    """
+    bu, xu = b.underlying, x.underlying
+    rows = pins
+    witness = bu.deg_witness
+    b_thin, x_thin = b.thin_indexes(), x.thin_indexes()
+    forced = [
+        [(i, w[0], w[1]) for i, w in enumerate(witness[m])
+         if w is not None and rows[m][i] is None]
+        for m in range(b.cap + 1)
+    ]
+    # (dim, index, face row in B, thin set to draw from or None, first
+    # dimension whose degenerate images to fill before this unknown)
+    steps = []
+    filled = 0
+    for m in range(b.cap + 1):
+        for i, w in enumerate(witness[m]):
+            if w is None and rows[m][i] is None:
+                steps.append((
+                    m, i, bu.faces[m][i] if m else (),
+                    x_thin[m] if i in b_thin[m] else None, filled + 1,
+                ))
+                filled = m
+
+    def fill(lo: int, hi: int) -> None:
+        for d in range(lo, hi + 1):
+            row, below, degs = rows[d], rows[d - 1], xu.degeneracies[d - 1]
+            for i, base, j in forced[d]:
+                row[i] = degs[below[base]][j]
+
+    if not steps:
+        fill(1, b.cap)
+        yield tuple(tuple(row) for row in rows)
+        return
+    last = len(steps) - 1
+    pools: list[Sequence[int]] = [()] * len(steps)
+    nxt = [0] * len(steps)
+    found = 0
+    pos, fresh = 0, True
+    while pos >= 0:
+        m, i, frow, thin, lo = steps[pos]
+        if fresh:
+            fill(lo, m)
+            if m == 0:
+                pool: Sequence[int] = range(xu.counts[0])
+            else:
+                below = rows[m - 1]
+                pool = xu.face_index(m).get(tuple([below[f] for f in frow]), ())
+            if thin is not None:
+                pool = [w for w in pool if w in thin]
+            pools[pos] = pool
+            nxt[pos] = 0
+        pool, k = pools[pos], nxt[pos]
+        if k == len(pool):
+            pos -= 1
+            fresh = False
+            continue
+        nxt[pos] = k + 1
+        rows[m][i] = pool[k]
+        if pos < last:
+            pos += 1
+            fresh = True
+            continue
+        fill(filled + 1, b.cap)
+        yield tuple(tuple(row) for row in rows)
+        found += 1
+        if found == limit:
+            return
+        fresh = False
+
+
+def _validated(b: StratifiedSSet, x: StratifiedSSet,
+               rows: tuple[Row, ...]) -> StratifiedMap:
+    return make_stratified_map(
+        b, x, make_simplicial_map(b.underlying, x.underlying, rows)
+    )
 
 
 def find_extensions(
@@ -73,75 +193,12 @@ def find_extensions(
         raise InvalidInput("limit must be at least 1")
     b = problem.inclusion.target
     x = problem.partial.target
-    bu, xu = b.underlying, x.underlying
     if x.cap < b.cap:
         raise CapTooSmall(f"target cap {x.cap} below problem cap {b.cap}")
-    pinned = _pinned_values(problem)
-    unknowns = [
-        s
-        for n in range(b.cap + 1)
-        for s in bu.nondegenerate(n)
-        if s not in pinned
+    return [
+        _validated(b, x, rows)
+        for rows in _search(b, x, _pin_rows(problem), limit)
     ]
-
-    face_index: dict[int, dict[tuple[int, ...], list[int]]] = {}
-
-    def candidates_by_faces(m: int, row: tuple[int, ...]) -> list[int]:
-        if m not in face_index:
-            table: dict[tuple[int, ...], list[int]] = {}
-            for i, r in enumerate(xu.faces[m]):
-                table.setdefault(r, []).append(i)
-            face_index[m] = table
-        return face_index[m].get(row, [])
-
-    assigned: dict[SimplexId, SimplexId] = {}
-
-    def value(s: SimplexId) -> SimplexId:
-        got = pinned.get(s)
-        if got is not None:
-            return got
-        got = assigned.get(s)
-        if got is not None:
-            return got
-        base, i = bu.degeneracy_witness(s)
-        return xu.degeneracy(value(base), i)
-
-    solutions: list[StratifiedMap] = []
-
-    def emit() -> None:
-        rows = tuple(
-            tuple(value(s).index for s in bu.simplices(n))
-            for n in range(b.cap + 1)
-        )
-        solutions.append(
-            make_stratified_map(b, x, make_simplicial_map(bu, xu, rows))
-        )
-
-    def search(pos: int) -> bool:
-        if pos == len(unknowns):
-            emit()
-            return limit is not None and len(solutions) >= limit
-        u = unknowns[pos]
-        m = u.dim
-        need_thin = b.is_thin(u)
-        if m == 0:
-            pool: Sequence[int] = range(xu.counts[0])
-        else:
-            row = tuple(value(bu.face(u, i)).index for i in range(m + 1))
-            pool = candidates_by_faces(m, row)
-        for w in pool:
-            cand = xu.ids[m][w]
-            if need_thin and cand not in x.thin:
-                continue
-            assigned[u] = cand
-            stop = search(pos + 1)
-            del assigned[u]
-            if stop:
-                return True
-        return False
-
-    search(0)
-    return solutions
 
 
 def assemble_horn_map(
@@ -183,6 +240,79 @@ def assemble_horn_map(
     return make_stratified_map(horn, x, simplicial)
 
 
+def _horn_rows(
+    xu: TruncatedSSet, k: int, n: int, x: StratifiedSSet | None
+) -> Iterator[tuple[int, ...]]:
+    """Compatible face tuples of horns of the n-simplex in ``xu``.
+
+    A tuple lists the indexes of the (n-1)-simplices on faces j != k, in
+    ascending j; tuples come in lexicographic order.  Each face after the
+    first is drawn, through the face-value index, from the simplices
+    compatible with the first chosen face, then checked against the others.
+    With a stratification ``x`` of ``xu`` only stratified maps from the
+    k-complicial horn are listed: faces thin in the horn land thin, and so
+    do the lower-dimensional thin simplices, checked once all faces are
+    chosen.  With ``x`` None the tuples are the plain simplicial horns.
+    """
+    js = [j for j in range(n + 1) if j != k]
+    top = n - 1
+    faces = xu.faces
+    need_thin: list[frozenset[int] | None] = [None] * len(js)
+    lower: list[tuple[int, list[int], frozenset[int]]] = []
+    if x is not None:
+        thin = x.thin_indexes()
+        for p, j in enumerate(js):
+            key = tuple(v for v in range(n + 1) if v != j)
+            if complicial_thin_key(k, n, key):
+                need_thin[p] = thin[top]
+        for m in range(top):
+            for key in combinations(range(n + 1), m + 1):
+                if not complicial_thin_key(k, n, key):
+                    continue
+                j = min(j for j in js if j not in key)
+                ambient = [v for v in range(n + 1) if v != j]
+                word = [q for q in range(top, -1, -1) if ambient[q] not in key]
+                lower.append((js.index(j), word, thin[m]))
+    by_value = xu.face_value_index(top) if top >= 1 else ()
+    everything = range(xu.counts[top])
+    chosen = [0] * len(js)
+
+    def lands_thin() -> bool:
+        for p, word, thin_m in lower:
+            w, d = chosen[p], top
+            for q in word:
+                w = faces[d][w][q]
+                d -= 1
+            if w not in thin_m:
+                return False
+        return True
+
+    def deeper(pos: int) -> Iterator[tuple[int, ...]]:
+        if pos == len(js):
+            if lands_thin():
+                yield tuple(chosen)
+            return
+        j = js[pos]
+        if pos == 0 or top == 0:
+            pool: Sequence[int] = everything
+        else:
+            i0 = js[0]
+            pool = by_value[i0].get(faces[top][chosen[0]][j - 1], ())
+            if pos > 1:
+                checks = [(js[q], faces[top][chosen[q]][j - 1])
+                          for q in range(1, pos)]
+                pool = [w for w in pool
+                        if all(faces[top][w][i] == v for i, v in checks)]
+        thin_j = need_thin[pos]
+        for w in pool:
+            if thin_j is not None and w not in thin_j:
+                continue
+            chosen[pos] = w
+            yield from deeper(pos + 1)
+
+    yield from deeper(0)
+
+
 def horn_instances(
     k: int, n: int, x: StratifiedSSet
 ) -> Iterator[dict[int, SimplexId]]:
@@ -195,45 +325,12 @@ def horn_instances(
     """
     if n < 1:
         raise InvalidInput("horns need n >= 1")
-    horn, _ = complicial_horn(k, n, n)
-    hu = horn.underlying
-    xu = x.underlying
+    if not 0 <= k <= n:
+        raise KOutOfRange(f"k = {k} outside [{n}]")
     js = [j for j in range(n + 1) if j != k]
-    thin_face = {
-        j: complicial_thin_key(k, n, tuple(v for v in range(n + 1) if v != j))
-        for j in js
-    }
-    lower_thin: list[tuple[tuple[int, ...], int]] = []
-    for m in range(n - 1):
-        for s in hu.nondegenerate(m):
-            key = hu.keys[m][s.index]
-            if complicial_thin_key(k, n, key):
-                lower_thin.append((key, min(j for j in js if j not in key)))
-
-    def deeper(chosen: dict[int, SimplexId], pos: int
-               ) -> Iterator[dict[int, SimplexId]]:
-        if pos == len(js):
-            for key, j in lower_thin:
-                ambient_face = tuple(v for v in range(n + 1) if v != j)
-                positions = tuple(ambient_face.index(v) for v in key)
-                if xu.apply_monotone(chosen[j], positions) not in x.thin:
-                    return
-            yield dict(chosen)
-            return
-        j = js[pos]
-        for cand in xu.simplices(n - 1):
-            if thin_face[j] and cand not in x.thin:
-                continue
-            if n >= 2 and any(
-                xu.face(cand, i) != xu.face(chosen[i], j - 1)
-                for i in js[:pos]
-            ):
-                continue
-            chosen[j] = cand
-            yield from deeper(chosen, pos + 1)
-            del chosen[j]
-
-    yield from deeper({}, 0)
+    ids = x.underlying.ids[n - 1]
+    for row in _horn_rows(x.underlying, k, n, x):
+        yield {j: ids[w] for j, w in zip(js, row)}
 
 
 @dataclass(frozen=True)
@@ -277,19 +374,65 @@ class VerificationReport:
         return [f for row in self.rows for f in row.failures]
 
 
+def _horn_pin_plan(k: int, n: int, bu: TruncatedSSet
+                   ) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """How a horn's generating faces pin the complicial n-simplex B.
+
+    Returns the B indexes of the faces j != k (ascending j) and, in
+    decreasing dimension, one derivation ``(m, i, parent, q)`` per other
+    nondegenerate horn simplex: the m-simplex i of B is the q-th face of
+    the (m+1)-simplex ``parent``, itself a horn simplex pinned earlier.
+    Horn maps are determined by compatible faces, so any such face word
+    gives the image.
+    """
+    js = [j for j in range(n + 1) if j != k]
+    full = range(n + 1)
+    gens = [
+        bu.id_for_key(n - 1, tuple(v for v in full if v != j)).index
+        for j in js
+    ]
+    derived = []
+    for m in range(n - 2, -1, -1):
+        for key in combinations(full, m + 1):
+            j = min(j for j in js if j not in key)
+            v = min(v for v in full if v != j and v not in key)
+            parent = tuple(sorted(key + (v,)))
+            derived.append((
+                m, bu.id_for_key(m, key).index,
+                bu.id_for_key(m + 1, parent).index, parent.index(v),
+            ))
+    return gens, derived
+
+
 def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
+    """Fill every stratified horn; validate the witness behind each verdict.
+
+    A found filler is validated as a map out of the complicial simplex; an
+    instance without one has its horn map validated before it is recorded
+    as a failure.
+    """
     horn, inclusion = complicial_horn(k, n, n)
+    b = inclusion.target
+    bu, xu = b.underlying, x.underlying
+    gens, derived = _horn_pin_plan(k, n, bu)
+    js = [j for j in range(n + 1) if j != k]
+    ids = xu.ids[n - 1]
     instances = 0
     failures: list[FailedInstance] = []
-    for assignment in horn_instances(k, n, x):
+    for faces in _horn_rows(xu, k, n, x):
         instances += 1
-        partial = assemble_horn_map(horn, assignment, x)
-        problem = ExtensionProblem(inclusion, partial)
-        if not find_extensions(problem, limit=1):
-            failures.append(FailedInstance(
-                1, k, n,
-                {"faces": {j: assignment[j] for j in sorted(assignment)}},
-            ))
+        pins: list[list[int | None]] = [[None] * c for c in bu.counts]
+        for g, w in zip(gens, faces):
+            pins[n - 1][g] = w
+        for m, i, parent, q in derived:
+            pins[m][i] = xu.faces[m + 1][pins[m + 1][parent]][q]
+        filler = next(_search(b, x, pins, 1), None)
+        if filler is not None:
+            _validated(b, x, filler)
+            continue
+        assignment = {j: ids[w] for j, w in zip(js, faces)}
+        assemble_horn_map(horn, assignment, x)
+        failures.append(FailedInstance(1, k, n, {"faces": assignment}))
     return VerificationRow(1, k, n, instances, tuple(failures))
 
 

@@ -24,11 +24,12 @@ from .errors import InvalidInput, ThinVertex, ThinnessViolation
 class StratifiedSSet:
     """A truncated simplicial set with a chosen set of thin simplices."""
 
-    __slots__ = ("underlying", "thin")
+    __slots__ = ("underlying", "thin", "_thin_idx")
 
     def __init__(self, underlying: TruncatedSSet, thin: frozenset[SimplexId]):
         self.underlying = underlying
         self.thin = thin
+        self._thin_idx: tuple[frozenset[int], ...] | None = None
 
     # Convenience pass-throughs; the stratified object is used pervasively
     # and unwrapping at every call site obscures the code.
@@ -57,6 +58,17 @@ class StratifiedSSet:
 
     def is_thin(self, x: SimplexId) -> bool:
         return x in self.thin
+
+    def thin_indexes(self) -> tuple[frozenset[int], ...]:
+        """Per dimension, the indexes of the thin simplices (built once)."""
+        got = self._thin_idx
+        if got is None:
+            per_dim: list[set[int]] = [set() for _ in range(self.cap + 1)]
+            for t in self.thin:
+                per_dim[t.dim].add(t.index)
+            got = tuple(frozenset(ixs) for ixs in per_dim)
+            self._thin_idx = got
+        return got
 
     def thin_in_dim(self, n: int) -> tuple[SimplexId, ...]:
         return tuple(x for x in self.underlying.simplices(n) if x in self.thin)
@@ -145,11 +157,15 @@ def make_stratified_map(source: StratifiedSSet, target: StratifiedSSet,
     if simplicial.source != source.underlying or \
             simplicial.target != target.underlying:
         raise InvalidInput("simplicial map does not match the stratified ends")
-    depth = simplicial.depth
-    for t in source.thin:
-        if t.dim <= depth and simplicial(t) not in target.thin:
+    src_thin, tgt_thin = source.thin_indexes(), target.thin_indexes()
+    for n in range(simplicial.depth + 1):
+        row, thin = simplicial.assign[n], tgt_thin[n]
+        bad = [i for i in src_thin[n] if row[i] not in thin]
+        if bad:
+            i = min(bad)
             raise ThinnessViolation(
-                f"thin {t!r} maps to non-thin {simplicial(t)!r}"
+                f"thin {source.underlying.ids[n][i]!r} maps to non-thin "
+                f"{target.underlying.ids[n][row[i]]!r}"
             )
     return StratifiedMap(source, target, simplicial)
 

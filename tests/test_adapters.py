@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import errors
+from complicial.adapters import _simplicial_horn_tuples
 
 from .conftest import vertex
 
@@ -193,3 +196,39 @@ def test_agreement_tau_vs_pi(nerve_z3_3):
     assert t.inverses == p.inverses
     assert t.commutative == p.commutative
     assert t.associative == p.associative
+
+
+def brute_horn_tuples(k, hk, n):
+    """Every tuple of (n-1)-simplices on faces j != hk with matching faces."""
+    js = [j for j in range(n + 1) if j != hk]
+    out = []
+    for tup in itertools.product(k.simplices(n - 1), repeat=len(js)):
+        faces = dict(zip(js, tup))
+        if n == 1 or all(
+            k.face(faces[j], i) == k.face(faces[i], j - 1)
+            for j in js for i in js if i < j
+        ):
+            out.append(faces)
+    return out
+
+
+def test_simplicial_horn_tuples_match_brute_force(nerve_z3_3):
+    for n in range(1, 4):
+        for hk in range(n + 1):
+            got = list(_simplicial_horn_tuples(nerve_z3_3, hk, n))
+            assert got == brute_horn_tuples(nerve_z3_3, hk, n), (hk, n)
+
+
+def test_horn_instances_match_brute_force(qcat_bool_3):
+    x = qcat_bool_3
+    for n in range(1, 4):
+        for hk in range(n + 1):
+            horn, _ = C.complicial_horn(hk, n, n)
+            want = []
+            for faces in brute_horn_tuples(x.underlying, hk, n):
+                try:
+                    C.assemble_horn_map(horn, faces, x)
+                except (errors.BoundaryMismatch, errors.ThinnessViolation):
+                    continue
+                want.append(faces)
+            assert list(C.horn_instances(hk, n, x)) == want, (hk, n)

@@ -195,3 +195,61 @@ def test_perm_generator_input(capsys, tmp_path):
                     "--cap", "2")
     assert code == 0
     assert [len(i) for i in json.loads(out)["simplices"]] == [1, 6, 36]
+
+
+@pytest.fixture()
+def delta1_doc(tmp_path):
+    path = tmp_path / "d1.json"
+    assert main(["build", "delta-t", "1", "--cap", "1", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("thin", [3]),
+    ("thin", "1:1"),
+    ("labels", [1]),
+    ("labels", {"0:0": 1}),
+])
+def test_malformed_document_exits_1(capsys, tmp_path, delta1_doc,
+                                    field, value):
+    delta1_doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(delta1_doc))
+    assert main(["verify", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "X", "--limit", "-1"],
+    ["verify", "X", "--threads", "0"],
+    ["verify", "X", "--threads", "-2"],
+    ["tau", "X", "--n", "1", "--threads", "0"],
+])
+def test_nonsense_flag_values_exit_1(capsys, tmp_path, delta1_doc, argv):
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps(delta1_doc))
+    argv = [str(path) if a == "X" else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "must be at least" in err
+
+
+def test_limit_zero_keeps_counts(capsys, tmp_path):
+    mind2 = tmp_path / "mind2.json"
+    run(capsys, "build", "delta", "2", "--cap", "2", "--out", str(mind2))
+    code, out = run(capsys, "verify", str(mind2), "--limit", "0")
+    assert code == 2
+    bad = [r for r in json.loads(out)["payload"]["rows"] if r["failures"]]
+    assert bad and all(r["witnesses"] == [] for r in bad)
+
+
+def test_malformed_category_exits_1(capsys, tmp_path):
+    cat = tmp_path / "bad.json"
+    cat.write_text(json.dumps({
+        "objects": ["0"],
+        "morphisms": [{"name": "id0", "src": "0", "tgt": "0"}],
+        "identities": {"0": "id0"},
+        "composition": [],
+    }))
+    assert main(["build", "nerve", "--category", str(cat), "--cap", "1"]) == 1
+    assert "composition" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -196,3 +199,37 @@ def test_apply_monotone_rejects_bad_input():
         d2.apply_monotone(top, (1, 0))
     with pytest.raises(errors.InvalidInput):
         d2.apply_monotone(top, (0, 3))
+
+
+def test_face_indexes_match_tables(nerve_s3_3):
+    u = nerve_s3_3
+    for n in range(1, u.dim_cap + 1):
+        by_row = u.face_index(n)
+        by_value = u.face_value_index(n)
+        for i, row in enumerate(u.faces[n]):
+            assert i in by_row[row]
+            assert all(i in by_value[j][v] for j, v in enumerate(row))
+        assert sum(map(len, by_row.values())) == u.counts[n]
+        assert all(sum(map(len, per_j.values())) == u.counts[n]
+                   for per_j in by_value)
+
+
+def test_lazy_indexes_agree_under_threads():
+    # a fresh complex, so every thread races to build the same caches
+    x = C.th0(C.nerve(C.symmetric_group_3(), 3))
+    u = x.underlying
+
+    def build():
+        return u.face_index(3), u.face_value_index(2), x.thin_indexes()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(build) for _ in range(16)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(r == results[0] for r in results)
+    assert results[0] == build()
+    assert [len(t) for t in results[0][2]] == [0, 6, 36, 216]

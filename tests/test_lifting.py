@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import complicial as C
+from complicial import documents as D
 from complicial import errors
-from complicial.core import make_simplicial_map
+from complicial.core import TruncatedSSet, make_simplicial_map
 
 
 def horn_problem(x, k, n, faces):
@@ -224,3 +228,72 @@ def test_parallel_verification_is_order_normalized(th0_z2_4):
     serial = C.verify_weak_complicial(th0_z2_4, 3)
     parallel = C.verify_weak_complicial(th0_z2_4, 3, threads=4)
     assert serial == parallel
+
+
+# -- the integer kernel ----------------------------------------------------------
+
+def z3_bool():
+    elems = [(i, b) for b in (1, 0) for i in range(3)]
+    name = lambda e: f"{e[0]}{'u' if e[1] else 'z'}"  # noqa: E731
+    table = [[name(((a[0] + b[0]) % 3, a[1] * b[1])) for b in elems]
+             for a in elems]
+    return C.monoid_category([name(e) for e in elems], "0u", table)
+
+
+@pytest.mark.parametrize("category, passed, failures, digest", [
+    (C.symmetric_group_3, True, 0,
+     "d7c317e12303fa429e5b52d9a615e06f41d2a584282f28b3a0bce6fb0c5981c4"),
+    (z3_bool, False, 234,
+     "1593448ec7925d18b9183df44daa279879967069549fdb80c5ffef49ae72f706"),
+])
+def test_verify_payload_is_pinned(category, passed, failures, digest):
+    # digests of the payloads produced by the SimplexId-level solver
+    report = C.verify_weak_complicial(C.th0(C.nerve(category(), 3)), 3)
+    assert report.passed is passed
+    assert len(report.failures()) == failures
+    text = D.dumps(D.verify_payload(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class _EveryCandidate(dict):
+    """A face-row index that answers every row with all simplices."""
+
+    def __init__(self, count):
+        super().__init__()
+        self.everything = tuple(range(count))
+
+    def get(self, row, default=None):
+        return self.everything
+
+
+def test_witness_validation_is_live(monkeypatch):
+    x = C.th0(C.nerve(C.cyclic_group(3), 2))
+    assert C.verify_weak_complicial(x, 2).passed
+    monkeypatch.setattr(
+        TruncatedSSet, "face_index",
+        lambda self, n: _EveryCandidate(self.counts[n]),
+    )
+    with pytest.raises((errors.NotWellDefined, errors.ThinnessViolation)):
+        C.verify_weak_complicial(x, 2)
+    problem = horn_problem(x, 1, 2, {0: x.underlying.id_at(1, 1),
+                                     2: x.underlying.id_at(1, 1)})
+    with pytest.raises((errors.NotWellDefined, errors.ThinnessViolation)):
+        C.find_extensions(problem)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_solver_matches_naive_on_random_horns(data):
+    x = C.th0(C.nerve(C.cyclic_group(3), 2))
+    n = data.draw(st.integers(1, 2))
+    k = data.draw(st.integers(0, n))
+    picks = data.draw(st.lists(
+        st.integers(0, x.counts[n - 1] - 1), min_size=n, max_size=n))
+    js = [j for j in range(n + 1) if j != k]
+    faces = {j: x.underlying.id_at(n - 1, w) for j, w in zip(js, picks)}
+    problem = horn_problem(x, k, n, faces)
+    fast = C.find_extensions(problem)
+    assert [s.map.assign for s in fast] == \
+        [s.map.assign for s in naive_extensions(problem)]
+    assert [s.map.assign for s in C.find_extensions(problem, limit=1)] == \
+        [s.map.assign for s in fast[:1]]
