@@ -15,7 +15,7 @@ simplex tables, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
@@ -26,7 +26,7 @@ from .errors import (
     NotKan,
     NotQuasiCategory,
 )
-from .homotopy import MonoidTable, find_inverses
+from .homotopy import MonoidTable, _finish_table, _partition
 from .lifting import (
     ExtensionProblem,
     _horn_rows,
@@ -357,25 +357,12 @@ def _edge_classes(c: TruncatedSSet) -> tuple[tuple[SimplexId, ...], ...]:
     degenerate face 0 at the shared target; the closure of the relation is
     taken.  Classes are sorted by least member, so their order is stable.
     """
-    edges = c.simplices(1)
-    parent = {e: e for e in edges}
-
-    def find(e: SimplexId) -> SimplexId:
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for sigma in c.simplices(2):
-        f = c.face(sigma, 2)
-        g = c.face(sigma, 1)
-        loop = c.degeneracy(c.face(f, 0), 0)
-        if c.face(sigma, 0) == loop:
-            parent[find(f)] = find(g)
-    by_root: dict[SimplexId, list[SimplexId]] = {}
-    for e in edges:
-        by_root.setdefault(find(e), []).append(e)
-    return tuple(sorted(tuple(sorted(cl)) for cl in by_root.values()))
+    edge_faces, loops = c.faces[1], c.degeneracies[0]
+    related = [
+        (f, g) for d0, g, f in c.faces[2] if d0 == loops[edge_faces[f][0]][0]
+    ]
+    blocks = _partition(c.counts[1], related)[0]
+    return tuple(tuple(c.ids[1][i] for i in b) for b in blocks)
 
 
 def homotopy_category(c: TruncatedSSet, *, bound: int | None = None,
@@ -497,10 +484,8 @@ def _pi_homotopic(k: TruncatedSSet, base: SimplexId, n: int,
             val(a[:i] + a[i + 1:], b[:i] + b[i + 1:]).index
             for i in range(m + 1)
         )
-        for w in k.simplices(m):
-            if k.faces[m][w.index] != want:
-                continue
-            assigned[(a, b)] = w
+        for w in k.face_index(m).get(want, ()):
+            assigned[(a, b)] = k.ids[m][w]
             if search(pos + 1):
                 del assigned[(a, b)]
                 return True
@@ -529,45 +514,28 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
         s for s in k.simplices(n)
         if all(k.face(s, i) == const_low for i in range(n + 1))
     )
-    size = len(elements)
-    rel = [
-        [_pi_homotopic(k, base, n, p, q) for q in elements] for p in elements
-    ]
-    reflexive = all(rel[i][i] for i in range(size))
-    symmetric = all(rel[i][j] == rel[j][i]
-                    for i in range(size) for j in range(size))
-    transitive = all(
-        not (rel[i][j] and rel[j][k2]) or rel[i][k2]
-        for i in range(size) for j in range(size) for k2 in range(size)
-    )
-    parent = list(range(size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(size):
-        for j in range(size):
-            if rel[i][j]:
-                parent[find(i)] = find(j)
-    by_root: dict[int, list[SimplexId]] = {}
-    for i in range(size):
-        by_root.setdefault(find(i), []).append(elements[i])
-    classes = tuple(sorted(tuple(sorted(cl)) for cl in by_root.values()))
+    blocks, reflexive, symmetric, transitive = _partition(len(elements), [
+        (i, j)
+        for i, p in enumerate(elements)
+        for j, q in enumerate(elements)
+        if _pi_homotopic(k, base, n, p, q)
+    ])
+    classes = tuple(tuple(elements[i] for i in b) for b in blocks)
     cls_of = {e: i for i, cl in enumerate(classes) for e in cl}
     const = k.const(base, n)
     unit = cls_of[const]
     reps = [cl[0] for cl in classes]
 
+    by_face = k.face_value_index(n + 1)[n - 1]
+
     def fill(p: SimplexId, q: SimplexId) -> tuple[SimplexId, SimplexId]:
-        spec = {j: k.const(base, n) for j in range(n + 2) if j != n}
-        spec[n - 1] = p
-        spec[n + 1] = q
-        for w in k.simplices(n + 1):
-            if all(k.face(w, j) == spec[j] for j in spec):
-                return k.face(w, n), w
+        spec = {j: const.index for j in range(n + 2) if j != n}
+        spec[n - 1] = p.index
+        spec[n + 1] = q.index
+        for w in by_face.get(p.index, ()):
+            row = k.faces[n + 1][w]
+            if all(row[j] == v for j, v in spec.items()):
+                return k.ids[n][row[n]], k.ids[n + 1][w]
         raise NotKan(f"no unstratified filler for ({p!r}, {q!r})")
 
     size_c = len(reps)
@@ -582,23 +550,9 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
             frow.append(w)
         table.append(tuple(row))
         fillers.append(tuple(frow))
-    table_t = tuple(table)
-    associative = all(
-        table_t[table_t[a][b]][c] == table_t[a][table_t[b][c]]
-        for a in range(size_c) for b in range(size_c) for c in range(size_c)
-    )
-    commutative = all(
-        table_t[a][b] == table_t[b][a]
-        for a in range(size_c) for b in range(size_c)
-    )
-    result = MonoidTable(
+    return _finish_table(
+        tuple(table),
         n=n, base=base, elements=elements, classes=classes, unit=unit,
-        table=table_t, associative=associative, inverses={}, is_group=False,
-        commutative=commutative, relation_reflexive=reflexive,
-        relation_symmetric=symmetric, relation_transitive=transitive,
-        fillers=tuple(fillers), witnesses={},
+        relation_reflexive=reflexive, relation_symmetric=symmetric,
+        relation_transitive=transitive, fillers=tuple(fillers), witnesses={},
     )
-    if associative:
-        inverses, is_group = find_inverses(result)
-        result = replace(result, inverses=inverses, is_group=is_group)
-    return result

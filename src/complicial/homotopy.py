@@ -24,7 +24,7 @@ so on nerves of monoids the table reproduces the monoid multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import SimplexId, build_map, make_simplicial_map
 from .errors import (
@@ -114,15 +114,85 @@ class HomotopyWitness:
                     )
 
 
-def _interval_constants(t: StratifiedSSet) -> tuple[tuple[int, int], ...]:
-    tu = t.underlying
-    return tuple(
-        (
-            tu.id_for_key(m, (0,) * (m + 1)).index,
-            tu.id_for_key(m, (1,) * (m + 1)).index,
+class _Cylinder:
+    """Homotopies out of A (x) I relative to B, as one reusable problem.
+
+    Built once per (source ``a``, ``rel`` inclusion B -> A): the cylinder,
+    the regular subset of its pinned part with the inclusion, and a plan
+    saying where each pinned simplex reads its image.  The ends read the
+    f or the g row at the simplex of A they lie over; over B the rel
+    projection reads the f row (the two maps agree there).  Solving for a
+    pair of maps only assembles the pinned rows, validates them as a
+    partial map and searches for an extension.
+    """
+
+    __slots__ = ("source", "rel", "inclusion", "_plan")
+
+    def __init__(self, a: StratifiedSSet, rel: StratifiedMap | None):
+        if rel is not None and rel.target != a:
+            raise InvalidInput("rel inclusion must land in the maps' source")
+        interval = delta_t(1, a.cap)
+        cyl = gproduct(a, interval)
+        tu = interval.underlying
+        # reads[m][c]: the cylinder m-simplex c is pinned to entry
+        # reads[m][c] of the f row followed by the g row of dimension m
+        reads: list[dict[int, int]] = []
+        for m in range(cyl.cap + 1):
+            c0 = tu.id_for_key(m, (0,) * (m + 1)).index
+            c1 = tu.id_for_key(m, (1,) * (m + 1)).index
+            t, na = interval.counts[m], a.counts[m]
+            ends = {}
+            for ia in range(na):
+                ends[ia * t + c0] = ia
+                ends[ia * t + c1] = na + ia
+            reads.append(ends)
+        if rel is not None:
+            for m in range(min(rel.map.depth, cyl.cap) + 1):
+                t = interval.counts[m]
+                for ia in set(rel.map.assign[m]):
+                    for it in range(t):
+                        reads[m][ia * t + it] = ia
+        cu = cyl.underlying
+        sub, inclusion = regular_subset(
+            cyl, [cu.id_at(m, c) for m, ends in enumerate(reads) for c in ends]
         )
-        for m in range(t.cap + 1)
-    )
+        # the pinned part is face- and degeneracy-closed, so nothing was added
+        assert sum(sub.counts) == sum(map(len, reads))
+        self.source = a
+        self.rel = rel
+        self.inclusion = inclusion
+        self._plan = tuple(
+            tuple(map(ends.__getitem__, row))
+            for ends, row in zip(reads, inclusion.map.assign)
+        )
+
+    def solve(self, f: StratifiedMap, g: StratifiedMap
+              ) -> HomotopyWitness | None:
+        """A homotopy from ``f`` to ``g`` rel B, or None when there is none."""
+        a = self.source
+        x = f.target
+        if f.source != a or g.source != a or g.target != x:
+            raise InvalidInput(
+                "homotopy needs maps with common source and target"
+            )
+        if x.cap < a.cap:
+            raise CapTooSmall(f"target cap {x.cap} below cylinder cap {a.cap}")
+        rel = self.rel
+        if rel is not None and rel.map.then(f.map) != rel.map.then(g.map):
+            raise RestrictionMismatch("maps differ on the rel subcomplex")
+        rows = tuple(
+            tuple(map((fr + gr).__getitem__, plan))
+            for plan, fr, gr in zip(self._plan, f.map.assign, g.map.assign)
+        )
+        sub = self.inclusion.source
+        partial = make_stratified_map(
+            sub, x, make_simplicial_map(sub.underlying, x.underlying, rows)
+        )
+        found = find_extensions(ExtensionProblem(self.inclusion, partial),
+                                limit=1)
+        if not found:
+            return None
+        return HomotopyWitness(found[0], f, g)
 
 
 def rel_homotopic(
@@ -136,52 +206,11 @@ def rel_homotopic(
     common restriction through the projection.  The search space is the set
     of stratified extensions of the pinned part of the cylinder, which is
     determined by the images of the nondegenerate prism cells, so the solver
-    only ever branches on those.
+    only ever branches on those.  The cylinder problem depends only on A
+    and ``rel``; callers comparing many pairs of maps (:func:`sphere_relation`,
+    :func:`check_well_defined`) build it once and solve every pair with it.
     """
-    a = f.source
-    x = f.target
-    if g.source != a or g.target != x:
-        raise InvalidInput("homotopy needs maps with common source and target")
-    if x.cap < a.cap:
-        raise CapTooSmall(f"target cap {x.cap} below cylinder cap {a.cap}")
-    interval = delta_t(1, a.cap)
-    cyl = gproduct(a, interval)
-    consts = _interval_constants(interval)
-    tcounts = interval.counts
-
-    pinned: dict[SimplexId, SimplexId] = {}
-    cu = cyl.underlying
-    for m in range(cyl.cap + 1):
-        c0, c1 = consts[m]
-        for ia, s in enumerate(a.simplices(m)):
-            pinned[cu.id_at(m, ia * tcounts[m] + c0)] = f(s)
-            pinned[cu.id_at(m, ia * tcounts[m] + c1)] = g(s)
-    if rel is not None:
-        if rel.target != a:
-            raise InvalidInput("rel inclusion must land in the maps' source")
-        if rel.map.then(f.map) != rel.map.then(g.map):
-            raise RestrictionMismatch("maps differ on the rel subcomplex")
-        for m in range(min(rel.map.depth, cyl.cap) + 1):
-            hit = {rel(s).index for s in rel.source.simplices(m)}
-            for ia in hit:
-                fa = f(a.simplices(m)[ia])
-                for it in range(tcounts[m]):
-                    pinned[cu.id_at(m, ia * tcounts[m] + it)] = fa
-
-    sub, inclusion = regular_subset(cyl, pinned.keys())
-    # the pinned part is face- and degeneracy-closed, so nothing was added
-    assert sum(sub.counts) == len(pinned)
-    rows = tuple(
-        tuple(pinned[inclusion(s)].index for s in sub.simplices(m))
-        for m in range(sub.cap + 1)
-    )
-    partial = make_stratified_map(
-        sub, x, make_simplicial_map(sub.underlying, x.underlying, rows)
-    )
-    found = find_extensions(ExtensionProblem(inclusion, partial), limit=1)
-    if not found:
-        return None
-    return HomotopyWitness(found[0], f, g)
+    return _Cylinder(f.source, rel).solve(f, g)
 
 
 def simple_homotopic(f: StratifiedMap, g: StratifiedMap
@@ -191,6 +220,39 @@ def simple_homotopic(f: StratifiedMap, g: StratifiedMap
 
 
 # -- invertibly connected components -----------------------------------------
+
+def _partition(size: int, related: Iterable[tuple[int, int]]
+               ) -> tuple[tuple[tuple[int, ...], ...], bool, bool, bool]:
+    """Classes of the equivalence relation that ``related`` generates.
+
+    ``related`` lists the pairs (i, j) of indexes in ``range(size)`` that
+    the raw relation relates.  Returns the classes, each ascending and
+    ordered by least member, then whether the raw relation was already
+    reflexive, symmetric and transitive.
+    """
+    succ: list[set[int]] = [set() for _ in range(size)]
+    for i, j in related:
+        succ[i].add(j)
+    reflexive = all(i in s for i, s in enumerate(succ))
+    symmetric = all(i in succ[j] for i, s in enumerate(succ) for j in s)
+    transitive = all(succ[j] <= s for s in succ for j in s)
+    parent = list(range(size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, s in enumerate(succ):
+        for j in s:
+            parent[find(i)] = find(j)
+    by_root: dict[int, list[int]] = {}
+    for i in range(size):
+        by_root.setdefault(find(i), []).append(i)
+    classes = tuple(sorted(tuple(c) for c in by_root.values()))
+    return classes, reflexive, symmetric, transitive
+
 
 @dataclass(frozen=True)
 class Tau0Result:
@@ -216,32 +278,12 @@ def tau0(x: StratifiedSSet) -> Tau0Result:
         raise CapTooSmall("tau0 needs cap >= 1")
     xu = x.underlying
     nv = xu.counts[0]
-    raw = [[False] * nv for _ in range(nv)]
-    for e in x.thin_in_dim(1):
-        raw[xu.face(e, 1).index][xu.face(e, 0).index] = True
-    for v in range(nv):
-        raw[v][v] = True  # degenerate loops are thin, but be explicit
-    symmetric = all(raw[i][j] == raw[j][i] for i in range(nv) for j in range(nv))
-    transitive = all(
-        not (raw[i][j] and raw[j][k]) or raw[i][k]
-        for i in range(nv) for j in range(nv) for k in range(nv)
-    )
-    parent = list(range(nv))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(nv):
-        for j in range(nv):
-            if raw[i][j]:
-                parent[find(i)] = find(j)
-    by_root: dict[int, list[SimplexId]] = {}
-    for i in range(nv):
-        by_root.setdefault(find(i), []).append(xu.id_at(0, i))
-    classes = tuple(sorted(tuple(sorted(c)) for c in by_root.values()))
+    raw = [(xu.faces[1][e.index][1], xu.faces[1][e.index][0])
+           for e in x.thin_in_dim(1)]
+    # degenerate loops are thin, but be explicit
+    raw += [(v, v) for v in range(nv)]
+    blocks, _, symmetric, transitive = _partition(nv, raw)
+    classes = tuple(tuple(xu.ids[0][i] for i in b) for b in blocks)
     return Tau0Result(classes, symmetric, transitive)
 
 
@@ -364,6 +406,28 @@ def find_inverses(table: MonoidTable) -> tuple[dict[int, int], bool]:
     return inverses, len(inverses) == size
 
 
+def _finish_table(table: tuple[tuple[int, ...], ...], **fields) -> MonoidTable:
+    """The table with its associativity, commutativity and inverses.
+
+    ``fields`` are the remaining :class:`MonoidTable` fields; inverses are
+    looked for only in an associative table.
+    """
+    k = range(len(table))
+    associative = all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in k for b in k for c in k
+    )
+    commutative = all(table[a][b] == table[b][a] for a in k for b in k)
+    result = MonoidTable(
+        table=table, associative=associative, commutative=commutative,
+        inverses={}, is_group=False, **fields,
+    )
+    if associative:
+        inverses, is_group = find_inverses(result)
+        result = replace(result, inverses=inverses, is_group=is_group)
+    return result
+
+
 def _witness_summary(w: HomotopyWitness) -> tuple[SimplexId, ...]:
     cyl = w.h.source
     top = cyl.cap
@@ -380,20 +444,23 @@ def sphere_relation(
     Computes, for every ordered pair of sphere elements, whether a homotopy
     witness exists, without assuming symmetry or transitivity; the caller
     may then diagnose whether the found-witness relation was already an
-    equivalence relation.
+    equivalence relation.  The cylinder problem over the boundary inclusion
+    and the classifying maps are built once; each pair only pins its ends
+    and runs the search.
     """
     if elements is None:
         elements = sphere_elements(x, base, n)
     if x.cap < n + 1:
         raise CapTooSmall(f"homotopy of {n}-spheres needs cap >= {n + 1}")
     _, binc = boundary_pair(n, n + 1)
-    maps = {e: classifying_map(x, e, cap=n + 1) for e in elements}
+    cylinder = _Cylinder(binc.target, binc)
+    maps = [classifying_map(x, e, cap=n + 1) for e in elements]
     size = len(elements)
     rel = [[False] * size for _ in range(size)]
     witnesses: dict[tuple[SimplexId, SimplexId], tuple[SimplexId, ...]] = {}
     for i, p in enumerate(elements):
         for j, q in enumerate(elements):
-            w = rel_homotopic(maps[p], maps[q], binc)
+            w = cylinder.solve(maps[i], maps[j])
             if w is not None:
                 rel[i][j] = True
                 witnesses[(p, q)] = _witness_summary(w)
@@ -419,31 +486,12 @@ def tau_table(
     if not (base.dim == 0 and 0 <= base.index < xu.counts[0]):
         raise InvalidInput(f"{base!r} is not a vertex of the complex")
     elements, rel, witnesses = sphere_relation(x, base, n)
-    size = len(elements)
-    reflexive = all(rel[i][i] for i in range(size))
-    symmetric = all(rel[i][j] == rel[j][i]
-                    for i in range(size) for j in range(size))
-    transitive = all(
-        not (rel[i][j] and rel[j][k]) or rel[i][k]
-        for i in range(size) for j in range(size) for k in range(size)
+    blocks, reflexive, symmetric, transitive = _partition(
+        len(elements),
+        [(i, j) for i, row in enumerate(rel) for j, r in enumerate(row) if r],
     )
-
-    parent = list(range(size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(size):
-        for j in range(size):
-            if rel[i][j]:
-                parent[find(i)] = find(j)
-    by_root: dict[int, list[SimplexId]] = {}
-    for i in range(size):
-        by_root.setdefault(find(i), []).append(elements[i])
-    classes = tuple(sorted(tuple(sorted(c)) for c in by_root.values()))
+    # elements ascend, so the classes come out ordered as SimplexIds
+    classes = tuple(tuple(elements[i] for i in b) for b in blocks)
     class_index = {e: i for i, c in enumerate(classes) for e in c}
 
     const = xu.const(base, n)
@@ -474,25 +522,13 @@ def tau_table(
     for i, j, c, theta in sorted(results, key=lambda r: (r[0], r[1])):
         table[i][j] = c
         fillers[i][j] = theta
-    table_t = tuple(tuple(row) for row in table)
-    associative = all(
-        table_t[table_t[a][b]][c] == table_t[a][table_t[b][c]]
-        for a in range(k) for b in range(k) for c in range(k)
-    )
-    commutative = all(
-        table_t[a][b] == table_t[b][a] for a in range(k) for b in range(k)
-    )
-    result = MonoidTable(
+    return _finish_table(
+        tuple(tuple(row) for row in table),
         n=n, base=base, elements=elements, classes=classes, unit=unit,
-        table=table_t, associative=associative, inverses={}, is_group=False,
-        commutative=commutative, relation_reflexive=reflexive,
-        relation_symmetric=symmetric, relation_transitive=transitive,
+        relation_reflexive=reflexive, relation_symmetric=symmetric,
+        relation_transitive=transitive,
         fillers=tuple(tuple(row) for row in fillers), witnesses=witnesses,
     )
-    if associative:
-        inverses, is_group = find_inverses(result)
-        result = replace(result, inverses=inverses, is_group=is_group)
-    return result
 
 
 # -- audits -------------------------------------------------------------------
@@ -515,15 +551,21 @@ def check_well_defined(
     """Verify the product class ignores representative and filler choices.
 
     Enumerates every filler for both pairs and checks all resulting faces
-    are pairwise homotopic relative to the boundary.
+    are pairwise homotopic relative to the boundary.  The cylinder problem
+    and each classifying map are built once.
     """
     _, binc = boundary_pair(n, n + 1)
+    cylinder = _Cylinder(binc.target, binc)
+    maps: dict[SimplexId, StratifiedMap] = {}
+
+    def homotopic(p: SimplexId, q: SimplexId) -> bool:
+        for e in (p, q):
+            if e not in maps:
+                maps[e] = classifying_map(x, e, cap=n + 1)
+        return cylinder.solve(maps[p], maps[q]) is not None
+
     for p, q in ((alpha, alpha2), (beta, beta2)):
-        if p != q and rel_homotopic(
-            classifying_map(x, p, cap=n + 1),
-            classifying_map(x, q, cap=n + 1),
-            binc,
-        ) is None:
+        if p != q and not homotopic(p, q):
             raise InvalidInput(f"{p!r} and {q!r} are not homotopic rel boundary")
     results: list[SimplexId] = []
     tested = 0
@@ -536,11 +578,7 @@ def check_well_defined(
     distinct = sorted(set(results))
     consistent = True
     for i in range(1, len(distinct)):
-        if rel_homotopic(
-            classifying_map(x, distinct[0], cap=n + 1),
-            classifying_map(x, distinct[i], cap=n + 1),
-            binc,
-        ) is None:
+        if not homotopic(distinct[0], distinct[i]):
             consistent = False
             break
     return WellDefinedReport(

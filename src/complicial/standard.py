@@ -91,6 +91,11 @@ def _require_cap(cap: int, need: int) -> None:
         raise CapTooSmall(f"cap {cap} is below the required {need}")
 
 
+def _require_dim(n: int) -> None:
+    if n < 0:
+        raise InvalidInput(f"simplex dimension {n} is negative")
+
+
 def _require_k(k: int, n: int) -> None:
     if not 0 <= k <= n:
         raise KOutOfRange(f"k = {k} outside [{n}]")
@@ -98,18 +103,21 @@ def _require_k(k: int, n: int) -> None:
 
 def delta(n: int, cap: int) -> StratifiedSSet:
     """The standard n-simplex with the minimal stratification."""
+    _require_dim(n)
     _require_cap(cap, n)
     return _stratify(_simplex_family(n, cap, "delta"), lambda t: False)
 
 
 def boundary(n: int, cap: int) -> StratifiedSSet:
     """The boundary of the standard n-simplex (minimal stratification)."""
+    _require_dim(n)
     _require_cap(cap, max(n - 1, 0))
     return _stratify(_simplex_family(n, cap, "boundary"), lambda t: False)
 
 
 def delta_t(n: int, cap: int) -> StratifiedSSet:
     """The standard thin n-simplex: the top cell is thin (when n > 0)."""
+    _require_dim(n)
     _require_cap(cap, n)
     top = tuple(range(n + 1))
     return _stratify(
@@ -132,8 +140,18 @@ def complicial_horn(k: int, n: int, cap: int
     """The k-complicial horn and its inclusion into the complicial simplex.
 
     The horn is generated by the faces other than the k-th; its thin set is
-    the regular one inherited from the ambient complicial simplex.
+    the regular one inherited from the ambient complicial simplex.  Built
+    once per (k, n, cap); every call returns the same validated pair.
     """
+    # the cache sits on a private builder so that the public name stays a
+    # plain function, which wrappers around module functions (bench/tracer.py)
+    # recognise
+    return _complicial_horn(k, n, cap)
+
+
+@lru_cache(maxsize=None)
+def _complicial_horn(k: int, n: int, cap: int
+                     ) -> tuple[StratifiedSSet, StratifiedMap]:
     _require_k(k, n)
     _require_cap(cap, n)
     if n < 1:
@@ -198,7 +216,15 @@ def key_inclusion(sub: StratifiedSSet, ambient: StratifiedSSet) -> StratifiedMap
 
 
 def boundary_pair(n: int, cap: int) -> tuple[StratifiedSSet, StratifiedMap]:
-    """The boundary of the n-simplex together with its inclusion."""
+    """The boundary of the n-simplex together with its inclusion.
+
+    Built once per (n, cap); every call returns the same validated pair.
+    """
+    return _boundary_pair(n, cap)
+
+
+@lru_cache(maxsize=None)
+def _boundary_pair(n: int, cap: int) -> tuple[StratifiedSSet, StratifiedMap]:
     bd = boundary(n, cap)
     return bd, key_inclusion(bd, delta(n, cap))
 

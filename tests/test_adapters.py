@@ -1,11 +1,16 @@
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import complicial as C
-from complicial import errors
-from complicial.adapters import _simplicial_horn_tuples
+from complicial import documents as D, errors
+from complicial.adapters import (
+    _pi_homotopic,
+    _prism_unknowns,
+    _simplicial_horn_tuples,
+)
 
 from .conftest import vertex
 
@@ -196,6 +201,66 @@ def test_agreement_tau_vs_pi(nerve_z3_3):
     assert t.inverses == p.inverses
     assert t.commutative == p.commutative
     assert t.associative == p.associative
+
+
+def test_pi_oracle_payload_is_pinned(s3):
+    # digest of the payload written before the prism search was indexed
+    k = C.nerve(s3, 2)
+    text = D.dumps(D.table_payload(C.pi_oracle(k, k.id_at(0, 0), 1)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "e9bde23fd50f21596db71eb3eaa4b755e97a9ad96e18b0a7ee3b75d8abe55d4d"
+
+
+def scan_pi_homotopic(k, base, n, alpha, beta):
+    """The prism search drawing each cell's candidates from all of X_m."""
+    full = set(range(n + 1))
+    assigned = {}
+
+    def val(a, b):
+        if all(t == 0 for t in b):
+            return k.apply_monotone(alpha, a)
+        if all(t == 1 for t in b):
+            return k.apply_monotone(beta, a)
+        if set(a) != full:
+            return k.const(base, len(a) - 1)
+        if (a, b) in assigned:
+            return assigned[(a, b)]
+        t = next(t for t in range(len(a) - 1)
+                 if a[t] == a[t + 1] and b[t] == b[t + 1])
+        face = val(a[:t + 1] + a[t + 2:], b[:t + 1] + b[t + 2:])
+        return k.degeneracy(face, t)
+
+    unknowns = _prism_unknowns(n)
+
+    def search(pos):
+        if pos == len(unknowns):
+            return True
+        a, b = unknowns[pos]
+        m = len(a) - 1
+        want = [val(a[:i] + a[i + 1:], b[:i] + b[i + 1:])
+                for i in range(m + 1)]
+        for w in k.simplices(m):
+            if [k.face(w, i) for i in range(m + 1)] == want:
+                assigned[(a, b)] = w
+                if search(pos + 1):
+                    return True
+                del assigned[(a, b)]
+        return False
+
+    return search(0)
+
+
+@pytest.mark.parametrize("fixture, n", [("nerve_z3_3", 1), ("nerve_z2_4", 2)])
+def test_indexed_prism_search_matches_full_scan(request, fixture, n):
+    # every pair of n-simplices, sphere elements or not
+    k = request.getfixturevalue(fixture)
+    base = k.id_at(0, 0)
+    simplices = k.simplices(n)
+    got = [[_pi_homotopic(k, base, n, p, q) for q in simplices]
+           for p in simplices]
+    assert got == [[scan_pi_homotopic(k, base, n, p, q) for q in simplices]
+                   for p in simplices]
+    assert any(map(any, got)) and not all(map(all, got))
 
 
 def brute_horn_tuples(k, hk, n):

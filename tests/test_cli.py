@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
+import complicial as C
+from complicial import documents as D
 from complicial.cli import main
 
 
@@ -253,3 +256,37 @@ def test_malformed_category_exits_1(capsys, tmp_path):
     }))
     assert main(["build", "nerve", "--category", str(cat), "--cap", "1"]) == 1
     assert "composition" in capsys.readouterr().err
+
+
+# -- pinned tau documents ---------------------------------------------------------
+
+@pytest.mark.parametrize("category, cap, n, digest", [
+    ("s3", 2, 1,
+     "8021677260a50da5018322fdf48b6866fb55c68a59eb6a58755261770b575932"),
+    ("z2", 3, 2,
+     "a5b09d8750c03bb620b6f057d87ee9c2a840a4704e5313838624b3942265e540"),
+])
+def test_tau_audit_document_is_pinned(capsys, tmp_path, category, cap, n,
+                                      digest):
+    # digests of the documents written before the cylinder and the horns
+    # were shared between pairs
+    cat = {"s3": C.symmetric_group_3, "z2": lambda: C.cyclic_group(2)}
+    path = tmp_path / "x.json"
+    path.write_text(D.dumps(D.complex_to_doc(
+        C.th0(C.nerve(cat[category](), cap)))))
+    code, out = run(capsys, "tau", str(path), "--n", str(n),
+                    "--audit-well-defined")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "delta", "-1", "--cap", "2"],
+    ["build", "delta", "-1"],
+    ["build", "delta-t", "-1"],
+    ["build", "boundary", "-1"],
+])
+def test_negative_dimension_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative" in captured.err

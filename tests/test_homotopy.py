@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, strategies as st
 
 import complicial as C
 from complicial import errors
+from complicial.homotopy import _Cylinder, _partition, _witness_summary
 
 from .conftest import vertex
 
@@ -68,6 +70,72 @@ def test_restriction_mismatch_detected(th0_z2_3):
     full, finc = C.regular_subset(d1, u.simplices(2))
     with pytest.raises(errors.RestrictionMismatch):
         C.rel_homotopic(f, g, finc)
+
+
+def test_shared_cylinder_rejects_mismatched_maps(th0_z2_3):
+    x = th0_z2_3
+    _, binc = C.boundary_pair(1, 2)
+    cylinder = _Cylinder(binc.target, binc)
+    loop = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
+    assert cylinder.solve(loop, loop) is not None
+    # an edge with distinct ends differs from the loop on the boundary
+    y = C.delta_t(1, 2)
+    edge = C.classifying_map(y, y.underlying.id_for_key(1, (0, 1)), cap=2)
+    point = C.classifying_map(y, y.underlying.const(vertex(y), 1), cap=2)
+    with pytest.raises(errors.RestrictionMismatch):
+        cylinder.solve(edge, point)
+    with pytest.raises(errors.RestrictionMismatch):
+        C.rel_homotopic(edge, point, binc)
+    # different targets, and a source other than the cylinder's
+    with pytest.raises(errors.InvalidInput):
+        cylinder.solve(loop, point)
+    vmap = C.classifying_map(x, vertex(x), cap=1)
+    with pytest.raises(errors.InvalidInput):
+        cylinder.solve(vmap, vmap)
+    with pytest.raises(errors.InvalidInput):
+        C.rel_homotopic(loop, vmap, binc)
+    with pytest.raises(errors.InvalidInput):
+        _Cylinder(C.delta(0, 1), binc)
+
+
+def test_shared_cylinder_matches_fresh_rel_homotopic(qcat_bool_3):
+    x = qcat_bool_3
+    els, rel, witnesses = C.sphere_relation(x, vertex(x), 1)
+    assert not all(map(all, rel))  # the relation is not trivial here
+    _, binc = C.boundary_pair(1, 2)
+    for i, p in enumerate(els):
+        for j, q in enumerate(els):
+            w = C.rel_homotopic(C.classifying_map(x, p, cap=2),
+                                C.classifying_map(x, q, cap=2), binc)
+            assert rel[i][j] == (w is not None)
+            if w is not None:
+                assert witnesses[(p, q)] == _witness_summary(w)
+
+
+# -- the class closure ------------------------------------------------------------
+
+@given(st.data())
+def test_partition_matches_matrix_closure(data):
+    size = data.draw(st.integers(0, 5))
+    index = st.integers(0, size - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index)) if size
+                      else st.just([]))
+    rel = [[(i, j) in pairs for j in range(size)] for i in range(size)]
+    # the reachability closure of the symmetric relation, by matrix squaring
+    reach = [[i == j or rel[i][j] or rel[j][i] for j in range(size)]
+             for i in range(size)]
+    for _ in range(size):
+        reach = [[any(reach[i][m] and reach[m][j] for m in range(size))
+                  for j in range(size)] for i in range(size)]
+    classes = sorted({tuple(j for j in range(size) if reach[i][j])
+                      for i in range(size)})
+    assert _partition(size, pairs) == (
+        tuple(classes),
+        all(rel[i][i] for i in range(size)),
+        all(rel[i][j] == rel[j][i] for i in range(size) for j in range(size)),
+        all(not (rel[i][j] and rel[j][k]) or rel[i][k]
+            for i in range(size) for j in range(size) for k in range(size)),
+    )
 
 
 # -- tau0 -------------------------------------------------------------------------
@@ -183,6 +251,12 @@ def test_tau_table_trivial_on_simplex():
 def test_tau_requires_headroom(th0_z2_3):
     with pytest.raises(errors.CapTooSmall):
         C.tau_table(th0_z2_3, vertex(th0_z2_3), 3)
+
+
+def test_tau_table_threads_match_serial(th0_s3_3):
+    x = th0_s3_3
+    assert C.tau_table(x, vertex(x), 1, threads=3) == \
+        C.tau_table(x, vertex(x), 1)
 
 
 def test_find_inverses():

@@ -178,3 +178,14 @@ def test_cap_too_small():
 def test_k_out_of_range():
     with pytest.raises(errors.KOutOfRange):
         C.complicial_delta(3, 2, 2)
+
+
+@pytest.mark.parametrize("build", [C.delta, C.delta_t, C.boundary])
+def test_negative_dimension_rejected(build):
+    with pytest.raises(errors.InvalidInput, match="negative"):
+        build(-1, 2)
+
+
+def test_horn_and_boundary_pair_are_built_once():
+    assert C.complicial_horn(1, 2, 2) is C.complicial_horn(1, 2, 2)
+    assert C.boundary_pair(1, 2) is C.boundary_pair(1, 2)
