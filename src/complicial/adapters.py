@@ -451,16 +451,26 @@ def _prism_unknowns(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 def _pi_homotopic(k: TruncatedSSet, base: SimplexId, n: int,
-                  alpha: SimplexId, beta: SimplexId) -> bool:
-    """Unstratified prism homotopy between sphere elements, rel boundary."""
+                  alpha: SimplexId, beta: SimplexId, ends: dict) -> bool:
+    """Unstratified prism homotopy between sphere elements, rel boundary.
+
+    ``ends`` memoizes the end values ``apply_monotone(x, a)`` by
+    ``(x.index, a)``; share one dict between calls on the same ``k`` and n.
+    """
     full = set(range(n + 1))
     assigned: dict[tuple[tuple[int, ...], tuple[int, ...]], SimplexId] = {}
 
+    def end(x: SimplexId, a: tuple[int, ...]) -> SimplexId:
+        got = ends.get((x.index, a))
+        if got is None:
+            got = ends[(x.index, a)] = k.apply_monotone(x, a)
+        return got
+
     def val(a: tuple[int, ...], b: tuple[int, ...]) -> SimplexId:
         if all(t == 0 for t in b):
-            return k.apply_monotone(alpha, a)
+            return end(alpha, a)
         if all(t == 1 for t in b):
-            return k.apply_monotone(beta, a)
+            return end(beta, a)
         if set(a) != full:
             return k.const(base, len(a) - 1)
         got = assigned.get((a, b))
@@ -514,11 +524,12 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
         s for s in k.simplices(n)
         if all(k.face(s, i) == const_low for i in range(n + 1))
     )
+    ends: dict = {}  # each element's end values, computed once
     blocks, reflexive, symmetric, transitive = _partition(len(elements), [
         (i, j)
         for i, p in enumerate(elements)
         for j, q in enumerate(elements)
-        if _pi_homotopic(k, base, n, p, q)
+        if _pi_homotopic(k, base, n, p, q, ends)
     ])
     classes = tuple(tuple(elements[i] for i in b) for b in blocks)
     cls_of = {e: i for i, cl in enumerate(classes) for e in cl}

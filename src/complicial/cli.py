@@ -49,13 +49,22 @@ def _at_least(low: int):
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     return Path(path).read_text(encoding="utf-8")
+
+
+def _load_json(path: str):
+    """The JSON value in a file (or stdin for ``-``), read as UTF-8."""
+    try:
+        return json.loads(_read_text(path))
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # bytes that are not UTF-8, or nesting too deep for the parser
+        raise _UsageError(f"invalid input: {exc}") from None
 
 
 def _load_complex(path: str) -> StratifiedSSet:
     try:
-        return documents.doc_to_complex(json.loads(_read_text(path)))
+        return documents.doc_to_complex(_load_json(path))
     except (KeyError, IndexError, TypeError) as exc:
         raise _UsageError(f"malformed complex document: {exc!r}") from exc
 
@@ -70,7 +79,7 @@ def _emit(args, text: str) -> None:
 def _load_category(args) -> adapters.FiniteCategory:
     try:
         if args.monoid:
-            raw = json.loads(_read_text(args.monoid))
+            raw = _load_json(args.monoid)
             if "perm_generators" in raw:
                 return adapters.from_permutations(
                     raw["perm_generators"], raw.get("bound", 10000)
@@ -79,7 +88,7 @@ def _load_category(args) -> adapters.FiniteCategory:
                 raw["elements"], raw["unit"], raw["table"]
             )
         if args.category:
-            raw = json.loads(_read_text(args.category))
+            raw = _load_json(args.category)
             names = [m["name"] for m in raw["morphisms"]]
             objects = list(raw["objects"])
             src = [objects.index(m["src"]) for m in raw["morphisms"]]

@@ -12,7 +12,7 @@ between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SimplexId:
     """Identifier of one simplex: its dimension and position within it.
 
@@ -264,10 +264,54 @@ class TruncatedSSet:
 
 def _as_table(raw, what: str) -> Table:
     try:
-        return tuple(tuple(tuple(int(e) for e in row) for row in per_dim)
-                     for per_dim in raw)
+        table = tuple(tuple(map(tuple, per_dim)) for per_dim in raw)
+        entries = chain.from_iterable(chain.from_iterable(table))
+        if set(map(type, entries)) <= {int}:
+            return table
+        return tuple(tuple(tuple(map(int, row)) for row in per_dim)
+                     for per_dim in table)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed {what} table: {exc}") from exc
+
+
+def _checked_columns(rows: tuple[Row, ...], n: int, bound: int, what: str,
+                     target_dim: int) -> list[list[int]]:
+    """The columns of the dimension-n table, ``columns[j][x] == rows[x][j]``.
+
+    Checks first that every row has n + 1 entries in 0..bound-1, over the
+    whole table at once; on failure the first bad row or entry, in row
+    order, is reported.
+    """
+    width = n + 1
+    flat = list(chain.from_iterable(rows))
+    if set(map(len, rows)) <= {width} and (
+            not flat or (min(flat) >= 0 and max(flat) < bound)):
+        return [flat[j::width] for j in range(width)] if flat else []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise InvalidInput(f"{what} row {n}:{i} must have {width} entries")
+        for e in row:
+            if not 0 <= e < bound:
+                raise DanglingReference(
+                    f"{what} entry {n}:{i} -> {target_dim}:{e} does not exist"
+                )
+    raise AssertionError("no bad row")  # pragma: no cover
+
+
+def _least_mismatch(sides) -> tuple[int, int, int] | None:
+    """The least ``(x, j, i)`` with ``lhs[x] != rhs[x]``, or None.
+
+    ``sides`` yields ``(j, i, lhs, rhs)``: the two sides of one identity,
+    each an iterable over all simplices x of a dimension.
+    """
+    least = None
+    for j, i, lhs, rhs in sides:
+        lhs, rhs = list(lhs), list(rhs)
+        if lhs != rhs:
+            x = next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            if least is None or (x, j, i) < least:
+                least = (x, j, i)
+    return least
 
 
 def build_sset(
@@ -284,8 +328,10 @@ def build_sset(
     ``face_table`` and ``degeneracy_table`` are indexed by dimension
     (``face_table[0]`` and ``degeneracy_table[dim_cap]`` must be empty).
     All simplicial identities that can be stated inside the cap are checked
-    eagerly; the first violation is reported with the identity's name, the
-    dimension and the offending simplex.
+    eagerly.  Each identity is compared column-wise, for all simplices of a
+    dimension at once; the first violation in the order (identity family,
+    dimension, simplex, operator indexes) is reported with the identity's
+    name, the dimension and the least offending simplex.
     """
     if dim_cap < 0:
         raise InvalidInput("dim_cap must be a natural number")
@@ -299,73 +345,80 @@ def build_sset(
     if faces[0] != () or degens[dim_cap] != ():
         raise InvalidInput("faces[0] and degeneracies[dim_cap] must be empty")
 
+    # columns: fc[n][j][x] is the j-th face of the n-simplex x, dg[n][j][x]
+    # its j-th degeneracy; a dimension without simplices has no columns and
+    # no identities to check
+    fc: list[list[list[int]]] = [[]]
     for n in range(1, dim_cap + 1):
         if len(faces[n]) != counts[n]:
             raise InvalidInput(f"face table at dim {n} is not index-complete")
-        for i, row in enumerate(faces[n]):
-            if len(row) != n + 1:
-                raise InvalidInput(f"face row {n}:{i} must have {n + 1} entries")
-            for e in row:
-                if not 0 <= e < counts[n - 1]:
-                    raise DanglingReference(
-                        f"face entry {n}:{i} -> {n - 1}:{e} does not exist"
-                    )
+        fc.append(_checked_columns(faces[n], n, counts[n - 1], "face", n - 1))
+    dg: list[list[list[int]]] = []
     for n in range(dim_cap):
         if len(degens[n]) != counts[n]:
             raise InvalidInput(f"degeneracy table at dim {n} is not index-complete")
-        for i, row in enumerate(degens[n]):
-            if len(row) != n + 1:
-                raise InvalidInput(
-                    f"degeneracy row {n}:{i} must have {n + 1} entries"
-                )
-            for e in row:
-                if not 0 <= e < counts[n + 1]:
-                    raise DanglingReference(
-                        f"degeneracy entry {n}:{i} -> {n + 1}:{e} does not exist"
-                    )
-
-    def fc(n: int, i: int, j: int) -> int:
-        return faces[n][i][j]
-
-    def dg(n: int, i: int, j: int) -> int:
-        return degens[n][i][j]
+        dg.append(_checked_columns(degens[n], n, counts[n + 1], "degeneracy",
+                                   n + 1))
+    dg.append([])
 
     # d_i d_j = d_{j-1} d_i  (i < j)
     for n in range(2, dim_cap + 1):
-        for x in range(counts[n]):
-            for j in range(1, n + 1):
-                for i in range(j):
-                    if fc(n - 1, fc(n, x, j), i) != fc(n - 1, fc(n, x, i), j - 1):
-                        raise IdentityViolation(
-                            f"d_{i} d_{j} != d_{j - 1} d_{i} at dim {n} simplex {x}"
-                        )
+        if not counts[n]:
+            continue
+        f, g = fc[n], fc[n - 1]
+        bad = _least_mismatch(
+            (j, i, map(g[i].__getitem__, f[j]),
+             map(g[j - 1].__getitem__, f[i]))
+            for j in range(1, n + 1) for i in range(j)
+        )
+        if bad is not None:
+            x, j, i = bad
+            raise IdentityViolation(
+                f"d_{i} d_{j} != d_{j - 1} d_{i} at dim {n} simplex {x}"
+            )
     # s_i s_j = s_{j+1} s_i  (i <= j)
     for n in range(dim_cap - 1):
-        for x in range(counts[n]):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    if dg(n + 1, dg(n, x, j), i) != dg(n + 1, dg(n, x, i), j + 1):
-                        raise IdentityViolation(
-                            f"s_{i} s_{j} != s_{j + 1} s_{i} at dim {n} simplex {x}"
-                        )
-    # mixed identities, stated for x of dimension n with s_j x of dim n+1
+        if not counts[n]:
+            continue
+        d, e = dg[n], dg[n + 1]
+        bad = _least_mismatch(
+            (j, i, map(e[i].__getitem__, d[j]),
+             map(e[j + 1].__getitem__, d[i]))
+            for j in range(n + 1) for i in range(j + 1)
+        )
+        if bad is not None:
+            x, j, i = bad
+            raise IdentityViolation(
+                f"s_{i} s_{j} != s_{j + 1} s_{i} at dim {n} simplex {x}"
+            )
+    # mixed identities, stated for x of dimension n with s_j x of dim n+1:
+    # d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1)
     for n in range(dim_cap):
-        for x in range(counts[n]):
-            for j in range(n + 1):
-                sx = dg(n, x, j)
-                for i in range(n + 2):
-                    got = fc(n + 1, sx, i)
-                    if i < j:
-                        want = dg(n - 1, fc(n, x, i), j - 1)
-                        name = f"d_{i} s_{j} != s_{j - 1} d_{i}"
-                    elif i in (j, j + 1):
-                        want = x
-                        name = f"d_{i} s_{j} != id"
-                    else:
-                        want = dg(n - 1, fc(n, x, i - 1), j)
-                        name = f"d_{i} s_{j} != s_{j} d_{i - 1}"
-                    if got != want:
-                        raise IdentityViolation(f"{name} at dim {n} simplex {x}")
+        if not counts[n]:
+            continue
+        d, f1 = dg[n], fc[n + 1]
+        everything = range(counts[n])
+
+        def want(i: int, j: int):
+            if i < j:
+                return map(dg[n - 1][j - 1].__getitem__, fc[n][i])
+            if i in (j, j + 1):
+                return everything
+            return map(dg[n - 1][j].__getitem__, fc[n][i - 1])
+
+        bad = _least_mismatch(
+            (j, i, map(f1[i].__getitem__, d[j]), want(i, j))
+            for j in range(n + 1) for i in range(n + 2)
+        )
+        if bad is not None:
+            x, j, i = bad
+            if i < j:
+                name = f"d_{i} s_{j} != s_{j - 1} d_{i}"
+            elif i in (j, j + 1):
+                name = f"d_{i} s_{j} != id"
+            else:
+                name = f"d_{i} s_{j} != s_{j} d_{i - 1}"
+            raise IdentityViolation(f"{name} at dim {n} simplex {x}")
 
     if keys is not None:
         keys = tuple(tuple(per_dim) for per_dim in keys)
@@ -375,12 +428,10 @@ def build_sset(
             if len(set(per_dim)) != len(per_dim):
                 raise InvalidInput("keys must be unique within a dimension")
     if labels is None and keys is not None:
-        labels = tuple(tuple(str(k) for k in per_dim) for per_dim in keys)
+        labels = tuple(tuple(map(str, per_dim)) for per_dim in keys)
     ids = tuple(
-        tuple(
-            SimplexId(n, i, labels[n][i] if labels is not None else None)
-            for i in range(counts[n])
-        )
+        tuple(map(SimplexId, repeat(n), range(counts[n]),
+                  labels[n] if labels is not None else repeat(None)))
         for n in range(dim_cap + 1)
     )
     return TruncatedSSet(dim_cap, counts, faces, degens, ids, keys)

@@ -4,12 +4,24 @@ Documents are plain dicts with a fixed key order and an explicit format
 version, serialized with a stable two-space indentation, so identical inputs
 and flags always produce byte-identical artifacts.  Simplex ids are strings
 of the form ``"dim:index"``.
+
+One writer, :func:`dumps`, serializes every document, complexes and results
+alike.  It produces exactly the bytes of ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` (plus a final newline), but joins whole rows of
+strings at C speed instead of going through ``json``'s pure-Python indenting
+encoder.  Parsing reads the id rows of a table in bulk when every entry has
+the canonical form and otherwise falls back to :func:`parse_id` entry by
+entry, so a malformed document is rejected with the same message either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import add, attrgetter, getitem, lt
 from typing import Any
 
 from . import __version__
@@ -36,34 +48,114 @@ def parse_id(text: str) -> tuple[int, int]:
         raise InvalidInput(f"malformed simplex id {text!r}") from exc
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+_encode_str = json.encoder.encode_basestring
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+_ROWS = {list, tuple}
+
+
+def _dump(value: Any, depth: int) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, nested ``depth``
+    levels deep (so every line break is followed by ``depth`` indents)."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        sep = "," + inner
+        try:
+            if not set(map(type, value)) <= _ROWS:  # a row of strings
+                body = sep.join(map(_encode_str, value))
+            elif len(widths := set(map(len, value))) == 1 and 0 not in widths:
+                # rows of strings, all of one width: a face or degeneracy
+                # table, written one row per str.format call
+                width = widths.pop()
+                row = "[" + inner + "  " + (sep + "  ").join(["{}"] * width) \
+                    + inner + "]"
+                cells = map(_encode_str, chain.from_iterable(value))
+                body = sep.join(map(row.format, *[cells] * width))
+            else:
+                raise TypeError("rows of several widths")
+        except TypeError:  # anything else: value by value
+            body = sep.join([_dump(v, depth + 1) for v in value])
+        return "[" + inner + body + inner[:-2] + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (depth + 1)
+        try:
+            keys = list(map(_encode_str, value))
+        except TypeError:  # a key that is not a string: json converts it
+            return _json_dump(value, depth)
+        try:  # every value a string, like the labels of a complex
+            body = ("," + inner).join(map(
+                add, map(add, keys, repeat(": ")),
+                map(_encode_str, value.values())))
+        except TypeError:
+            body = ("," + inner).join(
+                [k + ": " + _dump(v, depth + 1)
+                 for k, v in zip(keys, value.values())])
+        return "{" + inner + body + inner[:-2] + "}"
+    if value is None or isinstance(value, (int, float)):
+        return _encode_scalar(value)
+    return _json_dump(value, depth)
+
+
+def _json_dump(value: Any, depth: int) -> str:
+    """json itself, re-indented; json escapes newlines inside strings, so
+    every raw one is a line break."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace(
+        "\n", "\n" + "  " * depth)
+
+
+def dumps(doc: Any) -> str:
+    """The document as ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    followed by a newline."""
+    return _dump(doc, 0) + "\n"
+
+
+def _id_table(cap: int, counts) -> list[list[str]]:
+    """``table[n][i] == "n:i"`` for every simplex."""
+    return [list(map(f"{n}:".__add__, map(str, range(counts[n]))))
+            for n in range(cap + 1)]
+
+
+def _id_rows(table: tuple, ids: list[str], width: int) -> list[list[str]]:
+    """The rows of an index table, each entry written as its id string."""
+    entries = map(ids.__getitem__, chain.from_iterable(table))
+    return list(map(list, zip(*[entries] * width)))
+
+
+_label = attrgetter("label")
 
 
 def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
     u = x.underlying
+    ids = _id_table(u.dim_cap, u.counts)
+    thin = x.thin_indexes()
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "kind": "complex",
         "dim_cap": u.dim_cap,
-        "simplices": [
-            [id_str(s) for s in u.simplices(n)] for n in range(u.dim_cap + 1)
-        ],
+        "simplices": ids,
         "faces": [
-            [[f"{n - 1}:{e}" for e in row] for row in u.faces[n]]
+            _id_rows(u.faces[n], ids[n - 1], n + 1)
             for n in range(1, u.dim_cap + 1)
         ],
         "degeneracies": [
-            [[f"{n + 1}:{e}" for e in row] for row in u.degeneracies[n]]
+            _id_rows(u.degeneracies[n], ids[n + 1], n + 1)
             for n in range(u.dim_cap)
         ],
-        "thin": [id_str(s) for s in sorted(x.thin)],
+        "thin": list(chain.from_iterable(
+            map(ids[n].__getitem__, sorted(thin[n]))
+            for n in range(u.dim_cap + 1)
+        )),
     }
     labels = {
-        id_str(s): s.label
+        text: label
         for n in range(u.dim_cap + 1)
-        for s in u.simplices(n)
-        if s.label is not None
+        for text, label in zip(ids[n], map(_label, u.ids[n]))
+        if label is not None
     }
     if labels:
         doc["labels"] = labels
@@ -72,7 +164,49 @@ def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
     return doc
 
 
-def _parse_rows(raw, table_dim: int, entry_dim: int) -> list[list[int]]:
+@lru_cache(maxsize=64)
+def _joined_ids(dim: int | None) -> re.Pattern:
+    """Canonical ids of dimension ``dim`` (any if None), joined by commas."""
+    d = "[0-9]+" if dim is None else str(dim)
+    return re.compile(rf"{d}:[0-9]+(?:,{d}:[0-9]+)*", re.ASCII)
+
+
+def _bulk_ids(texts: list, dim: int | None = None) -> list[int] | None:
+    """The ids in ``texts`` as ints, or None unless all are canonical.
+
+    Canonical means a string ``"<dim>:<digits>"``, with any digits for the
+    dimension if ``dim`` is None.  The result lists the indexes if ``dim``
+    is given, and ``dim, index, dim, index, ...`` if not.  Callers fall back
+    to :func:`parse_id`, which agrees on every canonical entry, when the
+    result is None.
+    """
+    if not texts:
+        return []
+    try:
+        joined = ",".join(texts)
+    except TypeError:
+        return None
+    if _joined_ids(dim).fullmatch(joined) is None \
+            or joined.count(",") != len(texts) - 1:  # an entry held a comma
+        return None
+    if dim is None:
+        parts = joined.replace(",", ":").split(":")
+    else:
+        prefix = f"{dim}:"
+        parts = joined[len(prefix):].split("," + prefix)
+    try:
+        return list(map(int, parts))
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _parse_rows(raw, table_dim: int, entry_dim: int) -> list:
+    width = table_dim + 1
+    if type(raw) is list and set(map(type, raw)) <= {list} \
+            and set(map(len, raw)) <= {width}:
+        nums = _bulk_ids(list(chain.from_iterable(raw)), entry_dim)
+        if nums is not None:
+            return list(zip(*[iter(nums)] * width))
     rows = []
     for row in raw:
         entries = []
@@ -98,8 +232,8 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     if len(per_dim) != cap + 1:
         raise InvalidInput("simplices must list dimensions 0..dim_cap")
     counts = [len(ids) for ids in per_dim]
-    for n, ids in enumerate(per_dim):
-        if ids != [f"{n}:{i}" for i in range(counts[n])]:
+    for n, (ids, canonical) in enumerate(zip(per_dim, _id_table(cap, counts))):
+        if ids != canonical:
             raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
     faces = [[]] + [
         _parse_rows(doc["faces"][n - 1], n, n - 1) for n in range(1, cap + 1)
@@ -114,20 +248,27 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
         raise InvalidInput("labels must map simplex ids to strings")
     labels = None
     if label_map:
-        labels = [
-            [label_map.get(f"{n}:{i}") for i in range(counts[n])]
-            for n in range(cap + 1)
-        ]
+        labels = [list(map(label_map.get, ids)) for ids in per_dim]
     u = build_sset(cap, counts, faces, degens, labels=labels)
     thin_ids = doc.get("thin", [])
     if not isinstance(thin_ids, list):
         raise InvalidInput("thin must be a list of simplex ids")
+    nums = _bulk_ids(thin_ids)
+    if nums is not None:
+        dims, indexes = nums[::2], nums[1::2]
+        try:  # every id exists: dims <= cap (else IndexError), indexes fit
+            exists = all(map(lt, indexes, map(counts.__getitem__, dims)))
+        except IndexError:
+            exists = False
+        if exists:
+            in_dims = map(u.ids.__getitem__, dims)
+            return make_stratified(u, list(map(getitem, in_dims, indexes)))
     thin = []
     for text in thin_ids:
         dim, index = parse_id(text)
         if not (0 <= dim <= cap and 0 <= index < counts[dim]):
             raise InvalidInput(f"thin id {text!r} does not exist")
-        thin.append(u.id_at(dim, index))
+        thin.append(u.ids[dim][index])
     return make_stratified(u, thin)
 
 

@@ -9,7 +9,9 @@ thin.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from itertools import chain, compress, product, repeat
+from operator import add, attrgetter, eq
+from typing import Iterable
 
 from .core import (
     SimplexId,
@@ -22,14 +24,19 @@ from .errors import InvalidInput, ThinVertex, ThinnessViolation
 
 
 class StratifiedSSet:
-    """A truncated simplicial set with a chosen set of thin simplices."""
+    """A truncated simplicial set with a chosen set of thin simplices.
 
-    __slots__ = ("underlying", "thin", "_thin_idx")
+    The thin simplices are held as one frozenset of indexes per dimension;
+    :attr:`thin` presents them as simplex ids, built on first use.
+    """
 
-    def __init__(self, underlying: TruncatedSSet, thin: frozenset[SimplexId]):
+    __slots__ = ("underlying", "_thin_idx", "_thin")
+
+    def __init__(self, underlying: TruncatedSSet,
+                 thin_idx: tuple[frozenset[int], ...]):
         self.underlying = underlying
-        self.thin = thin
-        self._thin_idx: tuple[frozenset[int], ...] | None = None
+        self._thin_idx = thin_idx
+        self._thin: frozenset[SimplexId] | None = None
 
     # Convenience pass-throughs; the stratified object is used pervasively
     # and unwrapping at every call site obscures the code.
@@ -56,35 +63,44 @@ class StratifiedSSet:
     def const(self, x: SimplexId, m: int) -> SimplexId:
         return self.underlying.const(x, m)
 
-    def is_thin(self, x: SimplexId) -> bool:
-        return x in self.thin
-
-    def thin_indexes(self) -> tuple[frozenset[int], ...]:
-        """Per dimension, the indexes of the thin simplices (built once)."""
-        got = self._thin_idx
+    @property
+    def thin(self) -> frozenset[SimplexId]:
+        got = self._thin
         if got is None:
-            per_dim: list[set[int]] = [set() for _ in range(self.cap + 1)]
-            for t in self.thin:
-                per_dim[t.dim].add(t.index)
-            got = tuple(frozenset(ixs) for ixs in per_dim)
-            self._thin_idx = got
+            ids = self.underlying.ids
+            got = frozenset(
+                ids[n][i] for n, ixs in enumerate(self._thin_idx) for i in ixs
+            )
+            self._thin = got
         return got
 
+    def is_thin(self, x: SimplexId) -> bool:
+        return 0 <= x.dim <= self.cap and x.index in self._thin_idx[x.dim]
+
+    def thin_indexes(self) -> tuple[frozenset[int], ...]:
+        """Per dimension, the indexes of the thin simplices."""
+        return self._thin_idx
+
     def thin_in_dim(self, n: int) -> tuple[SimplexId, ...]:
-        return tuple(x for x in self.underlying.simplices(n) if x in self.thin)
+        ids = self.underlying.simplices(n)
+        return tuple(ids[i] for i in sorted(self._thin_idx[n]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StratifiedSSet):
             return NotImplemented
-        return self.underlying == other.underlying and self.thin == other.thin
+        return (self.underlying == other.underlying
+                and self._thin_idx == other._thin_idx)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return (
             f"StratifiedSSet(cap={self.cap}, counts={self.counts}, "
-            f"thin={len(self.thin)})"
+            f"thin={sum(map(len, self._thin_idx))})"
         )
+
+
+_dim, _index = attrgetter("dim"), attrgetter("index")
 
 
 def make_stratified(x: TruncatedSSet, thin: Iterable[SimplexId]) -> StratifiedSSet:
@@ -93,19 +109,32 @@ def make_stratified(x: TruncatedSSet, thin: Iterable[SimplexId]) -> StratifiedSS
     Degenerate simplices are added silently (the axiom is a closure
     condition, not a user burden); a thin vertex is an error.
     """
-    thin_set = set(thin)
-    for t in thin_set:
+    thin = list(thin)
+    cap, counts = x.dim_cap, x.counts
+    dims, indexes = list(map(_dim, thin)), list(map(_index, thin))
+    if dims and not 0 < min(dims) <= max(dims) <= cap:
+        _reject_thin(x, thin)
+    per_dim: list[frozenset[int]] = [frozenset()]
+    for n in range(1, cap + 1):
+        given = list(compress(indexes, map(eq, dims, repeat(n))))
+        if given and not 0 <= min(given) <= max(given) < counts[n]:
+            _reject_thin(x, thin)
+        # the n-simplices with a degeneracy witness: every s_j of every
+        # (n-1)-simplex
+        per_dim.append(frozenset(
+            chain(given, chain.from_iterable(x.degeneracies[n - 1]))
+        ))
+    return StratifiedSSet(x, tuple(per_dim))
+
+
+def _reject_thin(x: TruncatedSSet, thin: list[SimplexId]) -> None:
+    """Raise for the first bad thin simplex, in the order of ``set(thin)``."""
+    for t in set(thin):
         if not (0 <= t.dim <= x.dim_cap and 0 <= t.index < x.counts[t.dim]):
             raise InvalidInput(f"{t!r} is not a simplex of the complex")
         if t.dim == 0:
             raise ThinVertex(f"vertex {t!r} cannot be thin")
-    for n in range(1, x.dim_cap + 1):
-        for s in x.simplices(n):
-            if x.is_degenerate(s):
-                thin_set.add(s)
-    # normalize to the complex's own id instances so labels survive
-    thin_set = {x.id_at(t.dim, t.index) for t in thin_set}
-    return StratifiedSSet(x, frozenset(thin_set))
+    raise AssertionError("no bad thin simplex")  # pragma: no cover
 
 
 def min_strat(x: TruncatedSSet) -> StratifiedSSet:
@@ -228,13 +257,14 @@ def regular_subset(
             for n in range(u.dim_cap + 1)
         )
     sub_u = build_sset(u.dim_cap, counts, faces, degens, keys=keys)
+    y_thin = y.thin_indexes()
     sub = make_stratified(
         sub_u,
         [
             sub_u.id_at(n, i)
             for n in range(1, u.dim_cap + 1)
             for i, s in enumerate(per_dim[n])
-            if s in y.thin
+            if s.index in y_thin[n]
         ],
     )
     inc_assign = tuple(
@@ -258,48 +288,33 @@ def gproduct(x: StratifiedSSet, y: StratifiedSSet) -> StratifiedSSet:
     xu, yu = x.underlying, y.underlying
     counts = tuple(xu.counts[n] * yu.counts[n] for n in range(cap + 1))
 
-    def pair_key(n: int, i: int, j: int) -> Hashable:
-        kx = xu.keys[n][i] if xu.keys is not None else i
-        ky = yu.keys[n][j] if yu.keys is not None else j
-        return (kx, ky)
+    def pair_rows(x_rows: tuple, y_rows: tuple, y_count: int) -> tuple:
+        # row of the pair (i, j): x_rows[i] * y_count + y_rows[j], entrywise
+        scaled = [tuple(a * y_count for a in row) for row in x_rows]
+        return tuple(tuple(map(add, sx, ry)) for sx in scaled for ry in y_rows)
 
     faces = tuple(
-        tuple(
-            tuple(
-                xu.faces[n][i][t] * yu.counts[n - 1] + yu.faces[n][j][t]
-                for t in range(n + 1)
-            )
-            for i in range(xu.counts[n])
-            for j in range(yu.counts[n])
-        ) if n >= 1 else ()
+        pair_rows(xu.faces[n], yu.faces[n], yu.counts[n - 1]) if n >= 1 else ()
         for n in range(cap + 1)
     )
     degens = tuple(
-        tuple(
-            tuple(
-                xu.degeneracies[n][i][t] * yu.counts[n + 1]
-                + yu.degeneracies[n][j][t]
-                for t in range(n + 1)
-            )
-            for i in range(xu.counts[n])
-            for j in range(yu.counts[n])
-        ) if n < cap else ()
+        pair_rows(xu.degeneracies[n], yu.degeneracies[n], yu.counts[n + 1])
+        if n < cap else ()
         for n in range(cap + 1)
     )
     keys = tuple(
-        tuple(
-            pair_key(n, i, j)
-            for i in range(xu.counts[n])
-            for j in range(yu.counts[n])
-        )
+        tuple(product(
+            xu.keys[n] if xu.keys is not None else range(xu.counts[n]),
+            yu.keys[n] if yu.keys is not None else range(yu.counts[n]),
+        ))
         for n in range(cap + 1)
     )
     prod_u = build_sset(cap, counts, faces, degens, keys=keys)
+    x_thin, y_thin = x.thin_indexes(), y.thin_indexes()
     thin = [
-        prod_u.id_at(n, i * yu.counts[n] + j)
+        prod_u.ids[n][i * yu.counts[n] + j]
         for n in range(1, cap + 1)
-        for i in range(xu.counts[n])
-        for j in range(yu.counts[n])
-        if xu.ids[n][i] in x.thin and yu.ids[n][j] in y.thin
+        for i in x_thin[n]
+        for j in y_thin[n]
     ]
     return make_stratified(prod_u, thin)

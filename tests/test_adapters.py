@@ -256,11 +256,29 @@ def test_indexed_prism_search_matches_full_scan(request, fixture, n):
     k = request.getfixturevalue(fixture)
     base = k.id_at(0, 0)
     simplices = k.simplices(n)
-    got = [[_pi_homotopic(k, base, n, p, q) for q in simplices]
+    got = [[_pi_homotopic(k, base, n, p, q, {}) for q in simplices]
            for p in simplices]
     assert got == [[scan_pi_homotopic(k, base, n, p, q) for q in simplices]
                    for p in simplices]
     assert any(map(any, got)) and not all(map(all, got))
+    # end values memoized across all pairs, as pi_oracle shares them
+    ends = {}
+    assert got == [[_pi_homotopic(k, base, n, p, q, ends) for q in simplices]
+                   for p in simplices]
+
+
+def test_pi_oracle_computes_end_values_once(monkeypatch, s3):
+    k = C.nerve(s3, 2)
+    calls = []
+    apply_monotone = C.TruncatedSSet.apply_monotone
+
+    def counted(self, y, values):
+        calls.append((y.index, tuple(values)))
+        return apply_monotone(self, y, values)
+
+    monkeypatch.setattr(C.TruncatedSSet, "apply_monotone", counted)
+    C.pi_oracle(k, k.id_at(0, 0), 1)
+    assert calls and len(calls) == len(set(calls))
 
 
 def brute_horn_tuples(k, hk, n):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import pytest
@@ -290,3 +291,77 @@ def test_negative_dimension_exits_1(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "negative" in captured.err
+
+
+# -- pinned complex documents -------------------------------------------------
+
+def test_built_documents_are_pinned(capsys, tmp_path):
+    # digests of the documents written before the indent-2 writer and the
+    # bulk parser replaced json.dumps and the per-entry parse
+    s3 = tmp_path / "s3.json"
+    s3.write_text(json.dumps({"perm_generators": [[1, 0, 2], [1, 2, 0]]}))
+    z3 = tmp_path / "z3.json"
+    z3.write_text(json.dumps({
+        "elements": ["0", "1", "2"], "unit": "0",
+        "table": [[str((i + j) % 3) for j in range(3)] for i in range(3)],
+    }))
+
+    def build(*argv):
+        code, out = run(capsys, "build", *argv)
+        assert code == 0
+        return out
+
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    nerve = tmp_path / "n.json"
+    nerve.write_text(build("nerve", "--monoid", str(s3), "--cap", "4"))
+    assert digest(nerve.read_text()) == \
+        "821c447e8237b6c05d78b4b9f1216d432d55355a6fdd6a7b89afebecf727b653"
+    assert digest(build("th0", str(nerve))) == \
+        "4e044946bd921fd79cb5ac177d1fc5585212b4d612b27240205acefbf76371d2"
+    nz = tmp_path / "nz.json"
+    nz.write_text(build("nerve", "--monoid", str(z3), "--cap", "3"))
+    tz = tmp_path / "tz.json"
+    tz.write_text(build("th0", str(nz)))
+    assert digest(build("product", str(tz), str(tz))) == \
+        "a84bcedbe958bbaec47e61a01c3f16ef74c7e47609b14da15693eeba99b3c5da"
+    # a document read back is written back byte for byte
+    assert build("th0", str(tz)) == tz.read_text()
+
+
+# -- input that is not JSON text ----------------------------------------------
+
+NOT_UTF8 = b"\xff"
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.fixture(params=["path", "stdin"])
+def feed(request, tmp_path, monkeypatch):
+    """Offer bytes as a file path, or as stdin under the path '-'."""
+    def offer(data: bytes) -> str:
+        if request.param == "stdin":
+            monkeypatch.setattr(
+                "sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            return "-"
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        return str(path)
+    return offer
+
+
+@pytest.mark.parametrize("data", [NOT_UTF8, TOO_DEEP],
+                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("argv", [
+    ["tau0", "X"],
+    ["build", "th0", "X"],
+    ["build", "nerve", "--monoid", "X", "--cap", "2"],
+    ["build", "nerve", "--category", "X", "--cap", "2"],
+])
+def test_undecodable_input_exits_1(capsys, feed, data, argv):
+    source = feed(data)
+    assert main([source if a == "X" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid input: ")
+    assert "Traceback" not in captured.err

@@ -233,3 +233,144 @@ def test_lazy_indexes_agree_under_threads():
     assert all(r == results[0] for r in results)
     assert results[0] == build()
     assert [len(t) for t in results[0][2]] == [0, 6, 36, 216]
+
+
+# -- column-wise table validation ----------------------------------------------
+
+def scalar_checks(dim_cap, counts, faces, degens):
+    """The range and identity checks of build_sset, one simplex at a time."""
+    for n in range(1, dim_cap + 1):
+        for i, row in enumerate(faces[n]):
+            if len(row) != n + 1:
+                raise errors.InvalidInput(
+                    f"face row {n}:{i} must have {n + 1} entries")
+            for e in row:
+                if not 0 <= e < counts[n - 1]:
+                    raise errors.DanglingReference(
+                        f"face entry {n}:{i} -> {n - 1}:{e} does not exist")
+    for n in range(dim_cap):
+        for i, row in enumerate(degens[n]):
+            if len(row) != n + 1:
+                raise errors.InvalidInput(
+                    f"degeneracy row {n}:{i} must have {n + 1} entries")
+            for e in row:
+                if not 0 <= e < counts[n + 1]:
+                    raise errors.DanglingReference(
+                        f"degeneracy entry {n}:{i} -> {n + 1}:{e} "
+                        "does not exist")
+
+    def fc(n, i, j):
+        return faces[n][i][j]
+
+    def dg(n, i, j):
+        return degens[n][i][j]
+
+    for n in range(2, dim_cap + 1):
+        for x in range(counts[n]):
+            for j in range(1, n + 1):
+                for i in range(j):
+                    if fc(n - 1, fc(n, x, j), i) != \
+                            fc(n - 1, fc(n, x, i), j - 1):
+                        raise errors.IdentityViolation(
+                            f"d_{i} d_{j} != d_{j - 1} d_{i} at dim {n} "
+                            f"simplex {x}")
+    for n in range(dim_cap - 1):
+        for x in range(counts[n]):
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    if dg(n + 1, dg(n, x, j), i) != \
+                            dg(n + 1, dg(n, x, i), j + 1):
+                        raise errors.IdentityViolation(
+                            f"s_{i} s_{j} != s_{j + 1} s_{i} at dim {n} "
+                            f"simplex {x}")
+    for n in range(dim_cap):
+        for x in range(counts[n]):
+            for j in range(n + 1):
+                sx = dg(n, x, j)
+                for i in range(n + 2):
+                    got = fc(n + 1, sx, i)
+                    if i < j:
+                        want = dg(n - 1, fc(n, x, i), j - 1)
+                        name = f"d_{i} s_{j} != s_{j - 1} d_{i}"
+                    elif i in (j, j + 1):
+                        want = x
+                        name = f"d_{i} s_{j} != id"
+                    else:
+                        want = dg(n - 1, fc(n, x, i - 1), j)
+                        name = f"d_{i} s_{j} != s_{j} d_{i - 1}"
+                    if got != want:
+                        raise errors.IdentityViolation(
+                            f"{name} at dim {n} simplex {x}")
+
+
+def check_outcome(fn, *args):
+    try:
+        fn(*args)
+    except errors.ComplicialError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+VALIDATION_CORPUS = {
+    # at cap 2 the loops of N Z3 share their faces, so a corrupted top face
+    # of a degenerate triangle breaks a mixed identity and nothing earlier
+    "nerve_z3_2": lambda: C.nerve(C.cyclic_group(3), 2),
+    "nerve_z3_3": lambda: C.nerve(C.cyclic_group(3), 3),
+    "qcat_bool_3": lambda: C.quasicat_e(
+        C.nerve(C.boolean_monoid(), 3)).underlying,
+    "delta_3": lambda: C.delta(3, 3).underlying,
+}
+
+
+@st.composite
+def corrupted_tables(draw, in_range=True):
+    u = VALIDATION_CORPUS[draw(st.sampled_from(sorted(VALIDATION_CORPUS)))]()
+    faces = [list(map(list, per_dim)) for per_dim in u.faces]
+    degens = [list(map(list, per_dim)) for per_dim in u.degeneracies]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            table, n = faces, draw(st.integers(1, u.dim_cap))
+            target = n - 1
+        else:
+            table, n = degens, draw(st.integers(0, u.dim_cap - 1))
+            target = n + 1
+        row = table[n][draw(st.integers(0, u.counts[n] - 1))]
+        low, high = (0, u.counts[target] - 1) if in_range \
+            else (-2, u.counts[target] + 2)
+        row[draw(st.integers(0, n))] = draw(st.integers(low, high))
+    return u.dim_cap, u.counts, faces, degens
+
+
+@given(corrupted_tables())
+def test_columnwise_identity_checks_match_scalar_loops(tables):
+    want = check_outcome(scalar_checks, *tables)
+    assert check_outcome(C.build_sset, *tables) == want
+
+
+@given(corrupted_tables(in_range=False))
+def test_columnwise_range_checks_match_scalar_loops(tables):
+    want = check_outcome(scalar_checks, *tables)
+    assert check_outcome(C.build_sset, *tables) == want
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_CORPUS))
+def test_every_single_corruption_matches_scalar_loops(name):
+    # exhaustive over the first simplices of every table of one complex
+    u = VALIDATION_CORPUS[name]()
+    tables = [list(map(list, per_dim)) for per_dim in u.faces], \
+        [list(map(list, per_dim)) for per_dim in u.degeneracies]
+    seen = set()
+    for which, table in enumerate(tables):
+        for n, per_dim in enumerate(table):
+            for row in per_dim[:4]:
+                target = n - 1 if which == 0 else n + 1
+                for pos in range(len(row)):
+                    keep = row[pos]
+                    for value in range(u.counts[target]):
+                        row[pos] = value
+                        args = (u.dim_cap, u.counts, *tables)
+                        got = check_outcome(C.build_sset, *args)
+                        assert got == check_outcome(scalar_checks, *args)
+                        seen.add(got and got[1].split(" at ")[0])
+                    row[pos] = keep
+    assert len(seen) > 3  # several identities were broken and named

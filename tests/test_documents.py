@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import complicial as C
 from complicial import documents as D
@@ -90,3 +91,119 @@ def test_table_payload_roundtrips_to_json(th0_z2_3):
     parsed = json.loads(text)
     assert parsed["payload"]["table"] == [[0, 1], [1, 0]]
     assert parsed["payload"]["relation"]["closure_needed"] is False
+
+
+# -- the writer ---------------------------------------------------------------
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans() | st.none()
+                          | st.floats(), inner, max_size=3)
+    ),
+    max_leaves=20,
+)
+awkward_text = st.text(alphabet=st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "→", " ",
+     "\ud800", "😀", "a", ":", ","]))
+
+
+@given(json_values)
+def test_writer_matches_json_indent_2(value):
+    assert D.dumps(value) == json.dumps(value, indent=2,
+                                        ensure_ascii=False) + "\n"
+
+
+@given(st.lists(st.lists(awkward_text, max_size=3), max_size=3),
+       st.dictionaries(awkward_text, awkward_text, max_size=3))
+def test_writer_escapes_like_json(rows, mapping):
+    for value in (rows, mapping, {"rows": rows, "m": mapping}, [rows, []]):
+        assert D.dumps(value) == json.dumps(value, indent=2,
+                                            ensure_ascii=False) + "\n"
+
+
+def test_writer_matches_json_on_documents(th0_z2_3):
+    t = C.tau_table(th0_z2_3, th0_z2_3.underlying.id_at(0, 0), 1)
+    docs = [D.complex_to_doc(x, name="c") for x in corpus()]
+    docs.append(D.result_doc("tau", {"n": 1}, D.table_payload(t)))
+    docs.append(D.verify_payload(C.verify_weak_complicial(C.delta(2, 2), 2)))
+    for doc in docs:
+        assert D.dumps(doc) == json.dumps(doc, indent=2,
+                                          ensure_ascii=False) + "\n"
+
+
+def test_writer_rejects_what_json_rejects():
+    for value in ({"a": {1, 2}}, [[object()]], {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            D.dumps(value)
+
+
+# -- the bulk id parser -------------------------------------------------------
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except errors.ComplicialError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def parse_id_message(text):
+    return outcome(D.parse_id, text)[1]
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1:x", parse_id_message("1:x")),
+    ("01:3", None),          # parse_id reads it as 1:3
+    (" 1:3", None),          # so is this: int() strips spaces
+    ("1:03", None),
+    ("1:2:3", parse_id_message("1:2:3")),
+    ("1:", parse_id_message("1:")),
+    (":3", parse_id_message(":3")),
+    ("1:3,1:4", parse_id_message("1:3,1:4")),
+    ("1:-1", None),          # a dangling reference, found by build_sset
+    ("1:٣", None),           # a non-ASCII digit, which int() reads as 3
+    pytest.param("1:" + "9" * 5000, parse_id_message("1:" + "9" * 5000),
+                 id="1:<more digits than int() reads>"),
+    (3, parse_id_message(3)),
+    (None, parse_id_message(None)),
+    ("0:1", "entry '0:1' in the dimension-2 table must have dimension 1"),
+])
+def test_bulk_parse_falls_back_to_parse_id(monkeypatch, entry, message):
+    doc = D.complex_to_doc(C.delta(2, 2))
+    doc["faces"][1][0][1] = entry
+    fast = outcome(D.doc_to_complex, doc)
+    monkeypatch.setattr(D, "_bulk_ids", lambda texts, dim=None: None)
+    slow = outcome(D.doc_to_complex, doc)
+    assert fast == slow
+    if message is not None:
+        assert fast == ("InvalidInput", message)
+
+
+@pytest.mark.parametrize("entry", [
+    "9:0", "1:99", "2:1:0", "1:x", 7, None, "0:0", "01:0", "-1:0",
+])
+def test_bulk_thin_parse_falls_back_to_parse_id(monkeypatch, entry):
+    doc = D.complex_to_doc(C.delta(2, 2))
+    doc["thin"] = ["1:1", entry, "2:0"]
+    fast = outcome(D.doc_to_complex, doc)
+    monkeypatch.setattr(D, "_bulk_ids", lambda texts, dim=None: None)
+    assert fast == outcome(D.doc_to_complex, doc)
+    assert fast[0] != "ok" or entry == "01:0"
+
+
+def test_bulk_parse_keeps_row_shapes():
+    doc = D.complex_to_doc(C.delta(2, 2))
+    doc["faces"][1][0].append("1:0")   # a row too long
+    with pytest.raises(errors.InvalidInput, match="must have 3 entries"):
+        D.doc_to_complex(doc)
+    doc = D.complex_to_doc(C.delta(2, 2))
+    doc["faces"][1][0] = "1:0"         # a row that is not a list
+    with pytest.raises(errors.InvalidInput, match="malformed simplex id"):
+        D.doc_to_complex(doc)

@@ -174,3 +174,37 @@ def test_composition_of_stratified_maps_is_stratified(th0_z2_3):
     composite = inc.then(collapse)
     # explicit re-validation from scratch
     C.make_stratified_map(horn, x, composite.map)
+
+
+def per_simplex_stratification(x, thin):
+    """make_stratified one simplex id at a time, checks in set order."""
+    thin_set = set(thin)
+    for t in thin_set:
+        if not (0 <= t.dim <= x.dim_cap and 0 <= t.index < x.counts[t.dim]):
+            raise errors.InvalidInput(f"{t!r} is not a simplex of the complex")
+        if t.dim == 0:
+            raise errors.ThinVertex(f"vertex {t!r} cannot be thin")
+    for n in range(1, x.dim_cap + 1):
+        thin_set.update(s for s in x.simplices(n) if x.is_degenerate(s))
+    return frozenset(x.id_at(t.dim, t.index) for t in thin_set)
+
+
+@given(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 12)),
+                max_size=8))
+def test_make_stratified_matches_per_simplex_checks(pairs):
+    u = C.nerve(C.cyclic_group(2), 3)
+    thin = [C.SimplexId(n, i) for n, i in pairs]
+    try:
+        want = per_simplex_stratification(u, thin)
+    except errors.ComplicialError as exc:
+        with pytest.raises(type(exc)) as got:
+            C.make_stratified(u, thin)
+        assert str(got.value) == str(exc)
+    else:
+        x = C.make_stratified(u, iter(thin))
+        assert x.thin == want
+        assert x.thin_indexes() == tuple(
+            frozenset(t.index for t in want if t.dim == n) for n in range(4))
+        assert all(x.is_thin(t) for t in want)
+        assert x.thin_in_dim(2) == tuple(sorted(t for t in want
+                                                if t.dim == 2))
