@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import SimplexId, TruncatedSSet, build_sset
 from .errors import (
@@ -27,20 +27,8 @@ from .errors import (
     NotQuasiCategory,
 )
 from .homotopy import MonoidTable, _finish_table, _partition
-from .lifting import (
-    ExtensionProblem,
-    _horn_rows,
-    assemble_horn_map,
-    find_extensions,
-)
-from .standard import complicial_horn, delta
-from .strat import (
-    StratifiedSSet,
-    make_stratified,
-    make_stratified_map,
-    max_strat,
-    min_strat,
-)
+from .lifting import _horn_rows
+from .strat import StratifiedSSet, make_stratified, max_strat
 
 
 # -- finite categories --------------------------------------------------------
@@ -294,58 +282,50 @@ def th0(k: TruncatedSSet) -> StratifiedSSet:
     return max_strat(k)
 
 
-# -- simplicial horn instances (no thinness) ----------------------------------
+# -- simplicial horn filling (no thinness) ------------------------------------
 
-def _simplicial_horn_tuples(
-    k: TruncatedSSet, hk: int, n: int
-) -> Iterator[dict[int, SimplexId]]:
-    """Compatible face tuples for the simplicial horn, all faces present."""
-    js = [j for j in range(n + 1) if j != hk]
-    ids = k.ids[n - 1]
+def _unfillable_horn(k: TruncatedSSet, hk: int, n: int
+                     ) -> dict[int, SimplexId] | None:
+    """The first simplicial horn at ``hk`` of the n-simplex with no filler.
+
+    A filler is an n-simplex whose faces j != hk are the horn's, so the
+    horns with one are exactly the projections of the face rows.  The
+    horn's faces come back by face index j, or None when all are filled.
+    """
+    if n > k.dim_cap:
+        raise CapTooSmall(f"target cap {k.dim_cap} below problem cap {n}")
+    filled = {row[:hk] + row[hk + 1:] for row in k.faces[n]}
     for row in _horn_rows(k, hk, n, None):
-        yield {j: ids[w] for j, w in zip(js, row)}
+        if row not in filled:
+            js = [j for j in range(n + 1) if j != hk]
+            return {j: k.ids[n - 1][w] for j, w in zip(js, row)}
+    return None
 
 
 def assert_quasicategory(k: TruncatedSSet, bound: int | None = None) -> None:
-    """Inner-horn fillability up to the bound, checked through the solver.
+    """Inner-horn fillability up to the bound, by face-row lookup.
 
-    Instances carry the minimal stratification on both sides, so lifting is
-    exactly simplicial horn filling.
+    With the minimal stratification on both sides lifting is exactly
+    simplicial horn filling, so no stratification enters the check.
     """
     bound = k.dim_cap if bound is None else bound
-    target = min_strat(k)
     for n in range(2, bound + 1):
         for hk in range(1, n):
-            horn, inclusion = complicial_horn(hk, n, n)
-            minhorn = min_strat(horn.underlying)
-            mindelta = min_strat(delta(n, n).underlying)
-            mininc = make_stratified_map(minhorn, mindelta, inclusion.map)
-            for tup in _simplicial_horn_tuples(k, hk, n):
-                partial = assemble_horn_map(minhorn, tup, target)
-                if not find_extensions(
-                    ExtensionProblem(mininc, partial), limit=1
-                ):
-                    raise NotQuasiCategory(
-                        f"inner horn (k, n) = ({hk}, {n}) unfillable at {tup}"
-                    )
+            tup = _unfillable_horn(k, hk, n)
+            if tup is not None:
+                raise NotQuasiCategory(
+                    f"inner horn (k, n) = ({hk}, {n}) unfillable at {tup}"
+                )
 
 
 def assert_kan(k: TruncatedSSet, bound: int | None = None) -> None:
-    """All-horn fillability up to the bound, by face-index lookup."""
+    """All-horn fillability up to the bound, by face-row lookup."""
     bound = k.dim_cap if bound is None else bound
     for n in range(1, bound + 1):
-        by_value = k.face_value_index(n)
         for hk in range(n + 1):
-            j0 = 1 if hk == 0 else 0  # the first face of the horn
-            for tup in _simplicial_horn_tuples(k, hk, n):
-                want = [(j, s.index) for j, s in tup.items()]
-                if not any(
-                    all(k.faces[n][w][j] == v for j, v in want)
-                    for w in by_value[j0].get(tup[j0].index, ())
-                ):
-                    raise NotKan(
-                        f"horn (k, n) = ({hk}, {n}) unfillable at {tup}"
-                    )
+            tup = _unfillable_horn(k, hk, n)
+            if tup is not None:
+                raise NotKan(f"horn (k, n) = ({hk}, {n}) unfillable at {tup}")
 
 
 # -- the homotopy category and the quasi-category stratification --------------

@@ -172,7 +172,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     x = _load_complex(args.complex)
     bound = args.max_dim if args.max_dim is not None else x.cap
-    report = lifting.verify_weak_complicial(x, bound, threads=args.threads)
+    report = lifting.verify_weak_complicial(x, bound)
     doc = documents.result_doc(
         "verify",
         {
@@ -202,7 +202,7 @@ def _resolve_vertex(x: StratifiedSSet, spec: str):
 def cmd_tau(args) -> int:
     x = _load_complex(args.complex)
     vertex = _resolve_vertex(x, args.vertex)
-    table = homotopy.tau_table(x, vertex, args.n, threads=args.threads)
+    table = homotopy.tau_table(x, vertex, args.n)
     audit = None
     if args.audit_well_defined:
         audit = homotopy.audit_well_defined(x, vertex, table)
@@ -256,7 +256,6 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="check the weak complicial conditions")
     v.add_argument("complex", help="complex JSON path ('-' reads stdin)")
     v.add_argument("--max-dim", type=int, default=None)
-    v.add_argument("--threads", type=_at_least(1), default=None)
     v.add_argument("--limit", type=_at_least(0), default=None,
                    help="serialize at most this many witnesses per row")
     v.add_argument("--out")
@@ -267,7 +266,6 @@ def _build_parser() -> _Parser:
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--vertex", default="0")
     t.add_argument("--audit-well-defined", action="store_true")
-    t.add_argument("--threads", type=_at_least(1), default=None)
     t.add_argument("--out")
     t.set_defaults(func=cmd_tau)
 

@@ -33,8 +33,13 @@ from .errors import (
     NoFiller,
     RestrictionMismatch,
 )
-from .lifting import ExtensionProblem, find_extensions
-from .standard import boundary_pair, complicial_horn, delta, delta_t, top_id
+from .lifting import (
+    ExtensionProblem,
+    _fillers,
+    assemble_horn_map,
+    find_extensions,
+)
+from .standard import boundary_pair, complicial_horn, delta, delta_t
 from .strat import (
     StratifiedMap,
     StratifiedSSet,
@@ -289,19 +294,27 @@ def tau0(x: StratifiedSSet) -> Tau0Result:
 
 # -- multiplication by horn filling ------------------------------------------
 
-def _product_problem(x: StratifiedSSet, base: SimplexId, n: int,
-                     alpha: SimplexId, beta: SimplexId) -> ExtensionProblem:
-    from .lifting import assemble_horn_map
+def _horn_fillers(x: StratifiedSSet, k: int,
+                  faces: dict[int, SimplexId]) -> list[SimplexId]:
+    """The fillers of a horn given by its faces j != k, in search order.
 
+    The horn map is validated through :func:`assemble_horn_map` first.
+    """
+    n = len(faces)
+    assemble_horn_map(complicial_horn(k, n, n)[0], faces, x)
+    row = tuple(faces[j].index for j in sorted(faces))
+    return [x.underlying.ids[n][w] for w in _fillers(x, k, n, row)]
+
+
+def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
+                     alpha: SimplexId, beta: SimplexId) -> list[SimplexId]:
     if x.cap < n + 1:
         raise CapTooSmall(f"multiplication at n = {n} needs cap >= {n + 1}")
-    horn, inclusion = complicial_horn(n, n + 1, n + 1)
     const = x.underlying.const(base, n)
     faces = {j: const for j in range(n + 2) if j != n}
     faces[n - 1] = alpha
     faces[n + 1] = beta
-    partial = assemble_horn_map(horn, faces, x)
-    return ExtensionProblem(inclusion, partial)
+    return _horn_fillers(x, n, faces)
 
 
 def multiply(x: StratifiedSSet, base: SimplexId, n: int,
@@ -321,15 +334,12 @@ def multiply_with_filler(
     alpha: SimplexId, beta: SimplexId,
 ) -> tuple[SimplexId, SimplexId]:
     """Like :func:`multiply` but also returns the chosen filler simplex."""
-    problem = _product_problem(x, base, n, alpha, beta)
-    found = find_extensions(problem, limit=1)
+    found = _product_fillers(x, base, n, alpha, beta)
     if not found:
         raise NoFiller(
             f"no filler for the multiplication horn of {alpha!r}, {beta!r}"
         )
-    b = problem.inclusion.target
-    theta = found[0](top_id(b, n + 1))
-    return x.underlying.face(theta, n), theta
+    return x.underlying.face(found[0], n), found[0]
 
 
 def all_product_fillers(
@@ -337,13 +347,8 @@ def all_product_fillers(
     alpha: SimplexId, beta: SimplexId,
 ) -> list[tuple[SimplexId, SimplexId]]:
     """Every filler of the multiplication horn, with its resulting face."""
-    problem = _product_problem(x, base, n, alpha, beta)
-    b = problem.inclusion.target
-    out = []
-    for ext in find_extensions(problem, limit=None):
-        theta = ext(top_id(b, n + 1))
-        out.append((x.underlying.face(theta, n), theta))
-    return out
+    return [(x.underlying.face(theta, n), theta)
+            for theta in _product_fillers(x, base, n, alpha, beta)]
 
 
 # -- the homotopy monoid table ------------------------------------------------
@@ -467,9 +472,7 @@ def sphere_relation(
     return tuple(elements), rel, witnesses
 
 
-def tau_table(
-    x: StratifiedSSet, base: SimplexId, n: int, *, threads: int | None = None
-) -> MonoidTable:
+def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
     """The homotopy monoid at ``base`` in dimension ``n``, as a full table.
 
     Partitions the sphere elements by relative homotopy (computing the
@@ -498,36 +501,27 @@ def tau_table(
     unit = class_index[const]
     reps = [c[0] for c in classes]
 
-    def cell(pair: tuple[int, int]) -> tuple[int, int, int, SimplexId]:
-        i, j = pair
-        result, theta = multiply_with_filler(x, base, n, reps[i], reps[j])
-        if result not in class_index:
-            raise InvalidInput(
-                f"product {result!r} is not a sphere element; tables need "
-                "constant-boundary closure"
-            )
-        return i, j, class_index[result], theta
-
-    pairs = [(i, j) for i in range(len(reps)) for j in range(len(reps))]
-    if threads is not None and threads > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(cell, pairs))
-    else:
-        results = [cell(p) for p in pairs]
-    k = len(reps)
-    table = [[0] * k for _ in range(k)]
-    fillers = [[const] * k for _ in range(k)]
-    for i, j, c, theta in sorted(results, key=lambda r: (r[0], r[1])):
-        table[i][j] = c
-        fillers[i][j] = theta
+    table: list[tuple[int, ...]] = []
+    fillers: list[tuple[SimplexId, ...]] = []
+    for p in reps:
+        row, frow = [], []
+        for q in reps:
+            result, theta = multiply_with_filler(x, base, n, p, q)
+            if result not in class_index:
+                raise InvalidInput(
+                    f"product {result!r} is not a sphere element; tables "
+                    "need constant-boundary closure"
+                )
+            row.append(class_index[result])
+            frow.append(theta)
+        table.append(tuple(row))
+        fillers.append(tuple(frow))
     return _finish_table(
-        tuple(tuple(row) for row in table),
+        tuple(table),
         n=n, base=base, elements=elements, classes=classes, unit=unit,
         relation_reflexive=reflexive, relation_symmetric=symmetric,
         relation_transitive=transitive,
-        fillers=tuple(tuple(row) for row in fillers), witnesses=witnesses,
+        fillers=tuple(fillers), witnesses=witnesses,
     )
 
 
@@ -661,25 +655,20 @@ def associativity_witness(
     n-1, n+1 and n+2 with constants elsewhere, fills it, and returns the
     double n-th face joining ((alpha beta) gamma) with (alpha (beta gamma)).
     """
-    from .lifting import assemble_horn_map
-
     if x.cap < n + 2:
         raise CapTooSmall(f"the associativity horn needs cap >= {n + 2}")
     ab, theta = multiply_with_filler(x, base, n, alpha, beta)
     _, psi = multiply_with_filler(x, base, n, ab, gamma)
     _, phi = multiply_with_filler(x, base, n, beta, gamma)
-    horn, inclusion = complicial_horn(n, n + 2, n + 2)
     const = x.underlying.const(base, n + 1)
     faces = {j: const for j in range(n + 3) if j != n}
     faces[n - 1] = theta
     faces[n + 1] = psi
     faces[n + 2] = phi
-    partial = assemble_horn_map(horn, faces, x)
-    found = find_extensions(ExtensionProblem(inclusion, partial), limit=1)
+    found = _horn_fillers(x, n, faces)
     if not found:
         raise NoFiller("the associativity horn has no filler")
-    b = inclusion.target
-    u = found[0](top_id(b, n + 2))
+    u = found[0]
     xu = x.underlying
     return AssociativityWitness(
         filler=u,

@@ -1,8 +1,9 @@
-"""Exhaustive solver for stratified extension problems.
+"""Exhaustive solver for stratified extension problems, and horn filling.
 
-The solver underlies everything in this package that "fills a horn": it
-takes an inclusion A -> B, a partial map A -> X, and searches for stratified
-extensions B -> X.  It runs on plain simplex indexes.  Unknowns are the
+The solver takes an inclusion A -> B, a partial map A -> X, and searches
+for stratified extensions B -> X; the homotopy cylinders go through it.
+Horns need no search: their fillers are looked up (see "Verdicts" below).
+The solver runs on plain simplex indexes.  Unknowns are the
 nondegenerate simplices of B outside A; they are processed dimension by
 dimension in (dim, index) order, depth first, drawing candidates from the
 target's cached face-row index and, where B's simplex is thin, from X's
@@ -18,11 +19,14 @@ What is validated, and where:
   stratified map from the horn.
 * Results.  Every map :func:`find_extensions` returns is rebuilt through
   ``make_simplicial_map`` and ``make_stratified_map``.
-* Verdicts.  For each horn instance, :func:`verify_weak_complicial`
-  validates the one filler it found the same way or, when there is none,
-  validates the horn map through :func:`assemble_horn_map` before it
-  records the failure.  Every pass and every failure rests on a validated
-  map.
+* Verdicts.  A stratified map from the complicial simplex at cap n is one
+  n-simplex of X, and of the simplices outside the horn only the top is
+  thin; so a horn instance is filled exactly by a thin n-simplex whose
+  faces j != k are the horn's (:func:`_fillers`, which compares whole face
+  rows and never rests on the index it draws candidates from).  A pass
+  rests on that rule; an instance without a filler has its horn map
+  validated through :func:`assemble_horn_map` before the failure is
+  recorded.
 
 Verification of the weak complicial lifting conditions is bounded by the
 cap: a truncated complex can never certify conditions above it, so the
@@ -32,9 +36,9 @@ relative to it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .core import (
@@ -173,13 +177,6 @@ def _search(
         fresh = False
 
 
-def _validated(b: StratifiedSSet, x: StratifiedSSet,
-               rows: tuple[Row, ...]) -> StratifiedMap:
-    return make_stratified_map(
-        b, x, make_simplicial_map(b.underlying, x.underlying, rows)
-    )
-
-
 def find_extensions(
     problem: ExtensionProblem, limit: int | None = None
 ) -> list[StratifiedMap]:
@@ -196,7 +193,9 @@ def find_extensions(
     if x.cap < b.cap:
         raise CapTooSmall(f"target cap {x.cap} below problem cap {b.cap}")
     return [
-        _validated(b, x, rows)
+        make_stratified_map(
+            b, x, make_simplicial_map(b.underlying, x.underlying, rows)
+        )
         for rows in _search(b, x, _pin_rows(problem), limit)
     ]
 
@@ -247,8 +246,8 @@ def _horn_rows(
 
     A tuple lists the indexes of the (n-1)-simplices on faces j != k, in
     ascending j; tuples come in lexicographic order.  Each face after the
-    first is drawn, through the face-value index, from the simplices
-    compatible with the first chosen face, then checked against the others.
+    first takes its candidates from the face-value index at the first
+    chosen face and is then checked against every chosen face.
     With a stratification ``x`` of ``xu`` only stratified maps from the
     k-complicial horn are listed: faces thin in the horn land thin, and so
     do the lower-dimensional thin simplices, checked once all faces are
@@ -274,6 +273,9 @@ def _horn_rows(
                 word = [q for q in range(top, -1, -1) if ambient[q] not in key]
                 lower.append((js.index(j), word, thin[m]))
     by_value = xu.face_value_index(top) if top >= 1 else ()
+    # fixed[p - 1] reads off a face row the entries at js[:p], which the
+    # faces chosen before position p determine (a bare entry for p == 1)
+    fixed = [itemgetter(*js[:p]) for p in range(1, len(js))]
     everything = range(xu.counts[top])
     chosen = [0] * len(js)
 
@@ -296,13 +298,13 @@ def _horn_rows(
         if pos == 0 or top == 0:
             pool: Sequence[int] = everything
         else:
-            i0 = js[0]
-            pool = by_value[i0].get(faces[top][chosen[0]][j - 1], ())
-            if pos > 1:
-                checks = [(js[q], faces[top][chosen[q]][j - 1])
-                          for q in range(1, pos)]
-                pool = [w for w in pool
-                        if all(faces[top][w][i] == v for i, v in checks)]
+            rows = faces[top]
+            want = tuple(rows[w][j - 1] for w in chosen[:pos])
+            pool = by_value[js[0]].get(want[0], ())
+            at = fixed[pos - 1]
+            if pos == 1:
+                want = want[0]
+            pool = [w for w in pool if at(rows[w]) == want]
         thin_j = need_thin[pos]
         for w in pool:
             if thin_j is not None and w not in thin_j:
@@ -374,64 +376,42 @@ class VerificationReport:
         return [f for row in self.rows for f in row.failures]
 
 
-def _horn_pin_plan(k: int, n: int, bu: TruncatedSSet
-                   ) -> tuple[list[int], list[tuple[int, int, int, int]]]:
-    """How a horn's generating faces pin the complicial n-simplex B.
+def _fillers(x: StratifiedSSet, k: int, n: int, row: Row) -> list[int]:
+    """The fillers of a stratified horn of the n-simplex at k, in order.
 
-    Returns the B indexes of the faces j != k (ascending j) and, in
-    decreasing dimension, one derivation ``(m, i, parent, q)`` per other
-    nondegenerate horn simplex: the m-simplex i of B is the q-th face of
-    the (m+1)-simplex ``parent``, itself a horn simplex pinned earlier.
-    Horn maps are determined by compatible faces, so any such face word
-    gives the image.
+    ``row`` lists the horn's faces j != k in ascending j, as indexes of
+    (n-1)-simplices.  By the Yoneda lemma a map from the complicial simplex
+    at cap n is one n-simplex of X, and of its simplices outside the horn
+    only the top is thin; so the fillers are the thin n-simplices whose
+    face row, with its k-th entry left out, is ``row``.  Candidates come
+    from the face-value index; the whole row of each is compared.  Fillers
+    are ordered by (index of face k, index), the order of :func:`_search`.
     """
-    js = [j for j in range(n + 1) if j != k]
-    full = range(n + 1)
-    gens = [
-        bu.id_for_key(n - 1, tuple(v for v in full if v != j)).index
-        for j in js
+    faces, thin = x.underlying.faces[n], x.thin_indexes()[n]
+    j0 = 1 if k == 0 else 0
+    found = [
+        w for w in x.underlying.face_value_index(n)[j0].get(row[0], ())
+        if w in thin and faces[w][:k] + faces[w][k + 1:] == row
     ]
-    derived = []
-    for m in range(n - 2, -1, -1):
-        for key in combinations(full, m + 1):
-            j = min(j for j in js if j not in key)
-            v = min(v for v in full if v != j and v not in key)
-            parent = tuple(sorted(key + (v,)))
-            derived.append((
-                m, bu.id_for_key(m, key).index,
-                bu.id_for_key(m + 1, parent).index, parent.index(v),
-            ))
-    return gens, derived
+    return sorted(found, key=lambda w: (faces[w][k], w))
 
 
 def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
-    """Fill every stratified horn; validate the witness behind each verdict.
+    """Fill every stratified horn by lookup; validate each unfilled one.
 
-    A found filler is validated as a map out of the complicial simplex; an
-    instance without one has its horn map validated before it is recorded
-    as a failure.
+    An instance without a filler has its horn map validated through
+    :func:`assemble_horn_map` before it is recorded as a failure.
     """
-    horn, inclusion = complicial_horn(k, n, n)
-    b = inclusion.target
-    bu, xu = b.underlying, x.underlying
-    gens, derived = _horn_pin_plan(k, n, bu)
     js = [j for j in range(n + 1) if j != k]
-    ids = xu.ids[n - 1]
+    ids = x.underlying.ids[n - 1]
     instances = 0
     failures: list[FailedInstance] = []
-    for faces in _horn_rows(xu, k, n, x):
+    for faces in _horn_rows(x.underlying, k, n, x):
         instances += 1
-        pins: list[list[int | None]] = [[None] * c for c in bu.counts]
-        for g, w in zip(gens, faces):
-            pins[n - 1][g] = w
-        for m, i, parent, q in derived:
-            pins[m][i] = xu.faces[m + 1][pins[m + 1][parent]][q]
-        filler = next(_search(b, x, pins, 1), None)
-        if filler is not None:
-            _validated(b, x, filler)
+        if _fillers(x, k, n, faces):
             continue
         assignment = {j: ids[w] for j, w in zip(js, faces)}
-        assemble_horn_map(horn, assignment, x)
+        assemble_horn_map(complicial_horn(k, n, n)[0], assignment, x)
         failures.append(FailedInstance(1, k, n, {"faces": assignment}))
     return VerificationRow(1, k, n, instances, tuple(failures))
 
@@ -471,36 +451,19 @@ def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
     return VerificationRow(2, k, n, instances, tuple(failures))
 
 
-def verify_weak_complicial(
-    x: StratifiedSSet,
-    bound: int,
-    *,
-    threads: int | None = None,
-) -> VerificationReport:
+def verify_weak_complicial(x: StratifiedSSet, bound: int) -> VerificationReport:
     """Check both anodyne families on every instance up to ``bound``.
 
     Family 1 covers the horn inclusions for 1 <= n <= bound and k in [n];
     family 2 the thinness extensions for 2 <= n <= bound and k in [n].  The
-    report is order-normalized by (family, n, k), so parallel and serial
-    runs produce identical results.
+    report's rows are ordered by (family, n, k).
     """
     if bound > x.cap:
         raise BoundExceedsCap(f"bound {bound} exceeds cap {x.cap}")
     if bound < 0:
         raise InvalidInput("bound must be a natural number")
-    work = [(1, n, k) for n in range(1, bound + 1) for k in range(n + 1)]
-    work += [(2, n, k) for n in range(2, bound + 1) for k in range(n + 1)]
-
-    def run(item: tuple[int, int, int]) -> VerificationRow:
-        family, n, k = item
-        if family == 1:
-            return _check_family1(k, n, x)
-        return _check_family2(k, n, x)
-
-    if threads is not None and threads > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, work))
-    else:
-        rows = [run(item) for item in work]
-    ordered = tuple(sorted(rows, key=lambda r: (r.family, r.n, r.k)))
-    return VerificationReport(bound, ordered)
+    rows = [_check_family1(k, n, x)
+            for n in range(1, bound + 1) for k in range(n + 1)]
+    rows += [_check_family2(k, n, x)
+             for n in range(2, bound + 1) for k in range(n + 1)]
+    return VerificationReport(bound, tuple(rows))

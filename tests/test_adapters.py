@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import documents as D, errors
-from complicial.adapters import (
-    _pi_homotopic,
-    _prism_unknowns,
-    _simplicial_horn_tuples,
-)
+from complicial.adapters import _pi_homotopic, _prism_unknowns
+from complicial.lifting import _horn_rows
 
 from .conftest import vertex
 
@@ -122,10 +119,20 @@ def test_homotopy_category_point():
     assert len(hc.objects) == 1 and len(hc.morphisms) == 1
 
 
+def test_horn_checks_above_the_cap_raise():
+    k = C.nerve(C.cyclic_group(2), 2)
+    for check in (C.assert_quasicategory, C.assert_kan):
+        with pytest.raises(errors.CapTooSmall):
+            check(k, 3)
+
+
 def test_homotopy_category_needs_quasicategory():
     k = C.boundary(2, 2).underlying
-    with pytest.raises(errors.NotQuasiCategory):
+    with pytest.raises(errors.NotQuasiCategory) as info:
         C.homotopy_category(k)
+    # the first unfillable inner horn, as the solver-based check named it
+    assert str(info.value) == ("inner horn (k, n) = (1, 2) unfillable at "
+                               "{0: <1:4 (1, 2)>, 2: <1:1 (0, 1)>}")
 
 
 # -- quasi-category stratification ---------------------------------------------------
@@ -298,7 +305,11 @@ def brute_horn_tuples(k, hk, n):
 def test_simplicial_horn_tuples_match_brute_force(nerve_z3_3):
     for n in range(1, 4):
         for hk in range(n + 1):
-            got = list(_simplicial_horn_tuples(nerve_z3_3, hk, n))
+            js = [j for j in range(n + 1) if j != hk]
+            got = [
+                {j: nerve_z3_3.ids[n - 1][w] for j, w in zip(js, row)}
+                for row in _horn_rows(nerve_z3_3, hk, n, None)
+            ]
             assert got == brute_horn_tuples(nerve_z3_3, hk, n), (hk, n)
 
 

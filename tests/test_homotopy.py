@@ -3,7 +3,12 @@ from hypothesis import given, strategies as st
 
 import complicial as C
 from complicial import errors
-from complicial.homotopy import _Cylinder, _partition, _witness_summary
+from complicial.homotopy import (
+    _Cylinder,
+    _partition,
+    _witness_summary,
+    all_product_fillers,
+)
 
 from .conftest import vertex
 
@@ -195,6 +200,16 @@ def test_multiply_boolean(qcat_bool_3):
     assert C.multiply(x, vertex(x), 1, l1, l0) == l0
 
 
+def test_multiplication_horn_is_validated():
+    # the crossing arrow of 0 < 1 is no sphere: its horn's faces disagree
+    x = C.th0(C.nerve(C.arrow_category(), 3))
+    a = next(e for e in x.underlying.simplices(1) if e.label == "a")
+    for op in (C.multiply, all_product_fillers):
+        with pytest.raises(errors.BoundaryMismatch) as info:
+            op(x, vertex(x), 1, a, a)
+        assert str(info.value) == "face mismatch at dim 1 simplex 1, d_0"
+
+
 def test_multiply_surfaces_no_filler(nerve_z2_3):
     # minimal stratification: the filler would have to be thin but the only
     # candidate 2-chain is nondegenerate
@@ -251,12 +266,6 @@ def test_tau_table_trivial_on_simplex():
 def test_tau_requires_headroom(th0_z2_3):
     with pytest.raises(errors.CapTooSmall):
         C.tau_table(th0_z2_3, vertex(th0_z2_3), 3)
-
-
-def test_tau_table_threads_match_serial(th0_s3_3):
-    x = th0_s3_3
-    assert C.tau_table(x, vertex(x), 1, threads=3) == \
-        C.tau_table(x, vertex(x), 1)
 
 
 def test_find_inverses():

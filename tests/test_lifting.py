@@ -7,6 +7,8 @@ import complicial as C
 from complicial import documents as D
 from complicial import errors
 from complicial.core import TruncatedSSet, make_simplicial_map
+from complicial.homotopy import all_product_fillers
+from complicial.lifting import _fillers
 
 
 def horn_problem(x, k, n, faces):
@@ -224,12 +226,6 @@ def test_bound_exceeds_cap(th0_z2_3):
         C.verify_weak_complicial(th0_z2_3, 4)
 
 
-def test_parallel_verification_is_order_normalized(th0_z2_4):
-    serial = C.verify_weak_complicial(th0_z2_4, 3)
-    parallel = C.verify_weak_complicial(th0_z2_4, 3, threads=4)
-    assert serial == parallel
-
-
 # -- the integer kernel ----------------------------------------------------------
 
 def z3_bool():
@@ -256,7 +252,7 @@ def test_verify_payload_is_pinned(category, passed, failures, digest):
 
 
 class _EveryCandidate(dict):
-    """A face-row index that answers every row with all simplices."""
+    """An index that answers every face row or face value with all simplices."""
 
     def __init__(self, count):
         super().__init__()
@@ -267,14 +263,24 @@ class _EveryCandidate(dict):
 
 
 def test_witness_validation_is_live(monkeypatch):
-    x = C.th0(C.nerve(C.cyclic_group(3), 2))
-    assert C.verify_weak_complicial(x, 2).passed
+    # horn enumeration and family 1 compare whole face rows, so a face-value
+    # index that over-reports changes nothing in the report
+    cases = [(C.th0(C.nerve(C.cyclic_group(3), 2)), 2),
+             (C.th0(C.nerve(z3_bool(), 3)), 3)]
+    want = [C.verify_weak_complicial(x, bound) for x, bound in cases]
+    assert want[0].passed and len(want[1].failures()) == 234
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            TruncatedSSet, "face_value_index",
+            lambda self, n: (_EveryCandidate(self.counts[n]),) * (n + 1),
+        )
+        assert [C.verify_weak_complicial(x, bound)
+                for x, bound in cases] == want
+    x = cases[0][0]
     monkeypatch.setattr(
         TruncatedSSet, "face_index",
         lambda self, n: _EveryCandidate(self.counts[n]),
     )
-    with pytest.raises((errors.NotWellDefined, errors.ThinnessViolation)):
-        C.verify_weak_complicial(x, 2)
     problem = horn_problem(x, 1, 2, {0: x.underlying.id_at(1, 1),
                                      2: x.underlying.id_at(1, 1)})
     with pytest.raises((errors.NotWellDefined, errors.ThinnessViolation)):
@@ -297,3 +303,74 @@ def test_solver_matches_naive_on_random_horns(data):
         [s.map.assign for s in naive_extensions(problem)]
     assert [s.map.assign for s in C.find_extensions(problem, limit=1)] == \
         [s.map.assign for s in fast[:1]]
+
+
+# -- horn filling by lookup, against the solver ------------------------------------
+
+def solver_fillers(x, k, n, faces):
+    """The top images of every extension the solver finds for the horn."""
+    problem = horn_problem(x, k, n, faces)
+    top = C.top_id(problem.inclusion.target, n)
+    return [ext(top) for ext in C.find_extensions(problem)]
+
+
+def renumbered(u, data):
+    """``u`` with the simplices of each dimension renumbered by a drawn
+    permutation, so that index order says nothing about face order."""
+    perm = [data.draw(st.permutations(range(c))) for c in u.counts]
+    old = [sorted(range(c), key=perm[n].__getitem__)
+           for n, c in enumerate(u.counts)]
+    faces = [()] + [
+        tuple(tuple(perm[n - 1][v] for v in u.faces[n][i]) for i in old[n])
+        for n in range(1, u.dim_cap + 1)
+    ]
+    degeneracies = [
+        tuple(tuple(perm[n + 1][v] for v in u.degeneracies[n][i])
+              for i in old[n])
+        for n in range(u.dim_cap)
+    ] + [()]
+    return C.build_sset(u.dim_cap, u.counts, faces, degeneracies)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_horn_fillers_match_solver_on_random_stratifications(data):
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.boolean_monoid()]))
+    u = renumbered(C.nerve(category, 3), data)
+    cells = [s for n in range(1, 4) for s in u.nondegenerate(n)]
+    marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                               max_size=len(cells)))
+    x = C.make_stratified(u, [s for s, m in zip(cells, marks) if m])
+    rows = {(r.k, r.n): r for r in C.verify_weak_complicial(x, 3).rows
+            if r.family == 1}
+    for n in range(1, 4):
+        for k in range(n + 1):
+            instances = list(C.horn_instances(k, n, x))
+            found = [solver_fillers(x, k, n, faces) for faces in instances]
+            for faces, want in zip(instances, found):
+                horn = tuple(s.index for s in faces.values())
+                assert [u.ids[n][w] for w in _fillers(x, k, n, horn)] == want
+            row = rows[(k, n)]
+            assert row.instances == len(instances)
+            assert [f.detail["faces"] for f in row.failures] == \
+                [faces for faces, want in zip(instances, found) if not want]
+            if n < 2 or k != n - 1:
+                continue
+            # the multiplication horn of (n-1)-spheres: faces other than
+            # k-1 and k+1 are constant at the base
+            for faces, want in zip(instances, found):
+                for base in u.simplices(0):
+                    const = u.const(base, k)
+                    if any(s != const for j, s in faces.items()
+                           if j not in (k - 1, k + 1)):
+                        continue
+                    args = (x, base, k, faces[k - 1], faces[k + 1])
+                    assert all_product_fillers(*args) == \
+                        [(u.face(t, k), t) for t in want]
+                    if want:
+                        assert C.multiply_with_filler(*args) == \
+                            (u.face(want[0], k), want[0])
+                    else:
+                        with pytest.raises(errors.NoFiller):
+                            C.multiply_with_filler(*args)
