@@ -154,7 +154,10 @@ def from_permutations(generators: Sequence[Sequence[int]],
 
     The generated group becomes a one-object category; elements are named by
     their value tuples and ordered lexicographically so ids are stable.
+    ``bound``, a positive int, caps the number of elements.
     """
+    if type(bound) is not int or bound < 1:
+        raise InvalidInput(f"bound must be a positive integer, not {bound!r}")
     gens = [tuple(g) for g in generators]
     if not gens:
         raise InvalidInput("at least one generator is required")

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .lifting import (
     ExtensionProblem,
+    _face_images,
     _fillers,
     assemble_horn_map,
     find_extensions,
@@ -65,8 +66,9 @@ def classifying_map(x: StratifiedSSet, alpha: SimplexId,
         raise CapTooSmall(f"cap {cap} unusable for a {n}-simplex in cap {x.cap}")
     a = delta(n, cap)
     au, xu = a.underlying, x.underlying
+    column = [alpha.index]
     assignments = {
-        s: xu.apply_monotone(alpha, au.keys[m][s.index])
+        s: xu.ids[m][_face_images(xu, n, au.keys[m][s.index], column)[0]]
         for m in range(cap + 1)
         for s in au.nondegenerate(m)
     }

@@ -23,10 +23,17 @@ What is validated, and where:
   n-simplex of X, and of the simplices outside the horn only the top is
   thin; so a horn instance is filled exactly by a thin n-simplex whose
   faces j != k are the horn's (:func:`_fillers`, which compares whole face
-  rows and never rests on the index it draws candidates from).  A pass
-  rests on that rule; an instance without a filler has its horn map
-  validated through :func:`assemble_horn_map` before the failure is
-  recorded.
+  rows and never rests on the index it draws candidates from).  Family 1
+  decides each (k, n) row against one projection set, built once: the
+  face rows of the thin n-simplices with their k-th entry left out, so an
+  instance passes exactly when its faces are in it.  Family 2 takes the
+  column of all n-simplex indexes, maps it through the face word of each
+  thin key of the primed simplex (:func:`_face_images`) and keeps the
+  simplices whose images are in the thin index sets; those are the
+  instances, and one more column, the k-th faces, gives the failures.
+  A pass rests on these rules; a family-1 instance without a filler has
+  its horn map validated through :func:`assemble_horn_map` before the
+  failure is recorded.
 
 Verification of the weak complicial lifting conditions is bounded by the
 cap: a truncated complex can never certify conditions above it, so the
@@ -56,7 +63,7 @@ from .errors import (
     KOutOfRange,
     NotWellDefined,
 )
-from .standard import complicial_horn, complicial_thin_key, in_horn_key, monotone_maps
+from .standard import complicial_horn, complicial_thin_key, in_horn_key
 from .strat import StratifiedMap, StratifiedSSet, make_stratified_map
 
 
@@ -397,18 +404,23 @@ def _fillers(x: StratifiedSSet, k: int, n: int, row: Row) -> list[int]:
 
 
 def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
-    """Fill every stratified horn by lookup; validate each unfilled one.
+    """Decide every stratified horn against the row's projection set.
 
-    An instance without a filler has its horn map validated through
-    :func:`assemble_horn_map` before it is recorded as a failure.
+    The set holds the face rows, k-th entry left out, of the thin
+    n-simplices, so an instance is filled exactly when its faces are in it
+    (the rule of :func:`_fillers`).  An instance without a filler has its
+    horn map validated through :func:`assemble_horn_map` before it is
+    recorded as a failure.
     """
     js = [j for j in range(n + 1) if j != k]
     ids = x.underlying.ids[n - 1]
+    rows = x.underlying.faces[n]
+    filled = {rows[w][:k] + rows[w][k + 1:] for w in x.thin_indexes()[n]}
     instances = 0
     failures: list[FailedInstance] = []
     for faces in _horn_rows(x.underlying, k, n, x):
         instances += 1
-        if _fillers(x, k, n, faces):
+        if faces in filled:
             continue
         assignment = {j: ids[w] for j, w in zip(js, faces)}
         assemble_horn_map(complicial_horn(k, n, n)[0], assignment, x)
@@ -417,15 +429,32 @@ def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
 
 
 def _delta_prime_thin_keys(k: int, n: int) -> list[tuple[int, ...]]:
-    out = []
-    for m in range(n + 1):
-        for t in monotone_maps(m, n):
-            if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
-                continue
-            if complicial_thin_key(k, n, t) or \
-                    (len(t) == n and in_horn_key(k, n, t)):
-                out.append(t)
-    return out
+    """The nondegenerate thin simplices of :func:`~.standard.delta_prime`.
+
+    Keys are vertex lists, by dimension and then lexicographically: the
+    k-complicial thin faces and the (n-1)-faces other than the k-th.
+    """
+    return [
+        t for m in range(n + 1) for t in combinations(range(n + 1), m + 1)
+        if complicial_thin_key(k, n, t) or (m == n - 1 and in_horn_key(k, n, t))
+    ]
+
+
+def _face_images(
+    xu: TruncatedSSet, n: int, key: Sequence[int], column: Sequence[int]
+) -> Sequence[int]:
+    """The images of the n-simplices ``column`` under an injective key.
+
+    ``key`` lists, ascending, the vertices of [n] the face keeps; the
+    others are deleted from the top down, one pass over the column each.
+    """
+    d = n
+    for j in range(n, -1, -1):
+        if j not in key:
+            rows = xu.faces[d]
+            column = [rows[w][j] for w in column]
+            d -= 1
+    return column
 
 
 def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
@@ -434,21 +463,23 @@ def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
     A map from the primed complex is an n-simplex of X whose images of the
     primed thin simplices are all thin; lifting along the identity-on-
     underlying inclusion asks exactly that the k-th face also lands thin.
+    The n-simplices are filtered a whole column per thin key.
     """
     xu = x.underlying
-    thin_keys = _delta_prime_thin_keys(k, n)
-    kth = tuple(v for v in range(n + 1) if v != k)
-    instances = 0
-    failures: list[FailedInstance] = []
-    for theta in xu.simplices(n):
-        if not all(xu.apply_monotone(theta, t) in x.thin for t in thin_keys):
-            continue
-        instances += 1
-        if xu.apply_monotone(theta, kth) not in x.thin:
-            failures.append(FailedInstance(
-                2, k, n, {"simplex": theta, "missing_thin_face": k}
-            ))
-    return VerificationRow(2, k, n, instances, tuple(failures))
+    thin = x.thin_indexes()
+    column: Sequence[int] = range(xu.counts[n])
+    for key in _delta_prime_thin_keys(k, n):
+        thin_m = thin[len(key) - 1]
+        column = [w for w, v in zip(column, _face_images(xu, n, key, column))
+                  if v in thin_m]
+    kth = [v for v in range(n + 1) if v != k]
+    ids = xu.ids[n]
+    failures = tuple(
+        FailedInstance(2, k, n, {"simplex": ids[w], "missing_thin_face": k})
+        for w, v in zip(column, _face_images(xu, n, kth, column))
+        if v not in thin[n - 1]
+    )
+    return VerificationRow(2, k, n, len(column), failures)
 
 
 def verify_weak_complicial(x: StratifiedSSet, bound: int) -> VerificationReport:

@@ -200,6 +200,25 @@ def test_perm_generator_input(capsys, tmp_path):
     assert [len(i) for i in json.loads(out)["simplices"]] == [1, 6, 36]
 
 
+@pytest.mark.parametrize("generators, bound", [
+    ([[1, 2, 0]], 2.5),
+    ([[1, 2, 0]], True),
+    ([[1, 2, 0]], "x"),
+    ([[0, 1]], -5),
+    ([[0, 1]], 0),
+])
+def test_perm_generator_bound_must_be_positive_int(capsys, tmp_path,
+                                                   generators, bound):
+    mon = tmp_path / "perm.json"
+    mon.write_text(json.dumps({"perm_generators": generators,
+                               "bound": bound}))
+    assert main(["build", "nerve", "--monoid", str(mon), "--cap", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidInput: bound must be")
+    assert "Traceback" not in captured.err
+
+
 @pytest.fixture()
 def delta1_doc(tmp_path):
     path = tmp_path / "d1.json"

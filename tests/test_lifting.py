@@ -9,6 +9,9 @@ from complicial import errors
 from complicial.core import TruncatedSSet, make_simplicial_map
 from complicial.homotopy import all_product_fillers
 from complicial.lifting import _fillers
+from complicial.standard import (
+    complicial_thin_key, in_horn_key, monotone_maps,
+)
 
 
 def horn_problem(x, k, n, faces):
@@ -374,3 +377,83 @@ def test_horn_fillers_match_solver_on_random_stratifications(data):
                     else:
                         with pytest.raises(errors.NoFiller):
                             C.multiply_with_filler(*args)
+
+
+# -- family 2 by columns, family 1 by projection sets ------------------------------
+
+def family2_by_simplex(x, k, n):
+    """Family 2 of (k, n), one apply_monotone per n-simplex and thin key."""
+    xu = x.underlying
+    thin_keys = [
+        t for m in range(n + 1) for t in monotone_maps(m, n)
+        if all(t[i] < t[i + 1] for i in range(m))
+        and (complicial_thin_key(k, n, t)
+             or (len(t) == n and in_horn_key(k, n, t)))
+    ]
+    kth = tuple(v for v in range(n + 1) if v != k)
+    instances, failures = 0, []
+    for theta in xu.simplices(n):
+        if not all(xu.apply_monotone(theta, t) in x.thin for t in thin_keys):
+            continue
+        instances += 1
+        if xu.apply_monotone(theta, kth) not in x.thin:
+            failures.append(C.FailedInstance(
+                2, k, n, {"simplex": theta, "missing_thin_face": k}))
+    return instances, failures
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_family2_columns_match_per_simplex_rule(data):
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.boolean_monoid(),
+                                          C.symmetric_group_3()]))
+    u = renumbered(C.nerve(category, 3), data)
+    cells = [s for n in range(1, 4) for s in u.nondegenerate(n)]
+    marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                               max_size=len(cells)))
+    x = C.make_stratified(u, [s for s, m in zip(cells, marks) if m])
+    rows = {(r.family, r.k, r.n): r
+            for r in C.verify_weak_complicial(x, 3).rows}
+    for n in range(2, 4):
+        for k in range(n + 1):
+            row = rows[(2, k, n)]
+            assert (row.instances, list(row.failures)) == \
+                family2_by_simplex(x, k, n)
+    for n in range(1, 4):
+        for k in range(n + 1):
+            instances = list(C.horn_instances(k, n, x))
+            unfilled = [
+                faces for faces in instances
+                if not _fillers(x, k, n, tuple(s.index for s in faces.values()))
+            ]
+            row = rows[(1, k, n)]
+            assert row.instances == len(instances)
+            assert [f.detail["faces"] for f in row.failures] == unfilled
+
+
+def test_passing_verify_never_applies_monotone_maps(monkeypatch):
+    x = C.th0(C.nerve(C.cyclic_group(3), 3))
+    calls = []
+    apply_monotone = C.TruncatedSSet.apply_monotone
+
+    def counted(self, y, values):
+        calls.append((y, tuple(values)))
+        return apply_monotone(self, y, values)
+
+    monkeypatch.setattr(C.TruncatedSSet, "apply_monotone", counted)
+    report = C.verify_weak_complicial(x, 3)
+    assert report.passed and not calls
+
+
+def test_family2_failure_payload_is_pinned():
+    # digest of the payload written by the per-simplex family-2 check
+    u = C.nerve(C.cyclic_group(3), 3)
+    thin = [u.nondegenerate(1)[0]] + [s for n in (2, 3) for s in u.simplices(n)]
+    report = C.verify_weak_complicial(C.make_stratified(u, thin), 3)
+    bad = [(r.family, r.k, r.n, len(r.failures)) for r in report.rows
+           if not r.ok]
+    assert bad == [(2, 0, 2, 1), (2, 1, 2, 1), (2, 2, 2, 1)]
+    text = D.dumps(D.verify_payload(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f6d8126b8401304461f14aca6fc526eae148d55b79d8448e2d743894cd2c5c61"
