@@ -177,8 +177,9 @@ class TruncatedSSet:
         return self.deg_witness[x.dim][x.index] is not None
 
     def nondegenerate(self, n: int) -> tuple[SimplexId, ...]:
+        ids = self.simplices(n)
         witness = self.deg_witness[n]
-        return tuple(x for x in self.ids[n] if witness[x.index] is None)
+        return tuple(x for x in ids if witness[x.index] is None)
 
     def degeneracy_witness(self, x: SimplexId) -> tuple[SimplexId, int]:
         """Some ``(y, i)`` with ``s_i y = x``, for degenerate ``x``."""
@@ -220,6 +221,8 @@ class TruncatedSSet:
         """The constant m-simplex at the vertex ``x`` (iterated s_0)."""
         if x.dim != 0:
             raise InvalidInput(f"{x!r} is not a vertex")
+        if m < 0:
+            raise InvalidInput(f"constant {m}-simplex: m must be >= 0")
         if m > self.dim_cap:
             raise CapExceeded(f"constant {m}-simplex exceeds cap {self.dim_cap}")
         y = x
@@ -232,7 +235,7 @@ class TruncatedSSet:
 
         ``values`` lists a weakly increasing map [m] -> [dim y]; the result is
         the m-simplex obtained by the face word for the missed vertices
-        followed by the degeneracy word for the repeats.
+        followed by the degeneracy word for the repeats (see :meth:`act`).
         """
         p = y.dim
         m = len(values) - 1
@@ -242,24 +245,30 @@ class TruncatedSSet:
             raise InvalidInput(f"{values!r} out of range for [{p}]")
         if m > self.dim_cap:
             raise CapExceeded(f"result dimension {m} exceeds cap {self.dim_cap}")
-        image = set(values)
-        for j in range(p, -1, -1):
-            if j not in image:
-                y = self.face(y, j)
-        ranks = sorted(image)
-        u = [ranks.index(v) for v in values]
+        return self.ids[m][self.act(p, values, [y.index])[0]]
 
-        def expand(z: SimplexId, word: list[int]) -> SimplexId:
-            # peel one elementary repeat at a time: the word factors through
-            # the collapse of positions t, t+1, so apply that s_t last
-            for t in range(len(word) - 1):
-                if word[t] == word[t + 1]:
-                    return self.degeneracy(
-                        expand(z, word[:t + 1] + word[t + 2:]), t
-                    )
-            return z
+    def act(self, n: int, values: Sequence[int],
+            column: Sequence[int]) -> Sequence[int]:
+        """The images of the n-simplices ``column`` under a monotone operator.
 
-        return expand(y, u)
+        ``values`` lists a weakly increasing map [m] -> [n] with m within
+        the cap; it is not checked.  The vertices it misses are deleted from
+        the top down, one face pass over the column each; then each repeat
+        ``values[t] == values[t + 1]`` applies s_t, in ascending t, one
+        degeneracy pass each.
+        """
+        d = n
+        for j in range(n, -1, -1):
+            if j not in values:
+                rows = self.faces[d]
+                column = [rows[w][j] for w in column]
+                d -= 1
+        for t in range(len(values) - 1):
+            if values[t] == values[t + 1]:
+                rows = self.degeneracies[d]
+                column = [rows[w][t] for w in column]
+                d += 1
+        return column
 
 
 def _as_table(raw, what: str) -> Table:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .core import SimplexId, build_map, make_simplicial_map
+from .core import SimplexId, make_simplicial_map
 from .errors import (
     CapTooSmall,
     InvalidInput,
@@ -35,8 +35,8 @@ from .errors import (
 )
 from .lifting import (
     ExtensionProblem,
-    _face_images,
     _fillers,
+    _generated_rows,
     assemble_horn_map,
     find_extensions,
 )
@@ -67,12 +67,10 @@ def classifying_map(x: StratifiedSSet, alpha: SimplexId,
     a = delta(n, cap)
     au, xu = a.underlying, x.underlying
     column = [alpha.index]
-    assignments = {
-        s: xu.ids[m][_face_images(xu, n, au.keys[m][s.index], column)[0]]
-        for m in range(cap + 1)
-        for s in au.nondegenerate(m)
-    }
-    return make_stratified_map(a, x, build_map(au, xu, assignments))
+    rows = _generated_rows(
+        au, xu, lambda m, i: xu.act(n, au.keys[m][i], column)[0]
+    )
+    return make_stratified_map(a, x, make_simplicial_map(au, xu, rows))
 
 
 def sphere_elements(x: StratifiedSSet, base: SimplexId, n: int

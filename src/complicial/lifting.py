@@ -28,7 +28,7 @@ What is validated, and where:
   face rows of the thin n-simplices with their k-th entry left out, so an
   instance passes exactly when its faces are in it.  Family 2 takes the
   column of all n-simplex indexes, maps it through the face word of each
-  thin key of the primed simplex (:func:`_face_images`) and keeps the
+  thin key of the primed simplex (``TruncatedSSet.act``) and keeps the
   simplices whose images are in the thin index sets; those are the
   instances, and one more column, the k-th faces, gives the failures.
   A pass rests on these rules; a family-1 instance without a filler has
@@ -46,15 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .core import (
-    Row,
-    SimplexId,
-    TruncatedSSet,
-    build_map,
-    make_simplicial_map,
-)
+from .core import Row, SimplexId, TruncatedSSet, make_simplicial_map
 from .errors import (
     BoundaryMismatch,
     BoundExceedsCap,
@@ -207,6 +201,24 @@ def find_extensions(
     ]
 
 
+def _generated_rows(
+    bu: TruncatedSSet, xu: TruncatedSSet, image: Callable[[int, int], int]
+) -> list[list[int]]:
+    """Unvalidated rows B -> X, up to the smaller cap, from generators.
+
+    ``image(m, i)`` is the image of the nondegenerate m-simplex i of B; a
+    degenerate s_j b takes s_j of b's image, as :func:`_search` fills them.
+    """
+    rows = [[image(0, i) for i in range(bu.counts[0])]]
+    for m in range(1, min(bu.dim_cap, xu.dim_cap) + 1):
+        below, degs = rows[-1], xu.degeneracies[m - 1]
+        rows.append([
+            image(m, i) if w is None else degs[below[w[0]]][w[1]]
+            for i, w in enumerate(bu.deg_witness[m])
+        ])
+    return rows
+
+
 def assemble_horn_map(
     horn: StratifiedSSet,
     face_assignments: Mapping[int, SimplexId],
@@ -231,16 +243,16 @@ def assemble_horn_map(
     for j, img in face_assignments.items():
         if img.dim != n - 1:
             raise InvalidInput(f"face {j} image {img!r} must have dim {n - 1}")
-    generators: dict[SimplexId, SimplexId] = {}
-    for m in range(min(hu.dim_cap, n - 1) + 1):
-        for s in hu.nondegenerate(m):
-            key = hu.keys[m][s.index]
-            j = min(j for j in js if j not in key)
-            ambient_face = tuple(v for v in range(n + 1) if v != j)
-            positions = tuple(ambient_face.index(v) for v in key)
-            generators[s] = xu.apply_monotone(face_assignments[j], positions)
+
+    def image(m: int, i: int) -> int:
+        # read off the first generating face j, at the key's positions in it
+        key = hu.keys[m][i]
+        j = min(j for j in js if j not in key)
+        return xu.act(n - 1, [v - (v > j) for v in key],
+                      [face_assignments[j].index])[0]
+
     try:
-        simplicial = build_map(hu, xu, generators)
+        simplicial = make_simplicial_map(hu, xu, _generated_rows(hu, xu, image))
     except NotWellDefined as exc:
         raise BoundaryMismatch(str(exc)) from exc
     return make_stratified_map(horn, x, simplicial)
@@ -256,54 +268,45 @@ def _horn_rows(
     first takes its candidates from the face-value index at the first
     chosen face and is then checked against every chosen face.
     With a stratification ``x`` of ``xu`` only stratified maps from the
-    k-complicial horn are listed: faces thin in the horn land thin, and so
-    do the lower-dimensional thin simplices, checked once all faces are
-    chosen.  With ``x`` None the tuples are the plain simplicial horns.
+    k-complicial horn are listed.  Each thin simplex of the horn lies in
+    some face j != k and its image is read off the face chosen there, so
+    thinness is a condition on single faces: per position, the candidates
+    are cut down once, a whole column per thin simplex, to those whose
+    images land thin.  With ``x`` None the tuples are the plain simplicial
+    horns.
     """
     js = [j for j in range(n + 1) if j != k]
     top = n - 1
     faces = xu.faces
-    need_thin: list[frozenset[int] | None] = [None] * len(js)
-    lower: list[tuple[int, list[int], frozenset[int]]] = []
+    everything = range(xu.counts[top])
+    # allowed[p] lists, ascending, the candidates for the face at js[p]
+    allowed: list[Sequence[int]] = [everything] * len(js)
     if x is not None:
         thin = x.thin_indexes()
-        for p, j in enumerate(js):
-            key = tuple(v for v in range(n + 1) if v != j)
-            if complicial_thin_key(k, n, key):
-                need_thin[p] = thin[top]
-        for m in range(top):
+        # the k-th face is never thin, so every thin key misses some j != k
+        for m in range(top + 1):
             for key in combinations(range(n + 1), m + 1):
                 if not complicial_thin_key(k, n, key):
                     continue
                 j = min(j for j in js if j not in key)
-                ambient = [v for v in range(n + 1) if v != j]
-                word = [q for q in range(top, -1, -1) if ambient[q] not in key]
-                lower.append((js.index(j), word, thin[m]))
+                p = js.index(j)
+                images = xu.act(top, [v - (v > j) for v in key], allowed[p])
+                allowed[p] = [w for w, v in zip(allowed[p], images)
+                              if v in thin[m]]
+    candidates = [None if c is everything else frozenset(c) for c in allowed]
     by_value = xu.face_value_index(top) if top >= 1 else ()
     # fixed[p - 1] reads off a face row the entries at js[:p], which the
     # faces chosen before position p determine (a bare entry for p == 1)
     fixed = [itemgetter(*js[:p]) for p in range(1, len(js))]
-    everything = range(xu.counts[top])
     chosen = [0] * len(js)
-
-    def lands_thin() -> bool:
-        for p, word, thin_m in lower:
-            w, d = chosen[p], top
-            for q in word:
-                w = faces[d][w][q]
-                d -= 1
-            if w not in thin_m:
-                return False
-        return True
 
     def deeper(pos: int) -> Iterator[tuple[int, ...]]:
         if pos == len(js):
-            if lands_thin():
-                yield tuple(chosen)
+            yield tuple(chosen)
             return
         j = js[pos]
         if pos == 0 or top == 0:
-            pool: Sequence[int] = everything
+            pool: Sequence[int] = allowed[pos]
         else:
             rows = faces[top]
             want = tuple(rows[w][j - 1] for w in chosen[:pos])
@@ -312,9 +315,9 @@ def _horn_rows(
             if pos == 1:
                 want = want[0]
             pool = [w for w in pool if at(rows[w]) == want]
-        thin_j = need_thin[pos]
+        allowed_j = candidates[pos]
         for w in pool:
-            if thin_j is not None and w not in thin_j:
+            if allowed_j is not None and w not in allowed_j:
                 continue
             chosen[pos] = w
             yield from deeper(pos + 1)
@@ -440,23 +443,6 @@ def _delta_prime_thin_keys(k: int, n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _face_images(
-    xu: TruncatedSSet, n: int, key: Sequence[int], column: Sequence[int]
-) -> Sequence[int]:
-    """The images of the n-simplices ``column`` under an injective key.
-
-    ``key`` lists, ascending, the vertices of [n] the face keeps; the
-    others are deleted from the top down, one pass over the column each.
-    """
-    d = n
-    for j in range(n, -1, -1):
-        if j not in key:
-            rows = xu.faces[d]
-            column = [rows[w][j] for w in column]
-            d -= 1
-    return column
-
-
 def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
     """Thinness-extension check: the inclusion is the identity underneath.
 
@@ -470,13 +456,13 @@ def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
     column: Sequence[int] = range(xu.counts[n])
     for key in _delta_prime_thin_keys(k, n):
         thin_m = thin[len(key) - 1]
-        column = [w for w, v in zip(column, _face_images(xu, n, key, column))
+        column = [w for w, v in zip(column, xu.act(n, key, column))
                   if v in thin_m]
     kth = [v for v in range(n + 1) if v != k]
     ids = xu.ids[n]
     failures = tuple(
         FailedInstance(2, k, n, {"simplex": ids[w], "missing_thin_face": k})
-        for w, v in zip(column, _face_images(xu, n, kth, column))
+        for w, v in zip(column, xu.act(n, kth, column))
         if v not in thin[n - 1]
     )
     return VerificationRow(2, k, n, len(column), failures)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 import complicial as C
 
@@ -71,3 +72,43 @@ def point_3():
 def vertex(x):
     """The first vertex of a stratified complex."""
     return x.underlying.id_at(0, 0)
+
+
+def renumbered(u, data):
+    """``u`` with the simplices of each dimension renumbered by a drawn
+    permutation, so that index order says nothing about face order."""
+    perm = [data.draw(st.permutations(range(c))) for c in u.counts]
+    old = [sorted(range(c), key=perm[n].__getitem__)
+           for n, c in enumerate(u.counts)]
+    faces = [()] + [
+        tuple(tuple(perm[n - 1][v] for v in u.faces[n][i]) for i in old[n])
+        for n in range(1, u.dim_cap + 1)
+    ]
+    degeneracies = [
+        tuple(tuple(perm[n + 1][v] for v in u.degeneracies[n][i])
+              for i in old[n])
+        for n in range(u.dim_cap)
+    ] + [()]
+    return C.build_sset(u.dim_cap, u.counts, faces, degeneracies)
+
+
+def recursive_apply_monotone(u, y, values):
+    """``u.apply_monotone(y, values)`` written out on ``SimplexId``s: a face
+    walk for the missed vertices, then the repeats peeled one elementary
+    degeneracy at a time, recursively.  A reference independent of
+    ``TruncatedSSet.act``; ``values`` is assumed valid."""
+    image = set(values)
+    for j in range(y.dim, -1, -1):
+        if j not in image:
+            y = u.face(y, j)
+    ranks = sorted(image)
+
+    def expand(z, word):
+        # the word factors through the collapse of positions t, t+1, so
+        # that s_t is applied last
+        for t in range(len(word) - 1):
+            if word[t] == word[t + 1]:
+                return u.degeneracy(expand(z, word[:t + 1] + word[t + 2:]), t)
+        return z
+
+    return expand(y, [ranks.index(v) for v in values])

@@ -9,7 +9,7 @@ from complicial import documents as D, errors
 from complicial.adapters import _pi_homotopic, _prism_unknowns
 from complicial.lifting import _horn_rows
 
-from .conftest import vertex
+from .conftest import renumbered, vertex
 
 
 # -- categories ------------------------------------------------------------------
@@ -313,9 +313,10 @@ def test_simplicial_horn_tuples_match_brute_force(nerve_z3_3):
             assert got == brute_horn_tuples(nerve_z3_3, hk, n), (hk, n)
 
 
-def test_horn_instances_match_brute_force(qcat_bool_3):
-    x = qcat_bool_3
-    for n in range(1, 4):
+def check_horn_instances(x):
+    """``horn_instances`` against every compatible face tuple whose horn map
+    ``assemble_horn_map`` accepts, at every (k, n) within the cap."""
+    for n in range(1, x.cap + 1):
         for hk in range(n + 1):
             horn, _ = C.complicial_horn(hk, n, n)
             want = []
@@ -326,3 +327,22 @@ def test_horn_instances_match_brute_force(qcat_bool_3):
                     continue
                 want.append(faces)
             assert list(C.horn_instances(hk, n, x)) == want, (hk, n)
+
+
+def test_horn_instances_match_brute_force(qcat_bool_3):
+    check_horn_instances(qcat_bool_3)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_horn_instances_match_brute_force_on_random_stratifications(data):
+    # thinness prunes each horn position on its own, so draw thin sets
+    # that cut some faces and not others
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.symmetric_group_3()]))
+    u = renumbered(C.nerve(category, 3), data)
+    cells = [s for n in range(1, 4) for s in u.nondegenerate(n)]
+    marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                               max_size=len(cells)))
+    check_horn_instances(
+        C.make_stratified(u, [s for s, m in zip(cells, marks) if m]))

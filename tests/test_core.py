@@ -2,10 +2,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import errors
+from complicial.standard import monotone_maps
+
+from .conftest import recursive_apply_monotone, renumbered
 
 
 def one_point_tables(cap):
@@ -118,6 +121,18 @@ def test_const_simplex():
     assert d1.const(v, 0) == v
 
 
+def test_const_rejects_negative_dimension():
+    d1 = C.delta(1, 2).underlying
+    with pytest.raises(errors.InvalidInput):
+        d1.const(d1.id_at(0, 0), -1)
+
+
+def test_nondegenerate_range_checks_dimension(nerve_z3_3):
+    for n in (-1, nerve_z3_3.dim_cap + 1):
+        with pytest.raises(errors.IndexOutOfRange):
+            nerve_z3_3.nondegenerate(n)
+
+
 # -- build_map ----------------------------------------------------------------
 
 def test_identity_assignment_builds_identity():
@@ -199,6 +214,26 @@ def test_apply_monotone_rejects_bad_input():
         d2.apply_monotone(top, (1, 0))
     with pytest.raises(errors.InvalidInput):
         d2.apply_monotone(top, (0, 3))
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_act_matches_recursive_apply_monotone(data):
+    # every monotone map [m] -> [p] within the cap, on a renumbered complex
+    u = renumbered(data.draw(st.sampled_from([
+        C.nerve(C.cyclic_group(3), 3),
+        C.nerve(C.symmetric_group_3(), 3),
+        C.quasicat_e(C.nerve(C.boolean_monoid(), 3)).underlying,
+    ])), data)
+    for p in range(u.dim_cap + 1):
+        simplices = u.simplices(p)
+        for m in range(u.dim_cap + 1):
+            for values in monotone_maps(m, p):
+                want = [recursive_apply_monotone(u, y, values)
+                        for y in simplices]
+                assert list(u.act(p, values, range(len(simplices)))) == \
+                    [y.index for y in want]
+                assert [u.apply_monotone(y, values) for y in simplices] == want
 
 
 def test_face_indexes_match_tables(nerve_s3_3):

@@ -13,6 +13,8 @@ from complicial.standard import (
     complicial_thin_key, in_horn_key, monotone_maps,
 )
 
+from .conftest import recursive_apply_monotone, renumbered
+
 
 def horn_problem(x, k, n, faces):
     horn, inc = C.complicial_horn(k, n, n)
@@ -317,24 +319,6 @@ def solver_fillers(x, k, n, faces):
     return [ext(top) for ext in C.find_extensions(problem)]
 
 
-def renumbered(u, data):
-    """``u`` with the simplices of each dimension renumbered by a drawn
-    permutation, so that index order says nothing about face order."""
-    perm = [data.draw(st.permutations(range(c))) for c in u.counts]
-    old = [sorted(range(c), key=perm[n].__getitem__)
-           for n, c in enumerate(u.counts)]
-    faces = [()] + [
-        tuple(tuple(perm[n - 1][v] for v in u.faces[n][i]) for i in old[n])
-        for n in range(1, u.dim_cap + 1)
-    ]
-    degeneracies = [
-        tuple(tuple(perm[n + 1][v] for v in u.degeneracies[n][i])
-              for i in old[n])
-        for n in range(u.dim_cap)
-    ] + [()]
-    return C.build_sset(u.dim_cap, u.counts, faces, degeneracies)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_horn_fillers_match_solver_on_random_stratifications(data):
@@ -382,7 +366,8 @@ def test_horn_fillers_match_solver_on_random_stratifications(data):
 # -- family 2 by columns, family 1 by projection sets ------------------------------
 
 def family2_by_simplex(x, k, n):
-    """Family 2 of (k, n), one apply_monotone per n-simplex and thin key."""
+    """Family 2 of (k, n), one operator application per n-simplex and thin
+    key, through the recursive reference rather than ``act``."""
     xu = x.underlying
     thin_keys = [
         t for m in range(n + 1) for t in monotone_maps(m, n)
@@ -393,10 +378,11 @@ def family2_by_simplex(x, k, n):
     kth = tuple(v for v in range(n + 1) if v != k)
     instances, failures = 0, []
     for theta in xu.simplices(n):
-        if not all(xu.apply_monotone(theta, t) in x.thin for t in thin_keys):
+        if not all(recursive_apply_monotone(xu, theta, t) in x.thin
+                   for t in thin_keys):
             continue
         instances += 1
-        if xu.apply_monotone(theta, kth) not in x.thin:
+        if recursive_apply_monotone(xu, theta, kth) not in x.thin:
             failures.append(C.FailedInstance(
                 2, k, n, {"simplex": theta, "missing_thin_face": k}))
     return instances, failures
