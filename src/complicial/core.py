@@ -342,8 +342,8 @@ def build_sset(
     dimension, simplex, operator indexes) is reported with the identity's
     name, the dimension and the least offending simplex.
     """
-    if dim_cap < 0:
-        raise InvalidInput("dim_cap must be a natural number")
+    if type(dim_cap) is not int or dim_cap < 0:
+        raise InvalidInput(f"dim_cap must be a natural number, not {dim_cap!r}")
     counts = tuple(int(c) for c in counts)
     if len(counts) != dim_cap + 1 or any(c < 0 for c in counts):
         raise InvalidInput(f"counts must list dimensions 0..{dim_cap}")

@@ -225,9 +225,12 @@ def _parse_rows(raw, table_dim: int, entry_dim: int) -> list:
 def doc_to_complex(doc: dict) -> StratifiedSSet:
     if not isinstance(doc, dict) or doc.get("kind") != "complex":
         raise InvalidInput("document is not a complex")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise InvalidInput("unsupported format_version")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise InvalidInput(f"unsupported format_version {version!r}")
     cap = doc["dim_cap"]
+    if type(cap) is not int or cap < 0:
+        raise InvalidInput(f"dim_cap must be a natural number, not {cap!r}")
     per_dim = doc["simplices"]
     if len(per_dim) != cap + 1:
         raise InvalidInput("simplices must list dimensions 0..dim_cap")

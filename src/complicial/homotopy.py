@@ -67,9 +67,9 @@ def classifying_map(x: StratifiedSSet, alpha: SimplexId,
     a = delta(n, cap)
     au, xu = a.underlying, x.underlying
     column = [alpha.index]
-    rows = _generated_rows(
-        au, xu, lambda m, i: xu.act(n, au.keys[m][i], column)[0]
-    )
+    rows = next(_generated_rows(
+        au, xu, lambda m, i: xu.act(n, au.keys[m][i], column)
+    ))
     return make_stratified_map(a, x, make_simplicial_map(au, xu, rows))
 
 

@@ -14,9 +14,13 @@ therefore deterministic, ordered lexicographically by assignment.
 What is validated, and where:
 
 * Pins, at enumeration.  The inclusion and the partial map of a problem
-  are validated maps; a horn instance is enumerated only when its faces
-  are compatible and land thin wherever the horn is thin, so it is a
-  stratified map from the horn.
+  are validated maps.  Horn instances are enumerated a face at a time by
+  hash join (:func:`_horn_rows`): each face's candidates are first cut to
+  those that land thin wherever the horn is thin, then grouped by their
+  own face-row entries shared with the earlier faces, and a partial tuple
+  is extended by one lookup of the entries its chosen faces ask for.  So
+  an instance is enumerated exactly when its faces are compatible and
+  thin where they must be: it is a stratified map from the horn.
 * Results.  Every map :func:`find_extensions` returns is rebuilt through
   ``make_simplicial_map`` and ``make_stratified_map``.
 * Verdicts.  A stratified map from the complicial simplex at cap n is one
@@ -31,9 +35,12 @@ What is validated, and where:
   thin key of the primed simplex (``TruncatedSSet.act``) and keeps the
   simplices whose images are in the thin index sets; those are the
   instances, and one more column, the k-th faces, gives the failures.
-  A pass rests on these rules; a family-1 instance without a filler has
-  its horn map validated through :func:`assemble_horn_map` before the
-  failure is recorded.
+  A pass rests on these rules.  The horn maps of a row's family-1
+  instances without a filler are built together, one ``act`` per horn
+  simplex over the column of all of them, and each is validated through
+  ``make_simplicial_map`` and ``make_stratified_map`` before its failure
+  is recorded (:func:`_horn_maps`, which :func:`assemble_horn_map` runs
+  on one instance).
 
 Verification of the weak complicial lifting conditions is bounded by the
 cap: a truncated complex can never certify conditions above it, so the
@@ -46,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import Row, SimplexId, TruncatedSSet, make_simplicial_map
 from .errors import (
@@ -57,7 +64,9 @@ from .errors import (
     KOutOfRange,
     NotWellDefined,
 )
-from .standard import complicial_horn, complicial_thin_key, in_horn_key
+from .standard import (
+    _horn_generators, complicial_horn, complicial_thin_key, in_horn_key,
+)
 from .strat import StratifiedMap, StratifiedSSet, make_stratified_map
 
 
@@ -202,21 +211,29 @@ def find_extensions(
 
 
 def _generated_rows(
-    bu: TruncatedSSet, xu: TruncatedSSet, image: Callable[[int, int], int]
-) -> list[list[int]]:
-    """Unvalidated rows B -> X, up to the smaller cap, from generators.
+    bu: TruncatedSSet, xu: TruncatedSSet,
+    image: Callable[[int, int], Sequence[int]],
+) -> Iterator[list[Sequence[int]]]:
+    """Unvalidated rows B -> X, up to the smaller cap, one set per instance.
 
-    ``image(m, i)`` is the image of the nondegenerate m-simplex i of B; a
+    ``image(m, i)`` lists, per instance, the image of the nondegenerate
+    m-simplex i of B, so each is computed for all instances at once; a
     degenerate s_j b takes s_j of b's image, as :func:`_search` fills them.
     """
-    rows = [[image(0, i) for i in range(bu.counts[0])]]
-    for m in range(1, min(bu.dim_cap, xu.dim_cap) + 1):
-        below, degs = rows[-1], xu.degeneracies[m - 1]
-        rows.append([
-            image(m, i) if w is None else degs[below[w[0]]][w[1]]
-            for i, w in enumerate(bu.deg_witness[m])
-        ])
-    return rows
+    depth = min(bu.dim_cap, xu.dim_cap)
+    witness = bu.deg_witness
+    columns = [[image(m, i) if w is None else None
+                for i, w in enumerate(witness[m])]
+               for m in range(depth + 1)]
+    for r, vertices in enumerate(zip(*columns[0])):
+        rows: list[Sequence[int]] = [vertices]
+        for m in range(1, depth + 1):
+            below, degs = rows[-1], xu.degeneracies[m - 1]
+            rows.append([
+                degs[below[w[0]]][w[1]] if column is None else column[r]
+                for column, w in zip(columns[m], witness[m])
+            ])
+        yield rows
 
 
 def assemble_horn_map(
@@ -238,24 +255,40 @@ def assemble_horn_map(
         raise InvalidInput(
             f"assignments {js} are not the faces of a horn of the {n}-simplex"
         )
-    hu = horn.underlying
-    xu = x.underlying
     for j, img in face_assignments.items():
         if img.dim != n - 1:
             raise InvalidInput(f"face {j} image {img!r} must have dim {n - 1}")
+    columns = [[face_assignments[j].index] for j in js]
+    return next(_horn_maps(horn, missing[0], n, x, columns))
 
-    def image(m: int, i: int) -> int:
-        # read off the first generating face j, at the key's positions in it
-        key = hu.keys[m][i]
-        j = min(j for j in js if j not in key)
-        return xu.act(n - 1, [v - (v > j) for v in key],
-                      [face_assignments[j].index])[0]
 
-    try:
-        simplicial = make_simplicial_map(hu, xu, _generated_rows(hu, xu, image))
-    except NotWellDefined as exc:
-        raise BoundaryMismatch(str(exc)) from exc
-    return make_stratified_map(horn, x, simplicial)
+def _horn_maps(
+    horn: StratifiedSSet, k: int, n: int, x: StratifiedSSet,
+    columns: Sequence[Sequence[int]],
+) -> Iterator[StratifiedMap]:
+    """The maps from a horn of the n-simplex at k, one per instance.
+
+    ``columns[p]`` lists the (n-1)-simplex of X on the p-th face j != k of
+    each instance.  A nondegenerate simplex of the horn is read off its
+    generating face (``standard._horn_generators``), one ``act`` over the
+    whole column (:func:`_generated_rows`).  Each instance's rows are
+    validated through ``make_simplicial_map`` and ``make_stratified_map``,
+    in instance order.
+    """
+    hu, xu = horn.underlying, x.underlying
+    plan = _horn_generators(k, n)
+    on_face = dict(zip([j for j in range(n + 1) if j != k], columns))
+
+    def image(m: int, i: int) -> Sequence[int]:
+        j, word = plan[hu.keys[m][i]]
+        return xu.act(n - 1, word, on_face[j])
+
+    for rows in _generated_rows(hu, xu, image):
+        try:
+            simplicial = make_simplicial_map(hu, xu, rows)
+        except NotWellDefined as exc:
+            raise BoundaryMismatch(str(exc)) from exc
+        yield make_stratified_map(horn, x, simplicial)
 
 
 def _horn_rows(
@@ -264,9 +297,15 @@ def _horn_rows(
     """Compatible face tuples of horns of the n-simplex in ``xu``.
 
     A tuple lists the indexes of the (n-1)-simplices on faces j != k, in
-    ascending j; tuples come in lexicographic order.  Each face after the
-    first takes its candidates from the face-value index at the first
-    chosen face and is then checked against every chosen face.
+    ascending j; tuples come in lexicographic order.  Faces i < j of a horn
+    are compatible when d_i of the face at j is d_{j-1} of the face at i.
+    The tuples are built a position at a time, by hash join: position p
+    (face j) gets one dict from a candidate's own face-row entries at the
+    earlier positions to the candidates with those entries, ascending, and
+    each partial tuple is extended by one lookup, keyed on entry j - 1 of
+    its chosen faces.  So every kept candidate matches every chosen face.
+    All positions but the last are built in full when called; the last is
+    streamed, so a caller may stop at the first tuple it wants.
     With a stratification ``x`` of ``xu`` only stratified maps from the
     k-complicial horn are listed.  Each thin simplex of the horn lies in
     some face j != k and its image is read off the face chosen there, so
@@ -277,52 +316,41 @@ def _horn_rows(
     """
     js = [j for j in range(n + 1) if j != k]
     top = n - 1
-    faces = xu.faces
-    everything = range(xu.counts[top])
     # allowed[p] lists, ascending, the candidates for the face at js[p]
-    allowed: list[Sequence[int]] = [everything] * len(js)
+    allowed: list[Sequence[int]] = [range(xu.counts[top])] * len(js)
     if x is not None:
         thin = x.thin_indexes()
-        # the k-th face is never thin, so every thin key misses some j != k
-        for m in range(top + 1):
-            for key in combinations(range(n + 1), m + 1):
-                if not complicial_thin_key(k, n, key):
-                    continue
-                j = min(j for j in js if j not in key)
+        # the k-th face is never thin, so every thin key lies in the horn
+        for key, (j, word) in _horn_generators(k, n).items():
+            if complicial_thin_key(k, n, key):
                 p = js.index(j)
-                images = xu.act(top, [v - (v > j) for v in key], allowed[p])
+                images = xu.act(top, word, allowed[p])
                 allowed[p] = [w for w, v in zip(allowed[p], images)
-                              if v in thin[m]]
-    candidates = [None if c is everything else frozenset(c) for c in allowed]
-    by_value = xu.face_value_index(top) if top >= 1 else ()
-    # fixed[p - 1] reads off a face row the entries at js[:p], which the
-    # faces chosen before position p determine (a bare entry for p == 1)
-    fixed = [itemgetter(*js[:p]) for p in range(1, len(js))]
-    chosen = [0] * len(js)
+                              if v in thin[len(key) - 1]]
+    tuples: Iterable[tuple[int, ...]] = [(w,) for w in allowed[0]]
+    rows = xu.faces[top]
+    for p in range(1, len(js)):
+        # a candidate's entries at js[:p] (a bare entry for p == 1), and
+        # entry j - 1 of every (n-1)-simplex, which a chosen face at i < j
+        # asks of the face at j
+        at, j = itemgetter(*js[:p]), js[p]
+        by_key: dict = {}
+        for w in allowed[p]:
+            by_key.setdefault(at(rows[w]), []).append(w)
+        wanted = [row[j - 1] for row in rows]
+        tuples = _join(tuples, by_key, wanted)
+        if p < len(js) - 1:
+            tuples = list(tuples)
+    return iter(tuples)
 
-    def deeper(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == len(js):
-            yield tuple(chosen)
-            return
-        j = js[pos]
-        if pos == 0 or top == 0:
-            pool: Sequence[int] = allowed[pos]
-        else:
-            rows = faces[top]
-            want = tuple(rows[w][j - 1] for w in chosen[:pos])
-            pool = by_value[js[0]].get(want[0], ())
-            at = fixed[pos - 1]
-            if pos == 1:
-                want = want[0]
-            pool = [w for w in pool if at(rows[w]) == want]
-        allowed_j = candidates[pos]
-        for w in pool:
-            if allowed_j is not None and w not in allowed_j:
-                continue
-            chosen[pos] = w
-            yield from deeper(pos + 1)
 
-    yield from deeper(0)
+def _join(tuples: Iterable[tuple[int, ...]], by_key: dict,
+          wanted: list[int]) -> Iterator[tuple[int, ...]]:
+    """Each tuple extended by each candidate its chosen faces ask for."""
+    get = by_key.get
+    for t in tuples:
+        for w in get(itemgetter(*t)(wanted), ()):
+            yield t + (w,)
 
 
 def horn_instances(
@@ -330,10 +358,10 @@ def horn_instances(
 ) -> Iterator[dict[int, SimplexId]]:
     """All stratified maps from the k-complicial horn of the n-simplex to X.
 
-    Maps are enumerated through their generating-face assignments, in
-    lexicographic order of assigned indices, pruning on pairwise boundary
-    compatibility and on the horn's thin faces.  Lower-dimensional thinness
-    constraints are verified before an assignment is yielded.
+    Maps are given by their generating-face assignments, in lexicographic
+    order of assigned indices.  They are built a face at a time by hash
+    join on the shared faces, from candidates already cut to those whose
+    images land thin wherever the horn is thin (see :func:`_horn_rows`).
     """
     if n < 1:
         raise InvalidInput("horns need n >= 1")
@@ -411,23 +439,27 @@ def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
 
     The set holds the face rows, k-th entry left out, of the thin
     n-simplices, so an instance is filled exactly when its faces are in it
-    (the rule of :func:`_fillers`).  An instance without a filler has its
-    horn map validated through :func:`assemble_horn_map` before it is
-    recorded as a failure.
+    (the rule of :func:`_fillers`).  The horn maps of the instances without
+    a filler are built together, a column per horn simplex, and each is
+    validated (:func:`_horn_maps`) before it is recorded as a failure.
     """
     js = [j for j in range(n + 1) if j != k]
     ids = x.underlying.ids[n - 1]
     rows = x.underlying.faces[n]
     filled = {rows[w][:k] + rows[w][k + 1:] for w in x.thin_indexes()[n]}
     instances = 0
-    failures: list[FailedInstance] = []
+    unfilled = []
     for faces in _horn_rows(x.underlying, k, n, x):
         instances += 1
-        if faces in filled:
-            continue
-        assignment = {j: ids[w] for j, w in zip(js, faces)}
-        assemble_horn_map(complicial_horn(k, n, n)[0], assignment, x)
-        failures.append(FailedInstance(1, k, n, {"faces": assignment}))
+        if faces not in filled:
+            unfilled.append(faces)
+    failures = []
+    if unfilled:
+        horn = complicial_horn(k, n, n)[0]
+        maps = _horn_maps(horn, k, n, x, list(zip(*unfilled)))
+        for faces, _ in zip(unfilled, maps):  # validated as it is drawn
+            failures.append(FailedInstance(
+                1, k, n, {"faces": {j: ids[w] for j, w in zip(js, faces)}}))
     return VerificationRow(1, k, n, instances, tuple(failures))
 
 

@@ -9,7 +9,7 @@ repeated value marks a degeneracy.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .core import SimplexId, TruncatedSSet, build_sset, make_simplicial_map
 from .errors import CapTooSmall, InvalidInput, KOutOfRange
@@ -161,6 +161,26 @@ def _complicial_horn(k: int, n: int, cap: int
     )
     ambient = complicial_delta(k, n, cap)
     return horn, key_inclusion(horn, ambient)
+
+
+@lru_cache(maxsize=None)
+def _horn_generators(k: int, n: int) -> dict[Key, tuple[int, Key]]:
+    """How each nondegenerate simplex of the k-horn of the n-simplex is
+    read off a generating face.
+
+    Maps the simplex's key to ``(j, word)``: j is the first face j != k
+    that contains it, and ``word`` lists the positions of its vertices in
+    that face, a monotone map into [n - 1].  Ordered by dimension, then
+    lexicographically.
+    """
+    js = [j for j in range(n + 1) if j != k]
+    plan = {}
+    for m in range(n):
+        for key in combinations(range(n + 1), m + 1):
+            if in_horn_key(k, n, key):
+                j = min(j for j in js if j not in key)
+                plan[key] = (j, tuple(v - (v > j) for v in key))
+    return plan
 
 
 def horn_prime(k: int, n: int, cap: int) -> StratifiedSSet:

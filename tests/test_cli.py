@@ -241,6 +241,27 @@ def test_malformed_document_exits_1(capsys, tmp_path, delta1_doc,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dim_cap", True, "dim_cap must be a natural number, not True"),
+    ("dim_cap", 1.0, "dim_cap must be a natural number, not 1.0"),
+    ("dim_cap", "1", "dim_cap must be a natural number, not '1'"),
+    ("dim_cap", -1, "dim_cap must be a natural number, not -1"),
+    ("format_version", True, "unsupported format_version True"),
+    ("format_version", 1.0, "unsupported format_version 1.0"),
+    ("format_version", "1", "unsupported format_version '1'"),
+])
+@pytest.mark.parametrize("command", [["build", "th0"], ["verify"]])
+def test_document_header_must_be_exact_ints(capsys, tmp_path, delta1_doc,
+                                            field, value, message, command):
+    delta1_doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(delta1_doc))
+    assert main(command + [str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: InvalidInput: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "X", "--limit", "-1"],
 ])

@@ -409,3 +409,12 @@ def test_every_single_corruption_matches_scalar_loops(name):
                         seen.add(got and got[1].split(" at ")[0])
                     row[pos] = keep
     assert len(seen) > 3  # several identities were broken and named
+
+
+@pytest.mark.parametrize("cap", [True, False, 1.0, "1", None, -1])
+def test_build_sset_rejects_a_cap_that_is_not_a_natural_number(cap):
+    # the tables are those of the point at cap 1, which 1.0 and True equal
+    _, counts, faces, degens = one_point_tables(1)
+    with pytest.raises(errors.InvalidInput,
+                       match="dim_cap must be a natural number, not"):
+        C.build_sset(cap, counts, faces, degens)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from complicial import documents as D
 from complicial import errors
 from complicial.core import TruncatedSSet, make_simplicial_map
 from complicial.homotopy import all_product_fillers
-from complicial.lifting import _fillers
+from complicial.lifting import _fillers, _horn_maps, _horn_rows
 from complicial.standard import (
     complicial_thin_key, in_horn_key, monotone_maps,
 )
@@ -443,3 +444,222 @@ def test_family2_failure_payload_is_pinned():
     text = D.dumps(D.verify_payload(report))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "f6d8126b8401304461f14aca6fc526eae148d55b79d8448e2d743894cd2c5c61"
+
+
+# -- horn enumeration by hash join, against the recursive enumerator ------------
+
+def recursive_horn_rows(xu, k, n, x):
+    """The horn tuples of ``_horn_rows``, by the former depth-first
+    recursion: each face after the first draws its candidates from the
+    face-value index at the first chosen face and keeps those whose entries
+    match every chosen face.  A reference independent of the join."""
+    js = [j for j in range(n + 1) if j != k]
+    top = n - 1
+    allowed = [range(xu.counts[top])] * len(js)
+    if x is not None:
+        thin = x.thin_indexes()
+        for m in range(top + 1):
+            for key in itertools.combinations(range(n + 1), m + 1):
+                if not complicial_thin_key(k, n, key):
+                    continue
+                j = min(j for j in js if j not in key)
+                p = js.index(j)
+                images = xu.act(top, [v - (v > j) for v in key], allowed[p])
+                allowed[p] = [w for w, v in zip(allowed[p], images)
+                              if v in thin[m]]
+    allowed = [set(c) for c in allowed]
+    rows = xu.faces[top] if top else ()
+    by_value = xu.face_value_index(top) if top else ()
+    chosen = [0] * len(js)
+
+    def deeper(pos):
+        if pos == len(js):
+            yield tuple(chosen)
+            return
+        j = js[pos]
+        if pos == 0 or top == 0:
+            pool = sorted(allowed[pos])
+        else:
+            want = [rows[w][j - 1] for w in chosen[:pos]]
+            pool = [w for w in by_value[js[0]].get(want[0], ())
+                    if [rows[w][i] for i in js[:pos]] == want]
+        for w in pool:
+            if w in allowed[pos]:
+                chosen[pos] = w
+                yield from deeper(pos + 1)
+
+    yield from deeper(0)
+
+
+def check_join(x, top_n=None):
+    """``_horn_rows`` against the recursion at every (k, n) up to ``top_n``
+    (the cap by default), with and without the stratification."""
+    u = x.underlying
+    for n in range(1, (top_n or x.cap) + 1):
+        for k in range(n + 1):
+            for strat in (x, None):
+                want = list(recursive_horn_rows(u, k, n, strat))
+                assert list(_horn_rows(u, k, n, strat)) == want, (k, n)
+
+
+def random_thin(u, data):
+    cells = [s for n in range(1, u.dim_cap + 1) for s in u.nondegenerate(n)]
+    marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                               max_size=len(cells)))
+    return C.make_stratified(u, [s for s, m in zip(cells, marks) if m])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_join_matches_recursion_on_random_stratifications(data):
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.symmetric_group_3()]))
+    check_join(random_thin(renumbered(C.nerve(category, 3), data), data))
+
+
+def preorder_category(below):
+    """The category of a preorder on 0..n-1; ``below`` lists the pairs
+    a <= b, closed under reflexivity and transitivity here."""
+    objects = sorted({a for pair in below for a in pair})
+    le = {(a, a) for a in objects} | set(below)
+    while True:
+        more = {(a, d) for a, b in le for c, d in le if b == c} - le
+        if not more:
+            break
+        le |= more
+    arrows = sorted(le)
+    index = {f: i for i, f in enumerate(arrows)}
+    return C.make_category(
+        [str(a) for a in objects], [f"{a}{b}" for a, b in arrows],
+        [objects.index(a) for a, _ in arrows],
+        [objects.index(b) for _, b in arrows],
+        [index[(a, a)] for a in objects],
+        {(index[(a, b)], index[(b, d)]): index[(a, d)]
+         for a, b in arrows for c, d in arrows if b == c},
+    )
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_join_matches_recursion_on_several_objects(data):
+    pairs = [(a, b) for a in range(4) for b in range(4) if a < b]
+    below = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    category = data.draw(st.sampled_from(
+        [C.arrow_category(), preorder_category(below + [(0, 0), (3, 3)])]))
+    u = renumbered(C.nerve(category, 3), data)
+    check_join(random_thin(u, data))
+    check_join(C.quasicat_e(u))
+
+
+def test_join_matches_recursion_on_a_product():
+    check_join(C.gproduct(C.th0(C.nerve(C.cyclic_group(2), 3)),
+                          C.delta_t(1, 3)))
+
+
+def with_twins(u):
+    """``u`` with a second copy of each nondegenerate top simplex, on the
+    same face row, so that faces no longer determine simplices."""
+    top = u.dim_cap
+    twins = [u.faces[top][s.index] for s in u.nondegenerate(top)]
+    counts = u.counts[:top] + (u.counts[top] + len(twins),)
+    faces = list(u.faces[:top]) + [u.faces[top] + tuple(twins)]
+    return C.build_sset(top, counts, faces, u.degeneracies)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_join_matches_recursion_when_faces_repeat(data):
+    u = with_twins(renumbered(C.nerve(C.cyclic_group(3), 2), data))
+    rows = u.faces[2]
+    assert len(set(rows)) < len(rows)
+    # the horns of the 3-simplex have their faces in the top dimension
+    check_join(random_thin(u, data), top_n=3)
+    check_join(C.th0(u), top_n=3)
+
+
+# -- failing horn maps built a column at a time ------------------------------------
+
+def per_simplex_horn_map(horn, faces, x):
+    """``assemble_horn_map`` as it was written per horn simplex: each
+    nondegenerate simplex finds its first generating face and is read off
+    it by ``apply_monotone``; a degenerate one takes the degeneracy of its
+    base's image.  A reference independent of the batched plan."""
+    hu, xu = horn.underlying, x.underlying
+    n = len(faces)
+    rows = []
+    for m in range(min(hu.dim_cap, xu.dim_cap) + 1):
+        row = []
+        for key, w in zip(hu.keys[m], hu.deg_witness[m]):
+            if w is None:
+                j = min(j for j in faces if j not in key)
+                row.append(xu.apply_monotone(
+                    faces[j], [v - (v > j) for v in key]).index)
+            else:
+                row.append(xu.degeneracies[m - 1][rows[-1][w[0]]][w[1]])
+        rows.append(row)
+    try:
+        simplicial = make_simplicial_map(hu, xu, rows)
+    except errors.NotWellDefined as exc:
+        raise errors.BoundaryMismatch(str(exc)) from exc
+    return C.make_stratified_map(horn, x, simplicial)
+
+
+def check_batched_maps(x, k, n, tuples):
+    """The maps ``_horn_maps`` builds for the face tuples together against
+    ``assemble_horn_map`` and the per-simplex reference, one at a time; an
+    invalid tuple must stop the batch with the error of the first one."""
+    horn = C.complicial_horn(k, n, n)[0]
+    js = [j for j in range(n + 1) if j != k]
+    ids = x.underlying.ids[n - 1]
+    want, error = [], None
+    for row in tuples:
+        faces = {j: ids[w] for j, w in zip(js, row)}
+        try:
+            ref = per_simplex_horn_map(horn, faces, x)
+        except (errors.BoundaryMismatch, errors.ThinnessViolation) as exc:
+            error = exc
+            with pytest.raises(type(exc)) as info:
+                C.assemble_horn_map(horn, faces, x)
+            assert str(info.value) == str(exc)
+            break
+        assert C.assemble_horn_map(horn, faces, x) == ref
+        want.append(ref)
+    batch = _horn_maps(horn, k, n, x, list(zip(*tuples)))
+    got = []
+    if error is None:
+        got = list(batch)
+    else:
+        with pytest.raises(type(error)) as info:
+            got.extend(batch)
+        assert str(info.value) == str(error)
+    assert [m.map.assign for m in got] == [m.map.assign for m in want]
+    return got
+
+
+def test_batched_failure_maps_match_per_instance_maps():
+    x = C.th0(C.nerve(z3_bool(), 3))
+    report = C.verify_weak_complicial(x, 3)
+    failed = 0
+    for row in report.rows:
+        if row.family == 1 and row.failures:
+            tuples = [tuple(s.index for s in f.detail["faces"].values())
+                      for f in row.failures]
+            failed += len(check_batched_maps(x, row.k, row.n, tuples))
+    assert failed == 234
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_batched_maps_match_per_instance_maps_on_random_stratifications(data):
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.boolean_monoid()]))
+    x = random_thin(renumbered(C.nerve(category, 3), data), data)
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, n))
+    instances = list(_horn_rows(x.underlying, k, n, x))
+    # the row's instances, then drawn face tuples that may be invalid
+    check_batched_maps(x, k, n, instances)
+    count = x.counts[n - 1]
+    drawn = data.draw(st.lists(
+        st.tuples(*[st.integers(0, count - 1)] * n), min_size=1, max_size=6))
+    check_batched_maps(x, k, n, drawn)
