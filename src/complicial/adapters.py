@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .core import SimplexId, TruncatedSSet, build_sset
+from .core import SimplexId, TruncatedSSet, build_sset, require_simplex
 from .errors import (
     CapTooSmall,
     InvalidInput,
@@ -433,56 +433,84 @@ def _prism_unknowns(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return sorted(cells, key=lambda ab: (len(ab[0]), ab))
 
 
+@lru_cache(maxsize=None)
+def _prism_program(n: int) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
+    """Where each face of each prism unknown reads its value.
+
+    Per unknown of :func:`_prism_unknowns`, in order: its dimension m and,
+    per face i, a pair (kind, what).  Kind "alpha" or "beta" reads that
+    element's end value at the monotone map ``what``, "const" the constant
+    ``what``-simplex at the base, and "cell" the simplex chosen for the
+    earlier unknown ``what``.  The prism is the nerve of the poset
+    [n] x [1], so the faces of its nondegenerate cells are nondegenerate,
+    and a face on neither end that covers all of [n] is an unknown.  This
+    depends on n only.
+    """
+    unknowns = _prism_unknowns(n)
+    position = {cell: q for q, cell in enumerate(unknowns)}
+    full = set(range(n + 1))
+
+    def source(a: tuple[int, ...], b: tuple[int, ...], before: int) -> tuple:
+        if all(t == 0 for t in b):
+            return "alpha", a
+        if all(t == 1 for t in b):
+            return "beta", a
+        if set(a) != full:
+            return "const", len(a) - 1
+        q = position.get((a, b))
+        if q is None or q >= before:  # pragma: no cover
+            raise InvalidInput("unresolved prism cell")
+        return "cell", q
+
+    return tuple(
+        (len(a) - 1, tuple(source(a[:i] + a[i + 1:], b[:i] + b[i + 1:], q)
+                           for i in range(len(a))))
+        for q, (a, b) in enumerate(unknowns)
+    )
+
+
 def _pi_homotopic(k: TruncatedSSet, base: SimplexId, n: int,
                   alpha: SimplexId, beta: SimplexId, ends: dict) -> bool:
     """Unstratified prism homotopy between sphere elements, rel boundary.
 
-    ``ends`` memoizes the end values ``apply_monotone(x, a)`` by
-    ``(x.index, a)``; share one dict between calls on the same ``k`` and n.
+    Runs :func:`_prism_program` on index tuples: the faces that read the
+    ends or the constants are resolved once, then a depth-first search
+    gives each unknown, in order, the simplices whose face row is what its
+    faces read.  ``ends`` memoizes the end values
+    ``apply_monotone(x, a)`` by ``(x.index, a)``; share one dict between
+    calls on the same ``k`` and n.
     """
-    full = set(range(n + 1))
-    assigned: dict[tuple[tuple[int, ...], tuple[int, ...]], SimplexId] = {}
-
-    def end(x: SimplexId, a: tuple[int, ...]) -> SimplexId:
-        got = ends.get((x.index, a))
+    def fixed(kind: str, what) -> int:
+        if kind == "const":
+            return k.const(base, what).index
+        x = alpha if kind == "alpha" else beta
+        got = ends.get((x.index, what))
         if got is None:
-            got = ends[(x.index, a)] = k.apply_monotone(x, a)
-        return got
+            got = ends[(x.index, what)] = k.apply_monotone(x, what)
+        return got.index
 
-    def val(a: tuple[int, ...], b: tuple[int, ...]) -> SimplexId:
-        if all(t == 0 for t in b):
-            return end(alpha, a)
-        if all(t == 1 for t in b):
-            return end(beta, a)
-        if set(a) != full:
-            return k.const(base, len(a) - 1)
-        got = assigned.get((a, b))
-        if got is not None:
-            return got
-        for t in range(len(a) - 1):
-            if a[t] == a[t + 1] and b[t] == b[t + 1]:
-                return k.degeneracy(
-                    val(a[:t + 1] + a[t + 2:], b[:t + 1] + b[t + 2:]), t
-                )
-        raise InvalidInput("unresolved prism cell")  # pragma: no cover
-
-    unknowns = _prism_unknowns(n)
+    steps = []
+    for m, faces in _prism_program(n):
+        want = tuple(None if kind == "cell" else fixed(kind, what)
+                     for kind, what in faces)
+        cells = tuple((i, what) for i, (kind, what) in enumerate(faces)
+                      if kind == "cell")
+        steps.append((k.face_index(m), want, cells))
+    chosen = [0] * len(steps)
 
     def search(pos: int) -> bool:
-        if pos == len(unknowns):
+        if pos == len(steps):
             return True
-        a, b = unknowns[pos]
-        m = len(a) - 1
-        want = tuple(
-            val(a[:i] + a[i + 1:], b[:i] + b[i + 1:]).index
-            for i in range(m + 1)
-        )
-        for w in k.face_index(m).get(want, ()):
-            assigned[(a, b)] = k.ids[m][w]
+        index, want, cells = steps[pos]
+        if cells:
+            row = list(want)
+            for i, q in cells:
+                row[i] = chosen[q]
+            want = tuple(row)
+        for w in index.get(want, ()):
+            chosen[pos] = w
             if search(pos + 1):
-                del assigned[(a, b)]
                 return True
-            del assigned[(a, b)]
         return False
 
     return search(0)
@@ -493,14 +521,17 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
 
     Requires a Kan presentation (all simplicial horns fillable up to the
     cap).  Sphere elements, homotopies and multiplications all run on the
-    bare tables with no stratification anywhere.
+    bare tables with no stratification anywhere.  Homotopy is a search for
+    a prism map per pair of elements, on index tuples, where the prism's
+    layout comes from :func:`_prism_program`, compiled once per n.  The
+    product of two elements reads the n-th face of the first (n+1)-simplex
+    whose other faces are the multiplication horn's.
     """
     if n < 1:
         raise InvalidInput("homotopy groups are defined for n >= 1")
     if k.dim_cap < n + 1:
         raise CapTooSmall(f"pi at n = {n} needs cap >= {n + 1}")
-    if base.dim != 0:
-        raise InvalidInput(f"{base!r} is not a vertex")
+    require_simplex(k, base, 0)
     assert_kan(k)
     const_low = k.const(base, n - 1)
     elements = tuple(
@@ -520,17 +551,19 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
     unit = cls_of[const]
     reps = [cl[0] for cl in classes]
 
-    by_face = k.face_value_index(n + 1)[n - 1]
+    # the first (n+1)-simplex, ascending, by its faces j != n
+    first: dict[tuple[int, ...], int] = {}
+    for w, row in enumerate(k.faces[n + 1]):
+        first.setdefault(row[:n] + row[n + 1:], w)
 
     def fill(p: SimplexId, q: SimplexId) -> tuple[SimplexId, SimplexId]:
-        spec = {j: const.index for j in range(n + 2) if j != n}
-        spec[n - 1] = p.index
-        spec[n + 1] = q.index
-        for w in by_face.get(p.index, ()):
-            row = k.faces[n + 1][w]
-            if all(row[j] == v for j, v in spec.items()):
-                return k.ids[n][row[n]], k.ids[n + 1][w]
-        raise NotKan(f"no unstratified filler for ({p!r}, {q!r})")
+        # the faces j != n: j = n - 1 and j = n + 1 sit at n - 1 and n
+        spec = [const.index] * (n + 1)
+        spec[n - 1], spec[n] = p.index, q.index
+        w = first.get(tuple(spec))
+        if w is None:
+            raise NotKan(f"no unstratified filler for ({p!r}, {q!r})")
+        return k.ids[n][k.faces[n + 1][w][n]], k.ids[n + 1][w]
 
     size_c = len(reps)
     table = []

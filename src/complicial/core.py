@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Hashable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
@@ -271,6 +272,17 @@ class TruncatedSSet:
         return column
 
 
+def require_simplex(x: TruncatedSSet, s: SimplexId, dim: int | None = None
+                    ) -> None:
+    """Raise :class:`InvalidInput` naming ``s`` unless it is a simplex of
+    ``x``, of dimension ``dim`` when that is given."""
+    if not (0 <= s.dim <= x.dim_cap and 0 <= s.index < x.counts[s.dim]
+            and dim in (None, s.dim)):
+        what = ("simplex" if dim is None else "vertex" if dim == 0
+                else f"{dim}-simplex")
+        raise InvalidInput(f"{s!r} is not a {what} of the complex")
+
+
 def _as_table(raw, what: str) -> Table:
     try:
         table = tuple(tuple(map(tuple, per_dim)) for per_dim in raw)
@@ -496,8 +508,56 @@ class SimplicialMap:
         return f"SimplicialMap(depth={self.depth})"
 
 
+def _gather(rows: Iterable[Sequence[int]], at: Sequence[int]) -> list[int]:
+    """``row[i]`` for each row of ``rows`` and then each i of ``at``, flat."""
+    if not at:
+        return []
+    if len(at) == 1:  # itemgetter of one index returns the entry, no tuple
+        i = at[0]
+        return [row[i] for row in rows]
+    return list(chain.from_iterable(map(itemgetter(*at), rows)))
+
+
+def _valid_batch(source: TruncatedSSet, target: TruncatedSSet,
+                 batch: Sequence[tuple[Row, ...]]) -> bool:
+    """Whether every assignment of ``batch`` is a valid map, all at once.
+
+    The batch is read as one map out of a disjoint union of copies of the
+    source: per dimension its rows are concatenated, the index range is
+    checked over the concatenation, and each face or degeneracy identity
+    is one comparison of two flat lists over every instance.
+    """
+    depth = min(source.dim_cap, target.dim_cap)
+    if any(len(assign) != depth + 1 for assign in batch):
+        return False
+    rows, flat = [], []
+    for n in range(depth + 1):
+        per_n = [assign[n] for assign in batch]
+        column = list(chain.from_iterable(per_n))
+        if set(map(len, per_n)) - {source.counts[n]} or (column and (
+                min(column) < 0 or max(column) >= target.counts[n])):
+            return False
+        rows.append(per_n)
+        flat.append(column)
+    for n in range(1, depth + 1):
+        got = chain.from_iterable(map(target.faces[n].__getitem__, flat[n]))
+        want = _gather(rows[n - 1], list(chain.from_iterable(source.faces[n])))
+        if list(got) != want:
+            return False
+    for n in range(depth):
+        got = chain.from_iterable(
+            map(target.degeneracies[n].__getitem__, flat[n]))
+        want = _gather(rows[n + 1],
+                       list(chain.from_iterable(source.degeneracies[n])))
+        if list(got) != want:
+            return False
+    return True
+
+
 def _validate_map(source: TruncatedSSet, target: TruncatedSSet,
                   assign: tuple[Row, ...]) -> None:
+    """Raise the first fault of one assignment, in the order: its depth,
+    row lengths and index ranges, then faces and degeneracies by dimension."""
     depth = len(assign) - 1
     if depth != min(source.dim_cap, target.dim_cap):
         raise InvalidInput("assignment must cover min of the two caps")
@@ -533,12 +593,30 @@ def _check_commutes(row: Row, other: Row, source_ops: tuple[Row, ...],
         raise NotWellDefined(f"{what} simplex {p // width}, {op}_{p % width}")
 
 
+def make_simplicial_maps(source: TruncatedSSet, target: TruncatedSSet,
+                         assigns: Iterable[Sequence[Sequence[int]]]
+                         ) -> list[SimplicialMap]:
+    """Wrap index assignments as maps, after validating them as one batch.
+
+    The whole batch is checked a column at a time (see :func:`_valid_batch`).
+    If anything mismatches, the assignments are checked again one at a
+    time, in order, so the first invalid one raises the error it raises
+    alone: its depth, row lengths and ranges first, then the least simplex
+    and operator of the first identity that fails.
+    """
+    batch = [tuple(tuple(map(int, row)) for row in assign)
+             for assign in assigns]
+    if not _valid_batch(source, target, batch):
+        for assign in batch:
+            _validate_map(source, target, assign)
+        raise AssertionError("no invalid assignment")  # pragma: no cover
+    return [SimplicialMap(source, target, assign) for assign in batch]
+
+
 def make_simplicial_map(source: TruncatedSSet, target: TruncatedSSet,
                         assign: Sequence[Sequence[int]]) -> SimplicialMap:
     """Wrap a full index assignment as a map, after validating it."""
-    assign_t = tuple(tuple(map(int, row)) for row in assign)
-    _validate_map(source, target, assign_t)
-    return SimplicialMap(source, target, assign_t)
+    return make_simplicial_maps(source, target, [assign])[0]
 
 
 def build_map(
@@ -588,9 +666,7 @@ def build_map(
                     f"no assignment reaches dim {n} simplex {i}; generators "
                     "must cover all nondegenerate simplices"
                 )
-    assign = tuple(tuple(row) for row in work)  # type: ignore[arg-type]
-    _validate_map(source, target, assign)
-    return SimplicialMap(source, target, assign)
+    return make_simplicial_map(source, target, work)  # type: ignore[arg-type]
 
 
 def identity_map(x: TruncatedSSet) -> SimplicialMap:

@@ -24,9 +24,9 @@ so on nerves of monoids the table reproduces the monoid multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import SimplexId, make_simplicial_map
+from .core import Row, SimplexId, make_simplicial_map, require_simplex
 from .errors import (
     CapTooSmall,
     InvalidInput,
@@ -34,11 +34,7 @@ from .errors import (
     RestrictionMismatch,
 )
 from .lifting import (
-    ExtensionProblem,
-    _fillers,
-    _generated_rows,
-    assemble_horn_map,
-    find_extensions,
+    _extend_all, _fillers, _generated_rows, _horn_maps, _stratified_maps,
 )
 from .standard import boundary_pair, complicial_horn, delta, delta_t
 from .strat import (
@@ -59,6 +55,7 @@ def classifying_map(x: StratifiedSSet, alpha: SimplexId,
     Built at ``cap`` (default: one above the simplex dimension, clipped to
     the target's cap) so that cylinders over it stay within range.
     """
+    require_simplex(x.underlying, alpha)
     n = alpha.dim
     if cap is None:
         cap = min(x.cap, n + 1)
@@ -76,8 +73,7 @@ def classifying_map(x: StratifiedSSet, alpha: SimplexId,
 def sphere_elements(x: StratifiedSSet, base: SimplexId, n: int
                     ) -> tuple[SimplexId, ...]:
     """All n-simplices whose entire boundary is constant at ``base``."""
-    if base.dim != 0:
-        raise InvalidInput(f"{base!r} is not a vertex")
+    require_simplex(x.underlying, base, 0)
     if n < 1:
         raise InvalidInput("sphere elements need n >= 1")
     if n > x.cap:
@@ -126,9 +122,10 @@ class _Cylinder:
     the regular subset of its pinned part with the inclusion, and a plan
     saying where each pinned simplex reads its image.  The ends read the
     f or the g row at the simplex of A they lie over; over B the rel
-    projection reads the f row (the two maps agree there).  Solving for a
-    pair of maps only assembles the pinned rows, validates them as a
-    partial map and searches for an extension.
+    projection reads the f row (the two maps agree there).  Many pairs of
+    maps are solved in one call (:meth:`solve_all`): the pinned rows of
+    every pair are validated as one batch of partial maps, and every pair
+    is then searched on its own, in order, with one search plan.
     """
 
     __slots__ = ("source", "rel", "inclusion", "_plan")
@@ -174,30 +171,58 @@ class _Cylinder:
     def solve(self, f: StratifiedMap, g: StratifiedMap
               ) -> HomotopyWitness | None:
         """A homotopy from ``f`` to ``g`` rel B, or None when there is none."""
-        a = self.source
-        x = f.target
-        if f.source != a or g.source != a or g.target != x:
-            raise InvalidInput(
-                "homotopy needs maps with common source and target"
-            )
-        if x.cap < a.cap:
-            raise CapTooSmall(f"target cap {x.cap} below cylinder cap {a.cap}")
-        rel = self.rel
-        if rel is not None and rel.map.then(f.map) != rel.map.then(g.map):
-            raise RestrictionMismatch("maps differ on the rel subcomplex")
-        rows = tuple(
-            tuple(map((fr + gr).__getitem__, plan))
-            for plan, fr, gr in zip(self._plan, f.map.assign, g.map.assign)
-        )
+        return self.solve_all([f, g], [(0, 1)])[0]
+
+    def solve_all(self, maps: Sequence[StratifiedMap],
+                  pairs: Sequence[tuple[int, int]]
+                  ) -> list[HomotopyWitness | None]:
+        """Per pair (i, j), a homotopy from ``maps[i]`` to ``maps[j]`` rel B.
+
+        None stands for a pair with no homotopy.  All maps must share the
+        cylinder's source and one target.  Each map is checked, and
+        restricted along ``rel``, once; pairs are checked in order, so the
+        first bad pair raises.  The pinned rows of all pairs are validated
+        as one batch, and each pair is searched on its own, in order, with
+        one search plan (``lifting._extend_all``); every witness found is
+        rebuilt and validated.
+        """
+        if not pairs:
+            return []
+        a, rel = self.source, self.rel
+        x = maps[pairs[0][0]].target
+        restricted: dict[int, tuple[Row, ...]] = {}
+
+        def restriction(e: int) -> tuple[Row, ...]:
+            got = restricted.get(e)
+            if got is None:
+                m = maps[e]
+                if (m.source is not a and m.source != a) or \
+                        (m.target is not x and m.target != x):
+                    raise InvalidInput(
+                        "homotopy needs maps with common source and target"
+                    )
+                got = () if rel is None else rel.map.then(m.map).assign
+                restricted[e] = got
+            return got
+
+        partials = []
+        for i, j in pairs:
+            on_rel = restriction(i), restriction(j)
+            if x.cap < a.cap:
+                raise CapTooSmall(
+                    f"target cap {x.cap} below cylinder cap {a.cap}")
+            if on_rel[0] != on_rel[1]:
+                raise RestrictionMismatch("maps differ on the rel subcomplex")
+            partials.append(tuple(
+                tuple(map((fr + gr).__getitem__, plan))
+                for plan, fr, gr in zip(self._plan, maps[i].map.assign,
+                                        maps[j].map.assign)
+            ))
         sub = self.inclusion.source
-        partial = make_stratified_map(
-            sub, x, make_simplicial_map(sub.underlying, x.underlying, rows)
-        )
-        found = find_extensions(ExtensionProblem(self.inclusion, partial),
-                                limit=1)
-        if not found:
-            return None
-        return HomotopyWitness(found[0], f, g)
+        found = _extend_all(
+            self.inclusion, list(_stratified_maps(sub, x, partials)), 1)
+        return [HomotopyWitness(h[0], maps[i], maps[j]) if h else None
+                for (i, j), h in zip(pairs, found)]
 
 
 def rel_homotopic(
@@ -213,7 +238,8 @@ def rel_homotopic(
     determined by the images of the nondegenerate prism cells, so the solver
     only ever branches on those.  The cylinder problem depends only on A
     and ``rel``; callers comparing many pairs of maps (:func:`sphere_relation`,
-    :func:`check_well_defined`) build it once and solve every pair with it.
+    :func:`check_well_defined`) build it once and solve all their pairs in
+    one batch.
     """
     return _Cylinder(f.source, rel).solve(f, g)
 
@@ -294,27 +320,63 @@ def tau0(x: StratifiedSSet) -> Tau0Result:
 
 # -- multiplication by horn filling ------------------------------------------
 
-def _horn_fillers(x: StratifiedSSet, k: int,
-                  faces: dict[int, SimplexId]) -> list[SimplexId]:
-    """The fillers of a horn given by its faces j != k, in search order.
+def _horn_fillers(x: StratifiedSSet, k: int, rows: Sequence[Row]
+                  ) -> Iterator[list[SimplexId]]:
+    """The fillers of horns at ``k``, one list per horn, in search order.
 
-    The horn map is validated through :func:`assemble_horn_map` first.
+    ``rows`` gives each horn by its faces j != k, as indexes in ascending
+    j.  The horn maps are built and validated as one batch
+    (``lifting._horn_maps``); each list comes out after its horn has been
+    validated, so an invalid horn raises when its list is due.
     """
-    n = len(faces)
-    assemble_horn_map(complicial_horn(k, n, n)[0], faces, x)
-    row = tuple(faces[j].index for j in sorted(faces))
-    return [x.underlying.ids[n][w] for w in _fillers(x, k, n, row)]
+    if not rows:
+        return
+    n = len(rows[0])
+    ids = x.underlying.ids[n]
+    horn = complicial_horn(k, n, n)[0]
+    maps = _horn_maps(horn, k, n, x, list(zip(*rows)))
+    for row, _ in zip(rows, maps):
+        yield [ids[w] for w in _fillers(x, k, n, row)]
 
 
 def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
-                     alpha: SimplexId, beta: SimplexId) -> list[SimplexId]:
+                     pairs: Iterable[tuple[SimplexId, SimplexId]]
+                     ) -> Iterator[list[SimplexId]]:
+    """The fillers of the multiplication horn of each pair, in search order.
+
+    The horn of the (n+1)-simplex at n has the first factor on face n-1,
+    the second on face n+1 and the constant n-simplex at ``base``
+    elsewhere; see :func:`_horn_fillers`.  The arguments are not checked.
+    """
+    const = x.underlying.const(base, n).index
+    rows = []
+    for alpha, beta in pairs:
+        # the faces j != n: j = n - 1 and j = n + 1 sit at n - 1 and n
+        row = [const] * (n + 1)
+        row[n - 1], row[n] = alpha.index, beta.index
+        rows.append(tuple(row))
+    return _horn_fillers(x, n, rows)
+
+
+def _product_args(x: StratifiedSSet, base: SimplexId, n: int,
+                  *factors: SimplexId) -> None:
+    """Check the cap, the base vertex and the n-simplex factors at entry."""
     if x.cap < n + 1:
         raise CapTooSmall(f"multiplication at n = {n} needs cap >= {n + 1}")
-    const = x.underlying.const(base, n)
-    faces = {j: const for j in range(n + 2) if j != n}
-    faces[n - 1] = alpha
-    faces[n + 1] = beta
-    return _horn_fillers(x, n, faces)
+    require_simplex(x.underlying, base, 0)
+    for s in factors:
+        require_simplex(x.underlying, s, n)
+
+
+def _first_filler(x: StratifiedSSet, n: int, found: list[SimplexId],
+                  alpha: SimplexId, beta: SimplexId
+                  ) -> tuple[SimplexId, SimplexId]:
+    """The product and the first filler, or :class:`NoFiller`."""
+    if not found:
+        raise NoFiller(
+            f"no filler for the multiplication horn of {alpha!r}, {beta!r}"
+        )
+    return x.underlying.face(found[0], n), found[0]
 
 
 def multiply(x: StratifiedSSet, base: SimplexId, n: int,
@@ -334,12 +396,9 @@ def multiply_with_filler(
     alpha: SimplexId, beta: SimplexId,
 ) -> tuple[SimplexId, SimplexId]:
     """Like :func:`multiply` but also returns the chosen filler simplex."""
-    found = _product_fillers(x, base, n, alpha, beta)
-    if not found:
-        raise NoFiller(
-            f"no filler for the multiplication horn of {alpha!r}, {beta!r}"
-        )
-    return x.underlying.face(found[0], n), found[0]
+    _product_args(x, base, n, alpha, beta)
+    found = next(_product_fillers(x, base, n, [(alpha, beta)]))
+    return _first_filler(x, n, found, alpha, beta)
 
 
 def all_product_fillers(
@@ -347,8 +406,9 @@ def all_product_fillers(
     alpha: SimplexId, beta: SimplexId,
 ) -> list[tuple[SimplexId, SimplexId]]:
     """Every filler of the multiplication horn, with its resulting face."""
-    return [(x.underlying.face(theta, n), theta)
-            for theta in _product_fillers(x, base, n, alpha, beta)]
+    _product_args(x, base, n, alpha, beta)
+    found = next(_product_fillers(x, base, n, [(alpha, beta)]))
+    return [(x.underlying.face(theta, n), theta) for theta in found]
 
 
 # -- the homotopy monoid table ------------------------------------------------
@@ -450,8 +510,9 @@ def sphere_relation(
     witness exists, without assuming symmetry or transitivity; the caller
     may then diagnose whether the found-witness relation was already an
     equivalence relation.  The cylinder problem over the boundary inclusion
-    and the classifying maps are built once; each pair only pins its ends
-    and runs the search.
+    and the classifying maps are built once, and all pairs are solved in
+    one batch: their pinned ends are validated together, and each pair is
+    then searched on its own, in row-major order.
     """
     if elements is None:
         elements = sphere_elements(x, base, n)
@@ -461,14 +522,13 @@ def sphere_relation(
     cylinder = _Cylinder(binc.target, binc)
     maps = [classifying_map(x, e, cap=n + 1) for e in elements]
     size = len(elements)
+    pairs = [(i, j) for i in range(size) for j in range(size)]
     rel = [[False] * size for _ in range(size)]
     witnesses: dict[tuple[SimplexId, SimplexId], tuple[SimplexId, ...]] = {}
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            w = cylinder.solve(maps[i], maps[j])
-            if w is not None:
-                rel[i][j] = True
-                witnesses[(p, q)] = _witness_summary(w)
+    for (i, j), w in zip(pairs, cylinder.solve_all(maps, pairs)):
+        if w is not None:
+            rel[i][j] = True
+            witnesses[(elements[i], elements[j])] = _witness_summary(w)
     return tuple(elements), rel, witnesses
 
 
@@ -479,15 +539,15 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
     closure of the witness relation and recording whether closure was
     needed), multiplies canonical representatives through horn filling,
     then checks associativity by full triple enumeration and attempts
-    two-sided inverse detection.
+    two-sided inverse detection.  The product horns of all pairs of
+    representatives are built and validated as one batch.
     """
     if n < 1:
         raise InvalidInput("homotopy monoids are defined for n >= 1")
     if x.cap < n + 1:
         raise CapTooSmall(f"tau at n = {n} needs cap >= {n + 1}")
     xu = x.underlying
-    if not (base.dim == 0 and 0 <= base.index < xu.counts[0]):
-        raise InvalidInput(f"{base!r} is not a vertex of the complex")
+    require_simplex(xu, base, 0)
     elements, rel, witnesses = sphere_relation(x, base, n)
     blocks, reflexive, symmetric, transitive = _partition(
         len(elements),
@@ -503,10 +563,11 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
 
     table: list[tuple[int, ...]] = []
     fillers: list[tuple[SimplexId, ...]] = []
+    cells = _product_fillers(x, base, n, [(p, q) for p in reps for q in reps])
     for p in reps:
         row, frow = [], []
         for q in reps:
-            result, theta = multiply_with_filler(x, base, n, p, q)
+            result, theta = _first_filler(x, n, next(cells), p, q)
             if result not in class_index:
                 raise InvalidInput(
                     f"product {result!r} is not a sphere element; tables "
@@ -546,35 +607,38 @@ def check_well_defined(
 
     Enumerates every filler for both pairs and checks all resulting faces
     are pairwise homotopic relative to the boundary.  The cylinder problem
-    and each classifying map are built once.
+    and each classifying map are built once, and the pairs of each step
+    are solved in one batch.
     """
+    _product_args(x, base, n, alpha, alpha2, beta, beta2)
     _, binc = boundary_pair(n, n + 1)
     cylinder = _Cylinder(binc.target, binc)
-    maps: dict[SimplexId, StratifiedMap] = {}
+    maps: list[StratifiedMap] = []
+    map_of: dict[SimplexId, int] = {}
 
-    def homotopic(p: SimplexId, q: SimplexId) -> bool:
-        for e in (p, q):
-            if e not in maps:
-                maps[e] = classifying_map(x, e, cap=n + 1)
-        return cylinder.solve(maps[p], maps[q]) is not None
+    def homotopic(pairs: list[tuple[SimplexId, SimplexId]]) -> list[bool]:
+        for e in (e for pair in pairs for e in pair):
+            if e not in map_of:
+                map_of[e] = len(maps)
+                maps.append(classifying_map(x, e, cap=n + 1))
+        found = cylinder.solve_all(
+            maps, [(map_of[p], map_of[q]) for p, q in pairs])
+        return [w is not None for w in found]
 
-    for p, q in ((alpha, alpha2), (beta, beta2)):
-        if p != q and not homotopic(p, q):
+    reps = [(p, q) for p, q in ((alpha, alpha2), (beta, beta2)) if p != q]
+    for (p, q), related in zip(reps, homotopic(reps)):
+        if not related:
             raise InvalidInput(f"{p!r} and {q!r} are not homotopic rel boundary")
     results: list[SimplexId] = []
     tested = 0
-    for a, b in ((alpha, beta), (alpha2, beta2)):
-        fillers = all_product_fillers(x, base, n, a, b)
+    products = _product_fillers(x, base, n, [(alpha, beta), (alpha2, beta2)])
+    for (a, b), fillers in zip(((alpha, beta), (alpha2, beta2)), products):
         if not fillers:
             raise NoFiller(f"no filler for the pair ({a!r}, {b!r})")
         tested += len(fillers)
-        results.extend(r for r, _ in fillers)
+        results.extend(x.underlying.face(theta, n) for theta in fillers)
     distinct = sorted(set(results))
-    consistent = True
-    for i in range(1, len(distinct)):
-        if not homotopic(distinct[0], distinct[i]):
-            consistent = False
-            break
+    consistent = all(homotopic([(distinct[0], r) for r in distinct[1:]]))
     return WellDefinedReport(
         fillers_tested=tested,
         results=tuple(distinct),
@@ -610,25 +674,31 @@ def audit_well_defined(x: StratifiedSSet, base: SimplexId,
     """Rerun every cell over all representative pairs and all fillers.
 
     Confirms that each filler's resulting face lands in the class the table
-    recorded for that cell.
+    recorded for that cell.  The product horns of all representative pairs
+    of all cells are built and validated as one batch, and the fillers are
+    read cell by cell, in order.
     """
     n = table.n
+    _product_args(x, base, n)
+    face = x.underlying.face
+    classes = table.classes
+    products = _product_fillers(
+        x, base, n, [(p, q) for ci in classes for cj in classes
+                     for p in ci for q in cj])
     cells = []
-    for i, ci in enumerate(table.classes):
-        for j, cj in enumerate(table.classes):
-            pairs = 0
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            pairs = len(ci) * len(cj)
             fillers = 0
             consistent = True
-            for p in ci:
-                for q in cj:
-                    pairs += 1
-                    found = all_product_fillers(x, base, n, p, q)
-                    if not found:
-                        raise NoFiller(f"no filler at cell ({i}, {j})")
-                    fillers += len(found)
-                    for result, _ in found:
-                        if table.class_of(result) != table.table[i][j]:
-                            consistent = False
+            for _ in range(pairs):
+                found = next(products)
+                if not found:
+                    raise NoFiller(f"no filler at cell ({i}, {j})")
+                fillers += len(found)
+                for theta in found:
+                    if table.class_of(face(theta, n)) != table.table[i][j]:
+                        consistent = False
             cells.append(AuditCell(i, j, pairs, fillers, consistent))
     return AuditReport(tuple(cells))
 
@@ -660,12 +730,11 @@ def associativity_witness(
     ab, theta = multiply_with_filler(x, base, n, alpha, beta)
     _, psi = multiply_with_filler(x, base, n, ab, gamma)
     _, phi = multiply_with_filler(x, base, n, beta, gamma)
-    const = x.underlying.const(base, n + 1)
-    faces = {j: const for j in range(n + 3) if j != n}
-    faces[n - 1] = theta
-    faces[n + 1] = psi
-    faces[n + 2] = phi
-    found = _horn_fillers(x, n, faces)
+    # the faces j != n of the (n+2)-simplex: n - 1, n + 1, n + 2 sit at
+    # n - 1, n, n + 1
+    row = [x.underlying.const(base, n + 1).index] * (n + 2)
+    row[n - 1], row[n], row[n + 1] = theta.index, psi.index, phi.index
+    found = next(_horn_fillers(x, n, [tuple(row)]))
     if not found:
         raise NoFiller("the associativity horn has no filler")
     u = found[0]

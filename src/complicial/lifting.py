@@ -21,8 +21,20 @@ What is validated, and where:
   is extended by one lookup of the entries its chosen faces ask for.  So
   an instance is enumerated exactly when its faces are compatible and
   thin where they must be: it is a stratified map from the horn.
-* Results.  Every map :func:`find_extensions` returns is rebuilt through
-  ``make_simplicial_map`` and ``make_stratified_map``.
+* Maps, in batches.  ``core.make_simplicial_maps`` and
+  ``strat.make_stratified_maps`` read a batch of maps B -> X as one map
+  out of a disjoint union of copies of B: the index range is checked
+  over the concatenated rows, and each face and degeneracy identity and
+  each dimension's thinness is one comparison over the whole batch.  On
+  any mismatch the maps are checked again one at a time, in order, so
+  the first invalid one raises the error it raises alone
+  (:func:`_stratified_maps`).  ``make_simplicial_map`` and
+  ``make_stratified_map`` are the batch of one.
+* Results.  Every map :func:`find_extensions` returns is rebuilt from its
+  rows and validated, as one batch.  :func:`_extend_all` solves many
+  problems along one inclusion (the homotopy cylinders): their partial
+  maps are validated as one batch, one search plan serves them all, each
+  is searched on its own, and all results are validated as one batch.
 * Verdicts.  A stratified map from the complicial simplex at cap n is one
   n-simplex of X, and of the simplices outside the horn only the top is
   thin; so a horn instance is filled exactly by a thin n-simplex whose
@@ -37,10 +49,10 @@ What is validated, and where:
   instances, and one more column, the k-th faces, gives the failures.
   A pass rests on these rules.  The horn maps of a row's family-1
   instances without a filler are built together, one ``act`` per horn
-  simplex over the column of all of them, and each is validated through
-  ``make_simplicial_map`` and ``make_stratified_map`` before its failure
-  is recorded (:func:`_horn_maps`, which :func:`assemble_horn_map` runs
-  on one instance).
+  simplex over the column of all of them, and validated as one batch
+  before the failures are recorded (:func:`_horn_maps`, which
+  :func:`assemble_horn_map` runs on one instance and the homotopy
+  module on all the product horns of a table).
 
 Verification of the weak complicial lifting conditions is bounded by the
 cap: a truncated complex can never certify conditions above it, so the
@@ -55,11 +67,14 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Row, SimplexId, TruncatedSSet, make_simplicial_map
+from .core import (
+    Row, SimplexId, TruncatedSSet, make_simplicial_map, make_simplicial_maps,
+)
 from .errors import (
     BoundaryMismatch,
     BoundExceedsCap,
     CapTooSmall,
+    ComplicialError,
     InvalidInput,
     KOutOfRange,
     NotWellDefined,
@@ -67,7 +82,9 @@ from .errors import (
 from .standard import (
     _horn_generators, complicial_horn, complicial_thin_key, in_horn_key,
 )
-from .strat import StratifiedMap, StratifiedSSet, make_stratified_map
+from .strat import (
+    StratifiedMap, StratifiedSSet, make_stratified_map, make_stratified_maps,
+)
 
 
 @dataclass(frozen=True)
@@ -82,14 +99,17 @@ class ExtensionProblem:
             raise InvalidInput("inclusion and partial map must share a source")
 
 
-def _pin_rows(problem: ExtensionProblem) -> list[list[int | None]]:
-    """Per dimension of B, the pinned image index of each simplex or None."""
-    inc, par = problem.inclusion, problem.partial
-    b = inc.target
+def _pin_rows(b: StratifiedSSet, inclusion: Sequence[Row],
+              partial: Sequence[Row]) -> list[list[int | None]]:
+    """Per dimension of B, the pinned image index of each simplex or None.
+
+    ``inclusion`` and ``partial`` are the assignment rows of the maps
+    A -> B and A -> X of one problem.
+    """
     pins: list[list[int | None]] = [[None] * c for c in b.counts]
-    for n in range(min(inc.map.depth, par.map.depth) + 1):
+    for n in range(min(len(inclusion), len(partial))):
         row = pins[n]
-        for s, v in zip(inc.map.assign[n], par.map.assign[n]):
+        for s, v in zip(inclusion[n], partial[n]):
             got = row[s]
             if got is None:
                 row[s] = v
@@ -101,15 +121,65 @@ def _pin_rows(problem: ExtensionProblem) -> list[list[int | None]]:
     return pins
 
 
+@dataclass(frozen=True)
+class _SearchPlan:
+    """What :func:`_search` does in which order, for one set of pinned
+    simplices of B.  It depends on B, on X and on which simplices are
+    pinned, never on their images, so problems that pin the same simplices
+    share one plan.
+
+    ``steps`` lists the unknowns in (dim, index) order, each as (dim m,
+    index, getter of its face row's entries from the images of dimension
+    m - 1 or None for a vertex, thin set to draw from or None, the forced
+    dimensions to fill before it, X's face-row index of dimension m or
+    None).  A forced dimension is (d, entries): the unpinned degenerate
+    d-simplices of B, each as (index, base, j) with s_j base = index.
+    ``last_fills`` are the forced dimensions above the last step's.
+    """
+
+    steps: tuple[tuple, ...]
+    last_fills: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+
+
+def _search_plan(b: StratifiedSSet, x: StratifiedSSet,
+                 pins: Sequence[Sequence[int | None]]) -> _SearchPlan:
+    """The plan of :func:`_search` for the simplices ``pins`` leaves None."""
+    bu, xu = b.underlying, x.underlying
+    witness = bu.deg_witness
+    b_thin, x_thin = b.thin_indexes(), x.thin_indexes()
+    forced = [
+        tuple((i, w[0], w[1]) for i, w in enumerate(witness[m])
+              if w is not None and pins[m][i] is None)
+        for m in range(b.cap + 1)
+    ]
+
+    def fills(lo: int, hi: int) -> tuple:
+        return tuple((d, forced[d]) for d in range(lo, hi + 1) if forced[d])
+
+    steps = []
+    filled = 0
+    for m in range(b.cap + 1):
+        for i, w in enumerate(witness[m]):
+            if w is None and pins[m][i] is None:
+                steps.append((
+                    m, i, itemgetter(*bu.faces[m][i]) if m else None,
+                    x_thin[m] if i in b_thin[m] else None,
+                    fills(filled + 1, m), xu.face_index(m) if m else None,
+                ))
+                filled = m
+    return _SearchPlan(tuple(steps), fills(filled + 1, b.cap))
+
+
 def _search(
-    b: StratifiedSSet,
     x: StratifiedSSet,
     pins: list[list[int | None]],
     limit: int | None,
+    plan: _SearchPlan,
 ) -> Iterator[tuple[Row, ...]]:
     """Full assignment rows B -> X that extend ``pins``, in search order.
 
-    ``pins[n][i]`` is the image index of the n-simplex i of B, or None.  The
+    ``pins[n][i]`` is the image index of the n-simplex i of B, or None;
+    ``plan`` is :func:`_search_plan` of the same None pattern.  The
     unknowns are the unpinned nondegenerate simplices, in (dim, index)
     order; each takes, in ascending order, the X-simplices whose face row
     is the image of its own (thin ones only, where B's simplex is thin).
@@ -118,73 +188,75 @@ def _search(
     is known.  The rows of ``pins`` serve as the work space.  Stops after
     ``limit`` solutions (None: all).  Rows are yielded unvalidated.
     """
-    bu, xu = b.underlying, x.underlying
+    xu = x.underlying
     rows = pins
-    witness = bu.deg_witness
-    b_thin, x_thin = b.thin_indexes(), x.thin_indexes()
-    forced = [
-        [(i, w[0], w[1]) for i, w in enumerate(witness[m])
-         if w is not None and rows[m][i] is None]
-        for m in range(b.cap + 1)
-    ]
-    # (dim, index, face row in B, thin set to draw from or None, first
-    # dimension whose degenerate images to fill before this unknown)
-    steps = []
-    filled = 0
-    for m in range(b.cap + 1):
-        for i, w in enumerate(witness[m]):
-            if w is None and rows[m][i] is None:
-                steps.append((
-                    m, i, bu.faces[m][i] if m else (),
-                    x_thin[m] if i in b_thin[m] else None, filled + 1,
-                ))
-                filled = m
+    steps = plan.steps
 
-    def fill(lo: int, hi: int) -> None:
-        for d in range(lo, hi + 1):
+    def fill(todo: tuple) -> None:
+        for d, entries in todo:
             row, below, degs = rows[d], rows[d - 1], xu.degeneracies[d - 1]
-            for i, base, j in forced[d]:
+            for i, base, j in entries:
                 row[i] = degs[below[base]][j]
 
     if not steps:
-        fill(1, b.cap)
+        fill(plan.last_fills)
         yield tuple(tuple(row) for row in rows)
         return
     last = len(steps) - 1
-    pools: list[Sequence[int]] = [()] * len(steps)
-    nxt = [0] * len(steps)
+    pools: list[Iterator[int]] = [iter(())] * len(steps)
     found = 0
     pos, fresh = 0, True
     while pos >= 0:
-        m, i, frow, thin, lo = steps[pos]
+        m, i, key, thin, todo, index = steps[pos]
         if fresh:
-            fill(lo, m)
-            if m == 0:
-                pool: Sequence[int] = range(xu.counts[0])
+            if todo:
+                fill(todo)
+            if key is None:
+                pool: Iterable[int] = range(xu.counts[0])
             else:
-                below = rows[m - 1]
-                pool = xu.face_index(m).get(tuple([below[f] for f in frow]), ())
+                pool = index.get(key(rows[m - 1]), ())
             if thin is not None:
                 pool = [w for w in pool if w in thin]
-            pools[pos] = pool
-            nxt[pos] = 0
-        pool, k = pools[pos], nxt[pos]
-        if k == len(pool):
+            it = pools[pos] = iter(pool)
+        else:
+            it = pools[pos]
+        w = next(it, None)
+        if w is None:
             pos -= 1
             fresh = False
             continue
-        nxt[pos] = k + 1
-        rows[m][i] = pool[k]
+        rows[m][i] = w
         if pos < last:
             pos += 1
             fresh = True
             continue
-        fill(filled + 1, b.cap)
+        fill(plan.last_fills)
         yield tuple(tuple(row) for row in rows)
         found += 1
         if found == limit:
             return
         fresh = False
+
+
+def _stratified_maps(b: StratifiedSSet, x: StratifiedSSet,
+                     batch: Sequence[Sequence[Row]]) -> Iterator[StratifiedMap]:
+    """The stratified maps B -> X with the assignment rows of ``batch``.
+
+    The batch is validated as a whole, a column at a time
+    (``make_simplicial_maps``, then ``make_stratified_maps``).  If that
+    fails, each assignment is validated on its own as it is drawn, so the
+    maps before the first invalid one still come out and that one raises
+    the error ``make_simplicial_map`` or ``make_stratified_map`` raises on
+    it alone.
+    """
+    bu, xu = b.underlying, x.underlying
+    try:
+        maps: Iterable[StratifiedMap] = make_stratified_maps(
+            b, x, make_simplicial_maps(bu, xu, batch))
+    except ComplicialError:
+        maps = (make_stratified_map(b, x, make_simplicial_map(bu, xu, rows))
+                for rows in batch)
+    yield from maps
 
 
 def find_extensions(
@@ -196,18 +268,33 @@ def find_extensions(
     rebuilt from its full assignment and re-validated, so the output is
     sound by construction.
     """
+    return _extend_all(problem.inclusion, [problem.partial], limit)[0]
+
+
+def _extend_all(inclusion: StratifiedMap, partials: Sequence[StratifiedMap],
+                limit: int | None) -> list[list[StratifiedMap]]:
+    """:func:`find_extensions` for many partial maps along one inclusion.
+
+    Every problem pins the same simplices of B, so one search plan serves
+    all of them.  Each is searched on its own, in order, and the results
+    of all are rebuilt and validated as one batch.
+    """
     if limit is not None and limit < 1:
         raise InvalidInput("limit must be at least 1")
-    b = problem.inclusion.target
-    x = problem.partial.target
+    if not partials:
+        return []
+    b, x = inclusion.target, partials[0].target
     if x.cap < b.cap:
         raise CapTooSmall(f"target cap {x.cap} below problem cap {b.cap}")
-    return [
-        make_stratified_map(
-            b, x, make_simplicial_map(b.underlying, x.underlying, rows)
-        )
-        for rows in _search(b, x, _pin_rows(problem), limit)
-    ]
+    plan = None
+    found: list[list[tuple[Row, ...]]] = []
+    for partial in partials:
+        pins = _pin_rows(b, inclusion.map.assign, partial.map.assign)
+        if plan is None:
+            plan = _search_plan(b, x, pins)
+        found.append(list(_search(x, pins, limit, plan)))
+    maps = _stratified_maps(b, x, [rows for per in found for rows in per])
+    return [[next(maps) for _ in per] for per in found]
 
 
 def _generated_rows(
@@ -271,9 +358,11 @@ def _horn_maps(
     ``columns[p]`` lists the (n-1)-simplex of X on the p-th face j != k of
     each instance.  A nondegenerate simplex of the horn is read off its
     generating face (``standard._horn_generators``), one ``act`` over the
-    whole column (:func:`_generated_rows`).  Each instance's rows are
-    validated through ``make_simplicial_map`` and ``make_stratified_map``,
-    in instance order.
+    whole column (:func:`_generated_rows`).  The instances are validated
+    as one batch when the first map is drawn (:func:`_stratified_maps`);
+    the first invalid one, in instance order, raises
+    :class:`BoundaryMismatch` for faces that do not match, or
+    :class:`ThinnessViolation`.
     """
     hu, xu = horn.underlying, x.underlying
     plan = _horn_generators(k, n)
@@ -283,12 +372,11 @@ def _horn_maps(
         j, word = plan[hu.keys[m][i]]
         return xu.act(n - 1, word, on_face[j])
 
-    for rows in _generated_rows(hu, xu, image):
-        try:
-            simplicial = make_simplicial_map(hu, xu, rows)
-        except NotWellDefined as exc:
-            raise BoundaryMismatch(str(exc)) from exc
-        yield make_stratified_map(horn, x, simplicial)
+    try:
+        yield from _stratified_maps(horn, x,
+                                    list(_generated_rows(hu, xu, image)))
+    except NotWellDefined as exc:
+        raise BoundaryMismatch(str(exc)) from exc
 
 
 def _horn_rows(

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from itertools import chain, compress, product, repeat
 from operator import add, attrgetter, eq
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     SimplexId,
     SimplicialMap,
     TruncatedSSet,
+    _gather,
     build_sset,
     make_simplicial_map,
 )
@@ -180,9 +181,10 @@ class StratifiedMap:
         return f"StratifiedMap(depth={self.map.depth})"
 
 
-def make_stratified_map(source: StratifiedSSet, target: StratifiedSSet,
-                        simplicial: SimplicialMap) -> StratifiedMap:
-    """Check thinness preservation and wrap the simplicial map."""
+def _check_thin(source: StratifiedSSet, target: StratifiedSSet,
+                simplicial: SimplicialMap) -> None:
+    """Raise the first fault of one map: ends that do not match, then the
+    least thin simplex of the lowest dimension that maps to a non-thin one."""
     if simplicial.source != source.underlying or \
             simplicial.target != target.underlying:
         raise InvalidInput("simplicial map does not match the stratified ends")
@@ -196,7 +198,42 @@ def make_stratified_map(source: StratifiedSSet, target: StratifiedSSet,
                 f"thin {source.underlying.ids[n][i]!r} maps to non-thin "
                 f"{target.underlying.ids[n][row[i]]!r}"
             )
-    return StratifiedMap(source, target, simplicial)
+
+
+def make_stratified_maps(source: StratifiedSSet, target: StratifiedSSet,
+                         simplicials: Sequence[SimplicialMap]
+                         ) -> list[StratifiedMap]:
+    """Check thinness preservation for a batch of maps and wrap each one.
+
+    Per dimension, the images of the source's thin simplices under every
+    map of the batch form one column, checked against the target's thin
+    set at once.  If anything fails, the maps are checked again one at a
+    time, in order, so the first bad one raises the error it raises alone.
+    """
+    su, tu = source.underlying, target.underlying
+    ok = all(
+        (m.source is su or m.source == su) and (m.target is tu or m.target == tu)
+        for m in simplicials)
+    if ok:
+        src_thin, tgt_thin = source.thin_indexes(), target.thin_indexes()
+        for n in range(max((m.depth for m in simplicials), default=-1) + 1):
+            images = _gather(
+                [m.assign[n] for m in simplicials if m.depth >= n],
+                sorted(src_thin[n]))
+            if not tgt_thin[n].issuperset(images):
+                ok = False
+                break
+    if not ok:
+        for simplicial in simplicials:
+            _check_thin(source, target, simplicial)
+        raise AssertionError("no invalid map")  # pragma: no cover
+    return [StratifiedMap(source, target, m) for m in simplicials]
+
+
+def make_stratified_map(source: StratifiedSSet, target: StratifiedSSet,
+                        simplicial: SimplicialMap) -> StratifiedMap:
+    """Check thinness preservation and wrap the simplicial map."""
+    return make_stratified_maps(source, target, [simplicial])[0]
 
 
 def regular_subset(

@@ -210,6 +210,13 @@ def test_agreement_tau_vs_pi(nerve_z3_3):
     assert t.associative == p.associative
 
 
+def test_pi_oracle_checks_the_base_at_entry(nerve_z2_3):
+    for base in (C.SimplexId(0, 5), C.SimplexId(1, 0)):
+        with pytest.raises(errors.InvalidInput) as info:
+            C.pi_oracle(nerve_z2_3, base, 1)
+        assert str(info.value) == f"{base!r} is not a vertex of the complex"
+
+
 def test_pi_oracle_payload_is_pinned(s3):
     # digest of the payload written before the prism search was indexed
     k = C.nerve(s3, 2)
@@ -257,9 +264,13 @@ def scan_pi_homotopic(k, base, n, alpha, beta):
     return search(0)
 
 
-@pytest.mark.parametrize("fixture, n", [("nerve_z3_3", 1), ("nerve_z2_4", 2)])
+@pytest.mark.parametrize("fixture, n", [
+    ("nerve_z3_3", 1), ("nerve_z2_4", 2), ("nerve_z2_4", 3),
+    ("nerve_s3_3", 1), ("nerve_bool_3", 1), ("nerve_bool_3", 2),
+])
 def test_indexed_prism_search_matches_full_scan(request, fixture, n):
-    # every pair of n-simplices, sphere elements or not
+    # every pair of n-simplices, sphere elements or not, on groups and on
+    # a monoid that is not one; the prism layout is compiled once per n
     k = request.getfixturevalue(fixture)
     base = k.id_at(0, 0)
     simplices = k.simplices(n)

@@ -1,14 +1,17 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import complicial as C
-from complicial import errors
+from complicial import errors, homotopy
 from complicial.homotopy import (
+    AuditCell,
+    AuditReport,
     _Cylinder,
     _partition,
     _witness_summary,
     all_product_fillers,
 )
+from complicial.lifting import _fillers
 
 from .conftest import vertex
 
@@ -101,6 +104,24 @@ def test_shared_cylinder_rejects_mismatched_maps(th0_z2_3):
         C.rel_homotopic(loop, vmap, binc)
     with pytest.raises(errors.InvalidInput):
         _Cylinder(C.delta(0, 1), binc)
+
+
+def test_shared_cylinder_validates_its_pins(monkeypatch, th0_z2_3):
+    # a plan that pins every edge to the f row's first edge, a constant,
+    # while the triangles over the ends stay on the loop; the search finds
+    # nothing here, so only the validation of the partial maps can raise
+    x = th0_z2_3
+    _, binc = C.boundary_pair(1, 2)
+    cylinder = _Cylinder(binc.target, binc)
+    loop = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
+    assert cylinder.solve_all([loop], [(0, 0)])[0] is not None
+    monkeypatch.setattr(homotopy, "_extend_all",
+                        lambda inclusion, partials, limit: [[]] * len(partials))
+    assert cylinder.solve_all([loop], [(0, 0)]) == [None]
+    plan = cylinder._plan
+    cylinder._plan = (plan[0], (0,) * len(plan[1]), plan[2])
+    with pytest.raises(errors.NotWellDefined):
+        cylinder.solve_all([loop], [(0, 0)])
 
 
 def test_shared_cylinder_matches_fresh_rel_homotopic(qcat_bool_3):
@@ -218,6 +239,37 @@ def test_multiply_surfaces_no_filler(nerve_z2_3):
     a = x.underlying.id_for_key(1, (1,))
     with pytest.raises(errors.NoFiller):
         C.multiply(x, v, 1, a, a)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda x, t: C.sphere_elements(x, C.SimplexId(0, 5), 1),
+     "<0:5> is not a vertex of the complex"),
+    (lambda x, t: C.sphere_elements(x, C.SimplexId(1, 0), 1),
+     "<1:0> is not a vertex of the complex"),
+    (lambda x, t: C.classifying_map(x, C.SimplexId(1, 99)),
+     "<1:99> is not a simplex of the complex"),
+    (lambda x, t: C.classifying_map(x, C.SimplexId(7, 0)),
+     "<7:0> is not a simplex of the complex"),
+    (lambda x, t: C.multiply(x, vertex(x), 1, C.SimplexId(1, 99), t[0]),
+     "<1:99> is not a 1-simplex of the complex"),
+    (lambda x, t: C.multiply(x, vertex(x), 1, t[0], C.SimplexId(2, 0)),
+     "<2:0> is not a 1-simplex of the complex"),
+    (lambda x, t: all_product_fillers(x, C.SimplexId(0, 5), 1, t[0], t[0]),
+     "<0:5> is not a vertex of the complex"),
+    (lambda x, t: C.check_well_defined(x, vertex(x), 1, t[0],
+                                       C.SimplexId(1, 99), t[0], t[0]),
+     "<1:99> is not a 1-simplex of the complex"),
+    (lambda x, t: C.tau_table(x, C.SimplexId(0, 5), 1),
+     "<0:5> is not a vertex of the complex"),
+    (lambda x, t: C.audit_well_defined(x, C.SimplexId(0, 5), t[1]),
+     "<0:5> is not a vertex of the complex"),
+])
+def test_ids_are_checked_at_entry(th0_z2_3, call, message):
+    x = th0_z2_3
+    table = C.tau_table(x, vertex(x), 1)
+    with pytest.raises(errors.InvalidInput) as info:
+        call(x, (table.elements[1], table))
+    assert str(info.value) == message
 
 
 # -- tables ------------------------------------------------------------------------
@@ -340,3 +392,136 @@ def test_sphere_relation_is_equivalence_on_weak_complicial(th0_z2_3):
         for i in range(size) for j in range(size) for k in range(size)
     )
     assert all((e, e) in witnesses for e in els)
+
+
+# -- the batched loops against one pair at a time -------------------------------------
+
+def per_pair_relation(x, base, n):
+    """:func:`sphere_relation` one pair at a time, each pair's partial map
+    validated alone and solved through ``find_extensions``."""
+    elements = C.sphere_elements(x, base, n)
+    _, binc = C.boundary_pair(n, n + 1)
+    cylinder = _Cylinder(binc.target, binc)
+    sub = cylinder.inclusion.source
+    maps = [C.classifying_map(x, e, cap=n + 1) for e in elements]
+    rel = [[False] * len(elements) for _ in elements]
+    witnesses = {}
+    for i, p in enumerate(elements):
+        for j, q in enumerate(elements):
+            f, g = maps[i], maps[j]
+            rows = [[(fr + gr)[r] for r in plan] for plan, fr, gr
+                    in zip(cylinder._plan, f.map.assign, g.map.assign)]
+            partial = C.make_stratified_map(sub, x, C.make_simplicial_map(
+                sub.underlying, x.underlying, rows))
+            found = C.find_extensions(
+                C.ExtensionProblem(cylinder.inclusion, partial), limit=1)
+            if found:
+                rel[i][j] = True
+                witnesses[(p, q)] = _witness_summary(
+                    C.HomotopyWitness(found[0], f, g))
+    return elements, rel, witnesses
+
+
+def per_cell_fillers(x, base, n, p, q):
+    """The fillers of one product horn, its map assembled and validated
+    alone."""
+    const = x.underlying.const(base, n)
+    faces = {j: const for j in range(n + 2) if j != n}
+    faces[n - 1], faces[n + 1] = p, q
+    C.assemble_horn_map(C.complicial_horn(n, n + 1, n + 1)[0], faces, x)
+    row = tuple(faces[j].index for j in sorted(faces))
+    return [x.underlying.ids[n + 1][w] for w in _fillers(x, n, n + 1, row)]
+
+
+def per_cell_table(x, base, n):
+    """The classes, table, fillers and witnesses of :func:`tau_table`, one
+    cell at a time."""
+    elements, rel, witnesses = per_pair_relation(x, base, n)
+    blocks = _partition(len(elements), [
+        (i, j) for i, row in enumerate(rel) for j, r in enumerate(row) if r])[0]
+    classes = tuple(tuple(elements[i] for i in b) for b in blocks)
+    class_index = {e: i for i, c in enumerate(classes) for e in c}
+    table, fillers = [], []
+    for p in (c[0] for c in classes):
+        row, frow = [], []
+        for q in (c[0] for c in classes):
+            found = per_cell_fillers(x, base, n, p, q)
+            if not found:
+                raise errors.NoFiller(
+                    f"no filler for the multiplication horn of {p!r}, {q!r}")
+            result = x.underlying.face(found[0], n)
+            if result not in class_index:
+                raise errors.InvalidInput(
+                    f"product {result!r} is not a sphere element; tables "
+                    "need constant-boundary closure")
+            row.append(class_index[result])
+            frow.append(found[0])
+        table.append(tuple(row))
+        fillers.append(tuple(frow))
+    return classes, tuple(table), tuple(fillers), witnesses
+
+
+def per_cell_audit(x, base, table):
+    """:func:`audit_well_defined` one representative pair at a time."""
+    cells = []
+    for i, ci in enumerate(table.classes):
+        for j, cj in enumerate(table.classes):
+            pairs = fillers = 0
+            consistent = True
+            for p in ci:
+                for q in cj:
+                    pairs += 1
+                    found = per_cell_fillers(x, base, table.n, p, q)
+                    if not found:
+                        raise errors.NoFiller(f"no filler at cell ({i}, {j})")
+                    fillers += len(found)
+                    consistent &= all(
+                        table.class_of(x.underlying.face(t, table.n))
+                        == table.table[i][j] for t in found)
+            cells.append(AuditCell(i, j, pairs, fillers, consistent))
+    return AuditReport(tuple(cells))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except errors.ComplicialError as exc:
+        return type(exc), str(exc)
+
+
+def check_batched_loops(x, n):
+    base = vertex(x)
+    assert outcome(C.sphere_relation, x, base, n) == \
+        outcome(per_pair_relation, x, base, n)
+    table = outcome(C.tau_table, x, base, n)
+    got = table if isinstance(table, tuple) else \
+        (table.classes, table.table, table.fillers, table.witnesses)
+    assert got == outcome(per_cell_table, x, base, n)
+    if not isinstance(table, tuple):
+        assert outcome(C.audit_well_defined, x, base, table) == \
+            outcome(per_cell_audit, x, base, table)
+    return table
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_batched_loops_match_per_pair_loops_on_random_stratifications(data):
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.boolean_monoid()]))
+    u = C.nerve(category, 3)
+    # edges thin at random; above them all thin but a few, so that most
+    # product horns have fillers and the relation still varies
+    edges = u.nondegenerate(1)
+    marks = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                               max_size=len(edges)))
+    higher = [s for n in (2, 3) for s in u.nondegenerate(n)]
+    dropped = data.draw(st.lists(st.sampled_from(higher), max_size=3))
+    x = C.make_stratified(u, [e for e, m in zip(edges, marks) if m] + [
+        s for s in higher if s not in dropped])
+    check_batched_loops(x, data.draw(st.integers(1, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_loops_match_per_pair_loops_on_qcat_s3(s3, n):
+    table = check_batched_loops(C.quasicat_e(C.nerve(s3, 3)), n)
+    assert table.is_group and len(table.classes) == (6 if n == 1 else 1)

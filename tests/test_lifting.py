@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import documents as D
-from complicial import errors
+from complicial import errors, homotopy
 from complicial.core import TruncatedSSet, make_simplicial_map
 from complicial.homotopy import all_product_fillers
 from complicial.lifting import _fillers, _horn_maps, _horn_rows
@@ -268,21 +268,27 @@ class _EveryCandidate(dict):
         return self.everything
 
 
+def corrupted_act(act):
+    """``TruncatedSSet.act`` with every image moved to the next simplex of
+    its dimension, so the rows built from it no longer commute."""
+    def shifted(self, n, values, column):
+        count = self.counts[len(values) - 1]
+        return [(v + 1) % count for v in act(self, n, values, column)]
+    return shifted
+
+
 def test_witness_validation_is_live(monkeypatch):
-    # horn enumeration and family 1 compare whole face rows, so a face-value
-    # index that over-reports changes nothing in the report
-    cases = [(C.th0(C.nerve(C.cyclic_group(3), 2)), 2),
-             (C.th0(C.nerve(z3_bool(), 3)), 3)]
-    want = [C.verify_weak_complicial(x, bound) for x, bound in cases]
-    assert want[0].passed and len(want[1].failures()) == 234
+    # th0 marks everything above dimension 0 thin, so a corrupted act cuts
+    # no horn candidate and leaves both families' verdicts alone; the
+    # failing rows' horn maps, built from it, must then fail validation
+    x = C.th0(C.nerve(z3_bool(), 3))
+    assert len(C.verify_weak_complicial(x, 3).failures()) == 234
     with monkeypatch.context() as patch:
-        patch.setattr(
-            TruncatedSSet, "face_value_index",
-            lambda self, n: (_EveryCandidate(self.counts[n]),) * (n + 1),
-        )
-        assert [C.verify_weak_complicial(x, bound)
-                for x, bound in cases] == want
-    x = cases[0][0]
+        patch.setattr(TruncatedSSet, "act", corrupted_act(TruncatedSSet.act))
+        with pytest.raises((errors.BoundaryMismatch,
+                            errors.ThinnessViolation)):
+            C.verify_weak_complicial(x, 3)
+    x = C.th0(C.nerve(C.cyclic_group(3), 2))
     monkeypatch.setattr(
         TruncatedSSet, "face_index",
         lambda self, n: _EveryCandidate(self.counts[n]),
@@ -291,6 +297,21 @@ def test_witness_validation_is_live(monkeypatch):
                                      2: x.underlying.id_at(1, 1)})
     with pytest.raises((errors.NotWellDefined, errors.ThinnessViolation)):
         C.find_extensions(problem)
+
+
+def test_product_horn_validation_is_live(monkeypatch):
+    # the relation is computed beforehand, so the only act calls under the
+    # patch build the product horns of the table, which must then fail; at
+    # n = 1 every pair of loops at the one vertex is a horn, so n = 2
+    x = C.th0(C.nerve(C.cyclic_group(2), 3))
+    v = x.underlying.id_at(0, 0)
+    relation = C.sphere_relation(x, v, 2)
+    assert C.tau_table(x, v, 2).is_group
+    monkeypatch.setattr(homotopy, "sphere_relation", lambda *args: relation)
+    monkeypatch.setattr(TruncatedSSet, "act",
+                        corrupted_act(TruncatedSSet.act))
+    with pytest.raises(errors.BoundaryMismatch):
+        C.tau_table(x, v, 2)
 
 
 @settings(max_examples=60, deadline=None)

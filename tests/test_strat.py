@@ -3,6 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import errors
+from complicial.core import _validate_map, make_simplicial_maps
+from complicial.lifting import _stratified_maps
+from complicial.strat import _check_thin, make_stratified_maps
 
 
 def nondeg_thin_keys(x):
@@ -208,3 +211,91 @@ def test_make_stratified_matches_per_simplex_checks(pairs):
         assert all(x.is_thin(t) for t in want)
         assert x.thin_in_dim(2) == tuple(sorted(t for t in want
                                                 if t.dim == 2))
+
+
+# -- batch validation --------------------------------------------------------------
+
+def first_outcome(make, items):
+    """``make`` applied to each item in order: the results, or the type and
+    message of the first error."""
+    made = []
+    for item in items:
+        try:
+            made.append(make(item))
+        except errors.ComplicialError as exc:
+            return type(exc), str(exc)
+    return made
+
+
+def batch_outcome(make_all, items):
+    try:
+        return list(make_all(items))
+    except errors.ComplicialError as exc:
+        return type(exc), str(exc)
+
+
+def assigns(outcome):
+    return outcome if isinstance(outcome, tuple) else \
+        [getattr(m, "map", m).assign for m in outcome]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_batch_validation_matches_per_map_validation(data):
+    # classifying maps of random simplices, with entries, row lengths and
+    # dimensions corrupted at random
+    category = data.draw(st.sampled_from([
+        C.cyclic_group(3), C.boolean_monoid(), C.arrow_category()]))
+    u = C.nerve(category, 2)
+    cells = [s for n in (1, 2) for s in u.nondegenerate(n)]
+    marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                               max_size=len(cells)))
+    x = C.make_stratified(u, [s for s, m in zip(cells, marks) if m])
+    m = data.draw(st.integers(0, 2))
+    a = data.draw(st.sampled_from(
+        [C.delta(m, 2), C.delta_t(m, 2), C.complicial_delta(m // 2, m, 2)]))
+    au = a.underlying
+    picks = data.draw(st.lists(st.integers(0, u.counts[m] - 1), max_size=5))
+    batch = [[[u.act(m, key, [w])[0] for key in au.keys[d]]
+              for d in range(3)] for w in picks]
+    for _ in range(data.draw(st.integers(0, 3)) if batch else 0):
+        rows = batch[data.draw(st.integers(0, len(batch) - 1))]
+        kind = data.draw(st.sampled_from(["entry", "entry", "short", "depth"]))
+        d = data.draw(st.integers(0, len(rows) - 1))
+        if kind == "depth":
+            rows.pop()
+        elif kind == "short" or not rows[d]:
+            rows[d] = rows[d][:-1]
+        else:
+            i = data.draw(st.integers(0, len(rows[d]) - 1))
+            rows[d][i] = data.draw(st.integers(-1, u.counts[d]))
+
+    # the references: the one-map checks that report a fault, with no
+    # batch in front of them
+    def simplicial(rows):
+        assign = tuple(tuple(row) for row in rows)
+        _validate_map(au, u, assign)
+        return C.SimplicialMap(au, u, assign)
+
+    def stratified(f):
+        _check_thin(a, x, f)
+        return C.StratifiedMap(a, x, f)
+
+    want = first_outcome(simplicial, batch)
+    assert assigns(first_outcome(
+        lambda rows: C.make_simplicial_map(au, u, rows), batch)) == \
+        assigns(want)
+    got = batch_outcome(lambda b: make_simplicial_maps(au, u, b), batch)
+    assert assigns(got) == assigns(want)
+    # thinness over the maps that are simplicially valid
+    maps = [first_outcome(simplicial, [rows]) for rows in batch]
+    maps = [m[0] for m in maps if isinstance(m, list)]
+    want = first_outcome(stratified, maps)
+    assert assigns(first_outcome(
+        lambda f: C.make_stratified_map(a, x, f), maps)) == assigns(want)
+    got = batch_outcome(lambda b: make_stratified_maps(a, x, b), maps)
+    assert assigns(got) == assigns(want)
+    # both checks, map by map, against the batch that lifting draws from
+    want = first_outcome(lambda rows: stratified(simplicial(rows)), batch)
+    got = batch_outcome(lambda b: _stratified_maps(a, x, b), batch)
+    assert assigns(got) == assigns(want)
