@@ -17,9 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from itertools import accumulate, chain, repeat
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
-from .core import SimplexId, TruncatedSSet, build_sset, require_simplex
+from .core import (
+    SimplexId,
+    TruncatedSSet,
+    _build_sset_columns,
+    require_simplex,
+)
 from .errors import (
     CapTooSmall,
     InvalidInput,
@@ -214,70 +221,89 @@ def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
     Faces drop an outer morphism or compose an adjacent pair; degeneracies
     insert identities.  Chains are ordered lexicographically by morphism
     index, so ids are stable.
+
+    The tables are built a column at a time from those one dimension down.
+    For n >= 2 an n-chain is its parent, the (n-1)-chain without its last
+    morphism, extended by that morphism; the chains extending one parent
+    are consecutive, in ascending morphism order, so the index of an
+    extension is the first index for its parent plus the morphism's rank
+    among those leaving the parent's target (base-|M| arithmetic for a
+    monoid).  A face or degeneracy that keeps the last morphism is the
+    extension of that face or degeneracy of the parent; d_n is the parent,
+    d_{n-1} composes the last two morphisms, and s_n appends an identity.
     """
     if cap < 0:
         raise InvalidInput("cap must be a natural number")
     nm = len(c.morphisms)
-    chains: list[list[tuple[int, ...]]] = [
-        [(o,) for o in range(len(c.objects))]
-    ]
+    leaving: list[list[int]] = [[] for _ in c.objects]
+    for m in range(nm):
+        leaving[c.src[m]].append(m)
+    rank = [leaving[c.src[m]].index(m) for m in range(nm)]
+    comp = [[c.comp.get((f, g)) for g in range(nm)] for f in range(nm)]
+    idents = list(c.identities)
+    # per dimension: the parent and last morphism of each chain (for n = 1
+    # the source object and the morphism itself), its target object, and
+    # for n >= 2 the index of the first chain extending each parent
+    parent: list[list[int]] = [[]]
+    last: list[list[int]] = [[]]
+    target: list[list[int]] = [list(range(len(c.objects)))]
+    starts: list[list[int]] = [[], []]
+    keys: list[list[tuple[int, ...]]] = [[(o,) for o in range(len(c.objects))]]
+    labels: list[list[str]] = [list(c.objects)]
     if cap >= 1:
-        chains.append([(m,) for m in range(nm)])
+        parent.append(list(c.src))
+        last.append(list(range(nm)))
+        target.append(list(c.tgt))
+        keys.append(list(zip(range(nm))))
+        labels.append(list(c.morphisms))
+    bar_names = ["|" + name for name in c.morphisms]
     for n in range(2, cap + 1):
-        chains.append([
-            ch + (m,)
-            for ch in chains[n - 1]
-            for m in range(nm)
-            if c.src[m] == c.tgt[ch[-1]]
-        ])
-    index = [{ch: i for i, ch in enumerate(chains[n])}
-             for n in range(cap + 1)]
+        outs = list(map(leaving.__getitem__, target[n - 1]))
+        starts.append([0, *accumulate(map(len, outs))][:-1])
+        parent.append(list(chain.from_iterable(
+            map(repeat, range(len(outs)), map(len, outs)))))
+        last.append(list(chain.from_iterable(outs)))
+        target.append(list(map(c.tgt.__getitem__, last[n])))
+        keys.append(list(map(add, map(keys[n - 1].__getitem__, parent[n]),
+                             zip(last[n]))))
+        labels.append(list(map(add, map(labels[n - 1].__getitem__, parent[n]),
+                               map(bar_names.__getitem__, last[n]))))
 
-    def face_chain(n: int, ch: tuple[int, ...], i: int) -> tuple[int, ...]:
+    def parents_of(column: list[int], n: int) -> list[int]:
+        return list(map(column.__getitem__, parent[n]))
+
+    def extend(n: int, ps: Iterable[int], ms: list[int]) -> list[int]:
+        # the indexes of the n-chains that extend the (n-1)-chains ps by
+        # the morphisms ms; 1-chains are indexed by their morphism
         if n == 1:
-            return (c.tgt[ch[0]],) if i == 0 else (c.src[ch[0]],)
-        if i == 0:
-            return ch[1:]
-        if i == n:
-            return ch[:-1]
-        return ch[:i - 1] + (c.comp[(ch[i - 1], ch[i])],) + ch[i + 1:]
+            return list(ms)
+        return list(map(add, map(starts[n].__getitem__, ps),
+                        map(rank.__getitem__, ms)))
 
-    def degen_chain(n: int, ch: tuple[int, ...], i: int) -> tuple[int, ...]:
-        if n == 0:
-            return (c.identities[ch[0]],)
-        at = c.src[ch[i]] if i < n else c.tgt[ch[-1]]
-        return ch[:i] + (c.identities[at],) + ch[i:]
-
-    faces = tuple(
-        tuple(
-            tuple(index[n - 1][face_chain(n, ch, i)] for i in range(n + 1))
-            for ch in chains[n]
-        ) if n >= 1 else ()
-        for n in range(cap + 1)
-    )
-    degens = tuple(
-        tuple(
-            tuple(index[n + 1][degen_chain(n, ch, i)] for i in range(n + 1))
-            for ch in chains[n]
-        ) if n < cap else ()
-        for n in range(cap + 1)
-    )
-    labels = tuple(
-        tuple(
-            c.objects[ch[0]] if n == 0
-            else "|".join(c.morphisms[m] for m in ch)
-            for ch in chains[n]
-        )
-        for n in range(cap + 1)
-    )
-    return build_sset(
-        cap,
-        tuple(len(chains[n]) for n in range(cap + 1)),
-        faces,
-        degens,
-        keys=chains,
-        labels=labels,
-    )
+    faces: list[list[list[int]]] = [[]]
+    if cap >= 1:
+        faces.append([list(c.tgt), list(c.src)])
+    for n in range(2, cap + 1):
+        p, m = parent[n], last[n]
+        grand = parents_of(parent[n - 1], n)
+        composite = list(map(list.__getitem__,
+                             map(comp.__getitem__, parents_of(last[n - 1], n)),
+                             m))
+        faces.append(
+            [extend(n - 1, parents_of(col, n), m) for col in faces[n - 1][:-1]]
+            + [extend(n - 1, grand, composite), list(p)])
+    degens: list[list[list[int]]] = []
+    if cap >= 1:
+        degens.append([idents])
+    for n in range(1, cap):
+        m = last[n]
+        appended = list(map(idents.__getitem__, target[n]))
+        degens.append(
+            [extend(n + 1, parents_of(col, n), m) for col in degens[n - 1]]
+            + [extend(n + 1, range(len(m)), appended)])
+    degens.append([])
+    return _build_sset_columns(
+        cap, tuple(map(len, keys)), faces, degens, keys=keys, labels=labels)
 
 
 def th0(k: TruncatedSSet) -> StratifiedSSet:

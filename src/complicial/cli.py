@@ -118,7 +118,22 @@ def _int_params(params: list[str], how_many: int, name: str) -> list[int]:
         raise _UsageError(f"{name} parameters must be integers") from None
 
 
+def _check_build_flags(args) -> None:
+    """Reject flags the named builder would ignore or could not honour."""
+    name = args.name
+    if args.cap is not None and name in ("th0", "qcat-e", "product"):
+        raise _UsageError(f"{name} takes no --cap: it keeps its input's cap")
+    given = [flag for flag, value in (("--monoid", args.monoid),
+                                      ("--category", args.category))
+             if value is not None]
+    if given and name != "nerve":
+        raise _UsageError(f"{given[0]} is for nerve only, not {name}")
+    if len(given) == 2:
+        raise _UsageError("nerve takes --monoid or --category, not both")
+
+
 def cmd_build(args) -> int:
+    _check_build_flags(args)
     name = args.name
     params = args.params
     cap = args.cap

@@ -1,12 +1,16 @@
 """Dimension-truncated simplicial sets presented by explicit tables.
 
-A complex stores, for every dimension ``n`` up to a cap ``D``, the full list
-of its n-simplices (degenerate ones included) together with face rows
-(``n >= 1``) and degeneracy rows (``n < D``).  Construction goes through
-:func:`build_sset`, which checks every simplicial identity that is
-expressible inside the cap, so downstream code can rely on the tables
-unconditionally.  Instances are immutable after validation and safe to share
-between threads.
+A complex stores, for every dimension ``n`` up to a cap ``D``, the number
+of its n-simplices (degenerate ones included) and its face (``n >= 1``) and
+degeneracy (``n < D``) tables, kept as columns: one tuple of indexes per
+operator and dimension.  Rows are made from the columns, and simplex ids,
+keyed lookups and the degeneracy witnesses are made from the tables, each
+per dimension on first use, so code that only moves tables creates no
+per-simplex objects.  Construction goes through :func:`build_sset`, from
+rows, or from columns; both entries check every simplicial identity that
+is expressible inside the cap in one shared core, so downstream code can
+rely on the tables unconditionally.  Instances are immutable after
+validation and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -46,28 +50,71 @@ class SimplexId:
 
 Row = tuple[int, ...]
 Table = tuple[tuple[Row, ...], ...]
+Columns = tuple[tuple[int, ...], ...]
+
+
+class _PerDim:
+    """A read-only sequence with one entry per dimension, each made by
+    ``make(n)`` on first use and kept in ``slots``.  Each slot is assigned
+    once, fully built, so concurrent first uses at worst build it twice.
+    It compares equal to another such sequence, or a tuple, with the same
+    entries, and is unhashable like a list."""
+
+    __slots__ = ("_slots", "_make")
+
+    def __init__(self, slots: list, make):
+        self._slots = slots
+        self._make = make
+
+    def __getitem__(self, n):
+        if type(n) is slice:
+            return tuple(map(self.__getitem__, range(len(self._slots))[n]))
+        got = self._slots[n]
+        if got is None:
+            got = self._slots[n] = self._make(n)
+        return got
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __iter__(self) -> Iterator:
+        return map(self.__getitem__, range(len(self._slots)))
+
+    def __eq__(self, other):
+        if isinstance(other, (_PerDim, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 class TruncatedSSet:
     """A simplicial set truncated at ``dim_cap``, presented by index tables.
 
-    ``faces[n][i][j]`` is the index (in dimension ``n-1``) of the j-th face
-    of the i-th n-simplex; ``degeneracies[n][i][j]`` the index (in dimension
-    ``n+1``) of its j-th degeneracy.  ``faces[0]`` and
+    The tables are kept as columns: ``face_columns[n][j][i]`` is the index
+    (in dimension ``n-1``) of the j-th face of the i-th n-simplex, and
+    ``degeneracy_columns[n][j][i]`` the index (in dimension ``n+1``) of its
+    j-th degeneracy.  ``faces[n][i]`` and ``degeneracies[n][i]`` are the
+    same tables as rows, zipped from the columns per dimension on first
+    use.  ``faces[0]`` and
     ``degeneracies[dim_cap]`` are empty.  Simplices may carry hashable keys
     (unique per dimension) used by constructors to identify simplices
-    structurally; keys are metadata and are ignored by equality.
+    structurally, and labels; both are metadata and are ignored by
+    equality.  ``ids[n]`` is built on first use, as is the key index.
     """
 
     __slots__ = (
         "dim_cap",
         "counts",
+        "face_columns",
+        "degeneracy_columns",
         "faces",
         "degeneracies",
-        "ids",
         "keys",
+        "_labels",
+        "_ids",
         "_key_index",
-        "deg_witness",
+        "_deg_witness",
         "_by_faces",
         "_by_face_value",
     )
@@ -76,36 +123,32 @@ class TruncatedSSet:
         self,
         dim_cap: int,
         counts: tuple[int, ...],
-        faces: Table,
-        degeneracies: Table,
-        ids: tuple[tuple[SimplexId, ...], ...],
+        face_columns: tuple[Columns, ...],
+        degeneracy_columns: tuple[Columns, ...],
         keys: tuple[tuple[Hashable, ...], ...] | None,
+        labels: tuple[tuple[str | None, ...], ...] | None,
     ):
         self.dim_cap = dim_cap
         self.counts = counts
-        self.faces = faces
-        self.degeneracies = degeneracies
-        self.ids = ids
+        self.face_columns = face_columns
+        self.degeneracy_columns = degeneracy_columns
+        self.faces = _PerDim(
+            [None] * (dim_cap + 1), lambda n: tuple(zip(*face_columns[n])))
+        self.degeneracies = _PerDim(
+            [None] * (dim_cap + 1),
+            lambda n: tuple(zip(*degeneracy_columns[n])))
         self.keys = keys
-        if keys is None:
-            self._key_index = None
-        else:
-            self._key_index = tuple(
-                {k: i for i, k in enumerate(per_dim)} for per_dim in keys
-            )
-        witness: list[list[tuple[int, int] | None]] = [
-            [None] * c for c in counts
-        ]
-        for n in range(dim_cap):
-            for i, row in enumerate(degeneracies[n]):
-                for j, target in enumerate(row):
-                    if witness[n + 1][target] is None:
-                        witness[n + 1][target] = (i, j)
-        # deg_witness[n][i] is some (b, j) with s_j b = i, None when the
-        # n-simplex i is nondegenerate
-        self.deg_witness = tuple(tuple(per_dim) for per_dim in witness)
-        # lazily built indexes; each slot is assigned once, fully built, so
-        # concurrent first uses at worst build the same table twice
+        # per dimension the label strings; None throughout when there are
+        # neither labels nor keys, None in one dimension for str(key) there
+        self._labels: list[tuple[str | None, ...] | None] | None = (
+            list(labels) if labels is not None
+            else None if keys is None else [None] * (dim_cap + 1))
+        # the slots of ids, and lazily built indexes like them
+        self._ids: list[tuple[SimplexId, ...] | None] = [None] * (dim_cap + 1)
+        self._key_index: list[dict[Hashable, int] | None] | None = (
+            None if keys is None else [None] * (dim_cap + 1))
+        self._deg_witness: tuple[tuple[tuple[int, int] | None, ...], ...] \
+            | None = None
         self._by_faces: list[dict[Row, tuple[int, ...]] | None] = \
             [None] * (dim_cap + 1)
         self._by_face_value: list[
@@ -114,22 +157,48 @@ class TruncatedSSet:
 
     # -- basic access ------------------------------------------------------
 
+    @property
+    def ids(self) -> _PerDim:
+        """``ids[n][i]`` is the id of the i-th n-simplex."""
+        return _PerDim(self._ids, self._make_ids)
+
+    def _make_ids(self, n: int) -> tuple[SimplexId, ...]:
+        n %= self.dim_cap + 1
+        labels = self.label_column(n)
+        return tuple(map(SimplexId, repeat(n), range(self.counts[n]),
+                         repeat(None) if labels is None else labels))
+
+    def label_column(self, n: int) -> tuple[str | None, ...] | None:
+        """The labels of the n-simplices in index order (None where a
+        simplex has none), or None when the complex carries no labels."""
+        labels = self._labels
+        if labels is None:
+            return None
+        got = labels[n]
+        if got is None:
+            got = labels[n] = tuple(map(str, self.keys[n]))
+        return got
+
     def simplices(self, n: int) -> tuple[SimplexId, ...]:
         if not 0 <= n <= self.dim_cap:
             raise IndexOutOfRange(f"dimension {n} outside 0..{self.dim_cap}")
-        return self.ids[n]
+        return self._ids[n] or self.ids[n]
 
     def all_simplices(self) -> Iterator[SimplexId]:
-        for n in range(self.dim_cap + 1):
-            yield from self.ids[n]
+        for per_dim in self.ids:
+            yield from per_dim
 
     def id_at(self, dim: int, index: int) -> SimplexId:
-        return self.ids[dim][index]
+        return (self._ids[dim] or self.ids[dim])[index]
 
     def id_for_key(self, dim: int, key: Hashable) -> SimplexId:
         if self._key_index is None:
             raise InvalidInput("complex carries no simplex keys")
-        return self.ids[dim][self._key_index[dim][key]]
+        index = self._key_index[dim]
+        if index is None:
+            index = self._key_index[dim] = dict(
+                zip(self.keys[dim], range(self.counts[dim])))
+        return self.id_at(dim, index[key])
 
     def key_of(self, x: SimplexId) -> Hashable:
         if self.keys is None:
@@ -142,8 +211,8 @@ class TruncatedSSet:
         return (
             self.dim_cap == other.dim_cap
             and self.counts == other.counts
-            and self.faces == other.faces
-            and self.degeneracies == other.degeneracies
+            and self.face_columns == other.face_columns
+            and self.degeneracy_columns == other.degeneracy_columns
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -155,21 +224,42 @@ class TruncatedSSet:
 
     def face(self, x: SimplexId, i: int) -> SimplexId:
         """The i-th face of ``x`` (table lookup)."""
-        if x.dim < 1:
+        n = x.dim
+        if n < 1:
             raise IndexOutOfRange(f"{x!r} is a vertex and has no faces")
-        if not 0 <= i <= x.dim:
-            raise IndexOutOfRange(f"face index {i} outside 0..{x.dim}")
-        return self.ids[x.dim - 1][self.faces[x.dim][x.index][i]]
+        if not 0 <= i <= n:
+            raise IndexOutOfRange(f"face index {i} outside 0..{n}")
+        ids = self._ids[n - 1] or self.ids[n - 1]
+        return ids[self.face_columns[n][i][x.index]]
 
     def degeneracy(self, x: SimplexId, i: int) -> SimplexId:
         """The i-th degeneracy of ``x``; fails loudly at the cap."""
-        if x.dim >= self.dim_cap:
+        n = x.dim
+        if n >= self.dim_cap:
             raise CapExceeded(
                 f"degeneracy of {x!r} would exceed the cap {self.dim_cap}"
             )
-        if not 0 <= i <= x.dim:
-            raise IndexOutOfRange(f"degeneracy index {i} outside 0..{x.dim}")
-        return self.ids[x.dim + 1][self.degeneracies[x.dim][x.index][i]]
+        if not 0 <= i <= n:
+            raise IndexOutOfRange(f"degeneracy index {i} outside 0..{n}")
+        ids = self._ids[n + 1] or self.ids[n + 1]
+        return ids[self.degeneracy_columns[n][i][x.index]]
+
+    @property
+    def deg_witness(self) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
+        """``deg_witness[n][i]`` is some (b, j) with s_j b = i, the first in
+        row order, or None when the n-simplex i is nondegenerate."""
+        got = self._deg_witness
+        if got is None:
+            witness: list[list[tuple[int, int] | None]] = [
+                [None] * c for c in self.counts
+            ]
+            for n in range(self.dim_cap):
+                for i, row in enumerate(self.degeneracies[n]):
+                    for j, target in enumerate(row):
+                        if witness[n + 1][target] is None:
+                            witness[n + 1][target] = (i, j)
+            got = self._deg_witness = tuple(map(tuple, witness))
+        return got
 
     def is_degenerate(self, x: SimplexId) -> bool:
         """True iff ``x`` appears in some degeneracy-table row."""
@@ -187,7 +277,7 @@ class TruncatedSSet:
         got = self.deg_witness[x.dim][x.index]
         if got is None:
             raise InvalidInput(f"{x!r} is not degenerate")
-        return self.ids[x.dim - 1][got[0]], got[1]
+        return self.id_at(x.dim - 1, got[0]), got[1]
 
     def face_index(self, n: int) -> dict[Row, tuple[int, ...]]:
         """The n-simplices (n >= 1) grouped by face row, indexes ascending."""
@@ -246,7 +336,7 @@ class TruncatedSSet:
             raise InvalidInput(f"{values!r} out of range for [{p}]")
         if m > self.dim_cap:
             raise CapExceeded(f"result dimension {m} exceeds cap {self.dim_cap}")
-        return self.ids[m][self.act(p, values, [y.index])[0]]
+        return self.id_at(m, self.act(p, values, [y.index])[0])
 
     def act(self, n: int, values: Sequence[int],
             column: Sequence[int]) -> Sequence[int]:
@@ -261,13 +351,13 @@ class TruncatedSSet:
         d = n
         for j in range(n, -1, -1):
             if j not in values:
-                rows = self.faces[d]
-                column = [rows[w][j] for w in column]
+                column = list(map(self.face_columns[d][j].__getitem__,
+                                  column))
                 d -= 1
         for t in range(len(values) - 1):
             if values[t] == values[t + 1]:
-                rows = self.degeneracies[d]
-                column = [rows[w][t] for w in column]
+                column = list(map(
+                    self.degeneracy_columns[d][t].__getitem__, column))
                 d += 1
         return column
 
@@ -295,19 +385,21 @@ def _as_table(raw, what: str) -> Table:
         raise InvalidInput(f"malformed {what} table: {exc}") from exc
 
 
-def _checked_columns(rows: tuple[Row, ...], n: int, bound: int, what: str,
-                     target_dim: int) -> list[list[int]]:
+def _checked_columns(rows: Sequence[Row], n: int, count: int, bound: int,
+                     what: str, target_dim: int) -> Columns:
     """The columns of the dimension-n table, ``columns[j][x] == rows[x][j]``.
 
-    Checks first that every row has n + 1 entries in 0..bound-1, over the
-    whole table at once; on failure the first bad row or entry, in row
-    order, is reported.
+    Checks first that there are ``count`` rows, each of n + 1 entries in
+    0..bound-1, over the whole table at once; on failure the first bad row
+    or entry, in row order, is reported.
     """
+    if len(rows) != count:
+        raise InvalidInput(f"{what} table at dim {n} is not index-complete")
     width = n + 1
     flat = list(chain.from_iterable(rows))
     if set(map(len, rows)) <= {width} and (
             not flat or (min(flat) >= 0 and max(flat) < bound)):
-        return [flat[j::width] for j in range(width)] if flat else []
+        return tuple(tuple(flat[j::width]) for j in range(width))
     for i, row in enumerate(rows):
         if len(row) != width:
             raise InvalidInput(f"{what} row {n}:{i} must have {width} entries")
@@ -319,20 +411,57 @@ def _checked_columns(rows: tuple[Row, ...], n: int, bound: int, what: str,
     raise AssertionError("no bad row")  # pragma: no cover
 
 
+def _checked_given_columns(columns: Sequence[Sequence[int]], n: int,
+                           count: int, bound: int, what: str,
+                           target_dim: int) -> Columns:
+    """:func:`_checked_columns` for a table given as columns.
+
+    Checks that there are n + 1 columns of ``count`` entries in
+    0..bound-1, a column at a time.  On failure the columns are read as
+    the rows they spell (row i, for i below ``count`` or the longest
+    column's length, holds ``column[i]`` of every column that long), and
+    the first fault of those rows is reported as for rows.
+    """
+    width = n + 1
+    if len(columns) == width and all(
+            len(c) == count and (not c or (min(c) >= 0 and max(c) < bound))
+            for c in columns):
+        return tuple(map(tuple, columns))
+    rows = [tuple(c[i] for c in columns if i < len(c))
+            for i in range(max([count, *map(len, columns)]))]
+    _checked_columns(rows, n, count, bound, what, target_dim)
+    raise InvalidInput(f"{what} table at dim {n} must have {width} columns")
+
+
+def _compose(column: Sequence[int], at: Sequence[int]) -> tuple[int, ...]:
+    """``column[v]`` for each v of ``at``, in one C-level pass."""
+    if len(at) > 1:
+        return itemgetter(*at)(column)
+    return tuple(column[v] for v in at)  # itemgetter of one returns no tuple
+
+
 def _least_mismatch(sides) -> tuple[int, int, int] | None:
     """The least ``(x, j, i)`` with ``lhs[x] != rhs[x]``, or None.
 
     ``sides`` yields ``(j, i, lhs, rhs)``: the two sides of one identity,
-    each an iterable over all simplices x of a dimension.
+    each a tuple over all simplices x of a dimension.
     """
     least = None
     for j, i, lhs, rhs in sides:
-        lhs, rhs = list(lhs), list(rhs)
         if lhs != rhs:
             x = next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
             if least is None or (x, j, i) < least:
                 least = (x, j, i)
     return least
+
+
+def _checked_counts(dim_cap, counts) -> tuple[int, ...]:
+    if type(dim_cap) is not int or dim_cap < 0:
+        raise InvalidInput(f"dim_cap must be a natural number, not {dim_cap!r}")
+    counts = tuple(int(c) for c in counts)
+    if len(counts) != dim_cap + 1 or any(c < 0 for c in counts):
+        raise InvalidInput(f"counts must list dimensions 0..{dim_cap}")
+    return counts
 
 
 def build_sset(
@@ -354,42 +483,77 @@ def build_sset(
     dimension, simplex, operator indexes) is reported with the identity's
     name, the dimension and the least offending simplex.
     """
-    if type(dim_cap) is not int or dim_cap < 0:
-        raise InvalidInput(f"dim_cap must be a natural number, not {dim_cap!r}")
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != dim_cap + 1 or any(c < 0 for c in counts):
-        raise InvalidInput(f"counts must list dimensions 0..{dim_cap}")
+    counts = _checked_counts(dim_cap, counts)
     faces = _as_table(face_table, "face")
     degens = _as_table(degeneracy_table, "degeneracy")
     if len(faces) != dim_cap + 1 or len(degens) != dim_cap + 1:
         raise InvalidInput("tables must be indexed by dimension 0..dim_cap")
     if faces[0] != () or degens[dim_cap] != ():
         raise InvalidInput("faces[0] and degeneracies[dim_cap] must be empty")
+    fc = [()] + [
+        _checked_columns(faces[n], n, counts[n], counts[n - 1], "face", n - 1)
+        for n in range(1, dim_cap + 1)
+    ]
+    dg = [
+        _checked_columns(degens[n], n, counts[n], counts[n + 1],
+                         "degeneracy", n + 1)
+        for n in range(dim_cap)
+    ] + [()]
+    return _checked_sset(dim_cap, counts, fc, dg, keys, labels)
 
-    # columns: fc[n][j][x] is the j-th face of the n-simplex x, dg[n][j][x]
-    # its j-th degeneracy; a dimension without simplices has no columns and
-    # no identities to check
-    fc: list[list[list[int]]] = [[]]
-    for n in range(1, dim_cap + 1):
-        if len(faces[n]) != counts[n]:
-            raise InvalidInput(f"face table at dim {n} is not index-complete")
-        fc.append(_checked_columns(faces[n], n, counts[n - 1], "face", n - 1))
-    dg: list[list[list[int]]] = []
-    for n in range(dim_cap):
-        if len(degens[n]) != counts[n]:
-            raise InvalidInput(f"degeneracy table at dim {n} is not index-complete")
-        dg.append(_checked_columns(degens[n], n, counts[n + 1], "degeneracy",
-                                   n + 1))
-    dg.append([])
 
+def _build_sset_columns(
+    dim_cap: int,
+    counts: Sequence[int],
+    face_columns: Sequence[Sequence[Sequence[int]]],
+    degeneracy_columns: Sequence[Sequence[Sequence[int]]],
+    *,
+    keys: Sequence[Sequence[Hashable]] | None = None,
+    labels: Sequence[Sequence[str | None]] | None = None,
+) -> TruncatedSSet:
+    """:func:`build_sset` for tables given as columns of ints.
+
+    ``face_columns[n][j][i]`` is the j-th face of the n-simplex i and
+    ``degeneracy_columns[n][j][i]`` its j-th degeneracy.  The checks and
+    their messages are those of :func:`build_sset` on the rows the columns
+    spell.
+    """
+    counts = _checked_counts(dim_cap, counts)
+    if len(face_columns) != dim_cap + 1 \
+            or len(degeneracy_columns) != dim_cap + 1:
+        raise InvalidInput("tables must be indexed by dimension 0..dim_cap")
+    if face_columns[0] or degeneracy_columns[dim_cap]:
+        raise InvalidInput("faces[0] and degeneracies[dim_cap] must be empty")
+    fc = [()] + [
+        _checked_given_columns(face_columns[n], n, counts[n], counts[n - 1],
+                               "face", n - 1)
+        for n in range(1, dim_cap + 1)
+    ]
+    dg = [
+        _checked_given_columns(degeneracy_columns[n], n, counts[n],
+                               counts[n + 1], "degeneracy", n + 1)
+        for n in range(dim_cap)
+    ] + [()]
+    return _checked_sset(dim_cap, counts, fc, dg, keys, labels)
+
+
+def _checked_sset(dim_cap: int, counts: tuple[int, ...],
+                  fc: list[Columns], dg: list[Columns], keys, labels
+                  ) -> TruncatedSSet:
+    """The complex of columns whose shapes and ranges are checked, after
+    checking every simplicial identity, the keys and the labels.
+
+    ``fc[n][j][x]`` is the j-th face of the n-simplex x, ``dg[n][j][x]`` its
+    j-th degeneracy; a dimension without simplices has n + 1 empty columns
+    and no identities to check.
+    """
     # d_i d_j = d_{j-1} d_i  (i < j)
     for n in range(2, dim_cap + 1):
         if not counts[n]:
             continue
         f, g = fc[n], fc[n - 1]
         bad = _least_mismatch(
-            (j, i, map(g[i].__getitem__, f[j]),
-             map(g[j - 1].__getitem__, f[i]))
+            (j, i, _compose(g[i], f[j]), _compose(g[j - 1], f[i]))
             for j in range(1, n + 1) for i in range(j)
         )
         if bad is not None:
@@ -403,8 +567,7 @@ def build_sset(
             continue
         d, e = dg[n], dg[n + 1]
         bad = _least_mismatch(
-            (j, i, map(e[i].__getitem__, d[j]),
-             map(e[j + 1].__getitem__, d[i]))
+            (j, i, _compose(e[i], d[j]), _compose(e[j + 1], d[i]))
             for j in range(n + 1) for i in range(j + 1)
         )
         if bad is not None:
@@ -418,17 +581,17 @@ def build_sset(
         if not counts[n]:
             continue
         d, f1 = dg[n], fc[n + 1]
-        everything = range(counts[n])
+        everything = tuple(range(counts[n]))
 
-        def want(i: int, j: int):
+        def want(i: int, j: int) -> tuple[int, ...]:
             if i < j:
-                return map(dg[n - 1][j - 1].__getitem__, fc[n][i])
+                return _compose(dg[n - 1][j - 1], fc[n][i])
             if i in (j, j + 1):
                 return everything
-            return map(dg[n - 1][j].__getitem__, fc[n][i - 1])
+            return _compose(dg[n - 1][j], fc[n][i - 1])
 
         bad = _least_mismatch(
-            (j, i, map(f1[i].__getitem__, d[j]), want(i, j))
+            (j, i, _compose(f1[i], d[j]), want(i, j))
             for j in range(n + 1) for i in range(n + 2)
         )
         if bad is not None:
@@ -448,14 +611,11 @@ def build_sset(
         for per_dim in keys:
             if len(set(per_dim)) != len(per_dim):
                 raise InvalidInput("keys must be unique within a dimension")
-    if labels is None and keys is not None:
-        labels = tuple(tuple(map(str, per_dim)) for per_dim in keys)
-    ids = tuple(
-        tuple(map(SimplexId, repeat(n), range(counts[n]),
-                  labels[n] if labels is not None else repeat(None)))
-        for n in range(dim_cap + 1)
-    )
-    return TruncatedSSet(dim_cap, counts, faces, degens, ids, keys)
+    if labels is not None:
+        labels = tuple(tuple(per_dim) for per_dim in labels)
+        if tuple(len(k) for k in labels) != counts:
+            raise InvalidInput("labels must cover every simplex")
+    return TruncatedSSet(dim_cap, counts, tuple(fc), tuple(dg), keys, labels)
 
 
 class SimplicialMap:
@@ -480,7 +640,8 @@ class SimplicialMap:
         return len(self.assign) - 1
 
     def __call__(self, x: SimplexId) -> SimplexId:
-        return self.target.ids[x.dim][self.assign[x.dim][x.index]]
+        n, t = x.dim, self.target
+        return (t._ids[n] or t.ids[n])[self.assign[n][x.index]]
 
     def then(self, other: "SimplicialMap") -> "SimplicialMap":
         """Composite ``other after self`` (validated inputs stay valid)."""

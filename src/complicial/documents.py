@@ -9,9 +9,13 @@ One writer, :func:`dumps`, serializes every document, complexes and results
 alike.  It produces exactly the bytes of ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` (plus a final newline), but joins whole rows of
 strings at C speed instead of going through ``json``'s pure-Python indenting
-encoder.  Parsing reads the id rows of a table in bulk when every entry has
-the canonical form and otherwise falls back to :func:`parse_id` entry by
-entry, so a malformed document is rejected with the same message either way.
+encoder.  Reading and writing a complex each build one table of id strings
+per call.  Parsing reads the canonical ids of a face or degeneracy table,
+and of the thin list, in bulk and slices the indexes straight into columns;
+when some entry is not canonical it falls back to :func:`parse_id` entry by
+entry, so a malformed document is rejected with the same message either
+way.  Writing reads the columns and the stored
+label strings, so neither direction creates a :class:`SimplexId`.
 """
 
 from __future__ import annotations
@@ -19,17 +23,18 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import add, attrgetter, getitem, lt
+from itertools import accumulate, chain, compress, repeat
+from operator import add, is_not, lt, sub
 from typing import Any
 
 from . import __version__
-from .core import SimplexId, build_sset
+from .core import SimplexId, _build_sset_columns, build_sset
 from .errors import InvalidInput
 from .homotopy import AuditReport, MonoidTable, Tau0Result
 from .lifting import VerificationReport
-from .strat import StratifiedSSet, make_stratified
+from .strat import StratifiedSSet, _reject_thin, _stratify
 
 FORMAT_VERSION = 1
 
@@ -120,13 +125,10 @@ def _id_table(cap: int, counts) -> list[list[str]]:
             for n in range(cap + 1)]
 
 
-def _id_rows(table: tuple, ids: list[str], width: int) -> list[list[str]]:
-    """The rows of an index table, each entry written as its id string."""
-    entries = map(ids.__getitem__, chain.from_iterable(table))
-    return list(map(list, zip(*[entries] * width)))
-
-
-_label = attrgetter("label")
+def _id_rows(columns: tuple, ids: list[str]) -> list[list[str]]:
+    """The rows of an index table given as columns, each entry written as
+    its id string."""
+    return list(map(list, zip(*[map(ids.__getitem__, c) for c in columns])))
 
 
 def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
@@ -139,11 +141,11 @@ def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
         "dim_cap": u.dim_cap,
         "simplices": ids,
         "faces": [
-            _id_rows(u.faces[n], ids[n - 1], n + 1)
+            _id_rows(u.face_columns[n], ids[n - 1])
             for n in range(1, u.dim_cap + 1)
         ],
         "degeneracies": [
-            _id_rows(u.degeneracies[n], ids[n + 1], n + 1)
+            _id_rows(u.degeneracy_columns[n], ids[n + 1])
             for n in range(u.dim_cap)
         ],
         "thin": list(chain.from_iterable(
@@ -151,12 +153,12 @@ def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
             for n in range(u.dim_cap + 1)
         )),
     }
-    labels = {
-        text: label
-        for n in range(u.dim_cap + 1)
-        for text, label in zip(ids[n], map(_label, u.ids[n]))
-        if label is not None
-    }
+    labels: dict[str, str] = {}
+    for n in range(u.dim_cap + 1):
+        column = u.label_column(n)
+        if column is not None:
+            labels.update(compress(zip(ids[n], column),
+                                   map(is_not, column, repeat(None))))
     if labels:
         doc["labels"] = labels
     if name is not None:
@@ -175,10 +177,10 @@ def _bulk_ids(texts: list, dim: int | None = None) -> list[int] | None:
     """The ids in ``texts`` as ints, or None unless all are canonical.
 
     Canonical means a string ``"<dim>:<digits>"``, with any digits for the
-    dimension if ``dim`` is None.  The result lists the indexes if ``dim``
-    is given, and ``dim, index, dim, index, ...`` if not.  Callers fall back
-    to :func:`parse_id`, which agrees on every canonical entry, when the
-    result is None.
+    dimension if ``dim`` is None; the index need not exist.  The result
+    lists the indexes if ``dim`` is given, and ``dim, index, dim, index,
+    ...`` if not.  Callers fall back to :func:`parse_id`, which agrees on
+    every canonical entry, when the result is None.
     """
     if not texts:
         return []
@@ -200,13 +202,17 @@ def _bulk_ids(texts: list, dim: int | None = None) -> list[int] | None:
         return None
 
 
-def _parse_rows(raw, table_dim: int, entry_dim: int) -> list:
+def _parse_table(raw, table_dim: int, entry_dim: int
+                 ) -> tuple[list | None, list | None]:
+    """The dimension-``table_dim`` table as ``(columns, None)`` when it is
+    a list of rows of ``table_dim + 1`` canonical ids, read in bulk, and
+    as ``(None, rows)`` read id by id otherwise."""
     width = table_dim + 1
     if type(raw) is list and set(map(type, raw)) <= {list} \
             and set(map(len, raw)) <= {width}:
         nums = _bulk_ids(list(chain.from_iterable(raw)), entry_dim)
         if nums is not None:
-            return list(zip(*[iter(nums)] * width))
+            return [nums[j::width] for j in range(width)], None
     rows = []
     for row in raw:
         entries = []
@@ -219,7 +225,37 @@ def _parse_rows(raw, table_dim: int, entry_dim: int) -> list:
                 )
             entries.append(index)
         rows.append(entries)
-    return rows
+    return None, rows
+
+
+def _thin_given(thin_ids, counts: list[int]) -> list[list[int]]:
+    """Per dimension, the indexes of the thin ids, ascending; each id is
+    checked to exist in a complex with ``counts`` simplices per dimension."""
+    if not isinstance(thin_ids, list):
+        raise InvalidInput("thin must be a list of simplex ids")
+    # the position of each simplex in the complex read dimension after
+    # dimension
+    starts = [0, *accumulate(counts)]
+    flat = None
+    nums = _bulk_ids(thin_ids)
+    if nums is not None:
+        dims, indexes = nums[::2], nums[1::2]
+        try:  # every id exists: dims <= cap (else IndexError), indexes fit
+            if all(map(lt, indexes, map(counts.__getitem__, dims))):
+                flat = sorted(map(add, map(starts.__getitem__, dims), indexes))
+        except IndexError:
+            pass
+    if flat is None:
+        flat = []
+        for text in thin_ids:
+            dim, index = parse_id(text)
+            if not (0 <= dim < len(counts) and 0 <= index < counts[dim]):
+                raise InvalidInput(f"thin id {text!r} does not exist")
+            flat.append(starts[dim] + index)
+        flat.sort()
+    bounds = list(map(bisect_left, repeat(flat), starts))
+    return [list(map(sub, flat[lo:hi], repeat(start)))
+            for lo, hi, start in zip(bounds, bounds[1:], starts)]
 
 
 def doc_to_complex(doc: dict) -> StratifiedSSet:
@@ -235,15 +271,16 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     if len(per_dim) != cap + 1:
         raise InvalidInput("simplices must list dimensions 0..dim_cap")
     counts = [len(ids) for ids in per_dim]
-    for n, (ids, canonical) in enumerate(zip(per_dim, _id_table(cap, counts))):
-        if ids != canonical:
+    # the one id-string table of this call: it checks the simplex lists
+    # and keys the labels
+    ids = _id_table(cap, counts)
+    for n, (given, canonical) in enumerate(zip(per_dim, ids)):
+        if given != canonical:
             raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
-    faces = [[]] + [
-        _parse_rows(doc["faces"][n - 1], n, n - 1) for n in range(1, cap + 1)
-    ]
-    degens = [
-        _parse_rows(doc["degeneracies"][n], n, n + 1) for n in range(cap)
-    ] + [[]]
+    tables = [_parse_table(doc["faces"][n - 1], n, n - 1)
+              for n in range(1, cap + 1)]
+    tables += [_parse_table(doc["degeneracies"][n], n, n + 1)
+               for n in range(cap)]
     label_map = doc.get("labels", {})
     if not isinstance(label_map, dict) or not all(
         isinstance(v, str) for v in label_map.values()
@@ -251,28 +288,20 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
         raise InvalidInput("labels must map simplex ids to strings")
     labels = None
     if label_map:
-        labels = [list(map(label_map.get, ids)) for ids in per_dim]
-    u = build_sset(cap, counts, faces, degens, labels=labels)
+        labels = [list(map(label_map.get, per_n)) for per_n in ids]
+    if all(columns is not None for columns, _ in tables):
+        build, tables = _build_sset_columns, [c for c, _ in tables]
+    else:  # some table has a row of another shape or an id not canonical
+        build = build_sset
+        tables = [rows if rows is not None else list(zip(*columns))
+                  for columns, rows in tables]
+    u = build(cap, counts, [[]] + tables[:cap], tables[cap:] + [[]],
+              labels=labels)
     thin_ids = doc.get("thin", [])
-    if not isinstance(thin_ids, list):
-        raise InvalidInput("thin must be a list of simplex ids")
-    nums = _bulk_ids(thin_ids)
-    if nums is not None:
-        dims, indexes = nums[::2], nums[1::2]
-        try:  # every id exists: dims <= cap (else IndexError), indexes fit
-            exists = all(map(lt, indexes, map(counts.__getitem__, dims)))
-        except IndexError:
-            exists = False
-        if exists:
-            in_dims = map(u.ids.__getitem__, dims)
-            return make_stratified(u, list(map(getitem, in_dims, indexes)))
-    thin = []
-    for text in thin_ids:
-        dim, index = parse_id(text)
-        if not (0 <= dim <= cap and 0 <= index < counts[dim]):
-            raise InvalidInput(f"thin id {text!r} does not exist")
-        thin.append(u.ids[dim][index])
-    return make_stratified(u, thin)
+    x = _stratify(u, _thin_given(thin_ids, counts))
+    if x is None:  # a thin vertex
+        _reject_thin(u, [u.id_at(*parse_id(text)) for text in thin_ids])
+    return x
 
 
 def complex_digest(x: StratifiedSSet) -> str:

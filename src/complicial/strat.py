@@ -9,7 +9,7 @@ thin.
 
 from __future__ import annotations
 
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, product, repeat, starmap
 from operator import add, attrgetter, eq
 from typing import Iterable, Sequence
 
@@ -17,8 +17,8 @@ from .core import (
     SimplexId,
     SimplicialMap,
     TruncatedSSet,
+    _build_sset_columns,
     _gather,
-    build_sset,
     make_simplicial_map,
 )
 from .errors import InvalidInput, ThinVertex, ThinnessViolation
@@ -69,9 +69,9 @@ class StratifiedSSet:
         got = self._thin
         if got is None:
             ids = self.underlying.ids
-            got = frozenset(
-                ids[n][i] for n, ixs in enumerate(self._thin_idx) for i in ixs
-            )
+            got = frozenset(chain.from_iterable(
+                map(ids[n].__getitem__, ixs)
+                for n, ixs in enumerate(self._thin_idx)))
             self._thin = got
         return got
 
@@ -104,6 +104,25 @@ class StratifiedSSet:
 _dim, _index = attrgetter("dim"), attrgetter("index")
 
 
+def _stratify(x: TruncatedSSet, given: Sequence[Sequence[int]]
+              ) -> StratifiedSSet | None:
+    """``x`` with the n-simplices ``given[n]`` thin, for n = 0..cap, and
+    every degenerate simplex; None if a given index is a vertex or is out
+    of range.  Every stratification is made here."""
+    if given[0]:
+        return None
+    per_dim: list[frozenset[int]] = [frozenset()]
+    for n in range(1, x.dim_cap + 1):
+        g = given[n]
+        if g and not 0 <= min(g) <= max(g) < x.counts[n]:
+            return None
+        # the n-simplices with a degeneracy witness: every s_j of every
+        # (n-1)-simplex
+        per_dim.append(frozenset(
+            chain(g, chain.from_iterable(x.degeneracy_columns[n - 1]))))
+    return StratifiedSSet(x, tuple(per_dim))
+
+
 def make_stratified(x: TruncatedSSet, thin: Iterable[SimplexId]) -> StratifiedSSet:
     """Stratify ``x`` with ``thin`` closed under the degenerate simplices.
 
@@ -111,21 +130,14 @@ def make_stratified(x: TruncatedSSet, thin: Iterable[SimplexId]) -> StratifiedSS
     condition, not a user burden); a thin vertex is an error.
     """
     thin = list(thin)
-    cap, counts = x.dim_cap, x.counts
     dims, indexes = list(map(_dim, thin)), list(map(_index, thin))
-    if dims and not 0 < min(dims) <= max(dims) <= cap:
+    got = None
+    if not dims or 0 <= min(dims) <= max(dims) <= x.dim_cap:
+        got = _stratify(x, [list(compress(indexes, map(eq, dims, repeat(n))))
+                            for n in range(x.dim_cap + 1)])
+    if got is None:
         _reject_thin(x, thin)
-    per_dim: list[frozenset[int]] = [frozenset()]
-    for n in range(1, cap + 1):
-        given = list(compress(indexes, map(eq, dims, repeat(n))))
-        if given and not 0 <= min(given) <= max(given) < counts[n]:
-            _reject_thin(x, thin)
-        # the n-simplices with a degeneracy witness: every s_j of every
-        # (n-1)-simplex
-        per_dim.append(frozenset(
-            chain(given, chain.from_iterable(x.degeneracies[n - 1]))
-        ))
-    return StratifiedSSet(x, tuple(per_dim))
+    return got
 
 
 def _reject_thin(x: TruncatedSSet, thin: list[SimplexId]) -> None:
@@ -145,8 +157,7 @@ def min_strat(x: TruncatedSSet) -> StratifiedSSet:
 
 def max_strat(x: TruncatedSSet) -> StratifiedSSet:
     """The maximal stratification: every positive-dimensional simplex thin."""
-    thin = [s for n in range(1, x.dim_cap + 1) for s in x.simplices(n)]
-    return make_stratified(x, thin)
+    return _stratify(x, [()] + [range(c) for c in x.counts[1:]])
 
 
 class StratifiedMap:
@@ -270,46 +281,30 @@ def regular_subset(
         for n in range(u.dim_cap + 1)
     ]
     counts = tuple(len(per_dim[n]) for n in range(u.dim_cap + 1))
-    faces = tuple(
-        tuple(
-            tuple(amb_to_sub[n - 1][u.faces[n][s.index][j]] for j in range(n + 1))
-            for s in per_dim[n]
-        ) if n >= 1 else ()
-        for n in range(u.dim_cap + 1)
-    )
-    degens = tuple(
-        tuple(
-            tuple(
-                amb_to_sub[n + 1][u.degeneracies[n][s.index][j]]
-                for j in range(n + 1)
-            )
-            for s in per_dim[n]
-        ) if n < u.dim_cap else ()
-        for n in range(u.dim_cap + 1)
-    )
+    at = [[s.index for s in per_dim[n]] for n in range(u.dim_cap + 1)]
+
+    def columns(ambient: Sequence[Sequence[int]], n: int, target: int):
+        # each column of the ambient table at the members, renumbered
+        return [list(map(amb_to_sub[target].__getitem__,
+                         map(column.__getitem__, at[n])))
+                for column in ambient]
+
+    faces = [()] + [columns(u.face_columns[n], n, n - 1)
+                    for n in range(1, u.dim_cap + 1)]
+    degens = [columns(u.degeneracy_columns[n], n, n + 1)
+              for n in range(u.dim_cap)] + [()]
     keys = None
     if u.keys is not None:
         keys = tuple(
             tuple(u.keys[n][s.index] for s in per_dim[n])
             for n in range(u.dim_cap + 1)
         )
-    sub_u = build_sset(u.dim_cap, counts, faces, degens, keys=keys)
+    sub_u = _build_sset_columns(u.dim_cap, counts, faces, degens, keys=keys)
     y_thin = y.thin_indexes()
-    sub = make_stratified(
-        sub_u,
-        [
-            sub_u.id_at(n, i)
-            for n in range(1, u.dim_cap + 1)
-            for i, s in enumerate(per_dim[n])
-            if s.index in y_thin[n]
-        ],
-    )
-    inc_assign = tuple(
-        tuple(s.index for s in per_dim[n]) for n in range(u.dim_cap + 1)
-    )
+    sub = _stratify(sub_u, [[i for i, v in enumerate(at[n]) if v in y_thin[n]]
+                            for n in range(u.dim_cap + 1)])
     inclusion = make_stratified_map(
-        sub, y, make_simplicial_map(sub_u, u, inc_assign)
-    )
+        sub, y, make_simplicial_map(sub_u, u, at))
     return sub, inclusion
 
 
@@ -319,39 +314,33 @@ def gproduct(x: StratifiedSSet, y: StratifiedSSet) -> StratifiedSSet:
     The cap is the smaller of the two caps.  In each dimension the simplices
     are the pairs ordered lexicographically by component indices, so the
     pair ``(i, j)`` sits at index ``i * counts_y[m] + j``; callers may rely
-    on this layout.
+    on this layout.  Tables and thin sets are built a column at a time, on
+    indexes.
     """
     cap = min(x.cap, y.cap)
     xu, yu = x.underlying, y.underlying
     counts = tuple(xu.counts[n] * yu.counts[n] for n in range(cap + 1))
 
-    def pair_rows(x_rows: tuple, y_rows: tuple, y_count: int) -> tuple:
-        # row of the pair (i, j): x_rows[i] * y_count + y_rows[j], entrywise
-        scaled = [tuple(a * y_count for a in row) for row in x_rows]
-        return tuple(tuple(map(add, sx, ry)) for sx in scaled for ry in y_rows)
+    def pairs(xs: Iterable[int], ys: Iterable[int], y_count: int) -> list:
+        # the index of each pair (a, b), a in xs and b in ys, in that order
+        return list(starmap(add, product([a * y_count for a in xs], ys)))
 
-    faces = tuple(
-        pair_rows(xu.faces[n], yu.faces[n], yu.counts[n - 1]) if n >= 1 else ()
-        for n in range(cap + 1)
-    )
-    degens = tuple(
-        pair_rows(xu.degeneracies[n], yu.degeneracies[n], yu.counts[n + 1])
-        if n < cap else ()
-        for n in range(cap + 1)
-    )
-    keys = tuple(
-        tuple(product(
-            xu.keys[n] if xu.keys is not None else range(xu.counts[n]),
-            yu.keys[n] if yu.keys is not None else range(yu.counts[n]),
-        ))
-        for n in range(cap + 1)
-    )
-    prod_u = build_sset(cap, counts, faces, degens, keys=keys)
-    x_thin, y_thin = x.thin_indexes(), y.thin_indexes()
-    thin = [
-        prod_u.ids[n][i * yu.counts[n] + j]
+    faces = [()] + [
+        [pairs(xc, yc, yu.counts[n - 1])
+         for xc, yc in zip(xu.face_columns[n], yu.face_columns[n])]
         for n in range(1, cap + 1)
-        for i in x_thin[n]
-        for j in y_thin[n]
     ]
-    return make_stratified(prod_u, thin)
+    degens = [
+        [pairs(xc, yc, yu.counts[n + 1])
+         for xc, yc in zip(xu.degeneracy_columns[n], yu.degeneracy_columns[n])]
+        for n in range(cap)
+    ] + [()]
+    x_keys = [xu.keys[n] if xu.keys is not None else range(xu.counts[n])
+              for n in range(cap + 1)]
+    y_keys = [yu.keys[n] if yu.keys is not None else range(yu.counts[n])
+              for n in range(cap + 1)]
+    keys = [tuple(product(xk, yk)) for xk, yk in zip(x_keys, y_keys)]
+    prod_u = _build_sset_columns(cap, counts, faces, degens, keys=keys)
+    x_thin, y_thin = x.thin_indexes(), y.thin_indexes()
+    return _stratify(prod_u, [
+        pairs(x_thin[n], y_thin[n], yu.counts[n]) for n in range(cap + 1)])

@@ -77,6 +77,90 @@ def test_nerve_nondegenerate_boolean_pairs(nerve_bool_3):
     assert nd == [(0, 0)]
 
 
+def reference_nerve(c, cap):
+    """Chains, face rows, degeneracy rows and labels of the nerve, built a
+    chain at a time by dropping, composing and inserting morphisms."""
+    nm = len(c.morphisms)
+    chains = [[(o,) for o in range(len(c.objects))]]
+    if cap >= 1:
+        chains.append([(m,) for m in range(nm)])
+    for n in range(2, cap + 1):
+        chains.append([ch + (m,) for ch in chains[n - 1] for m in range(nm)
+                       if c.src[m] == c.tgt[ch[-1]]])
+    index = [{ch: i for i, ch in enumerate(chains[n])}
+             for n in range(cap + 1)]
+
+    def face_chain(n, ch, i):
+        if n == 1:
+            return (c.tgt[ch[0]],) if i == 0 else (c.src[ch[0]],)
+        if i == 0:
+            return ch[1:]
+        if i == n:
+            return ch[:-1]
+        return ch[:i - 1] + (c.comp[(ch[i - 1], ch[i])],) + ch[i + 1:]
+
+    def degen_chain(n, ch, i):
+        if n == 0:
+            return (c.identities[ch[0]],)
+        at = c.src[ch[i]] if i < n else c.tgt[ch[-1]]
+        return ch[:i] + (c.identities[at],) + ch[i:]
+
+    faces = [()] + [
+        tuple(tuple(index[n - 1][face_chain(n, ch, i)] for i in range(n + 1))
+              for ch in chains[n])
+        for n in range(1, cap + 1)]
+    degens = [
+        tuple(tuple(index[n + 1][degen_chain(n, ch, i)] for i in range(n + 1))
+              for ch in chains[n])
+        for n in range(cap)] + [()]
+    labels = [tuple(c.objects[ch[0]] if n == 0
+                    else "|".join(c.morphisms[m] for m in ch)
+                    for ch in chains[n])
+              for n in range(cap + 1)]
+    return chains, faces, degens, labels
+
+
+def poset_category(k):
+    """The poset 0 < 1 < ... < k as a category."""
+    arrows = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
+    at = {a: m for m, a in enumerate(arrows)}
+    return C.make_category(
+        [str(i) for i in range(k + 1)], [f"{i}{j}" for i, j in arrows],
+        [i for i, _ in arrows], [j for _, j in arrows],
+        [at[(i, i)] for i in range(k + 1)],
+        {(at[(i, j)], at[(j, l)]): at[(i, l)]
+         for i, j in arrows for l in range(j, k + 1)})
+
+
+def assert_nerve_matches_reference(c, cap):
+    chains, faces, degens, labels = reference_nerve(c, cap)
+    u = C.nerve(c, cap)
+    assert u.counts == tuple(map(len, chains))
+    assert u.keys == tuple(map(tuple, chains))
+    assert tuple(u.faces) == tuple(faces)
+    assert tuple(u.degeneracies) == tuple(degens)
+    assert [u.label_column(n) for n in range(cap + 1)] == labels
+    assert [s.label for s in u.all_simplices()] == \
+        [t for per_dim in labels for t in per_dim]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.permutations(range(3)), min_size=1, max_size=2)
+       | st.lists(st.permutations(range(4)), min_size=1, max_size=1),
+       st.integers(0, 4))
+def test_column_nerve_matches_chain_construction(generators, cap):
+    c = C.from_permutations(generators)
+    assert_nerve_matches_reference(c, cap if len(c.morphisms) <= 6 else 3)
+
+
+@pytest.mark.parametrize("category", [
+    C.arrow_category(), poset_category(2), C.boolean_monoid(),
+    C.trivial_monoid()], ids=["arrow", "poset2", "bool", "trivial"])
+@pytest.mark.parametrize("cap", range(6))
+def test_column_nerve_matches_chain_construction_on_categories(category, cap):
+    assert_nerve_matches_reference(category, cap)
+
+
 def test_nerve_of_arrow_category():
     n = C.nerve(C.arrow_category(), 2)
     assert n.counts == (2, 3, 4)

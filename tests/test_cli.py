@@ -29,6 +29,26 @@ def bool_monoid_file(tmp_path):
     return str(path)
 
 
+# the two-object category of the README: 0 < 1, with a as the only arrow
+# between distinct objects
+README_CATEGORY = {
+    "objects": ["0", "1"],
+    "morphisms": [{"name": "id0", "src": "0", "tgt": "0"},
+                  {"name": "id1", "src": "1", "tgt": "1"},
+                  {"name": "a", "src": "0", "tgt": "1"}],
+    "identities": {"0": "id0", "1": "id1"},
+    "composition": {"id0|id0": "id0", "id1|id1": "id1",
+                    "id0|a": "a", "a|id1": "a"},
+}
+
+
+@pytest.fixture()
+def category_file(tmp_path):
+    path = tmp_path / "category.json"
+    path.write_text(json.dumps(README_CATEGORY))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -274,6 +294,34 @@ def test_nonsense_flag_values_exit_1(capsys, tmp_path, delta1_doc, argv):
     assert "must be at least" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build", "th0", "X", "--cap", "7"],
+     "th0 takes no --cap: it keeps its input's cap"),
+    (["build", "qcat-e", "X", "--cap", "3"],
+     "qcat-e takes no --cap: it keeps its input's cap"),
+    (["build", "product", "X", "X", "--cap", "2"],
+     "product takes no --cap: it keeps its input's cap"),
+    (["build", "delta", "2", "--monoid", "M"],
+     "--monoid is for nerve only, not delta"),
+    (["build", "boundary", "2", "--category", "C"],
+     "--category is for nerve only, not boundary"),
+    (["build", "th0", "X", "--monoid", "M"],
+     "--monoid is for nerve only, not th0"),
+    (["build", "nerve", "--monoid", "M", "--category", "C", "--cap", "2"],
+     "nerve takes --monoid or --category, not both"),
+])
+def test_flags_a_builder_would_ignore_exit_1(capsys, tmp_path, delta1_doc,
+                                             z2_monoid_file, category_file,
+                                             argv, message):
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps(delta1_doc))
+    files = {"X": str(path), "M": z2_monoid_file, "C": category_file}
+    assert main([files.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_threads_flag_is_unknown(capsys, tmp_path, delta1_doc):
     path = tmp_path / "d1.json"
     path.write_text(json.dumps(delta1_doc))
@@ -338,7 +386,7 @@ def test_negative_dimension_exits_1(capsys, argv):
 
 # -- pinned complex documents -------------------------------------------------
 
-def test_built_documents_are_pinned(capsys, tmp_path):
+def test_built_documents_are_pinned(capsys, tmp_path, category_file):
     # digests of the documents written before the indent-2 writer and the
     # bulk parser replaced json.dumps and the per-entry parse
     s3 = tmp_path / "s3.json"
@@ -371,6 +419,13 @@ def test_built_documents_are_pinned(capsys, tmp_path):
         "a84bcedbe958bbaec47e61a01c3f16ef74c7e47609b14da15693eeba99b3c5da"
     # a document read back is written back byte for byte
     assert build("th0", str(tz)) == tz.read_text()
+    # a nerve with two objects, so chains branch by the target object
+    nc = tmp_path / "nc.json"
+    nc.write_text(build("nerve", "--category", category_file, "--cap", "4"))
+    assert digest(nc.read_text()) == \
+        "6511163f31fd3dd6e72d240a9c9e7caab83eaa34f838eedbf6534c2e81a41c41"
+    assert digest(build("th0", str(nc))) == \
+        "89393df64f7878101507dce8d45510139bd8d8a3a79f701d069fa8431d220ef6"
 
 
 # -- input that is not JSON text ----------------------------------------------

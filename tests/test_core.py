@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import errors
+from complicial.core import _build_sset_columns
 from complicial.standard import monotone_maps
 
 from .conftest import recursive_apply_monotone, renumbered
@@ -418,3 +419,72 @@ def test_build_sset_rejects_a_cap_that_is_not_a_natural_number(cap):
     with pytest.raises(errors.InvalidInput,
                        match="dim_cap must be a natural number, not"):
         C.build_sset(cap, counts, faces, degens)
+
+
+# -- one validator, two entries -------------------------------------------------
+
+TWO_ENTRY_CORPUS = {
+    "nerve_z3_3": lambda: C.nerve(C.cyclic_group(3), 3),
+    "nerve_arrow_3": lambda: C.nerve(C.arrow_category(), 3),
+    "delta_t_1_3": lambda: C.delta_t(1, 3).underlying,
+    "comp_delta_1_2": lambda: C.complicial_delta(1, 2, 3).underlying,
+}
+
+
+def spelled_columns(rows, n):
+    """The columns whose rows are ``rows``: column j holds the j-th entry
+    of every row that long.  Exact for a rectangular table, for a first
+    row that is too long and for a last row that is too short."""
+    width = max([n + 1, *map(len, rows)])
+    return [[row[j] for row in rows if len(row) > j] for j in range(width)]
+
+
+@st.composite
+def one_corruption(draw):
+    u = TWO_ENTRY_CORPUS[draw(st.sampled_from(sorted(TWO_ENTRY_CORPUS)))]()
+    faces = [list(map(list, per_dim)) for per_dim in u.faces]
+    degens = [list(map(list, per_dim)) for per_dim in u.degeneracies]
+    if draw(st.booleans()):
+        table, n = faces, draw(st.integers(1, u.dim_cap))
+        target = n - 1
+    else:
+        table, n = degens, draw(st.integers(0, u.dim_cap - 1))
+        target = n + 1
+    kind = draw(st.sampled_from(["range", "identity", "long", "short"]))
+    if kind == "long":
+        table[n][0].append(draw(st.integers(0, u.counts[target] - 1)))
+    elif kind == "short":
+        table[n][-1].pop()
+    else:
+        row = table[n][draw(st.integers(0, u.counts[n] - 1))]
+        values = st.integers(0, u.counts[target] - 1) if kind == "identity" \
+            else st.integers(-3, -1) | st.integers(u.counts[target],
+                                                   u.counts[target] + 3)
+        row[draw(st.integers(0, n))] = draw(values)
+    return u.dim_cap, u.counts, faces, degens
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_corruption())
+def test_rows_and_columns_are_validated_alike(tables):
+    cap, counts, faces, degens = tables
+    by_rows = check_outcome(C.build_sset, *tables)
+    columns = ([[]] + [spelled_columns(faces[n], n) for n in range(1, cap + 1)],
+               [spelled_columns(degens[n], n) for n in range(cap)] + [[]])
+    assert check_outcome(_build_sset_columns, cap, counts, *columns) == by_rows
+    if by_rows is None:
+        assert C.build_sset(*tables) == _build_sset_columns(cap, counts,
+                                                            *columns)
+
+
+def test_per_dimension_tables_compare_by_their_entries():
+    u, v = C.nerve(C.cyclic_group(3), 3), C.nerve(C.cyclic_group(3), 3)
+    assert u.faces == v.faces and u.degeneracies == v.degeneracies
+    assert u.ids == u.ids == v.ids
+    assert u.faces == tuple(u.faces) and tuple(u.faces) == u.faces
+    assert u.faces != v.degeneracies
+    assert u.faces != list(u.faces)
+    w = C.nerve(C.cyclic_group(2), 3)
+    assert u.faces != w.faces and u.ids != w.ids
+    with pytest.raises(TypeError):
+        hash(u.faces)

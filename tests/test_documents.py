@@ -1,3 +1,4 @@
+import collections
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 import complicial as C
 from complicial import documents as D
 from complicial import errors
+from complicial.cli import main
 
 
 def corpus():
@@ -206,4 +208,87 @@ def test_bulk_parse_keeps_row_shapes():
     doc = D.complex_to_doc(C.delta(2, 2))
     doc["faces"][1][0] = "1:0"         # a row that is not a list
     with pytest.raises(errors.InvalidInput, match="malformed simplex id"):
+        D.doc_to_complex(doc)
+
+
+# -- ids made only when asked ----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def s3_product_text():
+    # the product of the pipeline benchmark: th0(N S3) at cap 3, squared
+    t = C.th0(C.nerve(C.symmetric_group_3(), 3))
+    return D.dumps(D.complex_to_doc(C.gproduct(t, t), name="product"))
+
+
+def test_moving_tables_makes_no_ids_above_dimension_1(
+        monkeypatch, capsys, tmp_path, s3_product_text):
+    path = tmp_path / "product.json"
+    path.write_text(s3_product_text)
+    made = collections.Counter()
+    init = C.SimplexId.__init__
+
+    def counting(self, dim, index, label=None):
+        made[dim] += 1
+        init(self, dim, index, label)
+
+    monkeypatch.setattr(C.SimplexId, "__init__", counting)
+    # load, tau0 and the input's digest; load and write the document
+    assert main(["tau0", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["build", "th0", str(path)]) == 0
+    assert capsys.readouterr().out == s3_product_text.replace(
+        '"name": "product"', '"name": "th0"')  # every simplex was thin
+    x = D.doc_to_complex(json.loads(s3_product_text))
+    assert D.dumps(D.complex_to_doc(x, name="product")) == s3_product_text
+    D.complex_digest(x)
+    assert made[0] > 0  # tau0 names its vertices
+    assert set(made) <= {0, 1}
+
+
+def test_ids_are_made_once_per_dimension(nerve_z3_3):
+    u = C.nerve(C.cyclic_group(3), 3)
+    assert all(u.ids[n] is u.ids[n] for n in range(u.dim_cap + 1))
+    assert u.simplices(2) is u.ids[2]
+    assert u.id_at(3, 5) is u.ids[3][5]
+    assert u.ids[1:3] == (u.ids[1], u.ids[2])
+    assert list(u.ids) == [u.ids[n] for n in range(u.dim_cap + 1)]
+    assert [s.index for s in u.ids[3]] == list(range(u.counts[3]))
+    assert all(s.dim == 3 for s in u.ids[3])
+    assert u == nerve_z3_3
+
+
+def test_labels_survive_a_round_trip():
+    x = C.th0(C.nerve(C.arrow_category(), 3))
+    y = D.doc_to_complex(json.loads(D.dumps(D.complex_to_doc(x))))
+    assert [s.label for s in y.underlying.all_simplices()] == \
+        [s.label for s in x.underlying.all_simplices()]
+    assert y.underlying.id_at(2, 3).label == "a|id1"
+    # a product labels each pair with str() of its key
+    points = C.min_strat(C.build_sset(0, [2], [[]], [[]], keys=[["a", 1]]))
+    for p in (C.gproduct(x, C.delta_t(1, 3)), C.gproduct(points, points)):
+        u = p.underlying
+        assert [s.label for s in u.all_simplices()] == \
+            [str(key) for per_dim in u.keys for key in per_dim]
+    assert [s.label for s in u.ids[0]] == \
+        ["('a', 'a')", "('a', 1)", "(1, 'a')", "(1, 1)"]
+
+
+def test_thin_ids_read_in_any_order_match_make_stratified():
+    x = C.quasicat_e(C.nerve(C.boolean_monoid(), 3))
+    doc = D.complex_to_doc(x)
+    for thin in (doc["thin"], doc["thin"][::-1] + doc["thin"][:3],
+                 ["0" + t for t in doc["thin"]]):  # not canonical: parse_id
+        doc["thin"] = thin
+        y = D.doc_to_complex(doc)
+        u = y.underlying
+        by_ids = C.make_stratified(u, [u.id_at(*D.parse_id(t)) for t in thin])
+        assert y == by_ids == x
+
+
+@pytest.mark.parametrize("vertex", ["0:0", "00:0"])
+def test_a_thin_vertex_in_a_document_raises(vertex):
+    doc = D.complex_to_doc(C.th0(C.nerve(C.arrow_category(), 2)))
+    doc["thin"] = doc["thin"][:2] + [vertex]
+    with pytest.raises(errors.ThinVertex,
+                       match=r"^vertex <0:0 0> cannot be thin$"):
         D.doc_to_complex(doc)

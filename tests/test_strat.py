@@ -35,6 +35,27 @@ def test_thin_vertex_rejected():
         C.make_stratified(d1u, [d1u.id_at(0, 0)])
 
 
+@pytest.mark.parametrize("u", [
+    C.nerve(C.boolean_monoid(), 3), C.nerve(C.arrow_category(), 3),
+    C.delta(2, 3).underlying], ids=["nerve_bool", "nerve_arrow", "delta_2"])
+def test_index_stratifications_match_make_stratified(u):
+    # max_strat and gproduct mark thin simplices by index; make_stratified
+    # of the same simplices as ids is the reference
+    every = [s for n in range(1, u.dim_cap + 1) for s in u.simplices(n)]
+    assert C.max_strat(u) == C.make_stratified(u, every)
+    x, y = C.min_strat(u), C.delta_t(1, u.dim_cap)
+    for a, b in ((x, y), (y, x), (C.max_strat(u), y)):
+        p = C.gproduct(a, b)
+        pu, au, bu = p.underlying, a.underlying, b.underlying
+        pairs = [pu.id_for_key(n, (au.key_of(s), bu.key_of(t)))
+                 for n in range(1, p.cap + 1)
+                 for s in a.thin_in_dim(n) for t in b.thin_in_dim(n)]
+        assert p == C.make_stratified(pu, pairs)
+        assert p.thin == frozenset(pairs) | {
+            s for n in range(1, p.cap + 1) for s in pu.simplices(n)
+            if pu.is_degenerate(s)}
+
+
 def test_min_max_on_point():
     pt = C.delta(0, 2).underlying
     assert C.min_strat(pt) == C.max_strat(pt)
