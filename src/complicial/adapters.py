@@ -33,7 +33,7 @@ from .errors import (
     NotKan,
     NotQuasiCategory,
 )
-from .homotopy import MonoidTable, _finish_table, _partition
+from .homotopy import MonoidTable, _class_index, _finish_table, _partition
 from .lifting import _horn_rows
 from .strat import StratifiedSSet, make_stratified, max_strat
 
@@ -387,7 +387,7 @@ def homotopy_category(c: TruncatedSSet, *, bound: int | None = None,
     if not assume_quasicategory:
         assert_quasicategory(c, bound)
     classes = _edge_classes(c)
-    cls_of = {e: i for i, cl in enumerate(classes) for e in cl}
+    cls_of = _class_index(classes)
 
     for cl in classes:
         ends = {(c.face(e, 1), c.face(e, 0)) for e in cl}
@@ -400,17 +400,19 @@ def homotopy_category(c: TruncatedSSet, *, bound: int | None = None,
     identities = tuple(
         cls_of[c.degeneracy(v, 0)] for v in c.simplices(0)
     )
+    # the classes of the middle faces of the 2-simplices, by the classes of
+    # their outer faces, read in one pass over the 2-simplices
+    edge_class = list(map(cls_of.__getitem__, c.ids[1]))
+    middles: dict[tuple[int, int], set[int]] = {}
+    for d0, d1, d2 in c.faces[2]:
+        middles.setdefault((edge_class[d2], edge_class[d0]), set()).add(
+            edge_class[d1])
     comp: dict[tuple[int, int], int] = {}
     for i in range(len(classes)):
         for j in range(len(classes)):
             if tgt[i] != src[j]:
                 continue
-            composites = {
-                cls_of[c.face(sigma, 1)]
-                for sigma in c.simplices(2)
-                if cls_of[c.face(sigma, 2)] == i
-                and cls_of[c.face(sigma, 0)] == j
-            }
+            composites = middles.get((i, j), ())
             if not composites:
                 raise NotQuasiCategory(
                     f"no composite for classes {i} and {j}"
@@ -419,7 +421,7 @@ def homotopy_category(c: TruncatedSSet, *, bound: int | None = None,
                 raise NotQuasiCategory(
                     f"composition of classes {i} and {j} is not well defined"
                 )
-            comp[(i, j)] = composites.pop()
+            (comp[(i, j)],) = composites
     objects = tuple(
         v.label if v.label is not None else str(v.index)
         for v in c.simplices(0)
@@ -572,7 +574,7 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
         if _pi_homotopic(k, base, n, p, q, ends)
     ])
     classes = tuple(tuple(elements[i] for i in b) for b in blocks)
-    cls_of = {e: i for i, cl in enumerate(classes) for e in cl}
+    cls_of = _class_index(classes)
     const = k.const(base, n)
     unit = cls_of[const]
     reps = [cl[0] for cl in classes]

@@ -10,23 +10,23 @@ alike.  It produces exactly the bytes of ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` (plus a final newline), but joins whole rows of
 strings at C speed instead of going through ``json``'s pure-Python indenting
 encoder.  Reading and writing a complex each build one table of id strings
-per call.  Parsing reads the canonical ids of a face or degeneracy table,
-and of the thin list, in bulk and slices the indexes straight into columns;
-when some entry is not canonical it falls back to :func:`parse_id` entry by
-entry, so a malformed document is rejected with the same message either
-way.  Writing reads the columns and the stored
-label strings, so neither direction creates a :class:`SimplexId`.
+per call.  Parsing reads every id, in the face and degeneracy tables, the
+thin list and the label keys, by one lookup in a dict made from that
+table.  A face or degeneracy table, or the thin list, whose entries are
+all found in the right dimension is sliced straight into columns; when an
+entry is missed it falls back to :func:`parse_id` entry by entry, so a
+malformed document is rejected with the same message either way.  A label
+key must be found.  Writing reads the columns and the stored label
+strings, so neither direction creates a :class:`SimplexId`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 from bisect import bisect_left
-from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
-from operator import add, is_not, lt, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, is_not, sub
 from typing import Any
 
 from . import __version__
@@ -166,51 +166,37 @@ def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
     return doc
 
 
-@lru_cache(maxsize=64)
-def _joined_ids(dim: int | None) -> re.Pattern:
-    """Canonical ids of dimension ``dim`` (any if None), joined by commas."""
-    d = "[0-9]+" if dim is None else str(dim)
-    return re.compile(rf"{d}:[0-9]+(?:,{d}:[0-9]+)*", re.ASCII)
+def _id_lookup(ids: list[list[str]]) -> dict[str, int]:
+    """Each id string of ``ids`` to the position of its simplex, counted
+    dimension after dimension."""
+    return dict(zip(chain.from_iterable(ids), count()))
 
 
-def _bulk_ids(texts: list, dim: int | None = None) -> list[int] | None:
-    """The ids in ``texts`` as ints, or None unless all are canonical.
-
-    Canonical means a string ``"<dim>:<digits>"``, with any digits for the
-    dimension if ``dim`` is None; the index need not exist.  The result
-    lists the indexes if ``dim`` is given, and ``dim, index, dim, index,
-    ...`` if not.  Callers fall back to :func:`parse_id`, which agrees on
-    every canonical entry, when the result is None.
-    """
-    if not texts:
-        return []
+def _looked_up(texts: list, lookup: dict[str, int], lo: int, hi: int
+               ) -> list[int] | None:
+    """The positions of ``texts`` less ``lo``, or None unless every one is
+    found in ``lookup`` at a position in lo..hi-1."""
     try:
-        joined = ",".join(texts)
-    except TypeError:
+        found = list(map(lookup.get, texts, repeat(-1)))
+    except TypeError:  # an unhashable entry
         return None
-    if _joined_ids(dim).fullmatch(joined) is None \
-            or joined.count(",") != len(texts) - 1:  # an entry held a comma
+    if found and not (lo <= min(found) and max(found) < hi):
         return None
-    if dim is None:
-        parts = joined.replace(",", ":").split(":")
-    else:
-        prefix = f"{dim}:"
-        parts = joined[len(prefix):].split("," + prefix)
-    try:
-        return list(map(int, parts))
-    except ValueError:  # more digits than int() converts
-        return None
+    return list(map(sub, found, repeat(lo))) if lo else found
 
 
-def _parse_table(raw, table_dim: int, entry_dim: int
+def _parse_table(raw, table_dim: int, entry_dim: int,
+                 lookup: dict[str, int], starts: list[int]
                  ) -> tuple[list | None, list | None]:
     """The dimension-``table_dim`` table as ``(columns, None)`` when it is
-    a list of rows of ``table_dim + 1`` canonical ids, read in bulk, and
-    as ``(None, rows)`` read id by id otherwise."""
+    a list of rows of ``table_dim + 1`` ids of dimension ``entry_dim``,
+    each found in ``lookup``, and as ``(None, rows)`` read id by id
+    otherwise."""
     width = table_dim + 1
     if type(raw) is list and set(map(type, raw)) <= {list} \
             and set(map(len, raw)) <= {width}:
-        nums = _bulk_ids(list(chain.from_iterable(raw)), entry_dim)
+        nums = _looked_up(list(chain.from_iterable(raw)), lookup,
+                          starts[entry_dim], starts[entry_dim + 1])
         if nums is not None:
             return [nums[j::width] for j in range(width)], None
     rows = []
@@ -228,23 +214,14 @@ def _parse_table(raw, table_dim: int, entry_dim: int
     return None, rows
 
 
-def _thin_given(thin_ids, counts: list[int]) -> list[list[int]]:
+def _thin_given(thin_ids, lookup: dict[str, int], counts: list[int],
+                starts: list[int]) -> list[list[int]]:
     """Per dimension, the indexes of the thin ids, ascending; each id is
-    checked to exist in a complex with ``counts`` simplices per dimension."""
+    checked to exist in a complex with ``counts`` simplices per dimension,
+    whose dimension ``n`` starts at position ``starts[n]``."""
     if not isinstance(thin_ids, list):
         raise InvalidInput("thin must be a list of simplex ids")
-    # the position of each simplex in the complex read dimension after
-    # dimension
-    starts = [0, *accumulate(counts)]
-    flat = None
-    nums = _bulk_ids(thin_ids)
-    if nums is not None:
-        dims, indexes = nums[::2], nums[1::2]
-        try:  # every id exists: dims <= cap (else IndexError), indexes fit
-            if all(map(lt, indexes, map(counts.__getitem__, dims))):
-                flat = sorted(map(add, map(starts.__getitem__, dims), indexes))
-        except IndexError:
-            pass
+    flat = _looked_up(thin_ids, lookup, 0, starts[-1])
     if flat is None:
         flat = []
         for text in thin_ids:
@@ -252,7 +229,7 @@ def _thin_given(thin_ids, counts: list[int]) -> list[list[int]]:
             if not (0 <= dim < len(counts) and 0 <= index < counts[dim]):
                 raise InvalidInput(f"thin id {text!r} does not exist")
             flat.append(starts[dim] + index)
-        flat.sort()
+    flat.sort()
     bounds = list(map(bisect_left, repeat(flat), starts))
     return [list(map(sub, flat[lo:hi], repeat(start)))
             for lo, hi, start in zip(bounds, bounds[1:], starts)]
@@ -271,15 +248,17 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     if len(per_dim) != cap + 1:
         raise InvalidInput("simplices must list dimensions 0..dim_cap")
     counts = [len(ids) for ids in per_dim]
-    # the one id-string table of this call: it checks the simplex lists
-    # and keys the labels
+    # the one id-string table of this call: it checks the simplex lists,
+    # and its lookup reads the tables, the thin list and the label keys
     ids = _id_table(cap, counts)
     for n, (given, canonical) in enumerate(zip(per_dim, ids)):
         if given != canonical:
             raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
-    tables = [_parse_table(doc["faces"][n - 1], n, n - 1)
+    lookup = _id_lookup(ids)
+    starts = [0, *accumulate(counts)]
+    tables = [_parse_table(doc["faces"][n - 1], n, n - 1, lookup, starts)
               for n in range(1, cap + 1)]
-    tables += [_parse_table(doc["degeneracies"][n], n, n + 1)
+    tables += [_parse_table(doc["degeneracies"][n], n, n + 1, lookup, starts)
                for n in range(cap)]
     label_map = doc.get("labels", {})
     if not isinstance(label_map, dict) or not all(
@@ -288,17 +267,21 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
         raise InvalidInput("labels must map simplex ids to strings")
     labels = None
     if label_map:
+        if not all(map(lookup.__contains__, label_map)):
+            key = next(k for k in label_map if k not in lookup)
+            raise InvalidInput(
+                f"label key {key!r} is not a simplex of the complex")
         labels = [list(map(label_map.get, per_n)) for per_n in ids]
     if all(columns is not None for columns, _ in tables):
         build, tables = _build_sset_columns, [c for c, _ in tables]
-    else:  # some table has a row of another shape or an id not canonical
+    else:  # some table has a row of another shape or an id not found
         build = build_sset
         tables = [rows if rows is not None else list(zip(*columns))
                   for columns, rows in tables]
     u = build(cap, counts, [[]] + tables[:cap], tables[cap:] + [[]],
               labels=labels)
     thin_ids = doc.get("thin", [])
-    x = _stratify(u, _thin_given(thin_ids, counts))
+    x = _stratify(u, _thin_given(thin_ids, lookup, counts, starts))
     if x is None:  # a thin vertex
         _reject_thin(u, [u.id_at(*parse_id(text)) for text in thin_ids])
     return x

@@ -24,7 +24,8 @@ so on nerves of monoids the table reproduces the monoid multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .core import Row, SimplexId, make_simplicial_map, require_simplex
 from .errors import (
@@ -449,11 +450,21 @@ class MonoidTable:
     def reps(self) -> tuple[SimplexId, ...]:
         return tuple(c[0] for c in self.classes)
 
+    @cached_property
+    def _index(self) -> dict[SimplexId, int]:
+        return _class_index(self.classes)
+
     def class_of(self, element: SimplexId) -> int:
-        for i, c in enumerate(self.classes):
-            if element in c:
-                return i
-        raise InvalidInput(f"{element!r} is not a sphere element of this table")
+        try:
+            return self._index[element]
+        except KeyError:
+            raise InvalidInput(
+                f"{element!r} is not a sphere element of this table") from None
+
+
+def _class_index(classes: Iterable[Iterable[Hashable]]) -> dict[Hashable, int]:
+    """Each member of each class to the position of its class."""
+    return {e: i for i, c in enumerate(classes) for e in c}
 
 
 def find_inverses(table: MonoidTable) -> tuple[dict[int, int], bool]:
@@ -555,7 +566,7 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
     )
     # elements ascend, so the classes come out ordered as SimplexIds
     classes = tuple(tuple(elements[i] for i in b) for b in blocks)
-    class_index = {e: i for i, c in enumerate(classes) for e in c}
+    class_index = _class_index(classes)
 
     const = xu.const(base, n)
     unit = class_index[const]

@@ -198,6 +198,78 @@ def test_homotopy_category_roundtrip():
             assert hc.identities[o] == class_of(cat.identities[o])
 
 
+def scan_homotopy_category(c):
+    """The homotopy category of ``c``, each composite found by a scan of
+    every 2-simplex per pair of edge classes; the first error raised, as a
+    (type, message) pair, if there is one."""
+    from complicial.adapters import _edge_classes, make_category
+
+    classes = _edge_classes(c)
+    cls_of = {e: i for i, cl in enumerate(classes) for e in cl}
+    src = tuple(c.face(cl[0], 1).index for cl in classes)
+    tgt = tuple(c.face(cl[0], 0).index for cl in classes)
+    comp = {}
+    for i in range(len(classes)):
+        for j in range(len(classes)):
+            if tgt[i] != src[j]:
+                continue
+            composites = {
+                cls_of[c.face(sigma, 1)]
+                for sigma in c.simplices(2)
+                if cls_of[c.face(sigma, 2)] == i
+                and cls_of[c.face(sigma, 0)] == j
+            }
+            if not composites:
+                return ("NotQuasiCategory",
+                        f"no composite for classes {i} and {j}")
+            if len(composites) > 1:
+                return ("NotQuasiCategory", f"composition of classes {i} "
+                        f"and {j} is not well defined")
+            comp[(i, j)] = composites.pop()
+    return make_category(
+        tuple(v.label if v.label is not None else str(v.index)
+              for v in c.simplices(0)),
+        tuple(f"1:{cl[0].index}" for cl in classes), src, tgt,
+        tuple(cls_of[c.degeneracy(v, 0)] for v in c.simplices(0)), comp)
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+@pytest.mark.parametrize("category", [
+    C.cyclic_group(3), C.boolean_monoid(), C.arrow_category(),
+    C.symmetric_group_3(),
+], ids=["Z3", "Bool", "arrow", "S3"])
+def test_homotopy_category_matches_a_scan_per_pair(category, cap):
+    n = C.nerve(category, cap)
+    assert C.homotopy_category(n) == scan_homotopy_category(n)
+
+
+def two_composites():
+    """Two 2-simplices (g, h, f) and (g, k, f) on edges f: 0 -> 1,
+    g: 1 -> 2 and h, k: 0 -> 2, with all their degeneracies."""
+    edges = [(0, 0), (1, 1), (2, 2), (1, 0), (2, 1), (2, 0), (2, 0)]
+    triangles = [(v, v, v) for v in range(3)]
+    for e in range(3, 7):
+        target, source = edges[e]
+        triangles += [(e, e, source), (target, e, e)]  # s_0 e, s_1 e
+    triangles += [(4, 5, 3), (4, 6, 3)]
+    degeneracies = [(v, v) for v in range(3)] \
+        + [(2 * e - 3, 2 * e - 2) for e in range(3, 7)]
+    return C.build_sset(2, [3, 7, 13], [[], edges, triangles],
+                        [[(v,) for v in range(3)], degeneracies, []])
+
+
+@pytest.mark.parametrize("complex_, message", [
+    (C.boundary(2, 2).underlying, "no composite for classes 1 and 4"),
+    (two_composites(), "composition of classes 3 and 4 is not well defined"),
+])
+def test_homotopy_category_raises_the_first_error_of_a_scan_per_pair(
+        complex_, message):
+    with pytest.raises(errors.NotQuasiCategory) as info:
+        C.homotopy_category(complex_, assume_quasicategory=True)
+    assert str(info.value) == message
+    assert scan_homotopy_category(complex_) == ("NotQuasiCategory", message)
+
+
 def test_homotopy_category_point():
     hc = C.homotopy_category(C.nerve(C.trivial_monoid(), 2))
     assert len(hc.objects) == 1 and len(hc.morphisms) == 1

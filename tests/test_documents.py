@@ -1,8 +1,9 @@
 import collections
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import documents as D
@@ -181,7 +182,7 @@ def test_bulk_parse_falls_back_to_parse_id(monkeypatch, entry, message):
     doc = D.complex_to_doc(C.delta(2, 2))
     doc["faces"][1][0][1] = entry
     fast = outcome(D.doc_to_complex, doc)
-    monkeypatch.setattr(D, "_bulk_ids", lambda texts, dim=None: None)
+    monkeypatch.setattr(D, "_looked_up", lambda *args: None)
     slow = outcome(D.doc_to_complex, doc)
     assert fast == slow
     if message is not None:
@@ -195,7 +196,7 @@ def test_bulk_thin_parse_falls_back_to_parse_id(monkeypatch, entry):
     doc = D.complex_to_doc(C.delta(2, 2))
     doc["thin"] = ["1:1", entry, "2:0"]
     fast = outcome(D.doc_to_complex, doc)
-    monkeypatch.setattr(D, "_bulk_ids", lambda texts, dim=None: None)
+    monkeypatch.setattr(D, "_looked_up", lambda *args: None)
     assert fast == outcome(D.doc_to_complex, doc)
     assert fast[0] != "ok" or entry == "01:0"
 
@@ -209,6 +210,110 @@ def test_bulk_parse_keeps_row_shapes():
     doc["faces"][1][0] = "1:0"         # a row that is not a list
     with pytest.raises(errors.InvalidInput, match="malformed simplex id"):
         D.doc_to_complex(doc)
+
+
+# -- one id lookup per document ---------------------------------------------------
+
+@pytest.mark.parametrize("labels, key", [
+    ({"9:9": "ghost"}, "9:9"),
+    ({"1:00": "e"}, "1:00"),          # parse_id would read it as 1:0
+    ({"0:0": "a", "3:0": "x", "1:00": "y"}, "3:0"),  # the first bad key
+    ({3: "x"}, 3),
+])
+def test_labels_must_key_simplices(labels, key):
+    doc = D.complex_to_doc(C.delta(2, 2))
+    doc["labels"] = labels
+    message = f"label key {key!r} is not a simplex of the complex"
+    assert outcome(D.doc_to_complex, doc) == ("InvalidInput", message)
+
+
+def test_cli_rejects_a_label_for_no_simplex(capsys, tmp_path):
+    doc = D.complex_to_doc(C.delta(2, 2))
+    doc["labels"]["9:9"] = "ghost"
+    path = tmp_path / "ghost.json"
+    path.write_text(D.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: InvalidInput: label key '9:9' is not a simplex of the "
+        "complex\n")
+
+
+lookup_docs = [D.complex_to_doc(x) for x in (
+    C.delta(2, 2),
+    C.delta_t(2, 3),
+    C.complicial_horn(1, 2, 2)[0],
+    C.th0(C.nerve(C.cyclic_group(2), 3)),
+    C.th0(C.nerve(C.arrow_category(), 2)),
+    C.quasicat_e(C.nerve(C.boolean_monoid(), 2)),
+)]
+
+
+@st.composite
+def respelled_docs(draw):
+    """A document of ``lookup_docs`` with one face or degeneracy entry, thin
+    id or label key replaced, and the replacement."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(lookup_docs))))
+    counts = [len(per_dim) for per_dim in doc["simplices"]]
+    places = [("thin", None)] * bool(doc["thin"]) \
+        + [("labels", None)] * bool(doc.get("labels")) \
+        + [(part, n) for part in ("faces", "degeneracies")
+           for n, table in enumerate(doc[part]) if table]
+    part, n = draw(st.sampled_from(places))
+    if part in ("faces", "degeneracies"):
+        rows = doc[part][n]
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, len(row) - 1))
+        old = row[j]
+    elif part == "thin":
+        j = draw(st.integers(0, len(doc["thin"]) - 1))
+        old = doc["thin"][j]
+    else:
+        old = draw(st.sampled_from(list(doc["labels"])))
+    dim, index = D.parse_id(old)
+    other = [d for d, c in enumerate(counts) if c and d != dim]
+    kinds = ["leading zero", "dangling", "non-string"] \
+        + ["wrong dimension"] * bool(other) \
+        + ["unhashable"] * (part != "labels")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "wrong dimension":
+        d = draw(st.sampled_from(other))
+        new = f"{d}:{draw(st.integers(0, counts[d] - 1))}"
+    elif kind == "dangling":
+        new = draw(st.sampled_from([f"{dim}:{counts[dim]}",
+                                    f"{len(counts)}:0", f"{dim}:-1"]))
+    elif kind == "leading zero":
+        new = draw(st.sampled_from([f"0{dim}:{index}", f"{dim}:0{index}"]))
+    elif kind == "non-string":
+        new = draw(st.sampled_from([index, None, 1.5]))
+    else:
+        new = [old]
+    if part in ("faces", "degeneracies"):
+        row[j] = new
+    elif part == "thin":
+        doc["thin"][j] = new
+    else:
+        doc["labels"] = {new if k == old else k: v
+                         for k, v in doc["labels"].items()}
+    return doc, part, new
+
+
+def loaded(doc):
+    """The complex of ``doc`` as the bytes of its document, or the error."""
+    kind, got = outcome(D.doc_to_complex, doc)
+    return (kind, D.dumps(D.complex_to_doc(got)) if kind == "ok" else got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(respelled_docs())
+def test_the_lookup_and_parse_id_agree(case):
+    doc, part, new = case
+    fast = loaded(doc)
+    with mock.patch.object(D, "_looked_up", lambda *args: None):
+        assert loaded(doc) == fast
+    if part == "labels" and new not in {t for per_dim in doc["simplices"]
+                                         for t in per_dim}:
+        assert fast == ("InvalidInput",
+                        f"label key {new!r} is not a simplex of the complex")
 
 
 # -- ids made only when asked ----------------------------------------------------

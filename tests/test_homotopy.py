@@ -309,6 +309,18 @@ def test_tau_table_boolean(qcat_bool_3):
     assert t.unit == t.class_of(x.underlying.id_for_key(1, (1,)))
 
 
+def test_class_of_finds_each_element_and_rejects_the_rest(th0_s3_3):
+    x = th0_s3_3
+    t = C.tau_table(x, vertex(x), 1)
+    for element in t.elements:
+        assert t.class_of(element) == next(
+            i for i, c in enumerate(t.classes) if element in c)
+    for stranger in (x.underlying.id_at(2, 0), C.SimplexId(1, 10 ** 6)):
+        with pytest.raises(errors.InvalidInput,
+                           match="is not a sphere element of this table"):
+            t.class_of(stranger)
+
+
 def test_tau_table_trivial_on_simplex():
     x = C.delta(0, 2)
     t = C.tau_table(x, vertex(x), 1)
