@@ -180,7 +180,7 @@ def cmd_build(args) -> int:
         x = gproduct(_load_complex(params[0]), _load_complex(params[1]))
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown builder {name}")
-    _emit(args, documents.dumps(documents.complex_to_doc(x, name=args.name)))
+    _emit(args, documents.complex_text(x, name=args.name))
     return 0
 
 

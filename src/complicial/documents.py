@@ -5,19 +5,24 @@ version, serialized with a stable two-space indentation, so identical inputs
 and flags always produce byte-identical artifacts.  Simplex ids are strings
 of the form ``"dim:index"``.
 
-One writer, :func:`dumps`, serializes every document, complexes and results
-alike.  It produces exactly the bytes of ``json.dumps(doc, indent=2,
-ensure_ascii=False)`` (plus a final newline), but joins whole rows of
-strings at C speed instead of going through ``json``'s pure-Python indenting
-encoder.  Reading and writing a complex each build one table of id strings
-per call.  Parsing reads every id, in the face and degeneracy tables, the
-thin list and the label keys, by one lookup in a dict made from that
-table.  A face or degeneracy table, or the thin list, whose entries are
-all found in the right dimension is sliced straight into columns; when an
-entry is missed it falls back to :func:`parse_id` entry by entry, so a
-malformed document is rejected with the same message either way.  A label
-key must be found.  Writing reads the columns and the stored label
-strings, so neither direction creates a :class:`SimplexId`.
+Two writers produce the same layout as ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` plus a final newline, each joining whole rows of
+strings at C speed instead of going through ``json``'s pure-Python
+indenting encoder.  A complex is written by :func:`complex_text` straight
+from its face and degeneracy columns, thin indexes and stored label
+strings: each dimension's quoted id strings are made once and every table
+row is one ``str.format`` call, so no per-row list and no
+:class:`SimplexId` is made.  :func:`complex_digest` hashes that text, and
+:func:`complex_to_doc` is its parse, so one function decides what a complex
+document holds.  :func:`dumps` writes every other document (results).
+
+Reading a complex builds one table of id strings per call.  Parsing reads
+every id, in the face and degeneracy tables, the thin list and the label
+keys, by one lookup in a dict made from that table.  A face or degeneracy
+table, or the thin list, whose entries are all found in the right
+dimension is sliced straight into columns; when an entry is missed it
+falls back to :func:`parse_id` entry by entry, so a malformed document is
+rejected with the same message either way.  A label key must be found.
 """
 
 from __future__ import annotations
@@ -125,45 +130,86 @@ def _id_table(cap: int, counts) -> list[list[str]]:
             for n in range(cap + 1)]
 
 
-def _id_rows(columns: tuple, ids: list[str]) -> list[list[str]]:
-    """The rows of an index table given as columns, each entry written as
-    its id string."""
-    return list(map(list, zip(*[map(ids.__getitem__, c) for c in columns])))
+def _leaves(items, depth: int, brackets: str = "[]") -> list[str]:
+    """The pieces of one list (or, with ``"{}"``, one dict) of rendered
+    ``items`` nested ``depth`` levels deep, as ``json.dumps(..., indent=2)``
+    lays it out; the items are joined into one piece."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(items)
+    if not body:
+        return [brackets]
+    return [brackets[0] + inner, body, inner[:-2] + brackets[1]]
+
+
+def _block(items: list[list[str]], depth: int, brackets: str = "[]"
+           ) -> list[str]:
+    """As :func:`_leaves` for items given as pieces, which stay pieces: a
+    document is joined once, at the end, instead of copying each level into
+    the next (a 7 MB product held several copies at once, and the process
+    peaked higher)."""
+    if not items:
+        return [brackets]
+    inner = "\n" + "  " * (depth + 1)
+    pieces = [brackets[0] + inner]
+    for item in items:
+        pieces += item
+        pieces.append("," + inner)
+    pieces[-1] = inner[:-2] + brackets[1]
+    return pieces
+
+
+def _table(columns: tuple, ids: list[str]) -> list[str]:
+    """An index table given as columns, each entry written as its quoted id
+    string, one row per ``str.format`` call: a table of the ``faces`` or
+    ``degeneracies`` list, two levels deep."""
+    row = "[\n        " + ",\n        ".join(["{}"] * len(columns)) \
+        + "\n      ]"
+    return _leaves(map(row.format, *[map(ids.__getitem__, c)
+                                     for c in columns]), 2)
+
+
+def complex_text(x: StratifiedSSet, name: str | None = None) -> str:
+    """The canonical document of a complex as text, written straight from
+    its columns, thin indexes and stored label strings (no per-row list and
+    no :class:`SimplexId`).  Its bytes are those :func:`dumps` writes for
+    the document, and :func:`complex_to_doc` is their parse."""
+    u = x.underlying
+    cap = u.dim_cap
+    quoted = [list(map(f'"{n}:{{}}"'.format, range(u.counts[n])))
+              for n in range(cap + 1)]
+    fields = [
+        [f'"format_version": {FORMAT_VERSION}'],
+        ['"kind": "complex"'],
+        [f'"dim_cap": {cap}'],
+        ['"simplices": ', *_block([_leaves(ids, 2) for ids in quoted], 1)],
+        ['"faces": ', *_block([_table(u.face_columns[n], quoted[n - 1])
+                               for n in range(1, cap + 1)], 1)],
+        ['"degeneracies": ', *_block([
+            _table(u.degeneracy_columns[n], quoted[n + 1])
+            for n in range(cap)], 1)],
+        ['"thin": ', *_leaves(chain.from_iterable(
+            map(ids.__getitem__, sorted(thin))
+            for ids, thin in zip(quoted, x.thin_indexes())), 1)],
+    ]
+    labels = []
+    for ids, column in zip(quoted, map(u.label_column, range(cap + 1))):
+        if column is not None:
+            given = list(map(is_not, column, repeat(None)))
+            column = list(compress(column, given))
+            try:
+                values = list(map(_encode_str, column))
+            except TypeError:  # a label that is not a string: json's spelling
+                values = [_dump(v, 2) for v in column]
+            labels += map("{}: {}".format, compress(ids, given), values)
+    if labels:
+        fields.append(['"labels": ', *_leaves(labels, 1, "{}")])
+    if name is not None:
+        fields.append(['"metadata": ', _dump({"name": name}, 1)])
+    return "".join(_block(fields, 0, "{}") + ["\n"])
 
 
 def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
-    u = x.underlying
-    ids = _id_table(u.dim_cap, u.counts)
-    thin = x.thin_indexes()
-    doc: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "kind": "complex",
-        "dim_cap": u.dim_cap,
-        "simplices": ids,
-        "faces": [
-            _id_rows(u.face_columns[n], ids[n - 1])
-            for n in range(1, u.dim_cap + 1)
-        ],
-        "degeneracies": [
-            _id_rows(u.degeneracy_columns[n], ids[n + 1])
-            for n in range(u.dim_cap)
-        ],
-        "thin": list(chain.from_iterable(
-            map(ids[n].__getitem__, sorted(thin[n]))
-            for n in range(u.dim_cap + 1)
-        )),
-    }
-    labels: dict[str, str] = {}
-    for n in range(u.dim_cap + 1):
-        column = u.label_column(n)
-        if column is not None:
-            labels.update(compress(zip(ids[n], column),
-                                   map(is_not, column, repeat(None))))
-    if labels:
-        doc["labels"] = labels
-    if name is not None:
-        doc["metadata"] = {"name": name}
-    return doc
+    return json.loads(complex_text(x, name))
 
 
 def _id_lookup(ids: list[list[str]]) -> dict[str, int]:
@@ -262,7 +308,7 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
                for n in range(cap)]
     label_map = doc.get("labels", {})
     if not isinstance(label_map, dict) or not all(
-        isinstance(v, str) for v in label_map.values()
+        map(isinstance, label_map.values(), repeat(str))
     ):
         raise InvalidInput("labels must map simplex ids to strings")
     labels = None
@@ -288,7 +334,7 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
 
 
 def complex_digest(x: StratifiedSSet) -> str:
-    return hashlib.sha256(dumps(complex_to_doc(x)).encode()).hexdigest()
+    return hashlib.sha256(complex_text(x).encode()).hexdigest()
 
 
 def result_doc(kind: str, inputs: dict, payload: dict) -> dict:

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 from unittest import mock
 
@@ -397,3 +398,125 @@ def test_a_thin_vertex_in_a_document_raises(vertex):
     with pytest.raises(errors.ThinVertex,
                        match=r"^vertex <0:0 0> cannot be thin$"):
         D.doc_to_complex(doc)
+
+
+# -- the complex writer -------------------------------------------------------
+
+def old_complex_doc(x, name=None):
+    """The complex document as it was built before the column writer: per
+    row a list of id strings, labels as a dict."""
+    u = x.underlying
+    ids = [[f"{n}:{i}" for i in range(c)] for n, c in enumerate(u.counts)]
+
+    def rows(columns, entries):
+        return [[entries[i] for i in row] for row in zip(*columns)]
+
+    doc = {
+        "format_version": D.FORMAT_VERSION,
+        "kind": "complex",
+        "dim_cap": u.dim_cap,
+        "simplices": ids,
+        "faces": [rows(u.face_columns[n], ids[n - 1])
+                  for n in range(1, u.dim_cap + 1)],
+        "degeneracies": [rows(u.degeneracy_columns[n], ids[n + 1])
+                         for n in range(u.dim_cap)],
+        "thin": [ids[n][i] for n, thin in enumerate(x.thin_indexes())
+                 for i in sorted(thin)],
+    }
+    labels = {}
+    for n in range(u.dim_cap + 1):
+        column = u.label_column(n)
+        if column is not None:
+            labels.update((ids[n][i], label) for i, label in enumerate(column)
+                          if label is not None)
+    if labels:
+        doc["labels"] = labels
+    if name is not None:
+        doc["metadata"] = {"name": name}
+    return doc
+
+
+def assert_written_as_before(x, name):
+    doc = old_complex_doc(x, name)
+    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    assert D.complex_text(x, name) == D.dumps(doc) == text
+    assert D.complex_to_doc(x, name) == doc
+    unnamed = json.dumps(old_complex_doc(x), indent=2,
+                         ensure_ascii=False) + "\n"
+    try:
+        digest = hashlib.sha256(unnamed.encode()).hexdigest()
+    except UnicodeEncodeError:  # a lone surrogate in a label
+        with pytest.raises(UnicodeEncodeError):
+            D.complex_digest(x)
+    else:
+        assert D.complex_digest(x) == digest
+
+
+def relabeled(x, labels):
+    """``x`` with the same tables and thin simplices and new labels."""
+    u = x.underlying
+    v = C.build_sset(u.dim_cap, u.counts, list(u.faces), list(u.degeneracies),
+                     labels=labels)
+    return C.make_stratified(v, [v.id_at(n, i) for n, thin
+                                 in enumerate(x.thin_indexes()) for i in thin])
+
+
+@st.composite
+def written_complexes(draw):
+    kind = draw(st.sampled_from(["group", "bool", "arrow"]))
+    if kind == "group":
+        category = C.from_permutations(draw(
+            st.lists(st.permutations(range(3)), min_size=1, max_size=2)))
+    else:
+        category = C.boolean_monoid() if kind == "bool" \
+            else C.arrow_category()
+    cap = draw(st.integers(0, 4))
+    u = C.nerve(category, cap)
+    how = draw(st.sampled_from(["min", "some", "th0", "qcat-e", "product"]))
+    if how == "min":
+        x = C.min_strat(u)
+    elif how == "some":  # a few thin simplices, far apart
+        picks = draw(st.lists(st.tuples(st.integers(1, max(cap, 1)),
+                                        st.integers(0, 10 ** 6)), max_size=6))
+        x = C.make_stratified(u, [u.id_at(n, i % u.counts[n])
+                                  for n, i in picks if n <= cap])
+    elif how == "th0":
+        x = C.th0(u)
+    elif how == "qcat-e":
+        x = C.quasicat_e(u) if cap >= 2 else C.max_strat(u)
+    else:
+        cap = min(max(cap, 1), 2)
+        x = C.gproduct(C.th0(C.nerve(category, cap)), C.delta_t(1, cap))
+    counts = x.underlying.counts
+    labels = draw(st.sampled_from(["kept", "partial", "awkward"]))
+    if labels != "kept":
+        text = st.text(max_size=3) if labels == "partial" else awkward_text
+        x = relabeled(x, [draw(st.lists(st.none() | text, min_size=c,
+                                        max_size=c)) for c in counts])
+    return x, draw(st.none() | st.text(max_size=3) | awkward_text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(written_complexes())
+def test_complex_text_is_the_document_written_as_before(case):
+    assert_written_as_before(*case)
+
+
+S3_NERVE = C.nerve(C.symmetric_group_3(), 2)
+
+
+@pytest.mark.parametrize("x", [
+    C.boundary(0, 1),  # the empty complex
+    C.delta(0, 0),
+    C.gproduct(C.th0(C.nerve(C.cyclic_group(2), 2)), C.delta_t(1, 2)),
+    # a category whose objects are not strings: json writes those labels
+    # as numbers
+    C.min_strat(C.nerve(C.make_category(
+        [0, 1], ["i0", "i1", "a"], [0, 1, 0], [0, 1, 1], [0, 1],
+        {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2}), 2)),
+    # thin indexes that a frozenset iterates out of order
+    C.make_stratified(S3_NERVE, [S3_NERVE.id_at(2, 32)]),
+], ids=["empty", "point", "product", "numeric-labels", "thin-order"])
+@pytest.mark.parametrize("name", [None, "c", 'a "q" \\ \n é'])
+def test_complex_text_covers_the_edge_cases(x, name):
+    assert_written_as_before(x, name)
