@@ -70,7 +70,8 @@ def make_category(
     identities: Sequence[int],
     comp: Mapping[tuple[int, int], int],
 ) -> FiniteCategory:
-    """Validate unit and associativity laws exhaustively and wrap up."""
+    """Validate the names (unique strings), unit and associativity laws
+    exhaustively and wrap up."""
     objects = tuple(objects)
     morphisms = tuple(morphisms)
     src = tuple(src)
@@ -78,6 +79,8 @@ def make_category(
     identities = tuple(identities)
     comp = dict(comp)
     nm = len(morphisms)
+    if not all(map(isinstance, objects + morphisms, repeat(str))):
+        raise InvalidInput("object and morphism names must be strings")
     if len(set(objects)) != len(objects) or len(set(morphisms)) != nm:
         raise InvalidInput("object and morphism names must be unique")
     if len(src) != nm or len(tgt) != nm or len(identities) != len(objects):
@@ -119,9 +122,11 @@ def monoid_category(elements: Sequence[str], unit: str,
                     table: Sequence[Sequence[str]]) -> FiniteCategory:
     """One-object category from a monoid multiplication table.
 
-    ``table[i][j]`` is the product "element i then element j".
+    ``table[i][j]`` is the product "element i then element j".  The
+    elements, the unit and the table entries are converted with ``str``.
     """
     elements = tuple(str(e) for e in elements)
+    unit = str(unit)
     index = {e: i for i, e in enumerate(elements)}
     if unit not in index:
         raise InvalidInput(f"unit {unit!r} is not an element")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import itemgetter
+from types import NoneType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -615,6 +616,9 @@ def _checked_sset(dim_cap: int, counts: tuple[int, ...],
         labels = tuple(tuple(per_dim) for per_dim in labels)
         if tuple(len(k) for k in labels) != counts:
             raise InvalidInput("labels must cover every simplex")
+        if not all(map(isinstance, chain.from_iterable(labels),
+                       repeat((str, NoneType)))):
+            raise InvalidInput("labels must be strings or None")
     return TruncatedSSet(dim_cap, counts, tuple(fc), tuple(dg), keys, labels)
 
 

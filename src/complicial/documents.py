@@ -5,16 +5,16 @@ version, serialized with a stable two-space indentation, so identical inputs
 and flags always produce byte-identical artifacts.  Simplex ids are strings
 of the form ``"dim:index"``.
 
-Two writers produce the same layout as ``json.dumps(doc, indent=2,
-ensure_ascii=False)`` plus a final newline, each joining whole rows of
-strings at C speed instead of going through ``json``'s pure-Python
-indenting encoder.  A complex is written by :func:`complex_text` straight
-from its face and degeneracy columns, thin indexes and stored label
-strings: each dimension's quoted id strings are made once and every table
-row is one ``str.format`` call, so no per-row list and no
-:class:`SimplexId` is made.  :func:`complex_digest` hashes that text, and
-:func:`complex_to_doc` is its parse, so one function decides what a complex
-document holds.  :func:`dumps` writes every other document (results).
+Every document is laid out as ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` plus a final newline.  A complex is rendered by
+:func:`complex_text` straight from its face and degeneracy columns, thin
+indexes and label strings, joining whole rows of strings at C speed
+instead of going through ``json``'s pure-Python indenting encoder: each
+dimension's quoted id strings are made once and every table row is one
+``str.format`` call, so no per-row list and no :class:`SimplexId` is
+made.  :func:`complex_digest` hashes that text, and :func:`complex_to_doc`
+is its parse, so one function decides what a complex document holds.
+Results are written by :func:`dumps`, which is ``json`` itself.
 
 Reading a complex builds one table of id strings per call.  Parsing reads
 every id, in the face and degeneracy tables, the thin list and the label
@@ -31,7 +31,7 @@ import hashlib
 import json
 from bisect import bisect_left
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, is_not, sub
+from operator import is_not, sub
 from typing import Any
 
 from . import __version__
@@ -59,69 +59,12 @@ def parse_id(text: str) -> tuple[int, int]:
 
 
 _encode_str = json.encoder.encode_basestring
-_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
-_ROWS = {list, tuple}
-
-
-def _dump(value: Any, depth: int) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)``, nested ``depth``
-    levels deep (so every line break is followed by ``depth`` indents)."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = "\n" + "  " * (depth + 1)
-        sep = "," + inner
-        try:
-            if not set(map(type, value)) <= _ROWS:  # a row of strings
-                body = sep.join(map(_encode_str, value))
-            elif len(widths := set(map(len, value))) == 1 and 0 not in widths:
-                # rows of strings, all of one width: a face or degeneracy
-                # table, written one row per str.format call
-                width = widths.pop()
-                row = "[" + inner + "  " + (sep + "  ").join(["{}"] * width) \
-                    + inner + "]"
-                cells = map(_encode_str, chain.from_iterable(value))
-                body = sep.join(map(row.format, *[cells] * width))
-            else:
-                raise TypeError("rows of several widths")
-        except TypeError:  # anything else: value by value
-            body = sep.join([_dump(v, depth + 1) for v in value])
-        return "[" + inner + body + inner[:-2] + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = "\n" + "  " * (depth + 1)
-        try:
-            keys = list(map(_encode_str, value))
-        except TypeError:  # a key that is not a string: json converts it
-            return _json_dump(value, depth)
-        try:  # every value a string, like the labels of a complex
-            body = ("," + inner).join(map(
-                add, map(add, keys, repeat(": ")),
-                map(_encode_str, value.values())))
-        except TypeError:
-            body = ("," + inner).join(
-                [k + ": " + _dump(v, depth + 1)
-                 for k, v in zip(keys, value.values())])
-        return "{" + inner + body + inner[:-2] + "}"
-    if value is None or isinstance(value, (int, float)):
-        return _encode_scalar(value)
-    return _json_dump(value, depth)
-
-
-def _json_dump(value: Any, depth: int) -> str:
-    """json itself, re-indented; json escapes newlines inside strings, so
-    every raw one is a line break."""
-    return json.dumps(value, indent=2, ensure_ascii=False).replace(
-        "\n", "\n" + "  " * depth)
 
 
 def dumps(doc: Any) -> str:
     """The document as ``json.dumps(doc, indent=2, ensure_ascii=False)``
     followed by a newline."""
-    return _dump(doc, 0) + "\n"
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def _id_table(cap: int, counts) -> list[list[str]]:
@@ -195,16 +138,15 @@ def complex_text(x: StratifiedSSet, name: str | None = None) -> str:
     for ids, column in zip(quoted, map(u.label_column, range(cap + 1))):
         if column is not None:
             given = list(map(is_not, column, repeat(None)))
-            column = list(compress(column, given))
-            try:
-                values = list(map(_encode_str, column))
-            except TypeError:  # a label that is not a string: json's spelling
-                values = [_dump(v, 2) for v in column]
-            labels += map("{}: {}".format, compress(ids, given), values)
+            labels += map("{}: {}".format, compress(ids, given),
+                          map(_encode_str, compress(column, given)))
     if labels:
         fields.append(['"labels": ', *_leaves(labels, 1, "{}")])
     if name is not None:
-        fields.append(['"metadata": ', _dump({"name": name}, 1)])
+        if not isinstance(name, str):
+            raise InvalidInput("a complex's name must be a string")
+        fields.append(['"metadata": ',
+                       '{\n    "name": ' + _encode_str(name) + '\n  }'])
     return "".join(_block(fields, 0, "{}") + ["\n"])
 
 

@@ -512,7 +512,6 @@ def _witness_summary(w: HomotopyWitness) -> tuple[SimplexId, ...]:
 
 def sphere_relation(
     x: StratifiedSSet, base: SimplexId, n: int,
-    elements: Sequence[SimplexId] | None = None,
 ) -> tuple[tuple[SimplexId, ...], list[list[bool]],
            dict[tuple[SimplexId, SimplexId], tuple[SimplexId, ...]]]:
     """The full ordered witness matrix of boundary-fixing homotopy.
@@ -525,8 +524,7 @@ def sphere_relation(
     one batch: their pinned ends are validated together, and each pair is
     then searched on its own, in row-major order.
     """
-    if elements is None:
-        elements = sphere_elements(x, base, n)
+    elements = sphere_elements(x, base, n)
     if x.cap < n + 1:
         raise CapTooSmall(f"homotopy of {n}-spheres needs cap >= {n + 1}")
     _, binc = boundary_pair(n, n + 1)
@@ -540,7 +538,7 @@ def sphere_relation(
         if w is not None:
             rel[i][j] = True
             witnesses[(elements[i], elements[j])] = _witness_summary(w)
-    return tuple(elements), rel, witnesses
+    return elements, rel, witnesses
 
 
 def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:

@@ -45,6 +45,17 @@ def test_random_tables_accepted_iff_lawful(flat):
     assert accepted == (unital and associative)
 
 
+@pytest.mark.parametrize("objects, morphisms", [
+    ([0, 1], ["i0", "i1", "a"]),
+    (["0", "1"], ["i0", "i1", 2]),
+])
+def test_make_category_rejects_names_that_are_not_strings(objects, morphisms):
+    with pytest.raises(errors.InvalidInput,
+                       match="object and morphism names must be strings"):
+        C.make_category(objects, morphisms, [0, 1, 0], [0, 1, 1], [0, 1],
+                        {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2})
+
+
 def test_from_permutations_s3():
     s3 = C.symmetric_group_3()
     assert len(s3.morphisms) == 6

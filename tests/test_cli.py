@@ -350,6 +350,45 @@ def test_malformed_category_exits_1(capsys, tmp_path):
     assert "composition" in capsys.readouterr().err
 
 
+def test_numeric_category_objects_exit_1_at_build(capsys, tmp_path):
+    cat = tmp_path / "numeric.json"
+    cat.write_text(json.dumps({
+        "objects": [0, 1],
+        "morphisms": [{"name": "id0", "src": 0, "tgt": 0},
+                      {"name": "id1", "src": 1, "tgt": 1},
+                      {"name": "a", "src": 0, "tgt": 1}],
+        "identities": ["id0", "id1"],
+        "composition": {"id0|id0": "id0", "id1|id1": "id1",
+                        "id0|a": "a", "a|id1": "a"},
+    }))
+    assert main(["build", "nerve", "--category", str(cat), "--cap", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: InvalidInput: object and morphism names must be strings")
+    assert "Traceback" not in captured.err
+
+
+def test_numeric_monoid_elements_and_unit_build_and_verify(capsys, tmp_path):
+    mon = tmp_path / "z2.json"
+    mon.write_text(json.dumps({"elements": [0, 1], "unit": 0,
+                               "table": [[0, 1], [1, 0]]}))
+    code, out = run(capsys, "build", "nerve", "--monoid", str(mon),
+                    "--cap", "3")
+    assert code == 0
+    nerve = tmp_path / "nerve.json"
+    nerve.write_text(out)
+    labels = json.loads(out)["labels"]
+    assert (labels["0:0"], labels["1:0"], labels["1:1"]) == ("*", "0", "1")
+    code, out = run(capsys, "build", "th0", str(nerve))
+    assert code == 0
+    th0 = tmp_path / "th0.json"
+    th0.write_text(out)
+    code, out = run(capsys, "verify", str(th0), "--max-dim", "3")
+    assert code == 0
+    assert json.loads(out)["payload"]["passed"] is True
+
+
 # -- pinned tau documents ---------------------------------------------------------
 
 @pytest.mark.parametrize("category, cap, n, digest", [

@@ -421,6 +421,18 @@ def test_build_sset_rejects_a_cap_that_is_not_a_natural_number(cap):
         C.build_sset(cap, counts, faces, degens)
 
 
+@pytest.mark.parametrize("label", [0, 1.5, b"a", ("a",)])
+def test_build_sset_rejects_labels_that_are_not_strings(label):
+    cap, counts, faces, degens = one_point_tables(1)
+    with pytest.raises(errors.InvalidInput,
+                       match="labels must be strings or None"):
+        C.build_sset(cap, counts, faces, degens, labels=[[label], [None]])
+    with pytest.raises(errors.InvalidInput,
+                       match="labels must be strings or None"):
+        _build_sset_columns(cap, counts, [[], [[0], [0]]], [[[0]], []],
+                            labels=[["a"], [label]])
+
+
 # -- one validator, two entries -------------------------------------------------
 
 TWO_ENTRY_CORPUS = {

@@ -149,6 +149,12 @@ def test_writer_rejects_what_json_rejects():
             D.dumps(value)
 
 
+@pytest.mark.parametrize("name", [5, 1.5, ["c"], {"name": "c"}])
+def test_complex_text_rejects_a_name_that_is_not_a_string(name):
+    with pytest.raises(errors.InvalidInput, match="name must be a string"):
+        D.complex_text(C.delta(1, 1), name)
+
+
 # -- the bulk id parser -------------------------------------------------------
 
 def outcome(fn, *args):
@@ -509,14 +515,9 @@ S3_NERVE = C.nerve(C.symmetric_group_3(), 2)
     C.boundary(0, 1),  # the empty complex
     C.delta(0, 0),
     C.gproduct(C.th0(C.nerve(C.cyclic_group(2), 2)), C.delta_t(1, 2)),
-    # a category whose objects are not strings: json writes those labels
-    # as numbers
-    C.min_strat(C.nerve(C.make_category(
-        [0, 1], ["i0", "i1", "a"], [0, 1, 0], [0, 1, 1], [0, 1],
-        {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2}), 2)),
     # thin indexes that a frozenset iterates out of order
     C.make_stratified(S3_NERVE, [S3_NERVE.id_at(2, 32)]),
-], ids=["empty", "point", "product", "numeric-labels", "thin-order"])
+], ids=["empty", "point", "product", "thin-order"])
 @pytest.mark.parametrize("name", [None, "c", 'a "q" \\ \n é'])
 def test_complex_text_covers_the_edge_cases(x, name):
     assert_written_as_before(x, name)
