@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .core import Row, SimplexId, make_simplicial_map, require_simplex
+from .core import Row, SimplexId, require_simplex
 from .errors import (
     CapTooSmall,
     InvalidInput,
@@ -35,14 +36,14 @@ from .errors import (
     RestrictionMismatch,
 )
 from .lifting import (
-    _extend_all, _fillers, _generated_rows, _horn_maps, _stratified_maps,
+    _batch_fillers, _extend_all, _generated_rows, _horn_maps,
+    _stratified_maps,
 )
 from .standard import boundary_pair, complicial_horn, delta, delta_t
 from .strat import (
     StratifiedMap,
     StratifiedSSet,
     gproduct,
-    make_stratified_map,
     regular_subset,
 )
 
@@ -62,13 +63,27 @@ def classifying_map(x: StratifiedSSet, alpha: SimplexId,
         cap = min(x.cap, n + 1)
     if cap < n or cap > x.cap:
         raise CapTooSmall(f"cap {cap} unusable for a {n}-simplex in cap {x.cap}")
+    return _classifying_maps(x, n, cap, [alpha.index])[0]
+
+
+def _classifying_maps(x: StratifiedSSet, n: int, cap: int,
+                      column: Sequence[int]) -> list[StratifiedMap]:
+    """:func:`classifying_map` of each n-simplex of ``column``, built a
+    column at a time and validated as one batch.  Not checked at entry."""
     a = delta(n, cap)
     au, xu = a.underlying, x.underlying
-    column = [alpha.index]
-    rows = next(_generated_rows(
-        au, xu, lambda m, i: xu.act(n, au.keys[m][i], column)
-    ))
-    return make_stratified_map(a, x, make_simplicial_map(au, xu, rows))
+    return list(_stratified_maps(a, x, list(_generated_rows(
+        au, xu, lambda m, i: xu.act(n, au.keys[m][i], column)))))
+
+
+def _matching(columns: Sequence[Sequence[int]], candidates: Iterable[int],
+              pinned: Iterable[tuple[int, int]]) -> list[int]:
+    """The ``candidates`` whose entry j is v for each (j, v) of ``pinned``,
+    in order; ``columns[j]`` holds entry j of every candidate."""
+    for j, v in pinned:
+        column = columns[j]
+        candidates = [s for s in candidates if column[s] == v]
+    return list(candidates)
 
 
 def sphere_elements(x: StratifiedSSet, base: SimplexId, n: int
@@ -80,11 +95,11 @@ def sphere_elements(x: StratifiedSSet, base: SimplexId, n: int
     if n > x.cap:
         raise CapTooSmall(f"cap {x.cap} below n = {n}")
     xu = x.underlying
-    const = xu.const(base, n - 1)
-    return tuple(
-        s for s in xu.simplices(n)
-        if all(xu.face(s, i) == const for i in range(n + 1))
-    )
+    const = xu.const(base, n - 1).index
+    ids = xu.ids[n]
+    return tuple(ids[s] for s in _matching(
+        xu.face_columns[n], range(xu.counts[n]),
+        [(j, const) for j in range(n + 1)]))
 
 
 # -- homotopy of maps --------------------------------------------------------
@@ -238,9 +253,10 @@ def rel_homotopic(
     of stratified extensions of the pinned part of the cylinder, which is
     determined by the images of the nondegenerate prism cells, so the solver
     only ever branches on those.  The cylinder problem depends only on A
-    and ``rel``; callers comparing many pairs of maps (:func:`sphere_relation`,
-    :func:`check_well_defined`) build it once and solve all their pairs in
-    one batch.
+    and ``rel``; a caller comparing many pairs of maps builds it once and
+    solves all their pairs in one batch (:meth:`_Cylinder.solve_all`).
+    Sphere elements rel boundary have a join of their own
+    (:class:`_SphereHomotopy`).
     """
     return _Cylinder(f.source, rel).solve(f, g)
 
@@ -249,6 +265,214 @@ def simple_homotopic(f: StratifiedMap, g: StratifiedMap
                      ) -> HomotopyWitness | None:
     """Homotopy with no relative constraint."""
     return rel_homotopic(f, g, None)
+
+
+_ALPHA, _BETA = "alpha", "beta"
+
+
+@dataclass(frozen=True)
+class _Link:
+    """One top of the sphere cylinder, as a binary relation on n-simplices.
+
+    ``least`` maps each pair (u, v) of values of the two free faces, the
+    one nearer alpha first, to the least simplex the top can take there;
+    ``forward`` and ``backward`` index its pairs by their first and by
+    their second entry.
+    """
+
+    top: int
+    least: dict[tuple[int, int], int]
+    forward: dict[int, set[int]]
+    backward: dict[int, set[int]]
+
+
+class _SphereHomotopy:
+    """Homotopy rel boundary of the sphere elements at one vertex, as a
+    chain join over the prism.
+
+    In the cylinder Δ[n] (x) I relative to ∂Δ[n] (:class:`_Cylinder`) the
+    only simplices neither pinned nor degenerate are n walls, of dimension
+    n, and n + 1 tops, of dimension n + 1.  Every face of a wall is pinned
+    to a constant, and each top has two free faces, each a wall or an end
+    (alpha, the f end, or beta, the g end); its other faces are pinned to
+    constants.  So a homotopy is a path alpha - top - wall - ... - wall -
+    top - beta, and the relation is the composite of one binary relation
+    per top: the pairs of free faces of the simplices of X it can take
+    (:class:`_Link`).  All of this is read off the cylinder's pins and
+    asserted, once per (x, base, n); each link is one pass over the thin
+    (n+1)-simplices of X whose pinned faces match.  alpha is related to
+    beta when beta is reachable from alpha along the path.
+
+    A witness is the first solution of ``lifting._search`` on the same
+    cylinder: walls, then tops, each in cylinder order, with candidates
+    ascending.  Each wall takes the least value that still reaches the
+    nearest chosen node on either side, and each top the least simplex with
+    its face row (:meth:`homotopies`).  The witness rows are rebuilt as
+    ``_search`` fills them and validated as one batch.
+    """
+
+    def __init__(self, x: StratifiedSSet, base: SimplexId, n: int):
+        self.elements = sphere_elements(x, base, n)
+        if x.cap < n + 1:
+            raise CapTooSmall(f"homotopy of {n}-spheres needs cap >= {n + 1}")
+        self.x, self.n = x, n
+        self.position = {e: i for i, e in enumerate(self.elements)}
+        xu = x.underlying
+        x_thin = x.thin_indexes()
+        _, binc = boundary_pair(n, n + 1)
+        self.cylinder = cylinder = _Cylinder(binc.target, binc)
+        self.maps = _classifying_maps(
+            x, n, n + 1, [e.index for e in self.elements])
+        cyl = cylinder.inclusion.target
+        cu = cyl.underlying
+        cyl_thin = cyl.thin_indexes()
+        # reads[m][c]: the pinned cylinder m-simplex c reads entry
+        # reads[m][c] of the f row followed by the g row of dimension m
+        self.reads = reads = [
+            dict(zip(row, plan))
+            for row, plan in zip(cylinder.inclusion.map.assign,
+                                 cylinder._plan)]
+        # the unknowns of lifting._search, in its order
+        unknown = [[c for c, w in enumerate(cu.deg_witness[m])
+                    if w is None and c not in reads[m]]
+                   for m in range(cyl.cap + 1)]
+        assert len(unknown) == n + 2 and not any(unknown[:n])
+        self.walls, tops = unknown[n], unknown[n + 1]
+        # the ends read the top n-simplex of Δ[n] in the f or the g row;
+        # every other pinned entry is the same for every sphere element,
+        # so it is read off the constant's own rows
+        a = binc.target
+        top = a.underlying.deg_witness[n].index(None)
+        ends = {top: _ALPHA, a.counts[n] + top: _BETA}
+        const = [r + r for r in
+                 self.maps[self.position[xu.const(base, n)]].map.assign]
+
+        def pinned(m: int, c: int) -> int:
+            assert c in reads[m], "a prism face is neither pinned nor free"
+            return const[m][reads[m][c]]
+
+        # the domain of each node: the n-simplices its face row allows
+        every = {e.index for e in self.elements}
+        domain: dict = {_ALPHA: every, _BETA: every}
+        for w in self.walls:
+            got = set(_matching(
+                xu.face_columns[n], range(xu.counts[n]),
+                [(j, pinned(n - 1, f)) for j, f in enumerate(cu.faces[n][w])]))
+            domain[w] = got & x_thin[n] if w in cyl_thin[n] else got
+        # per top: the position of each free face by its node, and its
+        # pinned faces as (position, value)
+        free: dict[int, dict[object, int]] = {}
+        fixed: dict[int, list[tuple[int, int]]] = {}
+        for t in tops:
+            free[t], fixed[t] = {}, []
+            for j, c in enumerate(cu.faces[n + 1][t]):
+                node = c if c in domain else ends.get(reads[n].get(c))
+                if node is None:
+                    fixed[t].append((j, pinned(n, c)))
+                else:
+                    free[t][node] = j
+            assert len(free[t]) == 2, "a top without two distinct free faces"
+        # walk from alpha, each step along the one unused top at the node
+        self.path: list = [_ALPHA]
+        order: list[tuple[int, int, int]] = []
+        unused = set(tops)
+        while self.path[-1] != _BETA:
+            here = self.path[-1]
+            at = [t for t in unused if here in free[t]]
+            assert len(at) == 1, "the prism is not a path"
+            t = at[0]
+            unused.remove(t)
+            (node,) = set(free[t]) - {here}
+            order.append((t, free[t][here], free[t][node]))
+            self.path.append(node)
+        assert not unused and sorted(self.path[1:-1]) == self.walls
+        columns = xu.face_columns[n + 1]
+        self.links: list[_Link] = []
+        assert cyl_thin[n + 1] >= set(tops), "a top that is not thin"
+        pool = sorted(x_thin[n + 1])
+        for k, (t, p, q) in enumerate(order):
+            left, right = columns[p], columns[q]
+            into, onto = domain[self.path[k]], domain[self.path[k + 1]]
+            least: dict[tuple[int, int], int] = {}
+            for s in _matching(columns, pool, fixed[t]):
+                pair = left[s], right[s]
+                if pair[0] in into and pair[1] in onto:
+                    least.setdefault(pair, s)
+            forward: dict[int, set[int]] = {}
+            backward: dict[int, set[int]] = {}
+            for u, v in least:
+                forward.setdefault(u, set()).add(v)
+                backward.setdefault(v, set()).add(u)
+            self.links.append(_Link(t, least, forward, backward))
+
+    def _walk(self, values: set[int], start: int, stop: int) -> set[int]:
+        """The values at node ``stop`` reachable from ``values`` at node
+        ``start`` along the path, in either direction."""
+        if start <= stop:
+            for link in self.links[start:stop]:
+                values = {v for u in values for v in link.forward.get(u, ())}
+        else:
+            for link in reversed(self.links[stop:start]):
+                values = {u for v in values for u in link.backward.get(v, ())}
+        return values
+
+    def homotopies(self, pairs: Sequence[tuple[int, int]]
+                   ) -> list[HomotopyWitness | None]:
+        """Per pair (i, j) of element positions, the first homotopy from
+        element i to element j rel boundary, or None.  Element j is
+        related to element i when it is reachable from it along the path.
+        """
+        # per element i, the indexes in X of the elements reachable from it
+        reach: dict[int, set[int]] = {}
+        found: list[dict[tuple[int, int], int]] = []
+        solved = []
+        last = len(self.links)
+        for i, j in pairs:
+            if i not in reach:
+                reach[i] = self._walk({self.elements[i].index}, 0, last)
+            solved.append(self.elements[j].index in reach[i])
+            if not solved[-1]:
+                continue
+            # the value at each chosen position of the path
+            values = {0: self.elements[i].index, last: self.elements[j].index}
+            for w in self.walls:
+                k = self.path.index(w)
+                before = max(p for p in values if p < k)
+                after = min(p for p in values if p > k)
+                values[k] = min(
+                    self._walk({values[before]}, before, k)
+                    & self._walk({values[after]}, after, k))
+            solution = {(self.n, self.path[k]): values[k] for k in values
+                        if 0 < k < last}
+            for k, link in enumerate(self.links):
+                solution[(self.n + 1, link.top)] = \
+                    link.least[(values[k], values[k + 1])]
+            found.append(solution)
+        maps = _stratified_maps(
+            self.cylinder.inclusion.target, self.x,
+            self._witness_rows(list(compress(pairs, solved)), found))
+        return [HomotopyWitness(next(maps), self.maps[i], self.maps[j])
+                if ok else None for (i, j), ok in zip(pairs, solved)]
+
+    def _witness_rows(self, pairs: Sequence[tuple[int, int]],
+                      solutions: Sequence[dict[tuple[int, int], int]]
+                      ) -> list[list[Sequence[int]]]:
+        """The cylinder rows with the pinned rows of each pair and the
+        unknowns of its solution, degenerate simplices filled as
+        ``lifting._search`` fills them."""
+        counts = self.cylinder.source.counts
+        rows = [m.map.assign for m in self.maps]
+
+        def image(m: int, c: int) -> list[int]:
+            r = self.reads[m].get(c)
+            if r is None:
+                return [s[(m, c)] for s in solutions]
+            if r < counts[m]:
+                return [rows[i][m][r] for i, _ in pairs]
+            return [rows[j][m][r - counts[m]] for _, j in pairs]
+
+        return list(_generated_rows(self.cylinder.inclusion.target.underlying,
+                                    self.x.underlying, image))
 
 
 # -- invertibly connected components -----------------------------------------
@@ -326,9 +550,11 @@ def _horn_fillers(x: StratifiedSSet, k: int, rows: Sequence[Row]
     """The fillers of horns at ``k``, one list per horn, in search order.
 
     ``rows`` gives each horn by its faces j != k, as indexes in ascending
-    j.  The horn maps are built and validated as one batch
-    (``lifting._horn_maps``); each list comes out after its horn has been
-    validated, so an invalid horn raises when its list is due.
+    j.  The fillers of all horns are looked up together
+    (``lifting._batch_fillers``), and the horn maps are built and validated
+    as one batch (``lifting._horn_maps``); each list comes out after its
+    horn has been validated, so an invalid horn raises when its list is
+    due.
     """
     if not rows:
         return
@@ -336,8 +562,8 @@ def _horn_fillers(x: StratifiedSSet, k: int, rows: Sequence[Row]
     ids = x.underlying.ids[n]
     horn = complicial_horn(k, n, n)[0]
     maps = _horn_maps(horn, k, n, x, list(zip(*rows)))
-    for row, _ in zip(rows, maps):
-        yield [ids[w] for w in _fillers(x, k, n, row)]
+    for found, _ in zip(_batch_fillers(x, k, n, rows), maps):
+        yield [ids[w] for w in found]
 
 
 def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
@@ -519,22 +745,19 @@ def sphere_relation(
     Computes, for every ordered pair of sphere elements, whether a homotopy
     witness exists, without assuming symmetry or transitivity; the caller
     may then diagnose whether the found-witness relation was already an
-    equivalence relation.  The cylinder problem over the boundary inclusion
-    and the classifying maps are built once, and all pairs are solved in
-    one batch: their pinned ends are validated together, and each pair is
-    then searched on its own, in row-major order.
+    equivalence relation.  The relation is one chain join over the prism
+    (:class:`_SphereHomotopy`): each row is the set reachable from its
+    element.  The witness of each related pair is the first solution of the
+    cylinder search, rebuilt and validated with all the others as one
+    batch.
     """
-    elements = sphere_elements(x, base, n)
-    if x.cap < n + 1:
-        raise CapTooSmall(f"homotopy of {n}-spheres needs cap >= {n + 1}")
-    _, binc = boundary_pair(n, n + 1)
-    cylinder = _Cylinder(binc.target, binc)
-    maps = [classifying_map(x, e, cap=n + 1) for e in elements]
+    homotopy = _SphereHomotopy(x, base, n)
+    elements = homotopy.elements
     size = len(elements)
     pairs = [(i, j) for i in range(size) for j in range(size)]
     rel = [[False] * size for _ in range(size)]
     witnesses: dict[tuple[SimplexId, SimplexId], tuple[SimplexId, ...]] = {}
-    for (i, j), w in zip(pairs, cylinder.solve_all(maps, pairs)):
+    for (i, j), w in zip(pairs, homotopy.homotopies(pairs)):
         if w is not None:
             rel[i][j] = True
             witnesses[(elements[i], elements[j])] = _witness_summary(w)
@@ -615,25 +838,28 @@ def check_well_defined(
     """Verify the product class ignores representative and filler choices.
 
     Enumerates every filler for both pairs and checks all resulting faces
-    are pairwise homotopic relative to the boundary.  The cylinder problem
-    and each classifying map are built once, and the pairs of each step
-    are solved in one batch.
+    are pairwise homotopic relative to the boundary.  The four factors must
+    be sphere elements at ``base``.  The relation is built once
+    (:class:`_SphereHomotopy`), and every pair it relates gets a validated
+    witness.
     """
     _product_args(x, base, n, alpha, alpha2, beta, beta2)
-    _, binc = boundary_pair(n, n + 1)
-    cylinder = _Cylinder(binc.target, binc)
-    maps: list[StratifiedMap] = []
-    map_of: dict[SimplexId, int] = {}
+    homotopy = _SphereHomotopy(x, base, n)
+
+    def position(e: SimplexId) -> int:
+        try:
+            return homotopy.position[e]
+        except KeyError:
+            raise InvalidInput(
+                f"{e!r} is not a sphere element at {base!r}") from None
 
     def homotopic(pairs: list[tuple[SimplexId, SimplexId]]) -> list[bool]:
-        for e in (e for pair in pairs for e in pair):
-            if e not in map_of:
-                map_of[e] = len(maps)
-                maps.append(classifying_map(x, e, cap=n + 1))
-        found = cylinder.solve_all(
-            maps, [(map_of[p], map_of[q]) for p, q in pairs])
+        found = homotopy.homotopies(
+            [(position(p), position(q)) for p, q in pairs])
         return [w is not None for w in found]
 
+    for e in (alpha, alpha2, beta, beta2):
+        position(e)
     reps = [(p, q) for p, q in ((alpha, alpha2), (beta, beta2)) if p != q]
     for (p, q), related in zip(reps, homotopic(reps)):
         if not related:

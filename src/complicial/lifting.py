@@ -509,17 +509,33 @@ def _fillers(x: StratifiedSSet, k: int, n: int, row: Row) -> list[int]:
     (n-1)-simplices.  By the Yoneda lemma a map from the complicial simplex
     at cap n is one n-simplex of X, and of its simplices outside the horn
     only the top is thin; so the fillers are the thin n-simplices whose
-    face row, with its k-th entry left out, is ``row``.  Candidates come
-    from the face-value index; the whole row of each is compared.  Fillers
-    are ordered by (index of face k, index), the order of :func:`_search`.
+    face row, with its k-th entry left out, is ``row``.  This is the batch
+    of one of :func:`_batch_fillers`.
+    """
+    return _batch_fillers(x, k, n, [row])[0]
+
+
+def _batch_fillers(x: StratifiedSSet, k: int, n: int,
+                   rows: Sequence[Row]) -> list[list[int]]:
+    """The fillers (:func:`_fillers`) of each horn of ``rows``, in order.
+
+    Candidates come from the face-value index at the first face j != k:
+    each distinct bucket the rows ask for is scanned once, into one dict
+    from a thin candidate's face row, k-th entry left out, to the
+    candidates with that row; each horn is then one lookup of its whole
+    row.  Fillers are ordered by (index of face k, index), the order of
+    :func:`_search`.
     """
     faces, thin = x.underlying.faces[n], x.thin_indexes()[n]
-    j0 = 1 if k == 0 else 0
-    found = [
-        w for w in x.underlying.face_value_index(n)[j0].get(row[0], ())
-        if w in thin and faces[w][:k] + faces[w][k + 1:] == row
-    ]
-    return sorted(found, key=lambda w: (faces[w][k], w))
+    buckets = x.underlying.face_value_index(n)[1 if k == 0 else 0]
+    found: dict[Row, list[int]] = {}
+    for v in {row[0] for row in rows}:
+        for w in buckets.get(v, ()):
+            if w in thin:
+                found.setdefault(faces[w][:k] + faces[w][k + 1:], []).append(w)
+    for ws in found.values():
+        ws.sort(key=lambda w: faces[w][k])  # stable: ties stay ascending
+    return [found.get(row, []) for row in rows]
 
 
 def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:

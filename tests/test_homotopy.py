@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import complicial as C
-from complicial import errors, homotopy
+from complicial import errors, homotopy, lifting
 from complicial.homotopy import (
     AuditCell,
     AuditReport,
@@ -537,3 +537,124 @@ def test_batched_loops_match_per_pair_loops_on_random_stratifications(data):
 def test_batched_loops_match_per_pair_loops_on_qcat_s3(s3, n):
     table = check_batched_loops(C.quasicat_e(C.nerve(s3, 3)), n)
     assert table.is_group and len(table.classes) == (6 if n == 1 else 1)
+
+
+def test_batched_loops_match_per_pair_loops_at_n_3(th0_z2_4):
+    table = check_batched_loops(th0_z2_4, 3)
+    assert table.is_group and len(table.classes) == 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_batched_loops_match_per_pair_loops_on_random_stratifications_at_cap_4(
+        data):
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.boolean_monoid()]))
+    u = C.nerve(category, 4)
+    # as at cap 3: edges thin at random, all above them thin but a few
+    edges = u.nondegenerate(1)
+    marks = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                               max_size=len(edges)))
+    higher = [s for n in (2, 3, 4) for s in u.nondegenerate(n)]
+    dropped = data.draw(st.lists(st.sampled_from(higher), max_size=3))
+    x = C.make_stratified(u, [e for e, m in zip(edges, marks) if m] + [
+        s for s in higher if s not in dropped])
+    check_batched_loops(x, data.draw(st.integers(1, 3)))
+
+
+def two_homotopies():
+    """One vertex and the loops c (constant), b and a.  Thin triangles:
+    the degenerate ones; (c, b, a), twice, and (a, b, c), which make more
+    homotopies from a to a, through the wall b; and (b, c, b), (a, c, a),
+    (b, c, a) and (a, c, b), so that every product horn of the loops
+    fills.  One triangle, (c, c, a), is not thin: it would make a homotopy
+    from a to c.  Triangles are given by their faces (d0, d1, d2)."""
+    c, b, a = 0, 1, 2
+    triangles = [(c, c, c), (b, b, c), (c, b, b), (a, a, c), (c, a, a),
+                 (c, b, a), (a, b, c),
+                 (b, c, b), (a, c, a), (b, c, a), (a, c, b),
+                 (c, b, a), (c, c, a)]
+    u = C.build_sset(2, [1, 3, len(triangles)], [[], [(0, 0)] * 3, triangles],
+                     [[(c,)], [(0, 0), (1, 2), (3, 4)], []])
+    return C.make_stratified(u, u.simplices(1) + u.simplices(2)[:-1])
+
+
+def homotopy_count(x, p, q, n):
+    """The number of homotopies from ``p`` to ``q`` rel boundary, by
+    ``find_extensions`` with no limit."""
+    _, binc = C.boundary_pair(n, n + 1)
+    cylinder = _Cylinder(binc.target, binc)
+    sub = cylinder.inclusion.source
+    f = C.classifying_map(x, p, cap=n + 1)
+    g = C.classifying_map(x, q, cap=n + 1)
+    rows = [[(fr + gr)[r] for r in plan] for plan, fr, gr
+            in zip(cylinder._plan, f.map.assign, g.map.assign)]
+    partial = C.make_stratified_map(sub, x, C.make_simplicial_map(
+        sub.underlying, x.underlying, rows))
+    return len(C.find_extensions(
+        C.ExtensionProblem(cylinder.inclusion, partial), limit=None))
+
+
+def test_first_homotopy_is_chosen_among_several():
+    x = two_homotopies()
+    a, b = x.underlying.id_at(1, 2), x.underlying.id_at(1, 1)
+    assert homotopy_count(x, a, a, 1) == 3
+    table = check_batched_loops(x, 1)
+    assert table.classes == ((x.underlying.id_at(1, 0),), (b, a))
+    # the first homotopy runs through the wall b, the least, and not a, and
+    # takes the least of the two thin triangles (c, b, a)
+    tops = {x.underlying.id_at(2, 5), x.underlying.id_at(2, 6)}
+    assert set(table.witnesses[(a, a)]) == tops
+
+
+@pytest.mark.parametrize("complex_, n", [("th0_s3_3", 1), ("th0_z2_3", 2)])
+def test_tau_makes_no_cylinder_search(monkeypatch, request, complex_, n):
+    x = request.getfixturevalue(complex_)
+    v = vertex(x)
+    table = C.tau_table(x, v, n)
+    audit = C.audit_well_defined(x, v, table)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cylinder search on the tau path")
+
+    monkeypatch.setattr(lifting, "_search", refuse)
+    monkeypatch.setattr(lifting, "_pin_rows", refuse)
+    monkeypatch.setattr(homotopy, "_extend_all", refuse)
+    assert C.tau_table(x, v, n) == table
+    assert C.audit_well_defined(x, v, table) == audit
+    els = table.elements
+    assert C.check_well_defined(x, v, n, els[0], els[0], els[-1], els[-1])
+    # the patch is live: a homotopy of arbitrary maps still searches
+    f = C.classifying_map(x, els[0], cap=n + 1)
+    with pytest.raises(AssertionError, match="tau path"):
+        C.simple_homotopic(f, f)
+
+
+def test_sphere_witnesses_are_validated(monkeypatch, th0_z2_3):
+    # every witness row moved off its top simplex, to the next one of its
+    # dimension, whose faces differ: the batch validation must raise
+    x = th0_z2_3
+    v = vertex(x)
+    assert C.sphere_relation(x, v, 1)[2]
+    rebuild = homotopy._SphereHomotopy._witness_rows
+
+    def corrupted(self, pairs, solutions):
+        batch = rebuild(self, pairs, solutions)
+        top = self.links[0].top
+        row = batch[0][self.n + 1]
+        row[top] = (row[top] + 1) % x.counts[self.n + 1]
+        return batch
+
+    monkeypatch.setattr(homotopy._SphereHomotopy, "_witness_rows", corrupted)
+    with pytest.raises(errors.NotWellDefined):
+        C.sphere_relation(x, v, 1)
+    with pytest.raises(errors.NotWellDefined):
+        C.tau_table(x, v, 1)
+
+
+def test_check_well_defined_needs_sphere_elements():
+    x = C.delta_t(1, 2)
+    edge = x.underlying.id_for_key(1, (0, 1))
+    with pytest.raises(errors.InvalidInput,
+                       match=r"is not a sphere element at <0:0 \(0,\)>"):
+        C.check_well_defined(x, vertex(x), 1, edge, edge, edge, edge)
