@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
-from operator import add
+from itertools import accumulate, chain, product, repeat
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -33,7 +33,9 @@ from .errors import (
     NotKan,
     NotQuasiCategory,
 )
-from .homotopy import MonoidTable, _class_index, _finish_table, _partition
+from .homotopy import (
+    MonoidTable, _associative, _class_index, _finish_table, _partition,
+)
 from .lifting import _horn_rows
 from .strat import StratifiedSSet, make_stratified, max_strat
 
@@ -70,8 +72,14 @@ def make_category(
     identities: Sequence[int],
     comp: Mapping[tuple[int, int], int],
 ) -> FiniteCategory:
-    """Validate the names (unique strings), unit and associativity laws
-    exhaustively and wrap up."""
+    """Validate the names (unique strings), the composition table, the
+    unit laws and associativity, and wrap up.
+
+    Associativity is decided by Light's test over a generating set of
+    morphisms (``homotopy._associative``), not over every composable
+    triple; a table that fails is rescanned in index order, so the message
+    names the first failing triple.
+    """
     objects = tuple(objects)
     morphisms = tuple(morphisms)
     src = tuple(src)
@@ -103,18 +111,21 @@ def make_category(
     for f in range(nm):
         if comp[(identities[src[f]], f)] != f or comp[(f, identities[tgt[f]])] != f:
             raise InvalidInput(f"unit law fails at {morphisms[f]}")
-    for f in range(nm):
-        for g in range(nm):
-            if tgt[f] != src[g]:
-                continue
-            for h in range(nm):
-                if tgt[g] != src[h]:
+    rows = [list(map(comp.get, zip(repeat(f), range(nm)))) for f in range(nm)]
+    if not _associative(rows, src, tgt):
+        # name the first failing triple, in index order
+        for f in range(nm):
+            for g in range(nm):
+                if tgt[f] != src[g]:
                     continue
-                if comp[(comp[(f, g)], h)] != comp[(f, comp[(g, h)])]:
-                    raise InvalidInput(
-                        "composition is not associative at "
-                        f"({morphisms[f]}, {morphisms[g]}, {morphisms[h]})"
-                    )
+                for h in range(nm):
+                    if tgt[g] != src[h]:
+                        continue
+                    if comp[(comp[(f, g)], h)] != comp[(f, comp[(g, h)])]:
+                        raise InvalidInput(
+                            "composition is not associative at "
+                            f"({morphisms[f]}, {morphisms[g]}, {morphisms[h]})"
+                        )
     return FiniteCategory(objects, morphisms, src, tgt, identities, comp)
 
 
@@ -190,16 +201,16 @@ def from_permutations(generators: Sequence[Sequence[int]],
                 elements.add(q)
                 frontier.append(q)
     ordered = sorted(elements)
-    names = [",".join(map(str, p)) for p in ordered]
+    names = tuple(",".join(map(str, p)) for p in ordered)
     index = {p: i for i, p in enumerate(ordered)}
-    table = [
-        [
-            names[index[tuple(q[p[i]] for i in range(degree))]]
-            for q in ordered
-        ]
-        for p in ordered
-    ]
-    return monoid_category(names, names[index[identity]], table)
+    n = len(ordered)
+    # p then q sends i to q[p[i]]; below degree 2 the group is trivial
+    comp = {(0, 0): 0} if degree < 2 else dict(zip(
+        product(range(n), repeat=2),
+        chain.from_iterable(map(index.__getitem__, map(itemgetter(*p), ordered))
+                            for p in ordered)))
+    return make_category(("*",), names, (0,) * n, (0,) * n,
+                         (index[identity],), comp)
 
 
 def symmetric_group_3() -> FiniteCategory:

@@ -16,7 +16,7 @@ validation and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from types import NoneType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -299,12 +299,12 @@ class TruncatedSSet:
         """
         table = self._by_face_value[n]
         if table is None:
-            grouped: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-            for i, row in enumerate(self.faces[n]):
-                for j, v in enumerate(row):
-                    grouped[j].setdefault(v, []).append(i)
+            # a stable sort by value keeps each group ascending
             table = tuple(
-                {v: tuple(ixs) for v, ixs in per_j.items()} for per_j in grouped
+                {v: tuple(ixs) for v, ixs in groupby(
+                    sorted(range(len(column)), key=column.__getitem__),
+                    key=column.__getitem__)}
+                for column in self.face_columns[n]
             )
             self._by_face_value[n] = table
         return table

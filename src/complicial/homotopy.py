@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .core import Row, SimplexId, require_simplex
@@ -554,7 +554,8 @@ def _horn_fillers(x: StratifiedSSet, k: int, rows: Sequence[Row]
     (``lifting._batch_fillers``), and the horn maps are built and validated
     as one batch (``lifting._horn_maps``); each list comes out after its
     horn has been validated, so an invalid horn raises when its list is
-    due.
+    due.  For horns that are valid by construction, look the fillers up
+    directly instead (as :func:`_product_fillers` does for spheres).
     """
     if not rows:
         return
@@ -567,22 +568,30 @@ def _horn_fillers(x: StratifiedSSet, k: int, rows: Sequence[Row]
 
 
 def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
-                     pairs: Iterable[tuple[SimplexId, SimplexId]]
-                     ) -> Iterator[list[SimplexId]]:
+                     pairs: Sequence[tuple[int, int]]) -> Iterator[list[int]]:
     """The fillers of the multiplication horn of each pair, in search order.
 
-    The horn of the (n+1)-simplex at n has the first factor on face n-1,
-    the second on face n+1 and the constant n-simplex at ``base``
-    elsewhere; see :func:`_horn_fillers`.  The arguments are not checked.
+    ``pairs`` and the fillers are indexes of n- and (n+1)-simplices.  The
+    horn of the (n+1)-simplex at n has the first factor on face n-1, the
+    second on face n+1 and the constant n-simplex at ``base`` elsewhere.
+    When every factor is a sphere element at ``base``, the horn is a
+    stratified map by construction: all its faces have constant boundary,
+    and each of its thin simplices contains {n-1, n, n+1}, so it lies in a
+    constant face and lands on a degenerate, hence thin, simplex.  Such a
+    batch is one filler lookup (``lifting._batch_fillers``) and builds no
+    map.  Any other batch goes through :func:`_horn_fillers`, which builds
+    and validates the horn maps.  The arguments are not checked.
     """
-    const = x.underlying.const(base, n).index
-    rows = []
-    for alpha, beta in pairs:
-        # the faces j != n: j = n - 1 and j = n + 1 sit at n - 1 and n
-        row = [const] * (n + 1)
-        row[n - 1], row[n] = alpha.index, beta.index
-        rows.append(tuple(row))
-    return _horn_fillers(x, n, rows)
+    xu = x.underlying
+    # the faces j != n: constants, then j = n - 1 and j = n + 1 at n - 1
+    # and n
+    rows = list(map(((xu.const(base, n).index,) * (n - 1)).__add__, pairs))
+    bound = xu.const(base, n - 1).index
+    factors = set(chain.from_iterable(pairs))
+    if all(column[w] == bound for column in xu.face_columns[n]
+           for w in factors):
+        return iter(_batch_fillers(x, n, n + 1, rows))
+    return ([s.index for s in found] for found in _horn_fillers(x, n, rows))
 
 
 def _product_args(x: StratifiedSSet, base: SimplexId, n: int,
@@ -595,15 +604,14 @@ def _product_args(x: StratifiedSSet, base: SimplexId, n: int,
         require_simplex(x.underlying, s, n)
 
 
-def _first_filler(x: StratifiedSSet, n: int, found: list[SimplexId],
-                  alpha: SimplexId, beta: SimplexId
-                  ) -> tuple[SimplexId, SimplexId]:
-    """The product and the first filler, or :class:`NoFiller`."""
+def _first_filler(found: list[int], alpha: SimplexId, beta: SimplexId
+                  ) -> int:
+    """The first filler, or :class:`NoFiller`."""
     if not found:
         raise NoFiller(
             f"no filler for the multiplication horn of {alpha!r}, {beta!r}"
         )
-    return x.underlying.face(found[0], n), found[0]
+    return found[0]
 
 
 def multiply(x: StratifiedSSet, base: SimplexId, n: int,
@@ -624,8 +632,9 @@ def multiply_with_filler(
 ) -> tuple[SimplexId, SimplexId]:
     """Like :func:`multiply` but also returns the chosen filler simplex."""
     _product_args(x, base, n, alpha, beta)
-    found = next(_product_fillers(x, base, n, [(alpha, beta)]))
-    return _first_filler(x, n, found, alpha, beta)
+    found = next(_product_fillers(x, base, n, [(alpha.index, beta.index)]))
+    theta = x.underlying.ids[n + 1][_first_filler(found, alpha, beta)]
+    return x.underlying.face(theta, n), theta
 
 
 def all_product_fillers(
@@ -634,8 +643,9 @@ def all_product_fillers(
 ) -> list[tuple[SimplexId, SimplexId]]:
     """Every filler of the multiplication horn, with its resulting face."""
     _product_args(x, base, n, alpha, beta)
-    found = next(_product_fillers(x, base, n, [(alpha, beta)]))
-    return [(x.underlying.face(theta, n), theta) for theta in found]
+    found = next(_product_fillers(x, base, n, [(alpha.index, beta.index)]))
+    ids = x.underlying.ids[n + 1]
+    return [(x.underlying.face(ids[w], n), ids[w]) for w in found]
 
 
 # -- the homotopy monoid table ------------------------------------------------
@@ -708,18 +718,69 @@ def find_inverses(table: MonoidTable) -> tuple[dict[int, int], bool]:
     return inverses, len(inverses) == size
 
 
+def _associative(table: Sequence[Sequence[int | None]],
+                 src: Sequence[int], tgt: Sequence[int]) -> bool:
+    """Whether a composition is associative, by Light's test.
+
+    ``table[f][g]`` is the composite "f then g" of the morphisms f and g,
+    read only where ``tgt[f] == src[g]``; a monoid is the case of one
+    object.  The middle terms g with (fg)h = f(gh) for all composable f
+    and h are closed under composition: if g and g' are such terms, then
+    (f(gg'))h = ((fg)g')h = (fg)(g'h) = f(g(g'h)) = f((gg')h).  So it is
+    enough to check g in a generating set (Clifford and Preston, *The
+    Algebraic Theory of Semigroups* I, 1961), which needs no units.  The
+    set is chosen greedily, in ascending index: g joins it when the
+    composites of the generators so far miss it.  Those composites are
+    closed under composing with a generator, one composite per element
+    and generator, so the test costs O(m^2 |G|) instead of O(m^3); in a
+    group each generator at least doubles the subgroup reached, so
+    |G| <= log2(m) + 1.
+    """
+    size = len(table)
+    reached = [False] * size
+    seen: list[int] = []
+    generators: list[int] = []
+    for g in range(size):
+        if reached[g]:
+            continue
+        # every element reached so far composes with g once, and every
+        # element reached from now on with every generator
+        todo = [table[s][g] for s in seen if tgt[s] == src[g]]
+        generators.append(g)
+        todo.append(g)
+        while todo:
+            s = todo.pop()
+            if not reached[s]:
+                reached[s] = True
+                seen.append(s)
+                todo.extend(table[s][h] for h in generators
+                            if tgt[s] == src[h])
+    into: dict[int, list[int]] = {}
+    out_of: dict[int, list[int]] = {}
+    for f in range(size):
+        into.setdefault(tgt[f], []).append(f)
+        out_of.setdefault(src[f], []).append(f)
+    for g in generators:
+        after = out_of.get(tgt[g], [])
+        composites = [table[g][h] for h in after]
+        for f in into.get(src[g], []):
+            left, right = table[table[f][g]], table[f]
+            if list(map(left.__getitem__, after)) != \
+                    list(map(right.__getitem__, composites)):
+                return False
+    return True
+
+
 def _finish_table(table: tuple[tuple[int, ...], ...], **fields) -> MonoidTable:
     """The table with its associativity, commutativity and inverses.
 
+    Associativity is decided by Light's test (:func:`_associative`).
     ``fields`` are the remaining :class:`MonoidTable` fields; inverses are
     looked for only in an associative table.
     """
-    k = range(len(table))
-    associative = all(
-        table[table[a][b]][c] == table[a][table[b][c]]
-        for a in k for b in k for c in k
-    )
-    commutative = all(table[a][b] == table[b][a] for a in k for b in k)
+    one = [0] * len(table)
+    associative = _associative(table, one, one)
+    commutative = table == tuple(zip(*table))
     result = MonoidTable(
         table=table, associative=associative, commutative=commutative,
         inverses={}, is_group=False, **fields,
@@ -770,9 +831,11 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
     Partitions the sphere elements by relative homotopy (computing the
     closure of the witness relation and recording whether closure was
     needed), multiplies canonical representatives through horn filling,
-    then checks associativity by full triple enumeration and attempts
-    two-sided inverse detection.  The product horns of all pairs of
-    representatives are built and validated as one batch.
+    then checks associativity by Light's test (:func:`_associative`) and
+    attempts two-sided inverse detection.  The product horns of all pairs
+    of representatives are valid by construction, so their fillers are
+    looked up in one batch and no horn map is built
+    (:func:`_product_fillers`).
     """
     if n < 1:
         raise InvalidInput("homotopy monoids are defined for n >= 1")
@@ -787,26 +850,29 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
     )
     # elements ascend, so the classes come out ordered as SimplexIds
     classes = tuple(tuple(elements[i] for i in b) for b in blocks)
-    class_index = _class_index(classes)
-
-    const = xu.const(base, n)
-    unit = class_index[const]
+    # the class of each sphere element, by index
+    position = _class_index([e.index for e in c] for c in classes)
+    unit = position[xu.const(base, n).index]
     reps = [c[0] for c in classes]
+    results = xu.face_columns[n + 1][n]
+    ids = xu.ids[n + 1]
 
     table: list[tuple[int, ...]] = []
     fillers: list[tuple[SimplexId, ...]] = []
-    cells = _product_fillers(x, base, n, [(p, q) for p in reps for q in reps])
+    cells = _product_fillers(
+        x, base, n, [(p.index, q.index) for p in reps for q in reps])
     for p in reps:
         row, frow = [], []
         for q in reps:
-            result, theta = _first_filler(x, n, next(cells), p, q)
-            if result not in class_index:
+            theta = _first_filler(next(cells), p, q)
+            c = position.get(results[theta])
+            if c is None:
                 raise InvalidInput(
-                    f"product {result!r} is not a sphere element; tables "
-                    "need constant-boundary closure"
+                    f"product {xu.ids[n][results[theta]]!r} is not a sphere "
+                    "element; tables need constant-boundary closure"
                 )
-            row.append(class_index[result])
-            frow.append(theta)
+            row.append(c)
+            frow.append(ids[theta])
         table.append(tuple(row))
         fillers.append(tuple(frow))
     return _finish_table(
@@ -866,12 +932,14 @@ def check_well_defined(
             raise InvalidInput(f"{p!r} and {q!r} are not homotopic rel boundary")
     results: list[SimplexId] = []
     tested = 0
-    products = _product_fillers(x, base, n, [(alpha, beta), (alpha2, beta2)])
+    ids, faces = x.underlying.ids[n], x.underlying.face_columns[n + 1][n]
+    products = _product_fillers(
+        x, base, n, [(alpha.index, beta.index), (alpha2.index, beta2.index)])
     for (a, b), fillers in zip(((alpha, beta), (alpha2, beta2)), products):
         if not fillers:
             raise NoFiller(f"no filler for the pair ({a!r}, {b!r})")
         tested += len(fillers)
-        results.extend(x.underlying.face(theta, n) for theta in fillers)
+        results.extend(ids[faces[w]] for w in fillers)
     distinct = sorted(set(results))
     consistent = all(homotopic([(distinct[0], r) for r in distinct[1:]]))
     return WellDefinedReport(
@@ -909,16 +977,26 @@ def audit_well_defined(x: StratifiedSSet, base: SimplexId,
     """Rerun every cell over all representative pairs and all fillers.
 
     Confirms that each filler's resulting face lands in the class the table
-    recorded for that cell.  The product horns of all representative pairs
-    of all cells are built and validated as one batch, and the fillers are
-    read cell by cell, in order.
+    recorded for that cell.  ``base`` must be the table's base, and the cap
+    must leave room for the product horns.  Their fillers are looked up
+    for all representative pairs of all cells in one batch, with no horn
+    map built (:func:`_product_fillers`: every factor is a sphere element
+    of the table), and read cell by cell, in order.
     """
     n = table.n
-    _product_args(x, base, n)
-    face = x.underlying.face
+    require_simplex(x.underlying, base, 0)
+    if base != table.base:
+        raise InvalidInput(
+            f"audit at {base!r} of a table computed at {table.base!r}")
+    if x.cap < n + 1:
+        raise InvalidInput(f"audit at n = {n} needs cap >= {n + 1}")
+    ids, faces = x.underlying.ids[n], x.underlying.face_columns[n + 1][n]
     classes = table.classes
+    # the class of each sphere element of the table, by index
+    position = _class_index([e.index for e in c] for c in classes)
+
     products = _product_fillers(
-        x, base, n, [(p, q) for ci in classes for cj in classes
+        x, base, n, [(p.index, q.index) for ci in classes for cj in classes
                      for p in ci for q in cj])
     cells = []
     for i, ci in enumerate(classes):
@@ -926,14 +1004,17 @@ def audit_well_defined(x: StratifiedSSet, base: SimplexId,
             pairs = len(ci) * len(cj)
             fillers = 0
             consistent = True
+            want = table.table[i][j]
             for _ in range(pairs):
                 found = next(products)
                 if not found:
                     raise NoFiller(f"no filler at cell ({i}, {j})")
                 fillers += len(found)
-                for theta in found:
-                    if table.class_of(face(theta, n)) != table.table[i][j]:
-                        consistent = False
+                for w in found:
+                    got = position.get(faces[w])
+                    if got is None:
+                        table.class_of(ids[faces[w]])  # raises
+                    consistent &= got == want
             cells.append(AuditCell(i, j, pairs, fillers, consistent))
     return AuditReport(tuple(cells))
 

@@ -520,21 +520,23 @@ def _batch_fillers(x: StratifiedSSet, k: int, n: int,
     """The fillers (:func:`_fillers`) of each horn of ``rows``, in order.
 
     Candidates come from the face-value index at the first face j != k:
-    each distinct bucket the rows ask for is scanned once, into one dict
-    from a thin candidate's face row, k-th entry left out, to the
-    candidates with that row; each horn is then one lookup of its whole
-    row.  Fillers are ordered by (index of face k, index), the order of
-    :func:`_search`.
+    each distinct bucket the rows ask for is scanned once, its thin
+    candidates sorted by the index of face k, into one dict from a
+    candidate's face row, k-th entry left out, to the candidates with that
+    row; each horn is then one lookup of its whole row.  Fillers are
+    ordered by (index of face k, index), the order of :func:`_search`.
     """
-    faces, thin = x.underlying.faces[n], x.thin_indexes()[n]
+    columns = x.underlying.face_columns[n]
+    rest = [column for j, column in enumerate(columns) if j != k]
+    thin = x.thin_indexes()[n]
     buckets = x.underlying.face_value_index(n)[1 if k == 0 else 0]
     found: dict[Row, list[int]] = {}
     for v in {row[0] for row in rows}:
-        for w in buckets.get(v, ()):
-            if w in thin:
-                found.setdefault(faces[w][:k] + faces[w][k + 1:], []).append(w)
-    for ws in found.values():
-        ws.sort(key=lambda w: faces[w][k])  # stable: ties stay ascending
+        # buckets ascend and the sort is stable: ties stay ascending
+        ws = sorted(filter(thin.__contains__, buckets.get(v, ())),
+                    key=columns[k].__getitem__)
+        for key, w in zip(zip(*[map(c.__getitem__, ws) for c in rest]), ws):
+            found.setdefault(key, []).append(w)
     return [found.get(row, []) for row in rows]
 
 

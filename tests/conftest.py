@@ -92,6 +92,27 @@ def renumbered(u, data):
     return C.build_sset(u.dim_cap, u.counts, faces, degeneracies)
 
 
+def transformation_table(data, unit=False):
+    """The table of a drawn semigroup of maps of a small set, with the
+    identity map when ``unit``, its elements in a drawn order: "f then g"
+    at row f, column g.  It is associative, and has no unit in general."""
+    degree = data.draw(st.integers(1, 3))
+    maps = st.tuples(*[st.integers(0, degree - 1)] * degree)
+    elements = set(data.draw(st.lists(maps, min_size=1, max_size=3)))
+    if unit:
+        elements.add(tuple(range(degree)))
+    while True:
+        more = {tuple(g[v] for v in f) for f in elements
+                for g in elements} - elements
+        if not more:
+            break
+        elements |= more
+    elements = data.draw(st.permutations(sorted(elements)))
+    index = {f: i for i, f in enumerate(elements)}
+    return [[index[tuple(g[v] for v in f)] for g in elements]
+            for f in elements]
+
+
 def recursive_apply_monotone(u, y, values):
     """``u.apply_monotone(y, values)`` written out on ``SimplexId``s: a face
     walk for the missed vertices, then the repeats peeled one elementary

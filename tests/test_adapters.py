@@ -9,7 +9,7 @@ from complicial import documents as D, errors
 from complicial.adapters import _pi_homotopic, _prism_unknowns
 from complicial.lifting import _horn_rows
 
-from .conftest import renumbered, vertex
+from .conftest import renumbered, transformation_table, vertex
 
 
 # -- categories ------------------------------------------------------------------
@@ -43,6 +43,92 @@ def test_random_tables_accepted_iff_lawful(flat):
     except errors.InvalidInput:
         accepted = False
     assert accepted == (unital and associative)
+
+
+def triple_scan_error(morphisms, src, tgt, comp):
+    """The message of ``make_category``'s former associativity check over
+    every composable triple, in index order, or None."""
+    nm = len(morphisms)
+    for f in range(nm):
+        for g in range(nm):
+            if tgt[f] != src[g]:
+                continue
+            for h in range(nm):
+                if tgt[g] != src[h]:
+                    continue
+                if comp[(comp[(f, g)], h)] != comp[(f, comp[(g, h)])]:
+                    return ("composition is not associative at "
+                            f"({morphisms[f]}, {morphisms[g]}, "
+                            f"{morphisms[h]})")
+    return None
+
+
+def drawn_category(data):
+    """The tables of a drawn category that passes every check but
+    associativity.  Either a monoid of maps of a small set, with one
+    composite of two morphisms other than the unit perhaps redrawn, or a
+    few objects, each hom set between two distinct objects inhabited,
+    composites with an identity forced and every other one drawn from its
+    hom set.  The morphisms come in a drawn order."""
+    if data.draw(st.booleans()):
+        table = transformation_table(data, unit=True)
+        m = range(len(table))
+        unit = next(e for e in m if list(table[e]) == list(m))
+        comp = {(f, g): table[f][g] for f in m for g in m}
+        others = [(f, g) for f, g in comp if unit not in (f, g)]
+        if others and data.draw(st.booleans()):
+            comp[data.draw(st.sampled_from(others))] = data.draw(
+                st.sampled_from(m))
+        return (["*"], [f"m{i}" for i in m], [0] * len(table),
+                [0] * len(table), [unit], comp)
+    objects = range(data.draw(st.integers(1, 3)))
+    ends = [(a, a) for a in objects]
+    for a in objects:
+        for c in objects:
+            ends += [(a, c)] * data.draw(st.integers(int(a != c), 2))
+    order = data.draw(st.permutations(range(len(ends))))
+    src = [ends[i][0] for i in order]
+    tgt = [ends[i][1] for i in order]
+    identities = [order.index(a) for a in objects]
+    comp = {}
+    for f in range(len(order)):
+        for g in range(len(order)):
+            if tgt[f] != src[g]:
+                continue
+            if f in identities or g in identities:
+                comp[(f, g)] = g if f in identities else f
+            else:
+                comp[(f, g)] = data.draw(st.sampled_from([
+                    h for h in range(len(order))
+                    if (src[h], tgt[h]) == (src[f], tgt[g])]))
+    names = [f"m{i}" for i in range(len(order))]
+    return [f"o{a}" for a in objects], names, src, tgt, identities, comp
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_make_category_decides_associativity_as_the_triple_scan(data):
+    objects, names, src, tgt, identities, comp = drawn_category(data)
+    want = triple_scan_error(names, src, tgt, comp)
+    if want is None:
+        C.make_category(objects, names, src, tgt, identities, comp)
+    else:
+        with pytest.raises(errors.InvalidInput) as info:
+            C.make_category(objects, names, src, tgt, identities, comp)
+        assert str(info.value) == want
+
+
+def test_from_permutations_matches_its_table():
+    # the composites are "p then q", named by value tuples in sorted order
+    gens = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    s4 = C.from_permutations(gens)
+    ordered = sorted(itertools.permutations(range(4)))
+    assert s4.morphisms == tuple(",".join(map(str, p)) for p in ordered)
+    assert s4.comp == {
+        (i, j): ordered.index(tuple(q[p[v]] for v in range(4)))
+        for i, p in enumerate(ordered) for j, q in enumerate(ordered)}
+    assert s4.identities == (0,)
+    assert C.from_permutations([()]).comp == {(0, 0): 0}
 
 
 @pytest.mark.parametrize("objects, morphisms", [

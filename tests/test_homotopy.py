@@ -13,7 +13,7 @@ from complicial.homotopy import (
 )
 from complicial.lifting import _fillers
 
-from .conftest import vertex
+from .conftest import transformation_table, vertex
 
 
 # -- simple and relative homotopy ------------------------------------------------
@@ -339,6 +339,53 @@ def test_find_inverses():
     assert ok and inv == {0: 0}
 
 
+# -- associativity by Light's test -------------------------------------------------
+
+def triple_associative(table):
+    """The check that Light's test replaces: every triple."""
+    k = range(len(table))
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in k for b in k for c in k)
+
+
+def finished(table):
+    return homotopy._finish_table(
+        table, n=1, base=C.SimplexId(0, 0), elements=(), classes=(), unit=0,
+        relation_reflexive=True, relation_symmetric=True,
+        relation_transitive=True, fillers=(), witnesses={})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_light_test_matches_the_triple_check(data):
+    if data.draw(st.booleans()):
+        table = transformation_table(data)
+    else:
+        size = data.draw(st.integers(1, 5))
+        entry = st.integers(0, size - 1)
+        table = data.draw(st.lists(st.lists(entry, min_size=size,
+                                            max_size=size),
+                                   min_size=size, max_size=size))
+    if data.draw(st.booleans()):
+        # one entry changed: mostly a near miss of an associative table
+        a, b = (data.draw(st.integers(0, len(table) - 1)) for _ in range(2))
+        table[a][b] = data.draw(st.integers(0, len(table) - 1))
+    table = tuple(map(tuple, table))
+    got = finished(table)
+    assert got.associative == triple_associative(table)
+    k = range(len(table))
+    assert got.commutative == all(table[a][b] == table[b][a]
+                                  for a in k for b in k)
+
+
+def test_light_test_on_known_tables():
+    z3 = tuple(tuple((a + b) % 3 for b in range(3)) for a in range(3))
+    assert finished(z3).associative and finished(z3).is_group
+    # a - b mod 3 is not associative
+    minus = tuple(tuple((a - b) % 3 for b in range(3)) for a in range(3))
+    assert not finished(minus).associative
+
+
 # -- well-definedness ---------------------------------------------------------------
 
 def test_check_well_defined_z2(th0_z2_3):
@@ -377,6 +424,25 @@ def test_audit_well_defined(th0_z2_3):
 
 
 # -- associativity ------------------------------------------------------------------
+
+def test_audit_rejects_another_base():
+    # at vertex 1 of the arrow category every cell would look consistent
+    x = C.th0(C.nerve(C.arrow_category(), 3))
+    v0, v1 = x.underlying.simplices(0)
+    table = C.tau_table(x, v0, 1)
+    with pytest.raises(errors.InvalidInput,
+                       match="audit at <0:1 .*> of a table computed at <0:0"):
+        C.audit_well_defined(x, v1, table)
+
+
+def test_audit_rejects_a_cap_below_the_product_horns(th0_z2_4):
+    v = vertex(th0_z2_4)
+    table = C.tau_table(th0_z2_4, v, 3)
+    low = C.th0(C.nerve(C.cyclic_group(2), 3))
+    with pytest.raises(errors.InvalidInput,
+                       match=r"audit at n = 3 needs cap >= 4"):
+        C.audit_well_defined(low, v, table)
+
 
 def test_associativity_witness_joins_both_sides(th0_z2_3):
     x = th0_z2_3

@@ -299,19 +299,109 @@ def test_witness_validation_is_live(monkeypatch):
         C.find_extensions(problem)
 
 
-def test_product_horn_validation_is_live(monkeypatch):
-    # the relation is computed beforehand, so the only act calls under the
-    # patch build the product horns of the table, which must then fail; at
-    # n = 1 every pair of loops at the one vertex is a horn, so n = 2
-    x = C.th0(C.nerve(C.cyclic_group(2), 3))
-    v = x.underlying.id_at(0, 0)
-    relation = C.sphere_relation(x, v, 2)
-    assert C.tau_table(x, v, 2).is_group
-    monkeypatch.setattr(homotopy, "sphere_relation", lambda *args: relation)
-    monkeypatch.setattr(TruncatedSSet, "act",
-                        corrupted_act(TruncatedSSet.act))
+def weak_complicial_nerve(data):
+    """A weak complicial stratification of a nerve at cap 3, drawn: th0 (of
+    a group) or qcat-e of a renumbered nerve, or every simplex above
+    dimension 1 thin with the edges of a drawn submonoid (qcat-e where that
+    marking is not weak complicial)."""
+    category = data.draw(st.sampled_from([
+        C.cyclic_group(3), C.boolean_monoid(), C.symmetric_group_3(),
+        C.arrow_category()]))
+    # th0 is weak complicial on the nerves of groups only
+    kinds = ["th0"] * all(map(category.is_iso, range(
+        len(category.morphisms)))) + ["qcat-e", "submonoid"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind != "submonoid":
+        u = renumbered(C.nerve(category, 3), data)
+        return C.th0(u) if kind == "th0" else C.quasicat_e(u)
+    u = C.nerve(category, 3)
+    marked = set(data.draw(st.lists(st.sampled_from(
+        range(len(category.morphisms))), max_size=3)))
+    while True:
+        more = {category.comp[(f, g)] for f in marked for g in marked
+                if (f, g) in category.comp} - marked
+        if not more:
+            break
+        marked |= more
+    x = C.make_stratified(u, [
+        s for s in u.nondegenerate(1) if u.key_of(s)[0] in marked] + [
+        s for n in (2, 3) for s in u.nondegenerate(n)])
+    return x if C.verify_weak_complicial(x, 3).passed else C.quasicat_e(u)
+
+
+def product_rows(x, base, n, pairs):
+    """The multiplication horns of pairs of n-simplex indexes by their faces
+    j != n: constants, then the two factors."""
+    const = x.underlying.const(base, n).index
+    return [(const,) * (n - 1) + pair for pair in pairs]
+
+
+def refuse_horn_maps(*args):
+    raise AssertionError("a product horn of spheres built as a map")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_sphere_product_horns_need_no_map(data):
+    # for every pair of sphere elements the product horn is a valid map,
+    # and the lookup, which builds none, returns the validated fillers
+    x = weak_complicial_nerve(data)
+    assert C.verify_weak_complicial(x, 3).passed
+    base = data.draw(st.sampled_from(x.underlying.simplices(0)))
+    n = data.draw(st.integers(1, 2))
+    elements = [e.index for e in C.sphere_elements(x, base, n)]
+    pairs = [(p, q) for p in elements for q in elements]
+    rows = product_rows(x, base, n, pairs)
+    horn = C.complicial_horn(n, n + 1, n + 1)[0]
+    assert len(list(_horn_maps(horn, n, n + 1, x, list(zip(*rows))))) == \
+        len(pairs)
+    want = [[s.index for s in found]
+            for found in homotopy._horn_fillers(x, n, rows)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homotopy, "_horn_maps", refuse_horn_maps)
+        assert list(homotopy._product_fillers(x, base, n, pairs)) == want
+
+
+def first_non_sphere(u, n):
+    """The first n-simplex with a face that is not constant at vertex 0."""
+    const = u.const(u.id_at(0, 0), n - 1)
+    return next(s.index for s in u.simplices(n)
+                if any(u.face(s, j) != const for j in range(n + 1)))
+
+
+@pytest.mark.parametrize("category, n, bad", [
+    # n = 2: a triangle with an edge that is not the constant, against the
+    # constant
+    (C.cyclic_group(2), 2, lambda u: (
+        first_non_sphere(u, 2), u.const(u.id_at(0, 0), 2).index)),
+    # n = 1: the crossing arrow of 0 < 1 is no loop, and not composable
+    # with itself
+    (C.arrow_category(), 1, lambda u: (next(
+        s.index for s in u.simplices(1) if s.label == "a"),) * 2),
+])
+def test_product_batch_with_a_non_sphere_factor_is_validated(
+        monkeypatch, category, n, bad):
+    x = C.th0(C.nerve(category, 3))
+    u = x.underlying
+    base = u.id_at(0, 0)
+    spheres = [e.index for e in C.sphere_elements(x, base, n)]
+    pairs = [(p, q) for p in spheres for q in spheres]
+    pairs.append(bad(u))
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return _horn_maps(*args)
+
+    monkeypatch.setattr(homotopy, "_horn_maps", spy)
+    # the lists of the valid horns come out; the invalid one raises when
+    # its list is due
+    products = homotopy._product_fillers(x, base, n, pairs)
+    for _ in pairs[:-1]:
+        assert next(products)
     with pytest.raises(errors.BoundaryMismatch):
-        C.tau_table(x, v, 2)
+        next(products)
+    assert len(built) == 1 and len(built[0][-1][0]) == len(pairs)
 
 
 @settings(max_examples=60, deadline=None)
