@@ -47,12 +47,18 @@ What is validated, and where:
   thin key of the primed simplex (``TruncatedSSet.act``) and keeps the
   simplices whose images are in the thin index sets; those are the
   instances, and one more column, the k-th faces, gives the failures.
-  A pass rests on these rules.  The horn maps of a row's family-1
-  instances without a filler are built together, one ``act`` per horn
-  simplex over the column of all of them, and validated as one batch
-  before the failures are recorded (:func:`_horn_maps`, which
-  :func:`assemble_horn_map` runs on one instance and the homotopy
-  module on all the product horns of a table).
+  A thinness pass over a dimension of X that is wholly thin can remove
+  nothing, so it is skipped, here and in the horn cut
+  (:func:`_wholly_thin`); on a ``th0`` no pass runs at all.  A pass rests
+  on these rules.  A row's family-1 instances without a filler are
+  checked, before the failures are recorded, to be stratified maps from
+  the horn: the face identities and the thin images are compared a whole
+  column at a time (:func:`_stratified_horn_tuples`).  Only if that
+  check fails are their horn maps built and validated as one batch
+  (:func:`_horn_maps`, which :func:`assemble_horn_map` runs on one
+  instance and the homotopy module on all the product horns of a
+  table), so the error is the one the first bad map raises alone.
+  Simplex ids are made only for rows with failures.
 
 Verification of the weak complicial lifting conditions is bounded by the
 cap: a truncated complex can never certify conditions above it, so the
@@ -379,6 +385,32 @@ def _horn_maps(
         raise BoundaryMismatch(str(exc)) from exc
 
 
+def _wholly_thin(x: StratifiedSSet, m: int) -> bool:
+    """Whether every m-simplex of X is thin, so no thinness pass over
+    dimension m can remove anything.  Exact, since the thin index sets
+    are validated where the stratification is made."""
+    return len(x.thin_indexes()[m]) == x.underlying.counts[m]
+
+
+def _horn_thin_words(
+    x: StratifiedSSet, k: int, n: int
+) -> Iterator[tuple[int, Sequence[int], frozenset[int]]]:
+    """The thinness conditions on a stratified map from the k-complicial
+    horn of the n-simplex to X, as (position p, word, thin set).
+
+    The map sends the face at the p-th j != k, through ``act`` of the
+    word, to a simplex that must lie in the thin set.  Each thin simplex
+    of the horn is read off its generating face; the k-th face is never
+    thin, so every thin key lies in the horn.  Keys of a wholly thin
+    dimension of X (:func:`_wholly_thin`) ask nothing and are left out.
+    """
+    js = [j for j in range(n + 1) if j != k]
+    thin = x.thin_indexes()
+    for key, (j, word) in _horn_generators(k, n).items():
+        if complicial_thin_key(k, n, key) and not _wholly_thin(x, len(key) - 1):
+            yield js.index(j), word, thin[len(key) - 1]
+
+
 def _horn_rows(
     xu: TruncatedSSet, k: int, n: int, x: StratifiedSSet | None
 ) -> Iterator[tuple[int, ...]]:
@@ -399,22 +431,20 @@ def _horn_rows(
     some face j != k and its image is read off the face chosen there, so
     thinness is a condition on single faces: per position, the candidates
     are cut down once, a whole column per thin simplex, to those whose
-    images land thin.  With ``x`` None the tuples are the plain simplicial
-    horns.
+    images land thin (:func:`_horn_thin_words`).  A thin simplex whose
+    dimension is wholly thin in ``x`` cuts nothing and is skipped, so on
+    a ``th0`` no cut is made at all.  With ``x`` None the tuples are the
+    plain simplicial horns.
     """
     js = [j for j in range(n + 1) if j != k]
     top = n - 1
     # allowed[p] lists, ascending, the candidates for the face at js[p]
     allowed: list[Sequence[int]] = [range(xu.counts[top])] * len(js)
     if x is not None:
-        thin = x.thin_indexes()
-        # the k-th face is never thin, so every thin key lies in the horn
-        for key, (j, word) in _horn_generators(k, n).items():
-            if complicial_thin_key(k, n, key):
-                p = js.index(j)
-                images = xu.act(top, word, allowed[p])
-                allowed[p] = [w for w, v in zip(allowed[p], images)
-                              if v in thin[len(key) - 1]]
+        for p, word, thin_m in _horn_thin_words(x, k, n):
+            images = xu.act(top, word, allowed[p])
+            allowed[p] = [w for w, v in zip(allowed[p], images)
+                          if v in thin_m]
     tuples: Iterable[tuple[int, ...]] = [(w,) for w in allowed[0]]
     rows = xu.faces[top]
     for p in range(1, len(js)):
@@ -545,12 +575,14 @@ def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
 
     The set holds the face rows, k-th entry left out, of the thin
     n-simplices, so an instance is filled exactly when its faces are in it
-    (the rule of :func:`_fillers`).  The horn maps of the instances without
-    a filler are built together, a column per horn simplex, and each is
-    validated (:func:`_horn_maps`) before it is recorded as a failure.
+    (the rule of :func:`_fillers`).  The instances without a filler are
+    checked to be stratified maps from the horn, a column at a time
+    (:func:`_stratified_horn_tuples`), before they are recorded as
+    failures; should any fail that check, their horn maps are built and
+    validated as one batch (:func:`_horn_maps`), which raises the error
+    :func:`assemble_horn_map` raises on the first bad one.  Simplex ids
+    are made only for a row with failures.
     """
-    js = [j for j in range(n + 1) if j != k]
-    ids = x.underlying.ids[n - 1]
     rows = x.underlying.faces[n]
     filled = {rows[w][:k] + rows[w][k + 1:] for w in x.thin_indexes()[n]}
     instances = 0
@@ -559,14 +591,46 @@ def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
         instances += 1
         if faces not in filled:
             unfilled.append(faces)
-    failures = []
-    if unfilled:
+    if not unfilled:
+        return VerificationRow(1, k, n, instances, ())
+    columns = list(zip(*unfilled))
+    if not _stratified_horn_tuples(x, k, n, columns):
         horn = complicial_horn(k, n, n)[0]
-        maps = _horn_maps(horn, k, n, x, list(zip(*unfilled)))
-        for faces, _ in zip(unfilled, maps):  # validated as it is drawn
-            failures.append(FailedInstance(
-                1, k, n, {"faces": {j: ids[w] for j, w in zip(js, faces)}}))
-    return VerificationRow(1, k, n, instances, tuple(failures))
+        for _ in _horn_maps(horn, k, n, x, columns):  # validated as drawn
+            pass
+    js = [j for j in range(n + 1) if j != k]
+    ids = x.underlying.ids[n - 1]
+    failures = tuple(
+        FailedInstance(1, k, n,
+                       {"faces": {j: ids[w] for j, w in zip(js, faces)}})
+        for faces in unfilled
+    )
+    return VerificationRow(1, k, n, instances, failures)
+
+
+def _stratified_horn_tuples(x: StratifiedSSet, k: int, n: int,
+                            columns: Sequence[Sequence[int]]) -> bool:
+    """Whether every face tuple is a stratified map from the k-complicial
+    horn of the n-simplex to X.
+
+    ``columns[p]`` lists the (n-1)-simplex on the p-th face j != k of
+    each tuple, as for :func:`_horn_maps`.  A tuple is a simplicial map
+    from the horn exactly when d_i of its face at j is d_{j-1} of its
+    face at i, for i < j both != k; it is stratified when, besides, the
+    image of each thin simplex of the horn is thin
+    (:func:`_horn_thin_words`).  Both are one comparison over whole
+    columns.
+    """
+    xu = x.underlying
+    js = [j for j in range(n + 1) if j != k]
+    faces = xu.face_columns[n - 1]
+    for (p, i), (q, j) in combinations(enumerate(js), 2):
+        if (list(map(faces[i].__getitem__, columns[q]))
+                != list(map(faces[j - 1].__getitem__, columns[p]))):
+            return False
+    return all(v in thin_m
+               for p, word, thin_m in _horn_thin_words(x, k, n)
+               for v in xu.act(n - 1, word, columns[p]))
 
 
 def _delta_prime_thin_keys(k: int, n: int) -> list[tuple[int, ...]]:
@@ -587,21 +651,30 @@ def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
     A map from the primed complex is an n-simplex of X whose images of the
     primed thin simplices are all thin; lifting along the identity-on-
     underlying inclusion asks exactly that the k-th face also lands thin.
-    The n-simplices are filtered a whole column per thin key.
+    The n-simplices are filtered a whole column per thin key, and their
+    k-th faces are one more column.  A key of a wholly thin dimension of
+    X filters nothing and is skipped (:func:`_wholly_thin`), as is the
+    k-th-face pass when dimension n - 1 is wholly thin, so on a ``th0``
+    the row is decided without a pass.  Simplex ids are made only for a
+    row with failures.
     """
     xu = x.underlying
     thin = x.thin_indexes()
     column: Sequence[int] = range(xu.counts[n])
     for key in _delta_prime_thin_keys(k, n):
-        thin_m = thin[len(key) - 1]
-        column = [w for w, v in zip(column, xu.act(n, key, column))
-                  if v in thin_m]
-    kth = [v for v in range(n + 1) if v != k]
-    ids = xu.ids[n]
+        if not _wholly_thin(x, len(key) - 1):
+            thin_m = thin[len(key) - 1]
+            column = [w for w, v in zip(column, xu.act(n, key, column))
+                      if v in thin_m]
+    failed: list[int] = []
+    if not _wholly_thin(x, n - 1):
+        kth = [v for v in range(n + 1) if v != k]
+        failed = [w for w, v in zip(column, xu.act(n, kth, column))
+                  if v not in thin[n - 1]]
+    ids = xu.ids[n] if failed else ()
     failures = tuple(
         FailedInstance(2, k, n, {"simplex": ids[w], "missing_thin_face": k})
-        for w, v in zip(column, xu.act(n, kth, column))
-        if v not in thin[n - 1]
+        for w in failed
     )
     return VerificationRow(2, k, n, len(column), failures)
 

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import documents as D
-from complicial import errors, homotopy
+from complicial import errors, homotopy, lifting
 from complicial.core import TruncatedSSet, make_simplicial_map
 from complicial.homotopy import all_product_fillers
-from complicial.lifting import _fillers, _horn_maps, _horn_rows
+from complicial.lifting import (
+    _fillers, _horn_maps, _horn_rows, _stratified_horn_tuples,
+)
 from complicial.standard import (
     complicial_thin_key, in_horn_key, monotone_maps,
 )
@@ -268,26 +270,7 @@ class _EveryCandidate(dict):
         return self.everything
 
 
-def corrupted_act(act):
-    """``TruncatedSSet.act`` with every image moved to the next simplex of
-    its dimension, so the rows built from it no longer commute."""
-    def shifted(self, n, values, column):
-        count = self.counts[len(values) - 1]
-        return [(v + 1) % count for v in act(self, n, values, column)]
-    return shifted
-
-
 def test_witness_validation_is_live(monkeypatch):
-    # th0 marks everything above dimension 0 thin, so a corrupted act cuts
-    # no horn candidate and leaves both families' verdicts alone; the
-    # failing rows' horn maps, built from it, must then fail validation
-    x = C.th0(C.nerve(z3_bool(), 3))
-    assert len(C.verify_weak_complicial(x, 3).failures()) == 234
-    with monkeypatch.context() as patch:
-        patch.setattr(TruncatedSSet, "act", corrupted_act(TruncatedSSet.act))
-        with pytest.raises((errors.BoundaryMismatch,
-                            errors.ThinnessViolation)):
-            C.verify_weak_complicial(x, 3)
     x = C.th0(C.nerve(C.cyclic_group(3), 2))
     monkeypatch.setattr(
         TruncatedSSet, "face_index",
@@ -297,6 +280,43 @@ def test_witness_validation_is_live(monkeypatch):
                                      2: x.underlying.id_at(1, 1)})
     with pytest.raises((errors.NotWellDefined, errors.ThinnessViolation)):
         C.find_extensions(problem)
+
+
+def test_failure_check_catches_an_incompatible_tuple(monkeypatch):
+    # th0 of a group nerve passes, so the one tuple appended to a row's
+    # horns is its only failure; it must stop verify with the error that
+    # assemble_horn_map raises on it
+    x = C.th0(C.nerve(C.symmetric_group_3(), 3))
+    k, n = 1, 3
+    good = next(_horn_rows(x.underlying, k, n, x))
+    bad = good[:-1] + ((good[-1] + 1) % x.counts[n - 1],)
+    js = [j for j in range(n + 1) if j != k]
+    ids = x.underlying.ids[n - 1]
+    with pytest.raises(errors.BoundaryMismatch) as want:
+        C.assemble_horn_map(C.complicial_horn(k, n, n)[0],
+                            {j: ids[w] for j, w in zip(js, bad)}, x)
+    horn_rows = lifting._horn_rows
+
+    def with_bad(xu, k_, n_, strat):
+        yield from horn_rows(xu, k_, n_, strat)
+        if (k_, n_) == (k, n):
+            yield bad
+
+    monkeypatch.setattr(lifting, "_horn_rows", with_bad)
+    with pytest.raises(errors.BoundaryMismatch) as got:
+        C.verify_weak_complicial(x, 3)
+    assert str(got.value) == str(want.value)
+
+
+def test_failure_check_catches_an_unstratified_horn(monkeypatch):
+    # with no cut, the horns whose thin simplices land on nondegenerate
+    # edges are enumerated too, and none of them has a thin filler
+    x = C.make_stratified(C.nerve(C.cyclic_group(3), 3), [])
+    horn_rows = lifting._horn_rows
+    monkeypatch.setattr(lifting, "_horn_rows",
+                        lambda xu, k, n, strat: horn_rows(xu, k, n, None))
+    with pytest.raises(errors.ThinnessViolation):
+        C.verify_weak_complicial(x, 3)
 
 
 def weak_complicial_nerve(data):
@@ -500,17 +520,10 @@ def family2_by_simplex(x, k, n):
     return instances, failures
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_family2_columns_match_per_simplex_rule(data):
-    category = data.draw(st.sampled_from([C.cyclic_group(3),
-                                          C.boolean_monoid(),
-                                          C.symmetric_group_3()]))
-    u = renumbered(C.nerve(category, 3), data)
-    cells = [s for n in range(1, 4) for s in u.nondegenerate(n)]
-    marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
-                               max_size=len(cells)))
-    x = C.make_stratified(u, [s for s, m in zip(cells, marks) if m])
+def check_rows_by_reference(x):
+    """Every row of ``verify`` at cap 3 against the references: family 2
+    against :func:`family2_by_simplex`, family 1 against the instances of
+    ``horn_instances`` without a filler by ``_fillers``."""
     rows = {(r.family, r.k, r.n): r
             for r in C.verify_weak_complicial(x, 3).rows}
     for n in range(2, 4):
@@ -530,17 +543,48 @@ def test_family2_columns_match_per_simplex_rule(data):
             assert [f.detail["faces"] for f in row.failures] == unfilled
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_family2_columns_match_per_simplex_rule(data):
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.boolean_monoid(),
+                                          C.symmetric_group_3()]))
+    check_rows_by_reference(
+        random_thin(renumbered(C.nerve(category, 3), data), data))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_wholly_thin_dimensions_match_the_references(data):
+    # a dimension drawn all thin skips its thinness passes, one drawn
+    # cell by cell keeps them, and both meet in one complex
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.boolean_monoid(),
+                                          C.symmetric_group_3()]))
+    x = random_thin_by_dimension(renumbered(C.nerve(category, 3), data), data)
+    check_join(x)
+    check_rows_by_reference(x)
+
+
 def test_passing_verify_never_applies_monotone_maps(monkeypatch):
-    x = C.th0(C.nerve(C.cyclic_group(3), 3))
+    # every positive dimension of a th0 is wholly thin, so no thinness
+    # pass runs (``apply_monotone`` goes through ``act`` too), and a row
+    # without failures names no simplex
+    x = C.th0(C.nerve(C.symmetric_group_3(), 4))
     calls = []
-    apply_monotone = C.TruncatedSSet.apply_monotone
+    act, make_ids = C.TruncatedSSet.act, C.TruncatedSSet._make_ids
 
-    def counted(self, y, values):
-        calls.append((y, tuple(values)))
-        return apply_monotone(self, y, values)
+    def counted_act(self, n, values, column):
+        calls.append(("act", n, tuple(values)))
+        return act(self, n, values, column)
 
-    monkeypatch.setattr(C.TruncatedSSet, "apply_monotone", counted)
-    report = C.verify_weak_complicial(x, 3)
+    def counted_ids(self, n):
+        calls.append(("ids", n))
+        return make_ids(self, n)
+
+    monkeypatch.setattr(C.TruncatedSSet, "act", counted_act)
+    monkeypatch.setattr(C.TruncatedSSet, "_make_ids", counted_ids)
+    report = C.verify_weak_complicial(x, 4)
     assert report.passed and not calls
 
 
@@ -618,6 +662,21 @@ def random_thin(u, data):
     marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
                                max_size=len(cells)))
     return C.make_stratified(u, [s for s, m in zip(cells, marks) if m])
+
+
+def random_thin_by_dimension(u, data):
+    """``random_thin`` with, per positive dimension, all of it thin or
+    each nondegenerate cell marked on its own, as drawn."""
+    thin = []
+    for n in range(1, u.dim_cap + 1):
+        cells = u.nondegenerate(n)
+        if data.draw(st.booleans()):
+            thin += cells
+        else:
+            marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                                       max_size=len(cells)))
+            thin += [s for s, m in zip(cells, marks) if m]
+    return C.make_stratified(u, thin)
 
 
 @settings(max_examples=12, deadline=None)
@@ -774,3 +833,24 @@ def test_batched_maps_match_per_instance_maps_on_random_stratifications(data):
     drawn = data.draw(st.lists(
         st.tuples(*[st.integers(0, count - 1)] * n), min_size=1, max_size=6))
     check_batched_maps(x, k, n, drawn)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_column_check_agrees_with_the_map_build(data):
+    # on the row's instances and on drawn face tuples, the failure check
+    # accepts a tuple exactly when _horn_maps builds a map from it
+    category = data.draw(st.sampled_from([C.cyclic_group(3),
+                                          C.boolean_monoid()]))
+    x = random_thin_by_dimension(renumbered(C.nerve(category, 3), data), data)
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, n))
+    count = x.counts[n - 1]
+    drawn = data.draw(st.lists(
+        st.tuples(*[st.integers(0, count - 1)] * n), min_size=1, max_size=6))
+    tuples = list(_horn_rows(x.underlying, k, n, x)) + drawn
+    accepted = [bool(check_batched_maps(x, k, n, [row])) for row in tuples]
+    for row, ok in zip(tuples, accepted):
+        assert _stratified_horn_tuples(x, k, n, [[w] for w in row]) is ok
+    assert _stratified_horn_tuples(x, k, n, list(zip(*tuples))) is \
+        all(accepted)
