@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import adapters, documents, homotopy, lifting, standard
 from .errors import ComplicialError, NoFiller, NotKan, NotQuasiCategory
@@ -69,11 +70,13 @@ def _load_complex(path: str) -> StratifiedSSet:
         raise _UsageError(f"malformed complex document: {exc!r}") from exc
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, pieces: Iterable[str]) -> None:
+    """Write a document, given in pieces, to ``--out`` or to stdout."""
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _load_category(args) -> adapters.FiniteCategory:
@@ -180,7 +183,7 @@ def cmd_build(args) -> int:
         x = gproduct(_load_complex(params[0]), _load_complex(params[1]))
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown builder {name}")
-    _emit(args, documents.complex_text(x, name=args.name))
+    _emit(args, [documents.complex_text(x, name=args.name)])
     return 0
 
 
@@ -196,7 +199,7 @@ def cmd_verify(args) -> int:
         },
         documents.verify_payload(report, witness_limit=args.limit),
     )
-    _emit(args, documents.dumps(doc))
+    _emit(args, documents.dump_pieces(doc))
     return 0 if report.passed else 2
 
 
@@ -231,7 +234,7 @@ def cmd_tau(args) -> int:
         },
         documents.table_payload(table, audit),
     )
-    _emit(args, documents.dumps(doc))
+    _emit(args, documents.dump_pieces(doc))
     if audit is not None and not audit.all_consistent:
         return 2
     return 0
@@ -245,7 +248,7 @@ def cmd_tau0(args) -> int:
         {"complex_sha256": documents.complex_digest(x)},
         documents.tau0_payload(result),
     )
-    _emit(args, documents.dumps(doc))
+    _emit(args, documents.dump_pieces(doc))
     return 0
 
 

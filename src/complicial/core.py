@@ -113,6 +113,7 @@ class TruncatedSSet:
         "degeneracies",
         "keys",
         "_labels",
+        "_key_labels",
         "_ids",
         "_key_index",
         "_deg_witness",
@@ -140,10 +141,13 @@ class TruncatedSSet:
             lambda n: tuple(zip(*degeneracy_columns[n])))
         self.keys = keys
         # per dimension the label strings; None throughout when there are
-        # neither labels nor keys, None in one dimension for str(key) there
+        # neither labels nor keys, None in one dimension for labels made
+        # from the keys there on first use: str of each key, or
+        # _key_labels(n) when a constructor set it (the product does)
         self._labels: list[tuple[str | None, ...] | None] | None = (
             list(labels) if labels is not None
             else None if keys is None else [None] * (dim_cap + 1))
+        self._key_labels = None
         # the slots of ids, and lazily built indexes like them
         self._ids: list[tuple[SimplexId, ...] | None] = [None] * (dim_cap + 1)
         self._key_index: list[dict[Hashable, int] | None] | None = (
@@ -177,7 +181,9 @@ class TruncatedSSet:
             return None
         got = labels[n]
         if got is None:
-            got = labels[n] = tuple(map(str, self.keys[n]))
+            make = self._key_labels
+            got = labels[n] = tuple(map(str, self.keys[n])) if make is None \
+                else make(n)
         return got
 
     def simplices(self, n: int) -> tuple[SimplexId, ...]:

@@ -8,13 +8,18 @@ of the form ``"dim:index"``.
 Every document is laid out as ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` plus a final newline.  A complex is rendered by
 :func:`complex_text` straight from its face and degeneracy columns, thin
-indexes and label strings, joining whole rows of strings at C speed
-instead of going through ``json``'s pure-Python indenting encoder: each
-dimension's quoted id strings are made once and every table row is one
-``str.format`` call, so no per-row list and no :class:`SimplexId` is
-made.  :func:`complex_digest` hashes that text, and :func:`complex_to_doc`
-is its parse, so one function decides what a complex document holds.
-Results are written by :func:`dumps`, which is ``json`` itself.
+indexes and label strings, instead of going through ``json``'s pure-Python
+indenting encoder.  Every id list (the simplices, each face and degeneracy
+table, the thin list and the label keys) is one C-level ``str.join`` over
+the digit strings of its indexes, which come from one list per call; the
+quotes, the ``n:`` prefix, the indentation and the row brackets are in the
+separators.  So no ``"n:i"`` string, no per-row string and no
+:class:`SimplexId` is made.  :func:`complex_digest` feeds the same pieces to
+sha256 without joining them, and :func:`complex_to_doc` is their parse, so
+one function decides what a complex document holds.  Results are written
+by :func:`dumps`, which is ``json`` itself, or streamed by
+:func:`dump_pieces`, a batch of ``json``'s chunks at a time, with the same
+bytes.
 
 Reading a complex builds one table of id strings per call.  Parsing reads
 every id, in the face and degeneracy tables, the thin list and the label
@@ -30,9 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import is_not, sub
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .core import SimplexId, _build_sset_columns, build_sset
@@ -67,29 +72,40 @@ def dumps(doc: Any) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+# json's chunks per piece of dump_pieces: a few hundred kB of text
+_CHUNKS_PER_PIECE = 1 << 14
+
+
+def dump_pieces(doc: Any) -> Iterator[str]:
+    """The text of :func:`dumps` in pieces, each a batch of the chunks
+    ``json``'s encoder yields, so a writer never holds the whole text, nor
+    the list of every chunk that ``json.dumps`` joins at the end."""
+    chunks = json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(doc)
+    while batch := list(islice(chunks, _CHUNKS_PER_PIECE)):
+        yield "".join(batch)
+    yield "\n"
+
+
 def _id_table(cap: int, counts) -> list[list[str]]:
     """``table[n][i] == "n:i"`` for every simplex."""
     return [list(map(f"{n}:".__add__, map(str, range(counts[n]))))
             for n in range(cap + 1)]
 
 
-def _leaves(items, depth: int, brackets: str = "[]") -> list[str]:
-    """The pieces of one list (or, with ``"{}"``, one dict) of rendered
-    ``items`` nested ``depth`` levels deep, as ``json.dumps(..., indent=2)``
-    lays it out; the items are joined into one piece."""
-    inner = "\n" + "  " * (depth + 1)
-    body = ("," + inner).join(items)
-    if not body:
-        return [brackets]
-    return [brackets[0] + inner, body, inner[:-2] + brackets[1]]
+def _ids(digits: Iterable[str], n: int, inner: str) -> str:
+    """The ids ``"n:i"`` of the given digit strings of ``i`` as JSON list
+    items, each on a line opened by ``inner``, with no brackets: one join,
+    whose separator holds the quotes, the ``n:`` prefix and the
+    indentation.  Empty when no digit string is given."""
+    body = f'",{inner}"{n}:'.join(digits)
+    return f'"{n}:{body}"' if body else ""
 
 
-def _block(items: list[list[str]], depth: int, brackets: str = "[]"
-           ) -> list[str]:
-    """As :func:`_leaves` for items given as pieces, which stay pieces: a
-    document is joined once, at the end, instead of copying each level into
-    the next (a 7 MB product held several copies at once, and the process
-    peaked higher)."""
+def _block(items: list, depth: int, brackets: str = "[]") -> list:
+    """The pieces of one list (or, with ``"{}"``, one dict) nested ``depth``
+    levels deep, as ``json.dumps(..., indent=2)`` lays it out, of items
+    given as lists of pieces, which stay pieces: a document is joined once,
+    at the end, instead of copying each level into the next."""
     if not items:
         return [brackets]
     inner = "\n" + "  " * (depth + 1)
@@ -101,53 +117,90 @@ def _block(items: list[list[str]], depth: int, brackets: str = "[]"
     return pieces
 
 
-def _table(columns: tuple, ids: list[str]) -> list[str]:
-    """An index table given as columns, each entry written as its quoted id
-    string, one row per ``str.format`` call: a table of the ``faces`` or
-    ``degeneracies`` list, two levels deep."""
-    row = "[\n        " + ",\n        ".join(["{}"] * len(columns)) \
-        + "\n      ]"
-    return _leaves(map(row.format, *[map(ids.__getitem__, c)
-                                     for c in columns]), 2)
+def _interleaved(parts: list) -> str:
+    """One join of the items of ``parts`` taken in turn, until a part runs
+    out, less the very last item (a separator, as the last part always
+    is)."""
+    flat = list(chain.from_iterable(zip(*parts)))
+    if flat:
+        flat.pop()
+    return "".join(flat)
 
 
-def complex_text(x: StratifiedSSet, name: str | None = None) -> str:
-    """The canonical document of a complex as text, written straight from
-    its columns, thin indexes and stored label strings (no per-row list and
-    no :class:`SimplexId`).  Its bytes are those :func:`dumps` writes for
-    the document, and :func:`complex_to_doc` is their parse."""
+def _table(columns: tuple, digits: list[str], n: int) -> list[str]:
+    """The pieces of an index table given as columns, one row per simplex,
+    each entry written as the id of dimension ``n`` it indexes: a table of
+    the ``faces`` or ``degeneracies`` list, two levels deep.  The rows are
+    one join over the entries' digit strings, interleaved with a separator
+    inside a row and one, closing it and opening the next, between rows."""
+    if not columns[0]:
+        return ["[]"]
+    within = f'",\n        "{n}:'
+    between = f'"\n      ],\n      [\n        "{n}:'
+    parts = [repeat(within)] * (2 * len(columns))
+    parts[::2] = [map(digits.__getitem__, column) for column in columns]
+    parts[-1] = repeat(between)
+    return [f'[\n      [\n        "{n}:', _interleaved(parts),
+            '"\n      ]\n    ]']
+
+
+def _labels(column: tuple, digits: list[str], n: int) -> str:
+    """The given labels of the n-simplices as the items ``"n:i": label`` of
+    the ``labels`` dict, one join over the digit strings and the encoded
+    labels; empty when no n-simplex has a label."""
+    given = list(map(is_not, column, repeat(None)))
+    body = _interleaved([compress(digits, given), repeat('": '),
+                         map(_encode_str, compress(column, given)),
+                         repeat(f',\n    "{n}:')])
+    return f'"{n}:{body}' if body else ""
+
+
+def _complex_pieces(x: StratifiedSSet, name: str | None) -> list[str]:
+    """The canonical document of a complex as pieces of text, made from its
+    columns, thin indexes and label strings (see :func:`complex_text`)."""
+    if name is not None and not isinstance(name, str):
+        raise InvalidInput("a complex's name must be a string")
     u = x.underlying
     cap = u.dim_cap
-    quoted = [list(map(f'"{n}:{{}}"'.format, range(u.counts[n])))
-              for n in range(cap + 1)]
+    digits = list(map(str, range(max(u.counts))))
+    lists = [_ids(digits[:count], n, "\n      ")
+             for n, count in enumerate(u.counts)]
+    thin = [_ids(map(digits.__getitem__, sorted(indexes)), n, "\n    ")
+            for n, indexes in enumerate(x.thin_indexes())]
+    labels = [_labels(column, digits, n)
+              for n, column in enumerate(map(u.label_column, range(cap + 1)))
+              if column is not None]
     fields = [
         [f'"format_version": {FORMAT_VERSION}'],
         ['"kind": "complex"'],
         [f'"dim_cap": {cap}'],
-        ['"simplices": ', *_block([_leaves(ids, 2) for ids in quoted], 1)],
-        ['"faces": ', *_block([_table(u.face_columns[n], quoted[n - 1])
+        ['"simplices": ', *_block(
+            [["[\n      ", ids, "\n    ]"] if ids else ["[]"]
+             for ids in lists], 1)],
+        ['"faces": ', *_block([_table(u.face_columns[n], digits, n - 1)
                                for n in range(1, cap + 1)], 1)],
-        ['"degeneracies": ', *_block([
-            _table(u.degeneracy_columns[n], quoted[n + 1])
-            for n in range(cap)], 1)],
-        ['"thin": ', *_leaves(chain.from_iterable(
-            map(ids.__getitem__, sorted(thin))
-            for ids, thin in zip(quoted, x.thin_indexes())), 1)],
+        ['"degeneracies": ', *_block(
+            [_table(u.degeneracy_columns[n], digits, n + 1)
+             for n in range(cap)], 1)],
+        ['"thin": ', *_block([[ids] for ids in thin if ids], 1)],
     ]
-    labels = []
-    for ids, column in zip(quoted, map(u.label_column, range(cap + 1))):
-        if column is not None:
-            given = list(map(is_not, column, repeat(None)))
-            labels += map("{}: {}".format, compress(ids, given),
-                          map(_encode_str, compress(column, given)))
+    labels = [[items] for items in labels if items]
     if labels:
-        fields.append(['"labels": ', *_leaves(labels, 1, "{}")])
+        fields.append(['"labels": ', *_block(labels, 1, "{}")])
     if name is not None:
-        if not isinstance(name, str):
-            raise InvalidInput("a complex's name must be a string")
         fields.append(['"metadata": ',
                        '{\n    "name": ' + _encode_str(name) + '\n  }'])
-    return "".join(_block(fields, 0, "{}") + ["\n"])
+    return _block(fields, 0, "{}") + ["\n"]
+
+
+def complex_text(x: StratifiedSSet, name: str | None = None) -> str:
+    """The canonical document of a complex as text, written straight from
+    its columns, thin indexes and stored label strings: each id list is one
+    ``str.join`` over the digit strings of its indexes, with the quotes, the
+    ``n:`` prefix, the indentation and the row brackets in the separators.
+    Its bytes are those :func:`dumps` writes for the document, and
+    :func:`complex_to_doc` is their parse."""
+    return "".join(_complex_pieces(x, name))
 
 
 def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
@@ -276,7 +329,12 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
 
 
 def complex_digest(x: StratifiedSSet) -> str:
-    return hashlib.sha256(complex_text(x).encode()).hexdigest()
+    """The sha256 of the complex's unnamed document, fed piece by piece
+    rather than as the whole text."""
+    digest = hashlib.sha256()
+    for piece in _complex_pieces(x, None):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def result_doc(kind: str, inputs: dict, payload: dict) -> dict:

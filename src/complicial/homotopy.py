@@ -44,7 +44,7 @@ from .strat import (
     StratifiedMap,
     StratifiedSSet,
     gproduct,
-    regular_subset,
+    _regular_subset,
 )
 
 
@@ -123,9 +123,9 @@ class HomotopyWitness:
                 if kt != (0,) * (m + 1) and kt != (1,) * (m + 1):
                     continue
                 end = self.f if kt[0] == 0 else self.g
-                cell = au.id_for_key(m, ka) if au.keys is not None \
-                    else au.id_at(m, ka)
-                if self.h(cu.id_at(m, i)) != end(cell):
+                cell = au.id_for_key(m, ka).index if au.keys is not None \
+                    else ka
+                if self.h.map.assign[m][i] != end.map.assign[m][cell]:
                     raise InvalidInput(
                         f"cylinder map does not restrict to the ends at {m}:{i}"
                     )
@@ -170,10 +170,8 @@ class _Cylinder:
                 for ia in set(rel.map.assign[m]):
                     for it in range(t):
                         reads[m][ia * t + it] = ia
-        cu = cyl.underlying
-        sub, inclusion = regular_subset(
-            cyl, [cu.id_at(m, c) for m, ends in enumerate(reads) for c in ends]
-        )
+        # the pinned simplices, by index: the cylinder makes no ids
+        sub, inclusion = _regular_subset(cyl, reads)
         # the pinned part is face- and degeneracy-closed, so nothing was added
         assert sum(sub.counts) == sum(map(len, reads))
         self.source = a
@@ -792,9 +790,14 @@ def _finish_table(table: tuple[tuple[int, ...], ...], **fields) -> MonoidTable:
 
 
 def _witness_summary(w: HomotopyWitness) -> tuple[SimplexId, ...]:
-    cyl = w.h.source
-    top = cyl.cap
-    return tuple(w.h(s) for s in cyl.nondegenerate(top))
+    # the images of the cylinder's nondegenerate top simplices, read off the
+    # columns: the cylinder makes no ids
+    h = w.h.map
+    top = h.source.dim_cap
+    ids = h.target.ids[top]
+    return tuple(ids[j] for j, made_by in zip(h.assign[top],
+                                              h.source.deg_witness[top])
+                 if made_by is None)
 
 
 def sphere_relation(

@@ -258,30 +258,32 @@ def regular_subset(
     ambient (dim, index) order, so the construction is deterministic.
     """
     u = y.underlying
-    member: set[SimplexId] = set()
-    stack = [u.id_at(g.dim, g.index) for g in generators]
-    for g in stack:
+    indexes: list[list[int]] = [[] for _ in range(u.dim_cap + 1)]
+    for g in generators:
         if not (0 <= g.dim <= u.dim_cap and 0 <= g.index < u.counts[g.dim]):
             raise InvalidInput(f"{g!r} is not a simplex of the complex")
-    while stack:
-        s = stack.pop()
-        if s in member:
-            continue
-        member.add(s)
-        if s.dim >= 1:
-            stack.extend(u.face(s, i) for i in range(s.dim + 1))
-        if s.dim < u.dim_cap:
-            stack.extend(u.degeneracy(s, i) for i in range(s.dim + 1))
+        indexes[g.dim].append(g.index)
+    return _regular_subset(y, indexes)
 
-    per_dim: list[list[SimplexId]] = [[] for _ in range(u.dim_cap + 1)]
-    for s in sorted(member):
-        per_dim[s.dim].append(s)
-    amb_to_sub = [
-        {s.index: i for i, s in enumerate(per_dim[n])}
-        for n in range(u.dim_cap + 1)
-    ]
-    counts = tuple(len(per_dim[n]) for n in range(u.dim_cap + 1))
-    at = [[s.index for s in per_dim[n]] for n in range(u.dim_cap + 1)]
+
+def _regular_subset(y: StratifiedSSet, indexes: Sequence[Iterable[int]]
+                    ) -> tuple[StratifiedSSet, StratifiedMap]:
+    """:func:`regular_subset` of the simplices given by their indexes, per
+    dimension, closed a column at a time with no :class:`SimplexId`."""
+    u = y.underlying
+    cap = u.dim_cap
+    member = [set(given) for given in indexes]
+    # faces from the top down, then degeneracies from the bottom up: a face
+    # of s_j x is x or a degeneracy of a face of x, so the second pass keeps
+    # the members closed under faces
+    for n in range(cap, 0, -1):
+        member[n - 1].update(_gather(u.face_columns[n], list(member[n])))
+    for n in range(cap):
+        member[n + 1].update(_gather(u.degeneracy_columns[n],
+                                     list(member[n])))
+    at = [sorted(m) for m in member]
+    amb_to_sub = [dict(zip(ix, range(len(ix)))) for ix in at]
+    counts = tuple(map(len, at))
 
     def columns(ambient: Sequence[Sequence[int]], n: int, target: int):
         # each column of the ambient table at the members, renumbered
@@ -290,19 +292,17 @@ def regular_subset(
                 for column in ambient]
 
     faces = [()] + [columns(u.face_columns[n], n, n - 1)
-                    for n in range(1, u.dim_cap + 1)]
+                    for n in range(1, cap + 1)]
     degens = [columns(u.degeneracy_columns[n], n, n + 1)
-              for n in range(u.dim_cap)] + [()]
+              for n in range(cap)] + [()]
     keys = None
     if u.keys is not None:
-        keys = tuple(
-            tuple(u.keys[n][s.index] for s in per_dim[n])
-            for n in range(u.dim_cap + 1)
-        )
-    sub_u = _build_sset_columns(u.dim_cap, counts, faces, degens, keys=keys)
+        keys = [tuple(map(u.keys[n].__getitem__, at[n]))
+                for n in range(cap + 1)]
+    sub_u = _build_sset_columns(cap, counts, faces, degens, keys=keys)
     y_thin = y.thin_indexes()
     sub = _stratify(sub_u, [[i for i, v in enumerate(at[n]) if v in y_thin[n]]
-                            for n in range(u.dim_cap + 1)])
+                            for n in range(cap + 1)])
     inclusion = make_stratified_map(
         sub, y, make_simplicial_map(sub_u, u, at))
     return sub, inclusion
@@ -341,6 +341,15 @@ def gproduct(x: StratifiedSSet, y: StratifiedSSet) -> StratifiedSSet:
               for n in range(cap + 1)]
     keys = [tuple(product(xk, yk)) for xk, yk in zip(x_keys, y_keys)]
     prod_u = _build_sset_columns(cap, counts, faces, degens, keys=keys)
+
+    def pair_labels(n: int) -> tuple[str, ...]:
+        # str((a, b)) is "(" + repr(a) + ", " + repr(b) + ")": each factor's
+        # halves are made once per simplex and joined per pair, on first use
+        # only, so cylinders, which print no labels, never make them
+        return tuple(starmap(add, product(
+            map("({!r}, ".format, x_keys[n]), map("{!r})".format, y_keys[n]))))
+
+    prod_u._key_labels = pair_labels
     x_thin, y_thin = x.thin_indexes(), y.thin_indexes()
     return _stratify(prod_u, [
         pairs(x_thin[n], y_thin[n], yu.counts[n]) for n in range(cap + 1)])

@@ -181,6 +181,23 @@ def test_output_bytes_are_run_stable(capsys, tmp_path, z2_monoid_file):
     assert t1 == t2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-dim", "3"], ["tau", "--n", "1", "--audit-well-defined"],
+    ["tau0"], ["build", "th0"]])
+def test_out_file_and_stdout_hold_the_same_bytes(capsys, tmp_path, argv):
+    x = C.th0(C.nerve(C.symmetric_group_3(), 3))
+    path = tmp_path / "x.json"
+    path.write_text(D.complex_text(x, name="th0"), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code, shown = run(capsys, *argv, str(path))
+    assert run(capsys, *argv, str(path), "--out", str(out)) == (code, "")
+    assert out.read_bytes() == shown.encode()
+    doc = json.loads(shown)
+    written = D.complex_text(x, name="th0") if argv[0] == "build" \
+        else D.dumps(doc)
+    assert shown == written
+
+
 def test_vertex_by_label(capsys, tmp_path, z2_monoid_file):
     nerve_path = tmp_path / "n.json"
     run(capsys, "build", "nerve", "--monoid", z2_monoid_file,

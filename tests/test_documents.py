@@ -119,8 +119,15 @@ awkward_text = st.text(alphabet=st.sampled_from(
 
 @given(json_values)
 def test_writer_matches_json_indent_2(value):
-    assert D.dumps(value) == json.dumps(value, indent=2,
-                                        ensure_ascii=False) + "\n"
+    assert D.dumps(value) == "".join(D.dump_pieces(value)) == \
+        json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_dump_pieces_stream_a_large_document_in_batches():
+    doc = {"rows": [[i, str(i)] for i in range(20000)], "end": "é"}
+    pieces = list(D.dump_pieces(doc))
+    assert len(pieces) > 3
+    assert "".join(pieces) == D.dumps(doc)
 
 
 @given(st.lists(st.lists(awkward_text, max_size=3), max_size=3),
@@ -455,7 +462,8 @@ def assert_written_as_before(x, name):
         with pytest.raises(UnicodeEncodeError):
             D.complex_digest(x)
     else:
-        assert D.complex_digest(x) == digest
+        assert D.complex_digest(x) == digest == \
+            hashlib.sha256(D.complex_text(x).encode()).hexdigest()
 
 
 def relabeled(x, labels):
@@ -509,6 +517,30 @@ def test_complex_text_is_the_document_written_as_before(case):
 
 
 S3_NERVE = C.nerve(C.symmetric_group_3(), 2)
+# 4, 16, 64, 256 and 1024 simplices: ids cross 9/10, 99/100 and 999/1000
+Z4_NERVE = C.nerve(C.cyclic_group(4), 5)
+
+
+def thin_runs():
+    """Thin simplices in several dimensions, in runs across the digit
+    boundaries, with a dimension thin only at its degenerate simplices (a
+    degenerate simplex is always thin, so no dimension between two thin
+    ones is empty) and the vertices, never thin, before them."""
+    picks = {1: [1, 2, 3], 3: [9, 10, 11], 4: [99, 100, 101],
+             5: [998, 999, 1000, 1001, 1023]}
+    return C.make_stratified(Z4_NERVE, [Z4_NERVE.id_at(n, i) for n, run
+                                        in picks.items() for i in run])
+
+
+def gapped_labels():
+    """Labels in dimensions 0, 2 and 5 only, with None between them."""
+    x = thin_runs()
+    counts = x.underlying.counts
+    labels = [[None] * c for c in counts]
+    labels[0] = ["v0"]
+    labels[2][9:12] = ["nine", "ten", None]
+    labels[5][998:1002] = ["a", None, 'q"\\', "é"]
+    return relabeled(x, labels)
 
 
 @pytest.mark.parametrize("x", [
@@ -517,7 +549,10 @@ S3_NERVE = C.nerve(C.symmetric_group_3(), 2)
     C.gproduct(C.th0(C.nerve(C.cyclic_group(2), 2)), C.delta_t(1, 2)),
     # thin indexes that a frozenset iterates out of order
     C.make_stratified(S3_NERVE, [S3_NERVE.id_at(2, 32)]),
-], ids=["empty", "point", "product", "thin-order"])
+    thin_runs(),
+    gapped_labels(),
+], ids=["empty", "point", "product", "thin-order", "thin-runs",
+        "gapped-labels"])
 @pytest.mark.parametrize("name", [None, "c", 'a "q" \\ \n é'])
 def test_complex_text_covers_the_edge_cases(x, name):
     assert_written_as_before(x, name)

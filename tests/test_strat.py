@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import complicial as C
-from complicial import errors
+from complicial import documents as D, errors, homotopy
 from complicial.core import _validate_map, make_simplicial_maps
 from complicial.lifting import _stratified_maps
 from complicial.strat import _check_thin, make_stratified_maps
@@ -133,6 +133,44 @@ def test_regular_subset_idempotent_and_monotone(data):
     assert again == sub1
 
 
+def closure_by_ids(x, generators):
+    """The simplices of the regular subset, closed one id at a time."""
+    u = x.underlying
+    member, stack = set(), list(generators)
+    while stack:
+        s = stack.pop()
+        if s not in member:
+            member.add(s)
+            if s.dim >= 1:
+                stack += [u.face(s, i) for i in range(s.dim + 1)]
+            if s.dim < u.dim_cap:
+                stack += [u.degeneracy(s, i) for i in range(s.dim + 1)]
+    return sorted(member)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_regular_subset_closes_like_the_id_worklist(data):
+    x = data.draw(st.sampled_from([
+        C.complicial_delta(1, 3, 3), C.th0(C.nerve(C.cyclic_group(2), 3)),
+        C.gproduct(C.delta_t(1, 2), C.delta(2, 2))]))
+    pool = [s for n in range(x.cap + 1) for s in x.simplices(n)]
+    gens = data.draw(st.lists(st.sampled_from(pool), max_size=5))
+    sub, inc = C.regular_subset(x, gens)
+    assert [inc(s) for n in range(sub.cap + 1) for s in sub.simplices(n)] \
+        == closure_by_ids(x, gens)
+    assert all(sub.is_thin(s) == x.is_thin(inc(s))
+               for n in range(sub.cap + 1) for s in sub.simplices(n))
+
+
+@pytest.mark.parametrize("g", [C.SimplexId(9, 0), C.SimplexId(1, 99),
+                               C.SimplexId(-1, 0), C.SimplexId(1, -1)])
+def test_regular_subset_rejects_a_generator_outside_the_complex(g):
+    with pytest.raises(errors.InvalidInput,
+                       match="is not a simplex of the complex"):
+        C.regular_subset(C.delta(2, 2), [g])
+
+
 # -- products -------------------------------------------------------------------
 
 def test_gproduct_with_point_is_isomorphic(th0_z2_3):
@@ -170,6 +208,62 @@ def test_interval_square_diagonal_thin():
     assert p.is_thin(diag)
     # both nondegenerate 2-cells have degenerate (hence thin) components
     assert all(p.is_thin(s) for s in p.nondegenerate(2))
+
+
+def keyless(x):
+    """``x`` as read back from its document: the same tables and thin
+    simplices, no keys."""
+    return D.doc_to_complex(D.complex_to_doc(x))
+
+
+def points(*keys):
+    return C.min_strat(C.build_sset(0, [len(keys)], [[]], [[]],
+                                    keys=[list(keys)]))
+
+
+awkward = points("plain", "it's", 'say "hi"', "back\\slash", "é→😀",
+                 "tab\t", "\x00", 7, (1, "a"))
+
+
+@pytest.mark.parametrize("factors", [
+    (keyless(C.delta_t(1, 2)), keyless(C.th0(C.nerve(C.cyclic_group(2), 2)))),
+    (C.min_strat(C.nerve(C.symmetric_group_3(), 2)),
+     C.delta_t(1, 2)),
+    (awkward, awkward),
+    (awkward, keyless(awkward)),
+    (C.gproduct(C.delta_t(1, 1), awkward),
+     C.gproduct(awkward, C.th0(C.nerve(C.cyclic_group(2), 1)))),
+], ids=["keyless", "nerve-delta_t", "escaped", "escaped-keyless",
+        "of-products"])
+def test_product_labels_are_str_of_the_pair_keys(factors):
+    u = C.gproduct(*factors).underlying
+    for n in range(u.dim_cap + 1):
+        assert u.label_column(n) == tuple(map(str, u.keys[n]))
+    assert [s.label for s in u.ids[0]] == list(map(str, u.keys[0]))
+
+
+def test_tau_table_makes_no_labels_for_its_cylinders(monkeypatch):
+    cylinders, labelled = [], []
+    gproduct, label_column = C.gproduct, C.TruncatedSSet.label_column
+
+    def recording_gproduct(x, y):
+        p = gproduct(x, y)
+        cylinders.append(p.underlying)
+        return p
+
+    def recording_label_column(self, n):
+        labelled.append(self)
+        return label_column(self, n)
+
+    monkeypatch.setattr(homotopy, "gproduct", recording_gproduct)
+    monkeypatch.setattr(C.TruncatedSSet, "label_column",
+                        recording_label_column)
+    for x, n in ((C.th0(C.nerve(C.symmetric_group_3(), 2)), 1),
+                 (C.th0(C.nerve(C.cyclic_group(2), 3)), 2)):
+        v = x.underlying.id_at(0, 0)
+        homotopy.audit_well_defined(x, v, homotopy.tau_table(x, v, n))
+    assert len(cylinders) == 2
+    assert not any(c is u for c in cylinders for u in labelled)
 
 
 # -- stratified maps -----------------------------------------------------------
