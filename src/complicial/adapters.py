@@ -133,8 +133,10 @@ def monoid_category(elements: Sequence[str], unit: str,
                     table: Sequence[Sequence[str]]) -> FiniteCategory:
     """One-object category from a monoid multiplication table.
 
-    ``table[i][j]`` is the product "element i then element j".  The
-    elements, the unit and the table entries are converted with ``str``.
+    ``table[i][j]`` is the product "element i then element j".  The table
+    must be square: one list or tuple per element, of one entry per
+    element.  The elements, the unit and the table entries are converted
+    with ``str``.
     """
     elements = tuple(str(e) for e in elements)
     unit = str(unit)
@@ -142,10 +144,11 @@ def monoid_category(elements: Sequence[str], unit: str,
     if unit not in index:
         raise InvalidInput(f"unit {unit!r} is not an element")
     n = len(elements)
+    if len(table) != n or any(not isinstance(row, (list, tuple))
+                              or len(row) != n for row in table):
+        raise InvalidInput("multiplication table is not square")
     comp = {}
     for i in range(n):
-        if len(table[i]) != n:
-            raise InvalidInput("multiplication table is not square")
         for j in range(n):
             e = str(table[i][j])
             if e not in index:

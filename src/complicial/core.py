@@ -764,30 +764,14 @@ def _check_commutes(row: Row, other: Row, source_ops: tuple[Row, ...],
         raise NotWellDefined(f"{what} simplex {p // width}, {op}_{p % width}")
 
 
-def make_simplicial_maps(source: TruncatedSSet, target: TruncatedSSet,
-                         assigns: Iterable[Sequence[Sequence[int]]]
-                         ) -> list[SimplicialMap]:
-    """Wrap index assignments as maps, after validating them as one batch.
-
-    The whole batch is checked a column at a time (see :func:`_valid_batch`).
-    If anything mismatches, the assignments are checked again one at a
-    time, in order, so the first invalid one raises the error it raises
-    alone: its depth, row lengths and ranges first, then the least simplex
-    and operator of the first identity that fails.
-    """
-    batch = [tuple(tuple(map(int, row)) for row in assign)
-             for assign in assigns]
-    if not _valid_batch(source, target, batch):
-        for assign in batch:
-            _validate_map(source, target, assign)
-        raise AssertionError("no invalid assignment")  # pragma: no cover
-    return [SimplicialMap(source, target, assign) for assign in batch]
-
-
 def make_simplicial_map(source: TruncatedSSet, target: TruncatedSSet,
                         assign: Sequence[Sequence[int]]) -> SimplicialMap:
-    """Wrap a full index assignment as a map, after validating it."""
-    return make_simplicial_maps(source, target, [assign])[0]
+    """Wrap a full index assignment as a map, after validating it
+    (:func:`_validate_map`).  A batch of maps is validated as one by
+    ``strat.make_stratified_maps``."""
+    assign = tuple(tuple(map(int, row)) for row in assign)
+    _validate_map(source, target, assign)
+    return SimplicialMap(source, target, assign)
 
 
 def build_map(

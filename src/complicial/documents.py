@@ -297,6 +297,10 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
             raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
     lookup = _id_lookup(ids)
     starts = [0, *accumulate(counts)]
+    if len(doc["faces"]) != cap:
+        raise InvalidInput("faces must list dimensions 1..dim_cap")
+    if len(doc["degeneracies"]) != cap:
+        raise InvalidInput("degeneracies must list dimensions 0..dim_cap-1")
     tables = [_parse_table(doc["faces"][n - 1], n, n - 1, lookup, starts)
               for n in range(1, cap + 1)]
     tables += [_parse_table(doc["degeneracies"][n], n, n + 1, lookup, starts)

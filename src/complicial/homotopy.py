@@ -36,14 +36,15 @@ from .errors import (
     RestrictionMismatch,
 )
 from .lifting import (
-    _batch_fillers, _extend_all, _generated_rows, _horn_maps,
-    _stratified_maps,
+    ExtensionProblem, _batch_fillers, _generated_rows, _require_horns,
+    find_extensions,
 )
-from .standard import boundary_pair, complicial_horn, delta, delta_t
+from .standard import boundary_pair, delta, delta_t
 from .strat import (
     StratifiedMap,
     StratifiedSSet,
     gproduct,
+    make_stratified_maps,
     _regular_subset,
 )
 
@@ -72,8 +73,8 @@ def _classifying_maps(x: StratifiedSSet, n: int, cap: int,
     column at a time and validated as one batch.  Not checked at entry."""
     a = delta(n, cap)
     au, xu = a.underlying, x.underlying
-    return list(_stratified_maps(a, x, list(_generated_rows(
-        au, xu, lambda m, i: xu.act(n, au.keys[m][i], column)))))
+    return make_stratified_maps(a, x, list(_generated_rows(
+        au, xu, lambda m, i: xu.act(n, au.keys[m][i], column))))
 
 
 def _matching(columns: Sequence[Sequence[int]], candidates: Iterable[int],
@@ -138,10 +139,8 @@ class _Cylinder:
     the regular subset of its pinned part with the inclusion, and a plan
     saying where each pinned simplex reads its image.  The ends read the
     f or the g row at the simplex of A they lie over; over B the rel
-    projection reads the f row (the two maps agree there).  Many pairs of
-    maps are solved in one call (:meth:`solve_all`): the pinned rows of
-    every pair are validated as one batch of partial maps, and every pair
-    is then searched on its own, in order, with one search plan.
+    projection reads the f row (the two maps agree there).  Each pair of
+    maps is one extension problem along the inclusion (:meth:`solve`).
     """
 
     __slots__ = ("source", "rel", "inclusion", "_plan")
@@ -184,59 +183,32 @@ class _Cylinder:
 
     def solve(self, f: StratifiedMap, g: StratifiedMap
               ) -> HomotopyWitness | None:
-        """A homotopy from ``f`` to ``g`` rel B, or None when there is none."""
-        return self.solve_all([f, g], [(0, 1)])[0]
+        """A homotopy from ``f`` to ``g`` rel B, or None when there is none.
 
-    def solve_all(self, maps: Sequence[StratifiedMap],
-                  pairs: Sequence[tuple[int, int]]
-                  ) -> list[HomotopyWitness | None]:
-        """Per pair (i, j), a homotopy from ``maps[i]`` to ``maps[j]`` rel B.
-
-        None stands for a pair with no homotopy.  All maps must share the
-        cylinder's source and one target.  Each map is checked, and
-        restricted along ``rel``, once; pairs are checked in order, so the
-        first bad pair raises.  The pinned rows of all pairs are validated
-        as one batch, and each pair is searched on its own, in order, with
-        one search plan (``lifting._extend_all``); every witness found is
-        rebuilt and validated.
+        Both maps must have the cylinder's source and one target, and agree
+        on B.  Their rows pin the cylinder's pinned part, as one validated
+        partial map, and the first extension :func:`find_extensions` finds
+        is the witness.
         """
-        if not pairs:
-            return []
-        a, rel = self.source, self.rel
-        x = maps[pairs[0][0]].target
-        restricted: dict[int, tuple[Row, ...]] = {}
-
-        def restriction(e: int) -> tuple[Row, ...]:
-            got = restricted.get(e)
-            if got is None:
-                m = maps[e]
-                if (m.source is not a and m.source != a) or \
-                        (m.target is not x and m.target != x):
-                    raise InvalidInput(
-                        "homotopy needs maps with common source and target"
-                    )
-                got = () if rel is None else rel.map.then(m.map).assign
-                restricted[e] = got
-            return got
-
-        partials = []
-        for i, j in pairs:
-            on_rel = restriction(i), restriction(j)
-            if x.cap < a.cap:
-                raise CapTooSmall(
-                    f"target cap {x.cap} below cylinder cap {a.cap}")
-            if on_rel[0] != on_rel[1]:
-                raise RestrictionMismatch("maps differ on the rel subcomplex")
-            partials.append(tuple(
-                tuple(map((fr + gr).__getitem__, plan))
-                for plan, fr, gr in zip(self._plan, maps[i].map.assign,
-                                        maps[j].map.assign)
-            ))
-        sub = self.inclusion.source
-        found = _extend_all(
-            self.inclusion, list(_stratified_maps(sub, x, partials)), 1)
-        return [HomotopyWitness(h[0], maps[i], maps[j]) if h else None
-                for (i, j), h in zip(pairs, found)]
+        a, rel, x = self.source, self.rel, f.target
+        for m in (f, g):
+            if (m.source is not a and m.source != a) or \
+                    (m.target is not x and m.target != x):
+                raise InvalidInput(
+                    "homotopy needs maps with common source and target"
+                )
+        if x.cap < a.cap:
+            raise CapTooSmall(f"target cap {x.cap} below cylinder cap {a.cap}")
+        if rel is not None and \
+                rel.map.then(f.map).assign != rel.map.then(g.map).assign:
+            raise RestrictionMismatch("maps differ on the rel subcomplex")
+        rows = [tuple(map((fr + gr).__getitem__, plan))
+                for plan, fr, gr in zip(self._plan, f.map.assign,
+                                        g.map.assign)]
+        partial = make_stratified_maps(self.inclusion.source, x, [rows])[0]
+        found = find_extensions(ExtensionProblem(self.inclusion, partial),
+                                limit=1)
+        return HomotopyWitness(found[0], f, g) if found else None
 
 
 def rel_homotopic(
@@ -250,11 +222,10 @@ def rel_homotopic(
     common restriction through the projection.  The search space is the set
     of stratified extensions of the pinned part of the cylinder, which is
     determined by the images of the nondegenerate prism cells, so the solver
-    only ever branches on those.  The cylinder problem depends only on A
-    and ``rel``; a caller comparing many pairs of maps builds it once and
-    solves all their pairs in one batch (:meth:`_Cylinder.solve_all`).
-    Sphere elements rel boundary have a join of their own
-    (:class:`_SphereHomotopy`).
+    only ever branches on those.  The cylinder depends only on A and
+    ``rel``; a caller comparing many pairs of maps builds it once and
+    solves one pair at a time (:meth:`_Cylinder.solve`).  Sphere elements
+    rel boundary have a join of their own (:class:`_SphereHomotopy`).
     """
     return _Cylinder(f.source, rel).solve(f, g)
 
@@ -446,9 +417,9 @@ class _SphereHomotopy:
                 solution[(self.n + 1, link.top)] = \
                     link.least[(values[k], values[k + 1])]
             found.append(solution)
-        maps = _stratified_maps(
+        maps = iter(make_stratified_maps(
             self.cylinder.inclusion.target, self.x,
-            self._witness_rows(list(compress(pairs, solved)), found))
+            self._witness_rows(list(compress(pairs, solved)), found)))
         return [HomotopyWitness(next(maps), self.maps[i], self.maps[j])
                 if ok else None for (i, j), ok in zip(pairs, solved)]
 
@@ -544,25 +515,23 @@ def tau0(x: StratifiedSSet) -> Tau0Result:
 # -- multiplication by horn filling ------------------------------------------
 
 def _horn_fillers(x: StratifiedSSet, k: int, rows: Sequence[Row]
-                  ) -> Iterator[list[SimplexId]]:
-    """The fillers of horns at ``k``, one list per horn, in search order.
+                  ) -> list[list[int]]:
+    """The fillers of horns at ``k``, one index list per horn, in search
+    order.
 
     ``rows`` gives each horn by its faces j != k, as indexes in ascending
-    j.  The fillers of all horns are looked up together
-    (``lifting._batch_fillers``), and the horn maps are built and validated
-    as one batch (``lifting._horn_maps``); each list comes out after its
-    horn has been validated, so an invalid horn raises when its list is
-    due.  For horns that are valid by construction, look the fillers up
-    directly instead (as :func:`_product_fillers` does for spheres).
+    j.  The horns are checked first, as one batch, to be stratified maps
+    (``lifting._require_horns``), so an invalid horn raises before any
+    filler is looked up; the fillers of all horns are then looked up
+    together (``lifting._batch_fillers``).  For horns that are valid by
+    construction, look the fillers up directly instead (as
+    :func:`_product_fillers` does for spheres).
     """
     if not rows:
-        return
+        return []
     n = len(rows[0])
-    ids = x.underlying.ids[n]
-    horn = complicial_horn(k, n, n)[0]
-    maps = _horn_maps(horn, k, n, x, list(zip(*rows)))
-    for found, _ in zip(_batch_fillers(x, k, n, rows), maps):
-        yield [ids[w] for w in found]
+    _require_horns(x, k, n, list(zip(*rows)))
+    return _batch_fillers(x, k, n, rows)
 
 
 def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
@@ -576,9 +545,9 @@ def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
     stratified map by construction: all its faces have constant boundary,
     and each of its thin simplices contains {n-1, n, n+1}, so it lies in a
     constant face and lands on a degenerate, hence thin, simplex.  Such a
-    batch is one filler lookup (``lifting._batch_fillers``) and builds no
-    map.  Any other batch goes through :func:`_horn_fillers`, which builds
-    and validates the horn maps.  The arguments are not checked.
+    batch is one filler lookup (``lifting._batch_fillers``) with no check.
+    Any other batch goes through :func:`_horn_fillers`, which checks the
+    horns first.  The arguments are not checked.
     """
     xu = x.underlying
     # the faces j != n: constants, then j = n - 1 and j = n + 1 at n - 1
@@ -589,7 +558,7 @@ def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
     if all(column[w] == bound for column in xu.face_columns[n]
            for w in factors):
         return iter(_batch_fillers(x, n, n + 1, rows))
-    return ([s.index for s in found] for found in _horn_fillers(x, n, rows))
+    return iter(_horn_fillers(x, n, rows))
 
 
 def _product_args(x: StratifiedSSet, base: SimplexId, n: int,
@@ -1053,11 +1022,11 @@ def associativity_witness(
     # n - 1, n, n + 1
     row = [x.underlying.const(base, n + 1).index] * (n + 2)
     row[n - 1], row[n], row[n + 1] = theta.index, psi.index, phi.index
-    found = next(_horn_fillers(x, n, [tuple(row)]))
+    found = _horn_fillers(x, n, [tuple(row)])[0]
     if not found:
         raise NoFiller("the associativity horn has no filler")
-    u = found[0]
     xu = x.underlying
+    u = xu.ids[n + 2][found[0]]
     return AssociativityWitness(
         filler=u,
         double_face=xu.face(xu.face(u, n), n),

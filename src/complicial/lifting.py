@@ -21,20 +21,17 @@ What is validated, and where:
   is extended by one lookup of the entries its chosen faces ask for.  So
   an instance is enumerated exactly when its faces are compatible and
   thin where they must be: it is a stratified map from the horn.
-* Maps, in batches.  ``core.make_simplicial_maps`` and
-  ``strat.make_stratified_maps`` read a batch of maps B -> X as one map
-  out of a disjoint union of copies of B: the index range is checked
-  over the concatenated rows, and each face and degeneracy identity and
-  each dimension's thinness is one comparison over the whole batch.  On
-  any mismatch the maps are checked again one at a time, in order, so
-  the first invalid one raises the error it raises alone
-  (:func:`_stratified_maps`).  ``make_simplicial_map`` and
-  ``make_stratified_map`` are the batch of one.
-* Results.  Every map :func:`find_extensions` returns is rebuilt from its
-  rows and validated, as one batch.  :func:`_extend_all` solves many
-  problems along one inclusion (the homotopy cylinders): their partial
-  maps are validated as one batch, one search plan serves them all, each
-  is searched on its own, and all results are validated as one batch.
+* Maps, in batches.  ``strat.make_stratified_maps`` is the one batch
+  validator: it reads a batch of index assignments B -> X as one map out
+  of a disjoint union of copies of B.  The index range is checked over
+  the concatenated rows, and each face and degeneracy identity and each
+  dimension's thinness is one comparison over the whole batch.  On any
+  mismatch the assignments are checked again one at a time, in order, as
+  ``make_simplicial_map`` and then ``make_stratified_map`` check one map,
+  so the first invalid one raises the error it raises alone.
+* Results.  :func:`find_extensions` solves one problem per call.  Every
+  map it returns is rebuilt from its rows, and all of them are validated
+  as one batch.
 * Verdicts.  A stratified map from the complicial simplex at cap n is one
   n-simplex of X, and of the simplices outside the horn only the top is
   thin; so a horn instance is filled exactly by a thin n-simplex whose
@@ -52,12 +49,12 @@ What is validated, and where:
   (:func:`_wholly_thin`); on a ``th0`` no pass runs at all.  A pass rests
   on these rules.  A row's family-1 instances without a filler are
   checked, before the failures are recorded, to be stratified maps from
-  the horn: the face identities and the thin images are compared a whole
-  column at a time (:func:`_stratified_horn_tuples`).  Only if that
-  check fails are their horn maps built and validated as one batch
-  (:func:`_horn_maps`, which :func:`assemble_horn_map` runs on one
-  instance and the homotopy module on all the product horns of a
-  table), so the error is the one the first bad map raises alone.
+  the horn (:func:`_require_horns`, which the homotopy module's horn
+  fillers also call): the face identities and the thin images are
+  compared a whole column at a time (:func:`_stratified_horn_tuples`).
+  Only if that check fails are their horn maps built and validated as
+  one batch (:func:`_horn_maps`, which :func:`assemble_horn_map` runs on
+  one instance), so the error is the one the first bad map raises alone.
   Simplex ids are made only for rows with failures.
 
 Verification of the weak complicial lifting conditions is bounded by the
@@ -73,14 +70,11 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import (
-    Row, SimplexId, TruncatedSSet, make_simplicial_map, make_simplicial_maps,
-)
+from .core import Row, SimplexId, TruncatedSSet
 from .errors import (
     BoundaryMismatch,
     BoundExceedsCap,
     CapTooSmall,
-    ComplicialError,
     InvalidInput,
     KOutOfRange,
     NotWellDefined,
@@ -88,9 +82,7 @@ from .errors import (
 from .standard import (
     _horn_generators, complicial_horn, complicial_thin_key, in_horn_key,
 )
-from .strat import (
-    StratifiedMap, StratifiedSSet, make_stratified_map, make_stratified_maps,
-)
+from .strat import StratifiedMap, StratifiedSSet, make_stratified_maps
 
 
 @dataclass(frozen=True)
@@ -127,41 +119,49 @@ def _pin_rows(b: StratifiedSSet, inclusion: Sequence[Row],
     return pins
 
 
-@dataclass(frozen=True)
-class _SearchPlan:
-    """What :func:`_search` does in which order, for one set of pinned
-    simplices of B.  It depends on B, on X and on which simplices are
-    pinned, never on their images, so problems that pin the same simplices
-    share one plan.
+def _search(
+    b: StratifiedSSet,
+    x: StratifiedSSet,
+    pins: list[list[int | None]],
+    limit: int | None,
+) -> Iterator[tuple[Row, ...]]:
+    """Full assignment rows B -> X that extend ``pins``, in search order.
 
-    ``steps`` lists the unknowns in (dim, index) order, each as (dim m,
-    index, getter of its face row's entries from the images of dimension
-    m - 1 or None for a vertex, thin set to draw from or None, the forced
-    dimensions to fill before it, X's face-row index of dimension m or
-    None).  A forced dimension is (d, entries): the unpinned degenerate
-    d-simplices of B, each as (index, base, j) with s_j base = index.
-    ``last_fills`` are the forced dimensions above the last step's.
+    ``pins[n][i]`` is the image index of the n-simplex i of B, or None.
+    The unknowns are the unpinned nondegenerate simplices, in (dim, index)
+    order, searched depth first; each takes, in ascending order, the
+    X-simplices whose face row is the image of its own (thin ones only,
+    where B's simplex is thin), drawn from X's face-row index.  An unpinned
+    degenerate simplex takes the degeneracy of its base's image; those are
+    filled a whole dimension at a time, once the dimension below is known.
+    The rows of ``pins`` serve as the work space.  Stops after ``limit``
+    solutions (None: all).  Rows are yielded unvalidated.
     """
-
-    steps: tuple[tuple, ...]
-    last_fills: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
-
-
-def _search_plan(b: StratifiedSSet, x: StratifiedSSet,
-                 pins: Sequence[Sequence[int | None]]) -> _SearchPlan:
-    """The plan of :func:`_search` for the simplices ``pins`` leaves None."""
     bu, xu = b.underlying, x.underlying
     witness = bu.deg_witness
     b_thin, x_thin = b.thin_indexes(), x.thin_indexes()
+    rows = pins
+    # per dimension d, the unpinned degenerate d-simplices of B, each as
+    # (index, base, j) with s_j base = index
     forced = [
         tuple((i, w[0], w[1]) for i, w in enumerate(witness[m])
               if w is not None and pins[m][i] is None)
         for m in range(b.cap + 1)
     ]
 
-    def fills(lo: int, hi: int) -> tuple:
-        return tuple((d, forced[d]) for d in range(lo, hi + 1) if forced[d])
+    def due(lo: int, hi: int) -> tuple[int, ...]:
+        return tuple(d for d in range(lo, hi + 1) if forced[d])
 
+    def fill(dims: tuple[int, ...]) -> None:
+        for d in dims:
+            row, below, degs = rows[d], rows[d - 1], xu.degeneracies[d - 1]
+            for i, base, j in forced[d]:
+                row[i] = degs[below[base]][j]
+
+    # each unknown as (dim m, index, getter of its face row's entries from
+    # the images of dimension m - 1 or None for a vertex, thin set to draw
+    # from or None, the forced dimensions to fill before it, X's face-row
+    # index of dimension m or None)
     steps = []
     filled = 0
     for m in range(b.cap + 1):
@@ -170,42 +170,12 @@ def _search_plan(b: StratifiedSSet, x: StratifiedSSet,
                 steps.append((
                     m, i, itemgetter(*bu.faces[m][i]) if m else None,
                     x_thin[m] if i in b_thin[m] else None,
-                    fills(filled + 1, m), xu.face_index(m) if m else None,
+                    due(filled + 1, m), xu.face_index(m) if m else None,
                 ))
                 filled = m
-    return _SearchPlan(tuple(steps), fills(filled + 1, b.cap))
-
-
-def _search(
-    x: StratifiedSSet,
-    pins: list[list[int | None]],
-    limit: int | None,
-    plan: _SearchPlan,
-) -> Iterator[tuple[Row, ...]]:
-    """Full assignment rows B -> X that extend ``pins``, in search order.
-
-    ``pins[n][i]`` is the image index of the n-simplex i of B, or None;
-    ``plan`` is :func:`_search_plan` of the same None pattern.  The
-    unknowns are the unpinned nondegenerate simplices, in (dim, index)
-    order; each takes, in ascending order, the X-simplices whose face row
-    is the image of its own (thin ones only, where B's simplex is thin).
-    An unpinned degenerate simplex takes the degeneracy of its base's image;
-    those are filled a whole dimension at a time, once the dimension below
-    is known.  The rows of ``pins`` serve as the work space.  Stops after
-    ``limit`` solutions (None: all).  Rows are yielded unvalidated.
-    """
-    xu = x.underlying
-    rows = pins
-    steps = plan.steps
-
-    def fill(todo: tuple) -> None:
-        for d, entries in todo:
-            row, below, degs = rows[d], rows[d - 1], xu.degeneracies[d - 1]
-            for i, base, j in entries:
-                row[i] = degs[below[base]][j]
-
+    last_fills = due(filled + 1, b.cap)
     if not steps:
-        fill(plan.last_fills)
+        fill(last_fills)
         yield tuple(tuple(row) for row in rows)
         return
     last = len(steps) - 1
@@ -236,33 +206,12 @@ def _search(
             pos += 1
             fresh = True
             continue
-        fill(plan.last_fills)
+        fill(last_fills)
         yield tuple(tuple(row) for row in rows)
         found += 1
         if found == limit:
             return
         fresh = False
-
-
-def _stratified_maps(b: StratifiedSSet, x: StratifiedSSet,
-                     batch: Sequence[Sequence[Row]]) -> Iterator[StratifiedMap]:
-    """The stratified maps B -> X with the assignment rows of ``batch``.
-
-    The batch is validated as a whole, a column at a time
-    (``make_simplicial_maps``, then ``make_stratified_maps``).  If that
-    fails, each assignment is validated on its own as it is drawn, so the
-    maps before the first invalid one still come out and that one raises
-    the error ``make_simplicial_map`` or ``make_stratified_map`` raises on
-    it alone.
-    """
-    bu, xu = b.underlying, x.underlying
-    try:
-        maps: Iterable[StratifiedMap] = make_stratified_maps(
-            b, x, make_simplicial_maps(bu, xu, batch))
-    except ComplicialError:
-        maps = (make_stratified_map(b, x, make_simplicial_map(bu, xu, rows))
-                for rows in batch)
-    yield from maps
 
 
 def find_extensions(
@@ -271,36 +220,18 @@ def find_extensions(
     """All stratified extensions B -> X of the problem, up to ``limit``.
 
     Returns the empty list when no extension exists.  Every returned map is
-    rebuilt from its full assignment and re-validated, so the output is
-    sound by construction.
-    """
-    return _extend_all(problem.inclusion, [problem.partial], limit)[0]
-
-
-def _extend_all(inclusion: StratifiedMap, partials: Sequence[StratifiedMap],
-                limit: int | None) -> list[list[StratifiedMap]]:
-    """:func:`find_extensions` for many partial maps along one inclusion.
-
-    Every problem pins the same simplices of B, so one search plan serves
-    all of them.  Each is searched on its own, in order, and the results
-    of all are rebuilt and validated as one batch.
+    rebuilt from its full assignment, and all are validated as one batch
+    (``strat.make_stratified_maps``), so the output is sound by
+    construction.
     """
     if limit is not None and limit < 1:
         raise InvalidInput("limit must be at least 1")
-    if not partials:
-        return []
-    b, x = inclusion.target, partials[0].target
+    b, x = problem.inclusion.target, problem.partial.target
     if x.cap < b.cap:
         raise CapTooSmall(f"target cap {x.cap} below problem cap {b.cap}")
-    plan = None
-    found: list[list[tuple[Row, ...]]] = []
-    for partial in partials:
-        pins = _pin_rows(b, inclusion.map.assign, partial.map.assign)
-        if plan is None:
-            plan = _search_plan(b, x, pins)
-        found.append(list(_search(x, pins, limit, plan)))
-    maps = _stratified_maps(b, x, [rows for per in found for rows in per])
-    return [[next(maps) for _ in per] for per in found]
+    pins = _pin_rows(b, problem.inclusion.map.assign,
+                     problem.partial.map.assign)
+    return make_stratified_maps(b, x, list(_search(b, x, pins, limit)))
 
 
 def _generated_rows(
@@ -352,23 +283,22 @@ def assemble_horn_map(
         if img.dim != n - 1:
             raise InvalidInput(f"face {j} image {img!r} must have dim {n - 1}")
     columns = [[face_assignments[j].index] for j in js]
-    return next(_horn_maps(horn, missing[0], n, x, columns))
+    return _horn_maps(horn, missing[0], n, x, columns)[0]
 
 
 def _horn_maps(
     horn: StratifiedSSet, k: int, n: int, x: StratifiedSSet,
     columns: Sequence[Sequence[int]],
-) -> Iterator[StratifiedMap]:
+) -> list[StratifiedMap]:
     """The maps from a horn of the n-simplex at k, one per instance.
 
     ``columns[p]`` lists the (n-1)-simplex of X on the p-th face j != k of
     each instance.  A nondegenerate simplex of the horn is read off its
     generating face (``standard._horn_generators``), one ``act`` over the
     whole column (:func:`_generated_rows`).  The instances are validated
-    as one batch when the first map is drawn (:func:`_stratified_maps`);
-    the first invalid one, in instance order, raises
-    :class:`BoundaryMismatch` for faces that do not match, or
-    :class:`ThinnessViolation`.
+    as one batch (``strat.make_stratified_maps``); the first invalid one,
+    in instance order, raises :class:`BoundaryMismatch` for faces that do
+    not match, or :class:`ThinnessViolation`.
     """
     hu, xu = horn.underlying, x.underlying
     plan = _horn_generators(k, n)
@@ -379,7 +309,7 @@ def _horn_maps(
         return xu.act(n - 1, word, on_face[j])
 
     try:
-        yield from _stratified_maps(horn, x,
+        return make_stratified_maps(horn, x,
                                     list(_generated_rows(hu, xu, image)))
     except NotWellDefined as exc:
         raise BoundaryMismatch(str(exc)) from exc
@@ -576,12 +506,10 @@ def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
     The set holds the face rows, k-th entry left out, of the thin
     n-simplices, so an instance is filled exactly when its faces are in it
     (the rule of :func:`_fillers`).  The instances without a filler are
-    checked to be stratified maps from the horn, a column at a time
-    (:func:`_stratified_horn_tuples`), before they are recorded as
-    failures; should any fail that check, their horn maps are built and
-    validated as one batch (:func:`_horn_maps`), which raises the error
-    :func:`assemble_horn_map` raises on the first bad one.  Simplex ids
-    are made only for a row with failures.
+    checked to be stratified maps from the horn (:func:`_require_horns`)
+    before they are recorded as failures, so a bad one raises the error
+    :func:`assemble_horn_map` raises on it.  Simplex ids are made only for
+    a row with failures.
     """
     rows = x.underlying.faces[n]
     filled = {rows[w][:k] + rows[w][k + 1:] for w in x.thin_indexes()[n]}
@@ -593,11 +521,7 @@ def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
             unfilled.append(faces)
     if not unfilled:
         return VerificationRow(1, k, n, instances, ())
-    columns = list(zip(*unfilled))
-    if not _stratified_horn_tuples(x, k, n, columns):
-        horn = complicial_horn(k, n, n)[0]
-        for _ in _horn_maps(horn, k, n, x, columns):  # validated as drawn
-            pass
+    _require_horns(x, k, n, list(zip(*unfilled)))
     js = [j for j in range(n + 1) if j != k]
     ids = x.underlying.ids[n - 1]
     failures = tuple(
@@ -631,6 +555,21 @@ def _stratified_horn_tuples(x: StratifiedSSet, k: int, n: int,
     return all(v in thin_m
                for p, word, thin_m in _horn_thin_words(x, k, n)
                for v in xu.act(n - 1, word, columns[p]))
+
+
+def _require_horns(x: StratifiedSSet, k: int, n: int,
+                   columns: Sequence[Sequence[int]]) -> None:
+    """Raise unless every face tuple is a stratified map from the
+    k-complicial horn of the n-simplex to X.
+
+    ``columns`` is as for :func:`_horn_maps`.  The tuples are checked a
+    column at a time (:func:`_stratified_horn_tuples`); only if that check
+    fails are their horn maps built, as one batch, so the error is the one
+    :func:`assemble_horn_map` raises on the first bad tuple.
+    """
+    if not _stratified_horn_tuples(x, k, n, columns):
+        _horn_maps(complicial_horn(k, n, n)[0], k, n, x, columns)
+        raise AssertionError("no invalid horn")  # pragma: no cover
 
 
 def _delta_prime_thin_keys(k: int, n: int) -> list[tuple[int, ...]]:

@@ -19,6 +19,8 @@ from .core import (
     TruncatedSSet,
     _build_sset_columns,
     _gather,
+    _valid_batch,
+    _validate_map,
     make_simplicial_map,
 )
 from .errors import InvalidInput, ThinVertex, ThinnessViolation
@@ -212,39 +214,44 @@ def _check_thin(source: StratifiedSSet, target: StratifiedSSet,
 
 
 def make_stratified_maps(source: StratifiedSSet, target: StratifiedSSet,
-                         simplicials: Sequence[SimplicialMap]
+                         assigns: Iterable[Sequence[Sequence[int]]]
                          ) -> list[StratifiedMap]:
-    """Check thinness preservation for a batch of maps and wrap each one.
+    """Wrap index assignments as stratified maps, after validating them as
+    one batch.
 
-    Per dimension, the images of the source's thin simplices under every
-    map of the batch form one column, checked against the target's thin
-    set at once.  If anything fails, the maps are checked again one at a
-    time, in order, so the first bad one raises the error it raises alone.
+    The batch is read as one map out of a disjoint union of copies of the
+    source: the simplicial identities are checked a column at a time
+    (``core._valid_batch``), and per dimension the images of the source's
+    thin simplices under every map form one column, checked against the
+    target's thin set at once.  If anything fails, the assignments are
+    checked again one at a time, in order, each as ``make_simplicial_map``
+    and then ``make_stratified_map`` check it, so the first bad one raises
+    the error it raises alone.
     """
     su, tu = source.underlying, target.underlying
-    ok = all(
-        (m.source is su or m.source == su) and (m.target is tu or m.target == tu)
-        for m in simplicials)
+    batch = [tuple(tuple(map(int, row)) for row in assign)
+             for assign in assigns]
+    ok = _valid_batch(su, tu, batch)
     if ok:
         src_thin, tgt_thin = source.thin_indexes(), target.thin_indexes()
-        for n in range(max((m.depth for m in simplicials), default=-1) + 1):
-            images = _gather(
-                [m.assign[n] for m in simplicials if m.depth >= n],
-                sorted(src_thin[n]))
-            if not tgt_thin[n].issuperset(images):
-                ok = False
-                break
+        ok = all(
+            tgt_thin[n].issuperset(_gather([assign[n] for assign in batch],
+                                           sorted(src_thin[n])))
+            for n in range(min(su.dim_cap, tu.dim_cap) + 1))
     if not ok:
-        for simplicial in simplicials:
-            _check_thin(source, target, simplicial)
+        for assign in batch:
+            _validate_map(su, tu, assign)
+            _check_thin(source, target, SimplicialMap(su, tu, assign))
         raise AssertionError("no invalid map")  # pragma: no cover
-    return [StratifiedMap(source, target, m) for m in simplicials]
+    return [StratifiedMap(source, target, SimplicialMap(su, tu, assign))
+            for assign in batch]
 
 
 def make_stratified_map(source: StratifiedSSet, target: StratifiedSSet,
                         simplicial: SimplicialMap) -> StratifiedMap:
     """Check thinness preservation and wrap the simplicial map."""
-    return make_stratified_maps(source, target, [simplicial])[0]
+    _check_thin(source, target, simplicial)
+    return StratifiedMap(source, target, simplicial)
 
 
 def regular_subset(

@@ -27,6 +27,19 @@ def test_monoid_category_validation():
         )
 
 
+@pytest.mark.parametrize("table", [
+    [["e", "a"], ["a", "e"], ["e", "a"]],   # a row more than elements
+    [["e", "a"]],                           # a row fewer
+    ["ea", "ae"],                           # rows given as strings
+    [["e", "a"], "ae"],
+    [["e", "a"], None],                     # a row that is no list
+])
+def test_monoid_table_must_be_square(table):
+    with pytest.raises(errors.InvalidInput,
+                       match="^multiplication table is not square$"):
+        C.monoid_category(["e", "a"], "e", table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=4, max_size=4))
 def test_random_tables_accepted_iff_lawful(flat):

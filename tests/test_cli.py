@@ -299,6 +299,44 @@ def test_document_header_must_be_exact_ints(capsys, tmp_path, delta1_doc,
     assert captured.err == f"error: InvalidInput: {message}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(kind="verify"),
+     "InvalidInput: document is not a complex"),
+    (lambda d: d["simplices"].pop(),
+     "InvalidInput: simplices must list dimensions 0..dim_cap"),
+    (lambda d: d["simplices"][1].reverse(),
+     "InvalidInput: simplex ids at dimension 1 are not canonical"),
+    (lambda d: d["faces"].append(d["faces"][0]),
+     "InvalidInput: faces must list dimensions 1..dim_cap"),
+    (lambda d: d["degeneracies"].append(d["degeneracies"][0]),
+     "InvalidInput: degeneracies must list dimensions 0..dim_cap-1"),
+], ids=["kind", "dimensions", "canonical", "faces", "degeneracies"])
+def test_malformed_complex_exits_1_with_its_message(capsys, tmp_path,
+                                                    delta1_doc, edit, message):
+    edit(delta1_doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(delta1_doc))
+    assert main(["verify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("vertex, message", [
+    ("nowhere", "no vertex labeled 'nowhere'"),
+    ("2", "vertex index 2 out of range"),
+    ("-1", "vertex index -1 out of range"),
+])
+def test_tau_rejects_a_vertex_it_cannot_find(capsys, tmp_path, delta1_doc,
+                                             vertex, message):
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps(delta1_doc))
+    assert main(["tau", str(path), "--n", "1", "--vertex", vertex]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "X", "--limit", "-1"],
 ])
@@ -365,6 +403,21 @@ def test_malformed_category_exits_1(capsys, tmp_path):
     }))
     assert main(["build", "nerve", "--category", str(cat), "--cap", "1"]) == 1
     assert "composition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [
+    [["e", "a"], ["a", "e"], ["e", "a"]],   # a row more than elements
+    ["ea", "ae"],                           # rows given as strings
+])
+def test_monoid_table_that_is_not_square_exits_1(capsys, tmp_path, table):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps({"elements": ["e", "a"], "unit": "e",
+                                "table": table}))
+    assert main(["build", "nerve", "--monoid", str(path), "--cap", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: InvalidInput: multiplication table is not square\n"
 
 
 def test_numeric_category_objects_exit_1_at_build(capsys, tmp_path):

@@ -114,14 +114,14 @@ def test_shared_cylinder_validates_its_pins(monkeypatch, th0_z2_3):
     _, binc = C.boundary_pair(1, 2)
     cylinder = _Cylinder(binc.target, binc)
     loop = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
-    assert cylinder.solve_all([loop], [(0, 0)])[0] is not None
-    monkeypatch.setattr(homotopy, "_extend_all",
-                        lambda inclusion, partials, limit: [[]] * len(partials))
-    assert cylinder.solve_all([loop], [(0, 0)]) == [None]
+    assert cylinder.solve(loop, loop) is not None
+    monkeypatch.setattr(homotopy, "find_extensions",
+                        lambda problem, limit=None: [])
+    assert cylinder.solve(loop, loop) is None
     plan = cylinder._plan
     cylinder._plan = (plan[0], (0,) * len(plan[1]), plan[2])
     with pytest.raises(errors.NotWellDefined):
-        cylinder.solve_all([loop], [(0, 0)])
+        cylinder.solve(loop, loop)
 
 
 def test_shared_cylinder_matches_fresh_rel_homotopic(qcat_bool_3):
@@ -685,7 +685,7 @@ def test_tau_makes_no_cylinder_search(monkeypatch, request, complex_, n):
 
     monkeypatch.setattr(lifting, "_search", refuse)
     monkeypatch.setattr(lifting, "_pin_rows", refuse)
-    monkeypatch.setattr(homotopy, "_extend_all", refuse)
+    monkeypatch.setattr(homotopy, "find_extensions", refuse)
     assert C.tau_table(x, v, n) == table
     assert C.audit_well_defined(x, v, table) == audit
     els = table.elements

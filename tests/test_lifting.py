@@ -373,12 +373,10 @@ def test_sphere_product_horns_need_no_map(data):
     pairs = [(p, q) for p in elements for q in elements]
     rows = product_rows(x, base, n, pairs)
     horn = C.complicial_horn(n, n + 1, n + 1)[0]
-    assert len(list(_horn_maps(horn, n, n + 1, x, list(zip(*rows))))) == \
-        len(pairs)
-    want = [[s.index for s in found]
-            for found in homotopy._horn_fillers(x, n, rows)]
+    assert len(_horn_maps(horn, n, n + 1, x, list(zip(*rows)))) == len(pairs)
+    want = homotopy._horn_fillers(x, n, rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homotopy, "_horn_maps", refuse_horn_maps)
+        patch.setattr(homotopy, "_require_horns", refuse_horn_maps)
         assert list(homotopy._product_fillers(x, base, n, pairs)) == want
 
 
@@ -413,14 +411,11 @@ def test_product_batch_with_a_non_sphere_factor_is_validated(
         built.append(args)
         return _horn_maps(*args)
 
-    monkeypatch.setattr(homotopy, "_horn_maps", spy)
-    # the lists of the valid horns come out; the invalid one raises when
-    # its list is due
-    products = homotopy._product_fillers(x, base, n, pairs)
-    for _ in pairs[:-1]:
-        assert next(products)
+    monkeypatch.setattr(lifting, "_horn_maps", spy)
+    # the batch is checked before any list comes out, and the invalid horn
+    # raises
     with pytest.raises(errors.BoundaryMismatch):
-        next(products)
+        homotopy._product_fillers(x, base, n, pairs)
     assert len(built) == 1 and len(built[0][-1][0]) == len(pairs)
 
 
@@ -794,14 +789,13 @@ def check_batched_maps(x, k, n, tuples):
             break
         assert C.assemble_horn_map(horn, faces, x) == ref
         want.append(ref)
-    batch = _horn_maps(horn, k, n, x, list(zip(*tuples)))
-    got = []
-    if error is None:
-        got = list(batch)
-    else:
+    columns = list(zip(*tuples))
+    if error is not None:
         with pytest.raises(type(error)) as info:
-            got.extend(batch)
+            _horn_maps(horn, k, n, x, columns)
         assert str(info.value) == str(error)
+        return []
+    got = _horn_maps(horn, k, n, x, columns)
     assert [m.map.assign for m in got] == [m.map.assign for m in want]
     return got
 

@@ -3,8 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import documents as D, errors, homotopy
-from complicial.core import _validate_map, make_simplicial_maps
-from complicial.lifting import _stratified_maps
+from complicial.core import _validate_map
 from complicial.strat import _check_thin, make_stratified_maps
 
 
@@ -400,17 +399,16 @@ def test_batch_validation_matches_per_map_validation(data):
     assert assigns(first_outcome(
         lambda rows: C.make_simplicial_map(au, u, rows), batch)) == \
         assigns(want)
-    got = batch_outcome(lambda b: make_simplicial_maps(au, u, b), batch)
-    assert assigns(got) == assigns(want)
     # thinness over the maps that are simplicially valid
     maps = [first_outcome(simplicial, [rows]) for rows in batch]
     maps = [m[0] for m in maps if isinstance(m, list)]
     want = first_outcome(stratified, maps)
     assert assigns(first_outcome(
         lambda f: C.make_stratified_map(a, x, f), maps)) == assigns(want)
-    got = batch_outcome(lambda b: make_stratified_maps(a, x, b), maps)
+    got = batch_outcome(
+        lambda b: make_stratified_maps(a, x, [f.assign for f in b]), maps)
     assert assigns(got) == assigns(want)
-    # both checks, map by map, against the batch that lifting draws from
+    # both checks, map by map, against the batch validator
     want = first_outcome(lambda rows: stratified(simplicial(rows)), batch)
-    got = batch_outcome(lambda b: _stratified_maps(a, x, b), batch)
+    got = batch_outcome(lambda b: make_stratified_maps(a, x, b), batch)
     assert assigns(got) == assigns(want)
