@@ -37,7 +37,7 @@ from .homotopy import (
     MonoidTable, _associative, _class_index, _finish_table, _partition,
 )
 from .lifting import _horn_rows
-from .strat import StratifiedSSet, make_stratified, max_strat
+from .strat import StratifiedSSet, _stratify, max_strat
 
 
 # -- finite categories --------------------------------------------------------
@@ -458,9 +458,9 @@ def quasicat_e(c: TruncatedSSet, *, bound: int | None = None) -> StratifiedSSet:
     hc = homotopy_category(c, bound=bound)
     classes = _edge_classes(c)
     invertible = {i for i in range(len(hc.morphisms)) if hc.is_iso(i)}
-    thin = [e for i, cl in enumerate(classes) if i in invertible for e in cl]
-    thin += [s for n in range(2, c.dim_cap + 1) for s in c.simplices(n)]
-    return make_stratified(c, thin)
+    edges = [e.index for i, cl in enumerate(classes) if i in invertible
+             for e in cl]
+    return _stratify(c, [(), edges] + [range(k) for k in c.counts[2:]])
 
 
 # -- independent classical homotopy groups -------------------------------------

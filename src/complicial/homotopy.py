@@ -276,8 +276,9 @@ class _SphereHomotopy:
     cylinder: walls, then tops, each in cylinder order, with candidates
     ascending.  Each wall takes the least value that still reaches the
     nearest chosen node on either side, and each top the least simplex with
-    its face row (:meth:`homotopies`).  The witness rows are rebuilt as
-    ``_search`` fills them and validated as one batch.
+    its face row (:meth:`homotopies`).  The witness rows are built as
+    ``_search`` builds its own, by ``lifting._generated_rows``, and
+    validated as one batch.
     """
 
     def __init__(self, x: StratifiedSSet, base: SimplexId, n: int):
@@ -427,8 +428,8 @@ class _SphereHomotopy:
                       solutions: Sequence[dict[tuple[int, int], int]]
                       ) -> list[list[Sequence[int]]]:
         """The cylinder rows with the pinned rows of each pair and the
-        unknowns of its solution, degenerate simplices filled as
-        ``lifting._search`` fills them."""
+        unknowns of its solution, degenerate simplices filled by
+        ``lifting._generated_rows``, as ``lifting._search`` fills them."""
         counts = self.cylinder.source.counts
         rows = [m.map.assign for m in self.maps]
 

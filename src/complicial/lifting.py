@@ -4,12 +4,14 @@ The solver takes an inclusion A -> B, a partial map A -> X, and searches
 for stratified extensions B -> X; the homotopy cylinders go through it.
 Horns need no search: their fillers are looked up (see "Verdicts" below).
 The solver runs on plain simplex indexes.  Unknowns are the
-nondegenerate simplices of B outside A; they are processed dimension by
-dimension in (dim, index) order, depth first, drawing candidates from the
-target's cached face-row index and, where B's simplex is thin, from X's
-thin simplices only.  Degenerate simplices never enter the search: their
-images are filled in from the assignments below them.  The result list is
-therefore deterministic, ordered lexicographically by assignment.
+nondegenerate simplices of B outside A, in (dim, index) order, and the
+search is a join with one level per unknown (:func:`_search`): a level
+extends each partial solution by the candidates from the target's cached
+face-row index and, where B's simplex is thin, by X's thin simplices
+only.  A degenerate simplex is never an unknown: when a face row reads
+one, its image is the degeneracy of its base's.  The levels are streamed,
+so a search with a limit stops at its first solutions, and the result
+list is deterministic, ordered lexicographically by assignment.
 
 What is validated, and where:
 
@@ -35,15 +37,16 @@ What is validated, and where:
 * Verdicts.  A stratified map from the complicial simplex at cap n is one
   n-simplex of X, and of the simplices outside the horn only the top is
   thin; so a horn instance is filled exactly by a thin n-simplex whose
-  faces j != k are the horn's (:func:`_fillers`, which compares whole face
-  rows and never rests on the index it draws candidates from).  Family 1
-  decides each (k, n) row against one projection set, built once: the
-  face rows of the thin n-simplices with their k-th entry left out, so an
-  instance passes exactly when its faces are in it.  Family 2 takes the
-  column of all n-simplex indexes, maps it through the face word of each
-  thin key of the primed simplex (``TruncatedSSet.act``) and keeps the
-  simplices whose images are in the thin index sets; those are the
-  instances, and one more column, the k-th faces, gives the failures.
+  faces j != k are the horn's (:func:`_batch_fillers`, which compares
+  whole face rows and never rests on the index it draws candidates from).
+  Family 1 decides each (k, n) row against one projection set, built
+  once: the face rows of the thin n-simplices with their k-th entry left
+  out, so an instance passes exactly when its faces are in it.  Family 2
+  takes the column of all n-simplex indexes, maps it through the face
+  word of each thin key of the primed simplex (``TruncatedSSet.act``)
+  and keeps the simplices whose images are in the thin index sets; those
+  are the instances, and one more column, the k-th faces, gives the
+  failures.
   A thinness pass over a dimension of X that is wholly thin can remove
   nothing, so it is skipped, here and in the horn cut
   (:func:`_wholly_thin`); on a ``th0`` no pass runs at all.  A pass rests
@@ -66,7 +69,7 @@ relative to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -124,94 +127,85 @@ def _search(
     x: StratifiedSSet,
     pins: list[list[int | None]],
     limit: int | None,
-) -> Iterator[tuple[Row, ...]]:
+) -> Iterator[list[Sequence[int]]]:
     """Full assignment rows B -> X that extend ``pins``, in search order.
 
     ``pins[n][i]`` is the image index of the n-simplex i of B, or None.
-    The unknowns are the unpinned nondegenerate simplices, in (dim, index)
-    order, searched depth first; each takes, in ascending order, the
-    X-simplices whose face row is the image of its own (thin ones only,
-    where B's simplex is thin), drawn from X's face-row index.  An unpinned
-    degenerate simplex takes the degeneracy of its base's image; those are
-    filled a whole dimension at a time, once the dimension below is known.
-    The rows of ``pins`` serve as the work space.  Stops after ``limit``
-    solutions (None: all).  Rows are yielded unvalidated.
+    The search is a join with one level per unknown, an unpinned
+    nondegenerate simplex, in (dim, index) order.  A partial solution is
+    one tuple: the pinned images, then the images placed so far.  A level
+    extends each tuple by the X-simplices whose face row is the image of
+    its unknown's, ascending (thin ones only, where B's simplex is thin),
+    looked up in X's face-row index under an ``itemgetter`` over the
+    faces' positions in the tuple.  A degenerate face s_j b is placed the
+    first time a key reads it, by one lookup in the j-th degeneracy
+    column at b's image.  The levels are chained generators, so the
+    search stops after ``limit`` solutions (None: all).  The rows are
+    built from the solutions by :func:`_generated_rows`, unvalidated.
     """
     bu, xu = b.underlying, x.underlying
+    if not bu.counts[0]:
+        # the empty complex has one map, which the rows below cannot show
+        yield [()] * (b.cap + 1)
+        return
     witness = bu.deg_witness
     b_thin, x_thin = b.thin_indexes(), x.thin_indexes()
-    rows = pins
-    # per dimension d, the unpinned degenerate d-simplices of B, each as
-    # (index, base, j) with s_j base = index
-    forced = [
-        tuple((i, w[0], w[1]) for i, w in enumerate(witness[m])
-              if w is not None and pins[m][i] is None)
-        for m in range(b.cap + 1)
-    ]
+    # the position in a partial solution of each placed simplex of B
+    at: dict[tuple[int, int], int] = {}
+    for m, row in enumerate(pins):
+        for i, v in enumerate(row):
+            if v is not None:
+                at[m, i] = len(at)
+    tuples: Iterator[tuple[int, ...]] = iter(
+        [tuple(v for row in pins for v in row if v is not None)])
 
-    def due(lo: int, hi: int) -> tuple[int, ...]:
-        return tuple(d for d in range(lo, hi + 1) if forced[d])
+    def place(m: int, i: int) -> int:
+        # not recursive: a closure that calls itself is a reference cycle,
+        # which would keep each search's generators alive until a collection
+        nonlocal tuples
+        chain = []
+        while (m, i) not in at:
+            base, j = witness[m][i]
+            chain.append((m, i, j))
+            m, i = m - 1, base
+        p = at[m, i]
+        for m, i, j in reversed(chain):
+            tuples = _degenerate(tuples, p, xu.degeneracy_columns[m - 1][j])
+            p = at[m, i] = len(at)
+        return p
 
-    def fill(dims: tuple[int, ...]) -> None:
-        for d in dims:
-            row, below, degs = rows[d], rows[d - 1], xu.degeneracies[d - 1]
-            for i, base, j in forced[d]:
-                row[i] = degs[below[base]][j]
-
-    # each unknown as (dim m, index, getter of its face row's entries from
-    # the images of dimension m - 1 or None for a vertex, thin set to draw
-    # from or None, the forced dimensions to fill before it, X's face-row
-    # index of dimension m or None)
-    steps = []
-    filled = 0
     for m in range(b.cap + 1):
+        # a vertex has no faces: every vertex of X is a candidate
+        index = xu.face_index(m) if m else {(): range(xu.counts[0])}
         for i, w in enumerate(witness[m]):
             if w is None and pins[m][i] is None:
-                steps.append((
-                    m, i, itemgetter(*bu.faces[m][i]) if m else None,
-                    x_thin[m] if i in b_thin[m] else None,
-                    due(filled + 1, m), xu.face_index(m) if m else None,
-                ))
-                filled = m
-    last_fills = due(filled + 1, b.cap)
-    if not steps:
-        fill(last_fills)
-        yield tuple(tuple(row) for row in rows)
-        return
-    last = len(steps) - 1
-    pools: list[Iterator[int]] = [iter(())] * len(steps)
-    found = 0
-    pos, fresh = 0, True
-    while pos >= 0:
-        m, i, key, thin, todo, index = steps[pos]
-        if fresh:
-            if todo:
-                fill(todo)
-            if key is None:
-                pool: Iterable[int] = range(xu.counts[0])
-            else:
-                pool = index.get(key(rows[m - 1]), ())
-            if thin is not None:
-                pool = [w for w in pool if w in thin]
-            it = pools[pos] = iter(pool)
-        else:
-            it = pools[pos]
-        w = next(it, None)
-        if w is None:
-            pos -= 1
-            fresh = False
-            continue
-        rows[m][i] = w
-        if pos < last:
-            pos += 1
-            fresh = True
-            continue
-        fill(last_fills)
-        yield tuple(tuple(row) for row in rows)
-        found += 1
-        if found == limit:
-            return
-        fresh = False
+                key = itemgetter(*[place(m - 1, f) for f in bu.faces[m][i]]) \
+                    if m else (lambda t: ())
+                tuples = _extended(tuples, key, index.get,
+                                   x_thin[m] if i in b_thin[m] else None)
+                at[m, i] = len(at)
+    solutions = list(islice(tuples, limit))
+    yield from _generated_rows(
+        bu, xu, lambda m, i: list(map(itemgetter(at[m, i]), solutions)))
+
+
+def _extended(tuples: Iterable[tuple[int, ...]],
+              key: Callable[[tuple[int, ...]], Row],
+              get: Callable, thin: frozenset[int] | None
+              ) -> Iterator[tuple[int, ...]]:
+    """Each tuple extended by each candidate its key looks up, ascending,
+    thin ones only unless ``thin`` is None."""
+    for t in tuples:
+        for w in get(key(t), ()):
+            if thin is None or w in thin:
+                yield t + (w,)
+
+
+def _degenerate(tuples: Iterable[tuple[int, ...]], p: int,
+                column: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each tuple extended by the degeneracy ``column`` at its entry p."""
+    for t in tuples:
+        yield t + (column[t[p]],)
 
 
 def find_extensions(
@@ -224,8 +218,8 @@ def find_extensions(
     (``strat.make_stratified_maps``), so the output is sound by
     construction.
     """
-    if limit is not None and limit < 1:
-        raise InvalidInput("limit must be at least 1")
+    if limit is not None and (type(limit) is not int or limit < 1):
+        raise InvalidInput(f"limit must be a positive integer, not {limit!r}")
     b, x = problem.inclusion.target, problem.partial.target
     if x.cap < b.cap:
         raise CapTooSmall(f"target cap {x.cap} below problem cap {b.cap}")
@@ -242,7 +236,8 @@ def _generated_rows(
 
     ``image(m, i)`` lists, per instance, the image of the nondegenerate
     m-simplex i of B, so each is computed for all instances at once; a
-    degenerate s_j b takes s_j of b's image, as :func:`_search` fills them.
+    degenerate s_j b takes s_j of b's image.  The extension search, horn
+    maps, classifying maps and sphere witnesses all build their rows here.
     """
     depth = min(bu.dim_cap, xu.dim_cap)
     witness = bu.deg_witness
@@ -462,23 +457,15 @@ class VerificationReport:
         return [f for row in self.rows for f in row.failures]
 
 
-def _fillers(x: StratifiedSSet, k: int, n: int, row: Row) -> list[int]:
-    """The fillers of a stratified horn of the n-simplex at k, in order.
+def _batch_fillers(x: StratifiedSSet, k: int, n: int,
+                   rows: Sequence[Row]) -> list[list[int]]:
+    """The fillers of each horn of ``rows``, in order.
 
-    ``row`` lists the horn's faces j != k in ascending j, as indexes of
+    A row lists a horn's faces j != k in ascending j, as indexes of
     (n-1)-simplices.  By the Yoneda lemma a map from the complicial simplex
     at cap n is one n-simplex of X, and of its simplices outside the horn
     only the top is thin; so the fillers are the thin n-simplices whose
-    face row, with its k-th entry left out, is ``row``.  This is the batch
-    of one of :func:`_batch_fillers`.
-    """
-    return _batch_fillers(x, k, n, [row])[0]
-
-
-def _batch_fillers(x: StratifiedSSet, k: int, n: int,
-                   rows: Sequence[Row]) -> list[list[int]]:
-    """The fillers (:func:`_fillers`) of each horn of ``rows``, in order.
-
+    face row, with its k-th entry left out, is the horn's row.
     Candidates come from the face-value index at the first face j != k:
     each distinct bucket the rows ask for is scanned once, its thin
     candidates sorted by the index of face k, into one dict from a
@@ -505,7 +492,7 @@ def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
 
     The set holds the face rows, k-th entry left out, of the thin
     n-simplices, so an instance is filled exactly when its faces are in it
-    (the rule of :func:`_fillers`).  The instances without a filler are
+    (the rule of :func:`_batch_fillers`).  The instances without a filler are
     checked to be stratified maps from the horn (:func:`_require_horns`)
     before they are recorded as failures, so a bad one raises the error
     :func:`assemble_horn_map` raises on it.  Simplex ids are made only for

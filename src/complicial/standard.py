@@ -16,7 +16,7 @@ from .errors import CapTooSmall, InvalidInput, KOutOfRange
 from .strat import (
     StratifiedMap,
     StratifiedSSet,
-    make_stratified,
+    _stratify,
     make_stratified_map,
 )
 
@@ -76,14 +76,12 @@ def _simplex_family(n: int, cap: int, kind: str, k: int | None = None
     return build_sset(cap, counts, faces, degens, keys=per_dim)
 
 
-def _stratify(u: TruncatedSSet, thin_key) -> StratifiedSSet:
-    thin = [
-        s
-        for m in range(1, u.dim_cap + 1)
-        for s in u.simplices(m)
-        if thin_key(u.keys[m][s.index])
-    ]
-    return make_stratified(u, thin)
+def _thin_where(u: TruncatedSSet, thin_key) -> list[list[int]]:
+    """Per dimension, the simplices of ``u`` of positive dimension whose
+    keys satisfy ``thin_key``, as the index lists ``strat._stratify``
+    takes."""
+    return [[]] + [[i for i, t in enumerate(keys) if thin_key(t)]
+                   for keys in u.keys[1:]]
 
 
 def _require_cap(cap: int, need: int) -> None:
@@ -105,14 +103,14 @@ def delta(n: int, cap: int) -> StratifiedSSet:
     """The standard n-simplex with the minimal stratification."""
     _require_dim(n)
     _require_cap(cap, n)
-    return _stratify(_simplex_family(n, cap, "delta"), lambda t: False)
+    return _stratify(_simplex_family(n, cap, "delta"), [()] * (cap + 1))
 
 
 def boundary(n: int, cap: int) -> StratifiedSSet:
     """The boundary of the standard n-simplex (minimal stratification)."""
     _require_dim(n)
     _require_cap(cap, max(n - 1, 0))
-    return _stratify(_simplex_family(n, cap, "boundary"), lambda t: False)
+    return _stratify(_simplex_family(n, cap, "boundary"), [()] * (cap + 1))
 
 
 def delta_t(n: int, cap: int) -> StratifiedSSet:
@@ -120,19 +118,16 @@ def delta_t(n: int, cap: int) -> StratifiedSSet:
     _require_dim(n)
     _require_cap(cap, n)
     top = tuple(range(n + 1))
-    return _stratify(
-        _simplex_family(n, cap, "delta"),
-        lambda t: n != 0 and t == top,
-    )
+    u = _simplex_family(n, cap, "delta")
+    return _stratify(u, _thin_where(u, top.__eq__))
 
 
 def complicial_delta(k: int, n: int, cap: int) -> StratifiedSSet:
     """The k-complicial n-simplex: thin where the image meets {k-1,k,k+1}."""
     _require_k(k, n)
     _require_cap(cap, n)
-    return _stratify(
-        _simplex_family(n, cap, "delta"), lambda t: complicial_thin_key(k, n, t)
-    )
+    u = _simplex_family(n, cap, "delta")
+    return _stratify(u, _thin_where(u, lambda t: complicial_thin_key(k, n, t)))
 
 
 def complicial_horn(k: int, n: int, cap: int
@@ -156,9 +151,9 @@ def _complicial_horn(k: int, n: int, cap: int
     _require_cap(cap, n)
     if n < 1:
         raise InvalidInput("horns need n >= 1")
+    u = _simplex_family(n, cap, "horn", k)
     horn = _stratify(
-        _simplex_family(n, cap, "horn", k), lambda t: complicial_thin_key(k, n, t)
-    )
+        u, _thin_where(u, lambda t: complicial_thin_key(k, n, t)))
     ambient = complicial_delta(k, n, cap)
     return horn, key_inclusion(horn, ambient)
 
@@ -189,20 +184,18 @@ def horn_prime(k: int, n: int, cap: int) -> StratifiedSSet:
     _require_cap(cap, n)
     if n < 1:
         raise InvalidInput("horns need n >= 1")
-    return _stratify(
-        _simplex_family(n, cap, "horn", k),
-        lambda t: complicial_thin_key(k, n, t) or len(t) == n,
-    )
+    u = _simplex_family(n, cap, "horn", k)
+    return _stratify(u, _thin_where(
+        u, lambda t: complicial_thin_key(k, n, t) or len(t) == n))
 
 
 def delta_dprime(k: int, n: int, cap: int) -> StratifiedSSet:
     """The complicial simplex with every (n-1)-simplex additionally thin."""
     _require_k(k, n)
     _require_cap(cap, n)
-    return _stratify(
-        _simplex_family(n, cap, "delta"),
-        lambda t: complicial_thin_key(k, n, t) or len(t) == n,
-    )
+    u = _simplex_family(n, cap, "delta")
+    return _stratify(u, _thin_where(
+        u, lambda t: complicial_thin_key(k, n, t) or len(t) == n))
 
 
 def delta_prime(k: int, n: int, cap: int) -> StratifiedSSet:
@@ -213,11 +206,10 @@ def delta_prime(k: int, n: int, cap: int) -> StratifiedSSet:
     """
     _require_k(k, n)
     _require_cap(cap, n)
-    return _stratify(
-        _simplex_family(n, cap, "delta"),
-        lambda t: complicial_thin_key(k, n, t)
-        or (len(t) == n and in_horn_key(k, n, t)),
-    )
+    u = _simplex_family(n, cap, "delta")
+    return _stratify(u, _thin_where(
+        u, lambda t: complicial_thin_key(k, n, t)
+        or (len(t) == n and in_horn_key(k, n, t))))
 
 
 def key_inclusion(sub: StratifiedSSet, ambient: StratifiedSSet) -> StratifiedMap:

@@ -11,7 +11,7 @@ from complicial.homotopy import (
     _witness_summary,
     all_product_fillers,
 )
-from complicial.lifting import _fillers
+from complicial.lifting import _batch_fillers
 
 from .conftest import transformation_table, vertex
 
@@ -508,7 +508,8 @@ def per_cell_fillers(x, base, n, p, q):
     faces[n - 1], faces[n + 1] = p, q
     C.assemble_horn_map(C.complicial_horn(n, n + 1, n + 1)[0], faces, x)
     row = tuple(faces[j].index for j in sorted(faces))
-    return [x.underlying.ids[n + 1][w] for w in _fillers(x, n, n + 1, row)]
+    return [x.underlying.ids[n + 1][w]
+            for w in _batch_fillers(x, n, n + 1, [row])[0]]
 
 
 def per_cell_table(x, base, n):

@@ -10,7 +10,7 @@ from complicial import errors, homotopy, lifting
 from complicial.core import TruncatedSSet, make_simplicial_map
 from complicial.homotopy import all_product_fillers
 from complicial.lifting import (
-    _fillers, _horn_maps, _horn_rows, _stratified_horn_tuples,
+    _batch_fillers, _horn_maps, _horn_rows, _stratified_horn_tuples,
 )
 from complicial.standard import (
     complicial_thin_key, in_horn_key, monotone_maps,
@@ -464,7 +464,8 @@ def test_horn_fillers_match_solver_on_random_stratifications(data):
             found = [solver_fillers(x, k, n, faces) for faces in instances]
             for faces, want in zip(instances, found):
                 horn = tuple(s.index for s in faces.values())
-                assert [u.ids[n][w] for w in _fillers(x, k, n, horn)] == want
+                assert [u.ids[n][w]
+                        for w in _batch_fillers(x, k, n, [horn])[0]] == want
             row = rows[(k, n)]
             assert row.instances == len(instances)
             assert [f.detail["faces"] for f in row.failures] == \
@@ -518,7 +519,7 @@ def family2_by_simplex(x, k, n):
 def check_rows_by_reference(x):
     """Every row of ``verify`` at cap 3 against the references: family 2
     against :func:`family2_by_simplex`, family 1 against the instances of
-    ``horn_instances`` without a filler by ``_fillers``."""
+    ``horn_instances`` without a filler by ``_batch_fillers``."""
     rows = {(r.family, r.k, r.n): r
             for r in C.verify_weak_complicial(x, 3).rows}
     for n in range(2, 4):
@@ -531,7 +532,8 @@ def check_rows_by_reference(x):
             instances = list(C.horn_instances(k, n, x))
             unfilled = [
                 faces for faces in instances
-                if not _fillers(x, k, n, tuple(s.index for s in faces.values()))
+                if not _batch_fillers(
+                    x, k, n, [tuple(s.index for s in faces.values())])[0]
             ]
             row = rows[(1, k, n)]
             assert row.instances == len(instances)
