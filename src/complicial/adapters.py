@@ -36,7 +36,7 @@ from .errors import (
 from .homotopy import (
     MonoidTable, _associative, _class_index, _finish_table, _partition,
 )
-from .lifting import _horn_rows
+from .lifting import _check_family1
 from .strat import StratifiedSSet, _stratify, max_strat
 
 
@@ -332,34 +332,28 @@ def th0(k: TruncatedSSet) -> StratifiedSSet:
 
 # -- simplicial horn filling (no thinness) ------------------------------------
 
-def _unfillable_horn(k: TruncatedSSet, hk: int, n: int
-                     ) -> dict[int, SimplexId] | None:
-    """The first simplicial horn at ``hk`` of the n-simplex with no filler.
+def _first_unfillable(x: StratifiedSSet, hk: int, n: int
+                      ) -> dict[int, SimplexId] | None:
+    """The faces, by index j, of the first simplicial horn at ``hk`` of the
+    n-simplex with no filler in the maximal stratification ``x``, or None.
 
-    A filler is an n-simplex whose faces j != hk are the horn's, so the
-    horns with one are exactly the projections of the face rows.  The
-    horn's faces come back by face index j, or None when all are filled.
+    Every positive-dimensional simplex of ``x`` is thin, so family-1 row
+    (hk, n) is exactly simplicial horn filling, and ``verify``'s row check
+    decides it, stopped at its first failure.
     """
-    if n > k.dim_cap:
-        raise CapTooSmall(f"target cap {k.dim_cap} below problem cap {n}")
-    filled = {row[:hk] + row[hk + 1:] for row in k.faces[n]}
-    for row in _horn_rows(k, hk, n, None):
-        if row not in filled:
-            js = [j for j in range(n + 1) if j != hk]
-            return {j: k.ids[n - 1][w] for j, w in zip(js, row)}
-    return None
+    if n > x.cap:
+        raise CapTooSmall(f"target cap {x.cap} below problem cap {n}")
+    failures = _check_family1(hk, n, x, limit=1).failures
+    return failures[0].detail["faces"] if failures else None
 
 
 def assert_quasicategory(k: TruncatedSSet, bound: int | None = None) -> None:
-    """Inner-horn fillability up to the bound, by face-row lookup.
-
-    With the minimal stratification on both sides lifting is exactly
-    simplicial horn filling, so no stratification enters the check.
-    """
-    bound = k.dim_cap if bound is None else bound
-    for n in range(2, bound + 1):
+    """Inner-horn fillability up to the bound, by ``verify``'s row check
+    on the maximal stratification."""
+    x = max_strat(k)
+    for n in range(2, (k.dim_cap if bound is None else bound) + 1):
         for hk in range(1, n):
-            tup = _unfillable_horn(k, hk, n)
+            tup = _first_unfillable(x, hk, n)
             if tup is not None:
                 raise NotQuasiCategory(
                     f"inner horn (k, n) = ({hk}, {n}) unfillable at {tup}"
@@ -367,11 +361,12 @@ def assert_quasicategory(k: TruncatedSSet, bound: int | None = None) -> None:
 
 
 def assert_kan(k: TruncatedSSet, bound: int | None = None) -> None:
-    """All-horn fillability up to the bound, by face-row lookup."""
-    bound = k.dim_cap if bound is None else bound
-    for n in range(1, bound + 1):
+    """All-horn fillability up to the bound, by ``verify``'s row check on
+    the maximal stratification."""
+    x = max_strat(k)
+    for n in range(1, (k.dim_cap if bound is None else bound) + 1):
         for hk in range(n + 1):
-            tup = _unfillable_horn(k, hk, n)
+            tup = _first_unfillable(x, hk, n)
             if tup is not None:
                 raise NotKan(f"horn (k, n) = ({hk}, {n}) unfillable at {tup}")
 

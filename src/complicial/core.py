@@ -119,6 +119,7 @@ class TruncatedSSet:
         "_deg_witness",
         "_by_faces",
         "_by_face_value",
+        "_boundary_bijective",
     )
 
     def __init__(
@@ -159,6 +160,9 @@ class TruncatedSSet:
         self._by_face_value: list[
             tuple[dict[int, tuple[int, ...]], ...] | None
         ] = [None] * (dim_cap + 1)
+        # per dimension, whether the face-row map onto the compatible
+        # boundaries is a bijection (lifting._boundaries_bijective)
+        self._boundary_bijective: list[bool | None] = [None] * (dim_cap + 1)
 
     # -- basic access ------------------------------------------------------
 

@@ -41,7 +41,16 @@ What is validated, and where:
   whole face rows and never rests on the index it draws candidates from).
   Family 1 decides each (k, n) row against one projection set, built
   once: the face rows of the thin n-simplices with their k-th entry left
-  out, so an instance passes exactly when its faces are in it.  Family 2
+  out, so an instance passes exactly when its faces are in it.  Where the
+  face-row map onto compatible boundaries is a bijection in dimensions
+  n - 1 and n (:func:`_boundaries_bijective`, computed once per dimension
+  and never assumed), every horn has exactly one simplicial filler, so the
+  row joins no horns: its instances are the n-simplices that pass the
+  horn's thinness cut, and its failures those of them that are not thin
+  (:func:`_coskeletal_row`).  Nerves of categories are 2-coskeletal, so
+  on a nerve every row with n >= 4 is decided so.  ``assert_kan`` and
+  ``assert_quasicategory`` run the same row check on the maximal
+  stratification, stopped at the first failure.  Family 2
   takes the column of all n-simplex indexes, maps it through the face
   word of each thin key of the primed simplex (``TruncatedSSet.act``)
   and keeps the simplices whose images are in the thin index sets; those
@@ -332,18 +341,21 @@ def _horn_thin_words(
     js = [j for j in range(n + 1) if j != k]
     thin = x.thin_indexes()
     for key, (j, word) in _horn_generators(k, n).items():
-        if complicial_thin_key(k, n, key) and not _wholly_thin(x, len(key) - 1):
+        if not _wholly_thin(x, len(key) - 1) and complicial_thin_key(k, n, key):
             yield js.index(j), word, thin[len(key) - 1]
 
 
 def _horn_rows(
-    xu: TruncatedSSet, k: int, n: int, x: StratifiedSSet | None
+    xu: TruncatedSSet, js: Sequence[int], n: int, x: StratifiedSSet | None
 ) -> Iterator[tuple[int, ...]]:
-    """Compatible face tuples of horns of the n-simplex in ``xu``.
+    """Compatible tuples of (n-1)-simplices on the faces ``js`` of the
+    n-simplex (n >= 2, or n = 1 with one position) in ``xu``.
 
-    A tuple lists the indexes of the (n-1)-simplices on faces j != k, in
-    ascending j; tuples come in lexicographic order.  Faces i < j of a horn
-    are compatible when d_i of the face at j is d_{j-1} of the face at i.
+    ``js`` lists face positions, ascending, and a tuple lists the index of
+    the (n-1)-simplex on each; tuples come in lexicographic order.  Faces
+    i < j are compatible when d_i of the face at j is d_{j-1} of the face
+    at i.  With every position but k the tuples are the simplicial horns
+    at k; with every position, the compatible boundaries of the n-simplex.
     The tuples are built a position at a time, by hash join: position p
     (face j) gets one dict from a candidate's own face-row entries at the
     earlier positions to the candidates with those entries, ascending, and
@@ -351,21 +363,21 @@ def _horn_rows(
     its chosen faces.  So every kept candidate matches every chosen face.
     All positions but the last are built in full when called; the last is
     streamed, so a caller may stop at the first tuple it wants.
-    With a stratification ``x`` of ``xu`` only stratified maps from the
-    k-complicial horn are listed.  Each thin simplex of the horn lies in
-    some face j != k and its image is read off the face chosen there, so
-    thinness is a condition on single faces: per position, the candidates
-    are cut down once, a whole column per thin simplex, to those whose
-    images land thin (:func:`_horn_thin_words`).  A thin simplex whose
-    dimension is wholly thin in ``x`` cuts nothing and is skipped, so on
-    a ``th0`` no cut is made at all.  With ``x`` None the tuples are the
-    plain simplicial horns.
+    With a stratification ``x`` of ``xu``, ``js`` must be the faces j != k
+    of a horn, and only stratified maps from the k-complicial horn are
+    listed.  Each thin simplex of the horn lies in some face j != k and
+    its image is read off the face chosen there, so thinness is a
+    condition on single faces: per position, the candidates are cut down
+    once, a whole column per thin simplex, to those whose images land thin
+    (:func:`_horn_thin_words`).  A thin simplex whose dimension is wholly
+    thin in ``x`` cuts nothing and is skipped, so on a ``th0`` no cut is
+    made at all.
     """
-    js = [j for j in range(n + 1) if j != k]
     top = n - 1
     # allowed[p] lists, ascending, the candidates for the face at js[p]
     allowed: list[Sequence[int]] = [range(xu.counts[top])] * len(js)
     if x is not None:
+        k = next(j for j in range(n + 1) if j not in js)
         for p, word, thin_m in _horn_thin_words(x, k, n):
             images = xu.act(top, word, allowed[p])
             allowed[p] = [w for w, v in zip(allowed[p], images)
@@ -412,7 +424,7 @@ def horn_instances(
         raise KOutOfRange(f"k = {k} outside [{n}]")
     js = [j for j in range(n + 1) if j != k]
     ids = x.underlying.ids[n - 1]
-    for row in _horn_rows(x.underlying, k, n, x):
+    for row in _horn_rows(x.underlying, js, n, x):
         yield {j: ids[w] for j, w in zip(js, row)}
 
 
@@ -487,30 +499,105 @@ def _batch_fillers(x: StratifiedSSet, k: int, n: int,
     return [found.get(row, []) for row in rows]
 
 
-def _check_family1(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
-    """Decide every stratified horn against the row's projection set.
+def _boundaries_bijective(xu: TruncatedSSet, m: int) -> bool:
+    """Whether the face-row map from the m-simplices (m >= 1) of ``xu`` to
+    the compatible boundaries of the m-simplex is a bijection.
 
-    The set holds the face rows, k-th entry left out, of the thin
-    n-simplices, so an instance is filled exactly when its faces are in it
-    (the rule of :func:`_batch_fillers`).  The instances without a filler are
-    checked to be stratified maps from the horn (:func:`_require_horns`)
-    before they are recorded as failures, so a bad one raises the error
-    :func:`assemble_horn_map` raises on it.  Simplex ids are made only for
-    a row with failures.
+    It is injective when the face rows are distinct, one set over the
+    columns.  Given that, it is onto when there are no more compatible
+    boundaries than m-simplices.  For m = 1 a boundary is any pair of
+    vertices.  Above, the boundaries are joined on every position
+    (:func:`_horn_rows`), stopping at the first past the count; but where
+    the map is a bijection in dimension m - 1 too, a horn at m extends to
+    exactly one boundary, so the horns at m are joined instead, one level
+    fewer.  Computed at most once per dimension and kept on ``xu``.
     """
-    rows = x.underlying.faces[n]
-    filled = {rows[w][:k] + rows[w][k + 1:] for w in x.thin_indexes()[n]}
-    instances = 0
-    unfilled = []
-    for faces in _horn_rows(x.underlying, k, n, x):
-        instances += 1
-        if faces not in filled:
-            unfilled.append(faces)
+    known = xu._boundary_bijective
+    if known[m] is None:
+        count = xu.counts[m]
+        if len(set(zip(*xu.face_columns[m]))) != count:
+            known[m] = False
+        elif m == 1:
+            known[m] = xu.counts[0] ** 2 == count
+        else:
+            js = range(m if _boundaries_bijective(xu, m - 1) else m + 1)
+            known[m] = sum(1 for _ in islice(_horn_rows(xu, js, m, None),
+                                             count + 1)) == count
+    return known[m]
+
+
+def _coskeletal_row(k: int, n: int, x: StratifiedSSet
+                    ) -> tuple[int, list[tuple[int, ...]]]:
+    """The instance count and the unfilled horns of family-1 row (k, n),
+    where the face-row map is a bijection in dimensions n - 1 and n.
+
+    Then every horn has exactly one simplicial filler: its missing face is
+    the one (n-1)-simplex with the boundary the horn fixes, and that
+    completes a boundary of the n-simplex, which one n-simplex has.  So
+    the horns are the n-simplices, each its face row with the k-th entry
+    left out.  A horn is stratified when the images of its thin simplices
+    are thin; the n-simplices are cut a whole column per thin simplex
+    (:func:`_horn_thin_words`, read through the face it lies in), and the
+    ones left that are not thin are the unfilled horns, sorted into the
+    join's lexicographic order.  On a ``th0`` no column pass runs.
+    """
+    xu = x.underlying
+    faces = xu.face_columns[n]
+    js = [j for j in range(n + 1) if j != k]
+    column: Sequence[int] = range(xu.counts[n])
+    for p, word, thin_m in _horn_thin_words(x, k, n):
+        images = xu.act(n - 1, word, list(map(faces[js[p]].__getitem__,
+                                               column)))
+        column = [w for w, v in zip(column, images) if v in thin_m]
+    if _wholly_thin(x, n):
+        return len(column), []
+    thin = x.thin_indexes()[n]
+    failed = [w for w in column if w not in thin]
+    return len(column), sorted(zip(*[list(map(faces[j].__getitem__, failed))
+                                     for j in js]))
+
+
+def _check_family1(k: int, n: int, x: StratifiedSSet,
+                   limit: int | None = None) -> VerificationRow:
+    """Decide every stratified horn of row (k, n), keeping the first
+    ``limit`` failures (None: all).
+
+    Where the face-row map is a bijection in dimensions n - 1 and n
+    (:func:`_boundaries_bijective`, n >= 2), the horns are the n-simplices
+    and the row is decided by columns (:func:`_coskeletal_row`).
+    Elsewhere the horns are joined (:func:`_horn_rows`) and decided
+    against one projection set: the face rows, k-th entry left out, of the
+    thin n-simplices, so an instance is filled exactly when its faces are
+    in it (the rule of :func:`_batch_fillers`).  With a limit the join
+    stops at the limit-th failure, and the count is of the horns seen.
+    The failures are checked to be stratified maps from the horn
+    (:func:`_require_horns`) before they are recorded, so a bad one raises
+    the error :func:`assemble_horn_map` raises on it.  Simplex ids are
+    made only for a row with failures.
+    """
+    xu = x.underlying
+    js = [j for j in range(n + 1) if j != k]
+    if n >= 2 and _boundaries_bijective(xu, n - 1) \
+            and _boundaries_bijective(xu, n):
+        instances, unfilled = _coskeletal_row(k, n, x)
+        unfilled = unfilled[:limit]
+    else:
+        rest = [xu.face_columns[n][j] for j in js]
+        if not _wholly_thin(x, n):
+            ws = list(x.thin_indexes()[n])
+            rest = [list(map(c.__getitem__, ws)) for c in rest]
+        filled = set(zip(*rest))
+        instances = 0
+        unfilled = []
+        for instances, faces in enumerate(_horn_rows(xu, js, n, x), 1):
+            if faces not in filled:
+                unfilled.append(faces)
+                if len(unfilled) == limit:
+                    break
     if not unfilled:
         return VerificationRow(1, k, n, instances, ())
     _require_horns(x, k, n, list(zip(*unfilled)))
-    js = [j for j in range(n + 1) if j != k]
-    ids = x.underlying.ids[n - 1]
+    ids = xu.ids[n - 1]
     failures = tuple(
         FailedInstance(1, k, n,
                        {"faces": {j: ids[w] for j, w in zip(js, faces)}})

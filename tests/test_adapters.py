@@ -585,7 +585,7 @@ def test_simplicial_horn_tuples_match_brute_force(nerve_z3_3):
             js = [j for j in range(n + 1) if j != hk]
             got = [
                 {j: nerve_z3_3.ids[n - 1][w] for j, w in zip(js, row)}
-                for row in _horn_rows(nerve_z3_3, hk, n, None)
+                for row in _horn_rows(nerve_z3_3, js, n, None)
             ]
             assert got == brute_horn_tuples(nerve_z3_3, hk, n), (hk, n)
 

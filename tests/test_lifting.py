@@ -19,6 +19,11 @@ from complicial.standard import (
 from .conftest import recursive_apply_monotone, renumbered
 
 
+def horn_tuples(xu, k, n, x):
+    """The horn tuples at k of the n-simplex, by ``_horn_rows``."""
+    return _horn_rows(xu, [j for j in range(n + 1) if j != k], n, x)
+
+
 def horn_problem(x, k, n, faces):
     horn, inc = C.complicial_horn(k, n, n)
     partial = C.assemble_horn_map(horn, faces, x)
@@ -288,7 +293,7 @@ def test_failure_check_catches_an_incompatible_tuple(monkeypatch):
     # assemble_horn_map raises on it
     x = C.th0(C.nerve(C.symmetric_group_3(), 3))
     k, n = 1, 3
-    good = next(_horn_rows(x.underlying, k, n, x))
+    good = next(horn_tuples(x.underlying, k, n, x))
     bad = good[:-1] + ((good[-1] + 1) % x.counts[n - 1],)
     js = [j for j in range(n + 1) if j != k]
     ids = x.underlying.ids[n - 1]
@@ -297,9 +302,9 @@ def test_failure_check_catches_an_incompatible_tuple(monkeypatch):
                             {j: ids[w] for j, w in zip(js, bad)}, x)
     horn_rows = lifting._horn_rows
 
-    def with_bad(xu, k_, n_, strat):
-        yield from horn_rows(xu, k_, n_, strat)
-        if (k_, n_) == (k, n):
+    def with_bad(xu, js_, n_, strat):
+        yield from horn_rows(xu, js_, n_, strat)
+        if (list(js_), n_) == (js, n):
             yield bad
 
     monkeypatch.setattr(lifting, "_horn_rows", with_bad)
@@ -314,7 +319,7 @@ def test_failure_check_catches_an_unstratified_horn(monkeypatch):
     x = C.make_stratified(C.nerve(C.cyclic_group(3), 3), [])
     horn_rows = lifting._horn_rows
     monkeypatch.setattr(lifting, "_horn_rows",
-                        lambda xu, k, n, strat: horn_rows(xu, k, n, None))
+                        lambda xu, js, n, strat: horn_rows(xu, js, n, None))
     with pytest.raises(errors.ThinnessViolation):
         C.verify_weak_complicial(x, 3)
 
@@ -651,7 +656,7 @@ def check_join(x, top_n=None):
         for k in range(n + 1):
             for strat in (x, None):
                 want = list(recursive_horn_rows(u, k, n, strat))
-                assert list(_horn_rows(u, k, n, strat)) == want, (k, n)
+                assert list(horn_tuples(u, k, n, strat)) == want, (k, n)
 
 
 def random_thin(u, data):
@@ -822,7 +827,7 @@ def test_batched_maps_match_per_instance_maps_on_random_stratifications(data):
     x = random_thin(renumbered(C.nerve(category, 3), data), data)
     n = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(0, n))
-    instances = list(_horn_rows(x.underlying, k, n, x))
+    instances = list(horn_tuples(x.underlying, k, n, x))
     # the row's instances, then drawn face tuples that may be invalid
     check_batched_maps(x, k, n, instances)
     count = x.counts[n - 1]
@@ -844,7 +849,7 @@ def test_column_check_agrees_with_the_map_build(data):
     count = x.counts[n - 1]
     drawn = data.draw(st.lists(
         st.tuples(*[st.integers(0, count - 1)] * n), min_size=1, max_size=6))
-    tuples = list(_horn_rows(x.underlying, k, n, x)) + drawn
+    tuples = list(horn_tuples(x.underlying, k, n, x)) + drawn
     accepted = [bool(check_batched_maps(x, k, n, [row])) for row in tuples]
     for row, ok in zip(tuples, accepted):
         assert _stratified_horn_tuples(x, k, n, [[w] for w in row]) is ok
