@@ -189,8 +189,10 @@ def from_permutations(generators: Sequence[Sequence[int]],
         raise InvalidInput("at least one generator is required")
     degree = len(gens[0])
     for g in gens:
-        if sorted(g) != list(range(degree)):
-            raise InvalidInput(f"{g!r} is not a permutation")
+        if any(type(e) is not int for e in g) \
+                or sorted(g) != list(range(degree)):
+            raise InvalidInput(f"permutation generator {g!r} is not a "
+                               f"permutation of the ints 0..{degree - 1}")
     identity = tuple(range(degree))
     elements = {identity}
     frontier = [identity]
@@ -396,6 +398,12 @@ def homotopy_category(c: TruncatedSSet, *, bound: int | None = None,
     2-simplex mounting representatives on its outer faces; well-definedness
     is checked exhaustively over all such 2-simplices.
     """
+    return _homotopy_category(c, bound, assume_quasicategory)[0]
+
+
+def _homotopy_category(c: TruncatedSSet, bound: int | None,
+                       assume_quasicategory: bool) -> tuple:
+    """:func:`homotopy_category` and its morphisms, the edge classes."""
     if c.dim_cap < 2:
         raise CapTooSmall("the homotopy category needs cap >= 2")
     if not assume_quasicategory:
@@ -440,7 +448,8 @@ def homotopy_category(c: TruncatedSSet, *, bound: int | None = None,
         v.label if v.label is not None else str(v.index)
         for v in c.simplices(0)
     )
-    return make_category(objects, morphisms, src, tgt, identities, comp)
+    return (make_category(objects, morphisms, src, tgt, identities, comp),
+            classes)
 
 
 def quasicat_e(c: TruncatedSSet, *, bound: int | None = None) -> StratifiedSSet:
@@ -450,8 +459,7 @@ def quasicat_e(c: TruncatedSSet, *, bound: int | None = None) -> StratifiedSSet:
     category.  On the nerve of a group this recovers the all-thin
     stratification.
     """
-    hc = homotopy_category(c, bound=bound)
-    classes = _edge_classes(c)
+    hc, classes = _homotopy_category(c, bound, False)
     invertible = {i for i in range(len(hc.morphisms)) if hc.is_iso(i)}
     edges = [e.index for i, cl in enumerate(classes) if i in invertible
              for e in cl]

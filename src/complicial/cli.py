@@ -79,21 +79,30 @@ def _emit(args, pieces: Iterable[str]) -> None:
         sys.stdout.writelines(pieces)
 
 
+def _list(raw, key: str) -> list:
+    """``raw[key]``, which must be a JSON list: a string there would be
+    read one character at a time."""
+    value = raw[key]
+    if type(value) is not list:
+        raise _UsageError(f"malformed algebra input: {key} must be a list")
+    return value
+
+
 def _load_category(args) -> adapters.FiniteCategory:
     try:
         if args.monoid:
             raw = _load_json(args.monoid)
             if "perm_generators" in raw:
                 return adapters.from_permutations(
-                    raw["perm_generators"], raw.get("bound", 10000)
+                    _list(raw, "perm_generators"), raw.get("bound", 10000)
                 )
             return adapters.monoid_category(
-                raw["elements"], raw["unit"], raw["table"]
+                _list(raw, "elements"), raw["unit"], raw["table"]
             )
         if args.category:
             raw = _load_json(args.category)
             names = [m["name"] for m in raw["morphisms"]]
-            objects = list(raw["objects"])
+            objects = _list(raw, "objects")
             src = [objects.index(m["src"]) for m in raw["morphisms"]]
             tgt = [objects.index(m["tgt"]) for m in raw["morphisms"]]
             identities = [names.index(raw["identities"][o]) for o in objects]

@@ -321,8 +321,7 @@ class TruncatedSSet:
 
     def const(self, x: SimplexId, m: int) -> SimplexId:
         """The constant m-simplex at the vertex ``x`` (iterated s_0)."""
-        if x.dim != 0:
-            raise InvalidInput(f"{x!r} is not a vertex")
+        require_simplex(self, x, 0)
         if m < 0:
             raise InvalidInput(f"constant {m}-simplex: m must be >= 0")
         if m > self.dim_cap:

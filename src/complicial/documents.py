@@ -21,13 +21,13 @@ by :func:`dumps`, which is ``json`` itself, or streamed by
 :func:`dump_pieces`, a batch of ``json``'s chunks at a time, with the same
 bytes.
 
-Reading a complex builds one table of id strings per call.  Parsing reads
-every id, in the face and degeneracy tables, the thin list and the label
-keys, by one lookup in a dict made from that table.  A face or degeneracy
-table, or the thin list, whose entries are all found in the right
-dimension is sliced straight into columns; when an entry is missed it
-falls back to :func:`parse_id` entry by entry, so a malformed document is
-rejected with the same message either way.  A label key must be found.
+Reading a complex builds one table of id strings per call, checks the
+``simplices`` lists against it, and reads every other id (in the face and
+degeneracy tables, the thin list and the label keys) by one lookup in a
+dict made from it.  So every id must be spelled exactly as in
+``simplices``, in the dimension its place requires; ``"1:03"`` or
+``" 1:3"`` is no id.  Each table becomes columns, validated once by
+:func:`core._build_sset_columns`.
 """
 
 from __future__ import annotations
@@ -40,27 +40,17 @@ from operator import is_not, sub
 from typing import Any, Iterable, Iterator
 
 from . import __version__
-from .core import SimplexId, _build_sset_columns, build_sset
-from .errors import InvalidInput
+from .core import SimplexId, _build_sset_columns
+from .errors import DanglingReference, InvalidInput, ThinVertex
 from .homotopy import AuditReport, MonoidTable, Tau0Result
 from .lifting import VerificationReport
-from .strat import StratifiedSSet, _reject_thin, _stratify
+from .strat import StratifiedSSet, _stratify
 
 FORMAT_VERSION = 1
 
 
 def id_str(s: SimplexId) -> str:
     return f"{s.dim}:{s.index}"
-
-
-def parse_id(text: str) -> tuple[int, int]:
-    if not isinstance(text, str):
-        raise InvalidInput(f"malformed simplex id {text!r}: not a string")
-    try:
-        dim, index = text.split(":")
-        return int(dim), int(index)
-    except ValueError as exc:
-        raise InvalidInput(f"malformed simplex id {text!r}") from exc
 
 
 _encode_str = json.encoder.encode_basestring
@@ -207,12 +197,6 @@ def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
     return json.loads(complex_text(x, name))
 
 
-def _id_lookup(ids: list[list[str]]) -> dict[str, int]:
-    """Each id string of ``ids`` to the position of its simplex, counted
-    dimension after dimension."""
-    return dict(zip(chain.from_iterable(ids), count()))
-
-
 def _looked_up(texts: list, lookup: dict[str, int], lo: int, hi: int
                ) -> list[int] | None:
     """The positions of ``texts`` less ``lo``, or None unless every one is
@@ -226,50 +210,51 @@ def _looked_up(texts: list, lookup: dict[str, int], lo: int, hi: int
     return list(map(sub, found, repeat(lo))) if lo else found
 
 
-def _parse_table(raw, table_dim: int, entry_dim: int,
-                 lookup: dict[str, int], starts: list[int]
-                 ) -> tuple[list | None, list | None]:
-    """The dimension-``table_dim`` table as ``(columns, None)`` when it is
-    a list of rows of ``table_dim + 1`` ids of dimension ``entry_dim``,
-    each found in ``lookup``, and as ``(None, rows)`` read id by id
-    otherwise."""
-    width = table_dim + 1
-    if type(raw) is list and set(map(type, raw)) <= {list} \
-            and set(map(len, raw)) <= {width}:
-        nums = _looked_up(list(chain.from_iterable(raw)), lookup,
-                          starts[entry_dim], starts[entry_dim + 1])
-        if nums is not None:
-            return [nums[j::width] for j in range(width)], None
-    rows = []
-    for row in raw:
-        entries = []
-        for text in row:
-            dim, index = parse_id(text)
-            if dim != entry_dim:
-                raise InvalidInput(
-                    f"entry {text!r} in the dimension-{table_dim} table "
-                    f"must have dimension {entry_dim}"
-                )
-            entries.append(index)
-        rows.append(entries)
-    return None, rows
+def _first_miss(texts: list, lookup: dict[str, int], lo: int, hi: int
+                ) -> int:
+    """The place in ``texts`` of the first that :func:`_looked_up` misses."""
+    return next(k for k, text in enumerate(texts) if not (
+        isinstance(text, str) and lo <= lookup.get(text, -1) < hi))
 
 
-def _thin_given(thin_ids, lookup: dict[str, int], counts: list[int],
-                starts: list[int]) -> list[list[int]]:
-    """Per dimension, the indexes of the thin ids, ascending; each id is
-    checked to exist in a complex with ``counts`` simplices per dimension,
-    whose dimension ``n`` starts at position ``starts[n]``."""
+def _parse_table(raw, n: int, what: str, entry_dim: int,
+                 lookup: dict[str, int], starts: list[int]) -> list[list[int]]:
+    """The dimension-``n`` face or degeneracy table, a list of rows of
+    n + 1 ids of dimension ``entry_dim``, as columns of indexes.  Shapes
+    and ids are checked over the whole table at once, and only a table
+    that fails is walked, to name its first bad row or entry."""
+    width = n + 1
+    if type(raw) is not list:
+        raise InvalidInput(f"{what} table at dim {n} must be a list of rows")
+    if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width}):
+        i, row = next((i, row) for i, row in enumerate(raw)
+                      if type(row) is not list or len(row) != width)
+        raise InvalidInput(f"{what} row {n}:{i} must " + (
+            f"have {width} entries" if type(row) is list
+            else f"be a list of {width} ids"))
+    lo, hi = starts[entry_dim], starts[entry_dim + 1]
+    flat = list(chain.from_iterable(raw))
+    nums = _looked_up(flat, lookup, lo, hi)
+    if nums is None:
+        k = _first_miss(flat, lookup, lo, hi)
+        text = flat[k]
+        entry = f"{what} entry {n}:{k // width} -> {text!r}"
+        if isinstance(text, str) and text in lookup:
+            raise InvalidInput(f"{entry} must have dimension {entry_dim}")
+        raise DanglingReference(f"{entry} is not a simplex of the complex")
+    return [nums[j::width] for j in range(width)]
+
+
+def _thin_given(thin_ids, lookup: dict[str, int], starts: list[int]
+                ) -> list[list[int]]:
+    """Per dimension, the indexes of the thin ids, ascending; dimension
+    ``n`` starts at position ``starts[n]`` of ``lookup``."""
     if not isinstance(thin_ids, list):
         raise InvalidInput("thin must be a list of simplex ids")
     flat = _looked_up(thin_ids, lookup, 0, starts[-1])
     if flat is None:
-        flat = []
-        for text in thin_ids:
-            dim, index = parse_id(text)
-            if not (0 <= dim < len(counts) and 0 <= index < counts[dim]):
-                raise InvalidInput(f"thin id {text!r} does not exist")
-            flat.append(starts[dim] + index)
+        text = thin_ids[_first_miss(thin_ids, lookup, 0, starts[-1])]
+        raise InvalidInput(f"thin id {text!r} is not a simplex of the complex")
     flat.sort()
     bounds = list(map(bisect_left, repeat(flat), starts))
     return [list(map(sub, flat[lo:hi], repeat(start)))
@@ -295,16 +280,17 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     for n, (given, canonical) in enumerate(zip(per_dim, ids)):
         if given != canonical:
             raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
-    lookup = _id_lookup(ids)
+    # each id string to its simplex's position, dimension after dimension
+    lookup = dict(zip(chain.from_iterable(ids), count()))
     starts = [0, *accumulate(counts)]
     if len(doc["faces"]) != cap:
         raise InvalidInput("faces must list dimensions 1..dim_cap")
     if len(doc["degeneracies"]) != cap:
         raise InvalidInput("degeneracies must list dimensions 0..dim_cap-1")
-    tables = [_parse_table(doc["faces"][n - 1], n, n - 1, lookup, starts)
-              for n in range(1, cap + 1)]
-    tables += [_parse_table(doc["degeneracies"][n], n, n + 1, lookup, starts)
-               for n in range(cap)]
+    faces = [_parse_table(doc["faces"][n - 1], n, "face", n - 1, lookup,
+                          starts) for n in range(1, cap + 1)]
+    degeneracies = [_parse_table(doc["degeneracies"][n], n, "degeneracy",
+                                 n + 1, lookup, starts) for n in range(cap)]
     label_map = doc.get("labels", {})
     if not isinstance(label_map, dict) or not all(
         map(isinstance, label_map.values(), repeat(str))
@@ -317,19 +303,12 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
             raise InvalidInput(
                 f"label key {key!r} is not a simplex of the complex")
         labels = [list(map(label_map.get, per_n)) for per_n in ids]
-    if all(columns is not None for columns, _ in tables):
-        build, tables = _build_sset_columns, [c for c, _ in tables]
-    else:  # some table has a row of another shape or an id not found
-        build = build_sset
-        tables = [rows if rows is not None else list(zip(*columns))
-                  for columns, rows in tables]
-    u = build(cap, counts, [[]] + tables[:cap], tables[cap:] + [[]],
-              labels=labels)
-    thin_ids = doc.get("thin", [])
-    x = _stratify(u, _thin_given(thin_ids, lookup, counts, starts))
-    if x is None:  # a thin vertex
-        _reject_thin(u, [u.id_at(*parse_id(text)) for text in thin_ids])
-    return x
+    u = _build_sset_columns(cap, counts, [[]] + faces, degeneracies + [[]],
+                            labels=labels)
+    thin = _thin_given(doc.get("thin", []), lookup, starts)
+    if thin[0]:  # every thin id is a simplex, so only a vertex is refused
+        raise ThinVertex(f"vertex {u.id_at(0, thin[0][0])!r} cannot be thin")
+    return _stratify(u, thin)
 
 
 def complex_digest(x: StratifiedSSet) -> str:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import complicial as C
-from complicial import documents as D, errors
+from complicial import adapters, documents as D, errors
 from complicial.adapters import _pi_homotopic, _prism_unknowns
 from complicial.lifting import _horn_rows
 
@@ -164,6 +164,16 @@ def test_from_permutations_s3():
 def test_from_permutations_bound():
     with pytest.raises(errors.InvalidInput):
         C.from_permutations([(1, 2, 0)], bound=2)
+
+
+@pytest.mark.parametrize("generators", [
+    [[1.0, 0.0]], [[True, False]], [[1, 0], [False, True]], ["ab"], "ab",
+    [["1", "0"]],
+])
+def test_from_permutations_takes_only_int_entries(generators):
+    with pytest.raises(errors.InvalidInput, match=(
+            r"^permutation generator .* is not a permutation of the ints")):
+        C.from_permutations(generators)
 
 
 def test_boolean_monoid_not_group():
@@ -415,6 +425,21 @@ def test_quasicat_e_boolean(qcat_bool_3):
     assert u.is_degenerate(thin_edges[0])
     for s in u.simplices(2):
         assert qcat_bool_3.is_thin(s)
+
+
+def test_quasicat_e_computes_the_edge_classes_once(monkeypatch):
+    n = C.nerve(C.symmetric_group_3(), 2)
+    want = C.quasicat_e(n)
+    calls = []
+    edge_classes = adapters._edge_classes
+
+    def counted(c):
+        calls.append(c)
+        return edge_classes(c)
+
+    monkeypatch.setattr(adapters, "_edge_classes", counted)
+    assert C.quasicat_e(n) == want
+    assert calls == [n]
 
 
 def test_quasicat_e_arrow_edge_not_thin():

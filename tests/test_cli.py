@@ -256,6 +256,38 @@ def test_perm_generator_bound_must_be_positive_int(capsys, tmp_path,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flag, algebra, message", [
+    ("--monoid", {"elements": "ea", "unit": "e",
+                  "table": [["e", "a"], ["a", "e"]]},
+     "malformed algebra input: elements must be a list"),
+    ("--monoid", {"perm_generators": "ab"},
+     "malformed algebra input: perm_generators must be a list"),
+    ("--monoid", {"perm_generators": ["ab"]},
+     "InvalidInput: permutation generator ('a', 'b') is not a permutation "
+     "of the ints 0..1"),
+    ("--monoid", {"perm_generators": [[True, False]]},
+     "InvalidInput: permutation generator (True, False) is not a "
+     "permutation of the ints 0..1"),
+    ("--monoid", {"perm_generators": [[1.0, 0.0]]},
+     "InvalidInput: permutation generator (1.0, 0.0) is not a permutation "
+     "of the ints 0..1"),
+    ("--category", {"objects": "01",
+                    "morphisms": [{"name": "id0", "src": "0", "tgt": "0"},
+                                  {"name": "id1", "src": "1", "tgt": "1"}],
+                    "identities": {"0": "id0", "1": "id1"},
+                    "composition": {"id0|id0": "id0", "id1|id1": "id1"}},
+     "malformed algebra input: objects must be a list"),
+])
+def test_algebra_inputs_are_read_as_the_types_they_claim(
+        capsys, tmp_path, flag, algebra, message):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    assert main(["build", "nerve", flag, str(path), "--cap", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.fixture()
 def delta1_doc(tmp_path):
     path = tmp_path / "d1.json"

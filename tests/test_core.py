@@ -128,6 +128,16 @@ def test_const_rejects_negative_dimension():
         d1.const(d1.id_at(0, 0), -1)
 
 
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("x", [C.SimplexId(0, 5), C.SimplexId(0, -1),
+                               C.SimplexId(1, 0)])
+def test_const_rejects_a_vertex_not_of_the_complex(x, m):
+    u = C.nerve(C.cyclic_group(2), 3)
+    with pytest.raises(errors.InvalidInput,
+                       match=f"^{x!r} is not a vertex of the complex$"):
+        u.const(x, m)
+
+
 def test_nondegenerate_range_checks_dimension(nerve_z3_3):
     for n in (-1, nerve_z3_3.dim_cap + 1):
         with pytest.raises(errors.IndexOutOfRange):

@@ -65,9 +65,7 @@ def test_digest_is_stable():
 def test_id_strings():
     s = C.SimplexId(2, 5)
     assert D.id_str(s) == "2:5"
-    assert D.parse_id("2:5") == (2, 5)
-    with pytest.raises(errors.InvalidInput):
-        D.parse_id("nope")
+    assert D.id_str(C.SimplexId(0, 10)) == "0:10"
 
 
 def test_verify_payload_shape(th0_z2_3):
@@ -162,7 +160,7 @@ def test_complex_text_rejects_a_name_that_is_not_a_string(name):
         D.complex_text(C.delta(1, 1), name)
 
 
-# -- the bulk id parser -------------------------------------------------------
+# -- the one id rule ---------------------------------------------------------
 
 def outcome(fn, *args):
     try:
@@ -171,59 +169,120 @@ def outcome(fn, *args):
         return (type(exc).__name__, str(exc))
 
 
-def parse_id_message(text):
-    return outcome(D.parse_id, text)[1]
+# The next three tests are named for the parse_id fallback that the id
+# lookup replaced; they keep its cases, now held to the one rule.
 
-
-@pytest.mark.parametrize("entry, message", [
-    ("1:x", parse_id_message("1:x")),
-    ("01:3", None),          # parse_id reads it as 1:3
-    (" 1:3", None),          # so is this: int() strips spaces
+@pytest.mark.parametrize("entry, before", [
+    ("1:x", "malformed simplex id '1:x'"),
+    ("01:3", None),          # parse_id read it as 1:3
+    (" 1:3", None),          # so it did this: int() strips spaces
     ("1:03", None),
-    ("1:2:3", parse_id_message("1:2:3")),
-    ("1:", parse_id_message("1:")),
-    (":3", parse_id_message(":3")),
-    ("1:3,1:4", parse_id_message("1:3,1:4")),
+    ("1:2:3", "malformed simplex id '1:2:3'"),
+    ("1:", "malformed simplex id '1:'"),
+    (":3", "malformed simplex id ':3'"),
+    ("1:3,1:4", "malformed simplex id '1:3,1:4'"),
     ("1:-1", None),          # a dangling reference, found by build_sset
     ("1:٣", None),           # a non-ASCII digit, which int() reads as 3
-    pytest.param("1:" + "9" * 5000, parse_id_message("1:" + "9" * 5000),
+    pytest.param("1:" + "9" * 5000,
+                 "malformed simplex id " + repr("1:" + "9" * 5000),
                  id="1:<more digits than int() reads>"),
-    (3, parse_id_message(3)),
-    (None, parse_id_message(None)),
+    (3, "malformed simplex id 3: not a string"),
+    (None, "malformed simplex id None: not a string"),
     ("0:1", "entry '0:1' in the dimension-2 table must have dimension 1"),
 ])
-def test_bulk_parse_falls_back_to_parse_id(monkeypatch, entry, message):
+def test_bulk_parse_falls_back_to_parse_id(entry, before):
+    """``before`` is what parse_id made of the entry: its message, or None
+    where it read an id.  Now an entry that is not an id of ``simplices``
+    is a dangling reference, and an id of another dimension is refused;
+    each message names the table, the row and the entry."""
     doc = D.complex_to_doc(C.delta(2, 2))
     doc["faces"][1][0][1] = entry
-    fast = outcome(D.doc_to_complex, doc)
-    monkeypatch.setattr(D, "_looked_up", lambda *args: None)
-    slow = outcome(D.doc_to_complex, doc)
-    assert fast == slow
-    if message is not None:
-        assert fast == ("InvalidInput", message)
+    if entry == "0:1":
+        expected = ("InvalidInput",
+                    "face entry 2:0 -> '0:1' must have dimension 1")
+    else:
+        expected = ("DanglingReference",
+                    f"face entry 2:0 -> {entry!r} is not a simplex of the "
+                    f"complex")
+    assert outcome(D.doc_to_complex, doc) == expected
 
 
 @pytest.mark.parametrize("entry", [
     "9:0", "1:99", "2:1:0", "1:x", 7, None, "0:0", "01:0", "-1:0",
 ])
-def test_bulk_thin_parse_falls_back_to_parse_id(monkeypatch, entry):
+def test_bulk_thin_parse_falls_back_to_parse_id(entry):
     doc = D.complex_to_doc(C.delta(2, 2))
     doc["thin"] = ["1:1", entry, "2:0"]
-    fast = outcome(D.doc_to_complex, doc)
-    monkeypatch.setattr(D, "_looked_up", lambda *args: None)
-    assert fast == outcome(D.doc_to_complex, doc)
-    assert fast[0] != "ok" or entry == "01:0"
+    if entry == "0:0":
+        expected = ("ThinVertex", "vertex <0:0 (0,)> cannot be thin")
+    else:  # "01:0" too, which parse_id read as 1:0
+        expected = ("InvalidInput",
+                    f"thin id {entry!r} is not a simplex of the complex")
+    assert outcome(D.doc_to_complex, doc) == expected
 
 
 def test_bulk_parse_keeps_row_shapes():
     doc = D.complex_to_doc(C.delta(2, 2))
     doc["faces"][1][0].append("1:0")   # a row too long
-    with pytest.raises(errors.InvalidInput, match="must have 3 entries"):
+    with pytest.raises(errors.InvalidInput,
+                       match=r"^face row 2:0 must have 3 entries$"):
         D.doc_to_complex(doc)
     doc = D.complex_to_doc(C.delta(2, 2))
     doc["faces"][1][0] = "1:0"         # a row that is not a list
-    with pytest.raises(errors.InvalidInput, match="malformed simplex id"):
+    with pytest.raises(errors.InvalidInput,
+                       match=r"^face row 2:0 must be a list of 3 ids$"):
         D.doc_to_complex(doc)
+    doc["faces"][1] = {"2:0": ["1:0", "1:1", "1:2"]}   # nor is this table
+    with pytest.raises(errors.InvalidInput,
+                       match=r"^face table at dim 2 must be a list of rows$"):
+        D.doc_to_complex(doc)
+
+
+def arabic_indic(digits: str) -> str:
+    return "".join(chr(0x660 + int(d)) for d in digits)
+
+
+@pytest.mark.parametrize("entry", [
+    "1:03", "01:3", " 1:3", "+1:3", "1:3_0", "1:0_3", "1:٣", "1:99",
+    "0:0", "2:0", 3, ["1:3"],
+])
+@pytest.mark.parametrize("place", ["face", "degeneracy", "thin"])
+def test_every_respelling_is_rejected(capsys, tmp_path, place, entry):
+    """The id ``"1:3"`` of Δ_t[2] in a face row, a degeneracy row and the
+    thin list, replaced by a respelling of it, a dangling id, an id of
+    another dimension, a non-string or an unhashable list: a
+    ``ComplicialError`` through the API, and through the CLI exit 1 with
+    one ``error:`` line naming the entry."""
+    doc = D.complex_to_doc(C.delta_t(2, 2))
+    if place == "face":
+        rows, n, dim = doc["faces"][1], 2, 1
+    elif place == "degeneracy":
+        rows, n, dim = doc["degeneracies"][0], 0, 1
+    else:
+        rows, n, dim = [doc["thin"]], None, None
+    i = next(i for i, row in enumerate(rows) if "1:3" in row)
+    rows[i][rows[i].index("1:3")] = entry
+    if place == "thin" and entry == "0:0":
+        expected = ("ThinVertex", "vertex <0:0 (0,)> cannot be thin")
+    elif place == "thin" and entry == "2:0":
+        expected = ("ok", None)  # an id of a thin 2-simplex is no error
+    elif place == "thin":
+        expected = ("InvalidInput",
+                    f"thin id {entry!r} is not a simplex of the complex")
+    elif entry in ("0:0", "2:0"):
+        expected = ("InvalidInput", f"{place} entry {n}:{i} -> {entry!r} "
+                                    f"must have dimension {dim}")
+    else:
+        expected = ("DanglingReference", f"{place} entry {n}:{i} -> "
+                    f"{entry!r} is not a simplex of the complex")
+    kind, got = outcome(D.doc_to_complex, doc)
+    assert (kind, None if kind == "ok" else got) == expected
+    if kind == "ok":
+        return
+    path = tmp_path / "respelled.json"
+    path.write_text(D.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {kind}: {got}\n"
 
 
 # -- one id lookup per document ---------------------------------------------------
@@ -265,7 +324,9 @@ lookup_docs = [D.complex_to_doc(x) for x in (
 @st.composite
 def respelled_docs(draw):
     """A document of ``lookup_docs`` with one face or degeneracy entry, thin
-    id or label key replaced, and the replacement."""
+    id or label key replaced; the part, the place of the replaced id
+    (``(n, i)``, the table's dimension and the row, for a table entry) and
+    the replacement."""
     doc = json.loads(json.dumps(draw(st.sampled_from(lookup_docs))))
     counts = [len(per_dim) for per_dim in doc["simplices"]]
     places = [("thin", None)] * bool(doc["thin"]) \
@@ -273,9 +334,12 @@ def respelled_docs(draw):
         + [(part, n) for part in ("faces", "degeneracies")
            for n, table in enumerate(doc[part]) if table]
     part, n = draw(st.sampled_from(places))
+    place = None
     if part in ("faces", "degeneracies"):
         rows = doc[part][n]
-        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        place = (n + 1 if part == "faces" else n, i)
         j = draw(st.integers(0, len(row) - 1))
         old = row[j]
     elif part == "thin":
@@ -283,9 +347,9 @@ def respelled_docs(draw):
         old = doc["thin"][j]
     else:
         old = draw(st.sampled_from(list(doc["labels"])))
-    dim, index = D.parse_id(old)
-    other = [d for d, c in enumerate(counts) if c and d != dim]
-    kinds = ["leading zero", "dangling", "non-string"] \
+    dim, index = old.split(":")
+    other = [d for d, c in enumerate(counts) if c and d != int(dim)]
+    kinds = ["respelled", "dangling", "non-string"] \
         + ["wrong dimension"] * bool(other) \
         + ["unhashable"] * (part != "labels")
     kind = draw(st.sampled_from(kinds))
@@ -293,12 +357,15 @@ def respelled_docs(draw):
         d = draw(st.sampled_from(other))
         new = f"{d}:{draw(st.integers(0, counts[d] - 1))}"
     elif kind == "dangling":
-        new = draw(st.sampled_from([f"{dim}:{counts[dim]}",
+        new = draw(st.sampled_from([f"{dim}:{counts[int(dim)]}",
                                     f"{len(counts)}:0", f"{dim}:-1"]))
-    elif kind == "leading zero":
-        new = draw(st.sampled_from([f"0{dim}:{index}", f"{dim}:0{index}"]))
+    elif kind == "respelled":  # each is read as the old id by int()
+        new = draw(st.sampled_from([
+            f"0{dim}:{index}", f"{dim}:0{index}", f" {dim}:{index}",
+            f"+{dim}:{index}", f"{dim}:0_{index}", f"{dim}:{index} ",
+            f"{dim}:{arabic_indic(index)}"]))
     elif kind == "non-string":
-        new = draw(st.sampled_from([index, None, 1.5]))
+        new = draw(st.sampled_from([int(index), None, 1.5]))
     else:
         new = [old]
     if part in ("faces", "degeneracies"):
@@ -308,26 +375,42 @@ def respelled_docs(draw):
     else:
         doc["labels"] = {new if k == old else k: v
                          for k, v in doc["labels"].items()}
-    return doc, part, new
-
-
-def loaded(doc):
-    """The complex of ``doc`` as the bytes of its document, or the error."""
-    kind, got = outcome(D.doc_to_complex, doc)
-    return (kind, D.dumps(D.complex_to_doc(got)) if kind == "ok" else got)
+    return doc, part, place, kind, new
 
 
 @settings(max_examples=300, deadline=None)
 @given(respelled_docs())
 def test_the_lookup_and_parse_id_agree(case):
-    doc, part, new = case
-    fast = loaded(doc)
-    with mock.patch.object(D, "_looked_up", lambda *args: None):
-        assert loaded(doc) == fast
-    if part == "labels" and new not in {t for per_dim in doc["simplices"]
-                                         for t in per_dim}:
-        assert fast == ("InvalidInput",
-                        f"label key {new!r} is not a simplex of the complex")
+    """Named for the parse_id fallback it once compared the lookup with.
+    Every id that is not one of ``simplices``, as its place requires, is
+    refused with a message naming it; an id of another dimension in the
+    thin list or as a label key is another simplex, read as such."""
+    doc, part, place, kind, new = case
+    got = outcome(D.doc_to_complex, doc)
+    if part in ("faces", "degeneracies"):
+        what = "face" if part == "faces" else "degeneracy"
+        n, i = place
+        if kind == "wrong dimension":
+            entry_dim = n - 1 if part == "faces" else n + 1
+            assert got == ("InvalidInput", f"{what} entry {n}:{i} -> "
+                           f"{new!r} must have dimension {entry_dim}")
+        else:
+            assert got == ("DanglingReference", f"{what} entry {n}:{i} -> "
+                           f"{new!r} is not a simplex of the complex")
+    elif kind != "wrong dimension":
+        name = "thin id" if part == "thin" else "label key"
+        assert got == ("InvalidInput",
+                       f"{name} {new!r} is not a simplex of the complex")
+    elif part == "thin" and new.startswith("0:"):
+        assert got[0] == "ThinVertex"
+    elif part == "thin":
+        u = got[1].underlying
+        by_id = {D.id_str(s): s for s in u.all_simplices()}
+        assert got[1] == C.make_stratified(u, map(by_id.get, doc["thin"]))
+    else:
+        assert got[0] == "ok"
+        d, k = map(int, new.split(":"))
+        assert got[1].underlying.ids[d][k].label == doc["labels"][new]
 
 
 # -- ids made only when asked ----------------------------------------------------
@@ -395,21 +478,28 @@ def test_labels_survive_a_round_trip():
 def test_thin_ids_read_in_any_order_match_make_stratified():
     x = C.quasicat_e(C.nerve(C.boolean_monoid(), 3))
     doc = D.complex_to_doc(x)
-    for thin in (doc["thin"], doc["thin"][::-1] + doc["thin"][:3],
-                 ["0" + t for t in doc["thin"]]):  # not canonical: parse_id
+    u = x.underlying
+    by_id = {D.id_str(s): s for s in u.all_simplices()}
+    for thin in (doc["thin"], doc["thin"][::-1] + doc["thin"][:3]):
         doc["thin"] = thin
         y = D.doc_to_complex(doc)
-        u = y.underlying
-        by_ids = C.make_stratified(u, [u.id_at(*D.parse_id(t)) for t in thin])
-        assert y == by_ids == x
+        assert y == C.make_stratified(u, map(by_id.get, thin)) == x
+    doc["thin"] = ["0" + t for t in thin]  # no id, though int() reads one
+    with pytest.raises(errors.InvalidInput, match=(
+            f"^thin id '0{thin[0]}' is not a simplex of the complex$")):
+        D.doc_to_complex(doc)
 
 
 @pytest.mark.parametrize("vertex", ["0:0", "00:0"])
 def test_a_thin_vertex_in_a_document_raises(vertex):
     doc = D.complex_to_doc(C.th0(C.nerve(C.arrow_category(), 2)))
     doc["thin"] = doc["thin"][:2] + [vertex]
-    with pytest.raises(errors.ThinVertex,
-                       match=r"^vertex <0:0 0> cannot be thin$"):
+    if vertex == "0:0":
+        error, message = errors.ThinVertex, "vertex <0:0 0> cannot be thin"
+    else:  # not an id, so not read as the vertex 0:0
+        error, message = errors.InvalidInput, (
+            "thin id '00:0' is not a simplex of the complex")
+    with pytest.raises(error, match=f"^{message}$"):
         D.doc_to_complex(doc)
 
 
