@@ -25,6 +25,7 @@ from .core import (
     SimplexId,
     TruncatedSSet,
     _build_sset_columns,
+    _compose,
     require_simplex,
 )
 from .errors import (
@@ -64,6 +65,12 @@ class FiniteCategory:
         )
 
 
+def _require_strings(names: Sequence) -> None:
+    """Raise unless every object and morphism name is a string."""
+    if not all(map(isinstance, names, repeat(str))):
+        raise InvalidInput("object and morphism names must be strings")
+
+
 def make_category(
     objects: Sequence[str],
     morphisms: Sequence[str],
@@ -87,8 +94,7 @@ def make_category(
     identities = tuple(identities)
     comp = dict(comp)
     nm = len(morphisms)
-    if not all(map(isinstance, objects + morphisms, repeat(str))):
-        raise InvalidInput("object and morphism names must be strings")
+    _require_strings(objects + morphisms)
     if len(set(objects)) != len(objects) or len(set(morphisms)) != nm:
         raise InvalidInput("object and morphism names must be unique")
     if len(src) != nm or len(tgt) != nm or len(identities) != len(objects):
@@ -382,10 +388,10 @@ def _edge_classes(c: TruncatedSSet) -> tuple[tuple[SimplexId, ...], ...]:
     degenerate face 0 at the shared target; the closure of the relation is
     taken.  Classes are sorted by least member, so their order is stable.
     """
-    edge_faces, loops = c.faces[1], c.degeneracies[0]
-    related = [
-        (f, g) for d0, g, f in c.faces[2] if d0 == loops[edge_faces[f][0]][0]
-    ]
+    # the loop s_0 at the target d_0 of each edge
+    loop_at = _compose(c.degeneracy_columns[0][0], c.face_columns[1][0])
+    related = [(f, g) for d0, g, f in zip(*c.face_columns[2])
+               if d0 == loop_at[f]]
     blocks = _partition(c.counts[1], related)[0]
     return tuple(tuple(c.ids[1][i] for i in b) for b in blocks)
 
@@ -426,7 +432,7 @@ def _homotopy_category(c: TruncatedSSet, bound: int | None,
     # their outer faces, read in one pass over the 2-simplices
     edge_class = list(map(cls_of.__getitem__, c.ids[1]))
     middles: dict[tuple[int, int], set[int]] = {}
-    for d0, d1, d2 in c.faces[2]:
+    for d0, d1, d2 in zip(*c.face_columns[2]):
         middles.setdefault((edge_class[d2], edge_class[d0]), set()).add(
             edge_class[d1])
     comp: dict[tuple[int, int], int] = {}
@@ -603,8 +609,9 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
 
     # the first (n+1)-simplex, ascending, by its faces j != n
     first: dict[tuple[int, ...], int] = {}
-    for w, row in enumerate(k.faces[n + 1]):
-        first.setdefault(row[:n] + row[n + 1:], w)
+    columns = k.face_columns[n + 1]
+    for w, faces in enumerate(zip(*columns[:n], *columns[n + 1:])):
+        first.setdefault(faces, w)
 
     def fill(p: SimplexId, q: SimplexId) -> tuple[SimplexId, SimplexId]:
         # the faces j != n: j = n - 1 and j = n + 1 sit at n - 1 and n
@@ -613,7 +620,7 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
         w = first.get(tuple(spec))
         if w is None:
             raise NotKan(f"no unstratified filler for ({p!r}, {q!r})")
-        return k.ids[n][k.faces[n + 1][w][n]], k.ids[n + 1][w]
+        return k.ids[n][columns[n][w]], k.ids[n + 1][w]
 
     size_c = len(reps)
     table = []

@@ -88,31 +88,62 @@ def _list(raw, key: str) -> list:
     return value
 
 
+def _position(names: list, value, where: str, kind: str) -> int:
+    """The position of ``value``, the ``kind`` named at ``where``."""
+    if value not in names:
+        raise _UsageError(f"malformed algebra input: {where}: {value!r} is "
+                          f"not {kind}")
+    return names.index(value)
+
+
 def _load_category(args) -> adapters.FiniteCategory:
     try:
         if args.monoid:
             raw = _load_json(args.monoid)
             if "perm_generators" in raw:
+                generators = _list(raw, "perm_generators")
+                # a string is read as its characters, which
+                # from_permutations reports as entries that are not ints
+                if not all(type(g) in (list, str) for g in generators):
+                    raise _UsageError("malformed algebra input: each of "
+                                      "perm_generators must be a list")
                 return adapters.from_permutations(
-                    _list(raw, "perm_generators"), raw.get("bound", 10000)
-                )
+                    generators, raw.get("bound", 10000))
             return adapters.monoid_category(
                 _list(raw, "elements"), raw["unit"], raw["table"]
             )
         if args.category:
             raw = _load_json(args.category)
-            names = [m["name"] for m in raw["morphisms"]]
             objects = _list(raw, "objects")
-            src = [objects.index(m["src"]) for m in raw["morphisms"]]
-            tgt = [objects.index(m["tgt"]) for m in raw["morphisms"]]
-            identities = [names.index(raw["identities"][o]) for o in objects]
+            morphisms = _list(raw, "morphisms")
+            if not all(type(m) is dict and {"name", "src", "tgt"} <= m.keys()
+                       for m in morphisms):
+                raise _UsageError("malformed algebra input: each of morphisms "
+                                  "must be an object with name, src and tgt")
+            names = [m["name"] for m in morphisms]
+            # the other fields are read by name, so names are checked first
+            adapters._require_strings(objects + names)
+            src, tgt = ([_position(objects, m[end], f"{end} of {m['name']!r}",
+                                   "an object") for m in morphisms]
+                        for end in ("src", "tgt"))
+            if type(raw["identities"]) is not dict:
+                raise _UsageError("malformed algebra input: identities must "
+                                  "map each object to a morphism name")
+            identities = [_position(names, raw["identities"].get(o),
+                                    f"identity of object {o!r}", "a morphism")
+                          for o in objects]
             if not isinstance(raw["composition"], dict):
                 raise _UsageError("malformed algebra input: composition "
                                   "must map 'f|g' to a morphism name")
             comp = {}
             for pair, result in raw["composition"].items():
-                f, g = pair.split("|")
-                comp[(names.index(f), names.index(g))] = names.index(result)
+                if pair.count("|") != 1:
+                    raise _UsageError(f"malformed algebra input: composition "
+                                      f"key {pair!r} is not of the form 'f|g'")
+                f, g, h = (_position(names, v, f"composition {pair!r}",
+                                     "a morphism")
+                           for v in (*pair.split("|"), result))
+                comp[f, g] = h
             return adapters.make_category(
                 objects, names, src, tgt, identities, comp
             )

@@ -3,14 +3,15 @@
 A complex stores, for every dimension ``n`` up to a cap ``D``, the number
 of its n-simplices (degenerate ones included) and its face (``n >= 1``) and
 degeneracy (``n < D``) tables, kept as columns: one tuple of indexes per
-operator and dimension.  Rows are made from the columns, and simplex ids,
-keyed lookups and the degeneracy witnesses are made from the tables, each
-per dimension on first use, so code that only moves tables creates no
-per-simplex objects.  Construction goes through :func:`build_sset`, from
-rows, or from columns; both entries check every simplicial identity that
-is expressible inside the cap in one shared core, so downstream code can
-rely on the tables unconditionally.  Instances are immutable after
-validation and safe to share between threads.
+operator and dimension, which every reader in the package reads.  Simplex
+ids, keyed lookups and the degeneracy witnesses are made from them, each
+per dimension on first use, as are the rows, for API callers only.
+Construction goes through :func:`build_sset`, from rows, or from columns;
+both entries check every simplicial identity that is expressible inside
+the cap in one shared core, and every map is checked by one validator
+(:func:`_map_fault`), so downstream code can rely on the tables
+unconditionally.  Instances are immutable and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
+    ComplicialError,
     DanglingReference,
     IdentityViolation,
     IndexOutOfRange,
     InvalidInput,
     NotWellDefined,
+    ThinnessViolation,
 )
 
 
@@ -89,6 +92,11 @@ class _PerDim:
     __hash__ = None
 
 
+def _rows(columns: Columns) -> tuple[Row, ...]:
+    """The rows of ``faces[n]`` or ``degeneracies[n]``, from the columns."""
+    return tuple(zip(*columns))
+
+
 class TruncatedSSet:
     """A simplicial set truncated at ``dim_cap``, presented by index tables.
 
@@ -97,9 +105,9 @@ class TruncatedSSet:
     ``degeneracy_columns[n][j][i]`` the index (in dimension ``n+1``) of its
     j-th degeneracy.  ``faces[n][i]`` and ``degeneracies[n][i]`` are the
     same tables as rows, zipped from the columns per dimension on first
-    use.  ``faces[0]`` and
-    ``degeneracies[dim_cap]`` are empty.  Simplices may carry hashable keys
-    (unique per dimension) used by constructors to identify simplices
+    use for API callers; the package reads only the columns.  ``faces[0]``
+    and ``degeneracies[dim_cap]`` are empty.  Simplices may carry hashable
+    keys (unique per dimension) used by constructors to identify simplices
     structurally, and labels; both are metadata and are ignored by
     equality.  ``ids[n]`` is built on first use, as is the key index.
     """
@@ -136,10 +144,9 @@ class TruncatedSSet:
         self.face_columns = face_columns
         self.degeneracy_columns = degeneracy_columns
         self.faces = _PerDim(
-            [None] * (dim_cap + 1), lambda n: tuple(zip(*face_columns[n])))
+            [None] * (dim_cap + 1), lambda n: _rows(face_columns[n]))
         self.degeneracies = _PerDim(
-            [None] * (dim_cap + 1),
-            lambda n: tuple(zip(*degeneracy_columns[n])))
+            [None] * (dim_cap + 1), lambda n: _rows(degeneracy_columns[n]))
         self.keys = keys
         # per dimension the label strings; None throughout when there are
         # neither labels nor keys, None in one dimension for labels made
@@ -214,6 +221,7 @@ class TruncatedSSet:
     def key_of(self, x: SimplexId) -> Hashable:
         if self.keys is None:
             raise InvalidInput("complex carries no simplex keys")
+        require_simplex(self, x)
         return self.keys[x.dim][x.index]
 
     def __eq__(self, other: object) -> bool:
@@ -235,6 +243,7 @@ class TruncatedSSet:
 
     def face(self, x: SimplexId, i: int) -> SimplexId:
         """The i-th face of ``x`` (table lookup)."""
+        require_simplex(self, x)
         n = x.dim
         if n < 1:
             raise IndexOutOfRange(f"{x!r} is a vertex and has no faces")
@@ -245,6 +254,7 @@ class TruncatedSSet:
 
     def degeneracy(self, x: SimplexId, i: int) -> SimplexId:
         """The i-th degeneracy of ``x``; fails loudly at the cap."""
+        require_simplex(self, x)
         n = x.dim
         if n >= self.dim_cap:
             raise CapExceeded(
@@ -265,7 +275,7 @@ class TruncatedSSet:
                 [None] * c for c in self.counts
             ]
             for n in range(self.dim_cap):
-                for i, row in enumerate(self.degeneracies[n]):
+                for i, row in enumerate(zip(*self.degeneracy_columns[n])):
                     for j, target in enumerate(row):
                         if witness[n + 1][target] is None:
                             witness[n + 1][target] = (i, j)
@@ -274,6 +284,7 @@ class TruncatedSSet:
 
     def is_degenerate(self, x: SimplexId) -> bool:
         """True iff ``x`` appears in some degeneracy-table row."""
+        require_simplex(self, x)
         if x.dim < 1:
             raise InvalidInput("degeneracy is undefined for vertices")
         return self.deg_witness[x.dim][x.index] is not None
@@ -285,6 +296,7 @@ class TruncatedSSet:
 
     def degeneracy_witness(self, x: SimplexId) -> tuple[SimplexId, int]:
         """Some ``(y, i)`` with ``s_i y = x``, for degenerate ``x``."""
+        require_simplex(self, x)
         got = self.deg_witness[x.dim][x.index]
         if got is None:
             raise InvalidInput(f"{x!r} is not degenerate")
@@ -295,7 +307,7 @@ class TruncatedSSet:
         table = self._by_faces[n]
         if table is None:
             grouped: dict[Row, list[int]] = {}
-            for i, row in enumerate(self.faces[n]):
+            for i, row in enumerate(zip(*self.face_columns[n])):
                 grouped.setdefault(row, []).append(i)
             table = {row: tuple(ixs) for row, ixs in grouped.items()}
             self._by_faces[n] = table
@@ -338,6 +350,7 @@ class TruncatedSSet:
         the m-simplex obtained by the face word for the missed vertices
         followed by the degeneracy word for the repeats (see :meth:`act`).
         """
+        require_simplex(self, y)
         p = y.dim
         m = len(values) - 1
         if m < 0 or any(values[i] > values[i + 1] for i in range(m)):
@@ -682,98 +695,110 @@ class SimplicialMap:
         return f"SimplicialMap(depth={self.depth})"
 
 
-def _gather(rows: Iterable[Sequence[int]], at: Sequence[int]) -> list[int]:
+def _gather(rows: Iterable[Sequence[int]], at: Sequence[int]
+            ) -> tuple[int, ...]:
     """``row[i]`` for each row of ``rows`` and then each i of ``at``, flat."""
-    if not at:
-        return []
     if len(at) == 1:  # itemgetter of one index returns the entry, no tuple
-        i = at[0]
-        return [row[i] for row in rows]
-    return list(chain.from_iterable(map(itemgetter(*at), rows)))
+        return tuple(map(itemgetter(at[0]), rows))
+    return tuple(chain.from_iterable(map(itemgetter(*at), rows))) if at \
+        else ()
 
 
-def _valid_batch(source: TruncatedSSet, target: TruncatedSSet,
-                 batch: Sequence[tuple[Row, ...]]) -> bool:
-    """Whether every assignment of ``batch`` is a valid map, all at once.
-
-    The batch is read as one map out of a disjoint union of copies of the
-    source: per dimension its rows are concatenated, the index range is
-    checked over the concatenation, and each face or degeneracy identity
-    is one comparison of two flat lists over every instance.
-    """
-    depth = min(source.dim_cap, target.dim_cap)
-    if any(len(assign) != depth + 1 for assign in batch):
-        return False
-    rows, flat = [], []
-    for n in range(depth + 1):
-        per_n = [assign[n] for assign in batch]
-        column = list(chain.from_iterable(per_n))
-        if set(map(len, per_n)) - {source.counts[n]} or (column and (
-                min(column) < 0 or max(column) >= target.counts[n])):
-            return False
-        rows.append(per_n)
-        flat.append(column)
-    for n in range(1, depth + 1):
-        got = chain.from_iterable(map(target.faces[n].__getitem__, flat[n]))
-        want = _gather(rows[n - 1], list(chain.from_iterable(source.faces[n])))
-        if list(got) != want:
-            return False
-    for n in range(depth):
-        got = chain.from_iterable(
-            map(target.degeneracies[n].__getitem__, flat[n]))
-        want = _gather(rows[n + 1],
-                       list(chain.from_iterable(source.degeneracies[n])))
-        if list(got) != want:
-            return False
-    return True
-
-
-def _validate_map(source: TruncatedSSet, target: TruncatedSSet,
-                  assign: tuple[Row, ...]) -> None:
-    """Raise the first fault of one assignment, in the order: its depth,
-    row lengths and index ranges, then faces and degeneracies by dimension."""
-    depth = len(assign) - 1
-    if depth != min(source.dim_cap, target.dim_cap):
-        raise InvalidInput("assignment must cover min of the two caps")
-    for n in range(depth + 1):
-        row = assign[n]
+def _shape_fault(source: TruncatedSSet, target: TruncatedSSet,
+                 assign: tuple[Row, ...], depth: int) -> ComplicialError | None:
+    """The first fault of one assignment's shape: its depth, then per
+    dimension its row length and index range."""
+    if len(assign) != depth + 1:
+        return InvalidInput("assignment must cover min of the two caps")
+    for n, row in enumerate(assign):
         if len(row) != source.counts[n]:
-            raise InvalidInput(f"assignment at dim {n} is not index-complete")
+            return InvalidInput(f"assignment at dim {n} is not index-complete")
         if row and (min(row) < 0 or max(row) >= target.counts[n]):
             e = next(e for e in row if not 0 <= e < target.counts[n])
-            raise DanglingReference(f"assigned target {n}:{e} does not exist")
-    for n in range(1, depth + 1):
-        _check_commutes(assign[n], assign[n - 1], source.faces[n],
-                        target.faces[n], f"face mismatch at dim {n}", "d")
-    for n in range(depth):
-        _check_commutes(assign[n], assign[n + 1], source.degeneracies[n],
-                        target.degeneracies[n],
-                        f"degeneracy mismatch at dim {n}", "s")
+            return DanglingReference(f"assigned target {n}:{e} does not exist")
+    return None
 
 
-def _check_commutes(row: Row, other: Row, source_ops: tuple[Row, ...],
-                    target_ops: tuple[Row, ...], what: str, op: str) -> None:
-    """Raise at the first simplex i and operator j with op_j f(i) != f(op_j i).
+def _map_fault(source: TruncatedSSet, target: TruncatedSSet,
+               batch: Sequence[tuple[Row, ...]],
+               thin: tuple[Sequence[frozenset[int]],
+                           Sequence[frozenset[int]]] | None = None
+               ) -> ComplicialError | None:
+    """The error of the first bad assignment of ``batch``, or None.
 
-    ``row`` and ``other`` are the assignment in the simplex's dimension and
-    in the dimension the operators land in; the ``*_ops`` tables give the
-    operators' results row by row.
+    An assignment's faults come in this order: its shape
+    (:func:`_shape_fault`); a face, then a degeneracy, it does not commute
+    with, by dimension, simplex and operator; with ``thin`` given as the
+    source's and the target's thin index sets, a thin simplex sent to a
+    non-thin one, by dimension and simplex.  Shapes are tested over the
+    whole batch, and the maps are walked only when that fails, up to the
+    first bad shape.  The maps before it are read as one map out of copies
+    of the source: each operator, and each dimension's thinness, is one
+    column over every copy, whose first mismatch (:func:`_least_mismatch`)
+    names a map and a simplex; the least (map, fault) is reported.
     """
-    got = list(chain.from_iterable(map(target_ops.__getitem__, row)))
-    want = list(map(other.__getitem__, chain.from_iterable(source_ops)))
-    if got != want:
-        width = len(source_ops[0])  # build_sset fixes every row's length
-        p = next(p for p, (g, w) in enumerate(zip(got, want)) if g != w)
-        raise NotWellDefined(f"{what} simplex {p // width}, {op}_{p % width}")
+    depth = min(source.dim_cap, target.dim_cap)
+
+    def stacked(maps):
+        # per dimension the maps' rows, and their concatenation
+        rows = [[assign[n] for assign in maps] for n in range(depth + 1)]
+        return rows, [list(chain.from_iterable(per_n)) for per_n in rows]
+
+    fault = None
+    fits = all(len(assign) == depth + 1 for assign in batch)
+    if fits:
+        rows, flat = stacked(batch)
+        fits = all(
+            set(map(len, per_n)) <= {source.counts[n]} and (not column or (
+                min(column) >= 0 and max(column) < target.counts[n]))
+            for n, (per_n, column) in enumerate(zip(rows, flat)))
+    if not fits:
+        shaped, fault = next(
+            (b, got) for b, got in enumerate(
+                _shape_fault(source, target, assign, depth)
+                for assign in batch) if got is not None)
+        rows, flat = stacked(batch[:shaped])
+    # per kind of fault (0 faces, 1 degeneracies, 2 thinness) and
+    # dimension, the least as (map, kind, dim, simplex, operator)
+    least = []
+    for kind, ops, target_ops, dims, m in (
+            (0, source.face_columns, target.face_columns,
+             range(1, depth + 1), -1),
+            (1, source.degeneracy_columns, target.degeneracy_columns,
+             range(depth), 1)):
+        for n in dims:
+            # op_j f(x) = f(op_j x) for the n-simplices x
+            bad = _least_mismatch(
+                (j, 0, _compose(t, flat[n]), _gather(rows[n + m], s))
+                for j, (s, t) in enumerate(zip(ops[n], target_ops[n])))
+            if bad is not None:
+                least.append((bad[0] // source.counts[n], kind, n,
+                              bad[0] % source.counts[n], bad[1]))
+    for n in range(depth + 1 if thin is not None else 0):
+        at = sorted(thin[0][n])
+        images = _gather(rows[n], at)
+        if not thin[1][n].issuperset(images):
+            bad = _least_mismatch([(0, 0, tuple(map(
+                thin[1][n].__contains__, images)), (True,) * len(images))])
+            least.append((bad[0] // len(at), 2, n, at[bad[0] % len(at)], 0))
+    if not least:
+        return fault
+    b, kind, n, i, j = min(least)
+    if kind == 2:
+        return ThinnessViolation(f"thin {source.ids[n][i]!r} maps to non-thin "
+                                 f"{target.ids[n][batch[b][n][i]]!r}")
+    return NotWellDefined(f"{('face', 'degeneracy')[kind]} mismatch at dim "
+                          f"{n} simplex {i}, {'ds'[kind]}_{j}")
 
 
 def make_simplicial_map(source: TruncatedSSet, target: TruncatedSSet,
                         assign: Sequence[Sequence[int]]) -> SimplicialMap:
     """Wrap a full index assignment as a map, after validating it
-    (:func:`_validate_map`).  A batch of maps is validated as one by
-    ``strat.make_stratified_maps``."""
+    (:func:`_map_fault`)."""
     assign = tuple(tuple(map(int, row)) for row in assign)
-    _validate_map(source, target, assign)
+    fault = _map_fault(source, target, [assign])
+    if fault is not None:
+        raise fault
     return SimplicialMap(source, target, assign)
 
 
@@ -808,8 +833,8 @@ def build_map(
             if img is None:
                 continue
             for j in range(n + 1):
-                si = source.degeneracies[n][i][j]
-                want = target.degeneracies[n][img][j]
+                si = source.degeneracy_columns[n][j][i]
+                want = target.degeneracy_columns[n][j][img]
                 current = work[n + 1][si]
                 if current is not None and current != want:
                     raise NotWellDefined(

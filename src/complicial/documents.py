@@ -217,15 +217,18 @@ def _first_miss(texts: list, lookup: dict[str, int], lo: int, hi: int
         isinstance(text, str) and lo <= lookup.get(text, -1) < hi))
 
 
-def _parse_table(raw, n: int, what: str, entry_dim: int,
+def _parse_table(raw, n: int, count: int, what: str, entry_dim: int,
                  lookup: dict[str, int], starts: list[int]) -> list[list[int]]:
-    """The dimension-``n`` face or degeneracy table, a list of rows of
-    n + 1 ids of dimension ``entry_dim``, as columns of indexes.  Shapes
-    and ids are checked over the whole table at once, and only a table
-    that fails is walked, to name its first bad row or entry."""
+    """The dimension-``n`` face or degeneracy table, a list of ``count``
+    rows of n + 1 ids of dimension ``entry_dim``, as columns of indexes.
+    The row count is checked first, as ``core.build_sset`` checks it; then
+    shapes and ids are checked over the whole table at once, and only a
+    table that fails is walked, to name its first bad row or entry."""
     width = n + 1
     if type(raw) is not list:
         raise InvalidInput(f"{what} table at dim {n} must be a list of rows")
+    if len(raw) != count:
+        raise InvalidInput(f"{what} table at dim {n} is not index-complete")
     if not (set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width}):
         i, row = next((i, row) for i, row in enumerate(raw)
                       if type(row) is not list or len(row) != width)
@@ -287,10 +290,11 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
         raise InvalidInput("faces must list dimensions 1..dim_cap")
     if len(doc["degeneracies"]) != cap:
         raise InvalidInput("degeneracies must list dimensions 0..dim_cap-1")
-    faces = [_parse_table(doc["faces"][n - 1], n, "face", n - 1, lookup,
-                          starts) for n in range(1, cap + 1)]
-    degeneracies = [_parse_table(doc["degeneracies"][n], n, "degeneracy",
-                                 n + 1, lookup, starts) for n in range(cap)]
+    faces = [_parse_table(doc["faces"][n - 1], n, counts[n], "face", n - 1,
+                          lookup, starts) for n in range(1, cap + 1)]
+    degeneracies = [_parse_table(doc["degeneracies"][n], n, counts[n],
+                                 "degeneracy", n + 1, lookup, starts)
+                    for n in range(cap)]
     label_map = doc.get("labels", {})
     if not isinstance(label_map, dict) or not all(
         map(isinstance, label_map.values(), repeat(str))

@@ -327,7 +327,8 @@ class _SphereHomotopy:
         for w in self.walls:
             got = set(_matching(
                 xu.face_columns[n], range(xu.counts[n]),
-                [(j, pinned(n - 1, f)) for j, f in enumerate(cu.faces[n][w])]))
+                [(j, pinned(n - 1, c[w]))
+                 for j, c in enumerate(cu.face_columns[n])]))
             domain[w] = got & x_thin[n] if w in cyl_thin[n] else got
         # per top: the position of each free face by its node, and its
         # pinned faces as (position, value)
@@ -335,7 +336,8 @@ class _SphereHomotopy:
         fixed: dict[int, list[tuple[int, int]]] = {}
         for t in tops:
             free[t], fixed[t] = {}, []
-            for j, c in enumerate(cu.faces[n + 1][t]):
+            for j, column in enumerate(cu.face_columns[n + 1]):
+                c = column[t]
                 node = c if c in domain else ends.get(reads[n].get(c))
                 if node is None:
                     fixed[t].append((j, pinned(n, c)))
@@ -504,8 +506,9 @@ def tau0(x: StratifiedSSet) -> Tau0Result:
         raise CapTooSmall("tau0 needs cap >= 1")
     xu = x.underlying
     nv = xu.counts[0]
-    raw = [(xu.faces[1][e.index][1], xu.faces[1][e.index][0])
-           for e in x.thin_in_dim(1)]
+    d0, d1 = xu.face_columns[1]
+    thin = sorted(x.thin_indexes()[1])
+    raw = list(zip(map(d1.__getitem__, thin), map(d0.__getitem__, thin)))
     # degenerate loops are thin, but be explicit
     raw += [(v, v) for v in range(nv)]
     blocks, _, symmetric, transitive = _partition(nv, raw)

@@ -23,14 +23,15 @@ What is validated, and where:
   is extended by one lookup of the entries its chosen faces ask for.  So
   an instance is enumerated exactly when its faces are compatible and
   thin where they must be: it is a stratified map from the horn.
-* Maps, in batches.  ``strat.make_stratified_maps`` is the one batch
-  validator: it reads a batch of index assignments B -> X as one map out
-  of a disjoint union of copies of B.  The index range is checked over
-  the concatenated rows, and each face and degeneracy identity and each
-  dimension's thinness is one comparison over the whole batch.  On any
-  mismatch the assignments are checked again one at a time, in order, as
-  ``make_simplicial_map`` and then ``make_stratified_map`` check one map,
-  so the first invalid one raises the error it raises alone.
+* Maps, in batches.  Every map is checked by one validator,
+  ``core._map_fault``, which ``strat.make_stratified_maps`` runs on a
+  batch of index assignments B -> X and ``make_simplicial_map`` and
+  ``make_stratified_map`` on a batch of one.  It reads the batch as one
+  map out of a disjoint union of copies of B: the shapes are tested over
+  the concatenated rows, and each face or degeneracy operator and each
+  dimension's thinness is one column compared over the whole batch.  The
+  first mismatch of each column names a map and a simplex, and the least
+  one raises, so the first invalid map raises the error it raises alone.
 * Results.  :func:`find_extensions` solves one problem per call.  Every
   map it returns is rebuilt from its rows, and all of them are validated
   as one batch.
@@ -188,7 +189,8 @@ def _search(
         index = xu.face_index(m) if m else {(): range(xu.counts[0])}
         for i, w in enumerate(witness[m]):
             if w is None and pins[m][i] is None:
-                key = itemgetter(*[place(m - 1, f) for f in bu.faces[m][i]]) \
+                key = itemgetter(*[place(m - 1, c[i])
+                                   for c in bu.face_columns[m]]) \
                     if m else (lambda t: ())
                 tuples = _extended(tuples, key, index.get,
                                    x_thin[m] if i in b_thin[m] else None)
@@ -256,9 +258,9 @@ def _generated_rows(
     for r, vertices in enumerate(zip(*columns[0])):
         rows: list[Sequence[int]] = [vertices]
         for m in range(1, depth + 1):
-            below, degs = rows[-1], xu.degeneracies[m - 1]
+            below, degs = rows[-1], xu.degeneracy_columns[m - 1]
             rows.append([
-                degs[below[w[0]]][w[1]] if column is None else column[r]
+                degs[w[1]][below[w[0]]] if column is None else column[r]
                 for column, w in zip(columns[m], witness[m])
             ])
         yield rows
@@ -383,24 +385,24 @@ def _horn_rows(
             allowed[p] = [w for w, v in zip(allowed[p], images)
                           if v in thin_m]
     tuples: Iterable[tuple[int, ...]] = [(w,) for w in allowed[0]]
-    rows = xu.faces[top]
+    faces = xu.face_columns[top]
     for p in range(1, len(js)):
         # a candidate's entries at js[:p] (a bare entry for p == 1), and
         # entry j - 1 of every (n-1)-simplex, which a chosen face at i < j
         # asks of the face at j
-        at, j = itemgetter(*js[:p]), js[p]
+        ws, j = allowed[p], js[p]
+        entries = [map(faces[i].__getitem__, ws) for i in js[:p]]
         by_key: dict = {}
-        for w in allowed[p]:
-            by_key.setdefault(at(rows[w]), []).append(w)
-        wanted = [row[j - 1] for row in rows]
-        tuples = _join(tuples, by_key, wanted)
+        for key, w in zip(zip(*entries) if p > 1 else entries[0], ws):
+            by_key.setdefault(key, []).append(w)
+        tuples = _join(tuples, by_key, faces[j - 1])
         if p < len(js) - 1:
             tuples = list(tuples)
     return iter(tuples)
 
 
 def _join(tuples: Iterable[tuple[int, ...]], by_key: dict,
-          wanted: list[int]) -> Iterator[tuple[int, ...]]:
+          wanted: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Each tuple extended by each candidate its chosen faces ask for."""
     get = by_key.get
     for t in tuples:

@@ -11,13 +11,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .core import SimplexId, TruncatedSSet, build_sset, make_simplicial_map
+from .core import SimplexId, TruncatedSSet, build_sset
 from .errors import CapTooSmall, InvalidInput, KOutOfRange
 from .strat import (
     StratifiedMap,
     StratifiedSSet,
     _stratify,
-    make_stratified_map,
+    make_stratified_maps,
 )
 
 Key = tuple[int, ...]
@@ -222,9 +222,7 @@ def key_inclusion(sub: StratifiedSSet, ambient: StratifiedSSet) -> StratifiedMap
         tuple(au.id_for_key(m, key).index for key in su.keys[m])
         for m in range(depth + 1)
     )
-    return make_stratified_map(
-        sub, ambient, make_simplicial_map(su, au, assign)
-    )
+    return make_stratified_maps(sub, ambient, [assign])[0]
 
 
 def boundary_pair(n: int, cap: int) -> tuple[StratifiedSSet, StratifiedMap]:

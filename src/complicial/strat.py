@@ -19,11 +19,9 @@ from .core import (
     TruncatedSSet,
     _build_sset_columns,
     _gather,
-    _valid_batch,
-    _validate_map,
-    make_simplicial_map,
+    _map_fault,
 )
-from .errors import InvalidInput, ThinVertex, ThinnessViolation
+from .errors import InvalidInput, ThinVertex
 
 
 class StratifiedSSet:
@@ -177,10 +175,12 @@ class StratifiedMap:
         return self.map(x)
 
     def then(self, other: "StratifiedMap") -> "StratifiedMap":
+        """Composite ``other after self``: a composite of stratified maps
+        is stratified, so it is not checked again."""
         if other.source != self.target:
             raise InvalidInput("maps are not composable")
-        return make_stratified_map(self.source, other.target,
-                                   self.map.then(other.map))
+        return StratifiedMap(self.source, other.target,
+                             self.map.then(other.map))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StratifiedMap):
@@ -194,63 +194,33 @@ class StratifiedMap:
         return f"StratifiedMap(depth={self.map.depth})"
 
 
-def _check_thin(source: StratifiedSSet, target: StratifiedSSet,
-                simplicial: SimplicialMap) -> None:
-    """Raise the first fault of one map: ends that do not match, then the
-    least thin simplex of the lowest dimension that maps to a non-thin one."""
-    if simplicial.source != source.underlying or \
-            simplicial.target != target.underlying:
-        raise InvalidInput("simplicial map does not match the stratified ends")
-    src_thin, tgt_thin = source.thin_indexes(), target.thin_indexes()
-    for n in range(simplicial.depth + 1):
-        row, thin = simplicial.assign[n], tgt_thin[n]
-        bad = [i for i in src_thin[n] if row[i] not in thin]
-        if bad:
-            i = min(bad)
-            raise ThinnessViolation(
-                f"thin {source.underlying.ids[n][i]!r} maps to non-thin "
-                f"{target.underlying.ids[n][row[i]]!r}"
-            )
-
-
 def make_stratified_maps(source: StratifiedSSet, target: StratifiedSSet,
                          assigns: Iterable[Sequence[Sequence[int]]]
                          ) -> list[StratifiedMap]:
     """Wrap index assignments as stratified maps, after validating them as
-    one batch.
-
-    The batch is read as one map out of a disjoint union of copies of the
-    source: the simplicial identities are checked a column at a time
-    (``core._valid_batch``), and per dimension the images of the source's
-    thin simplices under every map form one column, checked against the
-    target's thin set at once.  If anything fails, the assignments are
-    checked again one at a time, in order, each as ``make_simplicial_map``
-    and then ``make_stratified_map`` check it, so the first bad one raises
-    the error it raises alone.
-    """
+    one batch (``core._map_fault``): the simplicial identities and the
+    thinness of every map, a column per operator and dimension over the
+    whole batch.  The first bad assignment raises the error it raises
+    alone."""
     su, tu = source.underlying, target.underlying
     batch = [tuple(tuple(map(int, row)) for row in assign)
              for assign in assigns]
-    ok = _valid_batch(su, tu, batch)
-    if ok:
-        src_thin, tgt_thin = source.thin_indexes(), target.thin_indexes()
-        ok = all(
-            tgt_thin[n].issuperset(_gather([assign[n] for assign in batch],
-                                           sorted(src_thin[n])))
-            for n in range(min(su.dim_cap, tu.dim_cap) + 1))
-    if not ok:
-        for assign in batch:
-            _validate_map(su, tu, assign)
-            _check_thin(source, target, SimplicialMap(su, tu, assign))
-        raise AssertionError("no invalid map")  # pragma: no cover
+    fault = _map_fault(su, tu, batch,
+                       (source.thin_indexes(), target.thin_indexes()))
+    if fault is not None:
+        raise fault
     return [StratifiedMap(source, target, SimplicialMap(su, tu, assign))
             for assign in batch]
 
 
 def make_stratified_map(source: StratifiedSSet, target: StratifiedSSet,
                         simplicial: SimplicialMap) -> StratifiedMap:
-    """Check thinness preservation and wrap the simplicial map."""
-    _check_thin(source, target, simplicial)
+    """Check that the simplicial map runs between the underlying complexes,
+    commutes with their operators and preserves thinness, and wrap it."""
+    if simplicial.source != source.underlying or \
+            simplicial.target != target.underlying:
+        raise InvalidInput("simplicial map does not match the stratified ends")
+    make_stratified_maps(source, target, [simplicial.assign])
     return StratifiedMap(source, target, simplicial)
 
 
@@ -310,9 +280,7 @@ def _regular_subset(y: StratifiedSSet, indexes: Sequence[Iterable[int]]
     y_thin = y.thin_indexes()
     sub = _stratify(sub_u, [[i for i, v in enumerate(at[n]) if v in y_thin[n]]
                             for n in range(cap + 1)])
-    inclusion = make_stratified_map(
-        sub, y, make_simplicial_map(sub_u, u, at))
-    return sub, inclusion
+    return sub, make_stratified_maps(sub, y, [at])[0]
 
 
 def gproduct(x: StratifiedSSet, y: StratifiedSSet) -> StratifiedSSet:

@@ -256,6 +256,16 @@ def test_perm_generator_bound_must_be_positive_int(capsys, tmp_path,
     assert "Traceback" not in captured.err
 
 
+def two_objects(**changes):
+    """The discrete category on objects "0" and "1", with fields changed."""
+    return {"objects": ["0", "1"],
+            "morphisms": [{"name": "id0", "src": "0", "tgt": "0"},
+                          {"name": "id1", "src": "1", "tgt": "1"}],
+            "identities": {"0": "id0", "1": "id1"},
+            "composition": {"id0|id0": "id0", "id1|id1": "id1"},
+            **changes}
+
+
 @pytest.mark.parametrize("flag, algebra, message", [
     ("--monoid", {"elements": "ea", "unit": "e",
                   "table": [["e", "a"], ["a", "e"]]},
@@ -277,6 +287,34 @@ def test_perm_generator_bound_must_be_positive_int(capsys, tmp_path,
                     "identities": {"0": "id0", "1": "id1"},
                     "composition": {"id0|id0": "id0", "id1|id1": "id1"}},
      "malformed algebra input: objects must be a list"),
+    ("--monoid", {"perm_generators": [5]},
+     "malformed algebra input: each of perm_generators must be a list"),
+    ("--category", two_objects(morphisms="ab"),
+     "malformed algebra input: morphisms must be a list"),
+    ("--category", two_objects(morphisms=[{"name": "id0", "src": "0"}]),
+     "malformed algebra input: each of morphisms must be an object with "
+     "name, src and tgt"),
+    ("--category", two_objects(morphisms=["id0", "id1"]),
+     "malformed algebra input: each of morphisms must be an object with "
+     "name, src and tgt"),
+    ("--category", two_objects(morphisms=[
+        {"name": "id0", "src": "0", "tgt": "0"},
+        {"name": "id1", "src": "2", "tgt": "1"}]),
+     "malformed algebra input: src of 'id1': '2' is not an object"),
+    ("--category", two_objects(identities=["id0", "id1"]),
+     "malformed algebra input: identities must map each object to a "
+     "morphism name"),
+    ("--category", two_objects(identities={"0": "id0"}),
+     "malformed algebra input: identity of object '1': None is not a "
+     "morphism"),
+    ("--category", two_objects(composition={"id0": "id0"}),
+     "malformed algebra input: composition key 'id0' is not of the form "
+     "'f|g'"),
+    ("--category", two_objects(composition={"id0|id0|id0": "id0"}),
+     "malformed algebra input: composition key 'id0|id0|id0' is not of the "
+     "form 'f|g'"),
+    ("--category", two_objects(composition={"id0|b": "id0"}),
+     "malformed algebra input: composition 'id0|b': 'b' is not a morphism"),
 ])
 def test_algebra_inputs_are_read_as_the_types_they_claim(
         capsys, tmp_path, flag, algebra, message):

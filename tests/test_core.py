@@ -138,6 +138,25 @@ def test_const_rejects_a_vertex_not_of_the_complex(x, m):
         u.const(x, m)
 
 
+@pytest.mark.parametrize("call", [
+    lambda u, x: u.face(x, 0),
+    lambda u, x: u.degeneracy(x, 0),
+    lambda u, x: u.apply_monotone(x, [0]),
+    lambda u, x: u.is_degenerate(x),
+    lambda u, x: u.degeneracy_witness(x),
+    lambda u, x: u.key_of(x),
+], ids=["face", "degeneracy", "apply_monotone", "is_degenerate",
+        "degeneracy_witness", "key_of"])
+@pytest.mark.parametrize("x", [C.SimplexId(1, 99), C.SimplexId(1, -1),
+                               C.SimplexId(3, 0), C.SimplexId(-1, 0)])
+def test_simplex_methods_reject_a_simplex_not_of_the_complex(call, x):
+    # an index of -1 would otherwise read the last simplex of the dimension
+    u = C.nerve(C.cyclic_group(2), 2)
+    with pytest.raises(errors.InvalidInput,
+                       match=f"^{x!r} is not a simplex of the complex$"):
+        call(u, x)
+
+
 def test_nondegenerate_range_checks_dimension(nerve_z3_3):
     for n in (-1, nerve_z3_3.dim_cap + 1):
         with pytest.raises(errors.IndexOutOfRange):
@@ -510,3 +529,63 @@ def test_per_dimension_tables_compare_by_their_entries():
     assert u.faces != w.faces and u.ids != w.ids
     with pytest.raises(TypeError):
         hash(u.faces)
+
+
+def test_degeneracy_witnesses_are_the_first_in_row_order(nerve_s3_3):
+    for u in (nerve_s3_3, C.gproduct(C.delta(1, 3), C.delta(2, 3)).underlying):
+        want = [[None] * c for c in u.counts]
+        for n in range(u.dim_cap):
+            for i, row in enumerate(u.degeneracies[n]):
+                for j, target in enumerate(row):
+                    if want[n + 1][target] is None:
+                        want[n + 1][target] = (i, j)
+        assert u.deg_witness == tuple(map(tuple, want))
+
+
+def test_no_row_table_is_made_inside_the_package(monkeypatch, tmp_path,
+                                                 capsys):
+    # faces[n] and degeneracies[n] are for API callers: the commands and
+    # the searches read the columns only
+    from complicial import adapters, cli, core
+
+    made = []
+
+    def spy(columns):
+        made.append(len(columns))
+        return rows(columns)
+
+    rows = core._rows
+    monkeypatch.setattr(core, "_rows", spy)
+    (tmp_path / "bool.json").write_text(
+        '{"elements": ["0", "1"], "unit": "1",'
+        ' "table": [["0", "0"], ["0", "1"]]}')
+
+    def run(*argv):
+        assert cli.main(list(argv)) in (0, 2)
+
+    for name, path in (("nerve", "bool.json"), ("th0", "nerve.json"),
+                       ("qcat-e", "nerve.json")):
+        extra = ["--monoid", str(tmp_path / path), "--cap", "3"] \
+            if name == "nerve" else [str(tmp_path / path)]
+        run("build", name, *extra, "--out", str(tmp_path / f"{name}.json"))
+    for name in ("nerve", "th0", "qcat-e"):
+        run("verify", str(tmp_path / f"{name}.json"))
+    run("tau", str(tmp_path / "qcat-e.json"), "--n", "1",
+        "--audit-well-defined")
+    run("tau", str(tmp_path / "th0.json"), "--n", "2")
+    run("tau0", str(tmp_path / "qcat-e.json"))
+    capsys.readouterr()
+    k = C.nerve(C.cyclic_group(3), 3)
+    adapters.pi_oracle(k, k.id_at(0, 0), 1)
+    x = C.th0(C.nerve(C.cyclic_group(2), 3))
+    point, d2 = C.delta(0, 3), C.delta(2, 3)
+    const = [[x.underlying.const(x.underlying.id_at(0, 0), m).index]
+             for m in range(4)]
+    pin = C.make_stratified_map(point, x, C.make_simplicial_map(
+        point.underlying, x.underlying, const))
+    assert len(C.find_extensions(C.ExtensionProblem(
+        C.key_inclusion(point, d2), pin))) == 4
+    assert made == []
+    # the spy sees a row table that is made
+    assert len(x.underlying.faces[2]) == x.underlying.counts[2]
+    assert made == [3]

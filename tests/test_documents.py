@@ -238,6 +238,27 @@ def test_bulk_parse_keeps_row_shapes():
         D.doc_to_complex(doc)
 
 
+@pytest.mark.parametrize("table, n", [("faces", 1), ("faces", 2),
+                                      ("degeneracies", 0),
+                                      ("degeneracies", 1)])
+@pytest.mark.parametrize("change", ["pop", "append"])
+def test_a_table_with_a_row_too_few_or_too_many_is_not_index_complete(
+        table, n, change):
+    # as build_sset says it of the same rows, and with no row named, since
+    # a missing row is not in the document
+    doc = D.complex_to_doc(C.delta(2, 2))
+    rows = doc[table][n - 1 if table == "faces" else n]
+    if change == "pop":
+        rows.pop()
+    else:
+        rows.append(rows[0])
+    what = "face" if table == "faces" else "degeneracy"
+    with pytest.raises(errors.InvalidInput,
+                       match=f"^{what} table at dim {n} is not "
+                             "index-complete$"):
+        D.doc_to_complex(doc)
+
+
 def arabic_indic(digits: str) -> str:
     return "".join(chr(0x660 + int(d)) for d in digits)
 

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itertools import chain
+
 import complicial as C
 from complicial import documents as D, errors, homotopy
-from complicial.core import _validate_map
-from complicial.strat import _check_thin, make_stratified_maps
+from complicial.strat import make_stratified_maps
 
 
 def nondeg_thin_keys(x):
@@ -328,6 +329,60 @@ def test_make_stratified_matches_per_simplex_checks(pairs):
 
 
 # -- batch validation --------------------------------------------------------------
+
+# The one-map checks that a batch is compared against: a map's depth, row
+# lengths and index ranges, then faces and degeneracies by dimension, read
+# off the row tables; then its thinness.
+
+def _validate_map(source, target, assign):
+    depth = len(assign) - 1
+    if depth != min(source.dim_cap, target.dim_cap):
+        raise errors.InvalidInput("assignment must cover min of the two caps")
+    for n in range(depth + 1):
+        row = assign[n]
+        if len(row) != source.counts[n]:
+            raise errors.InvalidInput(
+                f"assignment at dim {n} is not index-complete")
+        if row and (min(row) < 0 or max(row) >= target.counts[n]):
+            e = next(e for e in row if not 0 <= e < target.counts[n])
+            raise errors.DanglingReference(
+                f"assigned target {n}:{e} does not exist")
+    for n in range(1, depth + 1):
+        _check_commutes(assign[n], assign[n - 1], source.faces[n],
+                        target.faces[n], f"face mismatch at dim {n}", "d")
+    for n in range(depth):
+        _check_commutes(assign[n], assign[n + 1], source.degeneracies[n],
+                        target.degeneracies[n],
+                        f"degeneracy mismatch at dim {n}", "s")
+
+
+def _check_commutes(row, other, source_ops, target_ops, what, op):
+    # the first simplex i and operator j with op_j f(i) != f(op_j i)
+    got = list(chain.from_iterable(map(target_ops.__getitem__, row)))
+    want = list(map(other.__getitem__, chain.from_iterable(source_ops)))
+    if got != want:
+        width = len(source_ops[0])
+        p = next(p for p, (g, w) in enumerate(zip(got, want)) if g != w)
+        raise errors.NotWellDefined(
+            f"{what} simplex {p // width}, {op}_{p % width}")
+
+
+def _check_thin(source, target, simplicial):
+    if simplicial.source != source.underlying or \
+            simplicial.target != target.underlying:
+        raise errors.InvalidInput(
+            "simplicial map does not match the stratified ends")
+    src_thin, tgt_thin = source.thin_indexes(), target.thin_indexes()
+    for n in range(simplicial.depth + 1):
+        row, thin = simplicial.assign[n], tgt_thin[n]
+        bad = [i for i in src_thin[n] if row[i] not in thin]
+        if bad:
+            i = min(bad)
+            raise errors.ThinnessViolation(
+                f"thin {source.underlying.ids[n][i]!r} maps to non-thin "
+                f"{target.underlying.ids[n][row[i]]!r}"
+            )
+
 
 def first_outcome(make, items):
     """``make`` applied to each item in order: the results, or the type and
