@@ -258,6 +258,8 @@ def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
     monoid).  A face or degeneracy that keeps the last morphism is the
     extension of that face or degeneracy of the parent; d_n is the parent,
     d_{n-1} composes the last two morphisms, and s_n appends an identity.
+    Keys (the morphisms' indexes, or an object's) and labels (their names
+    joined by ``|``) are made per dimension on first use, along the parents.
     """
     if cap < 0:
         raise InvalidInput("cap must be a natural number")
@@ -275,15 +277,10 @@ def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
     last: list[list[int]] = [[]]
     target: list[list[int]] = [list(range(len(c.objects)))]
     starts: list[list[int]] = [[], []]
-    keys: list[list[tuple[int, ...]]] = [[(o,) for o in range(len(c.objects))]]
-    labels: list[list[str]] = [list(c.objects)]
     if cap >= 1:
         parent.append(list(c.src))
         last.append(list(range(nm)))
         target.append(list(c.tgt))
-        keys.append(list(zip(range(nm))))
-        labels.append(list(c.morphisms))
-    bar_names = ["|" + name for name in c.morphisms]
     for n in range(2, cap + 1):
         outs = list(map(leaving.__getitem__, target[n - 1]))
         starts.append([0, *accumulate(map(len, outs))][:-1])
@@ -291,10 +288,6 @@ def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
             map(repeat, range(len(outs)), map(len, outs)))))
         last.append(list(chain.from_iterable(outs)))
         target.append(list(map(c.tgt.__getitem__, last[n])))
-        keys.append(list(map(add, map(keys[n - 1].__getitem__, parent[n]),
-                             zip(last[n]))))
-        labels.append(list(map(add, map(labels[n - 1].__getitem__, parent[n]),
-                               map(bar_names.__getitem__, last[n]))))
 
     def parents_of(column: list[int], n: int) -> list[int]:
         return list(map(column.__getitem__, parent[n]))
@@ -329,8 +322,22 @@ def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
             [extend(n + 1, parents_of(col, n), m) for col in degens[n - 1]]
             + [extend(n + 1, range(len(m)), appended)])
     degens.append([])
+    objects, names, singletons = c.objects, c.morphisms, tuple(zip(range(nm)))
+    bar_names = ["|" + name for name in names]
+
+    def chains(n: int, first: Sequence, tails: Sequence) -> tuple:
+        # per n-chain (n >= 1), its parent's value extended by its last tail
+        column = first
+        for k in range(2, n + 1):
+            column = list(map(add, map(column.__getitem__, parent[k]),
+                              map(tails.__getitem__, last[k])))
+        return tuple(column)
+
     return _build_sset_columns(
-        cap, tuple(map(len, keys)), faces, degens, keys=keys, labels=labels)
+        cap, tuple(map(len, target)), faces, degens,
+        keys=lambda n: chains(n, singletons, singletons) if n
+        else tuple(zip(range(len(objects)))),
+        labels=lambda n: chains(n, names, bar_names) if n else objects)
 
 
 def th0(k: TruncatedSSet) -> StratifiedSSet:

@@ -10,6 +10,7 @@ success, 1 for input or validation errors, 2 for mathematical failures
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -64,10 +65,17 @@ def _load_json(path: str):
 
 
 def _load_complex(path: str) -> StratifiedSSet:
+    # a parsed document holds no reference cycle, so cycle collection
+    # passes while it is read and checked find nothing
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return documents.doc_to_complex(_load_json(path))
     except (KeyError, IndexError, TypeError) as exc:
         raise _UsageError(f"malformed complex document: {exc!r}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _emit(args, pieces: Iterable[str]) -> None:
@@ -79,10 +87,27 @@ def _emit(args, pieces: Iterable[str]) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _list(raw, key: str) -> list:
-    """``raw[key]``, which must be a JSON list: a string there would be
+def _load_algebra(path: str, kind: str) -> dict:
+    """The JSON object of a ``kind`` file (monoid or category)."""
+    raw = _load_json(path)
+    if type(raw) is not dict:
+        raise _UsageError(f"malformed algebra input: {kind} file must hold "
+                          "a JSON object")
+    return raw
+
+
+def _field(raw: dict, key: str, kind: str):
+    """``raw[key]``, a field the ``kind`` file must have."""
+    if key not in raw:
+        raise _UsageError(f'malformed algebra input: {kind} file has no '
+                          f'"{key}"')
+    return raw[key]
+
+
+def _list(raw, key: str, kind: str) -> list:
+    """:func:`_field`, which must be a JSON list: a string there would be
     read one character at a time."""
-    value = raw[key]
+    value = _field(raw, key, kind)
     if type(value) is not list:
         raise _UsageError(f"malformed algebra input: {key} must be a list")
     return value
@@ -99,9 +124,9 @@ def _position(names: list, value, where: str, kind: str) -> int:
 def _load_category(args) -> adapters.FiniteCategory:
     try:
         if args.monoid:
-            raw = _load_json(args.monoid)
+            raw = _load_algebra(args.monoid, "monoid")
             if "perm_generators" in raw:
-                generators = _list(raw, "perm_generators")
+                generators = _list(raw, "perm_generators", "monoid")
                 # a string is read as its characters, which
                 # from_permutations reports as entries that are not ints
                 if not all(type(g) in (list, str) for g in generators):
@@ -110,12 +135,12 @@ def _load_category(args) -> adapters.FiniteCategory:
                 return adapters.from_permutations(
                     generators, raw.get("bound", 10000))
             return adapters.monoid_category(
-                _list(raw, "elements"), raw["unit"], raw["table"]
-            )
+                _list(raw, "elements", "monoid"), _field(raw, "unit", "monoid"),
+                _field(raw, "table", "monoid"))
         if args.category:
-            raw = _load_json(args.category)
-            objects = _list(raw, "objects")
-            morphisms = _list(raw, "morphisms")
+            raw = _load_algebra(args.category, "category")
+            objects = _list(raw, "objects", "category")
+            morphisms = _list(raw, "morphisms", "category")
             if not all(type(m) is dict and {"name", "src", "tgt"} <= m.keys()
                        for m in morphisms):
                 raise _UsageError("malformed algebra input: each of morphisms "
@@ -126,17 +151,19 @@ def _load_category(args) -> adapters.FiniteCategory:
             src, tgt = ([_position(objects, m[end], f"{end} of {m['name']!r}",
                                    "an object") for m in morphisms]
                         for end in ("src", "tgt"))
-            if type(raw["identities"]) is not dict:
+            given = _field(raw, "identities", "category")
+            if type(given) is not dict:
                 raise _UsageError("malformed algebra input: identities must "
                                   "map each object to a morphism name")
-            identities = [_position(names, raw["identities"].get(o),
+            identities = [_position(names, given.get(o),
                                     f"identity of object {o!r}", "a morphism")
                           for o in objects]
-            if not isinstance(raw["composition"], dict):
+            composition = _field(raw, "composition", "category")
+            if not isinstance(composition, dict):
                 raise _UsageError("malformed algebra input: composition "
                                   "must map 'f|g' to a morphism name")
             comp = {}
-            for pair, result in raw["composition"].items():
+            for pair, result in composition.items():
                 if pair.count("|") != 1:
                     raise _UsageError(f"malformed algebra input: composition "
                                       f"key {pair!r} is not of the form 'f|g'")

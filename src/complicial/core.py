@@ -3,15 +3,18 @@
 A complex stores, for every dimension ``n`` up to a cap ``D``, the number
 of its n-simplices (degenerate ones included) and its face (``n >= 1``) and
 degeneracy (``n < D``) tables, kept as columns: one tuple of indexes per
-operator and dimension, which every reader in the package reads.  Simplex
-ids, keyed lookups and the degeneracy witnesses are made from them, each
-per dimension on first use, as are the rows, for API callers only.
+operator and dimension, which every reader in the package reads.  The
+rest is made per dimension on first use, one store each (:class:`_PerDim`):
+keys and labels by the makers a constructor hands over; ids, the key and
+face indexes and degeneracy witnesses; and rows, for API callers only.
 Construction goes through :func:`build_sset`, from rows, or from columns;
 both entries check every simplicial identity that is expressible inside
 the cap in one shared core, and every map is checked by one validator
 (:func:`_map_fault`), so downstream code can rely on the tables
-unconditionally.  Instances are immutable and safe to share between
-threads.
+unconditionally.  Counts, table entries and assignments must be of type
+``int``.  Keys and labels are checked only where a caller gives them as
+tables; a constructor's keys are unique by construction.  Instances are
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, repeat
 from operator import itemgetter
 from types import NoneType
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
@@ -58,9 +61,10 @@ Columns = tuple[tuple[int, ...], ...]
 
 
 class _PerDim:
-    """A read-only sequence with one entry per dimension, each made by
-    ``make(n)`` on first use and kept in ``slots``.  Each slot is assigned
-    once, fully built, so concurrent first uses at worst build it twice.
+    """A read-only sequence with one entry per dimension n, made by
+    ``make(n)`` (0 <= n < len) on first use and kept in ``slots``.  Each
+    slot is assigned once, fully built, so concurrent first uses at worst
+    build it twice.
     It compares equal to another such sequence, or a tuple, with the same
     entries, and is unhashable like a list."""
 
@@ -75,7 +79,7 @@ class _PerDim:
             return tuple(map(self.__getitem__, range(len(self._slots))[n]))
         got = self._slots[n]
         if got is None:
-            got = self._slots[n] = self._make(n)
+            got = self._slots[n] = self._make(n % len(self._slots))
         return got
 
     def __len__(self) -> int:
@@ -97,6 +101,33 @@ def _rows(columns: Columns) -> tuple[Row, ...]:
     return tuple(zip(*columns))
 
 
+def _first_witnesses(columns: Columns, count: int) -> tuple:
+    """Per simplex of the dimension the degeneracy columns lead to, the
+    first (b, j) in row order with s_j b = it, or None if there is none."""
+    witness: list[tuple[int, int] | None] = [None] * count
+    for b, row in enumerate(zip(*columns)):
+        for j, target in enumerate(row):
+            if witness[target] is None:
+                witness[target] = (b, j)
+    return tuple(witness)
+
+
+def _by_face_row(columns: Columns) -> dict[Row, tuple[int, ...]]:
+    """The simplices grouped by the rows the columns spell, ascending."""
+    grouped: dict[Row, list[int]] = {}
+    for i, row in enumerate(zip(*columns)):
+        grouped.setdefault(row, []).append(i)
+    return {row: tuple(ixs) for row, ixs in grouped.items()}
+
+
+def _by_value(column: Sequence[int]) -> dict[int, tuple[int, ...]]:
+    """The positions of ``column`` grouped by entry; a stable sort by
+    entry keeps each group ascending."""
+    return {v: tuple(ixs) for v, ixs in groupby(
+        sorted(range(len(column)), key=column.__getitem__),
+        key=column.__getitem__)}
+
+
 class TruncatedSSet:
     """A simplicial set truncated at ``dim_cap``, presented by index tables.
 
@@ -109,7 +140,8 @@ class TruncatedSSet:
     and ``degeneracies[dim_cap]`` are empty.  Simplices may carry hashable
     keys (unique per dimension) used by constructors to identify simplices
     structurally, and labels; both are metadata and are ignored by
-    equality.  ``ids[n]`` is built on first use, as is the key index.
+    equality.  Everything but the columns is made per dimension on first
+    use.
     """
 
     __slots__ = (
@@ -121,13 +153,14 @@ class TruncatedSSet:
         "degeneracies",
         "keys",
         "_labels",
-        "_key_labels",
+        "ids",
         "_ids",
         "_key_index",
-        "_deg_witness",
+        "deg_witness",
         "_by_faces",
         "_by_face_value",
         "_boundary_bijective",
+        "__weakref__",
     )
 
     def __init__(
@@ -136,66 +169,53 @@ class TruncatedSSet:
         counts: tuple[int, ...],
         face_columns: tuple[Columns, ...],
         degeneracy_columns: tuple[Columns, ...],
-        keys: tuple[tuple[Hashable, ...], ...] | None,
-        labels: tuple[tuple[str | None, ...], ...] | None,
+        keys: Callable[[int], tuple[Hashable, ...]] | None,
+        labels: Callable[[int], tuple[str | None, ...]] | None,
     ):
+        """``keys`` and ``labels`` are None or makers: ``make(n)`` is the
+        n-simplices' keys, or labels, as a tuple.  Keys and no labels label
+        a simplex by ``str`` of its key.  Makers close over columns and
+        counts, never over the complex, so that it holds no cycle."""
         self.dim_cap = dim_cap
         self.counts = counts
         self.face_columns = face_columns
         self.degeneracy_columns = degeneracy_columns
-        self.faces = _PerDim(
-            [None] * (dim_cap + 1), lambda n: _rows(face_columns[n]))
-        self.degeneracies = _PerDim(
-            [None] * (dim_cap + 1), lambda n: _rows(degeneracy_columns[n]))
-        self.keys = keys
-        # per dimension the label strings; None throughout when there are
-        # neither labels nor keys, None in one dimension for labels made
-        # from the keys there on first use: str of each key, or
-        # _key_labels(n) when a constructor set it (the product does)
-        self._labels: list[tuple[str | None, ...] | None] | None = (
-            list(labels) if labels is not None
-            else None if keys is None else [None] * (dim_cap + 1))
-        self._key_labels = None
-        # the slots of ids, and lazily built indexes like them
-        self._ids: list[tuple[SimplexId, ...] | None] = [None] * (dim_cap + 1)
-        self._key_index: list[dict[Hashable, int] | None] | None = (
-            None if keys is None else [None] * (dim_cap + 1))
-        self._deg_witness: tuple[tuple[tuple[int, int] | None, ...], ...] \
-            | None = None
-        self._by_faces: list[dict[Row, tuple[int, ...]] | None] = \
-            [None] * (dim_cap + 1)
-        self._by_face_value: list[
-            tuple[dict[int, tuple[int, ...]], ...] | None
-        ] = [None] * (dim_cap + 1)
+
+        def per_dim(make) -> _PerDim:
+            return _PerDim([None] * (dim_cap + 1), make)
+
+        self.faces = per_dim(lambda n: _rows(face_columns[n]))
+        self.degeneracies = per_dim(lambda n: _rows(degeneracy_columns[n]))
+        self.keys = key_store = None if keys is None else per_dim(keys)
+        if labels is None and keys is not None:
+            labels = lambda n: tuple(map(str, key_store[n]))  # noqa: E731
+        self._labels = label_store = None if labels is None \
+            else per_dim(labels)
+        self._key_index = None if keys is None else per_dim(
+            lambda n: dict(zip(key_store[n], range(counts[n]))))
+        # ids[n][i] is the id of the i-th n-simplex; the hot paths read the
+        # slots first, as self._ids[n] or self.ids[n]
+        self.ids = per_dim(lambda n: tuple(map(
+            SimplexId, repeat(n), range(counts[n]),
+            repeat(None) if label_store is None else label_store[n])))
+        self._ids = self.ids._slots
+        # deg_witness[n][i] is the first (b, j) in row order with s_j b = i,
+        # or None when the n-simplex i is nondegenerate
+        self.deg_witness = per_dim(lambda n: _first_witnesses(
+            degeneracy_columns[n - 1], counts[n]) if n else (None,) * counts[0])
+        self._by_faces = per_dim(lambda n: _by_face_row(face_columns[n]))
+        self._by_face_value = per_dim(
+            lambda n: tuple(map(_by_value, face_columns[n])))
         # per dimension, whether the face-row map onto the compatible
         # boundaries is a bijection (lifting._boundaries_bijective)
         self._boundary_bijective: list[bool | None] = [None] * (dim_cap + 1)
 
     # -- basic access ------------------------------------------------------
 
-    @property
-    def ids(self) -> _PerDim:
-        """``ids[n][i]`` is the id of the i-th n-simplex."""
-        return _PerDim(self._ids, self._make_ids)
-
-    def _make_ids(self, n: int) -> tuple[SimplexId, ...]:
-        n %= self.dim_cap + 1
-        labels = self.label_column(n)
-        return tuple(map(SimplexId, repeat(n), range(self.counts[n]),
-                         repeat(None) if labels is None else labels))
-
     def label_column(self, n: int) -> tuple[str | None, ...] | None:
         """The labels of the n-simplices in index order (None where a
         simplex has none), or None when the complex carries no labels."""
-        labels = self._labels
-        if labels is None:
-            return None
-        got = labels[n]
-        if got is None:
-            make = self._key_labels
-            got = labels[n] = tuple(map(str, self.keys[n])) if make is None \
-                else make(n)
-        return got
+        return None if self._labels is None else self._labels[n]
 
     def simplices(self, n: int) -> tuple[SimplexId, ...]:
         if not 0 <= n <= self.dim_cap:
@@ -212,11 +232,7 @@ class TruncatedSSet:
     def id_for_key(self, dim: int, key: Hashable) -> SimplexId:
         if self._key_index is None:
             raise InvalidInput("complex carries no simplex keys")
-        index = self._key_index[dim]
-        if index is None:
-            index = self._key_index[dim] = dict(
-                zip(self.keys[dim], range(self.counts[dim])))
-        return self.id_at(dim, index[key])
+        return self.id_at(dim, self._key_index[dim][key])
 
     def key_of(self, x: SimplexId) -> Hashable:
         if self.keys is None:
@@ -265,23 +281,6 @@ class TruncatedSSet:
         ids = self._ids[n + 1] or self.ids[n + 1]
         return ids[self.degeneracy_columns[n][i][x.index]]
 
-    @property
-    def deg_witness(self) -> tuple[tuple[tuple[int, int] | None, ...], ...]:
-        """``deg_witness[n][i]`` is some (b, j) with s_j b = i, the first in
-        row order, or None when the n-simplex i is nondegenerate."""
-        got = self._deg_witness
-        if got is None:
-            witness: list[list[tuple[int, int] | None]] = [
-                [None] * c for c in self.counts
-            ]
-            for n in range(self.dim_cap):
-                for i, row in enumerate(zip(*self.degeneracy_columns[n])):
-                    for j, target in enumerate(row):
-                        if witness[n + 1][target] is None:
-                            witness[n + 1][target] = (i, j)
-            got = self._deg_witness = tuple(map(tuple, witness))
-        return got
-
     def is_degenerate(self, x: SimplexId) -> bool:
         """True iff ``x`` appears in some degeneracy-table row."""
         require_simplex(self, x)
@@ -304,14 +303,7 @@ class TruncatedSSet:
 
     def face_index(self, n: int) -> dict[Row, tuple[int, ...]]:
         """The n-simplices (n >= 1) grouped by face row, indexes ascending."""
-        table = self._by_faces[n]
-        if table is None:
-            grouped: dict[Row, list[int]] = {}
-            for i, row in enumerate(zip(*self.face_columns[n])):
-                grouped.setdefault(row, []).append(i)
-            table = {row: tuple(ixs) for row, ixs in grouped.items()}
-            self._by_faces[n] = table
-        return table
+        return self._by_faces[n]
 
     def face_value_index(self, n: int) -> tuple[dict[int, tuple[int, ...]], ...]:
         """Per face position j, the n-simplices (n >= 1) by their j-th face.
@@ -319,17 +311,7 @@ class TruncatedSSet:
         ``face_value_index(n)[j][v]`` lists, ascending, every n-simplex whose
         j-th face is the (n-1)-simplex ``v``.
         """
-        table = self._by_face_value[n]
-        if table is None:
-            # a stable sort by value keeps each group ascending
-            table = tuple(
-                {v: tuple(ixs) for v, ixs in groupby(
-                    sorted(range(len(column)), key=column.__getitem__),
-                    key=column.__getitem__)}
-                for column in self.face_columns[n]
-            )
-            self._by_face_value[n] = table
-        return table
+        return self._by_face_value[n]
 
     def const(self, x: SimplexId, m: int) -> SimplexId:
         """The constant m-simplex at the vertex ``x`` (iterated s_0)."""
@@ -397,15 +379,19 @@ def require_simplex(x: TruncatedSSet, s: SimplexId, dim: int | None = None
 
 
 def _as_table(raw, what: str) -> Table:
+    """The table as tuples, each entry of type ``int`` (so no ``bool``)."""
     try:
         table = tuple(tuple(map(tuple, per_dim)) for per_dim in raw)
-        entries = chain.from_iterable(chain.from_iterable(table))
-        if set(map(type, entries)) <= {int}:
-            return table
-        return tuple(tuple(tuple(map(int, row)) for row in per_dim)
-                     for per_dim in table)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InvalidInput(f"malformed {what} table: {exc}") from exc
+    for n, per_dim in enumerate(table):
+        entries = list(chain.from_iterable(per_dim))
+        if not set(map(type, entries)) <= {int}:
+            e = next(e for e in entries if type(e) is not int)
+            raise InvalidInput(
+                f"{what} table at dim {n} has an entry that is not an int: "
+                f"{e!r}")
+    return table
 
 
 def _checked_columns(rows: Sequence[Row], n: int, count: int, bound: int,
@@ -481,7 +467,10 @@ def _least_mismatch(sides) -> tuple[int, int, int] | None:
 def _checked_counts(dim_cap, counts) -> tuple[int, ...]:
     if type(dim_cap) is not int or dim_cap < 0:
         raise InvalidInput(f"dim_cap must be a natural number, not {dim_cap!r}")
-    counts = tuple(int(c) for c in counts)
+    counts = tuple(counts)
+    for n, c in enumerate(counts):
+        if type(c) is not int:
+            raise InvalidInput(f"count at dim {n} must be an int, not {c!r}")
     if len(counts) != dim_cap + 1 or any(c < 0 for c in counts):
         raise InvalidInput(f"counts must list dimensions 0..{dim_cap}")
     return counts
@@ -504,8 +493,11 @@ def build_sset(
     eagerly.  Each identity is compared column-wise, for all simplices of a
     dimension at once; the first violation in the order (identity family,
     dimension, simplex, operator indexes) is reported with the identity's
-    name, the dimension and the least offending simplex.
+    name, the dimension and the least offending simplex.  Every count and
+    table entry must be of type ``int``.
     """
+    if callable(keys) or callable(labels):
+        raise InvalidInput("keys and labels must be given per dimension")
     counts = _checked_counts(dim_cap, counts)
     faces = _as_table(face_table, "face")
     degens = _as_table(degeneracy_table, "degeneracy")
@@ -568,7 +560,9 @@ def _checked_sset(dim_cap: int, counts: tuple[int, ...],
 
     ``fc[n][j][x]`` is the j-th face of the n-simplex x, ``dg[n][j][x]`` its
     j-th degeneracy; a dimension without simplices has n + 1 empty columns
-    and no identities to check.
+    and no identities to check.  ``keys`` and ``labels`` are None, tables a
+    caller gave, checked here, or a constructor's makers (see
+    :class:`TruncatedSSet`), whose keys are unique by construction.
     """
     # d_i d_j = d_{j-1} d_i  (i < j)
     for n in range(2, dim_cap + 1):
@@ -627,20 +621,22 @@ def _checked_sset(dim_cap: int, counts: tuple[int, ...],
                 name = f"d_{i} s_{j} != s_{j} d_{i - 1}"
             raise IdentityViolation(f"{name} at dim {n} simplex {x}")
 
-    if keys is not None:
+    if keys is not None and not callable(keys):
         keys = tuple(tuple(per_dim) for per_dim in keys)
         if tuple(len(k) for k in keys) != counts:
             raise InvalidInput("keys must cover every simplex")
         for per_dim in keys:
             if len(set(per_dim)) != len(per_dim):
                 raise InvalidInput("keys must be unique within a dimension")
-    if labels is not None:
+        keys = keys.__getitem__
+    if labels is not None and not callable(labels):
         labels = tuple(tuple(per_dim) for per_dim in labels)
         if tuple(len(k) for k in labels) != counts:
             raise InvalidInput("labels must cover every simplex")
         if not all(map(isinstance, chain.from_iterable(labels),
                        repeat((str, NoneType)))):
             raise InvalidInput("labels must be strings or None")
+        labels = labels.__getitem__
     return TruncatedSSet(dim_cap, counts, tuple(fc), tuple(dg), keys, labels)
 
 
@@ -670,10 +666,19 @@ class SimplicialMap:
         return (t._ids[n] or t.ids[n])[self.assign[n][x.index]]
 
     def then(self, other: "SimplicialMap") -> "SimplicialMap":
-        """Composite ``other after self`` (validated inputs stay valid)."""
+        """Composite ``other after self`` (validated inputs stay valid).
+
+        Like every map it must cover the smaller of its two ends' caps, so
+        a composite through a complex of a smaller cap is refused.
+        """
         if other.source is not self.target and other.source != self.target:
             raise InvalidInput("maps are not composable")
         depth = min(self.depth, other.depth)
+        ends = (self.source.dim_cap, other.target.dim_cap)
+        if depth < min(ends):
+            raise InvalidInput(
+                f"the composite passes through cap {self.target.dim_cap}, "
+                f"below the caps {ends[0]} and {ends[1]} of its ends")
         assign = tuple(
             tuple(other.assign[n][e] for e in self.assign[n])
             for n in range(depth + 1)
@@ -707,12 +712,17 @@ def _gather(rows: Iterable[Sequence[int]], at: Sequence[int]
 def _shape_fault(source: TruncatedSSet, target: TruncatedSSet,
                  assign: tuple[Row, ...], depth: int) -> ComplicialError | None:
     """The first fault of one assignment's shape: its depth, then per
-    dimension its row length and index range."""
+    dimension its row length, its entries' type ``int`` and their range."""
     if len(assign) != depth + 1:
         return InvalidInput("assignment must cover min of the two caps")
     for n, row in enumerate(assign):
         if len(row) != source.counts[n]:
             return InvalidInput(f"assignment at dim {n} is not index-complete")
+        if not set(map(type, row)) <= {int}:
+            e = next(e for e in row if type(e) is not int)
+            return InvalidInput(
+                f"assignment at dim {n} has an entry that is not an int: "
+                f"{e!r}")
         if row and (min(row) < 0 or max(row) >= target.counts[n]):
             e = next(e for e in row if not 0 <= e < target.counts[n])
             return DanglingReference(f"assigned target {n}:{e} does not exist")
@@ -749,7 +759,8 @@ def _map_fault(source: TruncatedSSet, target: TruncatedSSet,
     if fits:
         rows, flat = stacked(batch)
         fits = all(
-            set(map(len, per_n)) <= {source.counts[n]} and (not column or (
+            set(map(len, per_n)) <= {source.counts[n]}
+            and set(map(type, column)) <= {int} and (not column or (
                 min(column) >= 0 and max(column) < target.counts[n]))
             for n, (per_n, column) in enumerate(zip(rows, flat)))
     if not fits:
@@ -794,8 +805,8 @@ def _map_fault(source: TruncatedSSet, target: TruncatedSSet,
 def make_simplicial_map(source: TruncatedSSet, target: TruncatedSSet,
                         assign: Sequence[Sequence[int]]) -> SimplicialMap:
     """Wrap a full index assignment as a map, after validating it
-    (:func:`_map_fault`)."""
-    assign = tuple(tuple(map(int, row)) for row in assign)
+    (:func:`_map_fault`); every entry must be of type ``int``."""
+    assign = tuple(map(tuple, assign))
     fault = _map_fault(source, target, [assign])
     if fault is not None:
         raise fault

@@ -264,17 +264,25 @@ def _thin_given(thin_ids, lookup: dict[str, int], starts: list[int]
             for lo, hi, start in zip(bounds, bounds[1:], starts)]
 
 
+def _field(doc: dict, key: str):
+    """``doc[key]``, a field every complex document has."""
+    if key not in doc:
+        raise InvalidInput(f'complex document has no "{key}"')
+    return doc[key]
+
+
 def doc_to_complex(doc: dict) -> StratifiedSSet:
     if not isinstance(doc, dict) or doc.get("kind") != "complex":
         raise InvalidInput("document is not a complex")
     version = doc.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise InvalidInput(f"unsupported format_version {version!r}")
-    cap = doc["dim_cap"]
+    cap = _field(doc, "dim_cap")
     if type(cap) is not int or cap < 0:
         raise InvalidInput(f"dim_cap must be a natural number, not {cap!r}")
-    per_dim = doc["simplices"]
-    if len(per_dim) != cap + 1:
+    per_dim = _field(doc, "simplices")
+    if type(per_dim) is not list or len(per_dim) != cap + 1 or \
+            not all(type(ids) is list for ids in per_dim):
         raise InvalidInput("simplices must list dimensions 0..dim_cap")
     counts = [len(ids) for ids in per_dim]
     # the one id-string table of this call: it checks the simplex lists,
@@ -286,13 +294,15 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     # each id string to its simplex's position, dimension after dimension
     lookup = dict(zip(chain.from_iterable(ids), count()))
     starts = [0, *accumulate(counts)]
-    if len(doc["faces"]) != cap:
+    face_tables = _field(doc, "faces")
+    if type(face_tables) is not list or len(face_tables) != cap:
         raise InvalidInput("faces must list dimensions 1..dim_cap")
-    if len(doc["degeneracies"]) != cap:
+    degeneracy_tables = _field(doc, "degeneracies")
+    if type(degeneracy_tables) is not list or len(degeneracy_tables) != cap:
         raise InvalidInput("degeneracies must list dimensions 0..dim_cap-1")
-    faces = [_parse_table(doc["faces"][n - 1], n, counts[n], "face", n - 1,
+    faces = [_parse_table(face_tables[n - 1], n, counts[n], "face", n - 1,
                           lookup, starts) for n in range(1, cap + 1)]
-    degeneracies = [_parse_table(doc["degeneracies"][n], n, counts[n],
+    degeneracies = [_parse_table(degeneracy_tables[n], n, counts[n],
                                  "degeneracy", n + 1, lookup, starts)
                     for n in range(cap)]
     label_map = doc.get("labels", {})

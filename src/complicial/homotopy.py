@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .core import Row, SimplexId, require_simplex
+from .core import Row, SimplexId, _compose, require_simplex
 from .errors import (
     CapTooSmall,
     InvalidInput,
@@ -199,8 +199,12 @@ class _Cylinder:
                 )
         if x.cap < a.cap:
             raise CapTooSmall(f"target cap {x.cap} below cylinder cap {a.cap}")
-        if rel is not None and \
-                rel.map.then(f.map).assign != rel.map.then(g.map).assign:
+        # over B, row by row up to the inclusion's depth: B may have a
+        # higher cap than A, so the restrictions are not maps out of B
+        if rel is not None and any(
+                _compose(fr, at) != _compose(gr, at)
+                for at, fr, gr in zip(rel.map.assign, f.map.assign,
+                                      g.map.assign)):
             raise RestrictionMismatch("maps differ on the rel subcomplex")
         rows = [tuple(map((fr + gr).__getitem__, plan))
                 for plan, fr, gr in zip(self._plan, f.map.assign,

@@ -203,8 +203,7 @@ def make_stratified_maps(source: StratifiedSSet, target: StratifiedSSet,
     whole batch.  The first bad assignment raises the error it raises
     alone."""
     su, tu = source.underlying, target.underlying
-    batch = [tuple(tuple(map(int, row)) for row in assign)
-             for assign in assigns]
+    batch = [tuple(map(tuple, assign)) for assign in assigns]
     fault = _map_fault(su, tu, batch,
                        (source.thin_indexes(), target.thin_indexes()))
     if fault is not None:
@@ -272,10 +271,9 @@ def _regular_subset(y: StratifiedSSet, indexes: Sequence[Iterable[int]]
                     for n in range(1, cap + 1)]
     degens = [columns(u.degeneracy_columns[n], n, n + 1)
               for n in range(cap)] + [()]
-    keys = None
-    if u.keys is not None:
-        keys = [tuple(map(u.keys[n].__getitem__, at[n]))
-                for n in range(cap + 1)]
+    ambient = u.keys
+    keys = None if ambient is None else (  # the ambient's keys at the members
+        lambda n: tuple(map(ambient[n].__getitem__, at[n])))
     sub_u = _build_sset_columns(cap, counts, faces, degens, keys=keys)
     y_thin = y.thin_indexes()
     sub = _stratify(sub_u, [[i for i, v in enumerate(at[n]) if v in y_thin[n]]
@@ -290,7 +288,8 @@ def gproduct(x: StratifiedSSet, y: StratifiedSSet) -> StratifiedSSet:
     are the pairs ordered lexicographically by component indices, so the
     pair ``(i, j)`` sits at index ``i * counts_y[m] + j``; callers may rely
     on this layout.  Tables and thin sets are built a column at a time, on
-    indexes.
+    indexes.  Keys, the pairs of the factors' keys (or indexes), and labels,
+    ``str`` of those, are made per dimension on first use.
     """
     cap = min(x.cap, y.cap)
     xu, yu = x.underlying, y.underlying
@@ -310,21 +309,23 @@ def gproduct(x: StratifiedSSet, y: StratifiedSSet) -> StratifiedSSet:
          for xc, yc in zip(xu.degeneracy_columns[n], yu.degeneracy_columns[n])]
         for n in range(cap)
     ] + [()]
-    x_keys = [xu.keys[n] if xu.keys is not None else range(xu.counts[n])
-              for n in range(cap + 1)]
-    y_keys = [yu.keys[n] if yu.keys is not None else range(yu.counts[n])
-              for n in range(cap + 1)]
-    keys = [tuple(product(xk, yk)) for xk, yk in zip(x_keys, y_keys)]
-    prod_u = _build_sset_columns(cap, counts, faces, degens, keys=keys)
+    x_keys, y_keys, x_counts, y_counts = xu.keys, yu.keys, xu.counts, yu.counts
+
+    def factor_keys(n: int) -> tuple[Sequence, Sequence]:
+        # each factor's keys of its n-simplices, or its indexes if it has none
+        return (range(x_counts[n]) if x_keys is None else x_keys[n],
+                range(y_counts[n]) if y_keys is None else y_keys[n])
 
     def pair_labels(n: int) -> tuple[str, ...]:
         # str((a, b)) is "(" + repr(a) + ", " + repr(b) + ")": each factor's
-        # halves are made once per simplex and joined per pair, on first use
-        # only, so cylinders, which print no labels, never make them
+        # halves are made once per simplex and joined per pair
+        xk, yk = factor_keys(n)
         return tuple(starmap(add, product(
-            map("({!r}, ".format, x_keys[n]), map("{!r})".format, y_keys[n]))))
+            map("({!r}, ".format, xk), map("{!r})".format, yk))))
 
-    prod_u._key_labels = pair_labels
+    prod_u = _build_sset_columns(
+        cap, counts, faces, degens, labels=pair_labels,
+        keys=lambda n: tuple(product(*factor_keys(n))))
     x_thin, y_thin = x.thin_indexes(), y.thin_indexes()
     return _stratify(prod_u, [
         pairs(x_thin[n], y_thin[n], yu.counts[n]) for n in range(cap + 1)])

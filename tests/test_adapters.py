@@ -240,6 +240,24 @@ def reference_nerve(c, cap):
     return chains, faces, degens, labels
 
 
+def test_nerve_makes_keys_and_labels_on_first_use():
+    c = C.symmetric_group_3()
+    chains, _, _, labels = reference_nerve(c, 3)
+    u = C.nerve(c, 3)
+
+    def made():
+        return [n for n in range(4) if u.keys._slots[n] is not None]
+
+    assert made() == [] and u._labels._slots == [None] * 4
+    assert u.key_of(C.SimplexId(2, 5)) == chains[2][5]
+    assert made() == [2]
+    assert u.id_for_key(3, chains[3][7]).index == 7
+    assert made() == [2, 3]
+    assert u.keys[1] == tuple(chains[1]) and u.keys[0] == tuple(chains[0])
+    assert made() == [0, 1, 2, 3]
+    assert [u.label_column(n) for n in range(4)] == labels
+
+
 def poset_category(k):
     """The poset 0 < 1 < ... < k as a category."""
     arrows = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]

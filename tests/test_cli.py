@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -315,6 +316,26 @@ def two_objects(**changes):
      "form 'f|g'"),
     ("--category", two_objects(composition={"id0|b": "id0"}),
      "malformed algebra input: composition 'id0|b': 'b' is not a morphism"),
+    # each required field, and the top level, checked where it is read
+    ("--monoid", [1, 2],
+     "malformed algebra input: monoid file must hold a JSON object"),
+    ("--category", [1, 2],
+     "malformed algebra input: category file must hold a JSON object"),
+    ("--monoid", {"elements": ["e"], "table": [["e"]]},
+     'malformed algebra input: monoid file has no "unit"'),
+    ("--monoid", {"elements": ["e"], "unit": "e"},
+     'malformed algebra input: monoid file has no "table"'),
+    ("--monoid", {"unit": "e", "table": [["e"]]},
+     'malformed algebra input: monoid file has no "elements"'),
+    ("--category", {k: v for k, v in two_objects().items()
+                    if k != "identities"},
+     'malformed algebra input: category file has no "identities"'),
+    ("--category", {k: v for k, v in two_objects().items()
+                    if k != "composition"},
+     'malformed algebra input: category file has no "composition"'),
+    ("--category", {k: v for k, v in two_objects().items()
+                    if k != "objects"},
+     'malformed algebra input: category file has no "objects"'),
 ])
 def test_algebra_inputs_are_read_as_the_types_they_claim(
         capsys, tmp_path, flag, algebra, message):
@@ -380,7 +401,24 @@ def test_document_header_must_be_exact_ints(capsys, tmp_path, delta1_doc,
      "InvalidInput: faces must list dimensions 1..dim_cap"),
     (lambda d: d["degeneracies"].append(d["degeneracies"][0]),
      "InvalidInput: degeneracies must list dimensions 0..dim_cap-1"),
-], ids=["kind", "dimensions", "canonical", "faces", "degeneracies"])
+    (lambda d: d.pop("dim_cap"),
+     'InvalidInput: complex document has no "dim_cap"'),
+    (lambda d: d.pop("simplices"),
+     'InvalidInput: complex document has no "simplices"'),
+    (lambda d: d.pop("faces"), 'InvalidInput: complex document has no "faces"'),
+    (lambda d: d.pop("degeneracies"),
+     'InvalidInput: complex document has no "degeneracies"'),
+    (lambda d: d.update(simplices=5),
+     "InvalidInput: simplices must list dimensions 0..dim_cap"),
+    (lambda d: d.update(simplices=[5, 6]),
+     "InvalidInput: simplices must list dimensions 0..dim_cap"),
+    (lambda d: d.update(faces=5),
+     "InvalidInput: faces must list dimensions 1..dim_cap"),
+    (lambda d: d.update(degeneracies=5),
+     "InvalidInput: degeneracies must list dimensions 0..dim_cap-1"),
+], ids=["kind", "dimensions", "canonical", "faces", "degeneracies",
+        "no-dim_cap", "no-simplices", "no-faces", "no-degeneracies",
+        "simplices-int", "simplices-of-ints", "faces-int", "degeneracies-int"])
 def test_malformed_complex_exits_1_with_its_message(capsys, tmp_path,
                                                     delta1_doc, edit, message):
     edit(delta1_doc)
@@ -642,3 +680,22 @@ def test_undecodable_input_exits_1(capsys, feed, data, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: invalid input: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reading_a_document_leaves_the_collector_as_it_was(
+        capsys, tmp_path, delta1_doc, enabled):
+    # the collector is off while a document is read, and then as before,
+    # whether the read succeeds or fails
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(delta1_doc))
+    bad.write_text(json.dumps({**delta1_doc, "faces": 5}))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for path, code in ((good, 0), (bad, 1)):
+            assert main(["verify", str(path)]) == code
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()

@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,6 +9,7 @@ import complicial as C
 from complicial import errors
 from complicial.core import _build_sset_columns
 from complicial.standard import monotone_maps
+from complicial.strat import make_stratified_maps
 
 from .conftest import recursive_apply_monotone, renumbered
 
@@ -460,6 +462,58 @@ def test_build_sset_rejects_labels_that_are_not_strings(label):
                        match="labels must be strings or None"):
         _build_sset_columns(cap, counts, [[], [[0], [0]]], [[[0]], []],
                             labels=[["a"], [label]])
+
+
+@pytest.mark.parametrize("counts, faces, degens, message", [
+    ([1, 1.9], [[], [[0, 0]]], [[[0]], []],
+     "count at dim 1 must be an int, not 1.9"),
+    ([True, 1], [[], [[0, 0]]], [[[0]], []],
+     "count at dim 0 must be an int, not True"),
+    ([1, 1], [[], [["0", 0.7]]], [[[0]], []],
+     "face table at dim 1 has an entry that is not an int: '0'"),
+    ([1, 1], [[], [[0, 0.7]]], [[[0]], []],
+     "face table at dim 1 has an entry that is not an int: 0.7"),
+    ([1, 1], [[], [[0, 0]]], [[[False]], []],
+     "degeneracy table at dim 0 has an entry that is not an int: False"),
+])
+def test_build_sset_refuses_entries_that_are_not_ints(counts, faces, degens,
+                                                      message):
+    # each would once be read with int(), as the point at cap 1
+    with pytest.raises(errors.InvalidInput, match=re.escape(message)):
+        C.build_sset(1, counts, faces, degens)
+
+
+@pytest.mark.parametrize("entry", ["0", 0.9, 0.0, True, False])
+def test_maps_refuse_assignments_that_are_not_ints(entry):
+    d = C.delta(0, 0)
+    message = f"assignment at dim 0 has an entry that is not an int: {entry!r}"
+    with pytest.raises(errors.InvalidInput, match=re.escape(message)):
+        C.make_simplicial_map(d.underlying, d.underlying, [[entry]])
+    with pytest.raises(errors.InvalidInput, match=re.escape(message)):
+        make_stratified_maps(d, d, [[[0]], [[entry]]])
+
+
+def test_build_sset_takes_keys_and_labels_only_as_tables():
+    cap, counts, faces, degens = one_point_tables(0)
+    for given in ({"keys": lambda n: (0,)}, {"labels": lambda n: ("a",)}):
+        with pytest.raises(errors.InvalidInput,
+                           match="must be given per dimension"):
+            C.build_sset(cap, counts, faces, degens, **given)
+
+
+def test_then_refuses_a_composite_through_a_smaller_cap():
+    high, low = C.delta(0, 3), C.delta(0, 1)
+    down = C.make_simplicial_map(high.underlying, low.underlying, [[0]] * 2)
+    up = C.make_simplicial_map(low.underlying, high.underlying, [[0]] * 2)
+    message = "passes through cap 1, below the caps 3 and 3 of its ends"
+    with pytest.raises(errors.InvalidInput, match=message):
+        down.then(up)
+    with pytest.raises(errors.InvalidInput, match=message):
+        C.make_stratified_map(high, low, down).then(
+            C.make_stratified_map(low, high, up))
+    # through a larger cap, or ending at the smaller one, it covers its ends
+    assert up.then(down).assign == ((0,), (0,))
+    assert down.then(C.identity_map(low.underlying)) == down
 
 
 # -- one validator, two entries -------------------------------------------------

@@ -80,6 +80,31 @@ def test_restriction_mismatch_detected(th0_z2_3):
         C.rel_homotopic(f, g, finc)
 
 
+def test_rel_inclusion_from_a_higher_cap_pins_the_cylinder(th0_z2_3):
+    # B = the boundary of the 1-simplex at cap 3, into A = the 1-simplex at
+    # cap 2: the inclusion has depth 2, and the restrictions of two maps
+    # out of A are compared up to that depth, with no composite made
+    x = th0_z2_3
+    loop = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
+    point = C.classifying_map(x, x.underlying.const(vertex(x), 1), cap=2)
+    a = loop.source
+    b, _ = C.boundary_pair(1, 3)
+    high = C.make_stratified_map(b, a, C.build_map(b.underlying, a.underlying, {
+        v: a.underlying.id_for_key(0, b.underlying.key_of(v))
+        for v in b.simplices(0)}))
+    assert b.cap == 3 and high.map.depth == 2
+    _, low = C.boundary_pair(1, 2)
+    for f, g in ((loop, loop), (loop, point), (point, point)):
+        assert (C.rel_homotopic(f, g, high) is None) == \
+            (C.rel_homotopic(f, g, low) is None)
+    assert C.rel_homotopic(loop, loop, high) is not None
+    y = C.delta_t(1, 2)
+    edge = C.classifying_map(y, y.underlying.id_for_key(1, (0, 1)), cap=2)
+    const = C.classifying_map(y, y.underlying.const(vertex(y), 1), cap=2)
+    with pytest.raises(errors.RestrictionMismatch):
+        C.rel_homotopic(edge, const, high)
+
+
 def test_shared_cylinder_rejects_mismatched_maps(th0_z2_3):
     x = th0_z2_3
     _, binc = C.boundary_pair(1, 2)

@@ -571,23 +571,20 @@ def test_wholly_thin_dimensions_match_the_references(data):
 def test_passing_verify_never_applies_monotone_maps(monkeypatch):
     # every positive dimension of a th0 is wholly thin, so no thinness
     # pass runs (``apply_monotone`` goes through ``act`` too), and a row
-    # without failures names no simplex
+    # without failures names no simplex: no dimension's ids are made
     x = C.th0(C.nerve(C.symmetric_group_3(), 4))
     calls = []
-    act, make_ids = C.TruncatedSSet.act, C.TruncatedSSet._make_ids
+    act = C.TruncatedSSet.act
 
     def counted_act(self, n, values, column):
         calls.append(("act", n, tuple(values)))
         return act(self, n, values, column)
 
-    def counted_ids(self, n):
-        calls.append(("ids", n))
-        return make_ids(self, n)
-
     monkeypatch.setattr(C.TruncatedSSet, "act", counted_act)
-    monkeypatch.setattr(C.TruncatedSSet, "_make_ids", counted_ids)
+    ids = x.underlying.ids._slots
+    assert ids == [None] * 5
     report = C.verify_weak_complicial(x, 4)
-    assert report.passed and not calls
+    assert report.passed and not calls and ids == [None] * 5
 
 
 def test_family2_failure_payload_is_pinned():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -242,28 +245,68 @@ def test_product_labels_are_str_of_the_pair_keys(factors):
     assert [s.label for s in u.ids[0]] == list(map(str, u.keys[0]))
 
 
+def test_product_makes_keys_and_labels_on_first_use():
+    x = C.th0(C.nerve(C.symmetric_group_3(), 3))
+    y = C.delta_t(1, 3)
+    xu, yu = x.underlying, y.underlying
+    u = C.gproduct(x, y).underlying
+
+    def made(w):
+        return [n for n in range(4) if w.keys._slots[n] is not None]
+
+    assert made(u) == made(xu) == [] and u._labels._slots == [None] * 4
+    # the reference, eagerly: every pair of the factors' keys
+    want = [[(a, b) for a in xu.keys[n] for b in yu.keys[n]]
+            for n in range(4)]
+    assert made(u) == []
+    assert u.key_of(u.id_at(3, 100)) == want[3][100]
+    assert made(u) == [3]
+    assert u.id_for_key(2, want[2][41]) == u.id_at(2, 41)
+    assert made(u) == [2, 3]
+    assert list(map(list, u.keys)) == want
+    assert [u.label_column(n) for n in range(4)] == \
+        [tuple(map(str, per_dim)) for per_dim in want]
+
+
+def test_a_used_complex_is_freed_without_the_cycle_collector():
+    # every store's maker closes over columns and counts, not over the
+    # complex, so reference counting alone frees a complex once dropped
+    x = C.th0(C.nerve(C.cyclic_group(3), 3))
+    refs = []
+    gc.disable()
+    try:
+        for u in (C.nerve(C.cyclic_group(3), 3), C.gproduct(x, x).underlying,
+                  C.regular_subset(x, [x.underlying.id_at(2, 4)])[0]
+                  .underlying):
+            for n in range(u.dim_cap + 1):
+                u.keys[n], u.label_column(n), u.ids[n]
+                u.face_index(n), u.face_value_index(n), u.deg_witness[n]
+                u.id_for_key(n, u.key_of(u.id_at(n, 0)))
+            refs.append(weakref.ref(u))
+            del u
+        assert [r() for r in refs] == [None] * 3
+    finally:
+        gc.enable()
+
+
 def test_tau_table_makes_no_labels_for_its_cylinders(monkeypatch):
-    cylinders, labelled = [], []
-    gproduct, label_column = C.gproduct, C.TruncatedSSet.label_column
+    # a cylinder's labels, which its ids would carry, are never made
+    cylinders = []
+    gproduct = C.gproduct
 
     def recording_gproduct(x, y):
         p = gproduct(x, y)
         cylinders.append(p.underlying)
         return p
 
-    def recording_label_column(self, n):
-        labelled.append(self)
-        return label_column(self, n)
-
     monkeypatch.setattr(homotopy, "gproduct", recording_gproduct)
-    monkeypatch.setattr(C.TruncatedSSet, "label_column",
-                        recording_label_column)
     for x, n in ((C.th0(C.nerve(C.symmetric_group_3(), 2)), 1),
                  (C.th0(C.nerve(C.cyclic_group(2), 3)), 2)):
         v = x.underlying.id_at(0, 0)
         homotopy.audit_well_defined(x, v, homotopy.tau_table(x, v, n))
     assert len(cylinders) == 2
-    assert not any(c is u for c in cylinders for u in labelled)
+    assert all(c._labels._slots == [None] * (c.dim_cap + 1)
+               for c in cylinders)
 
 
 # -- stratified maps -----------------------------------------------------------
