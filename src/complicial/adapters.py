@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, Sequence
 from .core import (
     SimplexId,
     TruncatedSSet,
-    _build_sset_columns,
     _compose,
+    _sset,
     require_simplex,
 )
 from .errors import (
@@ -261,7 +261,7 @@ def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
     Keys (the morphisms' indexes, or an object's) and labels (their names
     joined by ``|``) are made per dimension on first use, along the parents.
     """
-    if cap < 0:
+    if type(cap) is not int or cap < 0:
         raise InvalidInput("cap must be a natural number")
     nm = len(c.morphisms)
     leaving: list[list[int]] = [[] for _ in c.objects]
@@ -333,11 +333,11 @@ def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
                               map(tails.__getitem__, last[k])))
         return tuple(column)
 
-    return _build_sset_columns(
+    return _sset(
         cap, tuple(map(len, target)), faces, degens,
-        keys=lambda n: chains(n, singletons, singletons) if n
+        lambda n: chains(n, singletons, singletons) if n
         else tuple(zip(range(len(objects)))),
-        labels=lambda n: chains(n, names, bar_names) if n else objects)
+        lambda n: chains(n, names, bar_names) if n else objects)
 
 
 def th0(k: TruncatedSSet) -> StratifiedSSet:

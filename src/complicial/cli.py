@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -34,14 +35,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """The integer written ``-?[0-9]+`` in ASCII: ``int`` alone would also
+    read underscores, surrounding spaces and other scripts' digits."""
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int reads
+            pass
+    raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+
+
 def _at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid integer {text!r}") from None
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
@@ -136,7 +144,7 @@ def _load_category(args) -> adapters.FiniteCategory:
                     generators, raw.get("bound", 10000))
             return adapters.monoid_category(
                 _list(raw, "elements", "monoid"), _field(raw, "unit", "monoid"),
-                _field(raw, "table", "monoid"))
+                _list(raw, "table", "monoid"))
         if args.category:
             raw = _load_algebra(args.category, "category")
             objects = _list(raw, "objects", "category")
@@ -183,8 +191,8 @@ def _int_params(params: list[str], how_many: int, name: str) -> list[int]:
     if len(params) != how_many:
         raise _UsageError(f"{name} takes {how_many} numeric parameter(s)")
     try:
-        return [int(p) for p in params]
-    except ValueError:
+        return [_integer(p) for p in params]
+    except argparse.ArgumentTypeError:
         raise _UsageError(f"{name} parameters must be integers") from None
 
 
@@ -276,8 +284,8 @@ def _resolve_vertex(x: StratifiedSSet, spec: str):
         if v.label == spec:
             return v
     try:
-        index = int(spec)
-    except ValueError:
+        index = _integer(spec)
+    except argparse.ArgumentTypeError:
         raise _UsageError(f"no vertex labeled {spec!r}") from None
     if not 0 <= index < u.counts[0]:
         raise _UsageError(f"vertex index {index} out of range")
@@ -332,7 +340,7 @@ def _build_parser() -> _Parser:
     b.add_argument("params", nargs="*",
                    help="numeric parameters, or input paths for "
                         "th0/qcat-e/product ('-' reads stdin)")
-    b.add_argument("--cap", type=int, default=None)
+    b.add_argument("--cap", type=_integer, default=None)
     b.add_argument("--monoid", help="monoid JSON file (for nerve)")
     b.add_argument("--category", help="category JSON file (for nerve)")
     b.add_argument("--out", help="write the document here instead of stdout")
@@ -340,7 +348,7 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="check the weak complicial conditions")
     v.add_argument("complex", help="complex JSON path ('-' reads stdin)")
-    v.add_argument("--max-dim", type=int, default=None)
+    v.add_argument("--max-dim", type=_integer, default=None)
     v.add_argument("--limit", type=_at_least(0), default=None,
                    help="serialize at most this many witnesses per row")
     v.add_argument("--out")
@@ -348,7 +356,7 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("tau", help="compute a homotopy monoid table")
     t.add_argument("complex")
-    t.add_argument("--n", type=int, required=True)
+    t.add_argument("--n", type=_integer, required=True)
     t.add_argument("--vertex", default="0")
     t.add_argument("--audit-well-defined", action="store_true")
     t.add_argument("--out")

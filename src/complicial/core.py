@@ -7,14 +7,15 @@ operator and dimension, which every reader in the package reads.  The
 rest is made per dimension on first use, one store each (:class:`_PerDim`):
 keys and labels by the makers a constructor hands over; ids, the key and
 face indexes and degeneracy witnesses; and rows, for API callers only.
-Construction goes through :func:`build_sset`, from rows, or from columns;
-both entries check every simplicial identity that is expressible inside
-the cap in one shared core, and every map is checked by one validator
-(:func:`_map_fault`), so downstream code can rely on the tables
-unconditionally.  Counts, table entries and assignments must be of type
-``int``.  Keys and labels are checked only where a caller gives them as
-tables; a constructor's keys are unique by construction.  Instances are
-immutable and safe to share between threads.
+Tables are checked once, where they come in: :func:`build_sset` checks the
+shapes, ranges, keys and labels of tables an API caller gives as rows, and
+``documents.doc_to_complex`` those of a document.  Behind them one core,
+:func:`_sset`, makes every complex, from columns it trusts, and checks
+every simplicial identity that is expressible inside the cap, for every
+complex; every map is checked by one validator (:func:`_map_fault`), so
+downstream code can rely on the tables unconditionally.  Counts, table
+entries and assignments must be of type ``int``.  Instances are immutable
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -154,7 +155,6 @@ class TruncatedSSet:
         "keys",
         "_labels",
         "ids",
-        "_ids",
         "_key_index",
         "deg_witness",
         "_by_faces",
@@ -172,10 +172,13 @@ class TruncatedSSet:
         keys: Callable[[int], tuple[Hashable, ...]] | None,
         labels: Callable[[int], tuple[str | None, ...]] | None,
     ):
-        """``keys`` and ``labels`` are None or makers: ``make(n)`` is the
-        n-simplices' keys, or labels, as a tuple.  Keys and no labels label
-        a simplex by ``str`` of its key.  Makers close over columns and
-        counts, never over the complex, so that it holds no cycle."""
+        """The columns are tuples whose shapes and ranges are right; only
+        :func:`_sset` calls this, after checking the simplicial identities.
+        ``keys`` and ``labels`` are None or makers: ``make(n)`` is the
+        n-simplices' keys, or labels, as a tuple; a constructor's keys are
+        unique by construction.  Keys and no labels label a simplex by
+        ``str`` of its key.  Makers close over columns and counts, never
+        over the complex, so that it holds no cycle."""
         self.dim_cap = dim_cap
         self.counts = counts
         self.face_columns = face_columns
@@ -193,12 +196,10 @@ class TruncatedSSet:
             else per_dim(labels)
         self._key_index = None if keys is None else per_dim(
             lambda n: dict(zip(key_store[n], range(counts[n]))))
-        # ids[n][i] is the id of the i-th n-simplex; the hot paths read the
-        # slots first, as self._ids[n] or self.ids[n]
+        # ids[n][i] is the id of the i-th n-simplex
         self.ids = per_dim(lambda n: tuple(map(
             SimplexId, repeat(n), range(counts[n]),
             repeat(None) if label_store is None else label_store[n])))
-        self._ids = self.ids._slots
         # deg_witness[n][i] is the first (b, j) in row order with s_j b = i,
         # or None when the n-simplex i is nondegenerate
         self.deg_witness = per_dim(lambda n: _first_witnesses(
@@ -220,14 +221,14 @@ class TruncatedSSet:
     def simplices(self, n: int) -> tuple[SimplexId, ...]:
         if not 0 <= n <= self.dim_cap:
             raise IndexOutOfRange(f"dimension {n} outside 0..{self.dim_cap}")
-        return self._ids[n] or self.ids[n]
+        return self.ids[n]
 
     def all_simplices(self) -> Iterator[SimplexId]:
         for per_dim in self.ids:
             yield from per_dim
 
     def id_at(self, dim: int, index: int) -> SimplexId:
-        return (self._ids[dim] or self.ids[dim])[index]
+        return self.ids[dim][index]
 
     def id_for_key(self, dim: int, key: Hashable) -> SimplexId:
         if self._key_index is None:
@@ -265,8 +266,7 @@ class TruncatedSSet:
             raise IndexOutOfRange(f"{x!r} is a vertex and has no faces")
         if not 0 <= i <= n:
             raise IndexOutOfRange(f"face index {i} outside 0..{n}")
-        ids = self._ids[n - 1] or self.ids[n - 1]
-        return ids[self.face_columns[n][i][x.index]]
+        return self.ids[n - 1][self.face_columns[n][i][x.index]]
 
     def degeneracy(self, x: SimplexId, i: int) -> SimplexId:
         """The i-th degeneracy of ``x``; fails loudly at the cap."""
@@ -278,8 +278,7 @@ class TruncatedSSet:
             )
         if not 0 <= i <= n:
             raise IndexOutOfRange(f"degeneracy index {i} outside 0..{n}")
-        ids = self._ids[n + 1] or self.ids[n + 1]
-        return ids[self.degeneracy_columns[n][i][x.index]]
+        return self.ids[n + 1][self.degeneracy_columns[n][i][x.index]]
 
     def is_degenerate(self, x: SimplexId) -> bool:
         """True iff ``x`` appears in some degeneracy-table row."""
@@ -420,28 +419,6 @@ def _checked_columns(rows: Sequence[Row], n: int, count: int, bound: int,
     raise AssertionError("no bad row")  # pragma: no cover
 
 
-def _checked_given_columns(columns: Sequence[Sequence[int]], n: int,
-                           count: int, bound: int, what: str,
-                           target_dim: int) -> Columns:
-    """:func:`_checked_columns` for a table given as columns.
-
-    Checks that there are n + 1 columns of ``count`` entries in
-    0..bound-1, a column at a time.  On failure the columns are read as
-    the rows they spell (row i, for i below ``count`` or the longest
-    column's length, holds ``column[i]`` of every column that long), and
-    the first fault of those rows is reported as for rows.
-    """
-    width = n + 1
-    if len(columns) == width and all(
-            len(c) == count and (not c or (min(c) >= 0 and max(c) < bound))
-            for c in columns):
-        return tuple(map(tuple, columns))
-    rows = [tuple(c[i] for c in columns if i < len(c))
-            for i in range(max([count, *map(len, columns)]))]
-    _checked_columns(rows, n, count, bound, what, target_dim)
-    raise InvalidInput(f"{what} table at dim {n} must have {width} columns")
-
-
 def _compose(column: Sequence[int], at: Sequence[int]) -> tuple[int, ...]:
     """``column[v]`` for each v of ``at``, in one C-level pass."""
     if len(at) > 1:
@@ -462,18 +439,6 @@ def _least_mismatch(sides) -> tuple[int, int, int] | None:
             if least is None or (x, j, i) < least:
                 least = (x, j, i)
     return least
-
-
-def _checked_counts(dim_cap, counts) -> tuple[int, ...]:
-    if type(dim_cap) is not int or dim_cap < 0:
-        raise InvalidInput(f"dim_cap must be a natural number, not {dim_cap!r}")
-    counts = tuple(counts)
-    for n, c in enumerate(counts):
-        if type(c) is not int:
-            raise InvalidInput(f"count at dim {n} must be an int, not {c!r}")
-    if len(counts) != dim_cap + 1 or any(c < 0 for c in counts):
-        raise InvalidInput(f"counts must list dimensions 0..{dim_cap}")
-    return counts
 
 
 def build_sset(
@@ -498,7 +463,14 @@ def build_sset(
     """
     if callable(keys) or callable(labels):
         raise InvalidInput("keys and labels must be given per dimension")
-    counts = _checked_counts(dim_cap, counts)
+    if type(dim_cap) is not int or dim_cap < 0:
+        raise InvalidInput(f"dim_cap must be a natural number, not {dim_cap!r}")
+    counts = tuple(counts)
+    for n, c in enumerate(counts):
+        if type(c) is not int:
+            raise InvalidInput(f"count at dim {n} must be an int, not {c!r}")
+    if len(counts) != dim_cap + 1 or any(c < 0 for c in counts):
+        raise InvalidInput(f"counts must list dimensions 0..{dim_cap}")
     faces = _as_table(face_table, "face")
     degens = _as_table(degeneracy_table, "degeneracy")
     if len(faces) != dim_cap + 1 or len(degens) != dim_cap + 1:
@@ -514,56 +486,42 @@ def build_sset(
                          "degeneracy", n + 1)
         for n in range(dim_cap)
     ] + [()]
-    return _checked_sset(dim_cap, counts, fc, dg, keys, labels)
+    if keys is not None:
+        keys = tuple(map(tuple, keys))
+        if tuple(map(len, keys)) != counts:
+            raise InvalidInput("keys must cover every simplex")
+        if any(len(set(per_dim)) != len(per_dim) for per_dim in keys):
+            raise InvalidInput("keys must be unique within a dimension")
+        keys = keys.__getitem__
+    if labels is not None:
+        labels = tuple(map(tuple, labels))
+        if tuple(map(len, labels)) != counts:
+            raise InvalidInput("labels must cover every simplex")
+        if not all(map(isinstance, chain.from_iterable(labels),
+                       repeat((str, NoneType)))):
+            raise InvalidInput("labels must be strings or None")
+        labels = labels.__getitem__
+    return _sset(dim_cap, counts, fc, dg, keys, labels)
 
 
-def _build_sset_columns(
-    dim_cap: int,
-    counts: Sequence[int],
-    face_columns: Sequence[Sequence[Sequence[int]]],
-    degeneracy_columns: Sequence[Sequence[Sequence[int]]],
-    *,
-    keys: Sequence[Sequence[Hashable]] | None = None,
-    labels: Sequence[Sequence[str | None]] | None = None,
-) -> TruncatedSSet:
-    """:func:`build_sset` for tables given as columns of ints.
+def _sset(dim_cap: int, counts: Sequence[int],
+          face_columns: Sequence[Sequence[Sequence[int]]],
+          degeneracy_columns: Sequence[Sequence[Sequence[int]]],
+          keys, labels) -> TruncatedSSet:
+    """The complex of the given columns, as tuples, after checking every
+    simplicial identity: every complex is made here.
 
-    ``face_columns[n][j][i]`` is the j-th face of the n-simplex i and
-    ``degeneracy_columns[n][j][i]`` its j-th degeneracy.  The checks and
-    their messages are those of :func:`build_sset` on the rows the columns
-    spell.
+    ``face_columns[n][j][x]`` is the j-th face of the n-simplex x, and
+    ``degeneracy_columns[n][j][x]`` its j-th degeneracy.  Their shapes and
+    ranges are trusted: for n >= 1, and for n < dim_cap, respectively, n + 1
+    columns of ``counts[n]`` entries in range, and none otherwise.
+    :func:`build_sset` and ``documents.doc_to_complex`` check what they are
+    given; the constructors' columns are right by construction.  ``keys``
+    and ``labels`` are None or makers (see :class:`TruncatedSSet`).
     """
-    counts = _checked_counts(dim_cap, counts)
-    if len(face_columns) != dim_cap + 1 \
-            or len(degeneracy_columns) != dim_cap + 1:
-        raise InvalidInput("tables must be indexed by dimension 0..dim_cap")
-    if face_columns[0] or degeneracy_columns[dim_cap]:
-        raise InvalidInput("faces[0] and degeneracies[dim_cap] must be empty")
-    fc = [()] + [
-        _checked_given_columns(face_columns[n], n, counts[n], counts[n - 1],
-                               "face", n - 1)
-        for n in range(1, dim_cap + 1)
-    ]
-    dg = [
-        _checked_given_columns(degeneracy_columns[n], n, counts[n],
-                               counts[n + 1], "degeneracy", n + 1)
-        for n in range(dim_cap)
-    ] + [()]
-    return _checked_sset(dim_cap, counts, fc, dg, keys, labels)
-
-
-def _checked_sset(dim_cap: int, counts: tuple[int, ...],
-                  fc: list[Columns], dg: list[Columns], keys, labels
-                  ) -> TruncatedSSet:
-    """The complex of columns whose shapes and ranges are checked, after
-    checking every simplicial identity, the keys and the labels.
-
-    ``fc[n][j][x]`` is the j-th face of the n-simplex x, ``dg[n][j][x]`` its
-    j-th degeneracy; a dimension without simplices has n + 1 empty columns
-    and no identities to check.  ``keys`` and ``labels`` are None, tables a
-    caller gave, checked here, or a constructor's makers (see
-    :class:`TruncatedSSet`), whose keys are unique by construction.
-    """
+    counts = tuple(counts)
+    fc = tuple(tuple(map(tuple, per_dim)) for per_dim in face_columns)
+    dg = tuple(tuple(map(tuple, per_dim)) for per_dim in degeneracy_columns)
     # d_i d_j = d_{j-1} d_i  (i < j)
     for n in range(2, dim_cap + 1):
         if not counts[n]:
@@ -621,23 +579,7 @@ def _checked_sset(dim_cap: int, counts: tuple[int, ...],
                 name = f"d_{i} s_{j} != s_{j} d_{i - 1}"
             raise IdentityViolation(f"{name} at dim {n} simplex {x}")
 
-    if keys is not None and not callable(keys):
-        keys = tuple(tuple(per_dim) for per_dim in keys)
-        if tuple(len(k) for k in keys) != counts:
-            raise InvalidInput("keys must cover every simplex")
-        for per_dim in keys:
-            if len(set(per_dim)) != len(per_dim):
-                raise InvalidInput("keys must be unique within a dimension")
-        keys = keys.__getitem__
-    if labels is not None and not callable(labels):
-        labels = tuple(tuple(per_dim) for per_dim in labels)
-        if tuple(len(k) for k in labels) != counts:
-            raise InvalidInput("labels must cover every simplex")
-        if not all(map(isinstance, chain.from_iterable(labels),
-                       repeat((str, NoneType)))):
-            raise InvalidInput("labels must be strings or None")
-        labels = labels.__getitem__
-    return TruncatedSSet(dim_cap, counts, tuple(fc), tuple(dg), keys, labels)
+    return TruncatedSSet(dim_cap, counts, fc, dg, keys, labels)
 
 
 class SimplicialMap:
@@ -662,8 +604,7 @@ class SimplicialMap:
         return len(self.assign) - 1
 
     def __call__(self, x: SimplexId) -> SimplexId:
-        n, t = x.dim, self.target
-        return (t._ids[n] or t.ids[n])[self.assign[n][x.index]]
+        return self.target.ids[x.dim][self.assign[x.dim][x.index]]
 
     def then(self, other: "SimplicialMap") -> "SimplicialMap":
         """Composite ``other after self`` (validated inputs stay valid).

@@ -26,8 +26,9 @@ Reading a complex builds one table of id strings per call, checks the
 degeneracy tables, the thin list and the label keys) by one lookup in a
 dict made from it.  So every id must be spelled exactly as in
 ``simplices``, in the dimension its place requires; ``"1:03"`` or
-``" 1:3"`` is no id.  Each table becomes columns, validated once by
-:func:`core._build_sset_columns`.
+``" 1:3"`` is no id.  Each table is checked once, here, and becomes
+columns, which ``core._sset`` trusts: it checks only the simplicial
+identities.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from operator import is_not, sub
 from typing import Any, Iterable, Iterator
 
 from . import __version__
-from .core import SimplexId, _build_sset_columns
+from .core import SimplexId, _sset
 from .errors import DanglingReference, InvalidInput, ThinVertex
 from .homotopy import AuditReport, MonoidTable, Tau0Result
 from .lifting import VerificationReport
@@ -316,9 +317,9 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
             key = next(k for k in label_map if k not in lookup)
             raise InvalidInput(
                 f"label key {key!r} is not a simplex of the complex")
-        labels = [list(map(label_map.get, per_n)) for per_n in ids]
-    u = _build_sset_columns(cap, counts, [[]] + faces, degeneracies + [[]],
-                            labels=labels)
+        labels = [tuple(map(label_map.get, per_n))
+                  for per_n in ids].__getitem__
+    u = _sset(cap, counts, [()] + faces, degeneracies + [()], None, labels)
     thin = _thin_given(doc.get("thin", []), lookup, starts)
     if thin[0]:  # every thin id is a simplex, so only a vertex is refused
         raise ThinVertex(f"vertex {u.id_at(0, thin[0][0])!r} cannot be thin")

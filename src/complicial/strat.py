@@ -17,9 +17,9 @@ from .core import (
     SimplexId,
     SimplicialMap,
     TruncatedSSet,
-    _build_sset_columns,
     _gather,
     _map_fault,
+    _sset,
 )
 from .errors import InvalidInput, ThinVertex
 
@@ -105,22 +105,19 @@ _dim, _index = attrgetter("dim"), attrgetter("index")
 
 
 def _stratify(x: TruncatedSSet, given: Sequence[Sequence[int]]
-              ) -> StratifiedSSet | None:
-    """``x`` with the n-simplices ``given[n]`` thin, for n = 0..cap, and
-    every degenerate simplex; None if a given index is a vertex or is out
-    of range.  Every stratification is made here."""
-    if given[0]:
-        return None
-    per_dim: list[frozenset[int]] = [frozenset()]
-    for n in range(1, x.dim_cap + 1):
-        g = given[n]
-        if g and not 0 <= min(g) <= max(g) < x.counts[n]:
-            return None
-        # the n-simplices with a degeneracy witness: every s_j of every
-        # (n-1)-simplex
-        per_dim.append(frozenset(
-            chain(g, chain.from_iterable(x.degeneracy_columns[n - 1]))))
-    return StratifiedSSet(x, tuple(per_dim))
+              ) -> StratifiedSSet:
+    """``x`` with the n-simplices ``given[n]`` thin, for n = 1..cap, and
+    every degenerate simplex.  Every stratification is made here, from
+    indexes it trusts: in range, and none of them a vertex's
+    (``given[0]`` is not read).  :func:`make_stratified` checks the thin
+    simplices an API caller gives, and ``documents.doc_to_complex`` the
+    thin ids of a document."""
+    # the n-simplices with a degeneracy witness: every s_j of every
+    # (n-1)-simplex
+    return StratifiedSSet(x, (frozenset(),) + tuple(
+        frozenset(chain(given[n], chain.from_iterable(
+            x.degeneracy_columns[n - 1])))
+        for n in range(1, x.dim_cap + 1)))
 
 
 def make_stratified(x: TruncatedSSet, thin: Iterable[SimplexId]) -> StratifiedSSet:
@@ -131,13 +128,14 @@ def make_stratified(x: TruncatedSSet, thin: Iterable[SimplexId]) -> StratifiedSS
     """
     thin = list(thin)
     dims, indexes = list(map(_dim, thin)), list(map(_index, thin))
-    got = None
-    if not dims or 0 <= min(dims) <= max(dims) <= x.dim_cap:
-        got = _stratify(x, [list(compress(indexes, map(eq, dims, repeat(n))))
-                            for n in range(x.dim_cap + 1)])
-    if got is None:
+    given = None
+    if not dims or 1 <= min(dims) <= max(dims) <= x.dim_cap:
+        given = [list(compress(indexes, map(eq, dims, repeat(n))))
+                 for n in range(x.dim_cap + 1)]
+    if given is None or not all(0 <= min(g) <= max(g) < count for g, count
+                                in zip(given, x.counts) if g):
         _reject_thin(x, thin)
-    return got
+    return _stratify(x, given)
 
 
 def _reject_thin(x: TruncatedSSet, thin: list[SimplexId]) -> None:
@@ -274,7 +272,7 @@ def _regular_subset(y: StratifiedSSet, indexes: Sequence[Iterable[int]]
     ambient = u.keys
     keys = None if ambient is None else (  # the ambient's keys at the members
         lambda n: tuple(map(ambient[n].__getitem__, at[n])))
-    sub_u = _build_sset_columns(cap, counts, faces, degens, keys=keys)
+    sub_u = _sset(cap, counts, faces, degens, keys, None)
     y_thin = y.thin_indexes()
     sub = _stratify(sub_u, [[i for i, v in enumerate(at[n]) if v in y_thin[n]]
                             for n in range(cap + 1)])
@@ -323,9 +321,8 @@ def gproduct(x: StratifiedSSet, y: StratifiedSSet) -> StratifiedSSet:
         return tuple(starmap(add, product(
             map("({!r}, ".format, xk), map("{!r})".format, yk))))
 
-    prod_u = _build_sset_columns(
-        cap, counts, faces, degens, labels=pair_labels,
-        keys=lambda n: tuple(product(*factor_keys(n))))
+    prod_u = _sset(cap, counts, faces, degens,
+                   lambda n: tuple(product(*factor_keys(n))), pair_labels)
     x_thin, y_thin = x.thin_indexes(), y.thin_indexes()
     return _stratify(prod_u, [
         pairs(x_thin[n], y_thin[n], yu.counts[n]) for n in range(cap + 1)])

@@ -336,6 +336,8 @@ def two_objects(**changes):
     ("--category", {k: v for k, v in two_objects().items()
                     if k != "objects"},
      'malformed algebra input: category file has no "objects"'),
+    ("--monoid", {"elements": ["e"], "unit": "e", "table": 5},
+     "malformed algebra input: table must be a list"),
 ])
 def test_algebra_inputs_are_read_as_the_types_they_claim(
         capsys, tmp_path, flag, algebra, message):
@@ -455,6 +457,37 @@ def test_nonsense_flag_values_exit_1(capsys, tmp_path, delta1_doc, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "must be at least" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "delta", "1", "--cap", "1_0"],
+     "argument --cap: invalid integer '1_0'"),
+    (["build", "delta", "1", "--cap", "+1"],
+     "argument --cap: invalid integer '+1'"),
+    (["build", "delta", "\u0661"], "delta parameters must be integers"),
+    (["build", "comp-delta", "1", " 2"],
+     "comp-delta parameters must be integers"),
+    (["tau", "X", "--n", "1", "--vertex", " 0"], "no vertex labeled ' 0'"),
+    (["tau", "X", "--n", "1", "--vertex", "0_0"], "no vertex labeled '0_0'"),
+    (["tau", "X", "--n", " 1"], "argument --n: invalid integer ' 1'"),
+    (["verify", "X", "--limit", "1_0"],
+     "argument --limit: invalid integer '1_0'"),
+    (["verify", "X", "--max-dim", "0_2"],
+     "argument --max-dim: invalid integer '0_2'"),
+    pytest.param(["verify", "X", "--max-dim", "9" * 5000],
+                 f"argument --max-dim: invalid integer '{'9' * 5000}'",
+                 id="more-digits-than-int-reads"),
+])
+def test_integers_are_ascii_digits_with_an_optional_minus(
+        capsys, tmp_path, delta1_doc, argv, message):
+    # int() alone reads underscores, spaces and other scripts' digits
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps(delta1_doc))
+    argv = [str(path) if a == "X" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import errors
-from complicial.core import _build_sset_columns
+from complicial.core import _sset
 from complicial.standard import monotone_maps
 from complicial.strat import make_stratified_maps
 
@@ -458,10 +458,6 @@ def test_build_sset_rejects_labels_that_are_not_strings(label):
     with pytest.raises(errors.InvalidInput,
                        match="labels must be strings or None"):
         C.build_sset(cap, counts, faces, degens, labels=[[label], [None]])
-    with pytest.raises(errors.InvalidInput,
-                       match="labels must be strings or None"):
-        _build_sset_columns(cap, counts, [[], [[0], [0]]], [[[0]], []],
-                            labels=[["a"], [label]])
 
 
 @pytest.mark.parametrize("counts, faces, degens, message", [
@@ -516,7 +512,7 @@ def test_then_refuses_a_composite_through_a_smaller_cap():
     assert down.then(C.identity_map(low.underlying)) == down
 
 
-# -- one validator, two entries -------------------------------------------------
+# -- rows checked at entry, columns trusted by the core --------------------------
 
 TWO_ENTRY_CORPUS = {
     "nerve_z3_3": lambda: C.nerve(C.cyclic_group(3), 3),
@@ -526,50 +522,85 @@ TWO_ENTRY_CORPUS = {
 }
 
 
-def spelled_columns(rows, n):
-    """The columns whose rows are ``rows``: column j holds the j-th entry
-    of every row that long.  Exact for a rectangular table, for a first
-    row that is too long and for a last row that is too short."""
-    width = max([n + 1, *map(len, rows)])
-    return [[row[j] for row in rows if len(row) > j] for j in range(width)]
-
-
 @st.composite
 def one_corruption(draw):
+    """The tables of a complex with one fault, and the fault: its kind,
+    the table's name, dimension and target dimension, the row and the
+    entry it put there (None when it took one away)."""
     u = TWO_ENTRY_CORPUS[draw(st.sampled_from(sorted(TWO_ENTRY_CORPUS)))]()
     faces = [list(map(list, per_dim)) for per_dim in u.faces]
     degens = [list(map(list, per_dim)) for per_dim in u.degeneracies]
     if draw(st.booleans()):
-        table, n = faces, draw(st.integers(1, u.dim_cap))
+        table, n, what = faces, draw(st.integers(1, u.dim_cap)), "face"
         target = n - 1
     else:
         table, n = degens, draw(st.integers(0, u.dim_cap - 1))
-        target = n + 1
+        what, target = "degeneracy", n + 1
     kind = draw(st.sampled_from(["range", "identity", "long", "short"]))
     if kind == "long":
-        table[n][0].append(draw(st.integers(0, u.counts[target] - 1)))
+        i, entry = 0, draw(st.integers(0, u.counts[target] - 1))
+        table[n][i].append(entry)
     elif kind == "short":
-        table[n][-1].pop()
+        i, entry = u.counts[n] - 1, None
+        table[n][i].pop()
     else:
-        row = table[n][draw(st.integers(0, u.counts[n] - 1))]
+        i = draw(st.integers(0, u.counts[n] - 1))
         values = st.integers(0, u.counts[target] - 1) if kind == "identity" \
             else st.integers(-3, -1) | st.integers(u.counts[target],
                                                    u.counts[target] + 3)
-        row[draw(st.integers(0, n))] = draw(values)
-    return u.dim_cap, u.counts, faces, degens
+        entry = draw(values)
+        table[n][i][draw(st.integers(0, n))] = entry
+    return (u.dim_cap, u.counts, faces, degens), (kind, what, n, target, i,
+                                                  entry)
 
 
 @settings(max_examples=150, deadline=None)
 @given(one_corruption())
-def test_rows_and_columns_are_validated_alike(tables):
+def test_rows_and_columns_are_validated_alike(corrupted):
+    tables, (kind, what, n, target, i, entry) = corrupted
     cap, counts, faces, degens = tables
     by_rows = check_outcome(C.build_sset, *tables)
-    columns = ([[]] + [spelled_columns(faces[n], n) for n in range(1, cap + 1)],
-               [spelled_columns(degens[n], n) for n in range(cap)] + [[]])
-    assert check_outcome(_build_sset_columns, cap, counts, *columns) == by_rows
-    if by_rows is None:
-        assert C.build_sset(*tables) == _build_sset_columns(cap, counts,
-                                                            *columns)
+    if kind == "range":
+        assert by_rows == (errors.DanglingReference, f"{what} entry {n}:{i} "
+                           f"-> {target}:{entry} does not exist")
+    elif kind in ("long", "short"):
+        assert by_rows == (errors.InvalidInput,
+                           f"{what} row {n}:{i} must have {n + 1} entries")
+    else:
+        # the core, given the columns of the rows, names the same identity
+        columns = ([()] + [tuple(zip(*faces[n])) for n in range(1, cap + 1)],
+                   [tuple(zip(*degens[n])) for n in range(cap)] + [()])
+        args = (cap, counts, *columns, None, None)
+        assert by_rows is None or by_rows[0] is errors.IdentityViolation
+        assert check_outcome(_sset, *args) == by_rows
+        if by_rows is None:
+            assert C.build_sset(*tables) == _sset(*args)
+
+
+def test_only_build_sset_checks_the_shapes_of_tables(monkeypatch, tmp_path,
+                                                     capsys):
+    # constructors' columns are right by construction, and a document's
+    # tables are checked as they are read: neither is checked again
+    from complicial import cli, core, documents
+
+    calls = []
+    checked_columns = core._checked_columns
+
+    def spy(*args):
+        calls.append(args[1])
+        return checked_columns(*args)
+
+    monkeypatch.setattr(core, "_checked_columns", spy)
+    k = C.th0(C.nerve(C.cyclic_group(3), 3))
+    square = C.gproduct(k, C.delta(1, 3))
+    C.regular_subset(square, [square.underlying.id_at(2, 5)])
+    path = tmp_path / "square.json"
+    path.write_text(documents.complex_text(square))
+    assert cli.main(["build", "th0", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    C.build_sset(*one_point_tables(2))
+    assert calls == [1, 2, 0, 1]
 
 
 def test_per_dimension_tables_compare_by_their_entries():
