@@ -219,8 +219,7 @@ class TruncatedSSet:
         return None if self._labels is None else self._labels[n]
 
     def simplices(self, n: int) -> tuple[SimplexId, ...]:
-        if not 0 <= n <= self.dim_cap:
-            raise IndexOutOfRange(f"dimension {n} outside 0..{self.dim_cap}")
+        _require_dim(n, self.dim_cap)
         return self.ids[n]
 
     def all_simplices(self) -> Iterator[SimplexId]:
@@ -228,12 +227,26 @@ class TruncatedSSet:
             yield from per_dim
 
     def id_at(self, dim: int, index: int) -> SimplexId:
+        """The id of the index-th dim-simplex; :class:`IndexOutOfRange`
+        outside the cap or the dimension's count."""
+        _require_dim(dim, self.dim_cap)
+        if not 0 <= index < self.counts[dim]:
+            raise IndexOutOfRange(
+                f"index {index} outside 0..{self.counts[dim] - 1} at "
+                f"dimension {dim}")
         return self.ids[dim][index]
 
     def id_for_key(self, dim: int, key: Hashable) -> SimplexId:
+        """The id of the dim-simplex keyed ``key``; :class:`InvalidInput`
+        when no simplex of the dimension has that key."""
         if self._key_index is None:
             raise InvalidInput("complex carries no simplex keys")
-        return self.id_at(dim, self._key_index[dim][key])
+        _require_dim(dim, self.dim_cap)
+        try:
+            return self.ids[dim][self._key_index[dim][key]]
+        except (KeyError, TypeError):
+            raise InvalidInput(
+                f"no {dim}-simplex has the key {key!r}") from None
 
     def key_of(self, x: SimplexId) -> Hashable:
         if self.keys is None:
@@ -364,6 +377,11 @@ class TruncatedSSet:
                     self.degeneracy_columns[d][t].__getitem__, column))
                 d += 1
         return column
+
+
+def _require_dim(n: int, cap: int) -> None:
+    if not 0 <= n <= cap:
+        raise IndexOutOfRange(f"dimension {n} outside 0..{cap}")
 
 
 def require_simplex(x: TruncatedSSet, s: SimplexId, dim: int | None = None
@@ -604,6 +622,11 @@ class SimplicialMap:
         return len(self.assign) - 1
 
     def __call__(self, x: SimplexId) -> SimplexId:
+        """The image of ``x``; :class:`IndexOutOfRange` unless ``x`` is a
+        simplex of the source up to the map's depth."""
+        _require_dim(x.dim, self.depth)
+        if not 0 <= x.index < self.source.counts[x.dim]:
+            raise IndexOutOfRange(f"{x!r} is not a simplex of the source")
         return self.target.ids[x.dim][self.assign[x.dim][x.index]]
 
     def then(self, other: "SimplicialMap") -> "SimplicialMap":

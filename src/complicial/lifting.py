@@ -328,6 +328,19 @@ def _wholly_thin(x: StratifiedSSet, m: int) -> bool:
     return len(x.thin_indexes()[m]) == x.underlying.counts[m]
 
 
+def _landing_thin(x: StratifiedSSet, n: int, keys: Iterable[Sequence[int]]
+                  ) -> Sequence[int]:
+    """The n-simplices of X, ascending, that each monotone map of ``keys``
+    sends thin: one ``act`` pass per key but of wholly thin dimensions."""
+    column: Sequence[int] = range(x.underlying.counts[n])
+    for key in keys:
+        if not _wholly_thin(x, len(key) - 1):
+            thin_m = x.thin_indexes()[len(key) - 1]
+            column = [w for w, v in zip(column, x.underlying.act(
+                n, key, column)) if v in thin_m]
+    return column
+
+
 def _horn_thin_words(
     x: StratifiedSSet, k: int, n: int
 ) -> Iterator[tuple[int, Sequence[int], frozenset[int]]]:
@@ -538,19 +551,13 @@ def _coskeletal_row(k: int, n: int, x: StratifiedSSet
     completes a boundary of the n-simplex, which one n-simplex has.  So
     the horns are the n-simplices, each its face row with the k-th entry
     left out.  A horn is stratified when the images of its thin simplices
-    are thin; the n-simplices are cut a whole column per thin simplex
-    (:func:`_horn_thin_words`, read through the face it lies in), and the
-    ones left that are not thin are the unfilled horns, sorted into the
-    join's lexicographic order.  On a ``th0`` no column pass runs.
+    are thin (:func:`_landing_thin`), and those left that are not thin
+    are the unfilled horns, in the join's lexicographic order.
     """
-    xu = x.underlying
-    faces = xu.face_columns[n]
+    faces = x.underlying.face_columns[n]
     js = [j for j in range(n + 1) if j != k]
-    column: Sequence[int] = range(xu.counts[n])
-    for p, word, thin_m in _horn_thin_words(x, k, n):
-        images = xu.act(n - 1, word, list(map(faces[js[p]].__getitem__,
-                                               column)))
-        column = [w for w, v in zip(column, images) if v in thin_m]
+    column = _landing_thin(x, n, [key for key in _horn_generators(k, n)
+                                  if complicial_thin_key(k, n, key)])
     if _wholly_thin(x, n):
         return len(column), []
     thin = x.thin_indexes()[n]
@@ -666,26 +673,17 @@ def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
     A map from the primed complex is an n-simplex of X whose images of the
     primed thin simplices are all thin; lifting along the identity-on-
     underlying inclusion asks exactly that the k-th face also lands thin.
-    The n-simplices are filtered a whole column per thin key, and their
-    k-th faces are one more column.  A key of a wholly thin dimension of
-    X filters nothing and is skipped (:func:`_wholly_thin`), as is the
-    k-th-face pass when dimension n - 1 is wholly thin, so on a ``th0``
-    the row is decided without a pass.  Simplex ids are made only for a
-    row with failures.
+    The n-simplices are filtered by :func:`_landing_thin`, and their k-th
+    faces, unless wholly thin, are one more column.  Simplex ids are made
+    only for a row with failures.
     """
     xu = x.underlying
-    thin = x.thin_indexes()
-    column: Sequence[int] = range(xu.counts[n])
-    for key in _delta_prime_thin_keys(k, n):
-        if not _wholly_thin(x, len(key) - 1):
-            thin_m = thin[len(key) - 1]
-            column = [w for w, v in zip(column, xu.act(n, key, column))
-                      if v in thin_m]
+    column = _landing_thin(x, n, _delta_prime_thin_keys(k, n))
     failed: list[int] = []
     if not _wholly_thin(x, n - 1):
         kth = [v for v in range(n + 1) if v != k]
         failed = [w for w, v in zip(column, xu.act(n, kth, column))
-                  if v not in thin[n - 1]]
+                  if v not in x.thin_indexes()[n - 1]]
     ids = xu.ids[n] if failed else ()
     failures = tuple(
         FailedInstance(2, k, n, {"simplex": ids[w], "missing_thin_face": k})

@@ -2,6 +2,9 @@ import pytest
 from hypothesis import strategies as st
 
 import complicial as C
+from complicial import errors
+
+from . import reference
 
 
 @pytest.fixture(scope="session")
@@ -92,6 +95,52 @@ def renumbered(u, data):
     return C.build_sset(u.dim_cap, u.counts, faces, degeneracies)
 
 
+def random_thin(u, data):
+    """``u`` stratified by a drawn marking: per positive dimension, every
+    simplex thin or each nondegenerate one drawn on its own."""
+    thin = []
+    for n in range(1, u.dim_cap + 1):
+        cells = u.nondegenerate(n)
+        if data.draw(st.booleans()):
+            thin += cells
+        else:
+            marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
+                                       max_size=len(cells)))
+            thin += [s for s, m in zip(cells, marks) if m]
+    return C.make_stratified(u, thin)
+
+
+def preorder_category(below):
+    """The category of a preorder on 0..n-1; ``below`` lists the pairs
+    a <= b, closed under reflexivity and transitivity here."""
+    objects = sorted({a for pair in below for a in pair})
+    le = {(a, a) for a in objects} | set(below)
+    while True:
+        more = {(a, d) for a, b in le for c, d in le if b == c} - le
+        if not more:
+            break
+        le |= more
+    arrows = sorted(le)
+    index = {f: i for i, f in enumerate(arrows)}
+    return C.make_category(
+        [str(a) for a in objects], [f"{a}{b}" for a, b in arrows],
+        [objects.index(a) for a, _ in arrows],
+        [objects.index(b) for _, b in arrows],
+        [index[(a, a)] for a in objects],
+        {(index[(a, b)], index[(b, d)]): index[(a, d)]
+         for a, b in arrows for c, d in arrows if b == c},
+    )
+
+
+def with_twins(u, tops):
+    """``u`` with one more top simplex for each of ``tops``, on its face
+    row, so that faces no longer determine simplices."""
+    n, rows = u.dim_cap, u.faces[u.dim_cap]
+    counts = u.counts[:n] + (u.counts[n] + len(tops),)
+    faces = list(u.faces[:n]) + [rows + tuple(rows[r] for r in tops)]
+    return C.build_sset(n, counts, faces, u.degeneracies)
+
+
 def transformation_table(data, unit=False):
     """The table of a drawn semigroup of maps of a small set, with the
     identity map when ``unit``, its elements in a drawn order: "f then g"
@@ -113,23 +162,44 @@ def transformation_table(data, unit=False):
             for f in elements]
 
 
-def recursive_apply_monotone(u, y, values):
-    """``u.apply_monotone(y, values)`` written out on ``SimplexId``s: a face
-    walk for the missed vertices, then the repeats peeled one elementary
-    degeneracy at a time, recursively.  A reference independent of
-    ``TruncatedSSet.act``; ``values`` is assumed valid."""
-    image = set(values)
-    for j in range(y.dim, -1, -1):
-        if j not in image:
-            y = u.face(y, j)
-    ranks = sorted(image)
+def report_rows(report):
+    """The rows of a ``verify`` report as ``reference.verify_rows`` has
+    them."""
+    return [(r.family, r.k, r.n, r.instances, [f.detail for f in r.failures])
+            for r in report.rows]
 
-    def expand(z, word):
-        # the word factors through the collapse of positions t, t+1, so
-        # that s_t is applied last
-        for t in range(len(word) - 1):
-            if word[t] == word[t + 1]:
-                return u.degeneracy(expand(z, word[:t + 1] + word[t + 2:]), t)
-        return z
 
-    return expand(y, [ranks.index(v) for v in values])
+def check_tau(x, base, n):
+    """``sphere_relation``, ``tau_table`` and ``audit_well_defined``
+    against the reference's tau_n, field by field; a table entry must be
+    one of the classes the fillers of its representatives give, and an
+    audit cell is consistent when all give it.  Returns the table, or None
+    where both raise ``NoFiller``."""
+    ref = reference.tau(x, base.index, n)
+    elements, related, witnesses = C.sphere_relation(x, base, n)
+    assert [e.index for e in elements] == ref.elements
+    assert related == ref.related
+    assert {(p.index, q.index): tuple(t.index for t in w)
+            for (p, q), w in witnesses.items()} == ref.witnesses
+    if not all(map(all, ref.products)):
+        with pytest.raises(errors.NoFiller):
+            C.tau_table(x, base, n)
+        return None
+    table = C.tau_table(x, base, n)
+    assert (table.relation_reflexive, table.relation_symmetric,
+            table.relation_transitive) == ref.flags
+    assert [[e.index for e in c] for c in table.classes] == \
+        [[ref.elements[p] for p in c] for c in ref.classes]
+    assert table.unit == ref.unit
+    size = range(len(ref.classes))
+    assert all(table.table[i][j] in ref.products[i][j]
+               for i in size for j in size)
+    assert [[w.index for w in row] for row in table.fillers] == ref.first
+    assert table.is_group == reference.is_group(table.table, table.unit)
+    if any(cell is None for row in ref.cells for cell in row):
+        with pytest.raises(errors.NoFiller):
+            C.audit_well_defined(x, base, table)
+        return table
+    assert [c.consistent for c in C.audit_well_defined(x, base, table).cells] \
+        == [ref.cells[i][j] == {table.table[i][j]} for i in size for j in size]
+    return table

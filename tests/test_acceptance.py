@@ -9,14 +9,13 @@ import json
 import time
 from contextlib import contextmanager
 
-import pytest
-
 import complicial as C
 from complicial import documents as D
 from complicial.cli import main
 
 from .conftest import vertex
-from .test_standard import BUILDERS, constructed_thin, oracle_thin
+from . import reference
+from .test_standard import BUILDERS, constructed_thin
 
 
 @contextmanager
@@ -37,7 +36,8 @@ def test_c01_standard_complex_thin_oracle():
                     if name in ("horn", "horn-prime") and n == 0:
                         continue
                     x = build(k, n, n)
-                    assert constructed_thin(x) == oracle_thin(name, k, n, n), \
+                    assert constructed_thin(x) == \
+                        reference.standard_thin(name, k, n, n), \
                         f"{name} at (k, n) = ({k}, {n})"
 
 

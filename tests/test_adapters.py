@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import adapters, documents as D, errors
-from complicial.adapters import _pi_homotopic, _prism_unknowns
+from complicial.adapters import _pi_homotopic
 from complicial.lifting import _horn_rows
 
-from .conftest import renumbered, transformation_table, vertex
+from . import reference
+from .conftest import (
+    preorder_category, renumbered, transformation_table, vertex,
+)
 
 
 # -- categories ------------------------------------------------------------------
@@ -46,16 +49,12 @@ def test_random_tables_accepted_iff_lawful(flat):
     table = [[str(flat[0]), str(flat[1])], [str(flat[2]), str(flat[3])]]
     m = [[flat[0], flat[1]], [flat[2], flat[3]]]
     unital = all(m[0][j] == j and m[j][0] == j for j in range(2))
-    associative = all(
-        m[m[a][b]][c] == m[a][m[b][c]]
-        for a in range(2) for b in range(2) for c in range(2)
-    )
     try:
         C.monoid_category(["0", "1"], "0", table)
         accepted = True
     except errors.InvalidInput:
         accepted = False
-    assert accepted == (unital and associative)
+    assert accepted == (unital and reference.associative(m))
 
 
 def triple_scan_error(morphisms, src, tgt, comp):
@@ -197,52 +196,10 @@ def test_nerve_nondegenerate_boolean_pairs(nerve_bool_3):
     assert nd == [(0, 0)]
 
 
-def reference_nerve(c, cap):
-    """Chains, face rows, degeneracy rows and labels of the nerve, built a
-    chain at a time by dropping, composing and inserting morphisms."""
-    nm = len(c.morphisms)
-    chains = [[(o,) for o in range(len(c.objects))]]
-    if cap >= 1:
-        chains.append([(m,) for m in range(nm)])
-    for n in range(2, cap + 1):
-        chains.append([ch + (m,) for ch in chains[n - 1] for m in range(nm)
-                       if c.src[m] == c.tgt[ch[-1]]])
-    index = [{ch: i for i, ch in enumerate(chains[n])}
-             for n in range(cap + 1)]
-
-    def face_chain(n, ch, i):
-        if n == 1:
-            return (c.tgt[ch[0]],) if i == 0 else (c.src[ch[0]],)
-        if i == 0:
-            return ch[1:]
-        if i == n:
-            return ch[:-1]
-        return ch[:i - 1] + (c.comp[(ch[i - 1], ch[i])],) + ch[i + 1:]
-
-    def degen_chain(n, ch, i):
-        if n == 0:
-            return (c.identities[ch[0]],)
-        at = c.src[ch[i]] if i < n else c.tgt[ch[-1]]
-        return ch[:i] + (c.identities[at],) + ch[i:]
-
-    faces = [()] + [
-        tuple(tuple(index[n - 1][face_chain(n, ch, i)] for i in range(n + 1))
-              for ch in chains[n])
-        for n in range(1, cap + 1)]
-    degens = [
-        tuple(tuple(index[n + 1][degen_chain(n, ch, i)] for i in range(n + 1))
-              for ch in chains[n])
-        for n in range(cap)] + [()]
-    labels = [tuple(c.objects[ch[0]] if n == 0
-                    else "|".join(c.morphisms[m] for m in ch)
-                    for ch in chains[n])
-              for n in range(cap + 1)]
-    return chains, faces, degens, labels
-
-
 def test_nerve_makes_keys_and_labels_on_first_use():
     c = C.symmetric_group_3()
-    chains, _, _, labels = reference_nerve(c, 3)
+    ref = reference.nerve(c, 3)
+    chains = ref.keys
     u = C.nerve(c, 3)
 
     def made():
@@ -255,31 +212,17 @@ def test_nerve_makes_keys_and_labels_on_first_use():
     assert made() == [2, 3]
     assert u.keys[1] == tuple(chains[1]) and u.keys[0] == tuple(chains[0])
     assert made() == [0, 1, 2, 3]
-    assert [u.label_column(n) for n in range(4)] == labels
-
-
-def poset_category(k):
-    """The poset 0 < 1 < ... < k as a category."""
-    arrows = [(i, j) for i in range(k + 1) for j in range(i, k + 1)]
-    at = {a: m for m, a in enumerate(arrows)}
-    return C.make_category(
-        [str(i) for i in range(k + 1)], [f"{i}{j}" for i, j in arrows],
-        [i for i, _ in arrows], [j for _, j in arrows],
-        [at[(i, i)] for i in range(k + 1)],
-        {(at[(i, j)], at[(j, l)]): at[(i, l)]
-         for i, j in arrows for l in range(j, k + 1)})
+    assert [u.label_column(n) for n in range(4)] == \
+        [ref.label_column(n) for n in range(4)]
 
 
 def assert_nerve_matches_reference(c, cap):
-    chains, faces, degens, labels = reference_nerve(c, cap)
-    u = C.nerve(c, cap)
-    assert u.counts == tuple(map(len, chains))
-    assert u.keys == tuple(map(tuple, chains))
-    assert tuple(u.faces) == tuple(faces)
-    assert tuple(u.degeneracies) == tuple(degens)
-    assert [u.label_column(n) for n in range(cap + 1)] == labels
+    u, ref = C.nerve(c, cap), reference.nerve(c, cap)
+    assert u == ref and u.keys == ref.keys
+    assert [u.label_column(n) for n in range(cap + 1)] == \
+        [ref.label_column(n) for n in range(cap + 1)]
     assert [s.label for s in u.all_simplices()] == \
-        [t for per_dim in labels for t in per_dim]
+        [s.label for s in ref.all_simplices()]
 
 
 @settings(max_examples=25, deadline=None)
@@ -292,8 +235,9 @@ def test_column_nerve_matches_chain_construction(generators, cap):
 
 
 @pytest.mark.parametrize("category", [
-    C.arrow_category(), poset_category(2), C.boolean_monoid(),
-    C.trivial_monoid()], ids=["arrow", "poset2", "bool", "trivial"])
+    C.arrow_category(), preorder_category([(0, 1), (1, 2)]),
+    C.boolean_monoid(), C.trivial_monoid()],
+    ids=["arrow", "poset2", "bool", "trivial"])
 @pytest.mark.parametrize("cap", range(6))
 def test_column_nerve_matches_chain_construction_on_categories(category, cap):
     assert_nerve_matches_reference(category, cap)
@@ -534,45 +478,6 @@ def test_pi_oracle_payload_is_pinned(s3):
         "e9bde23fd50f21596db71eb3eaa4b755e97a9ad96e18b0a7ee3b75d8abe55d4d"
 
 
-def scan_pi_homotopic(k, base, n, alpha, beta):
-    """The prism search drawing each cell's candidates from all of X_m."""
-    full = set(range(n + 1))
-    assigned = {}
-
-    def val(a, b):
-        if all(t == 0 for t in b):
-            return k.apply_monotone(alpha, a)
-        if all(t == 1 for t in b):
-            return k.apply_monotone(beta, a)
-        if set(a) != full:
-            return k.const(base, len(a) - 1)
-        if (a, b) in assigned:
-            return assigned[(a, b)]
-        t = next(t for t in range(len(a) - 1)
-                 if a[t] == a[t + 1] and b[t] == b[t + 1])
-        face = val(a[:t + 1] + a[t + 2:], b[:t + 1] + b[t + 2:])
-        return k.degeneracy(face, t)
-
-    unknowns = _prism_unknowns(n)
-
-    def search(pos):
-        if pos == len(unknowns):
-            return True
-        a, b = unknowns[pos]
-        m = len(a) - 1
-        want = [val(a[:i] + a[i + 1:], b[:i] + b[i + 1:])
-                for i in range(m + 1)]
-        for w in k.simplices(m):
-            if [k.face(w, i) for i in range(m + 1)] == want:
-                assigned[(a, b)] = w
-                if search(pos + 1):
-                    return True
-                del assigned[(a, b)]
-        return False
-
-    return search(0)
-
-
 @pytest.mark.parametrize("fixture, n", [
     ("nerve_z3_3", 1), ("nerve_z2_4", 2), ("nerve_z2_4", 3),
     ("nerve_s3_3", 1), ("nerve_bool_3", 1), ("nerve_bool_3", 2),
@@ -585,8 +490,10 @@ def test_indexed_prism_search_matches_full_scan(request, fixture, n):
     simplices = k.simplices(n)
     got = [[_pi_homotopic(k, base, n, p, q, {}) for q in simplices]
            for p in simplices]
-    assert got == [[scan_pi_homotopic(k, base, n, p, q) for q in simplices]
-                   for p in simplices]
+    # every map into the maximal stratification is stratified
+    x = C.max_strat(k)
+    assert got == [[bool(reference.homotopies(x, 0, n, p.index, q.index))
+                    for q in simplices] for p in simplices]
     assert any(map(any, got)) and not all(map(all, got))
     # end values memoized across all pairs, as pi_oracle shares them
     ends = {}
@@ -608,45 +515,26 @@ def test_pi_oracle_computes_end_values_once(monkeypatch, s3):
     assert calls and len(calls) == len(set(calls))
 
 
-def brute_horn_tuples(k, hk, n):
-    """Every tuple of (n-1)-simplices on faces j != hk with matching faces."""
-    js = [j for j in range(n + 1) if j != hk]
-    out = []
-    for tup in itertools.product(k.simplices(n - 1), repeat=len(js)):
-        faces = dict(zip(js, tup))
-        if n == 1 or all(
-            k.face(faces[j], i) == k.face(faces[i], j - 1)
-            for j in js for i in js if i < j
-        ):
-            out.append(faces)
-    return out
-
-
 def test_simplicial_horn_tuples_match_brute_force(nerve_z3_3):
     for n in range(1, 4):
         for hk in range(n + 1):
             js = [j for j in range(n + 1) if j != hk]
-            got = [
-                {j: nerve_z3_3.ids[n - 1][w] for j, w in zip(js, row)}
-                for row in _horn_rows(nerve_z3_3, js, n, None)
-            ]
-            assert got == brute_horn_tuples(nerve_z3_3, hk, n), (hk, n)
+            assert list(_horn_rows(nerve_z3_3, js, n, None)) == \
+                reference.horn_tuples(nerve_z3_3, hk, n), (hk, n)
 
 
 def check_horn_instances(x):
-    """``horn_instances`` against every compatible face tuple whose horn map
-    ``assemble_horn_map`` accepts, at every (k, n) within the cap."""
+    """``horn_instances`` against the reference's stratified horns at every
+    (k, n) within the cap."""
+    u = x.underlying
     for n in range(1, x.cap + 1):
         for hk in range(n + 1):
-            horn, _ = C.complicial_horn(hk, n, n)
-            want = []
-            for faces in brute_horn_tuples(x.underlying, hk, n):
-                try:
-                    C.assemble_horn_map(horn, faces, x)
-                except (errors.BoundaryMismatch, errors.ThinnessViolation):
-                    continue
-                want.append(faces)
-            assert list(C.horn_instances(hk, n, x)) == want, (hk, n)
+            js = [j for j in range(n + 1) if j != hk]
+            instances = list(C.horn_instances(hk, n, x))
+            assert all(list(faces) == js for faces in instances)
+            assert [tuple(s.index for s in faces.values())
+                    for faces in instances] == \
+                reference.horn_tuples(u, hk, n, x.thin_indexes()), (hk, n)
 
 
 def test_horn_instances_match_brute_force(qcat_bool_3):

@@ -11,7 +11,8 @@ from complicial.core import _sset
 from complicial.standard import monotone_maps
 from complicial.strat import make_stratified_maps
 
-from .conftest import recursive_apply_monotone, renumbered
+from . import reference
+from .conftest import renumbered
 
 
 def one_point_tables(cap):
@@ -165,6 +166,22 @@ def test_nondegenerate_range_checks_dimension(nerve_z3_3):
             nerve_z3_3.nondegenerate(n)
 
 
+def test_indexes_outside_the_complex_are_refused():
+    # a negative index would otherwise read from the end of a dimension
+    u = C.delta(1, 2).underlying
+    f = C.identity_map(u)
+    for call, *args in [
+            (u.id_at, -1, 0), (u.id_at, 0, -1), (u.id_at, 5, 0),
+            (u.id_at, 1, 3), (u.id_for_key, -1, (0, 1, 1)),
+            (u.id_for_key, 3, (0,)), (f, C.SimplexId(-1, 0)),
+            (f, C.SimplexId(0, -1)), (f, C.SimplexId(3, 0))]:
+        with pytest.raises(errors.IndexOutOfRange):
+            call(*args)
+    for key in ((0, 1, 1), [0, 1]):
+        with pytest.raises(errors.InvalidInput, match="has the key"):
+            u.id_for_key(1, key)
+
+
 # -- build_map ----------------------------------------------------------------
 
 def test_identity_assignment_builds_identity():
@@ -251,7 +268,8 @@ def test_apply_monotone_rejects_bad_input():
 @settings(max_examples=6, deadline=None)
 @given(st.data())
 def test_act_matches_recursive_apply_monotone(data):
-    # every monotone map [m] -> [p] within the cap, on a renumbered complex
+    # every monotone map [m] -> [p] within the cap, on a renumbered complex,
+    # against the reference's recursive operator
     u = renumbered(data.draw(st.sampled_from([
         C.nerve(C.cyclic_group(3), 3),
         C.nerve(C.symmetric_group_3(), 3),
@@ -261,11 +279,11 @@ def test_act_matches_recursive_apply_monotone(data):
         simplices = u.simplices(p)
         for m in range(u.dim_cap + 1):
             for values in monotone_maps(m, p):
-                want = [recursive_apply_monotone(u, y, values)
+                want = [reference.operate(u, p, y.index, values)
                         for y in simplices]
-                assert list(u.act(p, values, range(len(simplices)))) == \
-                    [y.index for y in want]
-                assert [u.apply_monotone(y, values) for y in simplices] == want
+                assert list(u.act(p, values, range(len(simplices)))) == want
+                assert [u.apply_monotone(y, values).index
+                        for y in simplices] == want
 
 
 def test_face_indexes_match_tables(nerve_s3_3):

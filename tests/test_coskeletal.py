@@ -4,11 +4,10 @@ Where every m-simplex is the one simplex with its face row, and every
 compatible boundary is some simplex's face row, for m = n - 1 and m = n,
 each horn of the n-simplex has exactly one simplicial filler, and
 ``lifting._check_family1`` reads row (k, n) off the n-simplices instead of
-joining horns.  These tests compare its rows with a join written out here,
-on inputs where the shortcut fires and on inputs where it must not.
+joining horns.  These tests compare its rows with the reference's
+(``tests/reference.py``), on inputs where the shortcut fires and on inputs
+where it must not.
 """
-
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,67 +17,20 @@ from complicial import errors, lifting
 from complicial.lifting import (
     _boundaries_bijective, _check_family1, _horn_rows,
 )
-from complicial.standard import complicial_thin_key, in_horn_key
 
-
-def join_row(x, k, n):
-    """Family-1 row (k, n) by a hash join over every stratified horn: the
-    instance count and the unfilled face tuples, in lexicographic order."""
-    u = x.underlying
-    thin = x.thin_indexes()
-    js = [j for j in range(n + 1) if j != k]
-    allowed = [list(range(u.counts[n - 1])) for _ in js]
-    for m in range(1, n):
-        for key in itertools.combinations(range(n + 1), m + 1):
-            if complicial_thin_key(k, n, key) and in_horn_key(k, n, key):
-                j = min(j for j in js if j not in key)
-                p = js.index(j)
-                images = u.act(n - 1, [v - (v > j) for v in key], allowed[p])
-                allowed[p] = [w for w, v in zip(allowed[p], images)
-                              if v in thin[m]]
-    rows = u.faces[n - 1]
-    tuples = [(w,) for w in allowed[0]]
-    for p in range(1, len(js)):
-        j = js[p]
-        by_key = {}
-        for w in allowed[p]:
-            by_key.setdefault(tuple(rows[w][i] for i in js[:p]), []).append(w)
-        tuples = [t + (w,) for t in tuples
-                  for w in by_key.get(tuple(rows[c][j - 1] for c in t), ())]
-    filled = {row[:k] + row[k + 1:]
-              for w, row in enumerate(u.faces[n]) if w in thin[n]}
-    return len(tuples), [t for t in tuples if t not in filled]
+from . import reference
+from .conftest import renumbered, with_twins
 
 
 def check_rows(x, ns):
-    """``_check_family1`` against :func:`join_row` on every k of each n:
-    instances, failure count and the witnesses in order."""
+    """``_check_family1`` against the reference's row on every k of each
+    n: instances and the witnesses in order."""
     for n in ns:
         for k in range(n + 1):
             row = _check_family1(k, n, x)
-            instances, unfilled = join_row(x, k, n)
-            assert row.instances == instances, (k, n)
-            assert len(row.failures) == len(unfilled), (k, n)
-            got = [tuple(s.index for s in f.detail["faces"].values())
-                   for f in row.failures]
-            assert got == unfilled, (k, n)
-
-
-def shuffled(u, rnd):
-    """``u`` with the simplices of each dimension renumbered at random."""
-    perm = [rnd.sample(range(c), c) for c in u.counts]
-    old = [sorted(range(c), key=perm[n].__getitem__)
-           for n, c in enumerate(u.counts)]
-    faces = [()] + [
-        tuple(tuple(perm[n - 1][v] for v in u.faces[n][i]) for i in old[n])
-        for n in range(1, u.dim_cap + 1)
-    ]
-    degeneracies = [
-        tuple(tuple(perm[n + 1][v] for v in u.degeneracies[n][i])
-              for i in old[n])
-        for n in range(u.dim_cap)
-    ] + [()]
-    return C.build_sset(u.dim_cap, u.counts, faces, degeneracies)
+            assert (row.instances, [
+                tuple(s.index for s in f.detail["faces"].values())
+                for f in row.failures]) == reference.family1(x, k, n), (k, n)
 
 
 def random_stratification(u, rnd):
@@ -98,9 +50,9 @@ def random_stratification(u, rnd):
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from([C.cyclic_group(3), C.boolean_monoid(),
                         C.symmetric_group_3(), C.arrow_category()]),
-       st.randoms(use_true_random=False))
-def test_shortcut_rows_match_the_join_on_nerves_at_cap_4(category, rnd):
-    u = shuffled(C.nerve(category, 4), rnd)
+       st.randoms(use_true_random=False), st.data())
+def test_shortcut_rows_match_the_join_on_nerves_at_cap_4(category, rnd, data):
+    u = renumbered(C.nerve(category, 4), data)
     assert _boundaries_bijective(u, 3) and _boundaries_bijective(u, 4)
     check_rows(random_stratification(u, rnd), [4])
 
@@ -159,15 +111,6 @@ def without_simplex(u, r):
     return C.build_sset(n, counts, faces, degeneracies)
 
 
-def with_twin(u, r):
-    """``u`` at its cap with one more top simplex, whose faces are r's."""
-    n = u.dim_cap
-    faces = [u.faces[m] for m in range(n)] + [u.faces[n] + (u.faces[n][r],)]
-    degeneracies = [u.degeneracies[m] for m in range(n + 1)]
-    counts = u.counts[:n] + (u.counts[n] + 1,)
-    return C.build_sset(n, counts, faces, degeneracies)
-
-
 @pytest.mark.parametrize("category", [C.cyclic_group(3), C.boolean_monoid()],
                          ids=["Z3", "Bool"])
 def test_no_shortcut_at_n_3_of_a_nerve(category):
@@ -184,7 +127,7 @@ def test_no_shortcut_at_n_3_of_a_nerve(category):
 def test_no_shortcut_where_two_simplices_share_faces():
     u = C.nerve(C.cyclic_group(3), 4)
     r = u.nondegenerate(4)[5].index
-    twin = with_twin(u, r)
+    twin = with_twins(u, [r])
     assert _boundaries_bijective(twin, 3) and not _boundaries_bijective(twin, 4)
     for x in (C.th0(twin), C.make_stratified(
             twin, [twin.id_at(4, twin.counts[4] - 1)])):
@@ -216,7 +159,7 @@ def test_no_shortcut_where_a_twin_stands_in_for_a_missing_simplex():
     # the count alone cannot tell, the distinct face rows can
     u = C.nerve(C.cyclic_group(3), 4)
     r, s = (t.index for t in u.nondegenerate(4)[5:7])
-    x = C.th0(with_twin(without_simplex(u, r), s - (s > r)))
+    x = C.th0(with_twins(without_simplex(u, r), [s - (s > r)]))
     assert x.counts[4] == u.counts[4]
     assert not _boundaries_bijective(x.underlying, 4)
     check_rows(x, [4])
@@ -224,27 +167,6 @@ def test_no_shortcut_where_a_twin_stands_in_for_a_missing_simplex():
 
 
 # -- compatible boundaries, by the join on every position --------------------------------
-
-def brute_boundaries(u, m):
-    """Every compatible boundary of the m-simplex in ``u``, listed depth
-    first over all (m-1)-simplices, each checked against every earlier
-    face."""
-    faces = u.faces[m - 1]
-    out = []
-
-    def deeper(chosen):
-        j = len(chosen)
-        if j == m + 1:
-            out.append(tuple(chosen))
-            return
-        for w in range(u.counts[m - 1]):
-            if all(faces[w][i] == faces[c][j - 1]
-                   for i, c in enumerate(chosen)):
-                deeper(chosen + [w])
-
-    deeper([])
-    return out
-
 
 @pytest.mark.parametrize("u", [
     C.delta(2, 3).underlying, C.delta(3, 3).underlying,
@@ -255,7 +177,7 @@ def brute_boundaries(u, m):
         "arrow", "Z3"])
 def test_boundary_join_matches_brute_force(u):
     for m in range(2, u.dim_cap + 1):
-        want = brute_boundaries(u, m)
+        want = reference.face_tuples(u, m, range(m + 1))
         assert list(_horn_rows(u, range(m + 1), m, None)) == want, m
         rows = set(u.faces[m])
         bijective = len(rows) == u.counts[m] and sorted(rows) == want

@@ -1,7 +1,6 @@
 import collections
 import hashlib
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st

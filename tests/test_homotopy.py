@@ -4,16 +4,15 @@ from hypothesis import given, settings, strategies as st
 import complicial as C
 from complicial import errors, homotopy, lifting
 from complicial.homotopy import (
-    AuditCell,
-    AuditReport,
     _Cylinder,
     _partition,
     _witness_summary,
     all_product_fillers,
 )
-from complicial.lifting import _batch_fillers
 
-from .conftest import transformation_table, vertex
+from . import reference
+from .conftest import check_tau, transformation_table, vertex
+from .test_search import cylinder_problem
 
 
 # -- simple and relative homotopy ------------------------------------------------
@@ -172,21 +171,8 @@ def test_partition_matches_matrix_closure(data):
     pairs = data.draw(st.lists(st.tuples(index, index)) if size
                       else st.just([]))
     rel = [[(i, j) in pairs for j in range(size)] for i in range(size)]
-    # the reachability closure of the symmetric relation, by matrix squaring
-    reach = [[i == j or rel[i][j] or rel[j][i] for j in range(size)]
-             for i in range(size)]
-    for _ in range(size):
-        reach = [[any(reach[i][m] and reach[m][j] for m in range(size))
-                  for j in range(size)] for i in range(size)]
-    classes = sorted({tuple(j for j in range(size) if reach[i][j])
-                      for i in range(size)})
-    assert _partition(size, pairs) == (
-        tuple(classes),
-        all(rel[i][i] for i in range(size)),
-        all(rel[i][j] == rel[j][i] for i in range(size) for j in range(size)),
-        all(not (rel[i][j] and rel[j][k]) or rel[i][k]
-            for i in range(size) for j in range(size) for k in range(size)),
-    )
+    classes, flags = reference.closure(rel)
+    assert _partition(size, pairs) == (tuple(classes), *flags)
 
 
 # -- tau0 -------------------------------------------------------------------------
@@ -366,13 +352,6 @@ def test_find_inverses():
 
 # -- associativity by Light's test -------------------------------------------------
 
-def triple_associative(table):
-    """The check that Light's test replaces: every triple."""
-    k = range(len(table))
-    return all(table[table[a][b]][c] == table[a][table[b][c]]
-               for a in k for b in k for c in k)
-
-
 def finished(table):
     return homotopy._finish_table(
         table, n=1, base=C.SimplexId(0, 0), elements=(), classes=(), unit=0,
@@ -397,7 +376,7 @@ def test_light_test_matches_the_triple_check(data):
         table[a][b] = data.draw(st.integers(0, len(table) - 1))
     table = tuple(map(tuple, table))
     got = finished(table)
-    assert got.associative == triple_associative(table)
+    assert got.associative == reference.associative(table)
     k = range(len(table))
     assert got.commutative == all(table[a][b] == table[b][a]
                                   for a in k for b in k)
@@ -497,142 +476,39 @@ def test_sphere_relation_is_equivalence_on_weak_complicial(th0_z2_3):
     assert all((e, e) in witnesses for e in els)
 
 
-# -- the batched loops against one pair at a time -------------------------------------
+# -- the batched loops against the reference ----------------------------------
 
-def per_pair_relation(x, base, n):
-    """:func:`sphere_relation` one pair at a time, each pair's partial map
-    validated alone and solved through ``find_extensions``."""
-    elements = C.sphere_elements(x, base, n)
-    _, binc = C.boundary_pair(n, n + 1)
-    cylinder = _Cylinder(binc.target, binc)
-    sub = cylinder.inclusion.source
-    maps = [C.classifying_map(x, e, cap=n + 1) for e in elements]
-    rel = [[False] * len(elements) for _ in elements]
-    witnesses = {}
-    for i, p in enumerate(elements):
-        for j, q in enumerate(elements):
-            f, g = maps[i], maps[j]
-            rows = [[(fr + gr)[r] for r in plan] for plan, fr, gr
-                    in zip(cylinder._plan, f.map.assign, g.map.assign)]
-            partial = C.make_stratified_map(sub, x, C.make_simplicial_map(
-                sub.underlying, x.underlying, rows))
-            found = C.find_extensions(
-                C.ExtensionProblem(cylinder.inclusion, partial), limit=1)
-            if found:
-                rel[i][j] = True
-                witnesses[(p, q)] = _witness_summary(
-                    C.HomotopyWitness(found[0], f, g))
-    return elements, rel, witnesses
-
-
-def per_cell_fillers(x, base, n, p, q):
-    """The fillers of one product horn, its map assembled and validated
-    alone."""
-    const = x.underlying.const(base, n)
-    faces = {j: const for j in range(n + 2) if j != n}
-    faces[n - 1], faces[n + 1] = p, q
-    C.assemble_horn_map(C.complicial_horn(n, n + 1, n + 1)[0], faces, x)
-    row = tuple(faces[j].index for j in sorted(faces))
-    return [x.underlying.ids[n + 1][w]
-            for w in _batch_fillers(x, n, n + 1, [row])[0]]
-
-
-def per_cell_table(x, base, n):
-    """The classes, table, fillers and witnesses of :func:`tau_table`, one
-    cell at a time."""
-    elements, rel, witnesses = per_pair_relation(x, base, n)
-    blocks = _partition(len(elements), [
-        (i, j) for i, row in enumerate(rel) for j, r in enumerate(row) if r])[0]
-    classes = tuple(tuple(elements[i] for i in b) for b in blocks)
-    class_index = {e: i for i, c in enumerate(classes) for e in c}
-    table, fillers = [], []
-    for p in (c[0] for c in classes):
-        row, frow = [], []
-        for q in (c[0] for c in classes):
-            found = per_cell_fillers(x, base, n, p, q)
-            if not found:
-                raise errors.NoFiller(
-                    f"no filler for the multiplication horn of {p!r}, {q!r}")
-            result = x.underlying.face(found[0], n)
-            if result not in class_index:
-                raise errors.InvalidInput(
-                    f"product {result!r} is not a sphere element; tables "
-                    "need constant-boundary closure")
-            row.append(class_index[result])
-            frow.append(found[0])
-        table.append(tuple(row))
-        fillers.append(tuple(frow))
-    return classes, tuple(table), tuple(fillers), witnesses
-
-
-def per_cell_audit(x, base, table):
-    """:func:`audit_well_defined` one representative pair at a time."""
-    cells = []
-    for i, ci in enumerate(table.classes):
-        for j, cj in enumerate(table.classes):
-            pairs = fillers = 0
-            consistent = True
-            for p in ci:
-                for q in cj:
-                    pairs += 1
-                    found = per_cell_fillers(x, base, table.n, p, q)
-                    if not found:
-                        raise errors.NoFiller(f"no filler at cell ({i}, {j})")
-                    fillers += len(found)
-                    consistent &= all(
-                        table.class_of(x.underlying.face(t, table.n))
-                        == table.table[i][j] for t in found)
-            cells.append(AuditCell(i, j, pairs, fillers, consistent))
-    return AuditReport(tuple(cells))
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except errors.ComplicialError as exc:
-        return type(exc), str(exc)
-
-
-def check_batched_loops(x, n):
-    base = vertex(x)
-    assert outcome(C.sphere_relation, x, base, n) == \
-        outcome(per_pair_relation, x, base, n)
-    table = outcome(C.tau_table, x, base, n)
-    got = table if isinstance(table, tuple) else \
-        (table.classes, table.table, table.fillers, table.witnesses)
-    assert got == outcome(per_cell_table, x, base, n)
-    if not isinstance(table, tuple):
-        assert outcome(C.audit_well_defined, x, base, table) == \
-            outcome(per_cell_audit, x, base, table)
-    return table
+def mostly_thin(data, cap):
+    """The nerve of Z3 or of Bool at ``cap``, its edges thin at random and
+    all above them thin but a few, so that most product horns have fillers
+    and the relation still varies."""
+    u = C.nerve(data.draw(st.sampled_from([C.cyclic_group(3),
+                                           C.boolean_monoid()])), cap)
+    edges = u.nondegenerate(1)
+    marks = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                               max_size=len(edges)))
+    higher = [s for n in range(2, cap + 1) for s in u.nondegenerate(n)]
+    dropped = data.draw(st.lists(st.sampled_from(higher), max_size=3))
+    return C.make_stratified(u, [e for e, m in zip(edges, marks) if m] + [
+        s for s in higher if s not in dropped])
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_batched_loops_match_per_pair_loops_on_random_stratifications(data):
-    category = data.draw(st.sampled_from([C.cyclic_group(3),
-                                          C.boolean_monoid()]))
-    u = C.nerve(category, 3)
-    # edges thin at random; above them all thin but a few, so that most
-    # product horns have fillers and the relation still varies
-    edges = u.nondegenerate(1)
-    marks = data.draw(st.lists(st.booleans(), min_size=len(edges),
-                               max_size=len(edges)))
-    higher = [s for n in (2, 3) for s in u.nondegenerate(n)]
-    dropped = data.draw(st.lists(st.sampled_from(higher), max_size=3))
-    x = C.make_stratified(u, [e for e, m in zip(edges, marks) if m] + [
-        s for s in higher if s not in dropped])
-    check_batched_loops(x, data.draw(st.integers(1, 2)))
+    x = mostly_thin(data, 3)
+    check_tau(x, vertex(x), data.draw(st.integers(1, 2)))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_batched_loops_match_per_pair_loops_on_qcat_s3(s3, n):
-    table = check_batched_loops(C.quasicat_e(C.nerve(s3, 3)), n)
+    x = C.quasicat_e(C.nerve(s3, 3))
+    table = check_tau(x, vertex(x), n)
     assert table.is_group and len(table.classes) == (6 if n == 1 else 1)
 
 
 def test_batched_loops_match_per_pair_loops_at_n_3(th0_z2_4):
-    table = check_batched_loops(th0_z2_4, 3)
+    table = check_tau(th0_z2_4, vertex(th0_z2_4), 3)
     assert table.is_group and len(table.classes) == 1
 
 
@@ -640,18 +516,8 @@ def test_batched_loops_match_per_pair_loops_at_n_3(th0_z2_4):
 @given(st.data())
 def test_batched_loops_match_per_pair_loops_on_random_stratifications_at_cap_4(
         data):
-    category = data.draw(st.sampled_from([C.cyclic_group(3),
-                                          C.boolean_monoid()]))
-    u = C.nerve(category, 4)
-    # as at cap 3: edges thin at random, all above them thin but a few
-    edges = u.nondegenerate(1)
-    marks = data.draw(st.lists(st.booleans(), min_size=len(edges),
-                               max_size=len(edges)))
-    higher = [s for n in (2, 3, 4) for s in u.nondegenerate(n)]
-    dropped = data.draw(st.lists(st.sampled_from(higher), max_size=3))
-    x = C.make_stratified(u, [e for e, m in zip(edges, marks) if m] + [
-        s for s in higher if s not in dropped])
-    check_batched_loops(x, data.draw(st.integers(1, 3)))
+    x = mostly_thin(data, 4)
+    check_tau(x, vertex(x), data.draw(st.integers(1, 3)))
 
 
 def two_homotopies():
@@ -673,25 +539,19 @@ def two_homotopies():
 
 def homotopy_count(x, p, q, n):
     """The number of homotopies from ``p`` to ``q`` rel boundary, by
-    ``find_extensions`` with no limit."""
-    _, binc = C.boundary_pair(n, n + 1)
-    cylinder = _Cylinder(binc.target, binc)
-    sub = cylinder.inclusion.source
-    f = C.classifying_map(x, p, cap=n + 1)
-    g = C.classifying_map(x, q, cap=n + 1)
-    rows = [[(fr + gr)[r] for r in plan] for plan, fr, gr
-            in zip(cylinder._plan, f.map.assign, g.map.assign)]
-    partial = C.make_stratified_map(sub, x, C.make_simplicial_map(
-        sub.underlying, x.underlying, rows))
-    return len(C.find_extensions(
-        C.ExtensionProblem(cylinder.inclusion, partial), limit=None))
+    ``find_extensions`` with no limit, and by the reference."""
+    f, g = (C.classifying_map(x, s, cap=n + 1) for s in (p, q))
+    problem = cylinder_problem(x, f, g, C.boundary_pair(n, n + 1)[1])
+    count = len(C.find_extensions(problem))
+    assert count == len(reference.solve(problem))
+    return count
 
 
 def test_first_homotopy_is_chosen_among_several():
     x = two_homotopies()
     a, b = x.underlying.id_at(1, 2), x.underlying.id_at(1, 1)
     assert homotopy_count(x, a, a, 1) == 3
-    table = check_batched_loops(x, 1)
+    table = check_tau(x, vertex(x), 1)
     assert table.classes == ((x.underlying.id_at(1, 0),), (b, a))
     # the first homotopy runs through the wall b, the least, and not a, and
     # takes the least of the two thin triangles (c, b, a)

@@ -11,7 +11,9 @@ or be a builtin.
 The converse, an import left behind when the code that used it was
 deleted, is found with the standard library's ``ast``: each name a
 module-level import binds must be read somewhere in the module.  An import
-marked ``noqa: F401``, as the package's re-exports are, is exempt.
+marked ``noqa: F401``, as the package's re-exports are, is exempt.  Both
+checks run on the test modules too, and ``tests/reference.py`` takes from
+the package only what makes inputs (:func:`engine_uses`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ import pytest
 import complicial
 
 PACKAGE_DIR = Path(complicial.__file__).resolve().parent
+TESTS_DIR = Path(__file__).resolve().parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+CHECKED = MODULES + sorted(TESTS_DIR.glob("*.py"))
+
+
+def module_id(path: Path) -> str:
+    return path.name if path.parent == PACKAGE_DIR else f"tests/{path.name}"
 
 
 def _global_references(table: symtable.SymbolTable) -> Iterator[tuple[str, str]]:
@@ -77,7 +85,7 @@ def unused_imports(source: str, filename: str) -> list[str]:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
                 expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
+            except (SyntaxError, UnicodeEncodeError):
                 continue
             read.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return sorted(name for name in bound if name not in read)
@@ -85,9 +93,11 @@ def unused_imports(source: str, filename: str) -> list[str]:
 
 def test_every_module_is_checked():
     assert {p.name for p in MODULES} >= {"adapters.py", "homotopy.py", "core.py"}
+    assert {"tests/conftest.py", "tests/reference.py"} <= set(map(
+        module_id, CHECKED))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=module_id)
 def test_no_undefined_global_names(path):
     assert undefined_names(path.read_text(), str(path)) == []
 
@@ -107,7 +117,7 @@ def test_detects_a_missing_import():
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(), str(path)) == []
 
@@ -123,3 +133,47 @@ def test_detects_an_unused_import():
         "    return pick(x, x)\n"
     )
     assert unused_imports(source, "<example>") == ["chain", "os"]
+
+
+# -- the reference engine stays independent -----------------------------------
+
+INPUT_MAKERS = {"build_sset", "make_stratified", "SimplexId", "errors"}
+ENGINE_ONLY = {"act", "apply_monotone", "face_index", "face_value_index"}
+
+
+def engine_uses(source: str, filename: str) -> list[str]:
+    """What a module takes from the package beyond the input makers: the
+    other names and modules it imports from ``complicial``, and the
+    attributes it reads that are private or in ``ENGINE_ONLY``."""
+    found = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[0] == "complicial":
+            found.update(alias.name for alias in node.names
+                         if node.module != "complicial"
+                         or alias.name not in INPUT_MAKERS)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "complicial")
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in ENGINE_ONLY or node.attr.startswith("_")):
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_the_reference_takes_only_input_makers_from_the_package():
+    path = TESTS_DIR / "reference.py"
+    assert engine_uses(path.read_text(), str(path)) == []
+
+
+def test_detects_what_the_reference_must_not_use():
+    source = (
+        "import complicial.lifting\n"
+        "from complicial import build_sset, nerve, errors\n"
+        "from complicial.core import _sset\n"
+        "def f(u, x):\n"
+        "    return u.act(1, [0], [0]), x._thin_idx, u.faces.__getitem__\n"
+    )
+    assert engine_uses(source, "<example>") == [
+        "__getitem__", "_sset", "_thin_idx", "act", "complicial.lifting",
+        "nerve"]

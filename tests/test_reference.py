@@ -1,0 +1,96 @@
+"""The engine against the brute-force references of ``tests/reference.py``:
+every ``verify`` row and tau_1 at cap 2 on random stratifications of the
+nerves of every monoid of order at most 3 and of the standard complexes,
+at caps up to 3, and tau_1 on ``qcat-e`` of the monoids that are not
+groups."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import complicial as C
+
+from . import reference
+from .conftest import check_tau, random_thin, renumbered, report_rows
+
+MONOIDS = [t for order in (1, 2, 3) for t in reference.monoids(order)]
+
+
+def monoid_category(table):
+    names = [str(a) for a in range(len(table))]
+    return C.monoid_category(names, "0", [[str(v) for v in row]
+                                          for row in table])
+
+
+def test_every_monoid_of_order_up_to_3_and_its_nerve():
+    assert [len(reference.monoids(order)) for order in (1, 2, 3)] == [1, 2, 7]
+    for table in MONOIDS:
+        c = monoid_category(table)
+        assert C.nerve(c, 3) == reference.nerve(c, 3)
+        assert reference.is_group(table, 0) == all(map(c.is_iso, range(
+            len(table))))
+
+
+@pytest.mark.parametrize("table", [t for t in MONOIDS
+                                   if not reference.is_group(t, 0)])
+def test_tau1_of_qcat_e_of_a_monoid_that_is_no_group(table):
+    x = C.quasicat_e(C.nerve(monoid_category(table), 2))
+    got = check_tau(x, x.underlying.id_at(0, 0), 1)
+    assert not got.is_group and len(got.classes) == len(table)
+
+
+def test_tau1_where_a_product_depends_on_the_filler():
+    # one vertex and the loops c (constant), a and b, every triangle thin;
+    # each loop is homotopic only to itself, and the product horn of (a, b)
+    # has the fillers (a, c, b), (a, a, b) and (a, b, b), given by their
+    # faces (d0, d1, d2)
+    c, a, b = 0, 1, 2
+    triangles = [(c, c, c), (a, a, c), (c, a, a), (b, b, c), (c, b, b),
+                 (a, c, a), (a, c, b), (b, c, a), (b, c, b), (a, a, b),
+                 (a, b, b)]
+    u = C.build_sset(2, [1, 3, len(triangles)],
+                     [[], [(0, 0)] * 3, triangles],
+                     [[(c,)], [(0, 0), (1, 2), (3, 4)], []])
+    x = C.make_stratified(u, u.simplices(2))
+    table = check_tau(x, u.id_at(0, 0), 1)
+    assert reference.tau(x, 0, 1).products[a][b] == {c, a, b}
+    assert table.table[a][b] == c and not table.is_group
+    assert not C.audit_well_defined(x, u.id_at(0, 0), table).all_consistent
+
+
+def test_marking_matters_on_one_nerve():
+    # th0 of the nerve of Bool fails the lifting conditions, its qcat-e
+    # passes them, and its tau_1 is a monoid that is no group
+    u = C.nerve(C.boolean_monoid(), 3)
+    for x, passed in ((C.th0(u), False), (C.quasicat_e(u), True)):
+        report = C.verify_weak_complicial(x, 3)
+        assert report.passed is passed
+        assert report_rows(report) == reference.verify_rows(x, 3)
+    assert not check_tau(x, x.underlying.id_at(0, 0), 1).is_group
+
+
+def standard_complex(data, cap):
+    """The complex underlying a drawn standard complex at ``cap``."""
+    n = data.draw(st.integers(0, cap))
+    build = data.draw(st.sampled_from([
+        C.delta, C.delta_t, C.boundary] + [C.complicial_delta, C.delta_prime,
+                                           C.delta_dprime, C.horn_prime,
+                                           C.complicial_horn] * (n > 0)))
+    if build in (C.delta, C.delta_t, C.boundary):
+        return build(n, cap).underlying
+    x = build(data.draw(st.integers(0, n)), n, cap)
+    return (x[0] if build is C.complicial_horn else x).underlying
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_engine_matches_the_reference_on_random_stratifications(data):
+    cap = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        u = C.nerve(monoid_category(data.draw(st.sampled_from(MONOIDS))), cap)
+    else:
+        u = standard_complex(data, cap)
+    x = random_thin(renumbered(u, data), data)
+    assert report_rows(C.verify_weak_complicial(x, cap)) == \
+        reference.verify_rows(x, cap)
+    if cap >= 2 and u.counts[0]:
+        check_tau(x, data.draw(st.sampled_from(x.simplices(0))), 1)

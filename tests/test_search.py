@@ -1,7 +1,6 @@
-"""The extension search, a join over its unknowns, against the depth-first
-backtracking search it replaced: the same maps in the same order."""
-
-from operator import itemgetter
+"""The extension search, a join over its unknowns, against the reference
+search written from the definition (``tests/reference.py``): the same maps
+in the same order."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,99 +9,19 @@ import complicial as C
 from complicial import errors
 from complicial.core import TruncatedSSet
 from complicial.homotopy import _Cylinder
-from complicial.lifting import _pin_rows
 
-from .conftest import renumbered
-
-
-def backtracking_search(b, x, pins, limit):
-    """The depth-first backtracking search that the join replaced, kept
-    verbatim as a reference: full assignment rows B -> X that extend
-    ``pins``, in search order.  The rows of ``pins`` are its work space."""
-    bu, xu = b.underlying, x.underlying
-    witness = bu.deg_witness
-    b_thin, x_thin = b.thin_indexes(), x.thin_indexes()
-    rows = pins
-    forced = [
-        tuple((i, w[0], w[1]) for i, w in enumerate(witness[m])
-              if w is not None and pins[m][i] is None)
-        for m in range(b.cap + 1)
-    ]
-
-    def due(lo, hi):
-        return tuple(d for d in range(lo, hi + 1) if forced[d])
-
-    def fill(dims):
-        for d in dims:
-            row, below, degs = rows[d], rows[d - 1], xu.degeneracies[d - 1]
-            for i, base, j in forced[d]:
-                row[i] = degs[below[base]][j]
-
-    steps = []
-    filled = 0
-    for m in range(b.cap + 1):
-        for i, w in enumerate(witness[m]):
-            if w is None and pins[m][i] is None:
-                steps.append((
-                    m, i, itemgetter(*bu.faces[m][i]) if m else None,
-                    x_thin[m] if i in b_thin[m] else None,
-                    due(filled + 1, m), xu.face_index(m) if m else None,
-                ))
-                filled = m
-    last_fills = due(filled + 1, b.cap)
-    if not steps:
-        fill(last_fills)
-        yield tuple(tuple(row) for row in rows)
-        return
-    last = len(steps) - 1
-    pools = [iter(())] * len(steps)
-    found = 0
-    pos, fresh = 0, True
-    while pos >= 0:
-        m, i, key, thin, todo, index = steps[pos]
-        if fresh:
-            if todo:
-                fill(todo)
-            if key is None:
-                pool = range(xu.counts[0])
-            else:
-                pool = index.get(key(rows[m - 1]), ())
-            if thin is not None:
-                pool = [w for w in pool if w in thin]
-            it = pools[pos] = iter(pool)
-        else:
-            it = pools[pos]
-        w = next(it, None)
-        if w is None:
-            pos -= 1
-            fresh = False
-            continue
-        rows[m][i] = w
-        if pos < last:
-            pos += 1
-            fresh = True
-            continue
-        fill(last_fills)
-        yield tuple(tuple(row) for row in rows)
-        found += 1
-        if found == limit:
-            return
-        fresh = False
+from . import reference
+from .conftest import random_thin, renumbered
 
 
-def check_against_backtracking(problem):
+def check_against_reference(problem):
     """``find_extensions`` with and without a limit of 1 gives the maps of
-    the backtracking search, in its order.  Returns the number of maps."""
-    b, x = problem.inclusion.target, problem.partial.target
-    for limit in (None, 1):
-        pins = _pin_rows(b, problem.inclusion.map.assign,
-                         problem.partial.map.assign)
-        want = list(backtracking_search(b, x, pins, limit))
-        got = [s.map.assign for s in C.find_extensions(problem, limit)]
-        assert got == want
-        if limit is None:
-            count = len(got)
-    return count
+    the reference's backtracking search, in its order.  Returns the number
+    of maps."""
+    want = reference.solve(problem)
+    assert [s.map.assign for s in C.find_extensions(problem)] == want
+    assert [s.map.assign for s in C.find_extensions(problem, 1)] == want[:1]
+    return len(want)
 
 
 def cylinder_problem(x, f, g, rel):
@@ -140,12 +59,7 @@ def drawn_stratification(data, u):
     kind = data.draw(st.sampled_from(["th0", "qcat-e", "random"]))
     if kind == "th0":
         return C.th0(u)
-    if kind == "qcat-e":
-        return C.quasicat_e(u)
-    cells = [s for n in range(1, u.dim_cap + 1) for s in u.nondegenerate(n)]
-    marks = data.draw(st.lists(st.booleans(), min_size=len(cells),
-                               max_size=len(cells)))
-    return C.make_stratified(u, [s for s, m in zip(cells, marks) if m])
+    return C.quasicat_e(u) if kind == "qcat-e" else random_thin(u, data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,7 +98,7 @@ def test_join_search_matches_backtracking_search(data):
         problem = pinned_vertex_problem(
             b, data.draw(st.integers(0, n)),
             x, data.draw(st.integers(0, xu.counts[0] - 1)))
-    check_against_backtracking(problem)
+    check_against_reference(problem)
 
 
 @pytest.mark.parametrize("complex_, n, p, q, count", [
@@ -199,7 +113,7 @@ def test_cylinders_with_and_without_extensions(request, complex_, n, p, q,
     elements = C.sphere_elements(x, x.underlying.id_at(0, 0), n)
     f, g = (C.classifying_map(x, elements[i], cap=n + 1) for i in (p, q))
     problem = cylinder_problem(x, f, g, C.boundary_pair(n, n + 1)[1])
-    assert check_against_backtracking(problem) == count
+    assert check_against_reference(problem) == count
 
 
 def test_horn_into_minimal_simplex_matches_backtracking_search():
@@ -209,12 +123,12 @@ def test_horn_into_minimal_simplex_matches_backtracking_search():
     horn, inc = C.complicial_horn(1, 2, 2)
     faces = {0: u.id_for_key(1, (1, 2)), 2: u.id_for_key(1, (0, 1))}
     problem = C.ExtensionProblem(inc, C.assemble_horn_map(horn, faces, x))
-    assert check_against_backtracking(problem) == 0
+    assert check_against_reference(problem) == 0
 
 
 def test_maps_of_the_3_simplex_into_the_s3_nerve(th0_s3_3):
     problem = pinned_vertex_problem(C.delta(3, 3), 0, th0_s3_3, 0)
-    assert check_against_backtracking(problem) == 216
+    assert check_against_reference(problem) == 216
 
 
 class CountingIndex(dict):

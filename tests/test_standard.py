@@ -1,70 +1,12 @@
-"""Constructor outputs against literal brute-force predicates."""
+"""Constructor outputs against literal brute-force predicates
+(``tests/reference.py``)."""
 
 import pytest
 
 import complicial as C
 from complicial import errors
 
-
-# Independent oracle: enumerate weakly increasing value lists by recursion
-# (not itertools) and apply each defining predicate verbatim.
-
-def brute_monotone(m, n):
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == m + 1:
-            out.append(tuple(prefix))
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, n + 1):
-            rec(prefix + [v])
-
-    rec([])
-    return out
-
-
-def brute_degenerate(t):
-    return any(t[i] == t[i + 1] for i in range(len(t) - 1))
-
-
-def brute_in_horn(k, n, t):
-    return any(
-        set(t) <= set(range(n + 1)) - {j}
-        for j in range(n + 1) if j != k
-    )
-
-
-def brute_complicial(k, n, t):
-    return {k - 1, k, k + 1} & set(range(n + 1)) <= set(t)
-
-
-def oracle_thin(name, k, n, cap):
-    """Thin value lists per the literal definitions, per family."""
-    thin = set()
-    for m in range(1, cap + 1):
-        for t in brute_monotone(m, n):
-            if name in ("horn", "horn-prime") and not brute_in_horn(k, n, t):
-                continue
-            if brute_degenerate(t):
-                thin.add(t)
-                continue
-            if name == "delta":
-                continue
-            if name == "delta-t":
-                if n != 0 and t == tuple(range(n + 1)):
-                    thin.add(t)
-            elif name in ("comp-delta", "horn"):
-                if brute_complicial(k, n, t):
-                    thin.add(t)
-            elif name in ("horn-prime", "delta-dprime"):
-                if brute_complicial(k, n, t) or len(t) == n:
-                    thin.add(t)
-            elif name == "delta-prime":
-                if brute_complicial(k, n, t) or \
-                        (len(t) == n and brute_in_horn(k, n, t)):
-                    thin.add(t)
-    return thin
+from . import reference
 
 
 def constructed_thin(x):
@@ -91,7 +33,8 @@ def test_thin_sets_match_oracle(name, n):
         return
     for k in range(n + 1):
         x = BUILDERS[name](k, n, n)
-        assert constructed_thin(x) == oracle_thin(name, k, n, n), \
+        assert constructed_thin(x) == \
+            reference.standard_thin(name, k, n, n), \
             f"{name} (k, n) = ({k}, {n})"
 
 
