@@ -620,30 +620,28 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
     for w, faces in enumerate(zip(*columns[:n], *columns[n + 1:])):
         first.setdefault(faces, w)
 
-    def fill(p: SimplexId, q: SimplexId) -> tuple[SimplexId, SimplexId]:
+    def fill(p: SimplexId, q: SimplexId) -> tuple[SimplexId, int]:
         # the faces j != n: j = n - 1 and j = n + 1 sit at n - 1 and n
         spec = [const.index] * (n + 1)
         spec[n - 1], spec[n] = p.index, q.index
         w = first.get(tuple(spec))
         if w is None:
             raise NotKan(f"no unstratified filler for ({p!r}, {q!r})")
-        return k.ids[n][columns[n][w]], k.ids[n + 1][w]
+        return k.ids[n][columns[n][w]], w
 
-    size_c = len(reps)
     table = []
     fillers = []
-    for i in range(size_c):
+    for p in reps:
         row = []
-        frow = []
-        for j in range(size_c):
-            result, w = fill(reps[i], reps[j])
+        for q in reps:
+            result, w = fill(p, q)
             row.append(cls_of[result])
-            frow.append(w)
+            fillers.append(w)
         table.append(tuple(row))
-        fillers.append(tuple(frow))
     return _finish_table(
         tuple(table),
         n=n, base=base, elements=elements, classes=classes, unit=unit,
         relation_reflexive=reflexive, relation_symmetric=symmetric,
-        relation_transitive=transitive, fillers=tuple(fillers), witnesses={},
+        relation_transitive=transitive, _fillers=tuple(fillers),
+        _witnesses={}, _complex=k,
     )

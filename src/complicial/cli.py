@@ -14,6 +14,7 @@ import gc
 import json
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable
 
@@ -72,18 +73,28 @@ def _load_json(path: str):
         raise _UsageError(f"invalid input: {exc}") from None
 
 
-def _load_complex(path: str) -> StratifiedSSet:
-    # a parsed document holds no reference cycle, so cycle collection
-    # passes while it is read and checked find nothing
+@contextmanager
+def _acyclic():
+    """Cycle collection off for work that makes no reference cycle, so
+    that no collection pass walks the objects it makes, only to find
+    nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return documents.doc_to_complex(_load_json(path))
-    except (KeyError, IndexError, TypeError) as exc:
-        raise _UsageError(f"malformed complex document: {exc!r}") from exc
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def _load_complex(path: str) -> StratifiedSSet:
+    # a parsed document holds no reference cycle
+    with _acyclic():
+        try:
+            return documents.doc_to_complex(_load_json(path))
+        except (KeyError, IndexError, TypeError) as exc:
+            raise _UsageError(f"malformed complex document: {exc!r}") \
+                from exc
 
 
 def _emit(args, pieces: Iterable[str]) -> None:
@@ -295,21 +306,20 @@ def _resolve_vertex(x: StratifiedSSet, spec: str):
 def cmd_tau(args) -> int:
     x = _load_complex(args.complex)
     vertex = _resolve_vertex(x, args.vertex)
-    table = homotopy.tau_table(x, vertex, args.n)
-    audit = None
-    if args.audit_well_defined:
-        audit = homotopy.audit_well_defined(x, vertex, table)
-    doc = documents.result_doc(
-        "tau",
-        {
-            "complex_sha256": documents.complex_digest(x),
-            "n": args.n,
-            "vertex": documents.id_str(vertex),
-            "audit_well_defined": bool(args.audit_well_defined),
-        },
-        documents.table_payload(table, audit),
-    )
-    _emit(args, documents.dump_pieces(doc))
+    # the table and its audit from one filler lookup, written by template;
+    # of what they make, only json's encoder holds a reference cycle
+    with _acyclic():
+        table, audit = homotopy._tau(x, vertex, args.n,
+                                     args.audit_well_defined)
+        _emit(args, documents.table_pieces(
+            {
+                "complex_sha256": documents.complex_digest(x),
+                "n": args.n,
+                "vertex": documents.id_str(vertex),
+                "audit_well_defined": bool(args.audit_well_defined),
+            },
+            table, audit,
+        ))
     if audit is not None and not audit.all_consistent:
         return 2
     return 0

@@ -19,7 +19,12 @@ sha256 without joining them, and :func:`complex_to_doc` is their parse, so
 one function decides what a complex document holds.  Results are written
 by :func:`dumps`, which is ``json`` itself, or streamed by
 :func:`dump_pieces`, a batch of ``json``'s chunks at a time, with the same
-bytes.
+bytes.  A ``tau`` document is streamed by :func:`table_pieces`, again with
+the same bytes: its three arrays that grow with the square of the number
+of classes (the table rows, the filler rows and the audit cells) are
+written by template, straight from the table's indexes and the audit's
+columns, and spliced into ``json``'s text for the rest of the document.
+Only those two shapes have templates; ``json`` writes everything else.
 
 Reading a complex builds one table of id strings per call, checks the
 ``simplices`` lists against it, and reads every other id (in the face and
@@ -118,21 +123,33 @@ def _interleaved(parts: list) -> str:
     return "".join(flat)
 
 
+def _grid(columns: list[Iterable[str]], before: str, after: str
+          ) -> list[str]:
+    """The pieces of a list of rows, two levels deep, given as columns of
+    entry texts, each written between ``before`` and ``after``: a face or
+    degeneracy table of a complex document (entries are ids), and the
+    ``table`` and ``fillers`` of a tau document.  The rows are one join
+    over the entries, interleaved with a separator inside a row and one,
+    closing it and opening the next, between rows.  Every column must have
+    at least one entry."""
+    if not columns:
+        return ["[]"]
+    within = f'{after},\n        {before}'
+    between = f'{after}\n      ],\n      [\n        {before}'
+    parts = [repeat(within)] * (2 * len(columns))
+    parts[::2] = columns
+    parts[-1] = repeat(between)
+    return [f'[\n      [\n        {before}', _interleaved(parts),
+            f'{after}\n      ]\n    ]']
+
+
 def _table(columns: tuple, digits: list[str], n: int) -> list[str]:
     """The pieces of an index table given as columns, one row per simplex,
-    each entry written as the id of dimension ``n`` it indexes: a table of
-    the ``faces`` or ``degeneracies`` list, two levels deep.  The rows are
-    one join over the entries' digit strings, interleaved with a separator
-    inside a row and one, closing it and opening the next, between rows."""
+    each entry written as the id of dimension ``n`` it indexes."""
     if not columns[0]:
         return ["[]"]
-    within = f'",\n        "{n}:'
-    between = f'"\n      ],\n      [\n        "{n}:'
-    parts = [repeat(within)] * (2 * len(columns))
-    parts[::2] = [map(digits.__getitem__, column) for column in columns]
-    parts[-1] = repeat(between)
-    return [f'[\n      [\n        "{n}:', _interleaved(parts),
-            '"\n      ]\n    ]']
+    return _grid([map(digits.__getitem__, column) for column in columns],
+                 f'"{n}:', '"')
 
 
 def _labels(column: tuple, digits: list[str], n: int) -> str:
@@ -377,14 +394,18 @@ def verify_payload(report: VerificationReport,
     }
 
 
-def table_payload(table: MonoidTable, audit: AuditReport | None = None) -> dict:
+def _payload(table: MonoidTable, audit: AuditReport | None, rows: Any,
+             fillers: Any, cells: Any) -> dict:
+    """The payload of a tau document, with the given values for its
+    table rows, its filler rows and, with an audit, its audit cells."""
+    n = table.n
     payload: dict[str, Any] = {
-        "n": table.n,
+        "n": n,
         "vertex": id_str(table.base),
         "elements": [id_str(e) for e in table.elements],
         "classes": [[id_str(e) for e in cl] for cl in table.classes],
         "unit": table.unit,
-        "table": [list(row) for row in table.table],
+        "table": rows,
         "associative": table.associative,
         "commutative_observed": table.commutative,
         "is_group": table.is_group,
@@ -395,28 +416,107 @@ def table_payload(table: MonoidTable, audit: AuditReport | None = None) -> dict:
             "transitive": table.relation_transitive,
             "closure_needed": table.closure_needed,
         },
-        "fillers": [[id_str(f) for f in row] for row in table.fillers],
+        "fillers": fillers,
         "witnesses": {
-            f"{id_str(p)}|{id_str(q)}": [id_str(t) for t in tops]
-            for (p, q), tops in sorted(table.witnesses.items())
+            f"{n}:{p}|{n}:{q}": [f"{n + 1}:{t}" for t in tops]
+            for (p, q), tops in sorted(table._witnesses.items())
         },
     }
     if audit is not None:
         payload["audit"] = {
             "all_consistent": audit.all_consistent,
             "min_fillers_per_cell": audit.min_fillers,
-            "cells": [
-                {
-                    "row": cell.row,
-                    "col": cell.col,
-                    "pairs_tested": cell.pairs_tested,
-                    "fillers_tested": cell.fillers_tested,
-                    "consistent": cell.consistent,
-                }
-                for cell in audit.cells
-            ],
+            "cells": cells,
         }
     return payload
+
+
+def table_payload(table: MonoidTable, audit: AuditReport | None = None) -> dict:
+    top = f"{table.n + 1}:"
+    ids = list(map(top.__add__, map(str, table._fillers)))
+    return _payload(
+        table, audit, list(map(list, table.table)),
+        list(map(list, zip(*[iter(ids)] * len(table.classes)))),
+        None if audit is None else [
+            {
+                "row": cell.row,
+                "col": cell.col,
+                "pairs_tested": cell.pairs_tested,
+                "fillers_tested": cell.fillers_tested,
+                "consistent": cell.consistent,
+            }
+            for cell in audit.cells
+        ])
+
+
+# where json writes a placeholder in a tau document, the template text of
+# the table rows, the filler rows and the audit cells goes; no id, digest
+# or version string of the document holds a NUL
+_SPLICED = tuple(f"\x00{what}" for what in ("table", "fillers", "cells"))
+
+# the fields of an audit cell, as json lays them out three levels deep
+_CELL_FIELDS = ("row", "col", "pairs_tested", "fillers_tested", "consistent")
+_CELLS_PER_PIECE = 1 << 13
+
+
+def _grid_pieces(table: MonoidTable) -> Iterator[list[str]]:
+    """The texts of the table rows, then of the filler rows."""
+    yield _grid([map(str, column) for column in zip(*table.table)], "", "")
+    size, flat = len(table.classes), table._fillers
+    yield _grid([map(str, flat[j::size]) for j in range(size)],
+                f'"{table.n + 1}:', '"')
+
+
+def _cell_pieces(audit: AuditReport) -> Iterator[str]:
+    """The text of the audit cells, a batch of cells at a time: one join
+    over the columns of the cells' fields, interleaved with separators
+    that hold the keys, the indentation and the braces."""
+    total, size = len(audit.consistent), audit.size
+    if not total:
+        yield "[]"
+        return
+    digits = list(map(str, range(size)))
+    columns = [
+        chain.from_iterable(map(repeat, digits, repeat(size))),
+        chain.from_iterable(repeat(digits, size)),
+        map(str, audit.pairs_tested),
+        map(str, audit.fillers_tested),
+        map(("false", "true").__getitem__, audit.consistent),
+    ]
+    keys = [f'"{key}": ' for key in _CELL_FIELDS]
+    opening = "{\n          " + keys[0]
+    between = "\n        },\n        " + opening
+    separators = [repeat(",\n          " + key) for key in keys[1:]]
+    cells = zip(*chain.from_iterable(zip(columns,
+                                         separators + [repeat(between)])))
+    text = "[\n        " + opening
+    for _ in range(_CELLS_PER_PIECE, total, _CELLS_PER_PIECE):
+        yield text + "".join(chain.from_iterable(
+            islice(cells, _CELLS_PER_PIECE)))
+        text = ""
+    # the last cell closes the list instead of opening another cell
+    text += "".join(chain.from_iterable(cells))
+    yield text[:-len(between)] + "\n        }\n      ]"
+
+
+def table_pieces(inputs: dict, table: MonoidTable,
+                 audit: AuditReport | None = None) -> Iterator[str]:
+    """The text of ``dumps(result_doc("tau", inputs, table_payload(table,
+    audit)))`` in pieces.  ``json`` writes the document with placeholders
+    for the table rows, the filler rows and the audit cells, which are
+    written by template from the table's indexes and the audit's columns,
+    as :func:`complex_text` writes a complex, and spliced in; the cells go
+    a batch at a time, so the whole text is never held at once."""
+    rest = json.dumps(result_doc("tau", inputs,
+                                 _payload(table, audit, *_SPLICED)),
+                      indent=2, ensure_ascii=False) + "\n"
+    templates = chain(_grid_pieces(table), [] if audit is None else
+                      [_cell_pieces(audit)])
+    for mark, pieces in zip(_SPLICED, templates):
+        head, rest = rest.split(_encode_str(mark))
+        yield head
+        yield from pieces
+    yield rest
 
 
 def tau0_payload(result: Tau0Result) -> dict:

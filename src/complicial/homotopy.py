@@ -23,12 +23,14 @@ so on nerves of monoids the table reproduces the monoid multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, compress
-from typing import Hashable, Iterable, Iterator, Sequence
+from itertools import accumulate, chain, compress, count, repeat
+from operator import is_, ne, sub
+from typing import Hashable, Iterable, Sequence
 
-from .core import Row, SimplexId, _compose, require_simplex
+from .core import Row, SimplexId, TruncatedSSet, _compose, require_simplex
 from .errors import (
     CapTooSmall,
     InvalidInput,
@@ -95,12 +97,16 @@ def sphere_elements(x: StratifiedSSet, base: SimplexId, n: int
         raise InvalidInput("sphere elements need n >= 1")
     if n > x.cap:
         raise CapTooSmall(f"cap {x.cap} below n = {n}")
-    xu = x.underlying
+    ids = x.underlying.ids[n]
+    return tuple(map(ids.__getitem__, _sphere_indexes(x.underlying, base, n)))
+
+
+def _sphere_indexes(xu: TruncatedSSet, base: SimplexId, n: int) -> list[int]:
+    """The indexes of the sphere elements, ascending: one filter of the
+    n-simplices by their face columns.  Not checked at entry."""
     const = xu.const(base, n - 1).index
-    ids = xu.ids[n]
-    return tuple(ids[s] for s in _matching(
-        xu.face_columns[n], range(xu.counts[n]),
-        [(j, const) for j in range(n + 1)]))
+    return _matching(xu.face_columns[n], range(xu.counts[n]),
+                     [(j, const) for j in range(n + 1)])
 
 
 # -- homotopy of maps --------------------------------------------------------
@@ -543,7 +549,7 @@ def _horn_fillers(x: StratifiedSSet, k: int, rows: Sequence[Row]
 
 
 def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
-                     pairs: Sequence[tuple[int, int]]) -> Iterator[list[int]]:
+                     pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
     """The fillers of the multiplication horn of each pair, in search order.
 
     ``pairs`` and the fillers are indexes of n- and (n+1)-simplices.  The
@@ -565,8 +571,8 @@ def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
     factors = set(chain.from_iterable(pairs))
     if all(column[w] == bound for column in xu.face_columns[n]
            for w in factors):
-        return iter(_batch_fillers(x, n, n + 1, rows))
-    return iter(_horn_fillers(x, n, rows))
+        return _batch_fillers(x, n, n + 1, rows)
+    return _horn_fillers(x, n, rows)
 
 
 def _product_args(x: StratifiedSSet, base: SimplexId, n: int,
@@ -607,7 +613,7 @@ def multiply_with_filler(
 ) -> tuple[SimplexId, SimplexId]:
     """Like :func:`multiply` but also returns the chosen filler simplex."""
     _product_args(x, base, n, alpha, beta)
-    found = next(_product_fillers(x, base, n, [(alpha.index, beta.index)]))
+    found = _product_fillers(x, base, n, [(alpha.index, beta.index)])[0]
     theta = x.underlying.ids[n + 1][_first_filler(found, alpha, beta)]
     return x.underlying.face(theta, n), theta
 
@@ -618,7 +624,7 @@ def all_product_fillers(
 ) -> list[tuple[SimplexId, SimplexId]]:
     """Every filler of the multiplication horn, with its resulting face."""
     _product_args(x, base, n, alpha, beta)
-    found = next(_product_fillers(x, base, n, [(alpha.index, beta.index)]))
+    found = _product_fillers(x, base, n, [(alpha.index, beta.index)])[0]
     ids = x.underlying.ids[n + 1]
     return [(x.underlying.face(ids[w], n), ids[w]) for w in found]
 
@@ -633,7 +639,10 @@ class MonoidTable:
     elements, ordered by canonical (least) representative; ``table`` holds
     class indices.  The relation flags describe the witness relation before
     closure; commutativity is an observation about this table only, never a
-    claimed theorem.
+    claimed theorem.  ``fillers`` and ``witnesses`` are kept as indexes
+    (the first filler of each cell in row-major order, and each related
+    pair of elements to the tops of its witness) and made into ids of
+    ``_complex`` when they are first read.
     """
 
     n: int
@@ -649,8 +658,9 @@ class MonoidTable:
     relation_reflexive: bool
     relation_symmetric: bool
     relation_transitive: bool
-    fillers: tuple[tuple[SimplexId, ...], ...]
-    witnesses: dict[tuple[SimplexId, SimplexId], tuple[SimplexId, ...]]
+    _fillers: tuple[int, ...]
+    _witnesses: dict[tuple[int, int], tuple[int, ...]]
+    _complex: TruncatedSSet | None = field(compare=False, repr=False)
 
     @property
     def closure_needed(self) -> bool:
@@ -660,6 +670,19 @@ class MonoidTable:
     @property
     def reps(self) -> tuple[SimplexId, ...]:
         return tuple(c[0] for c in self.classes)
+
+    @cached_property
+    def fillers(self) -> tuple[tuple[SimplexId, ...], ...]:
+        """The first filler of each cell, as rows of ids."""
+        ids = list(map(self._complex.ids[self.n + 1].__getitem__,
+                       self._fillers))
+        return tuple(zip(*[iter(ids)] * len(self.classes)))
+
+    @cached_property
+    def witnesses(self) -> dict[tuple[SimplexId, SimplexId],
+                                tuple[SimplexId, ...]]:
+        """The tops of the witness of each related pair, as ids."""
+        return _witness_ids(self._complex, self.n, self._witnesses)
 
     @cached_property
     def _index(self) -> dict[SimplexId, int]:
@@ -766,15 +789,43 @@ def _finish_table(table: tuple[tuple[int, ...], ...], **fields) -> MonoidTable:
     return result
 
 
-def _witness_summary(w: HomotopyWitness) -> tuple[SimplexId, ...]:
-    # the images of the cylinder's nondegenerate top simplices, read off the
-    # columns: the cylinder makes no ids
+def _witness_summary(w: HomotopyWitness) -> tuple[int, ...]:
+    # the indexes of the images of the cylinder's nondegenerate top
+    # simplices, read off the columns: no ids are made
     h = w.h.map
     top = h.source.dim_cap
-    ids = h.target.ids[top]
-    return tuple(ids[j] for j, made_by in zip(h.assign[top],
-                                              h.source.deg_witness[top])
-                 if made_by is None)
+    return tuple(compress(h.assign[top],
+                          map(is_, h.source.deg_witness[top], repeat(None))))
+
+
+def _witness_ids(xu: TruncatedSSet, n: int,
+                 found: dict[tuple[int, int], tuple[int, ...]]
+                 ) -> dict[tuple[SimplexId, SimplexId], tuple[SimplexId, ...]]:
+    """The witnesses of :func:`_sphere_relation` as ids: each pair of
+    n-simplices to the (n+1)-simplices at the tops of its witness."""
+    low, top = xu.ids[n], xu.ids[n + 1]
+    return {(low[p], low[q]): tuple(map(top.__getitem__, tops))
+            for (p, q), tops in found.items()}
+
+
+def _sphere_relation(
+    x: StratifiedSSet, base: SimplexId, n: int,
+) -> tuple[tuple[SimplexId, ...], list[list[bool]],
+           dict[tuple[int, int], tuple[int, ...]]]:
+    """:func:`sphere_relation` with each witness kept as indexes: the
+    indexes of its pair to those of its tops."""
+    homotopy = _SphereHomotopy(x, base, n)
+    elements = homotopy.elements
+    size = len(elements)
+    pairs = [(i, j) for i in range(size) for j in range(size)]
+    rel = [[False] * size for _ in range(size)]
+    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (i, j), w in zip(pairs, homotopy.homotopies(pairs)):
+        if w is not None:
+            rel[i][j] = True
+            witnesses[(elements[i].index, elements[j].index)] = \
+                _witness_summary(w)
+    return elements, rel, witnesses
 
 
 def sphere_relation(
@@ -792,17 +843,104 @@ def sphere_relation(
     cylinder search, rebuilt and validated with all the others as one
     batch.
     """
-    homotopy = _SphereHomotopy(x, base, n)
-    elements = homotopy.elements
-    size = len(elements)
-    pairs = [(i, j) for i in range(size) for j in range(size)]
-    rel = [[False] * size for _ in range(size)]
-    witnesses: dict[tuple[SimplexId, SimplexId], tuple[SimplexId, ...]] = {}
-    for (i, j), w in zip(pairs, homotopy.homotopies(pairs)):
-        if w is not None:
-            rel[i][j] = True
-            witnesses[(elements[i], elements[j])] = _witness_summary(w)
-    return elements, rel, witnesses
+    elements, rel, witnesses = _sphere_relation(x, base, n)
+    return elements, rel, _witness_ids(x.underlying, n, witnesses)
+
+
+def _positions(xu: TruncatedSSet, n: int,
+               classes: Sequence[Sequence[SimplexId]]) -> list[int | None]:
+    """The class of each n-simplex, or None for one in no class."""
+    position: list[int | None] = [None] * xu.counts[n]
+    for c, members in enumerate(classes):
+        for e in members:
+            position[e.index] = c
+    return position
+
+
+def _member_pairs(classes: Sequence[Sequence[SimplexId]], every: bool
+                  ) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs of n-simplex indexes whose product horns a table (with
+    ``every`` false: one representative pair per cell) or an audit (every
+    pair of class members) fills, cell by cell in row-major order, with
+    the number of pairs of each cell.  The first pair of a cell is its
+    representative pair."""
+    members = [[e.index for e in c[:None if every else 1]] for c in classes]
+    sizes = list(map(len, members))
+    return ([(p, q) for ci in members for cj in members for p in ci
+             for q in cj],
+            [a * b for a in sizes for b in sizes])
+
+
+def _products(xu: TruncatedSSet, n: int,
+              classes: Sequence[Sequence[SimplexId]],
+              position: Sequence[int | None], found: Sequence[list[int]]
+              ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The table's entries and the first filler of each cell, from the
+    fillers of each representative pair (``found``, one list per cell in
+    row-major order), a column at a time: first fillers, their n-th faces,
+    then the classes of those.  Raises as the cells are read in order: a
+    :class:`NoFiller` for a pair with no filler, an :class:`InvalidInput`
+    for a product that is not a sphere element."""
+    results = xu.face_columns[n + 1][n]
+    firsts = list(map(next, map(iter, found), repeat(None)))
+    empty = firsts.index(None) if None in firsts else len(firsts)
+    got = list(map(position.__getitem__,
+                   map(results.__getitem__, firsts[:empty])))
+    if None in got:
+        theta = firsts[got.index(None)]
+        raise InvalidInput(
+            f"product {xu.id_at(n, results[theta])!r} is not a sphere "
+            "element; tables need constant-boundary closure"
+        )
+    size = len(classes)
+    if empty < len(firsts):
+        i, j = divmod(empty, size)
+        _first_filler(found[empty], classes[i][0], classes[j][0])  # raises
+    return tuple(zip(*[iter(got)] * size)), firsts
+
+
+def _tau(x: StratifiedSSet, base: SimplexId, n: int, audit: bool
+         ) -> tuple[MonoidTable, AuditReport | None]:
+    """:func:`tau_table` and, when ``audit`` is set, the report of
+    :func:`audit_well_defined` on it, from one filler lookup.
+
+    The product horns of every pair of class members (of the
+    representatives only, without ``audit``) are valid by construction, so
+    their fillers are looked up in one batch and no horn map is built
+    (:func:`_product_fillers`).  The table reads the first filler of each
+    cell's representative pair (:func:`_products`) and the audit all of
+    them (:func:`_audit`), so the table's errors come before the audit's.
+    """
+    if n < 1:
+        raise InvalidInput("homotopy monoids are defined for n >= 1")
+    if x.cap < n + 1:
+        raise CapTooSmall(f"tau at n = {n} needs cap >= {n + 1}")
+    xu = x.underlying
+    require_simplex(xu, base, 0)
+    elements, rel, witnesses = _sphere_relation(x, base, n)
+    blocks, reflexive, symmetric, transitive = _partition(
+        len(elements),
+        [(i, j) for i, row in enumerate(rel) for j, r in enumerate(row) if r],
+    )
+    # elements ascend, so the classes come out ordered as SimplexIds
+    classes = tuple(tuple(elements[i] for i in b) for b in blocks)
+    position = _positions(xu, n, classes)
+    pairs, per_cell = _member_pairs(classes, audit)
+    found = _product_fillers(x, base, n, pairs)
+    starts = [0, *accumulate(per_cell)][:-1]
+    table, fillers = _products(xu, n, classes, position,
+                               list(map(found.__getitem__, starts)))
+    result = _finish_table(
+        table,
+        n=n, base=base, elements=elements, classes=classes,
+        unit=position[xu.const(base, n).index],
+        relation_reflexive=reflexive, relation_symmetric=symmetric,
+        relation_transitive=transitive,
+        _fillers=tuple(fillers), _witnesses=witnesses, _complex=xu,
+    )
+    if not audit:
+        return result, None
+    return result, _audit(xu, n, result, position, per_cell, found)
 
 
 def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
@@ -814,54 +952,9 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
     then checks associativity by Light's test (:func:`_associative`) and
     attempts two-sided inverse detection.  The product horns of all pairs
     of representatives are valid by construction, so their fillers are
-    looked up in one batch and no horn map is built
-    (:func:`_product_fillers`).
+    looked up in one batch and no horn map is built (:func:`_tau`).
     """
-    if n < 1:
-        raise InvalidInput("homotopy monoids are defined for n >= 1")
-    if x.cap < n + 1:
-        raise CapTooSmall(f"tau at n = {n} needs cap >= {n + 1}")
-    xu = x.underlying
-    require_simplex(xu, base, 0)
-    elements, rel, witnesses = sphere_relation(x, base, n)
-    blocks, reflexive, symmetric, transitive = _partition(
-        len(elements),
-        [(i, j) for i, row in enumerate(rel) for j, r in enumerate(row) if r],
-    )
-    # elements ascend, so the classes come out ordered as SimplexIds
-    classes = tuple(tuple(elements[i] for i in b) for b in blocks)
-    # the class of each sphere element, by index
-    position = _class_index([e.index for e in c] for c in classes)
-    unit = position[xu.const(base, n).index]
-    reps = [c[0] for c in classes]
-    results = xu.face_columns[n + 1][n]
-    ids = xu.ids[n + 1]
-
-    table: list[tuple[int, ...]] = []
-    fillers: list[tuple[SimplexId, ...]] = []
-    cells = _product_fillers(
-        x, base, n, [(p.index, q.index) for p in reps for q in reps])
-    for p in reps:
-        row, frow = [], []
-        for q in reps:
-            theta = _first_filler(next(cells), p, q)
-            c = position.get(results[theta])
-            if c is None:
-                raise InvalidInput(
-                    f"product {xu.ids[n][results[theta]]!r} is not a sphere "
-                    "element; tables need constant-boundary closure"
-                )
-            row.append(c)
-            frow.append(ids[theta])
-        table.append(tuple(row))
-        fillers.append(tuple(frow))
-    return _finish_table(
-        tuple(table),
-        n=n, base=base, elements=elements, classes=classes, unit=unit,
-        relation_reflexive=reflexive, relation_symmetric=symmetric,
-        relation_transitive=transitive,
-        fillers=tuple(fillers), witnesses=witnesses,
-    )
+    return _tau(x, base, n, False)[0]
 
 
 # -- audits -------------------------------------------------------------------
@@ -941,15 +1034,67 @@ class AuditCell:
 
 @dataclass(frozen=True)
 class AuditReport:
-    cells: tuple[AuditCell, ...]
+    """The audit of a table, as columns with one entry per cell in
+    row-major order; ``size`` is the number of classes.  ``cells`` is made
+    from the columns when it is first read."""
+
+    size: int
+    pairs_tested: tuple[int, ...]
+    fillers_tested: tuple[int, ...]
+    consistent: tuple[bool, ...]
+
+    @cached_property
+    def cells(self) -> tuple[AuditCell, ...]:
+        return tuple(
+            AuditCell(*divmod(k, self.size), pairs, fillers, consistent)
+            for k, (pairs, fillers, consistent) in enumerate(zip(
+                self.pairs_tested, self.fillers_tested, self.consistent)))
 
     @property
     def all_consistent(self) -> bool:
-        return all(c.consistent for c in self.cells)
+        return all(self.consistent)
 
     @property
     def min_fillers(self) -> int:
-        return min((c.fillers_tested for c in self.cells), default=0)
+        return min(self.fillers_tested, default=0)
+
+
+def _audit(xu: TruncatedSSet, n: int, table: MonoidTable,
+           position: Sequence[int | None], per_cell: Sequence[int],
+           found: Sequence[list[int]]) -> AuditReport:
+    """The audit of ``table`` from the fillers of every pair of class
+    members (``found``, as :func:`_member_pairs` orders them, with
+    ``per_cell`` pairs per cell), a column at a time: the n-th face of every
+    filler is mapped to its class and compared with its cell's entry.
+    Raises as the pairs are read in order: a :class:`NoFiller` for a pair
+    with no filler, an :class:`InvalidInput` for a face that is not a
+    sphere element of the table."""
+    faces = xu.face_columns[n + 1][n]
+    lens = list(map(len, found))
+    flat = list(chain.from_iterable(found))
+    got = list(map(position.__getitem__, map(faces.__getitem__, flat)))
+    # the first pair of each cell, and the first filler of each pair
+    bounds = [0, *accumulate(per_cell)]
+    starts = [0, *accumulate(lens)]
+    empty = lens.index(0) if 0 in lens else len(lens)
+    if None in got:
+        stray = got.index(None)
+        if bisect_right(starts, stray) - 1 < empty:  # its pair comes first
+            raise InvalidInput(f"{xu.id_at(n, faces[flat[stray]])!r} is "
+                               "not a sphere element of this table")
+    if empty < len(lens):
+        i, j = divmod(bisect_right(bounds, empty) - 1, len(table.classes))
+        raise NoFiller(f"no filler at cell ({i}, {j})")
+    # the first filler of each cell; every cell has one, so they ascend
+    cell_starts = list(map(starts.__getitem__, bounds))
+    fillers = list(map(sub, cell_starts[1:], cell_starts[:-1]))
+    wanted = chain.from_iterable(
+        map(repeat, chain.from_iterable(table.table), fillers))
+    consistent = [True] * len(per_cell)
+    for k in compress(count(), map(ne, got, wanted)):
+        consistent[bisect_right(cell_starts, k) - 1] = False
+    return AuditReport(len(table.classes), tuple(per_cell), tuple(fillers),
+                       tuple(consistent))
 
 
 def audit_well_defined(x: StratifiedSSet, base: SimplexId,
@@ -957,46 +1102,28 @@ def audit_well_defined(x: StratifiedSSet, base: SimplexId,
     """Rerun every cell over all representative pairs and all fillers.
 
     Confirms that each filler's resulting face lands in the class the table
-    recorded for that cell.  ``base`` must be the table's base, and the cap
-    must leave room for the product horns.  Their fillers are looked up
-    for all representative pairs of all cells in one batch, with no horn
-    map built (:func:`_product_fillers`: every factor is a sphere element
-    of the table), and read cell by cell, in order.
+    recorded for that cell.  ``base`` must be the table's base, the cap
+    must leave room for the product horns, and the table's elements must
+    be the sphere elements of ``x`` at ``base``.  The fillers are looked
+    up for all representative pairs of all cells in one batch, with no
+    horn map built (:func:`_product_fillers`: every factor is a sphere
+    element of the table), and read a column at a time (:func:`_audit`).
     """
     n = table.n
-    require_simplex(x.underlying, base, 0)
+    xu = x.underlying
+    require_simplex(xu, base, 0)
     if base != table.base:
         raise InvalidInput(
             f"audit at {base!r} of a table computed at {table.base!r}")
     if x.cap < n + 1:
         raise InvalidInput(f"audit at n = {n} needs cap >= {n + 1}")
-    ids, faces = x.underlying.ids[n], x.underlying.face_columns[n + 1][n]
-    classes = table.classes
-    # the class of each sphere element of the table, by index
-    position = _class_index([e.index for e in c] for c in classes)
-
-    products = _product_fillers(
-        x, base, n, [(p.index, q.index) for ci in classes for cj in classes
-                     for p in ci for q in cj])
-    cells = []
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            pairs = len(ci) * len(cj)
-            fillers = 0
-            consistent = True
-            want = table.table[i][j]
-            for _ in range(pairs):
-                found = next(products)
-                if not found:
-                    raise NoFiller(f"no filler at cell ({i}, {j})")
-                fillers += len(found)
-                for w in found:
-                    got = position.get(faces[w])
-                    if got is None:
-                        table.class_of(ids[faces[w]])  # raises
-                    consistent &= got == want
-            cells.append(AuditCell(i, j, pairs, fillers, consistent))
-    return AuditReport(tuple(cells))
+    if [e.index for e in table.elements] != _sphere_indexes(xu, base, n):
+        raise InvalidInput(
+            f"audit of a table whose elements are not the sphere elements "
+            f"at {base!r} of the complex")
+    pairs, per_cell = _member_pairs(table.classes, True)
+    return _audit(xu, n, table, _positions(xu, n, table.classes), per_cell,
+                  _product_fillers(x, base, n, pairs))
 
 
 @dataclass(frozen=True)

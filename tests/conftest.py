@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 import complicial as C
-from complicial import errors
+from complicial import errors, homotopy
 
 from . import reference
 
@@ -173,8 +173,10 @@ def check_tau(x, base, n):
     """``sphere_relation``, ``tau_table`` and ``audit_well_defined``
     against the reference's tau_n, field by field; a table entry must be
     one of the classes the fillers of its representatives give, and an
-    audit cell is consistent when all give it.  Returns the table, or None
-    where both raise ``NoFiller``."""
+    audit cell is consistent when all give it.  The table and the audit
+    from one filler lookup, as the CLI computes them, must be those two,
+    or raise as they do.  Returns the table, or None where both raise
+    ``NoFiller``."""
     ref = reference.tau(x, base.index, n)
     elements, related, witnesses = C.sphere_relation(x, base, n)
     assert [e.index for e in elements] == ref.elements
@@ -182,8 +184,11 @@ def check_tau(x, base, n):
     assert {(p.index, q.index): tuple(t.index for t in w)
             for (p, q), w in witnesses.items()} == ref.witnesses
     if not all(map(all, ref.products)):
-        with pytest.raises(errors.NoFiller):
+        with pytest.raises(errors.NoFiller) as alone:
             C.tau_table(x, base, n)
+        with pytest.raises(errors.NoFiller) as shared:
+            homotopy._tau(x, base, n, True)
+        assert str(shared.value) == str(alone.value)
         return None
     table = C.tau_table(x, base, n)
     assert (table.relation_reflexive, table.relation_symmetric,
@@ -197,9 +202,16 @@ def check_tau(x, base, n):
     assert [[w.index for w in row] for row in table.fillers] == ref.first
     assert table.is_group == reference.is_group(table.table, table.unit)
     if any(cell is None for row in ref.cells for cell in row):
-        with pytest.raises(errors.NoFiller):
+        with pytest.raises(errors.NoFiller) as alone:
             C.audit_well_defined(x, base, table)
+        with pytest.raises(errors.NoFiller) as shared:
+            homotopy._tau(x, base, n, True)
+        assert str(shared.value) == str(alone.value)
         return table
-    assert [c.consistent for c in C.audit_well_defined(x, base, table).cells] \
+    audit = C.audit_well_defined(x, base, table)
+    assert [c.consistent for c in audit.cells] \
         == [ref.cells[i][j] == {table.table[i][j]} for i in size for j in size]
+    shared, report = homotopy._tau(x, base, n, True)
+    assert shared == table and shared.fillers == table.fillers
+    assert report == audit and report.cells == audit.cells
     return table

@@ -622,6 +622,51 @@ def test_tau_audit_document_is_pinned(capsys, tmp_path, category, cap, n,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("category, cap, n, digest", [
+    ("s3", 2, 1,
+     "f8b12f7b6e65565ba7f792a01b8c41c00f7457a6edd97e5197af7abe593c67ff"),
+    ("z2", 3, 2,
+     "f42481d8d568db2a0f85e96760f21b06af62d29b0362878cb8066df4d1d66dc5"),
+])
+def test_tau_document_is_pinned(capsys, tmp_path, category, cap, n, digest):
+    # digests of the documents written before the table rows and the
+    # fillers were written by template
+    cat = {"s3": C.symmetric_group_3, "z2": lambda: C.cyclic_group(2)}
+    path = tmp_path / "x.json"
+    path.write_text(D.complex_text(C.th0(C.nerve(cat[category](), cap))))
+    code, out = run(capsys, "tau", str(path), "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_tau_with_an_inconsistent_audit_exits_2(capsys, tmp_path):
+    # one vertex and the loops c, a and b; the product horn of (a, b) has
+    # the fillers (a, c, b), (a, a, b) and (a, b, b), so its cell of the
+    # table is not well defined.  The document is the table and the audit
+    # the API computes, written by json
+    c, a, b = 0, 1, 2
+    triangles = [(c, c, c), (a, a, c), (c, a, a), (b, b, c), (c, b, b),
+                 (a, c, a), (a, c, b), (b, c, a), (b, c, b), (a, a, b),
+                 (a, b, b)]
+    u = C.build_sset(2, [1, 3, len(triangles)],
+                     [[], [(0, 0)] * 3, triangles],
+                     [[(c,)], [(0, 0), (1, 2), (3, 4)], []])
+    x = C.make_stratified(u, u.simplices(2))
+    path = tmp_path / "loops.json"
+    path.write_text(D.complex_text(x))
+    code, out = run(capsys, "tau", str(path), "--n", "1",
+                    "--audit-well-defined")
+    assert code == 2
+    v = u.id_at(0, 0)
+    table = C.tau_table(x, v, 1)
+    audit = C.audit_well_defined(x, v, table)
+    assert not audit.all_consistent
+    doc = D.result_doc("tau", {
+        "complex_sha256": D.complex_digest(x), "n": 1, "vertex": "0:0",
+        "audit_well_defined": True}, D.table_payload(table, audit))
+    assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "delta", "-1", "--cap", "2"],
     ["build", "delta", "-1"],

@@ -1,13 +1,14 @@
 import collections
 import hashlib
 import json
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import documents as D
-from complicial import errors
+from complicial import errors, homotopy
 from complicial.cli import main
 
 
@@ -151,6 +152,58 @@ def test_writer_rejects_what_json_rejects():
             json.dumps(value)
         with pytest.raises(TypeError):
             D.dumps(value)
+
+
+@st.composite
+def tau_results(draw):
+    """A drawn table, with or without a drawn audit, and the inputs of its
+    document: elements in classes of one or several members, any entries,
+    fillers and witnesses (or none), and cells consistent or not."""
+    n = draw(st.integers(1, 2))
+    index = st.integers(0, 10 ** 6)
+    indexes = sorted(draw(st.sets(index, min_size=1, max_size=10)))
+    elements = tuple(C.SimplexId(n, i) for i in indexes)
+    blocks: dict = {}
+    for e in elements:
+        blocks.setdefault(draw(st.integers(0, 3)), []).append(e)
+    classes = tuple(sorted(map(tuple, blocks.values())))
+    size = len(classes)
+    entry = st.integers(0, size - 1)
+    tops = st.lists(index, max_size=3).map(tuple)
+    table = homotopy._finish_table(
+        tuple(tuple(draw(entry) for _ in range(size)) for _ in range(size)),
+        n=n, base=C.SimplexId(0, draw(st.integers(0, 3))),
+        elements=elements, classes=classes, unit=draw(entry),
+        relation_reflexive=draw(st.booleans()),
+        relation_symmetric=draw(st.booleans()),
+        relation_transitive=draw(st.booleans()),
+        _fillers=tuple(draw(index) for _ in range(size * size)),
+        _witnesses=draw(st.dictionaries(
+            st.tuples(st.sampled_from(indexes), st.sampled_from(indexes)),
+            tops, max_size=4)),
+        _complex=None)
+    audit = None
+    if draw(st.booleans()):
+        pairs = [len(ci) * len(cj) for ci in classes for cj in classes]
+        audit = homotopy.AuditReport(
+            size, tuple(pairs),
+            tuple(draw(st.integers(p, 3 * p)) for p in pairs),
+            tuple(draw(st.booleans()) for _ in pairs))
+    inputs = {"complex_sha256": "%064x" % draw(st.integers(0, 2 ** 256 - 1)),
+              "n": n, "vertex": D.id_str(table.base),
+              "audit_well_defined": audit is not None}
+    return inputs, table, audit
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau_results(), st.integers(1, 5))
+def test_tau_pieces_are_json_of_the_document(drawn, batch):
+    # a few cells per piece, so that a document spans several
+    inputs, table, audit = drawn
+    doc = D.result_doc("tau", inputs, D.table_payload(table, audit))
+    with patch.object(D, "_CELLS_PER_PIECE", batch):
+        text = "".join(D.table_pieces(inputs, table, audit))
+    assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 @pytest.mark.parametrize("name", [5, 1.5, ["c"], {"name": "c"}])

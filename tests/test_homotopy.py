@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,7 +161,8 @@ def test_shared_cylinder_matches_fresh_rel_homotopic(qcat_bool_3):
                                 C.classifying_map(x, q, cap=2), binc)
             assert rel[i][j] == (w is not None)
             if w is not None:
-                assert witnesses[(p, q)] == _witness_summary(w)
+                assert tuple(t.index for t in witnesses[(p, q)]) == \
+                    _witness_summary(w)
 
 
 # -- the class closure ------------------------------------------------------------
@@ -356,7 +359,7 @@ def finished(table):
     return homotopy._finish_table(
         table, n=1, base=C.SimplexId(0, 0), elements=(), classes=(), unit=0,
         relation_reflexive=True, relation_symmetric=True,
-        relation_transitive=True, fillers=(), witnesses={})
+        relation_transitive=True, _fillers=(), _witnesses={}, _complex=None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -520,18 +523,20 @@ def test_batched_loops_match_per_pair_loops_on_random_stratifications_at_cap_4(
     check_tau(x, vertex(x), data.draw(st.integers(1, 3)))
 
 
-def two_homotopies():
+def two_homotopies(drop=()):
     """One vertex and the loops c (constant), b and a.  Thin triangles:
     the degenerate ones; (c, b, a), twice, and (a, b, c), which make more
     homotopies from a to a, through the wall b; and (b, c, b), (a, c, a),
     (b, c, a) and (a, c, b), so that every product horn of the loops
     fills.  One triangle, (c, c, a), is not thin: it would make a homotopy
-    from a to c.  Triangles are given by their faces (d0, d1, d2)."""
+    from a to c.  Triangles are given by their faces (d0, d1, d2); those
+    in ``drop`` are left out."""
     c, b, a = 0, 1, 2
-    triangles = [(c, c, c), (b, b, c), (c, b, b), (a, a, c), (c, a, a),
-                 (c, b, a), (a, b, c),
-                 (b, c, b), (a, c, a), (b, c, a), (a, c, b),
-                 (c, b, a), (c, c, a)]
+    triangles = [t for t in [(c, c, c), (b, b, c), (c, b, b), (a, a, c),
+                             (c, a, a), (c, b, a), (a, b, c), (b, c, b),
+                             (a, c, a), (b, c, a), (a, c, b), (c, b, a),
+                             (c, c, a)]
+                 if t not in drop]
     u = C.build_sset(2, [1, 3, len(triangles)], [[], [(0, 0)] * 3, triangles],
                      [[(c,)], [(0, 0), (1, 2), (3, 4)], []])
     return C.make_stratified(u, u.simplices(1) + u.simplices(2)[:-1])
@@ -557,6 +562,112 @@ def test_first_homotopy_is_chosen_among_several():
     # takes the least of the two thin triangles (c, b, a)
     tops = {x.underlying.id_at(2, 5), x.underlying.id_at(2, 6)}
     assert set(table.witnesses[(a, a)]) == tops
+
+
+# -- the table and the audit from one filler lookup --------------------------------
+
+def test_a_representative_pair_with_no_filler_raises_the_tables_error():
+    # (b, c, b) was the one filler of the product horn of b with itself
+    x = two_homotopies(drop=[(1, 0, 1)])
+    v = vertex(x)
+    message = "no filler for the multiplication horn of <1:1>, <1:1>"
+    for run in (lambda: C.tau_table(x, v, 1),
+                lambda: homotopy._tau(x, v, 1, True)):
+        with pytest.raises(errors.NoFiller) as info:
+            run()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dropped", [(2, 0, 2), (2, 0, 1), (1, 0, 2)])
+def test_another_pair_with_no_filler_raises_the_audits_error(dropped):
+    # the class (b, a) has the representative b: every pair of cell (1, 1)
+    # but (b, b) is another pair, and the table is still made
+    x = two_homotopies(drop=[dropped])
+    v = vertex(x)
+    table = C.tau_table(x, v, 1)
+    assert [len(c) for c in table.classes] == [1, 2]
+    for run in (lambda: C.audit_well_defined(x, v, table),
+                lambda: homotopy._tau(x, v, 1, True)):
+        with pytest.raises(errors.NoFiller) as info:
+            run()
+        assert str(info.value) == "no filler at cell (1, 1)"
+
+
+def test_a_product_that_is_no_sphere_element_is_refused(monkeypatch):
+    # at vertex 0 of the arrow category the only loop is the constant; every
+    # product horn is made to have a filler whose face 1 is the arrow
+    x = C.th0(C.nerve(C.arrow_category(), 2))
+    u, v = x.underlying, vertex(x)
+    table = C.tau_table(x, v, 1)
+    arrow = next(e for e in u.simplices(1)
+                 if u.face(e, 0) != u.face(e, 1))
+    stray = u.face_columns[2][1].index(arrow.index)
+    monkeypatch.setattr(homotopy, "_batch_fillers",
+                        lambda x, k, n, rows: [[stray] for _ in rows])
+    product = f"product {arrow!r} is not a sphere element"
+    for run in (lambda: C.tau_table(x, v, 1),
+                lambda: homotopy._tau(x, v, 1, True)):
+        with pytest.raises(errors.InvalidInput, match=product):
+            run()
+    with pytest.raises(errors.InvalidInput,
+                       match=f"{arrow!r} is not a sphere element of this "
+                             "table"):
+        C.audit_well_defined(x, v, table)
+
+
+@pytest.mark.parametrize("found, error", [
+    # pairs (c, c), then (c, b), (c, a), then (b, c), (a, c), ...: the
+    # first pair either has no filler or a face outside every class
+    ([[0], [], [3]] + [[0]] * 6, "no filler at cell (0, 1)"),
+    ([[0], [3, 5], []] + [[0]] * 6,
+     "<1:1> is not a sphere element of this table"),
+    ([[0], [0], [0], [], [3]] + [[0]] * 4, "no filler at cell (1, 0)"),
+])
+def test_the_audit_reads_the_pairs_in_order(found, error):
+    # the loop b is taken out of every class, so a filler whose face 1 is
+    # b is a stray; the audit raises for whichever comes first
+    x = two_homotopies()
+    u = x.underlying
+    table = C.tau_table(x, vertex(x), 1)
+    position = homotopy._positions(u, 1, table.classes)
+    position[1] = None
+    faces = u.face_columns[2][1]
+    assert [faces[w] for w in (0, 3, 5)] == [0, 2, 1]
+    with pytest.raises((errors.NoFiller, errors.InvalidInput),
+                       match=re.escape(error)):
+        homotopy._audit(u, 1, table, position, [1, 2, 2, 4], found)
+
+
+def test_the_audit_by_columns_on_several_members():
+    # the fillers of cell (1, 1) land in the class of c, not of (b, a);
+    # the counts are summed over the pairs of a cell
+    x = two_homotopies()
+    u = x.underlying
+    table = C.tau_table(x, vertex(x), 1)
+    found = [[0], [0], [0, 0], [0], [0], [0], [0, 0, 0], [0], [0]]
+    report = homotopy._audit(u, 1, table, homotopy._positions(
+        u, 1, table.classes), [1, 2, 2, 4], found)
+    assert [(c.row, c.col, c.pairs_tested, c.fillers_tested)
+            for c in report.cells] == [(0, 0, 1, 1), (0, 1, 2, 3),
+                                       (1, 0, 2, 2), (1, 1, 4, 6)]
+    assert [c.consistent for c in report.cells] == [
+        table.table[i][j] == 0 for i in range(2) for j in range(2)]
+    assert report.min_fillers == 1
+    assert not report.all_consistent
+
+
+def test_the_audit_refuses_a_table_of_another_complex():
+    # an S3 table on Z2 was an IndexError, and a Z2 table on S3 audited
+    # as consistent over its 4 cells
+    z2, s3 = (C.th0(C.nerve(g, 2)) for g in (C.cyclic_group(2),
+                                             C.symmetric_group_3()))
+    for x, y in ((z2, s3), (s3, z2)):
+        v = vertex(x)
+        table = C.tau_table(y, vertex(y), 1)
+        with pytest.raises(errors.InvalidInput,
+                           match="elements are not the sphere elements"):
+            C.audit_well_defined(x, v, table)
+        assert C.audit_well_defined(y, vertex(y), table).all_consistent
 
 
 @pytest.mark.parametrize("complex_, n", [("th0_s3_3", 1), ("th0_z2_3", 2)])
