@@ -5,8 +5,9 @@ of its n-simplices (degenerate ones included) and its face (``n >= 1``) and
 degeneracy (``n < D``) tables, kept as columns: one tuple of indexes per
 operator and dimension, which every reader in the package reads.  The
 rest is made per dimension on first use, one store each (:class:`_PerDim`):
-keys and labels by the makers a constructor hands over; ids, the key and
-face indexes and degeneracy witnesses; and rows, for API callers only.
+keys and labels by the makers a constructor hands over; ids, the key
+index, the face-row index and degeneracy witnesses; and rows, for API
+callers only.
 Tables are checked once, where they come in: :func:`build_sset` checks the
 shapes, ranges, keys and labels of tables an API caller gives as rows, and
 ``documents.doc_to_complex`` those of a document.  Behind them one core,
@@ -21,7 +22,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from types import NoneType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -121,14 +122,6 @@ def _by_face_row(columns: Columns) -> dict[Row, tuple[int, ...]]:
     return {row: tuple(ixs) for row, ixs in grouped.items()}
 
 
-def _by_value(column: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """The positions of ``column`` grouped by entry; a stable sort by
-    entry keeps each group ascending."""
-    return {v: tuple(ixs) for v, ixs in groupby(
-        sorted(range(len(column)), key=column.__getitem__),
-        key=column.__getitem__)}
-
-
 class TruncatedSSet:
     """A simplicial set truncated at ``dim_cap``, presented by index tables.
 
@@ -158,7 +151,6 @@ class TruncatedSSet:
         "_key_index",
         "deg_witness",
         "_by_faces",
-        "_by_face_value",
         "_boundary_bijective",
         "__weakref__",
     )
@@ -205,8 +197,6 @@ class TruncatedSSet:
         self.deg_witness = per_dim(lambda n: _first_witnesses(
             degeneracy_columns[n - 1], counts[n]) if n else (None,) * counts[0])
         self._by_faces = per_dim(lambda n: _by_face_row(face_columns[n]))
-        self._by_face_value = per_dim(
-            lambda n: tuple(map(_by_value, face_columns[n])))
         # per dimension, whether the face-row map onto the compatible
         # boundaries is a bijection (lifting._boundaries_bijective)
         self._boundary_bijective: list[bool | None] = [None] * (dim_cap + 1)
@@ -317,14 +307,6 @@ class TruncatedSSet:
         """The n-simplices (n >= 1) grouped by face row, indexes ascending."""
         return self._by_faces[n]
 
-    def face_value_index(self, n: int) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """Per face position j, the n-simplices (n >= 1) by their j-th face.
-
-        ``face_value_index(n)[j][v]`` lists, ascending, every n-simplex whose
-        j-th face is the (n-1)-simplex ``v``.
-        """
-        return self._by_face_value[n]
-
     def const(self, x: SimplexId, m: int) -> SimplexId:
         """The constant m-simplex at the vertex ``x`` (iterated s_0)."""
         require_simplex(self, x, 0)
@@ -382,6 +364,13 @@ class TruncatedSSet:
 def _require_dim(n: int, cap: int) -> None:
     if not 0 <= n <= cap:
         raise IndexOutOfRange(f"dimension {n} outside 0..{cap}")
+
+
+def _require_int(name: str, value: object) -> None:
+    """Raise :class:`InvalidInput` naming ``name`` unless ``value`` is of
+    type ``int`` (so no ``bool``)."""
+    if type(value) is not int:
+        raise InvalidInput(f"{name} must be an integer, not {value!r}")
 
 
 def require_simplex(x: TruncatedSSet, s: SimplexId, dim: int | None = None

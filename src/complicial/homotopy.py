@@ -27,10 +27,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
-from operator import is_, ne, sub
+from operator import ne, sub
 from typing import Hashable, Iterable, Sequence
 
-from .core import Row, SimplexId, TruncatedSSet, _compose, require_simplex
+from .core import (
+    Row, SimplexId, TruncatedSSet, _compose, _require_int, require_simplex,
+)
 from .errors import (
     CapTooSmall,
     InvalidInput,
@@ -64,6 +66,7 @@ def classifying_map(x: StratifiedSSet, alpha: SimplexId,
     n = alpha.dim
     if cap is None:
         cap = min(x.cap, n + 1)
+    _require_int("cap", cap)
     if cap < n or cap > x.cap:
         raise CapTooSmall(f"cap {cap} unusable for a {n}-simplex in cap {x.cap}")
     return _classifying_maps(x, n, cap, [alpha.index])[0]
@@ -92,6 +95,7 @@ def _matching(columns: Sequence[Sequence[int]], candidates: Iterable[int],
 def sphere_elements(x: StratifiedSSet, base: SimplexId, n: int
                     ) -> tuple[SimplexId, ...]:
     """All n-simplices whose entire boundary is constant at ``base``."""
+    _require_int("n", n)
     require_simplex(x.underlying, base, 0)
     if n < 1:
         raise InvalidInput("sphere elements need n >= 1")
@@ -288,7 +292,8 @@ class _SphereHomotopy:
     nearest chosen node on either side, and each top the least simplex with
     its face row (:meth:`homotopies`).  The witness rows are built as
     ``_search`` builds its own, by ``lifting._generated_rows``, and
-    validated as one batch.
+    validated as one batch; a witness is then kept as the images of its
+    tops alone.
     """
 
     def __init__(self, x: StratifiedSSet, base: SimplexId, n: int):
@@ -317,7 +322,7 @@ class _SphereHomotopy:
                     if w is None and c not in reads[m]]
                    for m in range(cyl.cap + 1)]
         assert len(unknown) == n + 2 and not any(unknown[:n])
-        self.walls, tops = unknown[n], unknown[n + 1]
+        self.walls, self.tops = unknown[n], unknown[n + 1]
         # the ends read the top n-simplex of Δ[n] in the f or the g row;
         # every other pinned entry is the same for every sphere element,
         # so it is read off the constant's own rows
@@ -344,7 +349,7 @@ class _SphereHomotopy:
         # pinned faces as (position, value)
         free: dict[int, dict[object, int]] = {}
         fixed: dict[int, list[tuple[int, int]]] = {}
-        for t in tops:
+        for t in self.tops:
             free[t], fixed[t] = {}, []
             for j, column in enumerate(cu.face_columns[n + 1]):
                 c = column[t]
@@ -357,7 +362,7 @@ class _SphereHomotopy:
         # walk from alpha, each step along the one unused top at the node
         self.path: list = [_ALPHA]
         order: list[tuple[int, int, int]] = []
-        unused = set(tops)
+        unused = set(self.tops)
         while self.path[-1] != _BETA:
             here = self.path[-1]
             at = [t for t in unused if here in free[t]]
@@ -370,7 +375,7 @@ class _SphereHomotopy:
         assert not unused and sorted(self.path[1:-1]) == self.walls
         columns = xu.face_columns[n + 1]
         self.links: list[_Link] = []
-        assert cyl_thin[n + 1] >= set(tops), "a top that is not thin"
+        assert cyl_thin[n + 1] >= set(self.tops), "a top that is not thin"
         pool = sorted(x_thin[n + 1])
         for k, (t, p, q) in enumerate(order):
             left, right = columns[p], columns[q]
@@ -399,10 +404,14 @@ class _SphereHomotopy:
         return values
 
     def homotopies(self, pairs: Sequence[tuple[int, int]]
-                   ) -> list[HomotopyWitness | None]:
+                   ) -> list[tuple[int, ...] | None]:
         """Per pair (i, j) of element positions, the first homotopy from
-        element i to element j rel boundary, or None.  Element j is
-        related to element i when it is reachable from it along the path.
+        element i to element j rel boundary, as the (n+1)-simplices at its
+        tops in cylinder order, or None.  Element j is related to element i
+        when it is reachable from it along the path.  The cylinder maps are
+        validated as one batch; their ends hold by construction, since
+        :meth:`_witness_rows` reads every pinned entry from the rows of
+        elements i and j.
         """
         # per element i, the indexes in X of the elements reachable from it
         reach: dict[int, set[int]] = {}
@@ -430,11 +439,12 @@ class _SphereHomotopy:
                 solution[(self.n + 1, link.top)] = \
                     link.least[(values[k], values[k + 1])]
             found.append(solution)
-        maps = iter(make_stratified_maps(
+        make_stratified_maps(
             self.cylinder.inclusion.target, self.x,
-            self._witness_rows(list(compress(pairs, solved)), found)))
-        return [HomotopyWitness(next(maps), self.maps[i], self.maps[j])
-                if ok else None for (i, j), ok in zip(pairs, solved)]
+            self._witness_rows(list(compress(pairs, solved)), found))
+        tops = iter([tuple(s[(self.n + 1, t)] for t in self.tops)
+                     for s in found])
+        return [next(tops) if ok else None for ok in solved]
 
     def _witness_rows(self, pairs: Sequence[tuple[int, int]],
                       solutions: Sequence[dict[tuple[int, int], int]]
@@ -537,9 +547,8 @@ def _horn_fillers(x: StratifiedSSet, k: int, rows: Sequence[Row]
     j.  The horns are checked first, as one batch, to be stratified maps
     (``lifting._require_horns``), so an invalid horn raises before any
     filler is looked up; the fillers of all horns are then looked up
-    together (``lifting._batch_fillers``).  For horns that are valid by
-    construction, look the fillers up directly instead (as
-    :func:`_product_fillers` does for spheres).
+    together (``lifting._batch_fillers``).  The check compares whole
+    columns, and horn maps are built only when it fails.
     """
     if not rows:
         return []
@@ -555,29 +564,21 @@ def _product_fillers(x: StratifiedSSet, base: SimplexId, n: int,
     ``pairs`` and the fillers are indexes of n- and (n+1)-simplices.  The
     horn of the (n+1)-simplex at n has the first factor on face n-1, the
     second on face n+1 and the constant n-simplex at ``base`` elsewhere.
-    When every factor is a sphere element at ``base``, the horn is a
-    stratified map by construction: all its faces have constant boundary,
-    and each of its thin simplices contains {n-1, n, n+1}, so it lies in a
-    constant face and lands on a degenerate, hence thin, simplex.  Such a
-    batch is one filler lookup (``lifting._batch_fillers``) with no check.
-    Any other batch goes through :func:`_horn_fillers`, which checks the
-    horns first.  The arguments are not checked.
+    Every batch goes through :func:`_horn_fillers`, which checks the horns
+    first, a column at a time.  The arguments are not checked.
     """
     xu = x.underlying
     # the faces j != n: constants, then j = n - 1 and j = n + 1 at n - 1
     # and n
     rows = list(map(((xu.const(base, n).index,) * (n - 1)).__add__, pairs))
-    bound = xu.const(base, n - 1).index
-    factors = set(chain.from_iterable(pairs))
-    if all(column[w] == bound for column in xu.face_columns[n]
-           for w in factors):
-        return _batch_fillers(x, n, n + 1, rows)
     return _horn_fillers(x, n, rows)
 
 
 def _product_args(x: StratifiedSSet, base: SimplexId, n: int,
                   *factors: SimplexId) -> None:
-    """Check the cap, the base vertex and the n-simplex factors at entry."""
+    """Check n, the cap, the base vertex and the n-simplex factors at
+    entry."""
+    _require_int("n", n)
     if x.cap < n + 1:
         raise CapTooSmall(f"multiplication at n = {n} needs cap >= {n + 1}")
     require_simplex(x.underlying, base, 0)
@@ -789,15 +790,6 @@ def _finish_table(table: tuple[tuple[int, ...], ...], **fields) -> MonoidTable:
     return result
 
 
-def _witness_summary(w: HomotopyWitness) -> tuple[int, ...]:
-    # the indexes of the images of the cylinder's nondegenerate top
-    # simplices, read off the columns: no ids are made
-    h = w.h.map
-    top = h.source.dim_cap
-    return tuple(compress(h.assign[top],
-                          map(is_, h.source.deg_witness[top], repeat(None))))
-
-
 def _witness_ids(xu: TruncatedSSet, n: int,
                  found: dict[tuple[int, int], tuple[int, ...]]
                  ) -> dict[tuple[SimplexId, SimplexId], tuple[SimplexId, ...]]:
@@ -820,11 +812,10 @@ def _sphere_relation(
     pairs = [(i, j) for i in range(size) for j in range(size)]
     rel = [[False] * size for _ in range(size)]
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (i, j), w in zip(pairs, homotopy.homotopies(pairs)):
-        if w is not None:
+    for (i, j), tops in zip(pairs, homotopy.homotopies(pairs)):
+        if tops is not None:
             rel[i][j] = True
-            witnesses[(elements[i].index, elements[j].index)] = \
-                _witness_summary(w)
+            witnesses[(elements[i].index, elements[j].index)] = tops
     return elements, rel, witnesses
 
 
@@ -841,7 +832,7 @@ def sphere_relation(
     (:class:`_SphereHomotopy`): each row is the set reachable from its
     element.  The witness of each related pair is the first solution of the
     cylinder search, rebuilt and validated with all the others as one
-    batch.
+    batch, and given by the (n+1)-simplices at its tops, in cylinder order.
     """
     elements, rel, witnesses = _sphere_relation(x, base, n)
     return elements, rel, _witness_ids(x.underlying, n, witnesses)
@@ -905,12 +896,13 @@ def _tau(x: StratifiedSSet, base: SimplexId, n: int, audit: bool
     :func:`audit_well_defined` on it, from one filler lookup.
 
     The product horns of every pair of class members (of the
-    representatives only, without ``audit``) are valid by construction, so
-    their fillers are looked up in one batch and no horn map is built
-    (:func:`_product_fillers`).  The table reads the first filler of each
-    cell's representative pair (:func:`_products`) and the audit all of
-    them (:func:`_audit`), so the table's errors come before the audit's.
+    representatives only, without ``audit``) are checked by columns and
+    their fillers looked up in one batch (:func:`_product_fillers`).  The
+    table reads the first filler of each cell's representative pair
+    (:func:`_products`) and the audit all of them (:func:`_audit`), so the
+    table's errors come before the audit's.
     """
+    _require_int("n", n)
     if n < 1:
         raise InvalidInput("homotopy monoids are defined for n >= 1")
     if x.cap < n + 1:
@@ -951,8 +943,8 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
     needed), multiplies canonical representatives through horn filling,
     then checks associativity by Light's test (:func:`_associative`) and
     attempts two-sided inverse detection.  The product horns of all pairs
-    of representatives are valid by construction, so their fillers are
-    looked up in one batch and no horn map is built (:func:`_tau`).
+    of representatives are checked by columns and their fillers looked up
+    in one batch (:func:`_tau`).
     """
     return _tau(x, base, n, False)[0]
 
@@ -1104,10 +1096,10 @@ def audit_well_defined(x: StratifiedSSet, base: SimplexId,
     Confirms that each filler's resulting face lands in the class the table
     recorded for that cell.  ``base`` must be the table's base, the cap
     must leave room for the product horns, and the table's elements must
-    be the sphere elements of ``x`` at ``base``.  The fillers are looked
-    up for all representative pairs of all cells in one batch, with no
-    horn map built (:func:`_product_fillers`: every factor is a sphere
-    element of the table), and read a column at a time (:func:`_audit`).
+    be the sphere elements of ``x`` at ``base``.  The horns of all
+    representative pairs of all cells are checked by columns and their
+    fillers looked up in one batch (:func:`_product_fillers`), then read a
+    column at a time (:func:`_audit`).
     """
     n = table.n
     xu = x.underlying

@@ -38,8 +38,9 @@ What is validated, and where:
 * Verdicts.  A stratified map from the complicial simplex at cap n is one
   n-simplex of X, and of the simplices outside the horn only the top is
   thin; so a horn instance is filled exactly by a thin n-simplex whose
-  faces j != k are the horn's (:func:`_batch_fillers`, which compares
-  whole face rows and never rests on the index it draws candidates from).
+  faces j != k are the horn's (:func:`_batch_fillers`, which groups the
+  thin n-simplices by whole face rows, k-th entry left out, and looks
+  each horn up there).
   Family 1 decides each (k, n) row against one projection set, built
   once: the face rows of the thin n-simplices with their k-th entry left
   out, so an instance passes exactly when its faces are in it.  Where the
@@ -83,7 +84,7 @@ from itertools import combinations, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Row, SimplexId, TruncatedSSet
+from .core import Row, SimplexId, TruncatedSSet, _require_int
 from .errors import (
     BoundaryMismatch,
     BoundExceedsCap,
@@ -493,24 +494,20 @@ def _batch_fillers(x: StratifiedSSet, k: int, n: int,
     at cap n is one n-simplex of X, and of its simplices outside the horn
     only the top is thin; so the fillers are the thin n-simplices whose
     face row, with its k-th entry left out, is the horn's row.
-    Candidates come from the face-value index at the first face j != k:
-    each distinct bucket the rows ask for is scanned once, its thin
-    candidates sorted by the index of face k, into one dict from a
-    candidate's face row, k-th entry left out, to the candidates with that
-    row; each horn is then one lookup of its whole row.  Fillers are
-    ordered by (index of face k, index), the order of :func:`_search`.
+    The thin n-simplices whose first face j != k some row asks for are
+    sorted once by (index of face k, index), the order of :func:`_search`,
+    and grouped in that order by their face row with the k-th entry left
+    out; each horn is then one lookup of its whole row.
     """
     columns = x.underlying.face_columns[n]
     rest = [column for j, column in enumerate(columns) if j != k]
-    thin = x.thin_indexes()[n]
-    buckets = x.underlying.face_value_index(n)[1 if k == 0 else 0]
+    wanted = {row[0] for row in rows}
+    ws = [w for w in x.thin_indexes()[n] if rest[0][w] in wanted]
+    # ascending first, so the stable sort by face k keeps ties ascending
+    ws = sorted(sorted(ws), key=columns[k].__getitem__)
     found: dict[Row, list[int]] = {}
-    for v in {row[0] for row in rows}:
-        # buckets ascend and the sort is stable: ties stay ascending
-        ws = sorted(filter(thin.__contains__, buckets.get(v, ())),
-                    key=columns[k].__getitem__)
-        for key, w in zip(zip(*[map(c.__getitem__, ws) for c in rest]), ws):
-            found.setdefault(key, []).append(w)
+    for key, w in zip(zip(*[map(c.__getitem__, ws) for c in rest]), ws):
+        found.setdefault(key, []).append(w)
     return [found.get(row, []) for row in rows]
 
 
@@ -699,6 +696,7 @@ def verify_weak_complicial(x: StratifiedSSet, bound: int) -> VerificationReport:
     family 2 the thinness extensions for 2 <= n <= bound and k in [n].  The
     report's rows are ordered by (family, n, k).
     """
+    _require_int("bound", bound)
     if bound > x.cap:
         raise BoundExceedsCap(f"bound {bound} exceeds cap {x.cap}")
     if bound < 0:

@@ -6,13 +6,13 @@ inputs (``build_sset``, ``make_stratified``, ``SimplexId`` and ``errors``),
 and reads a complex only through its tables (``counts``, ``faces``,
 ``degeneracies``, and ``keys`` of a standard complex) and its thin sets
 (``thin_indexes``).  It never calls ``act``, ``apply_monotone``,
-``face_index``, ``face_value_index`` or a private name, so that a fault of
-the engine cannot cancel out in a comparison; ``tests/test_names.py``
-checks this.  Every search is depth first and extends a partial tuple only
-by the simplices whose faces match the ones already chosen, found in
-groupings this module makes from the tables.  Results come out in the
-orders the package documents, face tuples and assignments
-lexicographically, so that every comparison is a list equality.
+``face_index`` or a private name, so that a fault of the engine cannot
+cancel out in a comparison; ``tests/test_names.py`` checks this.  Every
+search is depth first and extends a partial tuple only by the simplices
+whose faces match the ones already chosen, found in groupings this module
+makes from the tables.  Results come out in the orders the package
+documents, face tuples and assignments lexicographically, so that every
+comparison is a list equality.
 """
 
 from collections import namedtuple

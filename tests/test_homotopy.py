@@ -8,7 +8,6 @@ from complicial import errors, homotopy, lifting
 from complicial.homotopy import (
     _Cylinder,
     _partition,
-    _witness_summary,
     all_product_fillers,
 )
 
@@ -161,8 +160,11 @@ def test_shared_cylinder_matches_fresh_rel_homotopic(qcat_bool_3):
                                 C.classifying_map(x, q, cap=2), binc)
             assert rel[i][j] == (w is not None)
             if w is not None:
+                # the images of the cylinder's nondegenerate top simplices
+                cyl = w.h.source.underlying
+                tops = cyl.nondegenerate(cyl.dim_cap)
                 assert tuple(t.index for t in witnesses[(p, q)]) == \
-                    _witness_summary(w)
+                    tuple(w.h.map.assign[cyl.dim_cap][t.index] for t in tops)
 
 
 # -- the class closure ------------------------------------------------------------
@@ -713,6 +715,49 @@ def test_sphere_witnesses_are_validated(monkeypatch, th0_z2_3):
         C.sphere_relation(x, v, 1)
     with pytest.raises(errors.NotWellDefined):
         C.tau_table(x, v, 1)
+
+
+def test_the_sphere_path_makes_no_homotopy_witness(monkeypatch):
+    # the sphere relation keeps each witness as the indexes of its tops;
+    # only the homotopies of arbitrary maps construct a HomotopyWitness
+    x = two_homotopies()
+    v = vertex(x)
+    made = []
+    init = C.HomotopyWitness.__post_init__
+
+    def spy(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(C.HomotopyWitness, "__post_init__", spy)
+    els, rel, witnesses = C.sphere_relation(x, v, 1)
+    p, q = next((p, q) for i, p in enumerate(els) for j, q in enumerate(els)
+                if p != q and rel[i][j])
+    C.tau_table(x, v, 1)
+    C.check_well_defined(x, v, 1, p, q, p, q)
+    assert witnesses[(p, q)] and made == []
+    _, binc = C.boundary_pair(1, 2)
+    assert C.rel_homotopic(C.classifying_map(x, p, cap=2),
+                           C.classifying_map(x, q, cap=2), binc)
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", True])
+@pytest.mark.parametrize("name, call", [
+    ("n", lambda x, v, a, bad: C.tau_table(x, v, bad)),
+    ("n", lambda x, v, a, bad: C.sphere_elements(x, v, bad)),
+    ("n", lambda x, v, a, bad: C.multiply(x, v, bad, a, a)),
+    ("cap", lambda x, v, a, bad: C.classifying_map(x, a, cap=bad)),
+    ("bound", lambda x, v, a, bad: C.verify_weak_complicial(x, bad)),
+], ids=["tau_table", "sphere_elements", "multiply", "classifying_map",
+        "verify_weak_complicial"])
+def test_dimension_arguments_must_be_ints(th0_z2_3, name, call, bad):
+    x = th0_z2_3
+    v = vertex(x)
+    a = x.underlying.id_for_key(1, (1,))
+    with pytest.raises(errors.InvalidInput, match="^" + re.escape(
+            f"{name} must be an integer, not {bad!r}") + "$"):
+        call(x, v, a, bad)
 
 
 def test_check_well_defined_needs_sphere_elements():

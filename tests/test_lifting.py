@@ -313,8 +313,9 @@ def refuse_horn_maps(*args):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_sphere_product_horns_need_no_map(data):
-    # for every pair of sphere elements the product horn is a valid map,
-    # and the lookup, which builds none, returns the validated fillers
+    # for every pair of sphere elements the product horn is a valid map, so
+    # the column check passes, no map is built, and the lookup returns the
+    # validated fillers
     x = weak_complicial_nerve(data)
     assert C.verify_weak_complicial(x, 3).passed
     base = data.draw(st.sampled_from(x.underlying.simplices(0)))
@@ -326,8 +327,34 @@ def test_sphere_product_horns_need_no_map(data):
     assert len(_horn_maps(horn, n, n + 1, x, list(zip(*rows)))) == len(pairs)
     want = homotopy._horn_fillers(x, n, rows)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(homotopy, "_require_horns", refuse_horn_maps)
+        patch.setattr(lifting, "_horn_maps", refuse_horn_maps)
         assert list(homotopy._product_fillers(x, base, n, pairs)) == want
+
+
+def test_every_product_batch_runs_the_column_check(monkeypatch, th0_s3_3):
+    # all-sphere batches too: each entry point checks its horns by columns,
+    # once per batch, and builds no map for them
+    x = th0_s3_3
+    base = x.underlying.id_at(0, 0)
+    a, b = C.sphere_elements(x, base, 1)[:2]
+    checked = []
+    check = homotopy._require_horns
+
+    def spy(x, k, n, columns):
+        checked.append((k, n, len(columns[0])))
+        return check(x, k, n, columns)
+
+    monkeypatch.setattr(homotopy, "_require_horns", spy)
+    monkeypatch.setattr(lifting, "_horn_maps", refuse_horn_maps)
+    table = C.tau_table(x, base, 1)
+    C.audit_well_defined(x, base, table)
+    C.multiply(x, base, 1, a, b)
+    all_product_fillers(x, base, 1, a, b)
+    C.check_well_defined(x, base, 1, a, a, b, b)
+    size = len(table.elements)
+    assert len(table.classes) == size == 6
+    assert checked == [(1, 2, 36), (1, 2, 36), (1, 2, 1), (1, 2, 1),
+                       (1, 2, 2)]
 
 
 def first_non_sphere(u, n):

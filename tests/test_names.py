@@ -138,7 +138,7 @@ def test_detects_an_unused_import():
 # -- the reference engine stays independent -----------------------------------
 
 INPUT_MAKERS = {"build_sset", "make_stratified", "SimplexId", "errors"}
-ENGINE_ONLY = {"act", "apply_monotone", "face_index", "face_value_index"}
+ENGINE_ONLY = {"act", "apply_monotone", "face_index"}
 
 
 def engine_uses(source: str, filename: str) -> list[str]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import complicial as C
+from complicial.lifting import _batch_fillers
 
 from . import reference
 from .conftest import check_tau, random_thin, renumbered, report_rows
@@ -94,3 +95,23 @@ def test_engine_matches_the_reference_on_random_stratifications(data):
         reference.verify_rows(x, cap)
     if cap >= 2 and u.counts[0]:
         check_tau(x, data.draw(st.sampled_from(x.simplices(0))), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batch_fillers_order_fillers_by_the_kth_face(data):
+    # in a monoid that is no group some element is not cancellable, so some
+    # horn at k = 0 or 2 has fillers whose k-th faces differ; renumbered,
+    # index order says nothing about that order
+    table = data.draw(st.sampled_from([t for t in MONOIDS
+                                       if not reference.is_group(t, 0)]))
+    u = renumbered(C.nerve(monoid_category(table), 2), data)
+    x = C.max_strat(u)
+    spread = 0
+    for k in range(3):
+        horns = reference.horn_tuples(u, k, 2, x.thin_indexes())
+        got = _batch_fillers(x, k, 2, horns)
+        assert got == [reference.fillers(x, k, 2, h) for h in horns]
+        spread += sum(len({u.faces[2][w][k] for w in found}) > 1
+                      for found in got)
+    assert spread

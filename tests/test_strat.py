@@ -280,7 +280,7 @@ def test_a_used_complex_is_freed_without_the_cycle_collector():
                   .underlying):
             for n in range(u.dim_cap + 1):
                 u.keys[n], u.label_column(n), u.ids[n]
-                u.face_index(n), u.face_value_index(n), u.deg_witness[n]
+                u.face_index(n), u.deg_witness[n]
                 u.id_for_key(n, u.key_of(u.id_at(n, 0)))
             refs.append(weakref.ref(u))
             del u
