@@ -8,7 +8,8 @@ edges, detected through invertibility in the homotopy category.
 
 ``pi_oracle`` is an independent implementation of the classical simplicial
 homotopy group: same sphere elements, homotopy through unstratified prism
-maps, multiplication through unstratified horn filling.  It shares no
+maps (one search per element, which collects every element it reaches),
+multiplication through unstratified horn filling.  It shares no
 filler-search code with the homotopy-monoid machinery beyond the core
 simplex tables, so agreement between the two is meaningful evidence.
 """
@@ -25,6 +26,7 @@ from .core import (
     SimplexId,
     TruncatedSSet,
     _compose,
+    _require_int,
     _sset,
     require_simplex,
 )
@@ -502,24 +504,27 @@ def _prism_program(n: int) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
 
     Per unknown of :func:`_prism_unknowns`, in order: its dimension m and,
     per face i, a pair (kind, what).  Kind "alpha" or "beta" reads that
-    element's end value at the monotone map ``what``, "const" the constant
-    ``what``-simplex at the base, and "cell" the simplex chosen for the
-    earlier unknown ``what``.  The prism is the nerve of the poset
-    [n] x [1], so the faces of its nondegenerate cells are nondegenerate,
-    and a face on neither end that covers all of [n] is an unknown.  This
-    depends on n only.
+    sphere element itself, "const" the constant ``what``-simplex at the
+    base, and "cell" the simplex chosen for the earlier unknown ``what``.
+    The prism is the nerve of the poset [n] x [1], so the faces of its
+    nondegenerate cells are nondegenerate.  A face that misses a vertex of
+    [n] lies over the boundary of Δ[n], where the homotopy is constant and
+    every proper face of a sphere element is the constant at the base; a
+    face on an end that covers all of [n] is that end's element, and any
+    other face is an unknown.  So the elements are read only as the top
+    faces of two unknowns.  This depends on n only.
     """
     unknowns = _prism_unknowns(n)
     position = {cell: q for q, cell in enumerate(unknowns)}
     full = set(range(n + 1))
 
     def source(a: tuple[int, ...], b: tuple[int, ...], before: int) -> tuple:
-        if all(t == 0 for t in b):
-            return "alpha", a
-        if all(t == 1 for t in b):
-            return "beta", a
         if set(a) != full:
             return "const", len(a) - 1
+        if all(t == 0 for t in b):
+            return "alpha", None
+        if all(t == 1 for t in b):
+            return "beta", None
         q = position.get((a, b))
         if q is None or q >= before:  # pragma: no cover
             raise InvalidInput("unresolved prism cell")
@@ -532,51 +537,81 @@ def _prism_program(n: int) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
     )
 
 
-def _pi_homotopic(k: TruncatedSSet, base: SimplexId, n: int,
-                  alpha: SimplexId, beta: SimplexId, ends: dict) -> bool:
-    """Unstratified prism homotopy between sphere elements, rel boundary.
+def _pi_rows(k: TruncatedSSet, base: SimplexId, n: int,
+             elements: Sequence[SimplexId]) -> list[list[int]]:
+    """Per sphere element alpha, in order, the positions (ascending) of the
+    elements beta with a prism homotopy from alpha to beta rel boundary.
 
-    Runs :func:`_prism_program` on index tuples: the faces that read the
-    ends or the constants are resolved once, then a depth-first search
-    gives each unknown, in order, the simplices whose face row is what its
-    faces read.  ``ends`` memoizes the end values
-    ``apply_monotone(x, a)`` by ``(x.index, a)``; share one dict between
-    calls on the same ``k`` and n.
+    One depth-first search per alpha runs :func:`_prism_program` on index
+    tuples, giving each unknown, in order, the simplices whose face row is
+    what its faces read, with beta left free.  Exactly one unknown, the
+    beta cell, has beta as a face, and no unknown reads that cell, so it is
+    looked up rather than chosen: in one dict, built once, from the cell's
+    other faces to the positions of its beta faces.  The unknowns after it
+    do not read beta, so where the beta cell yields an element not yet
+    reached they are searched once, up to a first solution, for all such
+    elements together.  The unknowns before it are searched until every
+    element is reached.
     """
-    def fixed(kind: str, what) -> int:
+    program = _prism_program(n)
+    ((top, free),) = [(q, i) for q, (_, faces) in enumerate(program)
+                      for i, (kind, _) in enumerate(faces) if kind == "beta"]
+    const = [k.const(base, m).index for m in range(n + 1)]
+    position = {e.index: p for p, e in enumerate(elements)}
+    # the beta cell's key: its faces but beta
+    reads = [faces[:free] + faces[free + 1:] if q == top else faces
+             for q, (_, faces) in enumerate(program)]
+    # the beta cells whose constant faces are the constants, by their other
+    # faces: the positions of their beta faces
+    columns = k.face_columns[n + 1]
+    rows = [w for w, b in enumerate(columns[free]) if b in position]
+    for i, (kind, what) in enumerate(program[top][1]):
         if kind == "const":
-            return k.const(base, what).index
-        x = alpha if kind == "alpha" else beta
-        got = ends.get((x.index, what))
-        if got is None:
-            got = ends[(x.index, what)] = k.apply_monotone(x, what)
-        return got.index
+            rows = [w for w in rows if columns[i][w] == const[what]]
+    others = columns[:free] + columns[free + 1:]
+    betas: dict[tuple[int, ...], set[int]] = {}
+    for w in rows:
+        betas.setdefault(tuple(c[w] for c in others), set()).add(
+            position[columns[free][w]])
+    index = {m: k.face_index(m) for m, _ in program}
+    cells = [tuple((i, what) for i, (kind, what) in enumerate(faces)
+                   if kind == "cell") for faces in reads]
+    chosen = [0] * len(program)
 
-    steps = []
-    for m, faces in _prism_program(n):
-        want = tuple(None if kind == "cell" else fixed(kind, what)
-                     for kind, what in faces)
-        cells = tuple((i, what) for i, (kind, what) in enumerate(faces)
-                      if kind == "cell")
-        steps.append((k.face_index(m), want, cells))
-    chosen = [0] * len(steps)
+    def row(alpha: int) -> list[int]:
+        steps = [(index[m], tuple(alpha if kind == "alpha" else const[what]
+                                  if kind == "const" else None
+                                  for kind, what in faces), read)
+                 for (m, _), faces, read in zip(program, reads, cells)]
+        reached: set[int] = set()
 
-    def search(pos: int) -> bool:
-        if pos == len(steps):
-            return True
-        index, want, cells = steps[pos]
-        if cells:
-            row = list(want)
-            for i, q in cells:
-                row[i] = chosen[q]
-            want = tuple(row)
-        for w in index.get(want, ()):
-            chosen[pos] = w
-            if search(pos + 1):
+        def search(pos: int) -> bool:
+            # whether the search may stop: after the beta cell, once the
+            # unknowns have a solution; up to it, once every element has
+            # been reached
+            if pos == len(steps):
                 return True
-        return False
+            table, want, read = steps[pos]
+            if read:
+                got = list(want)
+                for i, q in read:
+                    got[i] = chosen[q]
+                want = tuple(got)
+            if pos == top:
+                new = betas.get(want, set()) - reached
+                if new and search(pos + 1):
+                    reached.update(new)
+                return len(reached) == len(elements)
+            for w in table.get(want, ()):
+                chosen[pos] = w
+                if search(pos + 1):
+                    return True
+            return False
 
-    return search(0)
+        search(0)
+        return sorted(reached)
+
+    return [row(e.index) for e in elements]
 
 
 def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
@@ -584,12 +619,14 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
 
     Requires a Kan presentation (all simplicial horns fillable up to the
     cap).  Sphere elements, homotopies and multiplications all run on the
-    bare tables with no stratification anywhere.  Homotopy is a search for
-    a prism map per pair of elements, on index tuples, where the prism's
-    layout comes from :func:`_prism_program`, compiled once per n.  The
-    product of two elements reads the n-th face of the first (n+1)-simplex
-    whose other faces are the multiplication horn's.
+    bare tables with no stratification anywhere.  Homotopy is one search
+    for prism maps per element, which collects every element it reaches
+    (:func:`_pi_rows`), on index tuples, where the prism's layout comes
+    from :func:`_prism_program`, compiled once per n.  The product of two
+    elements reads the n-th face of the first (n+1)-simplex whose other
+    faces are the multiplication horn's.
     """
+    _require_int("n", n)
     if n < 1:
         raise InvalidInput("homotopy groups are defined for n >= 1")
     if k.dim_cap < n + 1:
@@ -601,12 +638,9 @@ def pi_oracle(k: TruncatedSSet, base: SimplexId, n: int) -> MonoidTable:
         s for s in k.simplices(n)
         if all(k.face(s, i) == const_low for i in range(n + 1))
     )
-    ends: dict = {}  # each element's end values, computed once
     blocks, reflexive, symmetric, transitive = _partition(len(elements), [
-        (i, j)
-        for i, p in enumerate(elements)
-        for j, q in enumerate(elements)
-        if _pi_homotopic(k, base, n, p, q, ends)
+        (i, j) for i, row in enumerate(_pi_rows(k, base, n, elements))
+        for j in row
     ])
     classes = tuple(tuple(elements[i] for i in b) for b in blocks)
     cls_of = _class_index(classes)

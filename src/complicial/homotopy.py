@@ -301,7 +301,8 @@ class _SphereHomotopy:
         if x.cap < n + 1:
             raise CapTooSmall(f"homotopy of {n}-spheres needs cap >= {n + 1}")
         self.x, self.n = x, n
-        self.position = {e: i for i, e in enumerate(self.elements)}
+        # each element's position, by its index
+        self.position = {e.index: i for i, e in enumerate(self.elements)}
         xu = x.underlying
         x_thin = x.thin_indexes()
         _, binc = boundary_pair(n, n + 1)
@@ -330,7 +331,7 @@ class _SphereHomotopy:
         top = a.underlying.deg_witness[n].index(None)
         ends = {top: _ALPHA, a.counts[n] + top: _BETA}
         const = [r + r for r in
-                 self.maps[self.position[xu.const(base, n)]].map.assign]
+                 self.maps[self.position[xu.const(base, n).index]].map.assign]
 
         def pinned(m: int, c: int) -> int:
             assert c in reads[m], "a prism face is neither pinned nor free"
@@ -403,25 +404,29 @@ class _SphereHomotopy:
                 values = {u for v in values for u in link.backward.get(v, ())}
         return values
 
+    def row(self, i: int) -> list[int]:
+        """The positions, ascending, of the elements related to element i:
+        those reachable from it along the path."""
+        reach = self._walk({self.elements[i].index}, 0, len(self.links))
+        return sorted(map(self.position.__getitem__, reach))
+
     def homotopies(self, pairs: Sequence[tuple[int, int]]
                    ) -> list[tuple[int, ...] | None]:
         """Per pair (i, j) of element positions, the first homotopy from
         element i to element j rel boundary, as the (n+1)-simplices at its
-        tops in cylinder order, or None.  Element j is related to element i
-        when it is reachable from it along the path.  The cylinder maps are
-        validated as one batch; their ends hold by construction, since
-        :meth:`_witness_rows` reads every pinned entry from the rows of
-        elements i and j.
+        tops in cylinder order, or None when j is not in :meth:`row` i.
+        The cylinder maps are validated as one batch; their ends hold by
+        construction, since :meth:`_witness_rows` reads every pinned entry
+        from the rows of elements i and j.
         """
-        # per element i, the indexes in X of the elements reachable from it
-        reach: dict[int, set[int]] = {}
+        rows: dict[int, set[int]] = {}
         found: list[dict[tuple[int, int], int]] = []
         solved = []
         last = len(self.links)
         for i, j in pairs:
-            if i not in reach:
-                reach[i] = self._walk({self.elements[i].index}, 0, last)
-            solved.append(self.elements[j].index in reach[i])
+            if i not in rows:
+                rows[i] = set(self.row(i))
+            solved.append(j in rows[i])
             if not solved[-1]:
                 continue
             # the value at each chosen position of the path
@@ -802,21 +807,17 @@ def _witness_ids(xu: TruncatedSSet, n: int,
 
 def _sphere_relation(
     x: StratifiedSSet, base: SimplexId, n: int,
-) -> tuple[tuple[SimplexId, ...], list[list[bool]],
+) -> tuple[tuple[SimplexId, ...], list[tuple[int, int]],
            dict[tuple[int, int], tuple[int, ...]]]:
-    """:func:`sphere_relation` with each witness kept as indexes: the
+    """:func:`sphere_relation` with the relation as its related pairs of
+    element positions, row by row, and each witness kept as indexes: the
     indexes of its pair to those of its tops."""
     homotopy = _SphereHomotopy(x, base, n)
     elements = homotopy.elements
-    size = len(elements)
-    pairs = [(i, j) for i in range(size) for j in range(size)]
-    rel = [[False] * size for _ in range(size)]
-    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (i, j), tops in zip(pairs, homotopy.homotopies(pairs)):
-        if tops is not None:
-            rel[i][j] = True
-            witnesses[(elements[i].index, elements[j].index)] = tops
-    return elements, rel, witnesses
+    pairs = [(i, j) for i in range(len(elements)) for j in homotopy.row(i)]
+    witnesses = {(elements[i].index, elements[j].index): tops
+                 for (i, j), tops in zip(pairs, homotopy.homotopies(pairs))}
+    return elements, pairs, witnesses
 
 
 def sphere_relation(
@@ -834,7 +835,10 @@ def sphere_relation(
     cylinder search, rebuilt and validated with all the others as one
     batch, and given by the (n+1)-simplices at its tops, in cylinder order.
     """
-    elements, rel, witnesses = _sphere_relation(x, base, n)
+    elements, pairs, witnesses = _sphere_relation(x, base, n)
+    rel = [[False] * len(elements) for _ in elements]
+    for i, j in pairs:
+        rel[i][j] = True
     return elements, rel, _witness_ids(x.underlying, n, witnesses)
 
 
@@ -909,11 +913,9 @@ def _tau(x: StratifiedSSet, base: SimplexId, n: int, audit: bool
         raise CapTooSmall(f"tau at n = {n} needs cap >= {n + 1}")
     xu = x.underlying
     require_simplex(xu, base, 0)
-    elements, rel, witnesses = _sphere_relation(x, base, n)
-    blocks, reflexive, symmetric, transitive = _partition(
-        len(elements),
-        [(i, j) for i, row in enumerate(rel) for j, r in enumerate(row) if r],
-    )
+    elements, related, witnesses = _sphere_relation(x, base, n)
+    blocks, reflexive, symmetric, transitive = _partition(len(elements),
+                                                          related)
     # elements ascend, so the classes come out ordered as SimplexIds
     classes = tuple(tuple(elements[i] for i in b) for b in blocks)
     position = _positions(xu, n, classes)
@@ -979,7 +981,7 @@ def check_well_defined(
 
     def position(e: SimplexId) -> int:
         try:
-            return homotopy.position[e]
+            return homotopy.position[e.index]
         except KeyError:
             raise InvalidInput(
                 f"{e!r} is not a sphere element at {base!r}") from None

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import adapters, documents as D, errors
-from complicial.adapters import _pi_homotopic
+from complicial.adapters import _pi_rows, _prism_program
 from complicial.lifting import _horn_rows
 
 from . import reference
@@ -478,41 +478,73 @@ def test_pi_oracle_payload_is_pinned(s3):
         "e9bde23fd50f21596db71eb3eaa4b755e97a9ad96e18b0a7ee3b75d8abe55d4d"
 
 
+def test_agreement_tau_vs_pi_on_s5():
+    # 120 classes, and a group that is not commutative
+    k = C.nerve(C.from_permutations([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]), 2)
+    v = k.id_at(0, 0)
+    t = C.tau_table(C.th0(k), v, 1)
+    p = C.pi_oracle(k, v, 1)
+    assert len(p.classes) == 120 and p.is_group and not p.commutative
+    assert (t.classes, t.unit, t.table, t.inverses, t.commutative) == \
+        (p.classes, p.unit, p.table, p.inverses, p.commutative)
+
+
+@pytest.fixture(scope="module")
+def bent_loop():
+    """Loops a and b at one vertex and one 2-simplex (s_0 v, b, a): a
+    homotopy from a to b rel boundary, and none from b to a."""
+    return C.build_sset(2, [1, 3, 6], [
+        [], [[0, 0]] * 3,
+        [[0, 0, 0], [1, 1, 0], [0, 1, 1], [2, 2, 0], [0, 2, 2], [0, 2, 1]],
+    ], [[[0]], [[0, 0], [1, 2], [3, 4]], []])
+
+
 @pytest.mark.parametrize("fixture, n", [
     ("nerve_z3_3", 1), ("nerve_z2_4", 2), ("nerve_z2_4", 3),
     ("nerve_s3_3", 1), ("nerve_bool_3", 1), ("nerve_bool_3", 2),
+    ("bent_loop", 1),
 ])
 def test_indexed_prism_search_matches_full_scan(request, fixture, n):
-    # every pair of n-simplices, sphere elements or not, on groups and on
-    # a monoid that is not one; the prism layout is compiled once per n
+    # each oracle row, one prism search with beta left free, is what the
+    # reference's full scan relates its element to; every pair of sphere
+    # elements, on groups, on a monoid that is not one and on a relation
+    # that is not symmetric
     k = request.getfixturevalue(fixture)
     base = k.id_at(0, 0)
-    simplices = k.simplices(n)
-    got = [[_pi_homotopic(k, base, n, p, q, {}) for q in simplices]
-           for p in simplices]
+    const = k.const(base, n - 1).index
+    elements = [s for s in k.simplices(n)
+                if {col[s.index] for col in k.face_columns[n]} == {const}]
     # every map into the maximal stratification is stratified
     x = C.max_strat(k)
-    assert got == [[bool(reference.homotopies(x, 0, n, p.index, q.index))
-                    for q in simplices] for p in simplices]
-    assert any(map(any, got)) and not all(map(all, got))
-    # end values memoized across all pairs, as pi_oracle shares them
-    ends = {}
-    assert got == [[_pi_homotopic(k, base, n, p, q, ends) for q in simplices]
-                   for p in simplices]
+    rows = _pi_rows(k, base, n, elements)
+    assert rows == [[j for j, q in enumerate(elements)
+                     if reference.homotopies(x, 0, n, p.index, q.index)]
+                    for p in elements]
+    if fixture == "bent_loop":
+        assert rows == [[0], [1, 2], [2]]
 
 
-def test_pi_oracle_computes_end_values_once(monkeypatch, s3):
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prism_reads_each_element_once(n):
+    # alpha and beta are each one face of one unknown, and no unknown
+    # reads a top cell, so the beta cell can be left to a lookup
+    program = _prism_program(n)
+    reads = [(q, kind) for q, (_, faces) in enumerate(program)
+             for kind, _ in faces if kind in ("alpha", "beta")]
+    assert sorted(kind for _, kind in reads) == ["alpha", "beta"]
+    assert len({q for q, _ in reads}) == 2
+    top = [q for q, (m, _) in enumerate(program) if m == n + 1]
+    assert not [what for _, faces in program for kind, what in faces
+                if kind == "cell" and what in top]
+
+
+def test_pi_oracle_reads_no_end_values(monkeypatch, s3):
     k = C.nerve(s3, 2)
     calls = []
-    apply_monotone = C.TruncatedSSet.apply_monotone
-
-    def counted(self, y, values):
-        calls.append((y.index, tuple(values)))
-        return apply_monotone(self, y, values)
-
-    monkeypatch.setattr(C.TruncatedSSet, "apply_monotone", counted)
+    monkeypatch.setattr(C.TruncatedSSet, "apply_monotone",
+                        lambda *args: calls.append(args))
     C.pi_oracle(k, k.id_at(0, 0), 1)
-    assert calls and len(calls) == len(set(calls))
+    assert calls == []
 
 
 def test_simplicial_horn_tuples_match_brute_force(nerve_z3_3):

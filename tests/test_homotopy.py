@@ -717,6 +717,27 @@ def test_sphere_witnesses_are_validated(monkeypatch, th0_z2_3):
         C.tau_table(x, v, 1)
 
 
+def test_the_relation_asks_only_for_related_pairs(monkeypatch, th0_s3_3):
+    # each row is read off the set reachable from its element, so the
+    # witnesses are built for the related pairs alone, not for all size**2
+    x = th0_s3_3
+    v = vertex(x)
+    asked = []
+    homotopies = homotopy._SphereHomotopy.homotopies
+
+    def spy(self, pairs):
+        asked.append(list(pairs))
+        return homotopies(self, pairs)
+
+    monkeypatch.setattr(homotopy._SphereHomotopy, "homotopies", spy)
+    elements, rel, _ = C.sphere_relation(x, v, 1)
+    related = [(i, j) for i, row in enumerate(rel)
+               for j, r in enumerate(row) if r]
+    assert asked == [related] and len(related) == len(elements) == 6
+    C.tau_table(x, v, 1)
+    assert asked[1] == related
+
+
 def test_the_sphere_path_makes_no_homotopy_witness(monkeypatch):
     # the sphere relation keeps each witness as the indexes of its tops;
     # only the homotopies of arbitrary maps construct a HomotopyWitness
@@ -749,8 +770,9 @@ def test_the_sphere_path_makes_no_homotopy_witness(monkeypatch):
     ("n", lambda x, v, a, bad: C.multiply(x, v, bad, a, a)),
     ("cap", lambda x, v, a, bad: C.classifying_map(x, a, cap=bad)),
     ("bound", lambda x, v, a, bad: C.verify_weak_complicial(x, bad)),
+    ("n", lambda x, v, a, bad: C.pi_oracle(x.underlying, v, bad)),
 ], ids=["tau_table", "sphere_elements", "multiply", "classifying_map",
-        "verify_weak_complicial"])
+        "verify_weak_complicial", "pi_oracle"])
 def test_dimension_arguments_must_be_ints(th0_z2_3, name, call, bad):
     x = th0_z2_3
     v = vertex(x)
