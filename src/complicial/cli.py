@@ -10,6 +10,7 @@ success, 1 for input or validation errors, 2 for mathematical failures
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import re
@@ -337,6 +338,12 @@ def cmd_tau0(args) -> int:
     return 0
 
 
+# The parser is built on the first call to main and kept for the rest of
+# the process: building it costs more than parsing with it, and a caller
+# that never calls main never builds it.  main finds the handler by the
+# subcommand's name when it is called, so the kept parser holds no
+# function, and a cmd_* rebound later (as a tracer does) is the one called.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="complicial", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -354,7 +361,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--monoid", help="monoid JSON file (for nerve)")
     b.add_argument("--category", help="category JSON file (for nerve)")
     b.add_argument("--out", help="write the document here instead of stdout")
-    b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="check the weak complicial conditions")
     v.add_argument("complex", help="complex JSON path ('-' reads stdin)")
@@ -362,7 +368,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--limit", type=_at_least(0), default=None,
                    help="serialize at most this many witnesses per row")
     v.add_argument("--out")
-    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("tau", help="compute a homotopy monoid table")
     t.add_argument("complex")
@@ -370,24 +375,21 @@ def _build_parser() -> _Parser:
     t.add_argument("--vertex", default="0")
     t.add_argument("--audit-well-defined", action="store_true")
     t.add_argument("--out")
-    t.set_defaults(func=cmd_tau)
 
     t0 = sub.add_parser("tau0", help="invertibly connected components")
     t0.add_argument("complex")
     t0.add_argument("--out")
-    t0.set_defaults(func=cmd_tau0)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ repeated value marks a degeneracy.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -84,7 +85,14 @@ def _thin_where(u: TruncatedSSet, thin_key) -> list[list[int]]:
                    for keys in u.keys[1:]]
 
 
+def _require_size(what: str, value: int) -> None:
+    # a range or list this long cannot be indexed by a C ssize_t
+    if value >= sys.maxsize:
+        raise InvalidInput(f"{what} {value} is too large")
+
+
 def _require_cap(cap: int, need: int) -> None:
+    _require_size("cap", cap)
     if cap < need:
         raise CapTooSmall(f"cap {cap} is below the required {need}")
 
@@ -92,6 +100,7 @@ def _require_cap(cap: int, need: int) -> None:
 def _require_dim(n: int) -> None:
     if n < 0:
         raise InvalidInput(f"simplex dimension {n} is negative")
+    _require_size("simplex dimension", n)
 
 
 def _require_k(k: int, n: int) -> None:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import io
@@ -6,6 +7,7 @@ import json
 import pytest
 
 import complicial as C
+from complicial import cli, errors, standard
 from complicial import documents as D
 from complicial.cli import main
 
@@ -677,6 +679,111 @@ def test_negative_dimension_exits_1(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "negative" in captured.err
+
+
+# the builders whose parameters are numbers, and k for those that take one
+NUMERIC_BUILDERS = {
+    "delta": (standard.delta, []),
+    "delta-t": (standard.delta_t, []),
+    "boundary": (standard.boundary, []),
+    "comp-delta": (standard.complicial_delta, [1]),
+    "comp-horn": (standard.complicial_horn, [1]),
+    "horn-prime": (standard.horn_prime, [1]),
+    "delta-prime": (standard.delta_prime, [1]),
+    "delta-dprime": (standard.delta_dprime, [1]),
+}
+HUGE = 10 ** 20
+
+
+@pytest.mark.parametrize("where", ["n", "cap"])
+@pytest.mark.parametrize("name", NUMERIC_BUILDERS)
+def test_oversized_builder_parameters_exit_1(capsys, name, where):
+    # more than a C ssize_t holds: once an OverflowError from deep inside
+    # the builder, or a loop up to the cap that ran until memory ran out
+    builder, k = NUMERIC_BUILDERS[name]
+    n, cap = (HUGE, HUGE) if where == "n" else (2, HUGE)
+    argv = ["build", name, *map(str, k + [n])]
+    if where == "cap":
+        argv += ["--cap", str(cap)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidInput: ")
+    assert captured.err.endswith(" is too large\n")
+    with pytest.raises(errors.InvalidInput, match="is too large"):
+        builder(*k, n, cap)
+
+
+# -- the parser, built once per process ---------------------------------------
+
+def test_the_parser_is_built_once(capsys, tmp_path, monkeypatch):
+    d1 = tmp_path / "d1.json"
+    assert main(["build", "delta", "1", "--out", str(d1)]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1)
+                        or init(self, *a, **kw))
+    for argv in (["build", "delta", "1", "--out", str(d1)],
+                 ["verify", str(d1)], ["tau", str(d1), "--n", "1"],
+                 ["tau0", str(d1)], ["verify", str(d1), "--limit", "-1"]):
+        main(argv)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert built == []
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    d2 = tmp_path / "d2.json"
+    assert main(["build", "delta", "2", "--cap", "2", "--out", str(d2)]) == 0
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    verify = ["verify", str(d2), "--max-dim", "2", "--limit", "1", "--out"]
+    assert main(verify + [str(first)]) == 2
+    # a usage error, an error from the package and --help in between
+    assert main(["verify", str(d2), "--limit", "-1", "--out",
+                 str(second)]) == 1
+    assert main(["tau", str(d2), "--n", "0", "--out", str(second)]) == 1
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert not second.exists()
+    assert main(verify + [str(second)]) == 2
+    assert second.read_bytes() == first.read_bytes()
+    capsys.readouterr()
+
+
+def test_help_is_formatted_when_asked_for(capsys, monkeypatch):
+    # argparse reads the terminal width when it formats, so the kept
+    # parser wraps as a new one would, at whatever width is set then
+    texts = []
+    for columns in ("200", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as stop:
+            main(["tau", "--help"])
+        assert stop.value.code == 0
+        texts.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(["tau", "--help"])
+        assert capsys.readouterr().out == texts[-1]
+    assert texts[0] == texts[1] != texts[2]
+
+
+def test_main_finds_the_handler_when_called(capsys, tmp_path, monkeypatch):
+    # a cmd_* rebound after the parser was built is the one called, as a
+    # tracer that wraps the handlers from outside needs
+    d1 = tmp_path / "d1.json"
+    assert main(["build", "delta", "1", "--out", str(d1)]) == 0
+    calls = []
+
+    def spy(args):
+        calls.append((args.command, args.complex))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_tau0", spy)
+    assert main(["tau0", str(d1)]) == 7
+    assert calls == [("tau0", str(d1))]
+    assert capsys.readouterr().out == ""
 
 
 # -- pinned complex documents -------------------------------------------------

@@ -1,6 +1,8 @@
 """Constructor outputs against literal brute-force predicates
 (``tests/reference.py``)."""
 
+import sys
+
 import pytest
 
 import complicial as C
@@ -127,6 +129,15 @@ def test_k_out_of_range():
 def test_negative_dimension_rejected(build):
     with pytest.raises(errors.InvalidInput, match="negative"):
         build(-1, 2)
+
+
+def test_sizes_from_sys_maxsize_up_rejected():
+    # the boundary's cap may sit one below its dimension, so the dimension
+    # is checked as well as the cap
+    with pytest.raises(errors.InvalidInput, match="dimension .* too large"):
+        C.boundary(sys.maxsize, sys.maxsize - 1)
+    with pytest.raises(errors.InvalidInput, match="cap .* too large"):
+        C.delta(0, sys.maxsize)
 
 
 def test_horn_and_boundary_pair_are_built_once():
