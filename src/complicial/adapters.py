@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, product, repeat
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     SimplexId,
     TruncatedSSet,
     _compose,
+    _require_buildable,
     _require_int,
     _sset,
     require_simplex,
@@ -244,6 +245,22 @@ def arrow_category() -> FiniteCategory:
 
 # -- nerves -------------------------------------------------------------------
 
+def _chain_counts(c: FiniteCategory) -> Iterator[int]:
+    """The number of n-chains of ``c``, n = 0, 1, ...: the objects, then,
+    per target object, the chains ending there, each n-chain extended by
+    every morphism out of its target.  For a monoid, |M|^n."""
+    yield len(c.objects)
+    ending = [0] * len(c.objects)
+    for t in c.tgt:
+        ending[t] += 1
+    while True:
+        yield sum(ending)
+        longer = [0] * len(c.objects)
+        for s, t in zip(c.src, c.tgt):
+            longer[t] += ending[s]
+        ending = longer
+
+
 def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
     """The nerve: n-simplices are composable n-chains of morphisms.
 
@@ -265,6 +282,7 @@ def nerve(c: FiniteCategory, cap: int) -> TruncatedSSet:
     """
     if type(cap) is not int or cap < 0:
         raise InvalidInput("cap must be a natural number")
+    _require_buildable("the nerve", cap, _chain_counts(c))
     nm = len(c.morphisms)
     leaving: list[list[int]] = [[] for _ in c.objects]
     for m in range(nm):
@@ -360,8 +378,8 @@ def _first_unfillable(x: StratifiedSSet, hk: int, n: int
     """
     if n > x.cap:
         raise CapTooSmall(f"target cap {x.cap} below problem cap {n}")
-    failures = _check_family1(hk, n, x, limit=1).failures
-    return failures[0].detail["faces"] if failures else None
+    row = _check_family1(hk, n, x, limit=1)
+    return None if row.ok else row.failures[0].detail["faces"]
 
 
 def assert_quasicategory(k: TruncatedSSet, bound: int | None = None) -> None:

@@ -278,15 +278,14 @@ def cmd_verify(args) -> int:
     x = _load_complex(args.complex)
     bound = args.max_dim if args.max_dim is not None else x.cap
     report = lifting.verify_weak_complicial(x, bound)
-    doc = documents.result_doc(
-        "verify",
+    # the rows' failures stay index columns, written by template
+    _emit(args, documents.verify_pieces(
         {
             "complex_sha256": documents.complex_digest(x),
             "max_dim": bound,
         },
-        documents.verify_payload(report, witness_limit=args.limit),
-    )
-    _emit(args, documents.dump_pieces(doc))
+        report, args.limit,
+    ))
     return 0 if report.passed else 2
 
 

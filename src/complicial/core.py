@@ -22,7 +22,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from types import NoneType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -371,6 +371,34 @@ def _require_int(name: str, value: object) -> None:
     type ``int`` (so no ``bool``)."""
     if type(value) is not int:
         raise InvalidInput(f"{name} must be an integer, not {value!r}")
+
+
+# The most simplices a builder makes, and the highest cap it builds to.  A
+# complex past either would take gigabytes or hours to build (th0 of the S4
+# nerve at cap 4, 346,201 simplices, peaks at about 450 MB when verified),
+# so a builder counts its simplices first (:func:`_require_buildable`).
+# The largest complexes the tests, CI and the benchmark build have 519,121
+# simplices (N S6 at cap 2) and cap 7.
+MAX_SIMPLICES = 2_000_000
+MAX_CAP = 24
+
+
+def _require_buildable(what: str, cap: int, counts: Iterable[int]) -> None:
+    """Raise :class:`InvalidInput` naming the count unless ``what``, with
+    ``counts`` simplices in dimensions 0, 1, ... up to ``cap``, is within
+    :data:`MAX_SIMPLICES` and :data:`MAX_CAP`.  The counts are read only
+    until their total passes the ceiling, and never past :data:`MAX_CAP`,
+    so a builder may refuse before it allocates anything."""
+    total = 0
+    for m, count in enumerate(islice(counts, min(cap, MAX_CAP) + 1)):
+        total += count
+        if total > MAX_SIMPLICES:
+            raise InvalidInput(
+                f"{what} has {total} simplices up to dimension {m}, more "
+                f"than the {MAX_SIMPLICES} a complex may have")
+    if cap > MAX_CAP:
+        raise InvalidInput(f"cap {cap} is above {MAX_CAP}, the highest cap "
+                           "a complex may have")
 
 
 def require_simplex(x: TruncatedSSet, s: SimplexId, dim: int | None = None

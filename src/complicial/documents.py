@@ -24,7 +24,11 @@ the same bytes: its three arrays that grow with the square of the number
 of classes (the table rows, the filler rows and the audit cells) are
 written by template, straight from the table's indexes and the audit's
 columns, and spliced into ``json``'s text for the rest of the document.
-Only those two shapes have templates; ``json`` writes everything else.
+The second template writer, :func:`verify_pieces`, streams a ``verify``
+document the same way: its rows, which all have one shape, and their
+failure witnesses are written from the index columns each row keeps, so
+no failure object and no simplex id is made.  Only those shapes have
+templates; ``json`` writes everything else.
 
 Reading a complex builds one table of id strings per call, checks the
 ``simplices`` lists against it, and reads every other id (in the face and
@@ -49,7 +53,7 @@ from . import __version__
 from .core import SimplexId, _sset
 from .errors import DanglingReference, InvalidInput, ThinVertex
 from .homotopy import AuditReport, MonoidTable, Tau0Result
-from .lifting import VerificationReport
+from .lifting import VerificationReport, VerificationRow
 from .strat import StratifiedSSet, _stratify
 
 FORMAT_VERSION = 1
@@ -499,6 +503,19 @@ def _cell_pieces(audit: AuditReport) -> Iterator[str]:
     yield text[:-len(between)] + "\n        }\n      ]"
 
 
+def _spliced(doc: dict, templates: Iterable[tuple[str, Iterable[str]]]
+             ) -> Iterator[str]:
+    """The text of ``dumps(doc)`` in pieces, where ``doc`` holds each mark
+    of ``templates`` as a string value: ``json`` writes the document, and
+    the mark's pieces go where it wrote the mark."""
+    rest = dumps(doc)
+    for mark, pieces in templates:
+        head, rest = rest.split(_encode_str(mark))
+        yield head
+        yield from pieces
+    yield rest
+
+
 def table_pieces(inputs: dict, table: MonoidTable,
                  audit: AuditReport | None = None) -> Iterator[str]:
     """The text of ``dumps(result_doc("tau", inputs, table_payload(table,
@@ -507,16 +524,73 @@ def table_pieces(inputs: dict, table: MonoidTable,
     written by template from the table's indexes and the audit's columns,
     as :func:`complex_text` writes a complex, and spliced in; the cells go
     a batch at a time, so the whole text is never held at once."""
-    rest = json.dumps(result_doc("tau", inputs,
-                                 _payload(table, audit, *_SPLICED)),
-                      indent=2, ensure_ascii=False) + "\n"
     templates = chain(_grid_pieces(table), [] if audit is None else
                       [_cell_pieces(audit)])
-    for mark, pieces in zip(_SPLICED, templates):
-        head, rest = rest.split(_encode_str(mark))
-        yield head
-        yield from pieces
-    yield rest
+    yield from _spliced(
+        result_doc("tau", inputs, _payload(table, audit, *_SPLICED)),
+        zip(_SPLICED, templates))
+
+
+# where json writes a placeholder in a verify document, the template text
+# of its rows goes
+_ROWS = "\x00rows"
+
+
+def _witness_text(row: VerificationRow, limit: int | None) -> str:
+    """The ``witnesses`` list of a verify row, its first ``limit`` failures
+    (None: all), written from the row's index columns: one join of the
+    columns' digit strings, interleaved with separators that hold the
+    keys, the ``n:`` prefixes, the indentation and the braces."""
+    columns = [column[:limit] for column in row.columns]
+    if not columns[0]:
+        return "[]"
+    n, k = row.n, row.k
+    if row.family == 1:
+        keys = [f'"{j}": "{n - 1}:' for j in range(n + 1) if j != k]
+        opening = '{\n            "faces": {\n              ' + keys[0]
+        closing = '"\n            }\n          }'
+        separators = [f'",\n              {key}' for key in keys[1:]]
+    else:
+        opening = f'{{\n            "simplex": "{n}:'
+        closing = f'",\n            "missing_thin_face": {k}\n          }}'
+        separators = []
+    # each column's entries, then the separator after them
+    separators.append(f"{closing},\n          {opening}")
+    parts = list(chain.from_iterable(
+        (map(str, column), repeat(sep))
+        for column, sep in zip(columns, separators)))
+    return f"[\n          {opening}{_interleaved(parts)}{closing}\n        ]"
+
+
+def _row_pieces(report: VerificationReport, limit: int | None
+                ) -> Iterator[str]:
+    """The text of the ``rows`` of a verify document, two pieces a row:
+    its fields, then its witnesses (:func:`_witness_text`)."""
+    if not report.rows:
+        yield "[]"
+        return
+    opening = "[\n      "
+    for row in report.rows:
+        yield (f'{opening}{{\n        "family": {row.family},\n'
+               f'        "k": {row.k},\n        "n": {row.n},\n'
+               f'        "instances": {row.instances},\n'
+               f'        "failures": {row.failed},\n        "witnesses": ')
+        yield _witness_text(row, limit)
+        opening = "\n      },\n      "
+    yield "\n      }\n    ]"
+
+
+def verify_pieces(inputs: dict, report: VerificationReport,
+                  limit: int | None = None) -> Iterator[str]:
+    """The text of ``dumps(result_doc("verify", inputs,
+    verify_payload(report, limit)))`` in pieces.  ``json`` writes the
+    document with one placeholder for the rows, which all have the same
+    shape and are written by template from each row's index columns, with
+    no :class:`~.lifting.FailedInstance` and no :class:`SimplexId` made."""
+    payload = {"checked_dims": report.checked_dims,
+               "passed": report.passed, "rows": _ROWS}
+    yield from _spliced(result_doc("verify", inputs, payload),
+                        [(_ROWS, _row_pieces(report, limit))])
 
 
 def tau0_payload(result: Tau0Result) -> dict:

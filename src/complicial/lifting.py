@@ -69,7 +69,10 @@ What is validated, and where:
   Only if that check fails are their horn maps built and validated as
   one batch (:func:`_horn_maps`, which :func:`assemble_horn_map` runs on
   one instance), so the error is the one the first bad map raises alone.
-  Simplex ids are made only for rows with failures.
+  A row keeps its failures as index columns (:class:`VerificationRow`);
+  its :class:`FailedInstance` witnesses, and the simplex ids in them, are
+  made only when an API caller first reads ``failures``.  The CLI writes
+  its document from the columns (``documents.verify_pieces``).
 
 Verification of the weak complicial lifting conditions is bounded by the
 cap: a truncated complex can never certify conditions above it, so the
@@ -79,7 +82,8 @@ relative to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -459,15 +463,47 @@ class FailedInstance:
 
 @dataclass(frozen=True)
 class VerificationRow:
+    """One (family, k, n) row: how many instances it decided, and its
+    failures, kept as index columns of the ``underlying`` complex.
+
+    Family 1 has one column per face j != k, ascending, listing the
+    (n-1)-simplex each unfilled horn has on that face; family 2 has one
+    column, of the failing n-simplices.  The i-th failure reads the i-th
+    entry of every column.  ``failures`` is made from the columns on first
+    access and kept.
+    """
+
     family: int
     k: int
     n: int
     instances: int
-    failures: tuple[FailedInstance, ...]
+    columns: tuple[Sequence[int], ...]
+    underlying: TruncatedSSet = field(repr=False, compare=False)
+
+    @property
+    def failed(self) -> int:
+        """The number of failures."""
+        return len(self.columns[0])
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failed
+
+    @cached_property
+    def failures(self) -> tuple[FailedInstance, ...]:
+        k, n = self.k, self.n
+        if self.family == 2:
+            ids = self.underlying.ids[n] if self.failed else ()
+            return tuple(
+                FailedInstance(2, k, n,
+                               {"simplex": ids[w], "missing_thin_face": k})
+                for w in self.columns[0])
+        js = [j for j in range(n + 1) if j != k]
+        ids = self.underlying.ids[n - 1] if self.failed else ()
+        return tuple(
+            FailedInstance(1, k, n,
+                           {"faces": {j: ids[w] for j, w in zip(js, faces)}})
+            for faces in zip(*self.columns))
 
 
 @dataclass(frozen=True)
@@ -578,8 +614,8 @@ def _check_family1(k: int, n: int, x: StratifiedSSet,
     stops at the limit-th failure, and the count is of the horns seen.
     The failures are checked to be stratified maps from the horn
     (:func:`_require_horns`) before they are recorded, so a bad one raises
-    the error :func:`assemble_horn_map` raises on it.  Simplex ids are
-    made only for a row with failures.
+    the error :func:`assemble_horn_map` raises on it.  They are kept as
+    columns, one per face j != k.
     """
     xu = x.underlying
     js = [j for j in range(n + 1) if j != k]
@@ -600,16 +636,10 @@ def _check_family1(k: int, n: int, x: StratifiedSSet,
                 unfilled.append(faces)
                 if len(unfilled) == limit:
                     break
-    if not unfilled:
-        return VerificationRow(1, k, n, instances, ())
-    _require_horns(x, k, n, list(zip(*unfilled)))
-    ids = xu.ids[n - 1]
-    failures = tuple(
-        FailedInstance(1, k, n,
-                       {"faces": {j: ids[w] for j, w in zip(js, faces)}})
-        for faces in unfilled
-    )
-    return VerificationRow(1, k, n, instances, failures)
+    columns = tuple(zip(*unfilled)) or ((),) * n
+    if unfilled:
+        _require_horns(x, k, n, columns)
+    return VerificationRow(1, k, n, instances, columns, xu)
 
 
 def _stratified_horn_tuples(x: StratifiedSSet, k: int, n: int,
@@ -671,8 +701,8 @@ def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
     primed thin simplices are all thin; lifting along the identity-on-
     underlying inclusion asks exactly that the k-th face also lands thin.
     The n-simplices are filtered by :func:`_landing_thin`, and their k-th
-    faces, unless wholly thin, are one more column.  Simplex ids are made
-    only for a row with failures.
+    faces, unless wholly thin, are one more column; the failures are kept
+    as the column of their n-simplices.
     """
     xu = x.underlying
     column = _landing_thin(x, n, _delta_prime_thin_keys(k, n))
@@ -681,12 +711,7 @@ def _check_family2(k: int, n: int, x: StratifiedSSet) -> VerificationRow:
         kth = [v for v in range(n + 1) if v != k]
         failed = [w for w, v in zip(column, xu.act(n, kth, column))
                   if v not in x.thin_indexes()[n - 1]]
-    ids = xu.ids[n] if failed else ()
-    failures = tuple(
-        FailedInstance(2, k, n, {"simplex": ids[w], "missing_thin_face": k})
-        for w in failed
-    )
-    return VerificationRow(2, k, n, len(column), failures)
+    return VerificationRow(2, k, n, len(column), (failed,), xu)
 
 
 def verify_weak_complicial(x: StratifiedSSet, bound: int) -> VerificationReport:

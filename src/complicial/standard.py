@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, count
+from math import comb
+from typing import Iterator
 
-from .core import SimplexId, TruncatedSSet, build_sset
+from .core import SimplexId, TruncatedSSet, _require_buildable, build_sset
 from .errors import CapTooSmall, InvalidInput, KOutOfRange
 from .strat import (
     StratifiedMap,
@@ -44,9 +46,24 @@ def in_horn_key(k: int, n: int, t: Key) -> bool:
     return bool(missing - {k})
 
 
+def _family_counts(n: int, kind: str) -> Iterator[int]:
+    """The number of m-simplices, m = 0, 1, ..., of the ``kind`` family of
+    the n-simplex: the C(n + m + 1, m + 1) weakly monotone maps [m] -> [n],
+    of which the boundary leaves out the C(m, n) onto [n], and a horn
+    those and the C(m, n - 1) onto [n] less its k-th vertex."""
+    for m in count():
+        left_out = 0 if kind == "delta" else comb(m, n)
+        if kind == "horn":
+            left_out += comb(m, n - 1)
+        yield comb(n + m + 1, m + 1) - left_out
+
+
 @lru_cache(maxsize=None)
 def _simplex_family(n: int, cap: int, kind: str, k: int | None = None
                     ) -> TruncatedSSet:
+    _require_buildable(f"the {n}-simplex" if kind == "delta"
+                       else f"the {kind} of the {n}-simplex",
+                       cap, _family_counts(n, kind))
     if kind == "delta":
         member = lambda t: True  # noqa: E731
     elif kind == "boundary":

@@ -19,6 +19,7 @@ from .core import (
     TruncatedSSet,
     _gather,
     _map_fault,
+    _require_buildable,
     _sset,
 )
 from .errors import InvalidInput, ThinVertex
@@ -292,6 +293,7 @@ def gproduct(x: StratifiedSSet, y: StratifiedSSet) -> StratifiedSSet:
     cap = min(x.cap, y.cap)
     xu, yu = x.underlying, y.underlying
     counts = tuple(xu.counts[n] * yu.counts[n] for n in range(cap + 1))
+    _require_buildable("the product", cap, counts)
 
     def pairs(xs: Iterable[int], ys: Iterable[int], y_count: int) -> list:
         # the index of each pair (a, b), a in xs and b in ys, in that order

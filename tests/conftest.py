@@ -141,6 +141,15 @@ def with_twins(u, tops):
     return C.build_sset(n, counts, faces, u.degeneracies)
 
 
+def z3_bool():
+    """The monoid Z3 x Bool, Bool under AND: its th0 nerve fails outer horns."""
+    elems = [(i, b) for b in (1, 0) for i in range(3)]
+    name = lambda e: f"{e[0]}{'u' if e[1] else 'z'}"  # noqa: E731
+    table = [[name(((a[0] + b[0]) % 3, a[1] * b[1])) for b in elems]
+             for a in elems]
+    return C.monoid_category([name(e) for e in elems], "0u", table)
+
+
 def transformation_table(data, unit=False):
     """The table of a drawn semigroup of maps of a small set, with the
     identity map when ``unit``, its elements in a drawn order: "f then g"

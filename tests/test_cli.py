@@ -3,11 +3,14 @@ import gc
 import hashlib
 import io
 import json
+import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 
 import complicial as C
-from complicial import cli, errors, standard
+from complicial import adapters, cli, core, errors, standard
 from complicial import documents as D
 from complicial.cli import main
 
@@ -712,6 +715,109 @@ def test_oversized_builder_parameters_exit_1(capsys, name, where):
     assert captured.err.endswith(" is too large\n")
     with pytest.raises(errors.InvalidInput, match="is too large"):
         builder(*k, n, cap)
+
+
+# -- sizes counted before building ---------------------------------------------
+
+def refusal(build, *args):
+    """The message of the InvalidInput that ``build(*args)`` raises, and
+    the peak, in bytes, of what it allocated on the way."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.InvalidInput) as refused:
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(refused.value), peak
+
+
+BIG = sys.maxsize - 1  # the largest size that is not too large for C
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (C.nerve, (C.cyclic_group(2), 10 ** 6),
+     "the nerve has 2097151 simplices up to dimension 20, more than the "
+     "2000000 a complex may have"),
+    (C.nerve, (C.trivial_monoid(), BIG),
+     f"cap {BIG} is above 24, the highest cap a complex may have"),
+    (C.delta, (2, BIG), f"cap {BIG} is above 24"),
+    (C.boundary, (0, BIG), f"cap {BIG} is above 24"),  # empty everywhere
+    (C.delta, (BIG, BIG), f"the {BIG}-simplex has {BIG + 1} simplices "
+                          "up to dimension 0"),
+    (C.boundary, (10 ** 6, 10 ** 6), "the boundary of the 1000000-simplex "
+                                     "has 500002500002 simplices"),
+    (C.horn_prime, (1, 10 ** 6, 10 ** 6), "the horn of the 1000000-simplex "
+                                          "has 500002500002 simplices"),
+    (C.complicial_horn, (1, 2, BIG), f"cap {BIG} is above 24"),
+    (C.gproduct, (C.th0(C.nerve(C.symmetric_group_3(), 5)),) * 2,
+     "the product has 62193781 simplices up to dimension 5"),
+])
+def test_a_complex_too_large_is_refused_before_it_is_built(build, args,
+                                                           message):
+    # the counts are integers, read until the total passes the ceiling;
+    # building any of these would take gigabytes, or loop until memory
+    # runs out
+    got, peak = refusal(build, *args)
+    assert got.startswith(message)
+    assert peak < 100_000
+
+
+def test_a_nerve_too_large_exits_1_naming_its_count(capsys, z2_monoid_file):
+    tracemalloc.start()
+    try:
+        code = main(["build", "nerve", "--monoid", z2_monoid_file,
+                     "--cap", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: InvalidInput: the nerve has 2097151 simplices up to "
+        "dimension 20, more than the 2000000 a complex may have\n")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "delta", "2", "--cap", str(BIG)],
+    ["build", "boundary", "0", "--cap", str(BIG)],
+    ["build", "comp-delta", "1", "2", "--cap", "25"],
+])
+def test_a_cap_above_the_ceiling_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: InvalidInput: cap {argv[-1]} "
+                                   "is above 24")
+
+
+def test_counts_before_building_are_exact():
+    for n in range(5):
+        kinds = [("delta", None), ("boundary", None)] + [
+            ("horn", k) for k in range(n + 1) if n >= 1]
+        for kind, k in kinds:
+            u = standard._simplex_family(n, 4, kind, k)
+            assert list(islice(standard._family_counts(n, kind), 5)) == \
+                list(u.counts), (n, kind, k)
+    for category in (C.trivial_monoid(), C.cyclic_group(3),
+                     C.boolean_monoid(), C.arrow_category(),
+                     C.symmetric_group_3()):
+        assert list(islice(adapters._chain_counts(category), 5)) == \
+            list(C.nerve(category, 4).counts)
+
+
+def test_the_ceilings_are_above_every_input_of_the_tests_and_ci():
+    # the largest nerves built in CI: th0(N S4) at cap 4 and N S6 at cap 2
+    s4 = C.from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]])
+    assert sum(islice(adapters._chain_counts(s4), 5)) == 346_201
+    core._require_buildable("the nerve", 4, adapters._chain_counts(s4))
+    core._require_buildable("the nerve", 2, [1, 720, 720 ** 2])
+    # the benchmark's pipeline product: th0(N S3) at cap 3, squared
+    core._require_buildable("the product", 3, [m ** 2 for m in
+                                               (1, 6, 36, 216)])
+    assert core.MAX_CAP >= 7
 
 
 # -- the parser, built once per process ---------------------------------------

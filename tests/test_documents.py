@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import complicial as C
 from complicial import documents as D
-from complicial import errors, homotopy
+from complicial import errors, homotopy, lifting
 from complicial.cli import main
+
+from . import reference
+from .conftest import random_thin, report_rows, z3_bool
 
 
 def corpus():
@@ -204,6 +207,62 @@ def test_tau_pieces_are_json_of_the_document(drawn, batch):
     with patch.object(D, "_CELLS_PER_PIECE", batch):
         text = "".join(D.table_pieces(inputs, table, audit))
     assert text == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def verify_texts(x, bound, limit):
+    """The text ``verify_pieces`` writes for ``verify`` of x, and the text
+    ``json`` writes for its ``verify_payload``.  The pieces are written
+    first, so before any row's ``failures`` is made."""
+    report = C.verify_weak_complicial(x, bound)
+    inputs = {"complex_sha256": D.complex_digest(x), "max_dim": bound}
+    got = "".join(D.verify_pieces(inputs, report, limit))
+    want = "".join(D.dump_pieces(D.result_doc(
+        "verify", inputs, D.verify_payload(report, limit))))
+    return got, want
+
+
+def family2_failing():
+    # thin: one edge and everything above, so three family-2 rows fail
+    u = C.nerve(C.cyclic_group(3), 3)
+    return C.make_stratified(u, [u.nondegenerate(1)[0]] + [
+        s for n in (2, 3) for s in u.simplices(n)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: C.delta(2, 2),                         # family 1 fails
+    family2_failing,                               # family 2 fails
+    lambda: C.th0(C.nerve(C.boolean_monoid(), 3)),  # outer horns fail
+    lambda: C.th0(C.nerve(C.cyclic_group(2), 3)),   # passes
+    lambda: C.boundary(0, 2),                       # the empty complex
+])
+@pytest.mark.parametrize("limit", [None, 0, 1, 2, 10 ** 6])
+def test_verify_pieces_are_json_of_the_payload(make, limit):
+    x = make()
+    for bound in range(x.cap + 1):
+        got, want = verify_texts(x, bound, limit)
+        assert got == want, (bound, limit)
+
+
+def test_the_verify_corpus_fails_in_both_families():
+    # and some row has more failures than limit 2, so the limits cut
+    rows = [row for x in (C.delta(2, 2), family2_failing(),
+                          C.th0(C.nerve(C.boolean_monoid(), 3)))
+            for row in C.verify_weak_complicial(x, x.cap).rows if not row.ok]
+    assert {row.family for row in rows} == {1, 2}
+    assert max(row.failed for row in rows) > 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_pieces_on_random_stratifications(data):
+    category = data.draw(st.sampled_from([
+        C.cyclic_group(2), C.cyclic_group(3), C.boolean_monoid(),
+        C.arrow_category()]))
+    x = random_thin(C.nerve(category, data.draw(st.integers(0, 3))), data)
+    bound = data.draw(st.integers(0, x.cap))
+    limit = data.draw(st.none() | st.integers(0, 4) | st.just(10 ** 6))
+    got, want = verify_texts(x, bound, limit)
+    assert got == want
 
 
 @pytest.mark.parametrize("name", [5, 1.5, ["c"], {"name": "c"}])
@@ -518,6 +577,46 @@ def test_moving_tables_makes_no_ids_above_dimension_1(
     D.complex_digest(x)
     assert made[0] > 0  # tau0 names its vertices
     assert set(made) <= {0, 1}
+
+
+def test_cli_verify_stays_in_index_space(monkeypatch, capsys, tmp_path):
+    # th0(N Z3xBool) at cap 3 fails 234 outer horns; the CLI writes their
+    # witnesses from the rows' index columns
+    x = C.th0(C.nerve(z3_bool(), 3))
+    path = tmp_path / "th0z3bool.json"
+    path.write_text(D.complex_text(x, name="th0"))
+    made = collections.Counter()
+    init = C.SimplexId.__init__
+    failure_init = lifting.FailedInstance.__init__
+    reports = []
+
+    def counting(self, dim, index, label=None):
+        made[dim] += 1
+        init(self, dim, index, label)
+
+    def counting_failures(self, *args):
+        made["failure"] += 1
+        failure_init(self, *args)
+
+    def kept(*args):
+        reports.append(verify(*args))
+        return reports[-1]
+
+    verify = lifting.verify_weak_complicial
+    monkeypatch.setattr(C.SimplexId, "__init__", counting)
+    monkeypatch.setattr(lifting.FailedInstance, "__init__", counting_failures)
+    monkeypatch.setattr(lifting, "verify_weak_complicial", kept)
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert set(made) <= {0}
+    # afterwards, the failures an API caller reads are the reference's
+    (report,) = reports
+    assert report_rows(report) == reference.verify_rows(x, 3)
+    assert sum(row.failed for row in report.rows) == made["failure"] == 234
+    assert all(row.failures is row.failures for row in report.rows)
+    assert out == D.dumps(D.result_doc("verify", {
+        "complex_sha256": D.complex_digest(x), "max_dim": 3},
+        D.verify_payload(report)))
 
 
 def test_ids_are_made_once_per_dimension(nerve_z3_3):

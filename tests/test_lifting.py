@@ -15,6 +15,7 @@ from complicial.lifting import (
 from . import reference
 from .conftest import (
     preorder_category, random_thin, renumbered, report_rows, with_twins,
+    z3_bool,
 )
 
 
@@ -185,14 +186,6 @@ def test_bound_exceeds_cap(th0_z2_3):
 
 
 # -- the integer kernel ----------------------------------------------------------
-
-def z3_bool():
-    elems = [(i, b) for b in (1, 0) for i in range(3)]
-    name = lambda e: f"{e[0]}{'u' if e[1] else 'z'}"  # noqa: E731
-    table = [[name(((a[0] + b[0]) % 3, a[1] * b[1])) for b in elems]
-             for a in elems]
-    return C.monoid_category([name(e) for e in elems], "0u", table)
-
 
 @pytest.mark.parametrize("category, passed, failures, digest", [
     (C.symmetric_group_3, True, 0,
