@@ -376,7 +376,8 @@ def _require_int(name: str, value: object) -> None:
 # The most simplices a builder makes, and the highest cap it builds to.  A
 # complex past either would take gigabytes or hours to build (th0 of the S4
 # nerve at cap 4, 346,201 simplices, peaks at about 450 MB when verified),
-# so a builder counts its simplices first (:func:`_require_buildable`).
+# so a builder counts its simplices first, and a document past either is
+# refused when it is read (:func:`_require_buildable`).
 # The largest complexes the tests, CI and the benchmark build have 519,121
 # simplices (N S6 at cap 2) and cap 7.
 MAX_SIMPLICES = 2_000_000

@@ -30,27 +30,29 @@ failure witnesses are written from the index columns each row keeps, so
 no failure object and no simplex id is made.  Only those shapes have
 templates; ``json`` writes everything else.
 
-Reading a complex builds one table of id strings per call, checks the
-``simplices`` lists against it, and reads every other id (in the face and
-degeneracy tables, the thin list and the label keys) by one lookup in a
-dict made from it.  So every id must be spelled exactly as in
-``simplices``, in the dimension its place requires; ``"1:03"`` or
-``" 1:3"`` is no id.  Each table is checked once, here, and becomes
-columns, which ``core._sset`` trusts: it checks only the simplicial
-identities.
+Reading a complex refuses, first, one that no builder could make (past
+``core.MAX_SIMPLICES`` or ``core.MAX_CAP``), and then goes one dimension
+at a time.  Each ``simplices`` list is checked by one join, against the
+join of its canonical ids, and becomes a dict from the id strings ``json``
+parsed to their indexes.  A face or degeneracy table is read by one lookup
+per entry in the dict of the dimension its place requires, and the thin
+list and the label keys by one pass over each dimension's ids.  So every
+id must be spelled exactly as in ``simplices``; ``"1:03"`` or ``" 1:3"``
+is no id.  Only a part that fails is walked again, to name its first bad
+entry.  Each table is checked once, here, and becomes columns, which
+``core._sset`` trusts: it checks only the simplicial identities.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import is_not, sub
+from itertools import chain, compress, count, islice, repeat
+from operator import is_not
 from typing import Any, Iterable, Iterator
 
 from . import __version__
-from .core import SimplexId, _sset
+from .core import SimplexId, _require_buildable, _sset
 from .errors import DanglingReference, InvalidInput, ThinVertex
 from .homotopy import AuditReport, MonoidTable, Tau0Result
 from .lifting import VerificationReport, VerificationRow
@@ -84,12 +86,6 @@ def dump_pieces(doc: Any) -> Iterator[str]:
     while batch := list(islice(chunks, _CHUNKS_PER_PIECE)):
         yield "".join(batch)
     yield "\n"
-
-
-def _id_table(cap: int, counts) -> list[list[str]]:
-    """``table[n][i] == "n:i"`` for every simplex."""
-    return [list(map(f"{n}:".__add__, map(str, range(counts[n]))))
-            for n in range(cap + 1)]
 
 
 def _ids(digits: Iterable[str], n: int, inner: str) -> str:
@@ -219,33 +215,19 @@ def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
     return json.loads(complex_text(x, name))
 
 
-def _looked_up(texts: list, lookup: dict[str, int], lo: int, hi: int
-               ) -> list[int] | None:
-    """The positions of ``texts`` less ``lo``, or None unless every one is
-    found in ``lookup`` at a position in lo..hi-1."""
-    try:
-        found = list(map(lookup.get, texts, repeat(-1)))
-    except TypeError:  # an unhashable entry
-        return None
-    if found and not (lo <= min(found) and max(found) < hi):
-        return None
-    return list(map(sub, found, repeat(lo))) if lo else found
-
-
-def _first_miss(texts: list, lookup: dict[str, int], lo: int, hi: int
-                ) -> int:
-    """The place in ``texts`` of the first that :func:`_looked_up` misses."""
-    return next(k for k, text in enumerate(texts) if not (
-        isinstance(text, str) and lo <= lookup.get(text, -1) < hi))
+def _is_simplex(text, indexes: list[dict[str, int]]) -> bool:
+    """Whether ``text`` is the id of a simplex of some dimension."""
+    return isinstance(text, str) and any(text in index for index in indexes)
 
 
 def _parse_table(raw, n: int, count: int, what: str, entry_dim: int,
-                 lookup: dict[str, int], starts: list[int]) -> list[list[int]]:
+                 indexes: list[dict[str, int]]) -> list[list[int]]:
     """The dimension-``n`` face or degeneracy table, a list of ``count``
     rows of n + 1 ids of dimension ``entry_dim``, as columns of indexes.
     The row count is checked first, as ``core.build_sset`` checks it; then
-    shapes and ids are checked over the whole table at once, and only a
-    table that fails is walked, to name its first bad row or entry."""
+    the shapes, over the whole table at once, and then every entry is read
+    by one lookup in the dict of dimension ``entry_dim``.  Only a table
+    that fails is walked, to name its first bad row or entry."""
     width = n + 1
     if type(raw) is not list:
         raise InvalidInput(f"{what} table at dim {n} must be a list of rows")
@@ -257,33 +239,38 @@ def _parse_table(raw, n: int, count: int, what: str, entry_dim: int,
         raise InvalidInput(f"{what} row {n}:{i} must " + (
             f"have {width} entries" if type(row) is list
             else f"be a list of {width} ids"))
-    lo, hi = starts[entry_dim], starts[entry_dim + 1]
-    flat = list(chain.from_iterable(raw))
-    nums = _looked_up(flat, lookup, lo, hi)
-    if nums is None:
-        k = _first_miss(flat, lookup, lo, hi)
-        text = flat[k]
+    index = indexes[entry_dim]
+    try:
+        nums = list(map(index.__getitem__, chain.from_iterable(raw)))
+    except (KeyError, TypeError):  # a missing or an unhashable entry
+        k, text = next((k, text) for k, text in enumerate(
+            chain.from_iterable(raw)) if not _is_simplex(text, [index]))
         entry = f"{what} entry {n}:{k // width} -> {text!r}"
-        if isinstance(text, str) and text in lookup:
+        if _is_simplex(text, indexes):
             raise InvalidInput(f"{entry} must have dimension {entry_dim}")
         raise DanglingReference(f"{entry} is not a simplex of the complex")
     return [nums[j::width] for j in range(width)]
 
 
-def _thin_given(thin_ids, lookup: dict[str, int], starts: list[int]
-                ) -> list[list[int]]:
-    """Per dimension, the indexes of the thin ids, ascending; dimension
-    ``n`` starts at position ``starts[n]`` of ``lookup``."""
+def _thin_given(thin_ids, per_dim: list[list[str]],
+                indexes: list[dict[str, int]]) -> list[list[int]]:
+    """Per dimension, the indexes of the thin ids, ascending: the places in
+    that dimension's ``simplices`` list of the ids in the set of thin ids.
+    Unless those places add up to the size of the set, some thin id is no
+    simplex, and the first such is named."""
     if not isinstance(thin_ids, list):
         raise InvalidInput("thin must be a list of simplex ids")
-    flat = _looked_up(thin_ids, lookup, 0, starts[-1])
-    if flat is None:
-        text = thin_ids[_first_miss(thin_ids, lookup, 0, starts[-1])]
-        raise InvalidInput(f"thin id {text!r} is not a simplex of the complex")
-    flat.sort()
-    bounds = list(map(bisect_left, repeat(flat), starts))
-    return [list(map(sub, flat[lo:hi], repeat(start)))
-            for lo, hi, start in zip(bounds, bounds[1:], starts)]
+    try:
+        given = set(thin_ids)
+    except TypeError:  # an unhashable entry
+        given = None
+    if given is not None:
+        thin = [list(compress(count(), map(given.__contains__, ids)))
+                for ids in per_dim]
+        if sum(map(len, thin)) == len(given):
+            return thin
+    text = next(text for text in thin_ids if not _is_simplex(text, indexes))
+    raise InvalidInput(f"thin id {text!r} is not a simplex of the complex")
 
 
 def _field(doc: dict, key: str):
@@ -307,15 +294,18 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
             not all(type(ids) is list for ids in per_dim):
         raise InvalidInput("simplices must list dimensions 0..dim_cap")
     counts = [len(ids) for ids in per_dim]
-    # the one id-string table of this call: it checks the simplex lists,
-    # and its lookup reads the tables, the thin list and the label keys
-    ids = _id_table(cap, counts)
-    for n, (given, canonical) in enumerate(zip(per_dim, ids)):
-        if given != canonical:
+    _require_buildable("the document", cap, counts)
+    digits = list(map(str, range(max(counts))))
+    for n, ids in enumerate(per_dim):
+        # canonical ids hold no NUL, so equal joins mean equal lists
+        try:
+            joined = "\x00".join(ids)
+        except TypeError:  # an entry that is not a string
+            joined = None
+        if ids and joined != f"{n}:" + f"\x00{n}:".join(digits[:len(ids)]):
             raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
-    # each id string to its simplex's position, dimension after dimension
-    lookup = dict(zip(chain.from_iterable(ids), count()))
-    starts = [0, *accumulate(counts)]
+    # each id string to its simplex's index, one dict per dimension
+    indexes = [dict(zip(ids, count())) for ids in per_dim]
     face_tables = _field(doc, "faces")
     if type(face_tables) is not list or len(face_tables) != cap:
         raise InvalidInput("faces must list dimensions 1..dim_cap")
@@ -323,9 +313,9 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     if type(degeneracy_tables) is not list or len(degeneracy_tables) != cap:
         raise InvalidInput("degeneracies must list dimensions 0..dim_cap-1")
     faces = [_parse_table(face_tables[n - 1], n, counts[n], "face", n - 1,
-                          lookup, starts) for n in range(1, cap + 1)]
+                          indexes) for n in range(1, cap + 1)]
     degeneracies = [_parse_table(degeneracy_tables[n], n, counts[n],
-                                 "degeneracy", n + 1, lookup, starts)
+                                 "degeneracy", n + 1, indexes)
                     for n in range(cap)]
     label_map = doc.get("labels", {})
     if not isinstance(label_map, dict) or not all(
@@ -334,14 +324,14 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
         raise InvalidInput("labels must map simplex ids to strings")
     labels = None
     if label_map:
-        if not all(map(lookup.__contains__, label_map)):
-            key = next(k for k in label_map if k not in lookup)
+        columns = [tuple(map(label_map.get, ids)) for ids in per_dim]
+        if sum(len(c) - c.count(None) for c in columns) != len(label_map):
+            key = next(k for k in label_map if not _is_simplex(k, indexes))
             raise InvalidInput(
                 f"label key {key!r} is not a simplex of the complex")
-        labels = [tuple(map(label_map.get, per_n))
-                  for per_n in ids].__getitem__
+        labels = columns.__getitem__
     u = _sset(cap, counts, [()] + faces, degeneracies + [()], None, labels)
-    thin = _thin_given(doc.get("thin", []), lookup, starts)
+    thin = _thin_given(doc.get("thin", []), per_dim, indexes)
     if thin[0]:  # every thin id is a simplex, so only a vertex is refused
         raise ThinVertex(f"vertex {u.id_at(0, thin[0][0])!r} cannot be thin")
     return _stratify(u, thin)

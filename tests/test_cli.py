@@ -820,6 +820,38 @@ def test_the_ceilings_are_above_every_input_of_the_tests_and_ci():
     assert core.MAX_CAP >= 7
 
 
+def refused_document(capsys, tmp_path, doc, message):
+    """``doc`` is refused with ``message``, through the API and, as exit 1
+    with one ``error:`` line, through the CLI."""
+    with pytest.raises(errors.InvalidInput) as refused:
+        D.doc_to_complex(doc)
+    assert str(refused.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(D.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: InvalidInput: {message}\n"
+
+
+def test_a_document_above_the_cap_ceiling_is_refused(capsys, tmp_path):
+    # the empty complex, written by hand at a cap no builder writes
+    doc = {"format_version": 1, "kind": "complex", "dim_cap": 25,
+           "simplices": [[]] * 26, "faces": [[]] * 25,
+           "degeneracies": [[]] * 25, "thin": []}
+    refused_document(capsys, tmp_path, doc, "cap 25 is above 24, the "
+                     "highest cap a complex may have")
+
+
+def test_a_document_of_too_many_simplices_is_refused(capsys, tmp_path,
+                                                     monkeypatch):
+    # th0(N Z2) at cap 3 has 1, 2, 4 and 8 simplices of dimensions 0..3
+    doc = D.complex_to_doc(C.th0(C.nerve(C.cyclic_group(2), 3)))
+    monkeypatch.setattr(core, "MAX_SIMPLICES", 6)
+    refused_document(capsys, tmp_path, doc, "the document has 7 simplices "
+                     "up to dimension 2, more than the 6 a complex may have")
+
+
 # -- the parser, built once per process ---------------------------------------
 
 def test_the_parser_is_built_once(capsys, tmp_path, monkeypatch):

@@ -545,6 +545,51 @@ def test_the_lookup_and_parse_id_agree(case):
         assert got[1].underlying.ids[d][k].label == doc["labels"][new]
 
 
+@st.composite
+def uncanonical_docs(draw):
+    """A document of ``lookup_docs`` with one ``simplices`` list changed
+    but kept at its length: an entry respelled, two entries swapped, an id
+    moved across a split (joined to its neighbour with a ``"\\x00"``, or
+    run into it) or an entry that is no string; and the list's
+    dimension."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(lookup_docs))))
+    per_dim = doc["simplices"]
+    n = draw(st.sampled_from([d for d, ids in enumerate(per_dim) if ids]))
+    ids = per_dim[n]
+    pairs = ["swapped", "joined", "split"]  # kinds that change two entries
+    kind = draw(st.sampled_from(["respelled", "non-string"]
+                                + pairs * (len(ids) > 1)))
+    i = draw(st.integers(0, len(ids) - 1 - (kind in pairs)))
+    index = ids[i].split(":")[1]
+    if kind == "respelled":
+        ids[i] = draw(st.sampled_from([
+            f"0{n}:{index}", f"{n}:0{index}", f" {n}:{index}",
+            f"+{n}:{index}", f"{n}:{index} ", f"{n}:{arabic_indic(index)}",
+            f"{n}:{index}\x00"]))
+    elif kind == "non-string":
+        ids[i] = draw(st.sampled_from([int(index), None, [ids[i]]]))
+    elif kind == "swapped":
+        j = draw(st.integers(i + 1, len(ids) - 1))
+        ids[i], ids[j] = ids[j], ids[i]
+    elif kind == "joined":  # the pair's join, and an empty entry
+        pair = [ids[i] + "\x00" + ids[i + 1], ""]
+        ids[i:i + 2] = pair if draw(st.booleans()) else pair[::-1]
+    else:  # the split between the two moved, so one id runs into the other
+        both = ids[i] + ids[i + 1]
+        k = draw(st.integers(1, len(both) - 1).filter(
+            lambda k: k != len(ids[i])))
+        ids[i:i + 2] = [both[:k], both[k:]]
+    return doc, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(uncanonical_docs())
+def test_a_simplex_list_that_is_not_canonical_is_refused(case):
+    doc, n = case
+    assert outcome(D.doc_to_complex, doc) == (
+        "InvalidInput", f"simplex ids at dimension {n} are not canonical")
+
+
 # -- ids made only when asked ----------------------------------------------------
 
 @pytest.fixture(scope="module")
