@@ -35,30 +35,23 @@ from .standard import (  # noqa: F401
     top_id,
 )
 from .lifting import (  # noqa: F401
-    ExtensionProblem,
     FailedInstance,
     VerificationReport,
     VerificationRow,
     assemble_horn_map,
-    find_extensions,
     horn_instances,
     verify_weak_complicial,
 )
 from .homotopy import (  # noqa: F401
     AuditReport,
-    HomotopyWitness,
     MonoidTable,
     Tau0Result,
-    WellDefinedReport,
     associativity_witness,
     audit_well_defined,
-    check_well_defined,
     classifying_map,
     find_inverses,
     multiply,
     multiply_with_filler,
-    rel_homotopic,
-    simple_homotopic,
     sphere_elements,
     sphere_relation,
     tau0,

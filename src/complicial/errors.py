@@ -53,10 +53,6 @@ class BoundaryMismatch(ComplicialError):
     """Face assignments for a horn have incompatible boundaries."""
 
 
-class RestrictionMismatch(ComplicialError):
-    """Two maps that must agree on a subcomplex do not."""
-
-
 class NoFiller(ComplicialError):
     """A required horn filler does not exist in the target complex."""
 

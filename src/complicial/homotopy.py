@@ -1,15 +1,14 @@
 r"""Homotopy relations and homotopy monoids.
 
-Two maps A -> X are simply homotopic when a stratified map out of the
-cylinder A (x) I extends them, where I is the interval with thin top edge;
-relative homotopy additionally pins the cylinder over a subcomplex B to the
-common restriction.  Sphere elements at a vertex x are the n-simplices with
-constant boundary at x; their classes under boundary-fixing homotopy carry a
-multiplication obtained by filling the horn of the (n+1)-simplex that mounts
-the first factor on face n-1, the second on face n+1, and constants
-everywhere else.  The product of the classes is the class of the n-th face
-of the filler.  For n = 1 the filler is a thin triangle and the result is
-its composite edge,
+Sphere elements at a vertex x are the n-simplices with constant boundary
+at x.  Two of them are homotopic rel boundary when a stratified map out of
+the cylinder Δ[n] (x) I, where I is the interval with thin top edge, is the
+one at one end, the other at the other end, and constant over ∂Δ[n] (x) I.
+Their classes under this relation carry a multiplication obtained by
+filling the horn of the (n+1)-simplex that mounts the first factor on face
+n-1, the second on face n+1, and constants everywhere else.  The product
+of the classes is the class of the n-th face of the filler.  For n = 1 the
+filler is a thin triangle and the result is its composite edge,
 
             x
            ^ \
@@ -30,26 +29,15 @@ from itertools import accumulate, chain, compress, count, repeat
 from operator import ne, sub
 from typing import Hashable, Iterable, Sequence
 
-from .core import (
-    Row, SimplexId, TruncatedSSet, _compose, _require_int, require_simplex,
-)
-from .errors import (
-    CapTooSmall,
-    InvalidInput,
-    NoFiller,
-    RestrictionMismatch,
-)
-from .lifting import (
-    ExtensionProblem, _batch_fillers, _generated_rows, _require_horns,
-    find_extensions,
-)
+from .core import Row, SimplexId, TruncatedSSet, _require_int, require_simplex
+from .errors import CapTooSmall, InvalidInput, NoFiller
+from .lifting import _batch_fillers, _generated_rows, _require_horns
 from .standard import boundary_pair, delta, delta_t
 from .strat import (
     StratifiedMap,
     StratifiedSSet,
     gproduct,
     make_stratified_maps,
-    _regular_subset,
 )
 
 
@@ -113,142 +101,7 @@ def _sphere_indexes(xu: TruncatedSSet, base: SimplexId, n: int) -> list[int]:
                      [(j, const) for j in range(n + 1)])
 
 
-# -- homotopy of maps --------------------------------------------------------
-
-@dataclass(frozen=True)
-class HomotopyWitness:
-    """A stratified cylinder map restricting to ``f`` and ``g`` at the ends."""
-
-    h: StratifiedMap
-    f: StratifiedMap
-    g: StratifiedMap
-
-    def __post_init__(self):
-        a = self.f.source
-        cyl = self.h.source
-        cu = cyl.underlying
-        au = a.underlying
-        for m in range(cyl.cap + 1):
-            for i in range(cyl.counts[m]):
-                ka, kt = cu.keys[m][i]
-                if kt != (0,) * (m + 1) and kt != (1,) * (m + 1):
-                    continue
-                end = self.f if kt[0] == 0 else self.g
-                cell = au.id_for_key(m, ka).index if au.keys is not None \
-                    else ka
-                if self.h.map.assign[m][i] != end.map.assign[m][cell]:
-                    raise InvalidInput(
-                        f"cylinder map does not restrict to the ends at {m}:{i}"
-                    )
-
-
-class _Cylinder:
-    """Homotopies out of A (x) I relative to B, as one reusable problem.
-
-    Built once per (source ``a``, ``rel`` inclusion B -> A): the cylinder,
-    the regular subset of its pinned part with the inclusion, and a plan
-    saying where each pinned simplex reads its image.  The ends read the
-    f or the g row at the simplex of A they lie over; over B the rel
-    projection reads the f row (the two maps agree there).  Each pair of
-    maps is one extension problem along the inclusion (:meth:`solve`).
-    """
-
-    __slots__ = ("source", "rel", "inclusion", "_plan")
-
-    def __init__(self, a: StratifiedSSet, rel: StratifiedMap | None):
-        if rel is not None and rel.target != a:
-            raise InvalidInput("rel inclusion must land in the maps' source")
-        interval = delta_t(1, a.cap)
-        cyl = gproduct(a, interval)
-        tu = interval.underlying
-        # reads[m][c]: the cylinder m-simplex c is pinned to entry
-        # reads[m][c] of the f row followed by the g row of dimension m
-        reads: list[dict[int, int]] = []
-        for m in range(cyl.cap + 1):
-            c0 = tu.id_for_key(m, (0,) * (m + 1)).index
-            c1 = tu.id_for_key(m, (1,) * (m + 1)).index
-            t, na = interval.counts[m], a.counts[m]
-            ends = {}
-            for ia in range(na):
-                ends[ia * t + c0] = ia
-                ends[ia * t + c1] = na + ia
-            reads.append(ends)
-        if rel is not None:
-            for m in range(min(rel.map.depth, cyl.cap) + 1):
-                t = interval.counts[m]
-                for ia in set(rel.map.assign[m]):
-                    for it in range(t):
-                        reads[m][ia * t + it] = ia
-        # the pinned simplices, by index: the cylinder makes no ids
-        sub, inclusion = _regular_subset(cyl, reads)
-        # the pinned part is face- and degeneracy-closed, so nothing was added
-        assert sum(sub.counts) == sum(map(len, reads))
-        self.source = a
-        self.rel = rel
-        self.inclusion = inclusion
-        self._plan = tuple(
-            tuple(map(ends.__getitem__, row))
-            for ends, row in zip(reads, inclusion.map.assign)
-        )
-
-    def solve(self, f: StratifiedMap, g: StratifiedMap
-              ) -> HomotopyWitness | None:
-        """A homotopy from ``f`` to ``g`` rel B, or None when there is none.
-
-        Both maps must have the cylinder's source and one target, and agree
-        on B.  Their rows pin the cylinder's pinned part, as one validated
-        partial map, and the first extension :func:`find_extensions` finds
-        is the witness.
-        """
-        a, rel, x = self.source, self.rel, f.target
-        for m in (f, g):
-            if (m.source is not a and m.source != a) or \
-                    (m.target is not x and m.target != x):
-                raise InvalidInput(
-                    "homotopy needs maps with common source and target"
-                )
-        if x.cap < a.cap:
-            raise CapTooSmall(f"target cap {x.cap} below cylinder cap {a.cap}")
-        # over B, row by row up to the inclusion's depth: B may have a
-        # higher cap than A, so the restrictions are not maps out of B
-        if rel is not None and any(
-                _compose(fr, at) != _compose(gr, at)
-                for at, fr, gr in zip(rel.map.assign, f.map.assign,
-                                      g.map.assign)):
-            raise RestrictionMismatch("maps differ on the rel subcomplex")
-        rows = [tuple(map((fr + gr).__getitem__, plan))
-                for plan, fr, gr in zip(self._plan, f.map.assign,
-                                        g.map.assign)]
-        partial = make_stratified_maps(self.inclusion.source, x, [rows])[0]
-        found = find_extensions(ExtensionProblem(self.inclusion, partial),
-                                limit=1)
-        return HomotopyWitness(found[0], f, g) if found else None
-
-
-def rel_homotopic(
-    f: StratifiedMap,
-    g: StratifiedMap,
-    rel: StratifiedMap | None = None,
-) -> HomotopyWitness | None:
-    """Search for a homotopy from ``f`` to ``g``, relative to ``rel``.
-
-    ``rel`` is an inclusion B -> A; over B the cylinder is pinned to the
-    common restriction through the projection.  The search space is the set
-    of stratified extensions of the pinned part of the cylinder, which is
-    determined by the images of the nondegenerate prism cells, so the solver
-    only ever branches on those.  The cylinder depends only on A and
-    ``rel``; a caller comparing many pairs of maps builds it once and
-    solves one pair at a time (:meth:`_Cylinder.solve`).  Sphere elements
-    rel boundary have a join of their own (:class:`_SphereHomotopy`).
-    """
-    return _Cylinder(f.source, rel).solve(f, g)
-
-
-def simple_homotopic(f: StratifiedMap, g: StratifiedMap
-                     ) -> HomotopyWitness | None:
-    """Homotopy with no relative constraint."""
-    return rel_homotopic(f, g, None)
-
+# -- homotopy of sphere elements ---------------------------------------------
 
 _ALPHA, _BETA = "alpha", "beta"
 
@@ -273,10 +126,10 @@ class _SphereHomotopy:
     """Homotopy rel boundary of the sphere elements at one vertex, as a
     chain join over the prism.
 
-    In the cylinder Δ[n] (x) I relative to ∂Δ[n] (:class:`_Cylinder`) the
-    only simplices neither pinned nor degenerate are n walls, of dimension
-    n, and n + 1 tops, of dimension n + 1.  Every face of a wall is pinned
-    to a constant, and each top has two free faces, each a wall or an end
+    In the cylinder Δ[n] (x) I relative to ∂Δ[n] the only simplices
+    neither pinned nor degenerate are n walls, of dimension n, and n + 1
+    tops, of dimension n + 1.  Every face of a wall is pinned to a
+    constant, and each top has two free faces, each a wall or an end
     (alpha, the f end, or beta, the g end); its other faces are pinned to
     constants.  So a homotopy is a path alpha - top - wall - ... - wall -
     top - beta, and the relation is the composite of one binary relation
@@ -286,14 +139,16 @@ class _SphereHomotopy:
     (n+1)-simplices of X whose pinned faces match.  alpha is related to
     beta when beta is reachable from alpha along the path.
 
-    A witness is the first solution of ``lifting._search`` on the same
-    cylinder: walls, then tops, each in cylinder order, with candidates
-    ascending.  Each wall takes the least value that still reaches the
-    nearest chosen node on either side, and each top the least simplex with
-    its face row (:meth:`homotopies`).  The witness rows are built as
-    ``_search`` builds its own, by ``lifting._generated_rows``, and
-    validated as one batch; a witness is then kept as the images of its
-    tops alone.
+    A witness is the first stratified map out of the cylinder with these
+    pins, in the order of an extension search
+    (``tests/reference.py::extensions``): the unknowns, walls then tops,
+    each in cylinder order, take their candidates ascending.  So each wall
+    takes the least value that still reaches the nearest chosen node on
+    either side, and each top the least simplex with its face row
+    (:meth:`homotopies`).  The witness rows are built by
+    ``lifting._generated_rows``, degenerate simplices from their bases,
+    and validated as one batch; a witness is then kept as the images of
+    its tops alone.
     """
 
     def __init__(self, x: StratifiedSSet, base: SimplexId, n: int):
@@ -306,19 +161,28 @@ class _SphereHomotopy:
         xu = x.underlying
         x_thin = x.thin_indexes()
         _, binc = boundary_pair(n, n + 1)
-        self.cylinder = cylinder = _Cylinder(binc.target, binc)
+        a, interval = binc.target, delta_t(1, n + 1)
+        self.cylinder = cyl = gproduct(a, interval)
         self.maps = _classifying_maps(
             x, n, n + 1, [e.index for e in self.elements])
-        cyl = cylinder.inclusion.target
-        cu = cyl.underlying
+        cu, tu = cyl.underlying, interval.underlying
         cyl_thin = cyl.thin_indexes()
-        # reads[m][c]: the pinned cylinder m-simplex c reads entry
-        # reads[m][c] of the f row followed by the g row of dimension m
-        self.reads = reads = [
-            dict(zip(row, plan))
-            for row, plan in zip(cylinder.inclusion.map.assign,
-                                 cylinder._plan)]
-        # the unknowns of lifting._search, in its order
+        # reads[m][c]: the pinned cylinder m-simplex c (the pair of the
+        # simplex ia of Δ[n] and it of I is c = ia * t + it) reads entry
+        # reads[m][c] of the f row followed by the g row of dimension m.
+        # The ends read the row of the simplex they lie over, and over
+        # ∂Δ[n] the cylinder reads the f row (the two agree there).
+        self.f_counts = a.counts
+        self.reads = reads = []
+        for m in range(n + 2):
+            t, na = interval.counts[m], a.counts[m]
+            c0, c1 = (tu.id_for_key(m, (e,) * (m + 1)).index for e in (0, 1))
+            pins = {ia * t + c: ia + side * na for ia in range(na)
+                    for side, c in enumerate((c0, c1))}
+            pins.update((ia * t + it, ia) for ia in set(binc.map.assign[m])
+                        for it in range(t))
+            reads.append(pins)
+        # the unknowns of an extension search, in its order
         unknown = [[c for c, w in enumerate(cu.deg_witness[m])
                     if w is None and c not in reads[m]]
                    for m in range(cyl.cap + 1)]
@@ -327,7 +191,6 @@ class _SphereHomotopy:
         # the ends read the top n-simplex of Δ[n] in the f or the g row;
         # every other pinned entry is the same for every sphere element,
         # so it is read off the constant's own rows
-        a = binc.target
         top = a.underlying.deg_witness[n].index(None)
         ends = {top: _ALPHA, a.counts[n] + top: _BETA}
         const = [r + r for r in
@@ -445,7 +308,7 @@ class _SphereHomotopy:
                     link.least[(values[k], values[k + 1])]
             found.append(solution)
         make_stratified_maps(
-            self.cylinder.inclusion.target, self.x,
+            self.cylinder, self.x,
             self._witness_rows(list(compress(pairs, solved)), found))
         tops = iter([tuple(s[(self.n + 1, t)] for t in self.tops)
                      for s in found])
@@ -455,9 +318,9 @@ class _SphereHomotopy:
                       solutions: Sequence[dict[tuple[int, int], int]]
                       ) -> list[list[Sequence[int]]]:
         """The cylinder rows with the pinned rows of each pair and the
-        unknowns of its solution, degenerate simplices filled by
-        ``lifting._generated_rows``, as ``lifting._search`` fills them."""
-        counts = self.cylinder.source.counts
+        unknowns of its solution, degenerate simplices filled from their
+        bases by ``lifting._generated_rows``."""
+        counts = self.f_counts
         rows = [m.map.assign for m in self.maps]
 
         def image(m: int, c: int) -> list[int]:
@@ -468,7 +331,7 @@ class _SphereHomotopy:
                 return [rows[i][m][r] for i, _ in pairs]
             return [rows[j][m][r - counts[m]] for _, j in pairs]
 
-        return list(_generated_rows(self.cylinder.inclusion.target.underlying,
+        return list(_generated_rows(self.cylinder.underlying,
                                     self.x.underlying, image))
 
 
@@ -831,9 +694,10 @@ def sphere_relation(
     may then diagnose whether the found-witness relation was already an
     equivalence relation.  The relation is one chain join over the prism
     (:class:`_SphereHomotopy`): each row is the set reachable from its
-    element.  The witness of each related pair is the first solution of the
-    cylinder search, rebuilt and validated with all the others as one
-    batch, and given by the (n+1)-simplices at its tops, in cylinder order.
+    element.  The witness of each related pair is its first cylinder map in
+    extension-search order, rebuilt and validated with all the others as
+    one batch, and given by the (n+1)-simplices at its tops, in cylinder
+    order.
     """
     elements, pairs, witnesses = _sphere_relation(x, base, n)
     rel = [[False] * len(elements) for _ in elements]
@@ -940,7 +804,7 @@ def _tau(x: StratifiedSSet, base: SimplexId, n: int, audit: bool
 def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
     """The homotopy monoid at ``base`` in dimension ``n``, as a full table.
 
-    Partitions the sphere elements by relative homotopy (computing the
+    Partitions the sphere elements by homotopy rel boundary (computing the
     closure of the witness relation and recording whether closure was
     needed), multiplies canonical representatives through horn filling,
     then checks associativity by Light's test (:func:`_associative`) and
@@ -952,70 +816,6 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
 
 
 # -- audits -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WellDefinedReport:
-    """Outcome of exhausting all fillers over two representative pairs."""
-
-    fillers_tested: int
-    results: tuple[SimplexId, ...]
-    representative: SimplexId
-    consistent: bool
-
-
-def check_well_defined(
-    x: StratifiedSSet, base: SimplexId, n: int,
-    alpha: SimplexId, alpha2: SimplexId,
-    beta: SimplexId, beta2: SimplexId,
-) -> WellDefinedReport:
-    """Verify the product class ignores representative and filler choices.
-
-    Enumerates every filler for both pairs and checks all resulting faces
-    are pairwise homotopic relative to the boundary.  The four factors must
-    be sphere elements at ``base``.  The relation is built once
-    (:class:`_SphereHomotopy`), and every pair it relates gets a validated
-    witness.
-    """
-    _product_args(x, base, n, alpha, alpha2, beta, beta2)
-    homotopy = _SphereHomotopy(x, base, n)
-
-    def position(e: SimplexId) -> int:
-        try:
-            return homotopy.position[e.index]
-        except KeyError:
-            raise InvalidInput(
-                f"{e!r} is not a sphere element at {base!r}") from None
-
-    def homotopic(pairs: list[tuple[SimplexId, SimplexId]]) -> list[bool]:
-        found = homotopy.homotopies(
-            [(position(p), position(q)) for p, q in pairs])
-        return [w is not None for w in found]
-
-    for e in (alpha, alpha2, beta, beta2):
-        position(e)
-    reps = [(p, q) for p, q in ((alpha, alpha2), (beta, beta2)) if p != q]
-    for (p, q), related in zip(reps, homotopic(reps)):
-        if not related:
-            raise InvalidInput(f"{p!r} and {q!r} are not homotopic rel boundary")
-    results: list[SimplexId] = []
-    tested = 0
-    ids, faces = x.underlying.ids[n], x.underlying.face_columns[n + 1][n]
-    products = _product_fillers(
-        x, base, n, [(alpha.index, beta.index), (alpha2.index, beta2.index)])
-    for (a, b), fillers in zip(((alpha, beta), (alpha2, beta2)), products):
-        if not fillers:
-            raise NoFiller(f"no filler for the pair ({a!r}, {b!r})")
-        tested += len(fillers)
-        results.extend(ids[faces[w]] for w in fillers)
-    distinct = sorted(set(results))
-    consistent = all(homotopic([(distinct[0], r) for r in distinct[1:]]))
-    return WellDefinedReport(
-        fillers_tested=tested,
-        results=tuple(distinct),
-        representative=distinct[0],
-        consistent=consistent,
-    )
-
 
 @dataclass(frozen=True)
 class AuditCell:

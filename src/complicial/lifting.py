@@ -1,28 +1,20 @@
-"""Exhaustive solver for stratified extension problems, and horn filling.
+"""Horn instances, horn filling, and the weak complicial verifier.
 
-The solver takes an inclusion A -> B, a partial map A -> X, and searches
-for stratified extensions B -> X; the homotopy cylinders go through it.
-Horns need no search: their fillers are looked up (see "Verdicts" below).
-The solver runs on plain simplex indexes.  Unknowns are the
-nondegenerate simplices of B outside A, in (dim, index) order, and the
-search is a join with one level per unknown (:func:`_search`): a level
-extends each partial solution by the candidates from the target's cached
-face-row index and, where B's simplex is thin, by X's thin simplices
-only.  A degenerate simplex is never an unknown: when a face row reads
-one, its image is the degeneracy of its base's.  The levels are streamed,
-so a search with a limit stops at its first solutions, and the result
-list is deterministic, ordered lexicographically by assignment.
+A horn instance is a stratified map from a complicial horn to X, and its
+fillers are looked up, not searched for (see "Verdicts" below).  Everything
+runs on plain simplex indexes, and maps are built from index columns
+(:func:`_generated_rows`).
 
 What is validated, and where:
 
-* Pins, at enumeration.  The inclusion and the partial map of a problem
-  are validated maps.  Horn instances are enumerated a face at a time by
-  hash join (:func:`_horn_rows`): each face's candidates are first cut to
-  those that land thin wherever the horn is thin, then grouped by their
-  own face-row entries shared with the earlier faces, and a partial tuple
-  is extended by one lookup of the entries its chosen faces ask for.  So
-  an instance is enumerated exactly when its faces are compatible and
-  thin where they must be: it is a stratified map from the horn.
+* Horns, at enumeration.  Horn instances are enumerated a face at a
+  time by hash join (:func:`_horn_rows`): each face's candidates are
+  first cut to those that land thin wherever the horn is thin, then
+  grouped by their own face-row entries shared with the earlier faces,
+  and a partial tuple is extended by one lookup of the entries its chosen
+  faces ask for.  So an instance is enumerated exactly when its faces are
+  compatible and thin where they must be: it is a stratified map from the
+  horn.
 * Maps, in batches.  Every map is checked by one validator,
   ``core._map_fault``, which ``strat.make_stratified_maps`` runs on a
   batch of index assignments B -> X and ``make_simplicial_map`` and
@@ -32,9 +24,9 @@ What is validated, and where:
   dimension's thinness is one column compared over the whole batch.  The
   first mismatch of each column names a map and a simplex, and the least
   one raises, so the first invalid map raises the error it raises alone.
-* Results.  :func:`find_extensions` solves one problem per call.  Every
-  map it returns is rebuilt from its rows, and all of them are validated
-  as one batch.
+* Results.  Every map returned to a caller (a horn map, and the
+  homotopy module's classifying maps and sphere witnesses) is built from
+  its index rows, and all the maps of one call are validated as one batch.
 * Verdicts.  A stratified map from the complicial simplex at cap n is one
   n-simplex of X, and of the simplices outside the horn only the top is
   thin; so a horn instance is filled exactly by a thin n-simplex whose
@@ -92,7 +84,6 @@ from .core import Row, SimplexId, TruncatedSSet, _require_int
 from .errors import (
     BoundaryMismatch,
     BoundExceedsCap,
-    CapTooSmall,
     InvalidInput,
     KOutOfRange,
     NotWellDefined,
@@ -103,147 +94,6 @@ from .standard import (
 from .strat import StratifiedMap, StratifiedSSet, make_stratified_maps
 
 
-@dataclass(frozen=True)
-class ExtensionProblem:
-    """An inclusion A -> B together with a partial map A -> X."""
-
-    inclusion: StratifiedMap
-    partial: StratifiedMap
-
-    def __post_init__(self):
-        if self.inclusion.source != self.partial.source:
-            raise InvalidInput("inclusion and partial map must share a source")
-
-
-def _pin_rows(b: StratifiedSSet, inclusion: Sequence[Row],
-              partial: Sequence[Row]) -> list[list[int | None]]:
-    """Per dimension of B, the pinned image index of each simplex or None.
-
-    ``inclusion`` and ``partial`` are the assignment rows of the maps
-    A -> B and A -> X of one problem.
-    """
-    pins: list[list[int | None]] = [[None] * c for c in b.counts]
-    for n in range(min(len(inclusion), len(partial))):
-        row = pins[n]
-        for s, v in zip(inclusion[n], partial[n]):
-            got = row[s]
-            if got is None:
-                row[s] = v
-            elif got != v:
-                raise InvalidInput(
-                    f"inclusion is not injective at {b.underlying.ids[n][s]!r} "
-                    "(conflicting pins)"
-                )
-    return pins
-
-
-def _search(
-    b: StratifiedSSet,
-    x: StratifiedSSet,
-    pins: list[list[int | None]],
-    limit: int | None,
-) -> Iterator[list[Sequence[int]]]:
-    """Full assignment rows B -> X that extend ``pins``, in search order.
-
-    ``pins[n][i]`` is the image index of the n-simplex i of B, or None.
-    The search is a join with one level per unknown, an unpinned
-    nondegenerate simplex, in (dim, index) order.  A partial solution is
-    one tuple: the pinned images, then the images placed so far.  A level
-    extends each tuple by the X-simplices whose face row is the image of
-    its unknown's, ascending (thin ones only, where B's simplex is thin),
-    looked up in X's face-row index under an ``itemgetter`` over the
-    faces' positions in the tuple.  A degenerate face s_j b is placed the
-    first time a key reads it, by one lookup in the j-th degeneracy
-    column at b's image.  The levels are chained generators, so the
-    search stops after ``limit`` solutions (None: all).  The rows are
-    built from the solutions by :func:`_generated_rows`, unvalidated.
-    """
-    bu, xu = b.underlying, x.underlying
-    if not bu.counts[0]:
-        # the empty complex has one map, which the rows below cannot show
-        yield [()] * (b.cap + 1)
-        return
-    witness = bu.deg_witness
-    b_thin, x_thin = b.thin_indexes(), x.thin_indexes()
-    # the position in a partial solution of each placed simplex of B
-    at: dict[tuple[int, int], int] = {}
-    for m, row in enumerate(pins):
-        for i, v in enumerate(row):
-            if v is not None:
-                at[m, i] = len(at)
-    tuples: Iterator[tuple[int, ...]] = iter(
-        [tuple(v for row in pins for v in row if v is not None)])
-
-    def place(m: int, i: int) -> int:
-        # not recursive: a closure that calls itself is a reference cycle,
-        # which would keep each search's generators alive until a collection
-        nonlocal tuples
-        chain = []
-        while (m, i) not in at:
-            base, j = witness[m][i]
-            chain.append((m, i, j))
-            m, i = m - 1, base
-        p = at[m, i]
-        for m, i, j in reversed(chain):
-            tuples = _degenerate(tuples, p, xu.degeneracy_columns[m - 1][j])
-            p = at[m, i] = len(at)
-        return p
-
-    for m in range(b.cap + 1):
-        # a vertex has no faces: every vertex of X is a candidate
-        index = xu.face_index(m) if m else {(): range(xu.counts[0])}
-        for i, w in enumerate(witness[m]):
-            if w is None and pins[m][i] is None:
-                key = itemgetter(*[place(m - 1, c[i])
-                                   for c in bu.face_columns[m]]) \
-                    if m else (lambda t: ())
-                tuples = _extended(tuples, key, index.get,
-                                   x_thin[m] if i in b_thin[m] else None)
-                at[m, i] = len(at)
-    solutions = list(islice(tuples, limit))
-    yield from _generated_rows(
-        bu, xu, lambda m, i: list(map(itemgetter(at[m, i]), solutions)))
-
-
-def _extended(tuples: Iterable[tuple[int, ...]],
-              key: Callable[[tuple[int, ...]], Row],
-              get: Callable, thin: frozenset[int] | None
-              ) -> Iterator[tuple[int, ...]]:
-    """Each tuple extended by each candidate its key looks up, ascending,
-    thin ones only unless ``thin`` is None."""
-    for t in tuples:
-        for w in get(key(t), ()):
-            if thin is None or w in thin:
-                yield t + (w,)
-
-
-def _degenerate(tuples: Iterable[tuple[int, ...]], p: int,
-                column: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Each tuple extended by the degeneracy ``column`` at its entry p."""
-    for t in tuples:
-        yield t + (column[t[p]],)
-
-
-def find_extensions(
-    problem: ExtensionProblem, limit: int | None = None
-) -> list[StratifiedMap]:
-    """All stratified extensions B -> X of the problem, up to ``limit``.
-
-    Returns the empty list when no extension exists.  Every returned map is
-    rebuilt from its full assignment, and all are validated as one batch
-    (``strat.make_stratified_maps``), so the output is sound by
-    construction.
-    """
-    if limit is not None and (type(limit) is not int or limit < 1):
-        raise InvalidInput(f"limit must be a positive integer, not {limit!r}")
-    b, x = problem.inclusion.target, problem.partial.target
-    if x.cap < b.cap:
-        raise CapTooSmall(f"target cap {x.cap} below problem cap {b.cap}")
-    pins = _pin_rows(b, problem.inclusion.map.assign,
-                     problem.partial.map.assign)
-    return make_stratified_maps(b, x, list(_search(b, x, pins, limit)))
-
-
 def _generated_rows(
     bu: TruncatedSSet, xu: TruncatedSSet,
     image: Callable[[int, int], Sequence[int]],
@@ -252,8 +102,8 @@ def _generated_rows(
 
     ``image(m, i)`` lists, per instance, the image of the nondegenerate
     m-simplex i of B, so each is computed for all instances at once; a
-    degenerate s_j b takes s_j of b's image.  The extension search, horn
-    maps, classifying maps and sphere witnesses all build their rows here.
+    degenerate s_j b takes s_j of b's image.  Horn maps, classifying maps
+    and sphere witnesses all build their rows here.
     """
     depth = min(bu.dim_cap, xu.dim_cap)
     witness = bu.deg_witness
@@ -531,9 +381,11 @@ def _batch_fillers(x: StratifiedSSet, k: int, n: int,
     only the top is thin; so the fillers are the thin n-simplices whose
     face row, with its k-th entry left out, is the horn's row.
     The thin n-simplices whose first face j != k some row asks for are
-    sorted once by (index of face k, index), the order of :func:`_search`,
-    and grouped in that order by their face row with the k-th entry left
-    out; each horn is then one lookup of its whole row.
+    sorted once by (index of face k, index): the order of an extension
+    search that picks the face k and then the top, each ascending
+    (``tests/reference.py::fillers``).  They are grouped in that order by
+    their face row with the k-th entry left out, and each horn is then
+    one lookup of its whole row.
     """
     columns = x.underlying.face_columns[n]
     rest = [column for j, column in enumerate(columns) if j != k]

@@ -229,18 +229,6 @@ def horn_map(horn, x, faces):
 
 # -- extensions ---------------------------------------------------------------
 
-def solve(problem):
-    """:func:`extensions` of an ``ExtensionProblem`` A -> B, A -> X: each
-    simplex of A pins its image in B to its image in X."""
-    b, x = problem.inclusion.target, problem.partial.target
-    pinned = [[None] * c for c in b.counts]
-    for m, (inc, par) in enumerate(zip(problem.inclusion.map.assign,
-                                       problem.partial.map.assign)):
-        for s, v in zip(inc, par):
-            pinned[m][s] = v
-    return extensions(b, x, pinned)
-
-
 def extensions(b, x, pinned):
     """Every stratified map B -> X with the n-simplex i of B sent to
     ``pinned[n][i]`` where that is not None, as assignment rows.  The

@@ -4,167 +4,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import complicial as C
-from complicial import errors, homotopy, lifting
-from complicial.homotopy import (
-    _Cylinder,
-    _partition,
-    all_product_fillers,
-)
+from complicial import errors, homotopy
+from complicial.homotopy import _partition, all_product_fillers
 
 from . import reference
 from .conftest import check_tau, transformation_table, vertex
-from .test_search import cylinder_problem
 
 
-# -- simple and relative homotopy ------------------------------------------------
-
-def test_reflexivity_through_degenerate_cylinder(th0_z2_3):
-    x = th0_z2_3
-    f = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
-    w = C.simple_homotopic(f, f)
-    assert w is not None
-    assert w.f is f and w.g is f
-
-
-def test_single_vertex_selfhomotopy(th0_z2_3):
-    x = th0_z2_3
-    f = C.classifying_map(x, vertex(x), cap=2)
-    assert C.simple_homotopic(f, f) is not None
-
-
-def test_vertices_of_minimal_interval_not_homotopic():
-    x = C.delta(1, 2)
-    f = C.classifying_map(x, x.underlying.id_at(0, 0), cap=1)
-    g = C.classifying_map(x, x.underlying.id_at(0, 1), cap=1)
-    assert C.simple_homotopic(f, g) is None
-    # with the top edge thin they become homotopic
-    xt = C.delta_t(1, 2)
-    f2 = C.classifying_map(xt, xt.underlying.id_at(0, 0), cap=1)
-    g2 = C.classifying_map(xt, xt.underlying.id_at(0, 1), cap=1)
-    assert C.simple_homotopic(f2, g2) is not None
-
-
-def test_empty_rel_coincides_with_simple():
-    # rel over the empty subcomplex imposes nothing
-    for x in (C.delta(1, 2), C.delta_t(1, 2)):
-        source = C.delta(0, 1)
-        empty, einc = C.regular_subset(source, [])
-        assert empty.counts == (0, 0)
-        f = C.classifying_map(x, x.underlying.id_at(0, 0), cap=1)
-        g = C.classifying_map(x, x.underlying.id_at(0, 1), cap=1)
-        simple = C.simple_homotopic(f, g)
-        relative = C.rel_homotopic(f, g, einc)
-        assert (simple is None) == (relative is None)
-
+# -- homotopy rel boundary ---------------------------------------------------------
 
 def test_boolean_loops_not_homotopic(qcat_bool_3):
     x = qcat_bool_3
-    _, binc = C.boundary_pair(1, 2)
-    l0 = C.classifying_map(x, x.underlying.id_for_key(1, (0,)), cap=2)
-    l1 = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
-    assert C.rel_homotopic(l1, l0, binc) is None
-    assert C.rel_homotopic(l0, l0, binc) is not None
-
-
-def test_restriction_mismatch_detected(th0_z2_3):
-    x = th0_z2_3
-    d1 = C.delta(1, 2)
-    u = d1.underlying
-    const_edge = x.underlying.const(vertex(x), 1)
-    loop = x.underlying.id_for_key(1, (1,))
-    f = C.classifying_map(x, const_edge, cap=2)
-    g = C.classifying_map(x, loop, cap=2)
-    # pin the whole source: f and g differ there
-    full, finc = C.regular_subset(d1, u.simplices(2))
-    with pytest.raises(errors.RestrictionMismatch):
-        C.rel_homotopic(f, g, finc)
-
-
-def test_rel_inclusion_from_a_higher_cap_pins_the_cylinder(th0_z2_3):
-    # B = the boundary of the 1-simplex at cap 3, into A = the 1-simplex at
-    # cap 2: the inclusion has depth 2, and the restrictions of two maps
-    # out of A are compared up to that depth, with no composite made
-    x = th0_z2_3
-    loop = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
-    point = C.classifying_map(x, x.underlying.const(vertex(x), 1), cap=2)
-    a = loop.source
-    b, _ = C.boundary_pair(1, 3)
-    high = C.make_stratified_map(b, a, C.build_map(b.underlying, a.underlying, {
-        v: a.underlying.id_for_key(0, b.underlying.key_of(v))
-        for v in b.simplices(0)}))
-    assert b.cap == 3 and high.map.depth == 2
-    _, low = C.boundary_pair(1, 2)
-    for f, g in ((loop, loop), (loop, point), (point, point)):
-        assert (C.rel_homotopic(f, g, high) is None) == \
-            (C.rel_homotopic(f, g, low) is None)
-    assert C.rel_homotopic(loop, loop, high) is not None
-    y = C.delta_t(1, 2)
-    edge = C.classifying_map(y, y.underlying.id_for_key(1, (0, 1)), cap=2)
-    const = C.classifying_map(y, y.underlying.const(vertex(y), 1), cap=2)
-    with pytest.raises(errors.RestrictionMismatch):
-        C.rel_homotopic(edge, const, high)
-
-
-def test_shared_cylinder_rejects_mismatched_maps(th0_z2_3):
-    x = th0_z2_3
-    _, binc = C.boundary_pair(1, 2)
-    cylinder = _Cylinder(binc.target, binc)
-    loop = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
-    assert cylinder.solve(loop, loop) is not None
-    # an edge with distinct ends differs from the loop on the boundary
-    y = C.delta_t(1, 2)
-    edge = C.classifying_map(y, y.underlying.id_for_key(1, (0, 1)), cap=2)
-    point = C.classifying_map(y, y.underlying.const(vertex(y), 1), cap=2)
-    with pytest.raises(errors.RestrictionMismatch):
-        cylinder.solve(edge, point)
-    with pytest.raises(errors.RestrictionMismatch):
-        C.rel_homotopic(edge, point, binc)
-    # different targets, and a source other than the cylinder's
-    with pytest.raises(errors.InvalidInput):
-        cylinder.solve(loop, point)
-    vmap = C.classifying_map(x, vertex(x), cap=1)
-    with pytest.raises(errors.InvalidInput):
-        cylinder.solve(vmap, vmap)
-    with pytest.raises(errors.InvalidInput):
-        C.rel_homotopic(loop, vmap, binc)
-    with pytest.raises(errors.InvalidInput):
-        _Cylinder(C.delta(0, 1), binc)
-
-
-def test_shared_cylinder_validates_its_pins(monkeypatch, th0_z2_3):
-    # a plan that pins every edge to the f row's first edge, a constant,
-    # while the triangles over the ends stay on the loop; the search finds
-    # nothing here, so only the validation of the partial maps can raise
-    x = th0_z2_3
-    _, binc = C.boundary_pair(1, 2)
-    cylinder = _Cylinder(binc.target, binc)
-    loop = C.classifying_map(x, x.underlying.id_for_key(1, (1,)), cap=2)
-    assert cylinder.solve(loop, loop) is not None
-    monkeypatch.setattr(homotopy, "find_extensions",
-                        lambda problem, limit=None: [])
-    assert cylinder.solve(loop, loop) is None
-    plan = cylinder._plan
-    cylinder._plan = (plan[0], (0,) * len(plan[1]), plan[2])
-    with pytest.raises(errors.NotWellDefined):
-        cylinder.solve(loop, loop)
-
-
-def test_shared_cylinder_matches_fresh_rel_homotopic(qcat_bool_3):
-    x = qcat_bool_3
-    els, rel, witnesses = C.sphere_relation(x, vertex(x), 1)
-    assert not all(map(all, rel))  # the relation is not trivial here
-    _, binc = C.boundary_pair(1, 2)
-    for i, p in enumerate(els):
-        for j, q in enumerate(els):
-            w = C.rel_homotopic(C.classifying_map(x, p, cap=2),
-                                C.classifying_map(x, q, cap=2), binc)
-            assert rel[i][j] == (w is not None)
-            if w is not None:
-                # the images of the cylinder's nondegenerate top simplices
-                cyl = w.h.source.underlying
-                tops = cyl.nondegenerate(cyl.dim_cap)
-                assert tuple(t.index for t in witnesses[(p, q)]) == \
-                    tuple(w.h.map.assign[cyl.dim_cap][t.index] for t in tops)
+    els, rel, _ = C.sphere_relation(x, vertex(x), 1)
+    l0 = els.index(x.underlying.id_for_key(1, (0,)))
+    l1 = els.index(x.underlying.id_for_key(1, (1,)))
+    assert not rel[l1][l0]
+    assert rel[l0][l0]
 
 
 # -- the class closure ------------------------------------------------------------
@@ -272,9 +127,6 @@ def test_multiply_surfaces_no_filler(nerve_z2_3):
      "<2:0> is not a 1-simplex of the complex"),
     (lambda x, t: all_product_fillers(x, C.SimplexId(0, 5), 1, t[0], t[0]),
      "<0:5> is not a vertex of the complex"),
-    (lambda x, t: C.check_well_defined(x, vertex(x), 1, t[0],
-                                       C.SimplexId(1, 99), t[0], t[0]),
-     "<1:99> is not a 1-simplex of the complex"),
     (lambda x, t: C.tau_table(x, C.SimplexId(0, 5), 1),
      "<0:5> is not a vertex of the complex"),
     (lambda x, t: C.audit_well_defined(x, C.SimplexId(0, 5), t[1]),
@@ -396,32 +248,6 @@ def test_light_test_on_known_tables():
 
 
 # -- well-definedness ---------------------------------------------------------------
-
-def test_check_well_defined_z2(th0_z2_3):
-    x = th0_z2_3
-    e, a = C.sphere_elements(x, vertex(x), 1)
-    report = C.check_well_defined(x, vertex(x), 1, a, a, a, a)
-    assert report.consistent
-    assert report.fillers_tested == 2  # one filler per (identical) pair
-    assert report.representative == e
-
-
-def test_check_well_defined_s3(th0_s3_3):
-    x = th0_s3_3
-    els = C.sphere_elements(x, vertex(x), 1)
-    report = C.check_well_defined(
-        x, vertex(x), 1, els[1], els[1], els[2], els[2]
-    )
-    assert report.consistent
-
-
-def test_check_well_defined_rejects_unrelated(qcat_bool_3):
-    x = qcat_bool_3
-    l0 = x.underlying.id_for_key(1, (0,))
-    l1 = x.underlying.id_for_key(1, (1,))
-    with pytest.raises(errors.InvalidInput):
-        C.check_well_defined(x, vertex(x), 1, l0, l1, l1, l1)
-
 
 def test_audit_well_defined(th0_z2_3):
     x = th0_z2_3
@@ -545,13 +371,9 @@ def two_homotopies(drop=()):
 
 
 def homotopy_count(x, p, q, n):
-    """The number of homotopies from ``p`` to ``q`` rel boundary, by
-    ``find_extensions`` with no limit, and by the reference."""
-    f, g = (C.classifying_map(x, s, cap=n + 1) for s in (p, q))
-    problem = cylinder_problem(x, f, g, C.boundary_pair(n, n + 1)[1])
-    count = len(C.find_extensions(problem))
-    assert count == len(reference.solve(problem))
-    return count
+    """The number of homotopies from ``p`` to ``q`` rel boundary at the
+    first vertex, by the reference."""
+    return len(reference.homotopies(x, vertex(x).index, n, p.index, q.index))
 
 
 def test_first_homotopy_is_chosen_among_several():
@@ -672,29 +494,6 @@ def test_the_audit_refuses_a_table_of_another_complex():
         assert C.audit_well_defined(y, vertex(y), table).all_consistent
 
 
-@pytest.mark.parametrize("complex_, n", [("th0_s3_3", 1), ("th0_z2_3", 2)])
-def test_tau_makes_no_cylinder_search(monkeypatch, request, complex_, n):
-    x = request.getfixturevalue(complex_)
-    v = vertex(x)
-    table = C.tau_table(x, v, n)
-    audit = C.audit_well_defined(x, v, table)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a cylinder search on the tau path")
-
-    monkeypatch.setattr(lifting, "_search", refuse)
-    monkeypatch.setattr(lifting, "_pin_rows", refuse)
-    monkeypatch.setattr(homotopy, "find_extensions", refuse)
-    assert C.tau_table(x, v, n) == table
-    assert C.audit_well_defined(x, v, table) == audit
-    els = table.elements
-    assert C.check_well_defined(x, v, n, els[0], els[0], els[-1], els[-1])
-    # the patch is live: a homotopy of arbitrary maps still searches
-    f = C.classifying_map(x, els[0], cap=n + 1)
-    with pytest.raises(AssertionError, match="tau path"):
-        C.simple_homotopic(f, f)
-
-
 def test_sphere_witnesses_are_validated(monkeypatch, th0_z2_3):
     # every witness row moved off its top simplex, to the next one of its
     # dimension, whose faces differ: the batch validation must raise
@@ -738,31 +537,6 @@ def test_the_relation_asks_only_for_related_pairs(monkeypatch, th0_s3_3):
     assert asked[1] == related
 
 
-def test_the_sphere_path_makes_no_homotopy_witness(monkeypatch):
-    # the sphere relation keeps each witness as the indexes of its tops;
-    # only the homotopies of arbitrary maps construct a HomotopyWitness
-    x = two_homotopies()
-    v = vertex(x)
-    made = []
-    init = C.HomotopyWitness.__post_init__
-
-    def spy(self):
-        made.append(self)
-        init(self)
-
-    monkeypatch.setattr(C.HomotopyWitness, "__post_init__", spy)
-    els, rel, witnesses = C.sphere_relation(x, v, 1)
-    p, q = next((p, q) for i, p in enumerate(els) for j, q in enumerate(els)
-                if p != q and rel[i][j])
-    C.tau_table(x, v, 1)
-    C.check_well_defined(x, v, 1, p, q, p, q)
-    assert witnesses[(p, q)] and made == []
-    _, binc = C.boundary_pair(1, 2)
-    assert C.rel_homotopic(C.classifying_map(x, p, cap=2),
-                           C.classifying_map(x, q, cap=2), binc)
-    assert len(made) == 1
-
-
 @pytest.mark.parametrize("bad", [1.0, "1", True])
 @pytest.mark.parametrize("name, call", [
     ("n", lambda x, v, a, bad: C.tau_table(x, v, bad)),
@@ -780,11 +554,3 @@ def test_dimension_arguments_must_be_ints(th0_z2_3, name, call, bad):
     with pytest.raises(errors.InvalidInput, match="^" + re.escape(
             f"{name} must be an integer, not {bad!r}") + "$"):
         call(x, v, a, bad)
-
-
-def test_check_well_defined_needs_sphere_elements():
-    x = C.delta_t(1, 2)
-    edge = x.underlying.id_for_key(1, (0, 1))
-    with pytest.raises(errors.InvalidInput,
-                       match=r"is not a sphere element at <0:0 \(0,\)>"):
-        C.check_well_defined(x, vertex(x), 1, edge, edge, edge, edge)
