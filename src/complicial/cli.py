@@ -59,6 +59,14 @@ def _at_least(low: int):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """An argparse type: the path ``--out`` names, which must not be empty:
+    an empty path is no file, and not a way to ask for stdout either."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, not be empty")
+    return text
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.buffer.read().decode("utf-8")
@@ -100,7 +108,7 @@ def _load_complex(path: str) -> StratifiedSSet:
 
 def _emit(args, pieces: Iterable[str]) -> None:
     """Write a document, given in pieces, to ``--out`` or to stdout."""
-    if getattr(args, "out", None):
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as out:
             out.writelines(pieces)
     else:
@@ -270,7 +278,7 @@ def cmd_build(args) -> int:
         x = gproduct(_load_complex(params[0]), _load_complex(params[1]))
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown builder {name}")
-    _emit(args, [documents.complex_text(x, name=args.name)])
+    _emit(args, documents.complex_pieces(x, name=args.name))
     return 0
 
 
@@ -359,25 +367,26 @@ def _build_parser() -> _Parser:
     b.add_argument("--cap", type=_integer, default=None)
     b.add_argument("--monoid", help="monoid JSON file (for nerve)")
     b.add_argument("--category", help="category JSON file (for nerve)")
-    b.add_argument("--out", help="write the document here instead of stdout")
+    b.add_argument("--out", type=_out_path,
+                   help="write the document here instead of stdout")
 
     v = sub.add_parser("verify", help="check the weak complicial conditions")
     v.add_argument("complex", help="complex JSON path ('-' reads stdin)")
     v.add_argument("--max-dim", type=_integer, default=None)
     v.add_argument("--limit", type=_at_least(0), default=None,
                    help="serialize at most this many witnesses per row")
-    v.add_argument("--out")
+    v.add_argument("--out", type=_out_path)
 
     t = sub.add_parser("tau", help="compute a homotopy monoid table")
     t.add_argument("complex")
     t.add_argument("--n", type=_integer, required=True)
     t.add_argument("--vertex", default="0")
     t.add_argument("--audit-well-defined", action="store_true")
-    t.add_argument("--out")
+    t.add_argument("--out", type=_out_path)
 
     t0 = sub.add_parser("tau0", help="invertibly connected components")
     t0.add_argument("complex")
-    t0.add_argument("--out")
+    t0.add_argument("--out", type=_out_path)
     return parser
 
 

@@ -7,23 +7,26 @@ of the form ``"dim:index"``.
 
 Every document is laid out as ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` plus a final newline.  A complex is rendered by
-:func:`complex_text` straight from its face and degeneracy columns, thin
+:func:`complex_pieces` straight from its face and degeneracy columns, thin
 indexes and label strings, instead of going through ``json``'s pure-Python
 indenting encoder.  Every id list (the simplices, each face and degeneracy
 table, the thin list and the label keys) is one C-level ``str.join`` over
 the digit strings of its indexes, which come from one list per call; the
 quotes, the ``n:`` prefix, the indentation and the row brackets are in the
 separators.  So no ``"n:i"`` string, no per-row string and no
-:class:`SimplexId` is made.  :func:`complex_digest` feeds the same pieces to
-sha256 without joining them, and :func:`complex_to_doc` is their parse, so
-one function decides what a complex document holds.  Results are written
-by :func:`dumps`, which is ``json`` itself, or streamed by
-:func:`dump_pieces`, a batch of ``json``'s chunks at a time, with the same
-bytes.  A ``tau`` document is streamed by :func:`table_pieces`, again with
-the same bytes: its three arrays that grow with the square of the number
-of classes (the table rows, the filler rows and the audit cells) are
-written by template, straight from the table's indexes and the audit's
-columns, and spliced into ``json``'s text for the rest of the document.
+:class:`SimplexId` is made.  The CLI writes the pieces one after another
+and :func:`complex_digest` feeds them to sha256, so at its peak a write
+holds the complex and its pieces, about one copy of the text, and never
+the joined text; :func:`complex_text` is their join and
+:func:`complex_to_doc` its parse, so one function decides what a complex
+document holds.  Results are written by :func:`dumps`, which is ``json``
+itself, or streamed by :func:`dump_pieces`, a batch of ``json``'s chunks
+at a time, with the same bytes.  A ``tau`` document is streamed by
+:func:`table_pieces`, again with the same bytes: its three arrays that
+grow with the square of the number of classes (the table rows, the filler
+rows and the audit cells) are written by template, straight from the
+table's indexes and the audit's columns, and spliced into ``json``'s text
+for the rest of the document.
 The second template writer, :func:`verify_pieces`, streams a ``verify``
 document the same way: its rows, which all have one shape, and their
 failure witnesses are written from the index columns each row keeps, so
@@ -41,6 +44,17 @@ id must be spelled exactly as in ``simplices``; ``"1:03"`` or ``" 1:3"``
 is no id.  Only a part that fails is walked again, to name its first bad
 entry.  Each table is checked once, here, and becomes columns, which
 ``core._sset`` trusts: it checks only the simplicial identities.
+
+A read drops what it makes once it is used, and never changes the
+document.  The digit strings of the canonical ids live only in their
+check, each table is read a column at a time straight into the tuple the
+complex keeps, and the id dicts go once the tables are read: the thin
+list and the label keys are matched against the document's own id
+lists, and only a read that fails there makes the id sets again.  So
+above the parsed document a read holds at most the id dicts and the
+columns.  That is less than the text ``json.loads`` held beside the tree
+on the largest documents the CLI reads (``th0(N S4)`` at cap 4,
+``th0(N S6)`` at cap 2), where reading a file peaks in ``json.loads``.
 """
 
 from __future__ import annotations
@@ -48,7 +62,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import chain, compress, count, islice, repeat
-from operator import is_not
+from operator import is_not, itemgetter
 from typing import Any, Iterable, Iterator
 
 from . import __version__
@@ -163,9 +177,13 @@ def _labels(column: tuple, digits: list[str], n: int) -> str:
     return f'"{n}:{body}' if body else ""
 
 
-def _complex_pieces(x: StratifiedSSet, name: str | None) -> list[str]:
-    """The canonical document of a complex as pieces of text, made from its
-    columns, thin indexes and label strings (see :func:`complex_text`)."""
+def complex_pieces(x: StratifiedSSet, name: str | None = None) -> list[str]:
+    """The canonical document of a complex as pieces of text, written
+    straight from its columns, thin indexes and stored label strings: each
+    id list is one ``str.join`` over the digit strings of its indexes, with
+    the quotes, the ``n:`` prefix, the indentation and the row brackets in
+    the separators.  Their join is :func:`complex_text`; a writer writes
+    them one after another instead, so the whole text is never held."""
     if name is not None and not isinstance(name, str):
         raise InvalidInput("a complex's name must be a string")
     u = x.underlying
@@ -202,32 +220,31 @@ def _complex_pieces(x: StratifiedSSet, name: str | None) -> list[str]:
 
 
 def complex_text(x: StratifiedSSet, name: str | None = None) -> str:
-    """The canonical document of a complex as text, written straight from
-    its columns, thin indexes and stored label strings: each id list is one
-    ``str.join`` over the digit strings of its indexes, with the quotes, the
-    ``n:`` prefix, the indentation and the row brackets in the separators.
-    Its bytes are those :func:`dumps` writes for the document, and
-    :func:`complex_to_doc` is their parse."""
-    return "".join(_complex_pieces(x, name))
+    """The canonical document of a complex as text, the join of
+    :func:`complex_pieces`.  Its bytes are those :func:`dumps` writes for
+    the document, and :func:`complex_to_doc` is their parse."""
+    return "".join(complex_pieces(x, name))
 
 
 def complex_to_doc(x: StratifiedSSet, name: str | None = None) -> dict:
     return json.loads(complex_text(x, name))
 
 
-def _is_simplex(text, indexes: list[dict[str, int]]) -> bool:
-    """Whether ``text`` is the id of a simplex of some dimension."""
+def _is_simplex(text, indexes: list) -> bool:
+    """Whether ``text`` is the id of a simplex of some dimension, given
+    the ids of each dimension as a dict or a set."""
     return isinstance(text, str) and any(text in index for index in indexes)
 
 
 def _parse_table(raw, n: int, count: int, what: str, entry_dim: int,
-                 indexes: list[dict[str, int]]) -> list[list[int]]:
+                 indexes: list[dict[str, int]]) -> tuple[tuple, ...]:
     """The dimension-``n`` face or degeneracy table, a list of ``count``
     rows of n + 1 ids of dimension ``entry_dim``, as columns of indexes.
     The row count is checked first, as ``core.build_sset`` checks it; then
     the shapes, over the whole table at once, and then every entry is read
-    by one lookup in the dict of dimension ``entry_dim``.  Only a table
-    that fails is walked, to name its first bad row or entry."""
+    by one lookup in the dict of dimension ``entry_dim``, a column at a
+    time, straight into the tuple ``core._sset`` keeps.  Only a table that
+    fails is walked, to name its first bad row or entry."""
     width = n + 1
     if type(raw) is not list:
         raise InvalidInput(f"{what} table at dim {n} must be a list of rows")
@@ -241,7 +258,8 @@ def _parse_table(raw, n: int, count: int, what: str, entry_dim: int,
             else f"be a list of {width} ids"))
     index = indexes[entry_dim]
     try:
-        nums = list(map(index.__getitem__, chain.from_iterable(raw)))
+        return tuple(tuple(map(index.__getitem__, map(itemgetter(j), raw)))
+                     for j in range(width))
     except (KeyError, TypeError):  # a missing or an unhashable entry
         k, text = next((k, text) for k, text in enumerate(
             chain.from_iterable(raw)) if not _is_simplex(text, [index]))
@@ -249,11 +267,16 @@ def _parse_table(raw, n: int, count: int, what: str, entry_dim: int,
         if _is_simplex(text, indexes):
             raise InvalidInput(f"{entry} must have dimension {entry_dim}")
         raise DanglingReference(f"{entry} is not a simplex of the complex")
-    return [nums[j::width] for j in range(width)]
 
 
-def _thin_given(thin_ids, per_dim: list[list[str]],
-                indexes: list[dict[str, int]]) -> list[list[int]]:
+def _first_non_simplex(texts: Iterable, per_dim: list[list[str]]):
+    """The first of ``texts`` that is no simplex id, to name it in an
+    error: a read keeps no set of the ids, so this makes one again."""
+    known = [set(ids) for ids in per_dim]
+    return next(text for text in texts if not _is_simplex(text, known))
+
+
+def _thin_given(thin_ids, per_dim: list[list[str]]) -> list[list[int]]:
     """Per dimension, the indexes of the thin ids, ascending: the places in
     that dimension's ``simplices`` list of the ids in the set of thin ids.
     Unless those places add up to the size of the set, some thin id is no
@@ -269,8 +292,24 @@ def _thin_given(thin_ids, per_dim: list[list[str]],
                 for ids in per_dim]
         if sum(map(len, thin)) == len(given):
             return thin
-    text = next(text for text in thin_ids if not _is_simplex(text, indexes))
+    text = _first_non_simplex(thin_ids, per_dim)
     raise InvalidInput(f"thin id {text!r} is not a simplex of the complex")
+
+
+def _require_canonical(per_dim: list[list], most: int) -> None:
+    """Raise unless the ids of each dimension n are ``"n:0"``, ``"n:1"``,
+    ... in order, where no dimension has more than ``most``: one join per
+    dimension, against the join of its canonical ids, whose digit strings
+    live only here."""
+    digits = list(map(str, range(most)))
+    for n, ids in enumerate(per_dim):
+        # canonical ids hold no NUL, so equal joins mean equal lists
+        try:
+            joined = "\x00".join(ids)
+        except TypeError:  # an entry that is not a string
+            joined = None
+        if ids and joined != f"{n}:" + f"\x00{n}:".join(digits[:len(ids)]):
+            raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
 
 
 def _field(doc: dict, key: str):
@@ -295,15 +334,7 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
         raise InvalidInput("simplices must list dimensions 0..dim_cap")
     counts = [len(ids) for ids in per_dim]
     _require_buildable("the document", cap, counts)
-    digits = list(map(str, range(max(counts))))
-    for n, ids in enumerate(per_dim):
-        # canonical ids hold no NUL, so equal joins mean equal lists
-        try:
-            joined = "\x00".join(ids)
-        except TypeError:  # an entry that is not a string
-            joined = None
-        if ids and joined != f"{n}:" + f"\x00{n}:".join(digits[:len(ids)]):
-            raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
+    _require_canonical(per_dim, max(counts))
     # each id string to its simplex's index, one dict per dimension
     indexes = [dict(zip(ids, count())) for ids in per_dim]
     face_tables = _field(doc, "faces")
@@ -317,6 +348,7 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     degeneracies = [_parse_table(degeneracy_tables[n], n, counts[n],
                                  "degeneracy", n + 1, indexes)
                     for n in range(cap)]
+    del indexes  # the largest thing a read makes that the complex drops
     label_map = doc.get("labels", {})
     if not isinstance(label_map, dict) or not all(
         map(isinstance, label_map.values(), repeat(str))
@@ -326,12 +358,12 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     if label_map:
         columns = [tuple(map(label_map.get, ids)) for ids in per_dim]
         if sum(len(c) - c.count(None) for c in columns) != len(label_map):
-            key = next(k for k in label_map if not _is_simplex(k, indexes))
+            key = _first_non_simplex(label_map, per_dim)
             raise InvalidInput(
                 f"label key {key!r} is not a simplex of the complex")
         labels = columns.__getitem__
     u = _sset(cap, counts, [()] + faces, degeneracies + [()], None, labels)
-    thin = _thin_given(doc.get("thin", []), per_dim, indexes)
+    thin = _thin_given(doc.get("thin", []), per_dim)
     if thin[0]:  # every thin id is a simplex, so only a vertex is refused
         raise ThinVertex(f"vertex {u.id_at(0, thin[0][0])!r} cannot be thin")
     return _stratify(u, thin)
@@ -341,7 +373,7 @@ def complex_digest(x: StratifiedSSet) -> str:
     """The sha256 of the complex's unnamed document, fed piece by piece
     rather than as the whole text."""
     digest = hashlib.sha256()
-    for piece in _complex_pieces(x, None):
+    for piece in complex_pieces(x):
         digest.update(piece.encode())
     return digest.hexdigest()
 

@@ -204,6 +204,19 @@ def test_out_file_and_stdout_hold_the_same_bytes(capsys, tmp_path, argv):
     assert shown == written
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "th0"], ["verify"], ["tau", "--n", "1"], ["tau0"]])
+def test_an_empty_out_exits_1_and_writes_nothing(capsys, tmp_path, argv):
+    # an empty path names no file, and is not read as asking for stdout
+    path = tmp_path / "x.json"
+    path.write_text(D.complex_text(C.delta_t(1, 2)), encoding="utf-8")
+    assert main([*argv, str(path), "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: argument --out: must name a file, not be empty\n"
+
+
 def test_vertex_by_label(capsys, tmp_path, z2_monoid_file):
     nerve_path = tmp_path / "n.json"
     run(capsys, "build", "nerve", "--monoid", z2_monoid_file,

@@ -1,6 +1,8 @@
 import collections
+import copy
 import hashlib
 import json
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -863,3 +865,50 @@ def gapped_labels():
 @pytest.mark.parametrize("name", [None, "c", 'a "q" \\ \n é'])
 def test_complex_text_covers_the_edge_cases(x, name):
     assert_written_as_before(x, name)
+
+
+# -- what a read holds -------------------------------------------------------------
+
+def read_traced(doc):
+    """The traced peak, in bytes, of ``doc_to_complex(doc)`` above the
+    parsed document, and what the complex it returns keeps."""
+    tracemalloc.start()
+    try:
+        x = D.doc_to_complex(doc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kept
+
+
+@pytest.mark.parametrize("make", [
+    lambda text: D.complex_text(C.th0(C.nerve(C.symmetric_group_3(), 4))),
+    lambda text: text,  # the product of the pipeline benchmark
+], ids=["th0(N S3) cap 4", "th0(N S3) cap 3 squared"])
+def test_a_read_holds_little_more_than_the_complex_it_keeps(
+        make, s3_product_text):
+    # the digit strings, the id dicts and the flat entry lists of the
+    # tables are dropped once used, so the peak above the parsed document
+    # is near what the complex keeps: its columns, labels and thin sets
+    peak, kept = read_traced(json.loads(make(s3_product_text)))
+    assert peak <= 1.4 * kept, (peak, kept)
+
+
+@pytest.mark.parametrize("change, failure", [
+    (lambda doc: None, None),
+    (lambda doc: doc["thin"].insert(1, "1:03"),
+     "thin id '1:03' is not a simplex of the complex"),
+    (lambda doc: doc["labels"].update({"9:9": "ghost"}),
+     "label key '9:9' is not a simplex of the complex"),
+], ids=["valid", "thin id", "label key"])
+def test_a_read_leaves_the_document_as_it_was(change, failure):
+    # the failing reads are those that make their id sets again
+    doc = D.complex_to_doc(C.quasicat_e(C.nerve(C.boolean_monoid(), 3)))
+    change(doc)
+    before = copy.deepcopy(doc)
+    kind, got = outcome(D.doc_to_complex, doc)
+    if failure is None:
+        assert kind == "ok"
+    else:
+        assert (kind, got) == ("InvalidInput", failure)
+    assert doc == before
