@@ -382,11 +382,20 @@ def _first_unfillable(x: StratifiedSSet, hk: int, n: int
     return None if row.ok else row.failures[0].detail["faces"]
 
 
+def _bound(k: TruncatedSSet, bound: int | None) -> int:
+    """The highest dimension to check: ``bound``, which must be an
+    ``int``, or the cap when it is None."""
+    if bound is None:
+        return k.dim_cap
+    _require_int("bound", bound)
+    return bound
+
+
 def assert_quasicategory(k: TruncatedSSet, bound: int | None = None) -> None:
     """Inner-horn fillability up to the bound, by ``verify``'s row check
     on the maximal stratification."""
     x = max_strat(k)
-    for n in range(2, (k.dim_cap if bound is None else bound) + 1):
+    for n in range(2, _bound(k, bound) + 1):
         for hk in range(1, n):
             tup = _first_unfillable(x, hk, n)
             if tup is not None:
@@ -399,7 +408,7 @@ def assert_kan(k: TruncatedSSet, bound: int | None = None) -> None:
     """All-horn fillability up to the bound, by ``verify``'s row check on
     the maximal stratification."""
     x = max_strat(k)
-    for n in range(1, (k.dim_cap if bound is None else bound) + 1):
+    for n in range(1, _bound(k, bound) + 1):
         for hk in range(n + 1):
             tup = _first_unfillable(x, hk, n)
             if tup is not None:
@@ -441,6 +450,8 @@ def _homotopy_category(c: TruncatedSSet, bound: int | None,
         raise CapTooSmall("the homotopy category needs cap >= 2")
     if not assume_quasicategory:
         assert_quasicategory(c, bound)
+    else:  # the bound goes unused, but is still checked
+        _bound(c, bound)
     classes = _edge_classes(c)
     cls_of = _class_index(classes)
 

@@ -32,7 +32,7 @@ from typing import Hashable, Iterable, Sequence
 from .core import Row, SimplexId, TruncatedSSet, _require_int, require_simplex
 from .errors import CapTooSmall, InvalidInput, NoFiller
 from .lifting import _batch_fillers, _generated_rows, _require_horns
-from .standard import boundary_pair, delta, delta_t
+from .standard import delta, delta_t
 from .strat import (
     StratifiedMap,
     StratifiedSSet,
@@ -57,17 +57,10 @@ def classifying_map(x: StratifiedSSet, alpha: SimplexId,
     _require_int("cap", cap)
     if cap < n or cap > x.cap:
         raise CapTooSmall(f"cap {cap} unusable for a {n}-simplex in cap {x.cap}")
-    return _classifying_maps(x, n, cap, [alpha.index])[0]
-
-
-def _classifying_maps(x: StratifiedSSet, n: int, cap: int,
-                      column: Sequence[int]) -> list[StratifiedMap]:
-    """:func:`classifying_map` of each n-simplex of ``column``, built a
-    column at a time and validated as one batch.  Not checked at entry."""
     a = delta(n, cap)
     au, xu = a.underlying, x.underlying
     return make_stratified_maps(a, x, list(_generated_rows(
-        au, xu, lambda m, i: xu.act(n, au.keys[m][i], column))))
+        au, xu, lambda m, i: xu.act(n, au.keys[m][i], [alpha.index]))))[0]
 
 
 def _matching(columns: Sequence[Sequence[int]], candidates: Iterable[int],
@@ -128,12 +121,17 @@ class _SphereHomotopy:
 
     In the cylinder Δ[n] (x) I relative to ∂Δ[n] the only simplices
     neither pinned nor degenerate are n walls, of dimension n, and n + 1
-    tops, of dimension n + 1.  Every face of a wall is pinned to a
-    constant, and each top has two free faces, each a wall or an end
-    (alpha, the f end, or beta, the g end); its other faces are pinned to
-    constants.  So a homotopy is a path alpha - top - wall - ... - wall -
-    top - beta, and the relation is the composite of one binary relation
-    per top: the pairs of free faces of the simplices of X it can take
+    tops, of dimension n + 1.  Over ∂Δ[n] every sphere element is the
+    constant at the base, so a pinned m-simplex reads alpha at the end 0
+    over the top n-simplex of Δ[n], beta at the end 1 there, and the
+    constant m-simplex everywhere else; the ends over the top's
+    degeneracies are degenerate, so they are never read.  Every face of a
+    wall is pinned to a constant, so a wall takes the sphere elements (the
+    thin ones, for a thin wall).  Each top has two free faces, each a wall
+    or an end (alpha or beta); its other faces are pinned to constants.
+    So a homotopy is a path alpha - top - wall - ... - wall - top - beta,
+    and the relation is the composite of one binary relation per top: the
+    pairs of free faces of the simplices of X it can take
     (:class:`_Link`).  All of this is read off the cylinder's pins and
     asserted, once per (x, base, n); each link is one pass over the thin
     (n+1)-simplices of X whose pinned faces match.  alpha is related to
@@ -160,55 +158,37 @@ class _SphereHomotopy:
         self.position = {e.index: i for i, e in enumerate(self.elements)}
         xu = x.underlying
         x_thin = x.thin_indexes()
-        _, binc = boundary_pair(n, n + 1)
-        a, interval = binc.target, delta_t(1, n + 1)
-        self.cylinder = cyl = gproduct(a, interval)
-        self.maps = _classifying_maps(
-            x, n, n + 1, [e.index for e in self.elements])
-        cu, tu = cyl.underlying, interval.underlying
+        # const[m]: the constant m-simplex at base, s_0 of const[m - 1]
+        self.const = list(accumulate(
+            range(n + 1), lambda v, m: xu.degeneracy_columns[m][0][v],
+            initial=base.index))
+        self.cylinder = cyl = gproduct(delta(n, n + 1), delta_t(1, n + 1))
+        cu = cyl.underlying
         cyl_thin = cyl.thin_indexes()
-        # reads[m][c]: the pinned cylinder m-simplex c (the pair of the
-        # simplex ia of Δ[n] and it of I is c = ia * t + it) reads entry
-        # reads[m][c] of the f row followed by the g row of dimension m.
-        # The ends read the row of the simplex they lie over, and over
-        # ∂Δ[n] the cylinder reads the f row (the two agree there).
-        self.f_counts = a.counts
-        self.reads = reads = []
-        for m in range(n + 2):
-            t, na = interval.counts[m], a.counts[m]
-            c0, c1 = (tu.id_for_key(m, (e,) * (m + 1)).index for e in (0, 1))
-            pins = {ia * t + c: ia + side * na for ia in range(na)
-                    for side, c in enumerate((c0, c1))}
-            pins.update((ia * t + it, ia) for ia in set(binc.map.assign[m])
-                        for it in range(t))
-            reads.append(pins)
+        # pinned[m][c]: whether the cylinder m-simplex c, a pair of keys of
+        # Δ[n] and of I, is pinned: at the ends, where the second key is
+        # constant, and over ∂Δ[n], where the first misses a vertex
+        self.pinned = pinned = [[len(set(kb)) == 1 or len(set(ka)) <= n
+                                 for ka, kb in cu.keys[m]]
+                                for m in range(n + 2)]
         # the unknowns of an extension search, in its order
         unknown = [[c for c, w in enumerate(cu.deg_witness[m])
-                    if w is None and c not in reads[m]]
+                    if w is None and not pinned[m][c]]
                    for m in range(cyl.cap + 1)]
         assert len(unknown) == n + 2 and not any(unknown[:n])
         self.walls, self.tops = unknown[n], unknown[n + 1]
-        # the ends read the top n-simplex of Δ[n] in the f or the g row;
-        # every other pinned entry is the same for every sphere element,
-        # so it is read off the constant's own rows
-        top = a.underlying.deg_witness[n].index(None)
-        ends = {top: _ALPHA, a.counts[n] + top: _BETA}
-        const = [r + r for r in
-                 self.maps[self.position[xu.const(base, n).index]].map.assign]
-
-        def pinned(m: int, c: int) -> int:
-            assert c in reads[m], "a prism face is neither pinned nor free"
-            return const[m][reads[m][c]]
-
+        # the ends over the top n-simplex of Δ[n], which read alpha and beta
+        top = tuple(range(n + 1))
+        self.ends = {cu.keys[n].index((top, (e,) * (n + 1))): node
+                     for e, node in enumerate((_ALPHA, _BETA))}
         # the domain of each node: the n-simplices its face row allows
         every = {e.index for e in self.elements}
         domain: dict = {_ALPHA: every, _BETA: every}
         for w in self.walls:
-            got = set(_matching(
-                xu.face_columns[n], range(xu.counts[n]),
-                [(j, pinned(n - 1, c[w]))
-                 for j, c in enumerate(cu.face_columns[n])]))
-            domain[w] = got & x_thin[n] if w in cyl_thin[n] else got
+            assert all(pinned[n - 1][column[w]]
+                       for column in cu.face_columns[n]), \
+                "a wall with a face that is not pinned"
+            domain[w] = every & x_thin[n] if w in cyl_thin[n] else every
         # per top: the position of each free face by its node, and its
         # pinned faces as (position, value)
         free: dict[int, dict[object, int]] = {}
@@ -217,9 +197,11 @@ class _SphereHomotopy:
             free[t], fixed[t] = {}, []
             for j, column in enumerate(cu.face_columns[n + 1]):
                 c = column[t]
-                node = c if c in domain else ends.get(reads[n].get(c))
+                node = c if c in domain else self.ends.get(c)
                 if node is None:
-                    fixed[t].append((j, pinned(n, c)))
+                    assert pinned[n][c], \
+                        "a prism face is neither pinned nor free"
+                    fixed[t].append((j, self.const[n]))
                 else:
                     free[t][node] = j
             assert len(free[t]) == 2, "a top without two distinct free faces"
@@ -274,24 +256,17 @@ class _SphereHomotopy:
         return sorted(map(self.position.__getitem__, reach))
 
     def homotopies(self, pairs: Sequence[tuple[int, int]]
-                   ) -> list[tuple[int, ...] | None]:
-        """Per pair (i, j) of element positions, the first homotopy from
-        element i to element j rel boundary, as the (n+1)-simplices at its
-        tops in cylinder order, or None when j is not in :meth:`row` i.
-        The cylinder maps are validated as one batch; their ends hold by
-        construction, since :meth:`_witness_rows` reads every pinned entry
-        from the rows of elements i and j.
+                   ) -> list[tuple[int, ...]]:
+        """Per related pair (i, j) of element positions (j in :meth:`row`
+        i), the first homotopy from element i to element j rel boundary,
+        as the (n+1)-simplices at its tops in cylinder order.  The
+        cylinder maps are validated as one batch; their ends hold by
+        construction, since :meth:`_witness_rows` reads alpha and beta from
+        elements i and j.
         """
-        rows: dict[int, set[int]] = {}
         found: list[dict[tuple[int, int], int]] = []
-        solved = []
         last = len(self.links)
         for i, j in pairs:
-            if i not in rows:
-                rows[i] = set(self.row(i))
-            solved.append(j in rows[i])
-            if not solved[-1]:
-                continue
             # the value at each chosen position of the path
             values = {0: self.elements[i].index, last: self.elements[j].index}
             for w in self.walls:
@@ -307,29 +282,27 @@ class _SphereHomotopy:
                 solution[(self.n + 1, link.top)] = \
                     link.least[(values[k], values[k + 1])]
             found.append(solution)
-        make_stratified_maps(
-            self.cylinder, self.x,
-            self._witness_rows(list(compress(pairs, solved)), found))
-        tops = iter([tuple(s[(self.n + 1, t)] for t in self.tops)
-                     for s in found])
-        return [next(tops) if ok else None for ok in solved]
+        make_stratified_maps(self.cylinder, self.x,
+                             self._witness_rows(pairs, found))
+        return [tuple(s[(self.n + 1, t)] for t in self.tops) for s in found]
 
     def _witness_rows(self, pairs: Sequence[tuple[int, int]],
                       solutions: Sequence[dict[tuple[int, int], int]]
                       ) -> list[list[Sequence[int]]]:
-        """The cylinder rows with the pinned rows of each pair and the
-        unknowns of its solution, degenerate simplices filled from their
-        bases by ``lifting._generated_rows``."""
-        counts = self.f_counts
-        rows = [m.map.assign for m in self.maps]
+        """The cylinder rows of each pair's solution: alpha and beta at the
+        ends over the top n-simplex, the solution on the unknowns and the
+        constant on every other simplex, degenerate simplices filled from
+        their bases by ``lifting._generated_rows``."""
+        # alpha's end first
+        ends = {c: [self.elements[pair[side]].index for pair in pairs]
+                for side, c in enumerate(self.ends)}
 
         def image(m: int, c: int) -> list[int]:
-            r = self.reads[m].get(c)
-            if r is None:
+            if not self.pinned[m][c]:
                 return [s[(m, c)] for s in solutions]
-            if r < counts[m]:
-                return [rows[i][m][r] for i, _ in pairs]
-            return [rows[j][m][r - counts[m]] for _, j in pairs]
+            if m == self.n and c in ends:
+                return ends[c]
+            return [self.const[m]] * len(pairs)
 
         return list(_generated_rows(self.cylinder.underlying,
                                     self.x.underlying, image))
@@ -447,6 +420,8 @@ def _product_args(x: StratifiedSSet, base: SimplexId, n: int,
     """Check n, the cap, the base vertex and the n-simplex factors at
     entry."""
     _require_int("n", n)
+    if n < 1:
+        raise InvalidInput("multiplication needs n >= 1")
     if x.cap < n + 1:
         raise CapTooSmall(f"multiplication at n = {n} needs cap >= {n + 1}")
     require_simplex(x.underlying, base, 0)
@@ -942,6 +917,7 @@ def associativity_witness(
     n-1, n+1 and n+2 with constants elsewhere, fills it, and returns the
     double n-th face joining ((alpha beta) gamma) with (alpha (beta gamma)).
     """
+    _product_args(x, base, n, alpha, beta, gamma)
     if x.cap < n + 2:
         raise CapTooSmall(f"the associativity horn needs cap >= {n + 2}")
     ab, theta = multiply_with_filler(x, base, n, alpha, beta)

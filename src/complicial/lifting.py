@@ -84,6 +84,7 @@ from .core import Row, SimplexId, TruncatedSSet, _require_int
 from .errors import (
     BoundaryMismatch,
     BoundExceedsCap,
+    CapTooSmall,
     InvalidInput,
     KOutOfRange,
     NotWellDefined,
@@ -129,9 +130,11 @@ def assemble_horn_map(
     """The stratified map from a horn determined by its generating faces.
 
     ``face_assignments`` maps each face index j (j != k) of the horn of the
-    n-simplex to an (n-1)-simplex of X.  Every simplex of the horn is an
-    iterated face of some generating face, so the assignment determines the
-    map; boundary compatibility and thinness preservation are verified.
+    n-simplex to an (n-1)-simplex of X, and ``horn`` must be that
+    k-complicial horn (:func:`complicial_horn`, at any cap from n).  Every
+    simplex of the horn is an iterated face of some generating face, so the
+    assignment determines the map; boundary compatibility and thinness
+    preservation are verified.
     """
     js = sorted(face_assignments)
     n = len(js)
@@ -140,11 +143,15 @@ def assemble_horn_map(
         raise InvalidInput(
             f"assignments {js} are not the faces of a horn of the {n}-simplex"
         )
+    k = missing[0]
+    if horn.cap < n or horn != complicial_horn(k, n, horn.cap)[0]:
+        raise InvalidInput(
+            f"{horn!r} is not the {k}-complicial horn of the {n}-simplex")
     for j, img in face_assignments.items():
         if img.dim != n - 1:
             raise InvalidInput(f"face {j} image {img!r} must have dim {n - 1}")
     columns = [[face_assignments[j].index] for j in js]
-    return _horn_maps(horn, missing[0], n, x, columns)[0]
+    return _horn_maps(horn, k, n, x, columns)[0]
 
 
 def _horn_maps(
@@ -288,10 +295,14 @@ def horn_instances(
     join on the shared faces, from candidates already cut to those whose
     images land thin wherever the horn is thin (see :func:`_horn_rows`).
     """
+    _require_int("k", k)
+    _require_int("n", n)
     if n < 1:
         raise InvalidInput("horns need n >= 1")
     if not 0 <= k <= n:
         raise KOutOfRange(f"k = {k} outside [{n}]")
+    if n - 1 > x.cap:
+        raise CapTooSmall(f"horns of the {n}-simplex need cap >= {n - 1}")
     js = [j for j in range(n + 1) if j != k]
     ids = x.underlying.ids[n - 1]
     for row in _horn_rows(x.underlying, js, n, x):

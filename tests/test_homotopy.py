@@ -112,6 +112,22 @@ def test_multiply_surfaces_no_filler(nerve_z2_3):
         C.multiply(x, v, 1, a, a)
 
 
+@pytest.mark.parametrize("op", [
+    lambda x, v: C.multiply(x, v, 0, v, v),
+    lambda x, v: C.multiply_with_filler(x, v, 0, v, v),
+    lambda x, v: all_product_fillers(x, v, 0, v, v),
+    lambda x, v: C.associativity_witness(x, v, 0, v, v, v),
+], ids=["multiply", "multiply_with_filler", "all_product_fillers",
+        "associativity_witness"])
+def test_multiplication_needs_n_at_least_1(th0_z2_3, op):
+    # at n = 0 the rows of vertex indexes were read as a horn of edges, and
+    # multiply returned the edge <1:0>
+    x = th0_z2_3
+    with pytest.raises(errors.InvalidInput,
+                       match="^multiplication needs n >= 1$"):
+        op(x, vertex(x))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda x, t: C.sphere_elements(x, C.SimplexId(0, 5), 1),
      "<0:5> is not a vertex of the complex"),
@@ -537,6 +553,52 @@ def test_the_relation_asks_only_for_related_pairs(monkeypatch, th0_s3_3):
     assert asked[1] == related
 
 
+@pytest.mark.parametrize("x, n", [("th0_s3_3", 1), ("th0_z2_4", 2)])
+def test_the_cylinder_is_the_only_map_source(monkeypatch, request, x, n):
+    # the pins read alpha, beta and the constant, so the relation builds no
+    # classifying map: its one batch of maps is the witnesses, out of the
+    # cylinder
+    x = request.getfixturevalue(x)
+    sources = []
+    batch = homotopy.make_stratified_maps
+
+    def spy(source, target, rows):
+        sources.append(source)
+        return batch(source, target, rows)
+
+    monkeypatch.setattr(homotopy, "make_stratified_maps", spy)
+    C.tau_table(x, vertex(x), n)
+    cylinder = C.gproduct(C.delta(n, n + 1), C.delta_t(1, n + 1))
+    assert sources and all(s == cylinder for s in sources)
+
+
+def test_each_row_is_walked_once(monkeypatch, th0_s3_3):
+    x = th0_s3_3
+    rows = []
+    row = homotopy._SphereHomotopy.row
+
+    def spy(self, i):
+        rows.append(i)
+        return row(self, i)
+
+    monkeypatch.setattr(homotopy._SphereHomotopy, "row", spy)
+    elements = C.sphere_relation(x, vertex(x), 1)[0]
+    assert rows == list(range(len(elements)))
+
+
+def test_classifying_maps_match_the_reference(th0_z2_3):
+    x = th0_z2_3
+    u = x.underlying
+    for n in (1, 2):
+        for alpha in u.simplices(n):
+            for cap in range(n, 4):
+                f = C.classifying_map(x, alpha, cap)
+                keys = C.delta(n, cap).underlying.keys
+                assert f.map.assign == tuple(
+                    tuple(reference.operate(u, n, alpha.index, key)
+                          for key in keys[m]) for m in range(cap + 1))
+
+
 @pytest.mark.parametrize("bad", [1.0, "1", True])
 @pytest.mark.parametrize("name, call", [
     ("n", lambda x, v, a, bad: C.tau_table(x, v, bad)),
@@ -545,8 +607,20 @@ def test_the_relation_asks_only_for_related_pairs(monkeypatch, th0_s3_3):
     ("cap", lambda x, v, a, bad: C.classifying_map(x, a, cap=bad)),
     ("bound", lambda x, v, a, bad: C.verify_weak_complicial(x, bad)),
     ("n", lambda x, v, a, bad: C.pi_oracle(x.underlying, v, bad)),
+    ("bound", lambda x, v, a, bad: C.assert_kan(x.underlying, bad)),
+    ("bound", lambda x, v, a, bad: C.assert_quasicategory(x.underlying, bad)),
+    ("bound", lambda x, v, a, bad: C.quasicat_e(x.underlying, bound=bad)),
+    ("bound", lambda x, v, a, bad: C.homotopy_category(x.underlying,
+                                                       bound=bad)),
+    ("bound", lambda x, v, a, bad: C.homotopy_category(
+        x.underlying, bound=bad, assume_quasicategory=True)),
+    ("k", lambda x, v, a, bad: list(C.horn_instances(bad, 2, x))),
+    ("n", lambda x, v, a, bad: list(C.horn_instances(1, bad, x))),
 ], ids=["tau_table", "sphere_elements", "multiply", "classifying_map",
-        "verify_weak_complicial", "pi_oracle"])
+        "verify_weak_complicial", "pi_oracle", "assert_kan",
+        "assert_quasicategory", "quasicat_e", "homotopy_category",
+        "homotopy_category_assumed", "horn_instances_k",
+        "horn_instances_n"])
 def test_dimension_arguments_must_be_ints(th0_z2_3, name, call, bad):
     x = th0_z2_3
     v = vertex(x)

@@ -77,6 +77,34 @@ def test_assemble_thinness_violation():
         )
 
 
+@pytest.mark.parametrize("horn, faces", [
+    (C.complicial_horn(1, 2, 2)[0], (1, 2)),
+    (C.delta(2, 2), (1, 2)),
+    (C.complicial_horn(1, 3, 3)[0], (0, 2)),
+    (C.complicial_horn(1, 2, 2)[0], (0, 1, 2)),
+], ids=["another-k", "no-horn", "another-n", "below-the-cap"])
+def test_assemble_needs_the_horn_its_faces_name(th0_z2_3, horn, faces):
+    # each was a Python error: a KeyError (1, 2) for the first two and (3,)
+    # for the third, and an IndexError for the last, whose faces name a
+    # horn of the 3-simplex, above the horn's cap
+    x = th0_z2_3
+    e = x.underlying.const(x.underlying.id_at(0, 0), len(faces) - 1)
+    with pytest.raises(errors.InvalidInput,
+                       match="-complicial horn of the [23]-simplex$"):
+        C.assemble_horn_map(horn, dict.fromkeys(faces, e), x)
+
+
+def test_horn_instances_need_their_faces_within_the_cap(th0_z2_3):
+    x = th0_z2_3
+    with pytest.raises(errors.CapTooSmall):
+        list(C.horn_instances(0, 9, x))
+    with pytest.raises(errors.CapTooSmall):
+        list(C.horn_instances(0, 5, x))
+    # the faces of a horn of the 4-simplex are 3-simplices, within the cap:
+    # one horn per chain of four elements of Z2
+    assert len(list(C.horn_instances(1, 4, x))) == 2 ** 4
+
+
 # -- verification ----------------------------------------------------------------
 
 def test_point_verifies(point_3):
