@@ -23,7 +23,6 @@ from .strat import (  # noqa: F401
 )
 from .standard import (  # noqa: F401
     boundary,
-    boundary_pair,
     complicial_delta,
     complicial_horn,
     delta,
@@ -32,7 +31,6 @@ from .standard import (  # noqa: F401
     delta_t,
     horn_prime,
     key_inclusion,
-    top_id,
 )
 from .lifting import (  # noqa: F401
     FailedInstance,

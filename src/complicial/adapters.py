@@ -57,9 +57,6 @@ class FiniteCategory:
     identities: tuple[int, ...]
     comp: Mapping[tuple[int, int], int]
 
-    def compose(self, f: int, g: int) -> int:
-        return self.comp[(f, g)]
-
     def is_iso(self, f: int) -> bool:
         return any(
             self.comp.get((f, w)) == self.identities[self.src[f]]

@@ -816,9 +816,6 @@ def build_map(
             raise InvalidInput(f"{x!r} and {y!r} differ in dimension")
         if x.dim > depth:
             raise InvalidInput(f"{x!r} lies above the shared cap {depth}")
-        current = work[x.dim][x.index]
-        if current is not None and current != y.index:
-            raise NotWellDefined(f"conflicting assignments for {x!r}")
         work[x.dim][x.index] = y.index
     for n in range(depth):
         for i in range(source.counts[n]):

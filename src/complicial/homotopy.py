@@ -511,10 +511,6 @@ class MonoidTable:
         return not (self.relation_reflexive and self.relation_symmetric
                     and self.relation_transitive)
 
-    @property
-    def reps(self) -> tuple[SimplexId, ...]:
-        return tuple(c[0] for c in self.classes)
-
     @cached_property
     def fillers(self) -> tuple[tuple[SimplexId, ...], ...]:
         """The first filler of each cell, as rows of ids."""

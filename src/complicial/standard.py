@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement, count
 from math import comb
 from typing import Iterator
 
-from .core import SimplexId, TruncatedSSet, _require_buildable, build_sset
+from .core import TruncatedSSet, _require_buildable, _require_int, build_sset
 from .errors import CapTooSmall, InvalidInput, KOutOfRange
 from .strat import (
     StratifiedMap,
@@ -29,10 +29,6 @@ Key = tuple[int, ...]
 def monotone_maps(m: int, n: int) -> list[Key]:
     """All weakly increasing maps [m] -> [n], in lexicographic order."""
     return [t for t in combinations_with_replacement(range(n + 1), m + 1)]
-
-
-def is_degenerate_key(t: Key) -> bool:
-    return any(t[i] == t[i + 1] for i in range(len(t) - 1))
 
 
 def complicial_thin_key(k: int, n: int, t: Key) -> bool:
@@ -68,10 +64,8 @@ def _simplex_family(n: int, cap: int, kind: str, k: int | None = None
         member = lambda t: True  # noqa: E731
     elif kind == "boundary":
         member = lambda t: set(t) != set(range(n + 1))  # noqa: E731
-    elif kind == "horn":
+    else:
         member = lambda t: in_horn_key(k, n, t)  # noqa: E731
-    else:  # pragma: no cover
-        raise InvalidInput(f"unknown family kind {kind!r}")
     per_dim = [
         [t for t in monotone_maps(m, n) if member(t)] for m in range(cap + 1)
     ]
@@ -109,18 +103,22 @@ def _require_size(what: str, value: int) -> None:
 
 
 def _require_cap(cap: int, need: int) -> None:
+    _require_int("cap", cap)
     _require_size("cap", cap)
     if cap < need:
         raise CapTooSmall(f"cap {cap} is below the required {need}")
 
 
 def _require_dim(n: int) -> None:
+    _require_int("n", n)
     if n < 0:
         raise InvalidInput(f"simplex dimension {n} is negative")
     _require_size("simplex dimension", n)
 
 
 def _require_k(k: int, n: int) -> None:
+    _require_int("k", k)
+    _require_int("n", n)
     if not 0 <= k <= n:
         raise KOutOfRange(f"k = {k} outside [{n}]")
 
@@ -164,19 +162,20 @@ def complicial_horn(k: int, n: int, cap: int
     the regular one inherited from the ambient complicial simplex.  Built
     once per (k, n, cap); every call returns the same validated pair.
     """
-    # the cache sits on a private builder so that the public name stays a
-    # plain function, which wrappers around module functions (bench/tracer.py)
-    # recognise
+    # the arguments are checked before the cache is read, since True and
+    # 1.0 hash and compare like 1; the cache sits on a private builder so
+    # that the public name stays a plain function, which wrappers around
+    # module functions (bench/tracer.py) recognise
+    _require_k(k, n)
+    _require_cap(cap, n)
+    if n < 1:
+        raise InvalidInput("horns need n >= 1")
     return _complicial_horn(k, n, cap)
 
 
 @lru_cache(maxsize=None)
 def _complicial_horn(k: int, n: int, cap: int
                      ) -> tuple[StratifiedSSet, StratifiedMap]:
-    _require_k(k, n)
-    _require_cap(cap, n)
-    if n < 1:
-        raise InvalidInput("horns need n >= 1")
     u = _simplex_family(n, cap, "horn", k)
     horn = _stratify(
         u, _thin_where(u, lambda t: complicial_thin_key(k, n, t)))
@@ -249,22 +248,3 @@ def key_inclusion(sub: StratifiedSSet, ambient: StratifiedSSet) -> StratifiedMap
         for m in range(depth + 1)
     )
     return make_stratified_maps(sub, ambient, [assign])[0]
-
-
-def boundary_pair(n: int, cap: int) -> tuple[StratifiedSSet, StratifiedMap]:
-    """The boundary of the n-simplex together with its inclusion.
-
-    Built once per (n, cap); every call returns the same validated pair.
-    """
-    return _boundary_pair(n, cap)
-
-
-@lru_cache(maxsize=None)
-def _boundary_pair(n: int, cap: int) -> tuple[StratifiedSSet, StratifiedMap]:
-    bd = boundary(n, cap)
-    return bd, key_inclusion(bd, delta(n, cap))
-
-
-def top_id(x: StratifiedSSet, n: int) -> SimplexId:
-    """The nondegenerate top n-simplex of a standard complex."""
-    return x.underlying.id_for_key(n, tuple(range(n + 1)))

@@ -56,15 +56,6 @@ class StratifiedSSet:
     def nondegenerate(self, n: int) -> tuple[SimplexId, ...]:
         return self.underlying.nondegenerate(n)
 
-    def face(self, x: SimplexId, i: int) -> SimplexId:
-        return self.underlying.face(x, i)
-
-    def degeneracy(self, x: SimplexId, i: int) -> SimplexId:
-        return self.underlying.degeneracy(x, i)
-
-    def const(self, x: SimplexId, m: int) -> SimplexId:
-        return self.underlying.const(x, m)
-
     @property
     def thin(self) -> frozenset[SimplexId]:
         got = self._thin

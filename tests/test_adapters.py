@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +154,20 @@ def test_make_category_rejects_names_that_are_not_strings(objects, morphisms):
         C.make_category(objects, morphisms, [0, 1, 0], [0, 1, 1], [0, 1],
                         {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2})
 
+
+
+@pytest.mark.parametrize("src, tgt, identities", [
+    ([0, 1], [0, 1, 1], [0, 1]),
+    ([0, 1, 0], [0, 1], [0, 1]),
+    ([0, 1, 0], [0, 1, 1], [0]),
+], ids=["src", "tgt", "identities"])
+def test_make_category_needs_index_complete_tables(src, tgt, identities):
+    # the command line reads each end and identity off its morphism or
+    # object, so only a caller of the API can leave one out
+    with pytest.raises(errors.InvalidInput,
+                       match="^category tables are not index-complete$"):
+        C.make_category(["0", "1"], ["i0", "i1", "a"], src, tgt, identities,
+                        {(0, 0): 0, (1, 1): 1, (0, 2): 2, (2, 1): 2})
 
 def test_from_permutations_s3():
     s3 = C.symmetric_group_3()
@@ -462,6 +477,26 @@ def test_agreement_tau_vs_pi(nerve_z3_3):
     assert t.commutative == p.commutative
     assert t.associative == p.associative
 
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda k: C.nerve(C.cyclic_group(2), 2.0), errors.InvalidInput,
+     "cap must be a natural number"),
+    (lambda k: C.nerve(C.cyclic_group(2), True), errors.InvalidInput,
+     "cap must be a natural number"),
+    (lambda k: C.nerve(C.cyclic_group(2), -1), errors.InvalidInput,
+     "cap must be a natural number"),
+    (lambda k: C.homotopy_category(C.nerve(C.cyclic_group(2), 1)),
+     errors.CapTooSmall, "the homotopy category needs cap >= 2"),
+    (lambda k: C.pi_oracle(k, k.id_at(0, 0), 0), errors.InvalidInput,
+     "homotopy groups are defined for n >= 1"),
+    (lambda k: C.pi_oracle(k, k.id_at(0, 0), 3), errors.CapTooSmall,
+     "pi at n = 3 needs cap >= 4"),
+], ids=["nerve-float", "nerve-bool", "nerve-negative", "homotopy_category",
+        "pi_oracle-n", "pi_oracle-cap"])
+def test_adapter_entry_checks(nerve_z2_3, call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call(nerve_z2_3)
 
 def test_pi_oracle_checks_the_base_at_entry(nerve_z2_3):
     for base in (C.SimplexId(0, 5), C.SimplexId(1, 0)):

@@ -579,6 +579,77 @@ def test_monoid_table_that_is_not_square_exits_1(capsys, tmp_path, table):
         "error: InvalidInput: multiplication table is not square\n"
 
 
+
+def with_arrow(**changes):
+    """The README's category, with fields changed."""
+    return {**README_CATEGORY, **changes}
+
+
+@pytest.mark.parametrize("flag, algebra, message", [
+    ("--category", two_objects(
+        objects=["0", "0"],
+        morphisms=[{"name": "id0", "src": "0", "tgt": "0"}],
+        identities={"0": "id0"}, composition={"id0|id0": "id0"}),
+     "object and morphism names must be unique"),
+    ("--category", two_objects(
+        objects=["0"],
+        morphisms=[{"name": "id0", "src": "0", "tgt": "0"}] * 2,
+        identities={"0": "id0"}, composition={"id0|id0": "id0"}),
+     "object and morphism names must be unique"),
+    ("--category", with_arrow(identities={"0": "a", "1": "id1"}),
+     "identity of object 0 has wrong ends"),
+    ("--category", with_arrow(composition={
+        **README_CATEGORY["composition"], "a|a": "a"}),
+     "composition of a and a is defined but must not be"),
+    ("--category", with_arrow(composition={
+        "id0|id0": "id0", "id1|id1": "id1", "a|id1": "a"}),
+     "composition of id0 and a is missing but must not be"),
+    ("--category", with_arrow(composition={
+        **README_CATEGORY["composition"], "id0|a": "id0"}),
+     "composite has wrong endpoints"),
+    ("--monoid", {"elements": ["e", "a"], "unit": "u",
+                  "table": [["e", "a"], ["a", "e"]]},
+     "unit 'u' is not an element"),
+    ("--monoid", {"elements": ["e", "a"], "unit": "e",
+                  "table": [["e", "a"], ["a", "b"]]},
+     "table entry 'b' is not an element"),
+    ("--monoid", {"perm_generators": []},
+     "at least one generator is required"),
+], ids=["objects-repeated", "morphisms-repeated", "identity-ends",
+        "composite-defined", "composite-missing", "composite-ends",
+        "unit", "table-entry", "no-generators"])
+def test_algebra_that_is_no_category_exits_1(capsys, tmp_path, flag, algebra,
+                                             message):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    assert main(["build", "nerve", flag, str(path), "--cap", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: InvalidInput: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "nerve", "--monoid", "M"], "nerve needs --cap"),
+    (["build", "nerve", "1", "--monoid", "M", "--cap", "2"],
+     "nerve takes no positional parameters"),
+    (["build", "nerve", "--cap", "2"], "nerve needs --monoid or --category"),
+    (["build", "th0"], "th0 takes one input path (or -)"),
+    (["build", "th0", "M", "M"], "th0 takes one input path (or -)"),
+    (["build", "qcat-e"], "qcat-e takes one input path (or -)"),
+    (["build", "qcat-e", "M", "M"], "qcat-e takes one input path (or -)"),
+    (["build", "product", "M"], "product takes two input paths"),
+    (["build", "product", "M", "M", "M"], "product takes two input paths"),
+], ids=["nerve-cap", "nerve-params", "nerve-algebra", "th0-none", "th0-two",
+        "qcat-e-none", "qcat-e-two", "product-one", "product-three"])
+def test_builders_given_the_wrong_inputs_exit_1(capsys, z2_monoid_file, argv,
+                                                message):
+    # the inputs are counted before any is read
+    argv = [z2_monoid_file if a == "M" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
 def test_numeric_category_objects_exit_1_at_build(capsys, tmp_path):
     cat = tmp_path / "numeric.json"
     cat.write_text(json.dumps({

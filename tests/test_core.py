@@ -526,6 +526,101 @@ def test_then_refuses_a_composite_through_a_smaller_cap():
     assert down.then(C.identity_map(low.underlying)) == down
 
 
+
+# the 1-simplex as rows: two vertices, three edges (two of them degenerate)
+D1_FACES = [[], [(0, 0), (1, 0), (1, 1)]]
+D1_DEGENS = [[(0,), (2,)], []]
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1, (2, 3), 5, D1_DEGENS), {}, "malformed face table"),
+    ((1, (2, 3), [[], [(0, 0), (1, 0)]], D1_DEGENS), {},
+     "face table at dim 1 is not index-complete"),
+    ((1, (2,), D1_FACES, D1_DEGENS), {}, "counts must list dimensions 0..1"),
+    ((1, (2, -3), D1_FACES, D1_DEGENS), {},
+     "counts must list dimensions 0..1"),
+    ((1, (2, 3), D1_FACES[1:], D1_DEGENS), {},
+     "tables must be indexed by dimension 0..dim_cap"),
+    ((1, (2, 3), [[(0,)], D1_FACES[1]], D1_DEGENS), {},
+     "faces[0] and degeneracies[dim_cap] must be empty"),
+    ((1, (2, 3), D1_FACES, D1_DEGENS), {"keys": [[0, 1], [0, 1]]},
+     "keys must cover every simplex"),
+    ((1, (2, 3), D1_FACES, D1_DEGENS), {"labels": [["a", "b"], []]},
+     "labels must cover every simplex"),
+    ((1, (2, 3), D1_FACES, D1_DEGENS), {"keys": [[0, 0], [0, 1, 2]]},
+     "keys must be unique within a dimension"),
+], ids=["malformed", "rows", "count-length", "negative-count", "table-length",
+        "faces0", "keys-cover", "labels-cover", "keys-unique"])
+def test_build_sset_rejects_malformed_tables(args, kwargs, message):
+    with pytest.raises(errors.InvalidInput, match=re.escape(message)):
+        C.build_sset(*args, **kwargs)
+    # the same tables, put right, are the 1-simplex
+    assert C.build_sset(1, (2, 3), D1_FACES, D1_DEGENS) == \
+        C.delta(1, 1).underlying
+
+
+def test_build_map_rejects_assignments_it_cannot_extend():
+    d1, d2 = C.delta(1, 1).underlying, C.delta(1, 2).underlying
+    v, e = d1.id_at(0, 0), d1.id_at(1, 0)
+    with pytest.raises(errors.InvalidInput, match="differ in dimension"):
+        C.build_map(d1, d1, {v: e})
+    # above the shared cap: C.SimplexId(2, 0) is a simplex of neither cap
+    with pytest.raises(errors.InvalidInput,
+                       match=re.escape("lies above the shared cap 1")):
+        C.build_map(d2, d1, {d2.id_at(2, 0): C.SimplexId(2, 0)})
+    # s_0 of vertex 0 is its constant edge, not the edge (0, 1)
+    gens = {s: s for n in range(2) for s in d2.nondegenerate(n)}
+    gens[d2.id_for_key(1, (0, 0))] = d2.id_for_key(1, (0, 1))
+    with pytest.raises(errors.NotWellDefined,
+                       match="degeneracy propagation conflict at dim 1"):
+        C.build_map(d2, d2, gens)
+
+
+def test_maps_that_do_not_compose_are_refused():
+    d1, d2 = C.delta(1, 1), C.delta(2, 2)
+    one, two = C.identity_map(d1.underlying), C.identity_map(d2.underlying)
+    with pytest.raises(errors.InvalidInput, match="maps are not composable"):
+        one.then(two)
+    with pytest.raises(errors.InvalidInput, match="maps are not composable"):
+        C.make_stratified_map(d1, d1, one).then(
+            C.make_stratified_map(d2, d2, two))
+    with pytest.raises(errors.InvalidInput,
+                       match="does not match the stratified ends"):
+        C.make_stratified_map(d1, d1, two)
+
+
+def test_keys_are_refused_on_a_complex_without_them():
+    u = C.build_sset(1, (2, 3), D1_FACES, D1_DEGENS)
+    with pytest.raises(errors.InvalidInput, match="carries no simplex keys"):
+        u.id_for_key(0, (0,))
+    with pytest.raises(errors.InvalidInput, match="carries no simplex keys"):
+        u.key_of(u.id_at(0, 0))
+
+
+def test_operators_out_of_range_are_refused():
+    d1 = C.delta(1, 2).underlying
+    with pytest.raises(errors.IndexOutOfRange,
+                       match=re.escape("degeneracy index 2 outside 0..1")):
+        d1.degeneracy(d1.id_at(1, 0), 2)
+    with pytest.raises(errors.CapExceeded,
+                       match="constant 3-simplex exceeds cap 2"):
+        d1.const(d1.id_at(0, 0), 3)
+    with pytest.raises(errors.CapExceeded,
+                       match="result dimension 3 exceeds cap 2"):
+        d1.apply_monotone(d1.id_at(1, 1), [0, 0, 1, 1])
+
+
+def test_degeneracy_witness_of_a_degenerate_simplex():
+    d2 = C.delta(2, 2).underlying
+    for s in d2.simplices(2):
+        if d2.is_degenerate(s):
+            y, i = d2.degeneracy_witness(s)
+            assert d2.degeneracy(y, i) == s
+        else:
+            with pytest.raises(errors.InvalidInput, match="is not degenerate"):
+                d2.degeneracy_witness(s)
+
+
 # -- rows checked at entry, columns trusted by the core --------------------------
 
 TWO_ENTRY_CORPUS = {

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -597,6 +598,49 @@ def test_classifying_maps_match_the_reference(th0_z2_3):
                 assert f.map.assign == tuple(
                     tuple(reference.operate(u, n, alpha.index, key)
                           for key in keys[m]) for m in range(cap + 1))
+
+
+
+def test_classifying_map_defaults_to_one_above_the_simplex(th0_z2_3):
+    x = th0_z2_3
+    u = x.underlying
+    # one above, clipped to the target's cap
+    for n, cap in ((1, 2), (2, 3), (3, 3)):
+        alpha = u.id_at(n, 1)
+        f = C.classifying_map(x, alpha)
+        assert f.source == C.delta(n, cap)
+        assert f == C.classifying_map(x, alpha, cap)
+    for alpha, cap in ((u.id_at(2, 0), 1), (u.id_at(1, 0), 4)):
+        with pytest.raises(errors.CapTooSmall, match=re.escape(
+                f"cap {cap} unusable for a {alpha.dim}-simplex in cap 3")):
+            C.classifying_map(x, alpha, cap)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda x, v: C.sphere_elements(x, v, 0), errors.InvalidInput,
+     "sphere elements need n >= 1"),
+    (lambda x, v: C.sphere_elements(x, v, 4), errors.CapTooSmall,
+     "cap 3 below n = 4"),
+    (lambda x, v: C.tau0(C.delta(0, 0)), errors.CapTooSmall,
+     "tau0 needs cap >= 1"),
+    (lambda x, v: C.multiply(x, v, 3, v, v), errors.CapTooSmall,
+     "multiplication at n = 3 needs cap >= 4"),
+    (lambda x, v: C.associativity_witness(
+        x, v, 2, *[C.sphere_elements(x, v, 2)[0]] * 3),
+     errors.CapTooSmall, "the associativity horn needs cap >= 4"),
+], ids=["sphere_elements-n", "sphere_elements-cap", "tau0", "multiply",
+        "associativity_witness"])
+def test_homotopy_entry_checks(th0_z2_3, call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call(th0_z2_3, vertex(th0_z2_3))
+
+
+def test_inverses_need_an_associative_table(th0_z2_3):
+    table = C.tau_table(th0_z2_3, vertex(th0_z2_3), 1)
+    assert C.find_inverses(table) == (table.inverses, True)
+    with pytest.raises(errors.InvalidInput,
+                       match="inverse search needs an associative table"):
+        C.find_inverses(replace(table, associative=False))
 
 
 @pytest.mark.parametrize("bad", [1.0, "1", True])

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,7 +106,39 @@ def test_horn_instances_need_their_faces_within_the_cap(th0_z2_3):
     assert len(list(C.horn_instances(1, 4, x))) == 2 ** 4
 
 
+@pytest.mark.parametrize("k, n, error, message", [
+    (0, 0, errors.InvalidInput, "horns need n >= 1"),
+    (0, -1, errors.InvalidInput, "horns need n >= 1"),
+    (3, 2, errors.KOutOfRange, r"k = 3 outside \[2\]"),
+    (-1, 2, errors.KOutOfRange, r"k = -1 outside \[2\]"),
+])
+def test_horn_instances_need_a_horn(th0_z2_3, k, n, error, message):
+    with pytest.raises(error, match=message):
+        list(C.horn_instances(k, n, th0_z2_3))
+
+
+def test_assemble_needs_the_faces_of_a_horn_in_the_dimension_below(th0_z2_3):
+    x = th0_z2_3
+    horn, _ = C.complicial_horn(1, 2, 2)
+    v = x.underlying.id_at(0, 0)
+    loop = x.underlying.const(v, 1)
+    # two faces name the 2-simplex, which has no face 3
+    with pytest.raises(errors.InvalidInput,
+                       match=r"assignments \[0, 3\] are not the faces of a "
+                             "horn of the 2-simplex"):
+        C.assemble_horn_map(horn, {0: loop, 3: loop}, x)
+    with pytest.raises(errors.InvalidInput,
+                       match=re.escape(f"face 0 image {v!r} must have dim 1")):
+        C.assemble_horn_map(horn, {0: v, 2: v}, x)
+
+
 # -- verification ----------------------------------------------------------------
+
+def test_verify_needs_a_natural_bound(th0_z2_3):
+    with pytest.raises(errors.InvalidInput,
+                       match="bound must be a natural number"):
+        C.verify_weak_complicial(th0_z2_3, -1)
+
 
 def test_point_verifies(point_3):
     report = C.verify_weak_complicial(point_3, 3)

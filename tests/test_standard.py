@@ -140,6 +140,38 @@ def test_sizes_from_sys_maxsize_up_rejected():
         C.delta(0, sys.maxsize)
 
 
-def test_horn_and_boundary_pair_are_built_once():
+def test_horn_is_built_once():
     assert C.complicial_horn(1, 2, 2) is C.complicial_horn(1, 2, 2)
-    assert C.boundary_pair(1, 2) is C.boundary_pair(1, 2)
+
+
+@pytest.mark.parametrize("build", [C.complicial_horn, C.horn_prime])
+def test_horns_of_a_point_are_refused(build):
+    with pytest.raises(errors.InvalidInput, match="horns need n >= 1"):
+        build(0, 0, 0)
+
+
+# each standard constructor with the names of its arguments
+CONSTRUCTORS = [
+    (C.delta, ("n", "cap")),
+    (C.boundary, ("n", "cap")),
+    (C.delta_t, ("n", "cap")),
+    (C.complicial_delta, ("k", "n", "cap")),
+    (C.complicial_horn, ("k", "n", "cap")),
+    (C.horn_prime, ("k", "n", "cap")),
+    (C.delta_dprime, ("k", "n", "cap")),
+    (C.delta_prime, ("k", "n", "cap")),
+]
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("build, name", [
+    (build, name) for build, names in CONSTRUCTORS for name in names
+], ids=lambda p: getattr(p, "__name__", p))
+def test_constructors_take_only_ints(build, name, value):
+    # every argument 1 builds; True and 1.0 compare equal to 1, so a cache
+    # keyed on the arguments would return the int call's complex
+    args = {arg: 1 for arg in dict(CONSTRUCTORS)[build]}
+    build(**args)
+    with pytest.raises(errors.InvalidInput,
+                       match=f"^{name} must be an integer, not {value!r}$"):
+        build(**{**args, name: value})

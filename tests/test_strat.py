@@ -337,6 +337,14 @@ def test_composition_of_stratified_maps_is_stratified(th0_z2_3):
     C.make_stratified_map(horn, x, composite.map)
 
 
+def test_stratified_maps_are_equal_by_ends_and_assignment():
+    horn, inc = C.complicial_horn(1, 2, 2)
+    again = C.key_inclusion(horn, C.complicial_delta(1, 2, 2))
+    assert again is not inc and again == inc
+    assert inc != C.key_inclusion(C.delta(0, 2), C.delta(2, 2))
+    assert inc != inc.map
+
+
 def per_simplex_stratification(x, thin):
     """make_stratified one simplex id at a time, checks in set order."""
     thin_set = set(thin)
