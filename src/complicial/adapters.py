@@ -108,7 +108,8 @@ def make_category(
             if defined != (tgt[f] == src[g]):
                 raise InvalidInput(
                     f"composition of {morphisms[f]} and {morphisms[g]} is "
-                    f"{'defined' if defined else 'missing'} but must not be"
+                    + ("defined but must not be" if defined
+                       else "missing but must be defined")
                 )
             if defined:
                 h = comp[(f, g)]

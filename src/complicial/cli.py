@@ -73,10 +73,11 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_json(path: str):
-    """The JSON value in a file (or stdin for ``-``), read as UTF-8."""
+def _load_json(path: str, parse=json.loads):
+    """``parse`` of the text of a file (or stdin for ``-``), read as UTF-8:
+    by default, the JSON value in it."""
     try:
-        return json.loads(_read_text(path))
+        return parse(_read_text(path))
     except (UnicodeDecodeError, RecursionError) as exc:
         # bytes that are not UTF-8, or nesting too deep for the parser
         raise _UsageError(f"invalid input: {exc}") from None
@@ -97,10 +98,12 @@ def _acyclic():
 
 
 def _load_complex(path: str) -> StratifiedSSet:
+    """The complex in a file, read one top-level field at a time: see
+    :func:`documents.text_to_complex`."""
     # a parsed document holds no reference cycle
     with _acyclic():
         try:
-            return documents.doc_to_complex(_load_json(path))
+            return _load_json(path, documents.text_to_complex)
         except (KeyError, IndexError, TypeError) as exc:
             raise _UsageError(f"malformed complex document: {exc!r}") \
                 from exc

@@ -209,6 +209,7 @@ class TruncatedSSet:
         return None if self._labels is None else self._labels[n]
 
     def simplices(self, n: int) -> tuple[SimplexId, ...]:
+        _require_int("n", n)
         _require_dim(n, self.dim_cap)
         return self.ids[n]
 
@@ -219,6 +220,8 @@ class TruncatedSSet:
     def id_at(self, dim: int, index: int) -> SimplexId:
         """The id of the index-th dim-simplex; :class:`IndexOutOfRange`
         outside the cap or the dimension's count."""
+        _require_int("dim", dim)
+        _require_int("index", index)
         _require_dim(dim, self.dim_cap)
         if not 0 <= index < self.counts[dim]:
             raise IndexOutOfRange(
@@ -264,6 +267,7 @@ class TruncatedSSet:
     def face(self, x: SimplexId, i: int) -> SimplexId:
         """The i-th face of ``x`` (table lookup)."""
         require_simplex(self, x)
+        _require_int("i", i)
         n = x.dim
         if n < 1:
             raise IndexOutOfRange(f"{x!r} is a vertex and has no faces")
@@ -274,6 +278,7 @@ class TruncatedSSet:
     def degeneracy(self, x: SimplexId, i: int) -> SimplexId:
         """The i-th degeneracy of ``x``; fails loudly at the cap."""
         require_simplex(self, x)
+        _require_int("i", i)
         n = x.dim
         if n >= self.dim_cap:
             raise CapExceeded(
@@ -305,19 +310,21 @@ class TruncatedSSet:
 
     def face_index(self, n: int) -> dict[Row, tuple[int, ...]]:
         """The n-simplices (n >= 1) grouped by face row, indexes ascending."""
+        _require_int("n", n)
         return self._by_faces[n]
 
     def const(self, x: SimplexId, m: int) -> SimplexId:
         """The constant m-simplex at the vertex ``x`` (iterated s_0)."""
         require_simplex(self, x, 0)
+        _require_int("m", m)
         if m < 0:
             raise InvalidInput(f"constant {m}-simplex: m must be >= 0")
         if m > self.dim_cap:
             raise CapExceeded(f"constant {m}-simplex exceeds cap {self.dim_cap}")
-        y = x
-        for _ in range(m):
-            y = self.degeneracy(y, 0)
-        return y
+        index = x.index
+        for n in range(m):
+            index = self.degeneracy_columns[n][0][index]
+        return self.ids[m][index]
 
     def apply_monotone(self, y: SimplexId, values: Sequence[int]) -> SimplexId:
         """Image of ``y`` under the operator induced by a monotone map.

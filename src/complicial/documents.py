@@ -52,9 +52,10 @@ complex keeps, and the id dicts go once the tables are read: the thin
 list and the label keys are matched against the document's own id
 lists, and only a read that fails there makes the id sets again.  So
 above the parsed document a read holds at most the id dicts and the
-columns.  That is less than the text ``json.loads`` held beside the tree
-on the largest documents the CLI reads (``th0(N S4)`` at cap 4,
-``th0(N S6)`` at cap 2), where reading a file peaks in ``json.loads``.
+columns.  The CLI reads text with :func:`text_to_complex`, one top-level
+field at a time, as the reader asks for it.  So beside the text a read in
+the canonical order holds the ``simplices`` lists, the id dicts and the
+two tables' trees until each is columns, never the whole parsed document.
 """
 
 from __future__ import annotations
@@ -312,23 +313,35 @@ def _require_canonical(per_dim: list[list], most: int) -> None:
             raise InvalidInput(f"simplex ids at dimension {n} are not canonical")
 
 
-def _field(doc: dict, key: str):
-    """``doc[key]``, a field every complex document has."""
-    if key not in doc:
+_MISSING = object()  # a field may hold null, so None cannot mark a gap
+
+
+def _field(take, key: str):
+    """The ``key`` field, which every complex document has."""
+    value = take(key, _MISSING)
+    if value is _MISSING:
         raise InvalidInput(f'complex document has no "{key}"')
-    return doc[key]
+    return value
 
 
 def doc_to_complex(doc: dict) -> StratifiedSSet:
-    if not isinstance(doc, dict) or doc.get("kind") != "complex":
+    if not isinstance(doc, dict):
         raise InvalidInput("document is not a complex")
-    version = doc.get("format_version")
+    return _read(doc.get)
+
+
+def _read(take) -> StratifiedSSet:
+    """The complex of a document whose fields ``take(key, default)`` gives,
+    as ``dict.get`` does; each field is taken once."""
+    if take("kind", None) != "complex":
+        raise InvalidInput("document is not a complex")
+    version = take("format_version", None)
     if type(version) is not int or version != FORMAT_VERSION:
         raise InvalidInput(f"unsupported format_version {version!r}")
-    cap = _field(doc, "dim_cap")
+    cap = _field(take, "dim_cap")
     if type(cap) is not int or cap < 0:
         raise InvalidInput(f"dim_cap must be a natural number, not {cap!r}")
-    per_dim = _field(doc, "simplices")
+    per_dim = _field(take, "simplices")
     if type(per_dim) is not list or len(per_dim) != cap + 1 or \
             not all(type(ids) is list for ids in per_dim):
         raise InvalidInput("simplices must list dimensions 0..dim_cap")
@@ -337,19 +350,20 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
     _require_canonical(per_dim, max(counts))
     # each id string to its simplex's index, one dict per dimension
     indexes = [dict(zip(ids, count())) for ids in per_dim]
-    face_tables = _field(doc, "faces")
+    face_tables = _field(take, "faces")
     if type(face_tables) is not list or len(face_tables) != cap:
         raise InvalidInput("faces must list dimensions 1..dim_cap")
-    degeneracy_tables = _field(doc, "degeneracies")
+    degeneracy_tables = _field(take, "degeneracies")
     if type(degeneracy_tables) is not list or len(degeneracy_tables) != cap:
         raise InvalidInput("degeneracies must list dimensions 0..dim_cap-1")
     faces = [_parse_table(face_tables[n - 1], n, counts[n], "face", n - 1,
                           indexes) for n in range(1, cap + 1)]
+    del face_tables
     degeneracies = [_parse_table(degeneracy_tables[n], n, counts[n],
                                  "degeneracy", n + 1, indexes)
                     for n in range(cap)]
-    del indexes  # the largest thing a read makes that the complex drops
-    label_map = doc.get("labels", {})
+    del degeneracy_tables, indexes  # the largest things the complex drops
+    label_map = take("labels", {})
     if not isinstance(label_map, dict) or not all(
         map(isinstance, label_map.values(), repeat(str))
     ):
@@ -363,10 +377,65 @@ def doc_to_complex(doc: dict) -> StratifiedSSet:
                 f"label key {key!r} is not a simplex of the complex")
         labels = columns.__getitem__
     u = _sset(cap, counts, [()] + faces, degeneracies + [()], None, labels)
-    thin = _thin_given(doc.get("thin", []), per_dim)
+    thin = _thin_given(take("thin", []), per_dim)
     if thin[0]:  # every thin id is a simplex, so only a vertex is refused
         raise ThinVertex(f"vertex {u.id_at(0, thin[0][0])!r} cannot be thin")
     return _stratify(u, thin)
+
+
+_skip = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().raw_decode
+
+
+def _past(text: str, at: int, marks: str) -> int:
+    """Where ``text`` goes on past one of ``marks``, which it must have at
+    ``at``, after whitespace."""
+    at = _skip(text, at).end()
+    if not text.startswith(tuple(marks), at):
+        raise ValueError(f"expected one of {marks!r} at {at}")
+    return at + 1
+
+
+def _object_fields(text: str) -> Iterator[tuple[str, Any]]:
+    """The keys and values of the JSON object that is all of ``text``, a
+    value at a time, each parsed by ``json``'s own scanner; between them
+    only braces, colons, commas and whitespace are matched.  Raises on an
+    empty object, a repeated key and any text ``json.loads`` refuses."""
+    seen = set()
+    at = _past(text, 0, "{")
+    while text[at - 1] != "}":
+        key, at = json.decoder.scanstring(text, _past(text, at, '"'))
+        if key in seen:  # json.loads keeps the last value
+            raise ValueError(f"repeated key {key!r}")
+        seen.add(key)
+        value, at = _scan(text, _skip(text, _past(text, at, ":")).end())
+        yield key, value
+        del value  # the reader holds it now, and drops it once used
+        at = _past(text, at, ",}")
+    if _skip(text, at).end() != len(text):
+        raise ValueError(f"extra data at {at}")
+
+
+def text_to_complex(text: str) -> StratifiedSSet:
+    """``doc_to_complex(json.loads(text))``, but parsing one top-level
+    field at a time as the reader takes it; a field passed on the way is
+    kept until taken.  A text this refuses is read that first way, so it
+    gives the same complex or raises the same error."""
+    try:
+        fields, held = _object_fields(text), {}
+
+        def take(key: str, default):
+            while key not in held:  # past the end, the default is next
+                name, value = next(fields, (key, default))
+                held[name] = value
+            return held.pop(key)
+
+        x = _read(take)
+        held.update(fields)  # the rest must be JSON, with no repeated key
+        return x
+    except Exception:  # noqa: BLE001 - read again, as json.loads reads it
+        pass
+    return doc_to_complex(json.loads(text))
 
 
 def complex_digest(x: StratifiedSSet) -> str:

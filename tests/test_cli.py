@@ -603,7 +603,7 @@ def with_arrow(**changes):
      "composition of a and a is defined but must not be"),
     ("--category", with_arrow(composition={
         "id0|id0": "id0", "id1|id1": "id1", "a|id1": "a"}),
-     "composition of id0 and a is missing but must not be"),
+     "composition of id0 and a is missing but must be defined"),
     ("--category", with_arrow(composition={
         **README_CATEGORY["composition"], "id0|a": "id0"}),
      "composite has wrong endpoints"),

@@ -869,12 +869,12 @@ def test_complex_text_covers_the_edge_cases(x, name):
 
 # -- what a read holds -------------------------------------------------------------
 
-def read_traced(doc):
-    """The traced peak, in bytes, of ``doc_to_complex(doc)`` above the
-    parsed document, and what the complex it returns keeps."""
+def read_traced(read):
+    """The traced peak, in bytes, of ``read()``, and what the complex it
+    returns keeps."""
     tracemalloc.start()
     try:
-        x = D.doc_to_complex(doc)
+        x = read()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -890,8 +890,127 @@ def test_a_read_holds_little_more_than_the_complex_it_keeps(
     # the digit strings, the id dicts and the flat entry lists of the
     # tables are dropped once used, so the peak above the parsed document
     # is near what the complex keeps: its columns, labels and thin sets
-    peak, kept = read_traced(json.loads(make(s3_product_text)))
+    text = make(s3_product_text)
+    doc = json.loads(text)
+    peak, kept = read_traced(lambda: D.doc_to_complex(doc))
     assert peak <= 1.4 * kept, (peak, kept)
+    del doc
+    # the CLI's read parses one top-level field at a time, so beside the
+    # text it holds the tables' trees, never the whole parsed document
+    whole, _ = read_traced(lambda: D.doc_to_complex(json.loads(text)))
+    by_field, _ = read_traced(lambda: D.text_to_complex(text))
+    assert by_field <= 0.75 * whole, (by_field, whole)
+
+
+# -- the text read, field by field --------------------------------------------------
+
+CORPUS_TEXTS = [D.complex_text(x, name) for x in corpus()
+                for name in (None, "c")]
+BOGUS = [None, 0, -1, 1.5, True, "complex", "", [], [[]], ["1:0"], {},
+         {"0:0": "v"}]
+
+
+def object_text(pairs, space):
+    """The JSON object of the key and value pairs, a key repeated as given,
+    with ``space`` around each of its own braces, colons and commas."""
+    items = [f"{space}{json.dumps(key)}{space}:{space}"
+             f"{json.dumps(value, ensure_ascii=False)}{space}"
+             for key, value in pairs]
+    return "{" + ",".join(items) + "}"
+
+
+@st.composite
+def mutated_texts(draw):
+    """A complex document's text, mutated in one of the ways a read of
+    one top-level field at a time must take exactly as ``json.loads``."""
+    text = draw(st.sampled_from(CORPUS_TEXTS))
+    pairs = list(json.loads(text).items())
+    how = draw(st.sampled_from(["canonical", "shuffle", "duplicate", "drop",
+                                "cut", "append", "bom", "whitespace",
+                                "wrong type"]))
+    at = draw(st.integers(0, len(pairs) - 1))
+    if how == "shuffle":
+        pairs = draw(st.permutations(pairs))
+    elif how == "duplicate":  # the bogus value before or after the real one
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     (pairs[at][0], draw(st.sampled_from(BOGUS))))
+    elif how == "drop":
+        del pairs[at]
+    elif how == "wrong type":
+        pairs[at] = (pairs[at][0], draw(st.sampled_from(BOGUS)))
+    if how in ("canonical", "cut", "append", "bom"):
+        text = text if draw(st.booleans()) else object_text(pairs, "")
+    else:
+        space = draw(st.text(" \t\n\r", min_size=how == "whitespace",
+                             max_size=3))
+        text = object_text(pairs, space)
+    if how == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif how == "append":
+        text += draw(st.sampled_from([" \n", "x", "}", " {}", "\n1", ",",
+                                      "\x00", " \ufeff", "[]"]))
+    elif how == "bom":
+        text = "\ufeff" + text
+    return how, text
+
+
+def read_outcome(read, text):
+    """What a read of ``text`` gives: the complex, with its thin sets,
+    labels and digest, or the class and message of what it raised."""
+    try:
+        x = read(text)
+    except Exception as exc:  # noqa: BLE001 - compared with the other read
+        return (type(exc), str(exc))
+    u = x.underlying
+    return ("ok", x, x.thin_indexes(),
+            [u.label_column(n) for n in range(u.dim_cap + 1)],
+            D.complex_digest(x), D.complex_text(x))
+
+
+def loads_read(text):
+    """The read of a complex document's text as the CLI made it before
+    :func:`~complicial.documents.text_to_complex`."""
+    return D.doc_to_complex(json.loads(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts())
+def test_the_text_read_matches_the_read_of_the_parsed_document(case):
+    how, text = case
+    expected = read_outcome(loads_read, text)
+    with patch.object(D.json, "loads", wraps=json.loads) as loads:
+        got = read_outcome(D.text_to_complex, text)
+    assert got == expected
+    # only a text the field-by-field read refuses is parsed whole: one
+    # with a repeated key, or one the read itself refuses
+    assert loads.called == (how == "duplicate" or got[0] != "ok")
+
+
+@pytest.mark.parametrize("how", ["reversed", "thin twice", "cut", "bom"])
+def test_the_cli_reads_a_mutated_text_as_before(capsys, tmp_path, how):
+    text = D.complex_text(C.th0(C.nerve(C.cyclic_group(2), 3)), "th0")
+    pairs = list(json.loads(text).items())
+    if how == "reversed":
+        text = object_text(pairs[::-1], "\n")
+    elif how == "thin twice":  # json keeps the last value
+        text = object_text([("thin", ["0:0"])] + pairs, " ")
+    elif how == "cut":
+        text = text[:len(text) // 2]
+    else:
+        text = "\ufeff" + text
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+
+    def run(name):
+        out = tmp_path / name
+        status = main(["tau0", str(path), "--out", str(out)])
+        return status, capsys.readouterr(), \
+            out.read_bytes() if out.exists() else None
+
+    got = run("by-field.json")
+    with patch.object(D, "text_to_complex", loads_read):
+        assert run("whole.json") == got
+    assert got[0] == (0 if how in ("reversed", "thin twice") else 1)
 
 
 @pytest.mark.parametrize("change, failure", [

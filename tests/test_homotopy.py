@@ -660,11 +660,19 @@ def test_inverses_need_an_associative_table(th0_z2_3):
         x.underlying, bound=bad, assume_quasicategory=True)),
     ("k", lambda x, v, a, bad: list(C.horn_instances(bad, 2, x))),
     ("n", lambda x, v, a, bad: list(C.horn_instances(1, bad, x))),
+    ("n", lambda x, v, a, bad: x.underlying.simplices(bad)),
+    ("dim", lambda x, v, a, bad: x.underlying.id_at(bad, 0)),
+    ("index", lambda x, v, a, bad: x.underlying.id_at(1, bad)),
+    ("i", lambda x, v, a, bad: x.underlying.face(a, bad)),
+    ("i", lambda x, v, a, bad: x.underlying.degeneracy(v, bad)),
+    ("m", lambda x, v, a, bad: x.underlying.const(v, bad)),
+    ("n", lambda x, v, a, bad: x.underlying.face_index(bad)),
 ], ids=["tau_table", "sphere_elements", "multiply", "classifying_map",
         "verify_weak_complicial", "pi_oracle", "assert_kan",
         "assert_quasicategory", "quasicat_e", "homotopy_category",
         "homotopy_category_assumed", "horn_instances_k",
-        "horn_instances_n"])
+        "horn_instances_n", "simplices", "id_at_dim", "id_at_index", "face",
+        "degeneracy", "const", "face_index"])
 def test_dimension_arguments_must_be_ints(th0_z2_3, name, call, bad):
     x = th0_z2_3
     v = vertex(x)
