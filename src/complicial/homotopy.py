@@ -96,9 +96,6 @@ def _sphere_indexes(xu: TruncatedSSet, base: SimplexId, n: int) -> list[int]:
 
 # -- homotopy of sphere elements ---------------------------------------------
 
-_ALPHA, _BETA = "alpha", "beta"
-
-
 @dataclass(frozen=True)
 class _Link:
     """One top of the sphere cylinder, as a binary relation on n-simplices.
@@ -119,31 +116,32 @@ class _SphereHomotopy:
     """Homotopy rel boundary of the sphere elements at one vertex, as a
     chain join over the prism.
 
-    In the cylinder Δ[n] (x) I relative to ∂Δ[n] the only simplices
-    neither pinned nor degenerate are n walls, of dimension n, and n + 1
-    tops, of dimension n + 1.  Over ∂Δ[n] every sphere element is the
-    constant at the base, so a pinned m-simplex reads alpha at the end 0
-    over the top n-simplex of Δ[n], beta at the end 1 there, and the
-    constant m-simplex everywhere else; the ends over the top's
-    degeneracies are degenerate, so they are never read.  Every face of a
-    wall is pinned to a constant, so a wall takes the sphere elements (the
-    thin ones, for a thin wall).  Each top has two free faces, each a wall
-    or an end (alpha or beta); its other faces are pinned to constants.
-    So a homotopy is a path alpha - top - wall - ... - wall - top - beta,
-    and the relation is the composite of one binary relation per top: the
-    pairs of free faces of the simplices of X it can take
-    (:class:`_Link`).  All of this is read off the cylinder's pins and
-    asserted, once per (x, base, n); each link is one pass over the thin
-    (n+1)-simplices of X whose pinned faces match.  alpha is related to
-    beta when beta is reachable from alpha along the path.
+    The cylinder Δ[n] (x) I is the nerve of [n] x [1].  Relative to ∂Δ[n]
+    its only simplices neither pinned nor degenerate are the n walls W_i =
+    (0,0)...(i-1,0)(i,1)...(n,1), i = 1..n, and the n + 1 tops T_i =
+    (0,0)...(i,0)(i,1)...(n,1), i = 0..n; in cylinder order W_n and T_0
+    come first.  A pinned m-simplex reads alpha at the end 0 over the top
+    n-simplex of Δ[n], beta at the end 1 there, and the constant m-simplex
+    at the base everywhere else, over ∂Δ[n] included; the ends over the
+    top's degeneracies are degenerate, so they are never read.  A wall's
+    faces lie over ∂Δ[n] and no wall is thin, so a wall takes any sphere
+    element.  The face d_{i+1} T_i is W_{i+1}, or alpha when i = n, the
+    face d_i T_i is W_i, or beta when i = 0, and the other faces of T_i
+    are constants.  So a homotopy is the path alpha, T_n, W_n, T_{n-1},
+    ..., W_1, T_0, beta, and the relation is the composite of one binary
+    relation per top: the faces (d_{i+1}, d_i) of the thin (n+1)-simplices
+    of X whose other faces are constant (:class:`_Link`).  alpha is
+    related to beta when beta is reachable from alpha along the path.  The
+    layout is this formula in n; ``tests/test_homotopy.py`` checks it on
+    the built cylinder, and every witness's validation checks it again.
 
     A witness is the first stratified map out of the cylinder with these
     pins, in the order of an extension search
     (``tests/reference.py::extensions``): the unknowns, walls then tops,
-    each in cylinder order, take their candidates ascending.  So each wall
-    takes the least value that still reaches the nearest chosen node on
-    either side, and each top the least simplex with its face row
-    (:meth:`homotopies`).  The witness rows are built by
+    each in cylinder order, take their candidates ascending.  The walls
+    come in path order, so each takes the least value reached from the
+    node before it that still reaches beta, and each top the least simplex
+    with its face row (:meth:`homotopies`).  The witness rows are built by
     ``lifting._generated_rows``, degenerate simplices from their bases,
     and validated as one batch; a witness is then kept as the images of
     its tops alone.
@@ -157,86 +155,51 @@ class _SphereHomotopy:
         # each element's position, by its index
         self.position = {e.index: i for i, e in enumerate(self.elements)}
         xu = x.underlying
-        x_thin = x.thin_indexes()
         # const[m]: the constant m-simplex at base, s_0 of const[m - 1]
         self.const = list(accumulate(
             range(n + 1), lambda v, m: xu.degeneracy_columns[m][0][v],
             initial=base.index))
         self.cylinder = cyl = gproduct(delta(n, n + 1), delta_t(1, n + 1))
         cu = cyl.underlying
-        cyl_thin = cyl.thin_indexes()
         # pinned[m][c]: whether the cylinder m-simplex c, a pair of keys of
         # Δ[n] and of I, is pinned: at the ends, where the second key is
         # constant, and over ∂Δ[n], where the first misses a vertex
-        self.pinned = pinned = [[len(set(kb)) == 1 or len(set(ka)) <= n
-                                 for ka, kb in cu.keys[m]]
-                                for m in range(n + 2)]
-        # the unknowns of an extension search, in its order
-        unknown = [[c for c, w in enumerate(cu.deg_witness[m])
-                    if w is None and not pinned[m][c]]
-                   for m in range(cyl.cap + 1)]
-        assert len(unknown) == n + 2 and not any(unknown[:n])
-        self.walls, self.tops = unknown[n], unknown[n + 1]
-        # the ends over the top n-simplex of Δ[n], which read alpha and beta
-        top = tuple(range(n + 1))
-        self.ends = {cu.keys[n].index((top, (e,) * (n + 1))): node
-                     for e, node in enumerate((_ALPHA, _BETA))}
-        # the domain of each node: the n-simplices its face row allows
-        every = {e.index for e in self.elements}
-        domain: dict = {_ALPHA: every, _BETA: every}
-        for w in self.walls:
-            assert all(pinned[n - 1][column[w]]
-                       for column in cu.face_columns[n]), \
-                "a wall with a face that is not pinned"
-            domain[w] = every & x_thin[n] if w in cyl_thin[n] else every
-        # per top: the position of each free face by its node, and its
-        # pinned faces as (position, value)
-        free: dict[int, dict[object, int]] = {}
-        fixed: dict[int, list[tuple[int, int]]] = {}
-        for t in self.tops:
-            free[t], fixed[t] = {}, []
-            for j, column in enumerate(cu.face_columns[n + 1]):
-                c = column[t]
-                node = c if c in domain else self.ends.get(c)
-                if node is None:
-                    assert pinned[n][c], \
-                        "a prism face is neither pinned nor free"
-                    fixed[t].append((j, self.const[n]))
-                else:
-                    free[t][node] = j
-            assert len(free[t]) == 2, "a top without two distinct free faces"
-        # walk from alpha, each step along the one unused top at the node
-        self.path: list = [_ALPHA]
-        order: list[tuple[int, int, int]] = []
-        unused = set(self.tops)
-        while self.path[-1] != _BETA:
-            here = self.path[-1]
-            at = [t for t in unused if here in free[t]]
-            assert len(at) == 1, "the prism is not a path"
-            t = at[0]
-            unused.remove(t)
-            (node,) = set(free[t]) - {here}
-            order.append((t, free[t][here], free[t][node]))
-            self.path.append(node)
-        assert not unused and sorted(self.path[1:-1]) == self.walls
+        self.pinned = [[len(set(kb)) == 1 or len(set(ka)) <= n
+                        for ka, kb in cu.keys[m]]
+                       for m in range(n + 2)]
+
+        def cell(a: tuple[int, ...], zeros: int) -> int:
+            # the cylinder simplex over the vertices a of Δ[n], at time 0
+            # on the first ``zeros`` of them and at time 1 on the rest
+            b = (0,) * zeros + (1,) * (len(a) - zeros)
+            return cu.keys[len(a) - 1].index((a, b))
+
+        full = tuple(range(n + 1))
+        # the ends over the top n-simplex of Δ[n], alpha's first
+        self.ends = cell(full, n + 1), cell(full, 0)
+        # both in cylinder order: W_n, ..., W_1 and T_0, ..., T_n
+        self.walls = [cell(full, i) for i in range(n, 0, -1)]
+        self.tops = [cell(full[:i + 1] + full[i:], i + 1)
+                     for i in range(n + 1)]
+        every = set(self.position)
         columns = xu.face_columns[n + 1]
+        pool = sorted(x.thin_indexes()[n + 1])
         self.links: list[_Link] = []
-        assert cyl_thin[n + 1] >= set(self.tops), "a top that is not thin"
-        pool = sorted(x_thin[n + 1])
-        for k, (t, p, q) in enumerate(order):
-            left, right = columns[p], columns[q]
-            into, onto = domain[self.path[k]], domain[self.path[k + 1]]
+        # link k, from node k to node k + 1, is T_i for i = n - k
+        for i in range(n, -1, -1):
+            fixed = [(j, self.const[n]) for j in range(n + 2)
+                     if j not in (i, i + 1)]
             least: dict[tuple[int, int], int] = {}
-            for s in _matching(columns, pool, fixed[t]):
-                pair = left[s], right[s]
-                if pair[0] in into and pair[1] in onto:
+            for s in _matching(columns, pool, fixed):
+                pair = columns[i + 1][s], columns[i][s]
+                if every.issuperset(pair):
                     least.setdefault(pair, s)
             forward: dict[int, set[int]] = {}
             backward: dict[int, set[int]] = {}
             for u, v in least:
                 forward.setdefault(u, set()).add(v)
                 backward.setdefault(v, set()).add(u)
-            self.links.append(_Link(t, least, forward, backward))
+            self.links.append(_Link(self.tops[i], least, forward, backward))
 
     def _walk(self, values: set[int], start: int, stop: int) -> set[int]:
         """The values at node ``stop`` reachable from ``values`` at node
@@ -267,20 +230,16 @@ class _SphereHomotopy:
         found: list[dict[tuple[int, int], int]] = []
         last = len(self.links)
         for i, j in pairs:
-            # the value at each chosen position of the path
-            values = {0: self.elements[i].index, last: self.elements[j].index}
-            for w in self.walls:
-                k = self.path.index(w)
-                before = max(p for p in values if p < k)
-                after = min(p for p in values if p > k)
-                values[k] = min(
-                    self._walk({values[before]}, before, k)
-                    & self._walk({values[after]}, after, k))
-            solution = {(self.n, self.path[k]): values[k] for k in values
-                        if 0 < k < last}
-            for k, link in enumerate(self.links):
-                solution[(self.n + 1, link.top)] = \
-                    link.least[(values[k], values[k + 1])]
+            # the value at each node of the path, the walls in path order
+            beta = self.elements[j].index
+            values = [self.elements[i].index]
+            for k in range(1, last):
+                values.append(min(self._walk({values[-1]}, k - 1, k)
+                                  & self._walk({beta}, last, k)))
+            values.append(beta)
+            solution = {(self.n, w): v for w, v in zip(self.walls, values[1:])}
+            for link, pair in zip(self.links, zip(values, values[1:])):
+                solution[(self.n + 1, link.top)] = link.least[pair]
             found.append(solution)
         make_stratified_maps(self.cylinder, self.x,
                              self._witness_rows(pairs, found))

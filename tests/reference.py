@@ -323,6 +323,54 @@ def nerve(c, cap):
                       keys=chains, labels=labels)
 
 
+def street_nerve(add, n, cap):
+    """The Street nerve of the n-fold suspension of the commutative monoid
+    ``add`` (for n = 1, of any monoid), a table on 0..|M|-1 with unit 0, at
+    ``cap``.  An m-simplex is a value in M for each (n+1)-subset of [m],
+    the subsets taken lexicographically, such that on each (n+2)-subset the
+    sum over its even faces is the sum over its odd ones; the m-simplices
+    come in the lexicographic order of their values.  A monotone map
+    [k] -> [m] pulls an m-simplex back: a subset gets the value of its
+    image, or 0 where the map is not injective on it.  Thin: the
+    n-simplices valued 0 and every simplex above n."""
+    def total(values):
+        out = 0
+        for v in values:
+            out = add[out][v]
+        return out
+
+    subsets = [list(combinations(range(m + 1), n + 1)) for m in range(cap + 1)]
+    position = [{s: i for i, s in enumerate(per)} for per in subsets]
+    simplices, index = [], []
+    for m, per in enumerate(subsets):
+        # per (n+2)-subset, the positions of its faces
+        sums = [[position[m][s[:j] + s[j + 1:]] for j in range(n + 2)]
+                for s in combinations(range(m + 1), n + 2)]
+        found = [v for v in product(range(len(add)), repeat=len(per))
+                 if all(total(v[f] for f in faces[0::2])
+                        == total(v[f] for f in faces[1::2]) for faces in sums)]
+        simplices.append(found)
+        index.append({v: i for i, v in enumerate(found)})
+
+    def pull(m, k, values, theta):
+        # the m-simplex ``values`` along theta: [k] -> [m], given by its
+        # values
+        return index[k][tuple(
+            values[position[m][image]] if len(set(image)) == n + 1 else 0
+            for s in subsets[k] for image in [tuple(theta[t] for t in s)])]
+
+    faces = [()] + [[[pull(m, m - 1, v, [t + (t >= j) for t in range(m)])
+                      for j in range(m + 1)] for v in simplices[m]]
+                    for m in range(1, cap + 1)]
+    degens = [[[pull(m, m + 1, v, [t - (t > j) for t in range(m + 2)])
+                for j in range(m + 1)] for v in simplices[m]]
+              for m in range(cap)] + [()]
+    u = build_sset(cap, list(map(len, simplices)), faces, degens)
+    return make_stratified(u, [
+        SimplexId(m, i) for m in range(n, cap + 1)
+        for i, v in enumerate(simplices[m]) if m > n or v == (0,)])
+
+
 def monoids(order):
     """Every monoid of ``order`` elements up to isomorphism, as tables
     ``table[a][b]`` on 0..order-1 with unit 0: each associative table, kept

@@ -23,6 +23,51 @@ def test_boolean_loops_not_homotopic(qcat_bool_3):
     assert rel[l0][l0]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_cylinder_layout_is_its_formula(n):
+    # the cylinder is the nerve of [n] x [1]; a simplex is a chain of pairs,
+    # keyed by its first coordinates, then its second.  W(i) runs at time 0
+    # up to i - 1 and at time 1 from i, so W(n + 1) is alpha's end and W(0)
+    # beta's; T(i) goes up at i
+    cylinder = C.gproduct(C.delta(n, n + 1), C.delta_t(1, n + 1))
+    cu, thin = cylinder.underlying, cylinder.thin_indexes()
+
+    def key(chain):
+        return tuple(map(tuple, zip(*chain)))
+
+    def W(i):
+        return key([(v, int(v >= i)) for v in range(n + 1)])
+
+    def T(i):
+        return key([(v, 0) for v in range(i + 1)]
+                   + [(v, 1) for v in range(i, n + 1)])
+
+    def over_boundary(k):
+        return len(set(k[0])) <= n
+
+    def free(m):
+        return [s.index for s in cu.nondegenerate(m)
+                if len(set(cu.keys[m][s.index][1])) > 1
+                and not over_boundary(cu.keys[m][s.index])]
+
+    walls, tops = free(n), free(n + 1)
+    assert not any(map(free, range(n)))
+    assert [cu.keys[n][w] for w in walls] == [W(i) for i in range(n, 0, -1)]
+    assert [cu.keys[n + 1][t] for t in tops] == [T(i) for i in range(n + 1)]
+    assert not thin[n] & set(walls) and thin[n + 1] >= set(tops)
+    for i, t in enumerate(tops):
+        faces = [cu.keys[n][column[t]] for column in cu.face_columns[n + 1]]
+        assert faces[i + 1] == W(i + 1) and faces[i] == W(i)
+        assert all(map(over_boundary, faces[:i] + faces[i + 2:]))
+    # the homotopy reads the same layout off its formula
+    x = C.delta(0, n + 1)
+    h = homotopy._SphereHomotopy(x, vertex(x), n)
+    assert h.cylinder == cylinder
+    assert (h.walls, h.tops) == (walls, tops)
+    assert [cu.keys[n][e] for e in h.ends] == [W(n + 1), W(0)]
+    assert [link.top for link in h.links] == tops[::-1]
+
+
 # -- the class closure ------------------------------------------------------------
 
 @given(st.data())
@@ -621,6 +666,8 @@ def test_classifying_map_defaults_to_one_above_the_simplex(th0_z2_3):
      "sphere elements need n >= 1"),
     (lambda x, v: C.sphere_elements(x, v, 4), errors.CapTooSmall,
      "cap 3 below n = 4"),
+    (lambda x, v: C.sphere_relation(x, v, 3), errors.CapTooSmall,
+     "homotopy of 3-spheres needs cap >= 4"),
     (lambda x, v: C.tau0(C.delta(0, 0)), errors.CapTooSmall,
      "tau0 needs cap >= 1"),
     (lambda x, v: C.multiply(x, v, 3, v, v), errors.CapTooSmall,
@@ -628,8 +675,8 @@ def test_classifying_map_defaults_to_one_above_the_simplex(th0_z2_3):
     (lambda x, v: C.associativity_witness(
         x, v, 2, *[C.sphere_elements(x, v, 2)[0]] * 3),
      errors.CapTooSmall, "the associativity horn needs cap >= 4"),
-], ids=["sphere_elements-n", "sphere_elements-cap", "tau0", "multiply",
-        "associativity_witness"])
+], ids=["sphere_elements-n", "sphere_elements-cap", "sphere_relation",
+        "tau0", "multiply", "associativity_witness"])
 def test_homotopy_entry_checks(th0_z2_3, call, error, message):
     with pytest.raises(error, match="^" + re.escape(message) + "$"):
         call(th0_z2_3, vertex(th0_z2_3))

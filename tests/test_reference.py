@@ -1,8 +1,9 @@
 """The engine against the brute-force references of ``tests/reference.py``:
 every ``verify`` row and tau_1 at cap 2 on random stratifications of the
 nerves of every monoid of order at most 3 and of the standard complexes,
-at caps up to 3, and tau_1 on ``qcat-e`` of the monoids that are not
-groups."""
+at caps up to 3, tau_1 on ``qcat-e`` of the monoids that are not groups,
+and tau_n for n = 2 and 3 on the Street nerves of the suspensions of
+commutative monoids and on their restratifications."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from . import reference
 from .conftest import check_tau, random_thin, renumbered, report_rows
 
 MONOIDS = [t for order in (1, 2, 3) for t in reference.monoids(order)]
+Z2, BOOL = reference.monoids(2)
+Z3 = tuple(tuple((a + b) % 3 for b in range(3)) for a in range(3))
 
 
 def monoid_category(table):
@@ -115,3 +118,45 @@ def test_batch_fillers_order_fillers_by_the_kth_face(data):
         spread += sum(len({u.faces[2][w][k] for w in found}) > 1
                       for found in got)
     assert spread
+
+
+# -- tau_n of suspensions -----------------------------------------------------
+
+def test_street_nerves_of_double_suspensions_count_their_solutions():
+    # one n-simplex per element, and one (n+1)-simplex per solution of
+    # a + c = b + d: 8 in Z2, 10 in Bool
+    assert reference.street_nerve(Z2, 2, 3).underlying.counts == (1, 1, 2, 8)
+    assert reference.street_nerve(BOOL, 2, 3).underlying.counts == \
+        (1, 1, 2, 10)
+
+
+@pytest.mark.parametrize("table, n, cap", [
+    *[(t, 2, 3) for t in MONOIDS if t == tuple(zip(*t))],
+    *[(t, 3, 4) for t in (Z2, Z3, BOOL)],
+])
+def test_tau_n_of_a_suspension_is_its_monoid(table, n, cap):
+    # the n-simplices of the Street nerve of the n-fold suspension are the
+    # elements, in order, each alone in its class
+    x = reference.street_nerve(table, n, cap)
+    assert C.verify_weak_complicial(x, cap).passed
+    got = check_tau(x, x.underlying.id_at(0, 0), n)
+    assert len(got.classes) == len(table) and got.table == table
+    assert got.is_group == reference.is_group(table, 0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_tau_n_matches_the_reference_on_restratified_suspensions(data):
+    # the n-simplices thin with probability 0, 0.3 or 0.6 and the simplices
+    # above n with probability 0.7 to 1: the join runs over several
+    # elements, some tops lose their simplices and some product horns
+    # their fillers
+    table = data.draw(st.sampled_from([Z2, Z3, BOOL]))
+    n = data.draw(st.integers(2, 3))
+    u = reference.street_nerve(table, n, n + 1).underlying
+    low = data.draw(st.sampled_from([0, 0.3, 0.6]))
+    high = data.draw(st.floats(0.7, 1))
+    rng = data.draw(st.randoms(use_true_random=False))
+    x = C.make_stratified(u, [s for m in (n, n + 1) for s in u.nondegenerate(m)
+                              if rng.random() < (low if m == n else high)])
+    check_tau(x, x.underlying.id_at(0, 0), n)
