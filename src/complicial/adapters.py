@@ -16,15 +16,15 @@ simplex tables, so agreement between the two is meaningful evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from itertools import accumulate, chain, product, repeat
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     SimplexId,
     TruncatedSSet,
+    _Record,
     _compose,
     _require_buildable,
     _require_int,
@@ -46,16 +46,20 @@ from .strat import StratifiedSSet, _stratify, max_strat
 
 # -- finite categories --------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteCategory:
+class FiniteCategory(_Record):
     """A finite category as index tables; composition is "f then g"."""
 
-    objects: tuple[str, ...]
-    morphisms: tuple[str, ...]
-    src: tuple[int, ...]
-    tgt: tuple[int, ...]
-    identities: tuple[int, ...]
-    comp: Mapping[tuple[int, int], int]
+    def __init__(self, objects: tuple[str, ...], morphisms: tuple[str, ...],
+                 src: tuple[int, ...], tgt: tuple[int, ...],
+                 identities: tuple[int, ...],
+                 comp: Mapping[tuple[int, int], int]):
+        d = self.__dict__
+        d["objects"] = objects
+        d["morphisms"] = morphisms
+        d["src"] = src
+        d["tgt"] = tgt
+        d["identities"] = identities
+        d["comp"] = comp
 
     def is_iso(self, f: int) -> bool:
         return any(

@@ -15,9 +15,9 @@ import gc
 import json
 import re
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable
 
 from . import adapters, documents, homotopy, lifting, standard
 from .errors import ComplicialError, NoFiller, NotKan, NotQuasiCategory

@@ -21,11 +21,12 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import (
+    Callable, Hashable, Iterable, Iterator, Mapping, Sequence,
+)
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from types import NoneType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
@@ -39,22 +40,127 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True, slots=True)
 class SimplexId:
     """Identifier of one simplex: its dimension and position within it.
 
     The optional label is display metadata and takes no part in equality,
-    ordering or hashing.
+    ordering or hashing.  Ids are immutable, equal and ordered by
+    ``(dim, index)`` and hash as that pair.
     """
 
-    dim: int
-    index: int
-    label: str | None = field(default=None, compare=False)
+    __slots__ = ("dim", "index", "label")
+
+    def __init__(self, dim: int, index: int, label: str | None = None):
+        _set_dim(self, dim)
+        _set_index(self, index)
+        _set_label(self, label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dim == other.dim and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.index))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.index) < (other.dim, other.index)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.index) <= (other.dim, other.index)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.index) > (other.dim, other.index)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.dim, self.index) >= (other.dim, other.index)
+        return NotImplemented
 
     def __repr__(self) -> str:
         if self.label is not None:
             return f"<{self.dim}:{self.index} {self.label}>"
         return f"<{self.dim}:{self.index}>"
+
+    def __reduce__(self):
+        return SimplexId, (self.dim, self.index, self.label)
+
+    def _replace(self, **changes) -> SimplexId:
+        return SimplexId(**{"dim": self.dim, "index": self.index,
+                            "label": self.label, **changes})
+
+
+# the slots' own setters, which SimplexId.__setattr__ does not reach
+_set_dim = SimplexId.dim.__set__
+_set_index = SimplexId.index.__set__
+_set_label = SimplexId.label.__set__
+
+
+class _Record:
+    """Base of the package's other records: immutable values, equal when
+    their compared fields are, with a repr that names each compared field.
+    The methods are written out, not generated, so that importing the
+    package makes and compiles no methods.
+
+    A record's fields are the parameters of its ``__init__``, in order,
+    which stores each in the instance ``__dict__``; those named in
+    ``_hidden`` take no part in equality, hashing or the repr.  Assigning
+    or deleting an attribute raises ``AttributeError``; a
+    ``functools.cached_property`` still works, as it writes the
+    ``__dict__`` directly.  ``_replace(**changes)`` is a copy with some
+    fields changed.
+    """
+
+    __slots__ = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._compared = tuple(f for f in cls._fields if f not in cls._hidden)
+
+    def _values(self, names: tuple[str, ...]) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, names))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self._compared) == other._values(
+                other._compared)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._compared))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self._compared,
+                              self._values(self._compared)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values(self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values(self._fields)),
+                                 **changes))
 
 
 Row = tuple[int, ...]

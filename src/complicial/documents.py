@@ -62,9 +62,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Iterator
 from itertools import chain, compress, count, islice, repeat
 from operator import is_not, itemgetter
-from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .core import SimplexId, _require_buildable, _sset
@@ -83,7 +83,7 @@ def id_str(s: SimplexId) -> str:
 _encode_str = json.encoder.encode_basestring
 
 
-def dumps(doc: Any) -> str:
+def dumps(doc: object) -> str:
     """The document as ``json.dumps(doc, indent=2, ensure_ascii=False)``
     followed by a newline."""
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
@@ -93,7 +93,7 @@ def dumps(doc: Any) -> str:
 _CHUNKS_PER_PIECE = 1 << 14
 
 
-def dump_pieces(doc: Any) -> Iterator[str]:
+def dump_pieces(doc: object) -> Iterator[str]:
     """The text of :func:`dumps` in pieces, each a batch of the chunks
     ``json``'s encoder yields, so a writer never holds the whole text, nor
     the list of every chunk that ``json.dumps`` joins at the end."""
@@ -396,7 +396,7 @@ def _past(text: str, at: int, marks: str) -> int:
     return at + 1
 
 
-def _object_fields(text: str) -> Iterator[tuple[str, Any]]:
+def _object_fields(text: str) -> Iterator[tuple[str, object]]:
     """The keys and values of the JSON object that is all of ``text``, a
     value at a time, each parsed by ``json``'s own scanner; between them
     only braces, colons, commas and whitespace are matched.  Raises on an
@@ -465,7 +465,7 @@ def verify_payload(report: VerificationReport,
         shown = row.failures if witness_limit is None \
             else row.failures[:witness_limit]
         for failure in shown:
-            detail: dict[str, Any] = {}
+            detail: dict[str, object] = {}
             for key, value in failure.detail.items():
                 if isinstance(value, SimplexId):
                     detail[key] = id_str(value)
@@ -489,12 +489,12 @@ def verify_payload(report: VerificationReport,
     }
 
 
-def _payload(table: MonoidTable, audit: AuditReport | None, rows: Any,
-             fillers: Any, cells: Any) -> dict:
+def _payload(table: MonoidTable, audit: AuditReport | None, rows: object,
+             fillers: object, cells: object) -> dict:
     """The payload of a tau document, with the given values for its
     table rows, its filler rows and, with an audit, its audit cells."""
     n = table.n
-    payload: dict[str, Any] = {
+    payload: dict[str, object] = {
         "n": n,
         "vertex": id_str(table.base),
         "elements": [id_str(e) for e in table.elements],

@@ -23,13 +23,14 @@ so on nerves of monoids the table reproduces the monoid multiplication.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from collections.abc import Hashable, Iterable, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from operator import ne, sub
-from typing import Hashable, Iterable, Sequence
 
-from .core import Row, SimplexId, TruncatedSSet, _require_int, require_simplex
+from .core import (
+    Row, SimplexId, TruncatedSSet, _Record, _require_int, require_simplex,
+)
 from .errors import CapTooSmall, InvalidInput, NoFiller
 from .lifting import _batch_fillers, _generated_rows, _require_horns
 from .standard import delta, delta_t
@@ -96,8 +97,7 @@ def _sphere_indexes(xu: TruncatedSSet, base: SimplexId, n: int) -> list[int]:
 
 # -- homotopy of sphere elements ---------------------------------------------
 
-@dataclass(frozen=True)
-class _Link:
+class _Link(_Record):
     """One top of the sphere cylinder, as a binary relation on n-simplices.
 
     ``least`` maps each pair (u, v) of values of the two free faces, the
@@ -106,10 +106,13 @@ class _Link:
     their second entry.
     """
 
-    top: int
-    least: dict[tuple[int, int], int]
-    forward: dict[int, set[int]]
-    backward: dict[int, set[int]]
+    def __init__(self, top: int, least: dict[tuple[int, int], int],
+                 forward: dict[int, set[int]], backward: dict[int, set[int]]):
+        d = self.__dict__
+        d["top"] = top
+        d["least"] = least
+        d["forward"] = forward
+        d["backward"] = backward
 
 
 class _SphereHomotopy:
@@ -302,13 +305,15 @@ def _partition(size: int, related: Iterable[tuple[int, int]]
     return classes, reflexive, symmetric, transitive
 
 
-@dataclass(frozen=True)
-class Tau0Result:
+class Tau0Result(_Record):
     """Partition of the vertices by the thin-edge relation."""
 
-    classes: tuple[tuple[SimplexId, ...], ...]
-    raw_symmetric: bool
-    raw_transitive: bool
+    def __init__(self, classes: tuple[tuple[SimplexId, ...], ...],
+                 raw_symmetric: bool, raw_transitive: bool):
+        d = self.__dict__
+        d["classes"] = classes
+        d["raw_symmetric"] = raw_symmetric
+        d["raw_transitive"] = raw_transitive
 
     @property
     def closure_needed(self) -> bool:
@@ -434,8 +439,7 @@ def all_product_fillers(
 
 # -- the homotopy monoid table ------------------------------------------------
 
-@dataclass(frozen=True)
-class MonoidTable:
+class MonoidTable(_Record):
     """Multiplication table of a homotopy monoid, with diagnostics.
 
     ``classes`` lists each homotopy class as a sorted tuple of sphere
@@ -445,25 +449,38 @@ class MonoidTable:
     claimed theorem.  ``fillers`` and ``witnesses`` are kept as indexes
     (the first filler of each cell in row-major order, and each related
     pair of elements to the tops of its witness) and made into ids of
-    ``_complex`` when they are first read.
+    ``_complex`` when they are first read; ``_complex`` takes no part in
+    equality or the repr.
     """
 
-    n: int
-    base: SimplexId
-    elements: tuple[SimplexId, ...]
-    classes: tuple[tuple[SimplexId, ...], ...]
-    unit: int
-    table: tuple[tuple[int, ...], ...]
-    associative: bool
-    inverses: dict[int, int]
-    is_group: bool
-    commutative: bool
-    relation_reflexive: bool
-    relation_symmetric: bool
-    relation_transitive: bool
-    _fillers: tuple[int, ...]
-    _witnesses: dict[tuple[int, int], tuple[int, ...]]
-    _complex: TruncatedSSet | None = field(compare=False, repr=False)
+    _hidden = ("_complex",)
+
+    def __init__(self, n: int, base: SimplexId,
+                 elements: tuple[SimplexId, ...],
+                 classes: tuple[tuple[SimplexId, ...], ...], unit: int,
+                 table: tuple[tuple[int, ...], ...], associative: bool,
+                 inverses: dict[int, int], is_group: bool, commutative: bool,
+                 relation_reflexive: bool, relation_symmetric: bool,
+                 relation_transitive: bool, _fillers: tuple[int, ...],
+                 _witnesses: dict[tuple[int, int], tuple[int, ...]],
+                 _complex: TruncatedSSet | None):
+        d = self.__dict__
+        d["n"] = n
+        d["base"] = base
+        d["elements"] = elements
+        d["classes"] = classes
+        d["unit"] = unit
+        d["table"] = table
+        d["associative"] = associative
+        d["inverses"] = inverses
+        d["is_group"] = is_group
+        d["commutative"] = commutative
+        d["relation_reflexive"] = relation_reflexive
+        d["relation_symmetric"] = relation_symmetric
+        d["relation_transitive"] = relation_transitive
+        d["_fillers"] = _fillers
+        d["_witnesses"] = _witnesses
+        d["_complex"] = _complex
 
     @property
     def closure_needed(self) -> bool:
@@ -584,7 +601,7 @@ def _finish_table(table: tuple[tuple[int, ...], ...], **fields) -> MonoidTable:
     )
     if associative:
         inverses, is_group = find_inverses(result)
-        result = replace(result, inverses=inverses, is_group=is_group)
+        result = result._replace(inverses=inverses, is_group=is_group)
     return result
 
 
@@ -747,25 +764,30 @@ def tau_table(x: StratifiedSSet, base: SimplexId, n: int) -> MonoidTable:
 
 # -- audits -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditCell:
-    row: int
-    col: int
-    pairs_tested: int
-    fillers_tested: int
-    consistent: bool
+class AuditCell(_Record):
+    def __init__(self, row: int, col: int, pairs_tested: int,
+                 fillers_tested: int, consistent: bool):
+        d = self.__dict__
+        d["row"] = row
+        d["col"] = col
+        d["pairs_tested"] = pairs_tested
+        d["fillers_tested"] = fillers_tested
+        d["consistent"] = consistent
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Record):
     """The audit of a table, as columns with one entry per cell in
     row-major order; ``size`` is the number of classes.  ``cells`` is made
     from the columns when it is first read."""
 
-    size: int
-    pairs_tested: tuple[int, ...]
-    fillers_tested: tuple[int, ...]
-    consistent: tuple[bool, ...]
+    def __init__(self, size: int, pairs_tested: tuple[int, ...],
+                 fillers_tested: tuple[int, ...],
+                 consistent: tuple[bool, ...]):
+        d = self.__dict__
+        d["size"] = size
+        d["pairs_tested"] = pairs_tested
+        d["fillers_tested"] = fillers_tested
+        d["consistent"] = consistent
 
     @cached_property
     def cells(self) -> tuple[AuditCell, ...]:
@@ -850,15 +872,17 @@ def audit_well_defined(x: StratifiedSSet, base: SimplexId,
                   _product_fillers(x, base, n, pairs))
 
 
-@dataclass(frozen=True)
-class AssociativityWitness:
+class AssociativityWitness(_Record):
     """The filled three-fold horn joining the two association orders."""
 
-    filler: SimplexId
-    double_face: SimplexId
-    theta: SimplexId
-    psi: SimplexId
-    phi: SimplexId
+    def __init__(self, filler: SimplexId, double_face: SimplexId,
+                 theta: SimplexId, psi: SimplexId, phi: SimplexId):
+        d = self.__dict__
+        d["filler"] = filler
+        d["double_face"] = double_face
+        d["theta"] = theta
+        d["psi"] = psi
+        d["phi"] = phi
 
 
 def associativity_witness(

@@ -74,13 +74,12 @@ relative to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import combinations, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .core import Row, SimplexId, TruncatedSSet, _require_int
+from .core import Row, SimplexId, TruncatedSSet, _Record, _require_int
 from .errors import (
     BoundaryMismatch,
     BoundExceedsCap,
@@ -309,21 +308,21 @@ def horn_instances(
         yield {j: ids[w] for j, w in zip(js, row)}
 
 
-@dataclass(frozen=True)
-class FailedInstance:
+class FailedInstance(_Record):
     """Witness of one unfillable instance."""
 
-    family: int
-    k: int
-    n: int
-    detail: dict
+    def __init__(self, family: int, k: int, n: int, detail: dict):
+        d = self.__dict__
+        d["family"] = family
+        d["k"] = k
+        d["n"] = n
+        d["detail"] = detail
 
     def describe(self) -> str:
         return f"family {self.family} (k, n) = ({self.k}, {self.n}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(_Record):
     """One (family, k, n) row: how many instances it decided, and its
     failures, kept as index columns of the ``underlying`` complex.
 
@@ -331,15 +330,22 @@ class VerificationRow:
     (n-1)-simplex each unfilled horn has on that face; family 2 has one
     column, of the failing n-simplices.  The i-th failure reads the i-th
     entry of every column.  ``failures`` is made from the columns on first
-    access and kept.
+    access and kept.  ``underlying`` takes no part in equality or the
+    repr.
     """
 
-    family: int
-    k: int
-    n: int
-    instances: int
-    columns: tuple[Sequence[int], ...]
-    underlying: TruncatedSSet = field(repr=False, compare=False)
+    _hidden = ("underlying",)
+
+    def __init__(self, family: int, k: int, n: int, instances: int,
+                 columns: tuple[Sequence[int], ...],
+                 underlying: TruncatedSSet):
+        d = self.__dict__
+        d["family"] = family
+        d["k"] = k
+        d["n"] = n
+        d["instances"] = instances
+        d["columns"] = columns
+        d["underlying"] = underlying
 
     @property
     def failed(self) -> int:
@@ -367,12 +373,13 @@ class VerificationRow:
             for faces in zip(*self.columns))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of the bounded weak-complicial verification."""
 
-    checked_dims: int
-    rows: tuple[VerificationRow, ...]
+    def __init__(self, checked_dims: int, rows: tuple[VerificationRow, ...]):
+        d = self.__dict__
+        d["checked_dims"] = checked_dims
+        d["rows"] = rows
 
     @property
     def passed(self) -> bool:

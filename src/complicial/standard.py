@@ -9,10 +9,10 @@ repeated value marks a degeneracy.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, count
 from math import comb
-from typing import Iterator
 
 from .core import TruncatedSSet, _require_buildable, _require_int, build_sset
 from .errors import CapTooSmall, InvalidInput, KOutOfRange
@@ -238,13 +238,19 @@ def delta_prime(k: int, n: int, cap: int) -> StratifiedSSet:
 
 
 def key_inclusion(sub: StratifiedSSet, ambient: StratifiedSSet) -> StratifiedMap:
-    """Inclusion of a key-carrying subcomplex into a key-carrying ambient."""
+    """Inclusion of a key-carrying subcomplex into a key-carrying ambient.
+
+    Each key is looked up in the ambient's key index; no simplex id is
+    made."""
     su, au = sub.underlying, ambient.underlying
     if su.keys is None or au.keys is None:
         raise InvalidInput("key_inclusion needs keyed complexes")
-    depth = min(su.dim_cap, au.dim_cap)
-    assign = tuple(
-        tuple(au.id_for_key(m, key).index for key in su.keys[m])
-        for m in range(depth + 1)
-    )
-    return make_stratified_maps(sub, ambient, [assign])[0]
+    assign = []
+    for m in range(min(su.dim_cap, au.dim_cap) + 1):
+        try:
+            assign.append(tuple(map(au._key_index[m].__getitem__,
+                                    su.keys[m])))
+        except KeyError as missing:
+            raise InvalidInput(f"no {m}-simplex has the key "
+                               f"{missing.args[0]!r}") from None
+    return make_stratified_maps(sub, ambient, [tuple(assign)])[0]

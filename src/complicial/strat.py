@@ -9,9 +9,9 @@ thin.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from itertools import chain, compress, product, repeat, starmap
 from operator import add, attrgetter, eq
-from typing import Iterable, Sequence
 
 from .core import (
     SimplexId,

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -687,7 +686,7 @@ def test_inverses_need_an_associative_table(th0_z2_3):
     assert C.find_inverses(table) == (table.inverses, True)
     with pytest.raises(errors.InvalidInput,
                        match="inverse search needs an associative table"):
-        C.find_inverses(replace(table, associative=False))
+        C.find_inverses(table._replace(associative=False))
 
 
 @pytest.mark.parametrize("bad", [1.0, "1", True])

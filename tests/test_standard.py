@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import complicial as C
-from complicial import errors
+from complicial import errors, standard
 
 from . import reference
 
@@ -142,6 +142,31 @@ def test_sizes_from_sys_maxsize_up_rejected():
 
 def test_horn_is_built_once():
     assert C.complicial_horn(1, 2, 2) is C.complicial_horn(1, 2, 2)
+
+
+def test_building_a_horn_makes_no_simplex_ids(monkeypatch):
+    # the horn and its ambient are built afresh, and the inclusion maps
+    # keys straight to indexes
+    made = []
+    init = C.SimplexId.__init__
+
+    def counting(self, dim, index, label=None):
+        made.append(dim)
+        init(self, dim, index, label)
+
+    standard._simplex_family.cache_clear()
+    monkeypatch.setattr(C.SimplexId, "__init__", counting)
+    horn, inclusion = standard._complicial_horn.__wrapped__(1, 4, 4)
+    assert made == []
+    assert inclusion.target.underlying.counts == (5, 15, 35, 70, 126)
+    monkeypatch.undo()
+    assert (horn, inclusion) == C.complicial_horn(1, 4, 4)
+
+
+def test_key_inclusion_names_a_missing_key():
+    with pytest.raises(errors.InvalidInput,
+                       match=r"^no 0-simplex has the key \(2,\)$"):
+        C.key_inclusion(C.delta(2, 2), C.delta(1, 1))
 
 
 @pytest.mark.parametrize("build", [C.complicial_horn, C.horn_prime])
